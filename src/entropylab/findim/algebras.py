@@ -19,8 +19,6 @@ __all__ = [
     "MatrixBlockAlgebra",
     "build_algebra",
     "algebra_from_basis",
-    "commutant",
-    "commutant_basis_nullspace",
 ]
 
 # Residual accepted when deciding that a matrix lies in a span.
@@ -244,11 +242,6 @@ def build_algebra(
     return MatrixBlockAlgebra(list(blocks), structure)
 
 
-def commutant(algebra: MatrixBlockAlgebra) -> MatrixBlockAlgebra:
-    """Commutant of the algebra (shared isometries, block shapes swapped)."""
-    return algebra.commutant()
-
-
 # -- structure discovery -------------------------------------------------------
 
 
@@ -291,7 +284,7 @@ def _center_basis(basis: list[np.ndarray], dim: int) -> list[np.ndarray]:
         block = np.stack([(f @ b - b @ f).reshape(-1) for f in basis])
         rows.append(block.T)
     constraint = np.concatenate(rows, axis=0)
-    u, s, vh = np.linalg.svd(constraint)
+    _, s, vh = np.linalg.svd(constraint, full_matrices=False)
     tol = max(1.0, (s[0] if s.size else 1.0)) * 1e-10
     null = [vh[i].conj() for i in range(len(basis)) if i >= len(s) or s[i] <= tol]
     center = []
@@ -418,21 +411,3 @@ def _intertwine(
             return None
         frames.append(aligned)
     return frames
-
-
-def commutant_basis_nullspace(algebra: MatrixBlockAlgebra) -> list[np.ndarray]:
-    """Solve [x, b] = 0 for all basis b directly; used to cross-check commutants."""
-    dim = algebra.ambient_dim
-    eye = np.eye(dim)
-    rows = []
-    for b in algebra.basis:
-        rows.append(np.kron(eye, b) - np.kron(b.T, eye))
-    constraint = np.concatenate(rows, axis=0)
-    u, s, vh = np.linalg.svd(constraint)
-    tol = max(1.0, (s[0] if s.size else 1.0)) * 1e-10
-    out = []
-    for i in range(dim * dim):
-        if i >= len(s) or s[i] <= tol:
-            # vec convention: column-major, x = vh[i] reshaped Fortran-style
-            out.append(vh[i].conj().reshape(dim, dim, order="F"))
-    return out

@@ -271,7 +271,7 @@ def group_average_expectation(
                 conj_coords[a, b] = np.trace(fa.conj().T @ g)
         rows.append(conj_coords - np.eye(len(basis)))
     stacked = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(stacked)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     rank = int(np.sum(svals > 1e-9 * max(1.0, svals[0] if svals.size else 1.0)))
     fixed_coords = vh[rank:].conj()
     fixed = [

@@ -17,7 +17,6 @@ __all__ = [
     "WeightDensity",
     "VectorStateData",
     "canonical_density",
-    "vector_state",
     "trace_state",
     "random_faithful_state",
 ]
@@ -163,10 +162,6 @@ def _spans_everything(algebra: MatrixBlockAlgebra, vector: np.ndarray) -> bool:
     stack = np.stack([b @ vector for b in algebra.basis])
     rank = np.linalg.matrix_rank(stack, tol=1e-10)
     return int(rank) == algebra.ambient_dim
-
-
-def vector_state(algebra: MatrixBlockAlgebra, vector: np.ndarray) -> VectorStateData:
-    return VectorStateData(algebra, vector)
 
 
 def trace_state(algebra: MatrixBlockAlgebra, total: float = 1.0) -> WeightDensity:

@@ -35,9 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-cache", action="store_true", help="recompute even if cached"
         )
         sub.add_argument("--seed", type=int, help="override the config seed")
-        sub.add_argument(
-            "--jobs", type=int, default=1, help="worker threads for case sweeps"
-        )
 
     findim = commands.add_parser(
         "findim-suite", help="finite-dimensional identity and index battery"
@@ -97,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
 
         report = cache_lookup(config) if config.cache_enabled else None
         if report is None:
-            report = run_experiment(config, jobs=max(1, args.jobs))
+            report = run_experiment(config)
             if config.cache_enabled:
                 cache_store(report)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -146,19 +145,12 @@ def config_hash(config: ExperimentConfig) -> str:
     return digest.hexdigest()
 
 
-def _map_ordered(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunReport:
+def run_experiment(config: ExperimentConfig) -> RunReport:
     runner = _RUNNERS.get(config.kind)
     if runner is None:
         raise ConfigError(f"no runner for kind '{config.kind}'")
     start = time.perf_counter()
-    cases, verdicts, timings = runner(config, jobs)
+    cases, verdicts, timings = runner(config)
     timings["total_seconds"] = time.perf_counter() - start
     return RunReport(
         kind=config.kind,
@@ -207,7 +199,7 @@ def _group_verdict(name: str, cases: list[CaseRecord], detail: str = "") -> Verd
 # findim-suite
 
 
-def _run_findim(config: ExperimentConfig, jobs: int):
+def _run_findim(config: ExperimentConfig):
     n = config.instances
     timings: dict = {}
     cases: list[CaseRecord] = []
@@ -237,7 +229,7 @@ def _run_findim(config: ExperimentConfig, jobs: int):
             1e-8,
         )
 
-    araki = clocked("araki", lambda: _map_ordered(araki_case, list(range(n)), jobs))
+    araki = clocked("araki", lambda: [araki_case(k) for k in range(n)])
     cases.extend(araki)
     verdicts.append(_group_verdict("spatial-equals-trace-form", araki))
 
@@ -253,7 +245,7 @@ def _run_findim(config: ExperimentConfig, jobs: int):
             1e-6,
         )
 
-    diff = clocked("difference", lambda: _map_ordered(difference_case, list(range(n)), jobs))
+    diff = clocked("difference", lambda: [difference_case(k) for k in range(n)])
     cases.extend(diff)
     verdicts.append(_group_verdict("expectation-difference-identity", diff))
 
@@ -269,7 +261,7 @@ def _run_findim(config: ExperimentConfig, jobs: int):
         )
 
     chain_count = max(n // 2, 5)
-    chain = clocked("chain", lambda: _map_ordered(chain_case, list(range(chain_count)), jobs))
+    chain = clocked("chain", lambda: [chain_case(k) for k in range(chain_count)])
     cases.extend(chain)
     verdicts.append(_group_verdict("expectation-additivity-chain", chain))
 
@@ -322,7 +314,7 @@ def _run_findim(config: ExperimentConfig, jobs: int):
 # fermion experiments
 
 
-def _run_duality(config: ExperimentConfig, jobs: int):
+def _run_duality(config: ExperimentConfig):
     spec = _spec_from(config.arcs)
     arc_flag = config.r_convention == "arc"
     tol = config.effective_tolerance
@@ -333,7 +325,7 @@ def _run_duality(config: ExperimentConfig, jobs: int):
         rep = entropy_deficit(ground_state_correlations(n), spec, config.c, arc_flag)
         return rep, time.perf_counter() - t0
 
-    results = _map_ordered(one, list(config.sizes), jobs)
+    results = [one(n) for n in config.sizes]
     cases = []
     for n, (rep, seconds) in zip(config.sizes, results):
         timings[f"N={n}"] = seconds
@@ -403,7 +395,7 @@ def _run_duality(config: ExperimentConfig, jobs: int):
     return cases, verdicts, timings
 
 
-def _run_sweep(config: ExperimentConfig, jobs: int):
+def _run_sweep(config: ExperimentConfig):
     if len(config.arcs) != 2:
         raise ConfigError("cross-ratio-sweep expects exactly 2 base arcs")
     (a1, b1), (a2, _) = _spec_from(config.arcs).arcs
@@ -420,7 +412,7 @@ def _run_sweep(config: ExperimentConfig, jobs: int):
         return eta, value
 
     t0 = time.perf_counter()
-    results = _map_ordered(one, work, jobs)
+    results = [one(item) for item in work]
     timings["sweep"] = time.perf_counter() - t0
     cases = []
     for (n, length), (eta, value) in zip(work, results):
@@ -444,7 +436,7 @@ def _run_sweep(config: ExperimentConfig, jobs: int):
     return cases, verdicts, timings
 
 
-def _run_cfit(config: ExperimentConfig, jobs: int):
+def _run_cfit(config: ExperimentConfig):
     tol = config.effective_tolerance
     timings: dict = {}
 
@@ -458,7 +450,7 @@ def _run_cfit(config: ExperimentConfig, jobs: int):
         fit = central_charge_fit(lengths, entropies, n)
         return fit, lengths, time.perf_counter() - t0
 
-    results = _map_ordered(one, list(config.sizes), jobs)
+    results = [one(n) for n in config.sizes]
     cases = []
     for n, (fit, lengths, seconds) in zip(config.sizes, results):
         timings[f"N={n}"] = seconds
@@ -485,7 +477,7 @@ def _run_cfit(config: ExperimentConfig, jobs: int):
     return cases, verdicts, timings
 
 
-def _run_shrink(config: ExperimentConfig, jobs: int):
+def _run_shrink(config: ExperimentConfig):
     spec = _spec_from(config.arcs)
     tol = config.effective_tolerance
     timings: dict = {}
@@ -530,7 +522,7 @@ def _run_shrink(config: ExperimentConfig, jobs: int):
     return cases, verdicts, timings
 
 
-def _run_collapse(config: ExperimentConfig, jobs: int):
+def _run_collapse(config: ExperimentConfig):
     spec = _spec_from(config.arcs)
     if len(spec.arcs) != 2:
         raise ConfigError("collapse expects a two-arc region")
@@ -547,7 +539,7 @@ def _run_collapse(config: ExperimentConfig, jobs: int):
         )
         return rep, time.perf_counter() - t0
 
-    results = _map_ordered(one, list(config.sizes), jobs)
+    results = [one(n) for n in config.sizes]
     largest = max(config.sizes)
     cases = []
     for n, (rep, seconds) in zip(config.sizes, results):
@@ -587,7 +579,7 @@ def _run_collapse(config: ExperimentConfig, jobs: int):
     return cases, verdicts, timings
 
 
-def _run_twod(config: ExperimentConfig, jobs: int):
+def _run_twod(config: ExperimentConfig):
     left = _spec_from(config.arcs)
     right = _spec_from(config.right_arcs)
     arc_flag = config.r_convention == "arc"
@@ -602,13 +594,10 @@ def _run_twod(config: ExperimentConfig, jobs: int):
         combined = two_dimensional_deficit(rep_l, rep_r)
         return rep_l, rep_r, combined, time.perf_counter() - t0
 
-    results = _map_ordered(one, list(config.sizes), jobs)
+    results = [one(n) for n in config.sizes]
     cases = []
-    additivity_ok = True
     for n, (rep_l, rep_r, combined, seconds) in zip(config.sizes, results):
         timings[f"N={n}"] = seconds
-        exact = combined.deficit == rep_l.deficit + rep_r.deficit
-        additivity_ok = additivity_ok and exact
         cases.append(
             CaseRecord(
                 case_id=f"twod-N{n}",
@@ -625,14 +614,7 @@ def _run_twod(config: ExperimentConfig, jobs: int):
             )
         )
     ids = tuple(c.case_id for c in cases)
-    verdicts = [
-        Verdict(
-            name="two-d-additivity-exact",
-            passed=additivity_ok,
-            detail="D_2d equals D_left + D_right bitwise",
-            case_ids=ids,
-        )
-    ]
+    verdicts = []
     if len(cases) >= 3:
         ext = finite_size_extrapolate(
             [(n, c.values["D_2d"]) for n, c in zip(config.sizes, cases)]

@@ -9,7 +9,6 @@ eigenvalues of restricted correlation matrices via the Fermi kernel
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,20 +30,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Two-point functions <a_j^dag a_k> of the chain ground state."""
+    """Two-point functions <a_j^dag a_k> of the chain ground state.
 
-    matrix: np.ndarray
+    Only the site count is stored.  Blocks on a site set come from the
+    closed form C_jk = 1/2 on the diagonal, i / (N sin(pi d / N)) for odd
+    separation d = j - k, zero for even nonzero separation.  The expression
+    is antiperiodic in d, matching the NS sector.
+    """
+
     n_sites: int
 
     def __post_init__(self) -> None:
-        mat = self.matrix
-        if mat.shape != (self.n_sites, self.n_sites):
-            raise ValueError("matrix shape does not match the site count")
-        if np.linalg.norm(mat - mat.conj().T) > 1e-10 * self.n_sites:
-            raise ValueError("correlation matrix must be Hermitian")
+        if self.n_sites % 2 or self.n_sites < 4:
+            raise ValueError("site count must be even and at least 4")
 
     def restricted(self, sites: np.ndarray) -> np.ndarray:
-        return self.matrix[np.ix_(sites, sites)]
+        """The |S| x |S| block of the correlation matrix on the given sites."""
+        n = self.n_sites
+        sites = np.asarray(sites, dtype=int)
+        if sites.size and (sites.min() < 0 or sites.max() >= n):
+            raise ValueError(f"sites must lie in [0, {n})")
+        diff = np.subtract.outer(sites, sites)
+        odd = (diff % 2).astype(bool)
+        block = np.zeros(diff.shape, dtype=complex)
+        block[odd] = 1j / (n * np.sin(np.pi * diff[odd] / n))
+        block[diff == 0] = 0.5
+        if np.linalg.norm(block - block.conj().T) > 1e-10 * sites.size:
+            raise ValueError("correlation matrix must be Hermitian")
+        return block
 
 
 def hopping_matrix(n_sites: int) -> np.ndarray:
@@ -61,22 +74,8 @@ def hopping_matrix(n_sites: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def ground_state_correlations(n_sites: int) -> CorrelationMatrix:
-    """Spectral projector onto the filled (negative-energy) NS modes.
-
-    Closed form: C_jk = 1/2 on the diagonal, i / (N sin(pi d / N)) for odd
-    separation d = j - k, zero for even nonzero separation.  The expression
-    is antiperiodic in d, matching the NS sector.
-    """
-    if n_sites % 2 or n_sites < 4:
-        raise ValueError("site count must be even and at least 4")
-    idx = np.arange(n_sites)
-    diff = np.subtract.outer(idx, idx)
-    odd = (diff % 2).astype(bool)
-    mat = np.zeros((n_sites, n_sites), dtype=complex)
-    mat[odd] = 1j / (n_sites * np.sin(np.pi * diff[odd] / n_sites))
-    np.fill_diagonal(mat, 0.5)
-    mat.flags.writeable = False
-    return CorrelationMatrix(matrix=mat, n_sites=n_sites)
+    """Spectral projector onto the filled (negative-energy) NS modes."""
+    return CorrelationMatrix(n_sites)
 
 
 def _occupation_entropy(occupations: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """Block algebra construction, commutants, and structure discovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from entropylab.findim import (
     MatrixBlockAlgebra,
     algebra_from_basis,
     build_algebra,
-    commutant_basis_nullspace,
 )
 from entropylab.findim.identities import random_unitary
 
@@ -55,19 +56,14 @@ def test_commutant_commutes_elementwise():
             assert np.abs(a @ b - b @ a).max() < 1e-12
 
 
-def test_commutant_against_brute_force():
+@pytest.mark.parametrize("blocks", [[(2, 2), (1, 3)], [(2, 2), (3, 1)]])
+def test_commutant_against_brute_force(blocks):
     rng = np.random.default_rng(7)
-    alg = build_algebra([(2, 2), (1, 3)]).conjugated(random_unitary(7, rng))
+    alg = build_algebra(blocks).conjugated(random_unitary(7, rng))
     rows = brute_force_commutant(alg.basis, 7)
     assert len(rows) == len(alg.commutant().basis)
     for row in rows:
         assert alg.commutant().contains(row.reshape(7, 7), tol=1e-8)
-
-
-def test_commutant_nullspace_helper_agrees():
-    alg = build_algebra([(2, 2), (3, 1)])
-    found = commutant_basis_nullspace(alg)
-    assert len(found) == len(alg.commutant().basis)
 
 
 def test_project_is_idempotent_and_contained():
@@ -103,6 +99,21 @@ def test_discovery_circulant_center():
     basis = [np.eye(3, dtype=complex), shift, shift @ shift]
     found = algebra_from_basis(basis)
     assert sorted(found.blocks) == [(1, 1), (1, 1), (1, 1)]
+
+
+def test_discovery_memory_stays_small_for_a_d16_factor():
+    # the center solve stacks a 4096 x 16 constraint; a full SVD would
+    # build an unused 4096 x 4096 left factor (268 MB)
+    rng = np.random.default_rng(3)
+    alg = build_algebra([(4, 4)]).conjugated(random_unitary(16, rng))
+    tracemalloc.start()
+    try:
+        found = algebra_from_basis(alg.basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found.blocks == [(4, 4)]
+    assert peak < 32 * 2**20
 
 
 def test_central_projections_resolve_identity():

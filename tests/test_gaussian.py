@@ -1,6 +1,8 @@
 """Correlation matrices and Gaussian entropies, checked against a full
 many-body construction at small size."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def test_no_zero_modes_at_many_sizes():
 
 @pytest.mark.parametrize("n", [4, 8, 14])
 def test_correlations_form_projector_at_half_filling(n):
-    c = ground_state_correlations(n).matrix
+    c = ground_state_correlations(n).restricted(np.arange(n))
     np.testing.assert_allclose(c @ c, c, atol=1e-12)
     assert np.trace(c).real == pytest.approx(n / 2, abs=1e-12)
     np.testing.assert_allclose(np.diag(c), 0.5, atol=1e-12)
@@ -55,12 +57,12 @@ def test_correlations_match_direct_diagonalization_n4():
     vals, vecs = np.linalg.eigh(h)
     filled = vecs[:, vals < 0]
     want = filled @ filled.conj().T
-    got = ground_state_correlations(4).matrix
+    got = ground_state_correlations(4).restricted(np.arange(4))
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_correlations_match_many_body_ground_state():
-    got = ground_state_correlations(8).matrix
+    got = ground_state_correlations(8).restricted(np.arange(8))
     want = oracles.many_body_correlations(8)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -72,12 +74,37 @@ def test_correlations_rejects_odd_or_tiny():
         ground_state_correlations(2)
 
 
-def test_matrix_is_read_only_and_cached():
+def test_correlations_are_cached():
     c1 = ground_state_correlations(8)
     c2 = ground_state_correlations(8)
     assert c1 is c2
+
+
+def test_restricted_blocks_are_slices_of_the_full_block():
+    n = 64
+    corr = ground_state_correlations(n)
+    full = corr.restricted(np.arange(n))
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 7, 31, 64):
+        sites = rng.choice(n, size=size, replace=False)
+        np.testing.assert_array_equal(corr.restricted(sites), full[np.ix_(sites, sites)])
+
+
+@pytest.mark.parametrize("bad", [[-1, 0], [0, 64], [3, 70]])
+def test_restricted_rejects_sites_outside_the_chain(bad):
     with pytest.raises(ValueError):
-        c1.matrix[0, 0] = 9.0
+        ground_state_correlations(64).restricted(np.array(bad))
+
+
+def test_region_entropy_allocates_only_the_region_block():
+    ground_state_correlations.cache_clear()
+    tracemalloc.start()
+    try:
+        region_entropy(ground_state_correlations(2048), np.arange(64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_block_entropy_against_many_body():

@@ -55,13 +55,6 @@ def test_run_is_deterministic(tmp_path):
     assert first == second
 
 
-def test_parallel_run_matches_serial(tmp_path):
-    config = _config(tmp_path, SWEEP)
-    serial = summary_json(run_experiment(config, jobs=1))
-    parallel = summary_json(run_experiment(config, jobs=3))
-    assert serial == parallel
-
-
 def test_timings_stay_out_of_summary(tmp_path):
     config = _config(tmp_path, DUALITY)
     report = run_experiment(config)

@@ -8,7 +8,6 @@ from entropylab.findim import (
     canonical_density,
     random_faithful_state,
     trace_state,
-    vector_state,
 )
 from entropylab.findim.identities import random_unitary
 
@@ -72,7 +71,7 @@ def test_vector_state_matches_expectation_values():
     alg = build_algebra([(2, 2)]).conjugated(random_unitary(4, rng))
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    om = vector_state(alg, v)
+    om = VectorStateData(alg, v)
     for b in alg.basis:
         want = v.conj() @ b @ v
         got = om.state().value(b)
