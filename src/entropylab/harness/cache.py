@@ -1,11 +1,12 @@
-"""Result cache keyed by effective config and engine version.
+"""Result cache keyed by effective config and engine sources.
 
 Entries live under ``$ENTROPYLAB_CACHE_DIR`` (default
 ``~/.cache/entropylab``) as one JSON file per config hash.  The hash
-covers the fully resolved config (file values plus CLI overrides) and
-the engine version, so a rebuilt engine or a changed tolerance can
-never serve stale numbers.  Writes go through a temp file and an
-atomic rename; anything unreadable is evicted and treated as a miss.
+covers the fully resolved config (file values plus CLI overrides) and a
+sha256 of every ``entropylab/**/*.py`` source file, so an edited engine
+(with or without a version bump) or a changed tolerance can never serve
+stale numbers.  Writes go through a temp file and an atomic rename;
+anything unreadable is evicted and treated as a miss.
 """
 
 from __future__ import annotations

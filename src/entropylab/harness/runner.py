@@ -8,10 +8,12 @@ timings are collected on the side and never mix into report bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -135,13 +137,28 @@ class RunReport:
         )
 
 
+@functools.cache
+def _engine_fingerprint() -> str:
+    """sha256 over the path and contents of every source file of the package.
+
+    Computed on first use, not at import, so that starting the CLI stays
+    cheap.  Any edit to the engine changes it, with or without a version bump.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        content = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest.update(f"{path.relative_to(root).as_posix()}\n{content}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
 def config_hash(config: ExperimentConfig) -> str:
-    """Hash of the effective config plus the engine version."""
+    """Hash of the effective config plus the engine source fingerprint."""
     canon = json.dumps(config.echo(), sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256()
     digest.update(canon.encode("utf-8"))
     digest.update(b"\n")
-    digest.update(ENGINE_VERSION.encode("utf-8"))
+    digest.update(_engine_fingerprint().encode("utf-8"))
     return digest.hexdigest()
 
 

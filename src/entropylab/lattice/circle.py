@@ -10,7 +10,7 @@ endpoints, never from site counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class LatticeCircle:
     """Evenly spaced sites on the unit circle, antiperiodic fermion sector."""
 
     n_sites: int
-    boundary_sector: str = field(default="antiperiodic", init=False)
 
     def __post_init__(self) -> None:
         if self.n_sites < 8 or self.n_sites % 2:

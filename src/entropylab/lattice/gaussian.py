@@ -2,9 +2,18 @@
 
 The chain is the half-filled nearest-neighbor model with imaginary hopping
 amplitude in the antiperiodic (NS) momentum sector, whose single-particle
-spectrum has no zero modes at any even size.  All entropies come from
-eigenvalues of restricted correlation matrices via the Fermi kernel
+spectrum has no zero modes at any even size.  All entropies come from the
+occupations nu of restricted correlation matrices via the Fermi kernel
 -[nu ln nu + (1-nu) ln(1-nu)].
+
+The correlation matrix is C = 1/2 + iK with K real and nonzero only between
+sites of opposite parity.  On a site set with even sites E and odd sites O,
+iK restricted to the set is Hermitian with off-diagonal block B = K[E, O],
+so the occupations are 1/2 +- sigma for the singular values sigma of the
+real |E| x |O| block B, plus ||E| - |O|| modes at exactly 1/2.  No complex
+|S| x |S| block is ever formed.  Because the ground state is pure, a region
+and its complement have the same entropy; the arc-union relative entropy
+evaluates each entropy on whichever of the two is smaller.
 """
 
 from __future__ import annotations
@@ -32,10 +41,10 @@ __all__ = [
 class CorrelationMatrix:
     """Two-point functions <a_j^dag a_k> of the chain ground state.
 
-    Only the site count is stored.  Blocks on a site set come from the
-    closed form C_jk = 1/2 on the diagonal, i / (N sin(pi d / N)) for odd
-    separation d = j - k, zero for even nonzero separation.  The expression
-    is antiperiodic in d, matching the NS sector.
+    Only the site count is stored.  The closed form is C_jk = 1/2 on the
+    diagonal, i / (N sin(pi d / N)) for odd separation d = j - k, zero for
+    even nonzero separation.  The expression is antiperiodic in d, matching
+    the NS sector.
     """
 
     n_sites: int
@@ -44,20 +53,10 @@ class CorrelationMatrix:
         if self.n_sites % 2 or self.n_sites < 4:
             raise ValueError("site count must be even and at least 4")
 
-    def restricted(self, sites: np.ndarray) -> np.ndarray:
-        """The |S| x |S| block of the correlation matrix on the given sites."""
-        n = self.n_sites
-        sites = np.asarray(sites, dtype=int)
-        if sites.size and (sites.min() < 0 or sites.max() >= n):
-            raise ValueError(f"sites must lie in [0, {n})")
-        diff = np.subtract.outer(sites, sites)
-        odd = (diff % 2).astype(bool)
-        block = np.zeros(diff.shape, dtype=complex)
-        block[odd] = 1j / (n * np.sin(np.pi * diff[odd] / n))
-        block[diff == 0] = 0.5
-        if np.linalg.norm(block - block.conj().T) > 1e-10 * sites.size:
-            raise ValueError("correlation matrix must be Hermitian")
-        return block
+    def even_odd_block(self, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """The real block B_jk = -i C_jk with j over even and k over odd sites."""
+        diff = np.subtract.outer(even, odd)
+        return 1.0 / (self.n_sites * np.sin(np.pi * diff / self.n_sites))
 
 
 def hopping_matrix(n_sites: int) -> np.ndarray:
@@ -89,18 +88,35 @@ def _occupation_entropy(occupations: np.ndarray) -> float:
 
 
 def region_entropy(corr: CorrelationMatrix, sites: np.ndarray) -> float:
-    """Entanglement entropy of a site set, in nats."""
+    """Entanglement entropy of a set of distinct sites, in nats."""
+    n = corr.n_sites
     sites = np.asarray(sites, dtype=int)
     if sites.size == 0:
         raise ValueError("region must contain at least one site")
-    return _occupation_entropy(np.linalg.eigvalsh(corr.restricted(sites)))
+    if sites.min() < 0 or sites.max() >= n:
+        raise ValueError(f"sites must lie in [0, {n})")
+    if np.unique(sites).size != sites.size:
+        raise ValueError("sites must be distinct")
+    even = sites[sites % 2 == 0]
+    odd = sites[sites % 2 == 1]
+    sigma = np.linalg.svd(corr.even_odd_block(even, odd), compute_uv=False)
+    unpaired = np.full(abs(even.size - odd.size), 0.5)
+    return _occupation_entropy(np.concatenate([0.5 + sigma, 0.5 - sigma, unpaired]))
+
+
+def _pure_state_entropy(corr: CorrelationMatrix, sites: np.ndarray) -> float:
+    """S(sites), computed on the complement when that is the smaller set."""
+    if 2 * sites.size > corr.n_sites:
+        sites = np.setdiff1d(np.arange(corr.n_sites), sites, assume_unique=True)
+    return region_entropy(corr, sites)
 
 
 def product_state_relative_entropy(corr: CorrelationMatrix, spec: RegionSpec) -> float:
     """S(omega, omega_I1 x ... x omega_In) = sum_k S(I_k) - S(union).
 
     Equals the mutual information for two arcs and vanishes for one.
-    Every arc must contain at least one site.
+    Every arc must contain at least one site.  Each entropy is evaluated on
+    the smaller of the site set and its complement (purity).
     """
     circle = LatticeCircle(corr.n_sites)
     if len(spec.arcs) == 1:
@@ -115,5 +131,5 @@ def product_state_relative_entropy(corr: CorrelationMatrix, spec: RegionSpec) ->
     union = np.sort(np.concatenate(parts))
     if union.size == circle.n_sites:
         raise ValueError("region leaves no complement sites")
-    total = sum(region_entropy(corr, sites) for sites in parts)
-    return total - region_entropy(corr, union)
+    total = sum(_pure_state_entropy(corr, sites) for sites in parts)
+    return total - _pure_state_entropy(corr, union)

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written from first principles with no
 imports from entropylab internals: eigen-overlap relative entropy, a
-brute-force commutant solver, and a many-body spin-chain construction
-of the imaginary-hopping Hamiltonian (Jordan-Wigner form) whose ground
-state gives correlation functions and reduced entropies the long way.
+brute-force commutant solver, the dense restricted correlation matrix
+of the hopping chain with its eigenvalue entropy (Peschel, J. Phys. A 36
+L205, 2003), and a many-body spin-chain construction of the
+imaginary-hopping Hamiltonian (Jordan-Wigner form) whose ground state
+gives correlation functions and reduced entropies the long way.
 """
 
 from __future__ import annotations
@@ -57,6 +59,34 @@ def conjugation_flow(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     phases = np.exp(1j * t * np.log(vals))
     u = (vecs * phases) @ vecs.conj().T
     return u @ x @ u.conj().T
+
+
+# --- dense Gaussian route for the hopping chain ----------------------------
+
+
+def correlation_block(n_sites: int, sites) -> np.ndarray:
+    """The |S| x |S| block of <a_j^dag a_k> on the given sites.
+
+    Closed form of the NS-sector ground state: 1/2 on the diagonal,
+    i / (N sin(pi d / N)) for odd separation d = j - k, zero otherwise.
+    """
+    sites = np.asarray(sites, dtype=int)
+    diff = np.subtract.outer(sites, sites)
+    odd = (diff % 2).astype(bool)
+    block = np.zeros(diff.shape, dtype=complex)
+    block[odd] = 1j / (n_sites * np.sin(np.pi * diff[odd] / n_sites))
+    block[diff == 0] = 0.5
+    if np.linalg.norm(block - block.conj().T) > 1e-10 * sites.size:
+        raise ValueError("correlation matrix must be Hermitian")
+    return block
+
+
+def block_entropy(block: np.ndarray) -> float:
+    """Fermionic entropy from the eigenvalues of a restricted correlation block."""
+    occupations = np.linalg.eigvalsh(block)
+    probs = np.concatenate([occupations, 1.0 - occupations])
+    probs = probs[probs > 0.0]
+    return float(-np.sum(probs * np.log(probs)))
 
 
 # --- many-body route for the hopping chain ---------------------------------

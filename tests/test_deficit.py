@@ -8,10 +8,12 @@ import pytest
 from entropylab.lattice import (
     RegionSpec,
     central_charge_fit,
+    chord_length,
     entropy_deficit,
     finite_size_extrapolate,
     ground_state_correlations,
     lattice_region,
+    product_state_relative_entropy,
     region_entropy,
     regularized_entropy,
     two_dimensional_deficit,
@@ -32,6 +34,30 @@ def test_deficit_report_fields():
     assert len(report.region_lengths) == 2
     assert len(report.complement_lengths) == 2
     assert report.deficit == report.g_region - report.g_complement
+
+
+def _continuum_mutual_information(spec):
+    """Casini-Fosco-Huerta (2005) two-interval mutual information of the
+    massless Dirac fermion on the circle, with chord lengths r:
+    (1/3) ln[r(a1, a2) r(b1, b2) / (r(a1, b2) r(b1, a2))]."""
+    (a1, b1), (a2, b2) = spec.arcs
+    ratio = chord_length(a1, a2) * chord_length(b1, b2)
+    ratio /= chord_length(a1, b2) * chord_length(b1, a2)
+    return math.log(ratio) / 3.0
+
+
+CONTINUUM_TOL = 3e-4
+
+
+@pytest.mark.parametrize("n", [2048, 4096, 8192])
+def test_mutual_information_matches_continuum(n):
+    got = product_state_relative_entropy(ground_state_correlations(n), TWO_ARCS)
+    assert abs(got - _continuum_mutual_information(TWO_ARCS)) < CONTINUUM_TOL
+
+
+def test_continuum_tolerance_binds_at_small_size():
+    got = product_state_relative_entropy(ground_state_correlations(512), TWO_ARCS)
+    assert abs(got - _continuum_mutual_information(TWO_ARCS)) > CONTINUUM_TOL
 
 
 def test_deficit_two_routes_agree():

@@ -1,11 +1,14 @@
-"""Correlation matrices and Gaussian entropies, checked against a full
-many-body construction at small size."""
+"""Correlation matrices and Gaussian entropies, checked against the dense
+eigensolve oracle and a full many-body construction at small size."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from entropylab.lattice import gaussian
 from entropylab.lattice import (
     LatticeCircle,
     RegionSpec,
@@ -45,7 +48,7 @@ def test_no_zero_modes_at_many_sizes():
 
 @pytest.mark.parametrize("n", [4, 8, 14])
 def test_correlations_form_projector_at_half_filling(n):
-    c = ground_state_correlations(n).restricted(np.arange(n))
+    c = oracles.correlation_block(n, np.arange(n))
     np.testing.assert_allclose(c @ c, c, atol=1e-12)
     assert np.trace(c).real == pytest.approx(n / 2, abs=1e-12)
     np.testing.assert_allclose(np.diag(c), 0.5, atol=1e-12)
@@ -57,12 +60,12 @@ def test_correlations_match_direct_diagonalization_n4():
     vals, vecs = np.linalg.eigh(h)
     filled = vecs[:, vals < 0]
     want = filled @ filled.conj().T
-    got = ground_state_correlations(4).restricted(np.arange(4))
+    got = oracles.correlation_block(4, np.arange(4))
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_correlations_match_many_body_ground_state():
-    got = ground_state_correlations(8).restricted(np.arange(8))
+    got = oracles.correlation_block(8, np.arange(8))
     want = oracles.many_body_correlations(8)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -83,17 +86,55 @@ def test_correlations_are_cached():
 def test_restricted_blocks_are_slices_of_the_full_block():
     n = 64
     corr = ground_state_correlations(n)
-    full = corr.restricted(np.arange(n))
+    full = oracles.correlation_block(n, np.arange(n))
     rng = np.random.default_rng(11)
     for size in (1, 2, 7, 31, 64):
         sites = rng.choice(n, size=size, replace=False)
-        np.testing.assert_array_equal(corr.restricted(sites), full[np.ix_(sites, sites)])
+        np.testing.assert_array_equal(
+            oracles.correlation_block(n, sites), full[np.ix_(sites, sites)]
+        )
+        even, odd = sites[sites % 2 == 0], sites[sites % 2 == 1]
+        np.testing.assert_array_equal(
+            corr.even_odd_block(even, odd), full.imag[np.ix_(even, odd)]
+        )
 
 
 @pytest.mark.parametrize("bad", [[-1, 0], [0, 64], [3, 70]])
 def test_restricted_rejects_sites_outside_the_chain(bad):
-    with pytest.raises(ValueError):
-        ground_state_correlations(64).restricted(np.array(bad))
+    with pytest.raises(ValueError, match="must lie in"):
+        region_entropy(ground_state_correlations(64), np.array(bad))
+
+
+@pytest.mark.parametrize("repeated", [[0, 0], [0, 2, 2], [5, 5, 5]])
+def test_region_entropy_rejects_repeated_sites(repeated):
+    with pytest.raises(ValueError, match="distinct"):
+        region_entropy(ground_state_correlations(64), np.array(repeated))
+
+
+@st.composite
+def _site_sets(draw):
+    """A chain size and a nonempty site set, optionally of one parity only."""
+    n = draw(st.sampled_from([8, 16, 34, 64]))
+    parity = draw(st.sampled_from([None, 0, 1]))
+    pool = np.arange(n) if parity is None else np.arange(parity, n, 2)
+    mask = draw(st.lists(st.booleans(), min_size=pool.size, max_size=pool.size))
+    sites = pool[np.array(mask, dtype=bool)]
+    if sites.size == 0:
+        sites = pool[:1]
+    return n, sites
+
+
+@given(_site_sets())
+@example((8, np.array([5])))
+@example((16, np.arange(0, 16, 2)))
+@example((16, np.arange(1, 16, 2)))
+@example((32, np.arange(3, 24)))
+@example((64, np.array([0, 5, 6, 17, 40, 41, 63])))
+@settings(max_examples=60, deadline=None)
+def test_kernel_entropy_matches_dense_eigensolve(case):
+    n, sites = case
+    want = oracles.block_entropy(oracles.correlation_block(n, sites))
+    assert region_entropy(ground_state_correlations(n), sites) == pytest.approx(want, abs=1e-10)
 
 
 def test_region_entropy_allocates_only_the_region_block():
@@ -138,14 +179,31 @@ def test_entropy_invariant_under_lattice_rotation():
 
 def test_product_state_relative_entropy_nonnegative_and_symmetric_roles():
     corr = ground_state_correlations(32)
-    spec = RegionSpec([(0.3, 1.45), (2.65, 4.1)])
-    value = product_state_relative_entropy(corr, spec)
-    assert value >= 0.0
-    # equals the entropy combination sum_i S(I_i) - S(union)
     circle = LatticeCircle(32)
-    parts = [region_entropy(corr, arc) for arc in _arc_site_lists(circle, spec)]
-    union = region_entropy(corr, lattice_region(circle, spec))
-    assert value == pytest.approx(sum(parts) - union, abs=1e-10)
+    region = RegionSpec([(0.3, 1.45), (2.65, 4.1)])
+    # the complement's union covers more than half the chain
+    for spec in (region, region.complement()):
+        value = product_state_relative_entropy(corr, spec)
+        assert value >= 0.0
+        # equals the entropy combination sum_i S(I_i) - S(union)
+        parts = [region_entropy(corr, arc) for arc in _arc_site_lists(circle, spec)]
+        union = region_entropy(corr, lattice_region(circle, spec))
+        assert value == pytest.approx(sum(parts) - union, abs=1e-10)
+
+
+def test_product_state_relative_entropy_evaluates_the_smaller_side(monkeypatch):
+    sizes = []
+
+    def recording(corr, sites):
+        sizes.append(len(sites))
+        return region_entropy(corr, sites)
+
+    monkeypatch.setattr(gaussian, "region_entropy", recording)
+    circle = LatticeCircle(64)
+    spec = RegionSpec([(0.3, 1.45), (2.65, 4.1)]).complement()
+    assert lattice_region(circle, spec).size > 32
+    product_state_relative_entropy(ground_state_correlations(64), spec)
+    assert len(sizes) == 3 and max(sizes) <= 32
 
 
 def _arc_site_lists(circle, spec):

@@ -1,10 +1,16 @@
 """End-to-end harness behavior: runs, artifacts, cache, CLI exit codes."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import entropylab
 from entropylab import __version__
 from entropylab.harness import (
     RunReport,
@@ -116,6 +122,35 @@ def test_config_hash_tracks_seed_and_version(tmp_path):
     assert config_hash(config) != config_hash(replace(config, seed=1))
     # output settings do not affect the key
     assert config_hash(config) == config_hash(replace(config, out_dir="/tmp/x"))
+
+
+def test_config_hash_tracks_engine_sources(tmp_path):
+    # A copy of the package keys like the original until one file is edited;
+    # the version string stays the same throughout.
+    package = tmp_path / "src" / "entropylab"
+    shutil.copytree(
+        Path(entropylab.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    ini = tmp_path / "exp.ini"
+    ini.write_text(DUALITY)
+    probe = (
+        "import sys, entropylab; from entropylab.harness import config_hash, parse_config; "
+        "print(entropylab.__file__); print(config_hash(parse_config(sys.argv[1])))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(package.parent), PYTHONDONTWRITEBYTECODE="1")
+
+    def copied_key():
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(ini)],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        assert Path(out[0]).parent == package
+        return out[1]
+
+    assert copied_key() == config_hash(parse_config(ini))
+    edited = package / "lattice" / "gaussian.py"
+    edited.write_text(edited.read_text() + "\n# edited\n")
+    assert copied_key() != config_hash(parse_config(ini))
 
 
 def test_cache_roundtrip(tmp_path):
