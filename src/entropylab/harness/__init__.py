@@ -1,4 +1,9 @@
-"""Config-driven experiment runner, report emitter, and result cache."""
+"""Config-driven experiment runner, report emitter, and result cache.
+
+``run_experiment`` is imported on first access, so that importing the
+package, parsing a config, reading the cache or re-rendering a report
+never loads numpy or the engines.
+"""
 
 from .cache import cache_dir, cache_lookup, cache_store
 from .config import (
@@ -8,8 +13,8 @@ from .config import (
     default_config,
     parse_config,
 )
+from .report import CaseRecord, RunReport, Verdict, config_hash
 from .reporting import format_report, load_report, summary_json, write_report
-from .runner import CaseRecord, RunReport, Verdict, config_hash, run_experiment
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -30,3 +35,11 @@ __all__ = [
     "summary_json",
     "write_report",
 ]
+
+
+def __getattr__(name: str):
+    if name == "run_experiment":
+        from .runner import run_experiment
+
+        return run_experiment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

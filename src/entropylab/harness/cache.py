@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .runner import RunReport, config_hash
+from .report import RunReport, config_hash
 
 __all__ = ["cache_dir", "cache_lookup", "cache_store"]
 

@@ -1,20 +1,31 @@
 """Command line front end.
 
 Exit codes: 0 all invariants passed, 1 an invariant failed (failing
-case ids go to stderr), 2 configuration problem, 3 I/O problem.
+case ids go to stderr), 2 configuration problem, 3 I/O problem (also a
+``summary.json`` that cannot be read back as a report).
+
+The engines are imported only when a run has to compute, so a cache hit
+or ``report`` starts without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 from .cache import cache_lookup, cache_store
-from .config import EXPERIMENT_KINDS, ConfigError, default_config, parse_config
+from .config import (
+    EXPERIMENT_KINDS,
+    ConfigError,
+    default_config,
+    parse_config,
+    validate_config,
+)
+from .report import RunReport
 from .reporting import format_report, load_report, write_report
-from .runner import RunReport, run_experiment
 
 __all__ = ["main", "build_parser"]
 
@@ -70,6 +81,7 @@ def _resolve_config(args: argparse.Namespace, kind: str):
         overrides["cache_enabled"] = False
     if overrides:
         config = replace(config, **overrides)
+        validate_config(config)
     return config
 
 
@@ -83,23 +95,42 @@ def _finish(report: RunReport) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    start = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "report":
-            return _finish(load_report(args.summary))
+            try:
+                report = load_report(args.summary)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise OSError(
+                    f"{args.summary} is not a run summary: {type(exc).__name__}: {exc}"
+                ) from None
+            return _finish(report)
 
         kind = args.kind if args.command == "fermion" else "findim-suite"
         config = _resolve_config(args, kind)
 
         report = cache_lookup(config) if config.cache_enabled else None
-        if report is None:
+        if report is not None:
+            cache = "hit"
+        else:
+            from .runner import run_experiment
+
+            cache = "miss" if config.cache_enabled else "off"
             report = run_experiment(config)
             if config.cache_enabled:
                 cache_store(report)
 
         if config.out_dir:
-            write_report(report, Path(config.out_dir))
+            # The cache keeps compute timings only; this call's own status
+            # and wall time go to the sidecar alone.
+            timings = {
+                **report.timings,
+                "cache": cache,
+                "run_seconds": time.perf_counter() - start,
+            }
+            write_report(replace(report, timings=timings), Path(config.out_dir))
         return _finish(report)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

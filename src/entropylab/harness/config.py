@@ -124,7 +124,8 @@ def _parse_arcs(raw: str, key: str) -> tuple[tuple[float, float], ...]:
     return tuple(arcs)
 
 
-def _validate(config: ExperimentConfig) -> None:
+def validate_config(config: ExperimentConfig) -> None:
+    """Raise ConfigError unless the config can run; call again after any override."""
     if config.kind not in EXPERIMENT_KINDS:
         raise ConfigError(
             f"unknown experiment kind '{config.kind}' (expected one of {', '.join(EXPERIMENT_KINDS)})"
@@ -225,7 +226,7 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
         )
 
     config = ExperimentConfig(**values)
-    _validate(config)
+    validate_config(config)
     return config
 
 
@@ -234,5 +235,5 @@ def default_config(kind: str, seed: int = 0) -> ExperimentConfig:
     if kind != "findim-suite":
         raise ConfigError(f"'{kind}' requires a config file")
     config = ExperimentConfig(kind=kind, seed=seed)
-    _validate(config)
+    validate_config(config)
     return config

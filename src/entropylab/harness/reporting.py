@@ -5,14 +5,15 @@ Three kinds of output land in the chosen directory:
 * ``summary.json``: the full report (config echo, every case record,
   verdicts, residual maxima).  Serialized with sorted keys so the bytes
   are stable for a fixed config and engine build, and parseable back
-  into a :class:`~entropylab.harness.runner.RunReport` for regression
+  into a :class:`~entropylab.harness.report.RunReport` for regression
   diffing.
 * ``cases.csv``: the sweep table, one row per case, RFC-4180 style.
 * ``*.dat``: plain two-column plot data, one file per curve, with the
   seed recorded in a comment header.
 
 Wall-clock timings vary run to run, so they are quarantined in a
-``timings.json`` sidecar and never enter the byte-stable artifacts.
+``timings.json`` sidecar and never enter the byte-stable artifacts.  The
+command line adds whether the call hit the cache and its own wall time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import csv
 import json
 from pathlib import Path
 
-from .runner import RunReport
+from .report import RunReport
 
 __all__ = [
     "summary_json",

@@ -1,19 +1,13 @@
 """Experiment execution: dispatch a validated config to the engines.
 
-A run produces a RunReport: one CaseRecord per computed case, plus named
-verdicts over groups of cases.  Everything that enters the report is a
-deterministic function of the config and the engine version; wall-clock
-timings are collected on the side and never mix into report bytes.
+Each of the seven experiment kinds has one ``_run_*`` function that turns
+the config into case records, verdicts and wall-clock timings; the report
+types themselves live in :mod:`entropylab.harness.report`.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import json
 import time
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +30,6 @@ from ..findim import (
     symmetric_group_unitaries,
 )
 from ..lattice import (
-    LatticeCircle,
     RegionSpec,
     central_charge_fit,
     cross_ratio,
@@ -45,121 +38,15 @@ from ..lattice import (
     equal_eta_family,
     finite_size_extrapolate,
     ground_state_correlations,
-    lattice_region,
     product_state_relative_entropy,
     region_entropy,
-    rotated_region,
     shrink_experiment,
     two_dimensional_deficit,
 )
 from .config import ConfigError, ExperimentConfig
+from .report import CaseRecord, RunReport, Verdict, config_hash
 
-__all__ = ["CaseRecord", "Verdict", "RunReport", "config_hash", "run_experiment"]
-
-
-@dataclass(frozen=True)
-class CaseRecord:
-    case_id: str
-    inputs: dict
-    values: dict
-    residual: float | None = None
-    tolerance: float | None = None
-    passed: bool | None = None
-
-
-@dataclass(frozen=True)
-class Verdict:
-    name: str
-    passed: bool
-    detail: str
-    case_ids: tuple[str, ...]
-
-
-@dataclass
-class RunReport:
-    kind: str
-    seed: int
-    config_echo: dict
-    config_hash: str
-    engine_version: str
-    cases: list[CaseRecord]
-    verdicts: list[Verdict]
-    pass_vacuous: bool = False
-    timings: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    def failing_case_ids(self) -> list[str]:
-        explicit = [c.case_id for c in self.cases if c.passed is False]
-        for verdict in self.verdicts:
-            if not verdict.passed:
-                explicit.extend(
-                    cid for cid in verdict.case_ids if cid not in explicit
-                )
-        return explicit
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "config": self.config_echo,
-            "config_hash": self.config_hash,
-            "engine_version": self.engine_version,
-            "cases": [asdict(c) for c in self.cases],
-            "verdicts": [asdict(v) for v in self.verdicts],
-            "pass_vacuous": self.pass_vacuous,
-            "passed": self.passed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunReport":
-        cases = [CaseRecord(**c) for c in payload["cases"]]
-        verdicts = [
-            Verdict(
-                name=v["name"],
-                passed=v["passed"],
-                detail=v["detail"],
-                case_ids=tuple(v["case_ids"]),
-            )
-            for v in payload["verdicts"]
-        ]
-        return cls(
-            kind=payload["kind"],
-            seed=payload["seed"],
-            config_echo=payload["config"],
-            config_hash=payload["config_hash"],
-            engine_version=payload["engine_version"],
-            cases=cases,
-            verdicts=verdicts,
-            pass_vacuous=payload["pass_vacuous"],
-        )
-
-
-@functools.cache
-def _engine_fingerprint() -> str:
-    """sha256 over the path and contents of every source file of the package.
-
-    Computed on first use, not at import, so that starting the CLI stays
-    cheap.  Any edit to the engine changes it, with or without a version bump.
-    """
-    root = Path(__file__).resolve().parent.parent
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        content = hashlib.sha256(path.read_bytes()).hexdigest()
-        digest.update(f"{path.relative_to(root).as_posix()}\n{content}\n".encode("utf-8"))
-    return digest.hexdigest()
-
-
-def config_hash(config: ExperimentConfig) -> str:
-    """Hash of the effective config plus the engine source fingerprint."""
-    canon = json.dumps(config.echo(), sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256()
-    digest.update(canon.encode("utf-8"))
-    digest.update(b"\n")
-    digest.update(_engine_fingerprint().encode("utf-8"))
-    return digest.hexdigest()
+__all__ = ["run_experiment"]
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:

@@ -211,6 +211,19 @@ def test_cli_io_error_exit_three(tmp_path, capsys):
     assert "i/o error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    ['{"kind": "duality", "seed": 0, "cas', '{"kind": "duality", "seed": 0}'],
+    ids=["truncated", "no-cases"],
+)
+def test_cli_report_unreadable_summary_exit_three(tmp_path, capsys, content):
+    summary = tmp_path / "summary.json"
+    summary.write_text(content)
+    assert main(["report", str(summary)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+
 def test_cli_report_rerenders_stored_summary(tmp_path, capsys):
     config_path = tmp_path / "exp.ini"
     config_path.write_text(DUALITY)
@@ -245,6 +258,23 @@ def test_cli_seed_override_lands_in_echo(tmp_path, capsys):
     assert payload["config"]["seed"] == 5
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["findim-suite"], "[experiment]\nkind = findim-suite\ninstances = 1\n"),
+        (["fermion", "c-fit"], "[experiment]\nkind = c-fit\nsizes = 16 32\n"),
+    ],
+    ids=["findim-suite", "c-fit"],
+)
+def test_cli_seed_override_is_validated(tmp_path, capsys, argv, text):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(text)
+    code = main([*argv, "--config", str(config_path), "--seed", "-1"])
+    assert code == 2
+    assert "config error: seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()  # nothing was cached
+
+
 def test_cli_cache_hit_reproduces_bytes(tmp_path, capsys):
     config_path = tmp_path / "exp.ini"
     config_path.write_text(DUALITY)
@@ -254,8 +284,16 @@ def test_cli_cache_hit_reproduces_bytes(tmp_path, capsys):
     assert main(["fermion", "duality", "--config", str(config_path), "--out", str(out_b)]) == 0
     capsys.readouterr()
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
-    # the second run was served from cache: identical timing sidecars
-    assert (out_a / "timings.json").read_bytes() == (out_b / "timings.json").read_bytes()
+    for name in ("cases.csv", "deficit_vs_N.dat"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    # the second run was served from cache: the stored compute timings come
+    # back unchanged, and the sidecar says which call computed them
+    timings_a = json.loads((out_a / "timings.json").read_text())
+    timings_b = json.loads((out_b / "timings.json").read_text())
+    assert (timings_a.pop("cache"), timings_b.pop("cache")) == ("miss", "hit")
+    run_a, run_b = timings_a.pop("run_seconds"), timings_b.pop("run_seconds")
+    assert run_a >= timings_a["total_seconds"] and run_b > 0
+    assert timings_a == timings_b
 
 
 def test_cli_no_cache_recomputes_same_summary(tmp_path, capsys):
@@ -277,6 +315,66 @@ def test_cli_no_cache_recomputes_same_summary(tmp_path, capsys):
     ) == 0
     capsys.readouterr()
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+    assert json.loads((out_b / "timings.json").read_text())["cache"] == "off"
+    # the cache entry holds compute timings only, not a call's own
+    (entry,) = (tmp_path / "cache").iterdir()
+    stored = json.loads(entry.read_text())["timings"]
+    assert "total_seconds" in stored
+    assert "cache" not in stored and "run_seconds" not in stored
+
+
+# Runs in a fresh interpreter that has imported nothing of numpy or the
+# engines, and records which of them each step loads.
+_IMPORT_PROBE = """\
+import json, sys
+
+ENGINES = ("numpy", "entropylab.findim", "entropylab.lattice")
+ini, out, result_path = sys.argv[1:]
+seen = {}
+
+def loaded():
+    return [m for m in ENGINES if m in sys.modules]
+
+import entropylab.harness
+entropylab.harness.parse_config(ini)
+seen["import"] = loaded()
+
+from entropylab.harness import cli
+
+argv = ["fermion", "duality", "--config", ini]
+seen["report"] = [cli.main(["report", out + "/summary.json"]), *loaded()]
+seen["hit"] = [cli.main([*argv, "--out", out + "-hit"]), *loaded()]
+with open(out + "-hit/timings.json") as fh:
+    seen["hit_cache"] = json.load(fh)["cache"]
+seen["no-cache"] = [cli.main([*argv, "--no-cache"]), *loaded()]
+with open(result_path, "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_cache_hit_and_report_load_no_engine(tmp_path, capsys):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(DUALITY)
+    out = tmp_path / "out"
+    assert main(["fermion", "duality", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    result = tmp_path / "probe.json"
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(entropylab.__file__).parent.parent),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(config_path), str(out), str(result)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    seen = json.loads(result.read_text())
+    assert seen["import"] == []
+    assert seen["report"] == [0]
+    assert seen["hit_cache"] == "hit"
+    assert seen["hit"] == [0]
+    # control: computing does load the engines, so the probe can fail
+    assert seen["no-cache"] == [0, "numpy", "entropylab.findim", "entropylab.lattice"]
 
 
 def test_cli_findim_runs_without_config(tmp_path, capsys):
