@@ -10,17 +10,14 @@ function is one reproducible test case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .algebras import MatrixBlockAlgebra, build_algebra
+from .algebras import MatrixBlockAlgebra, _swap_matrix, build_algebra
 from .expectations import (
     ConditionalExpectationMap,
     compose_expectations,
-    group_average_expectation,
-    state_preserving_expectation,
-    weyl_unitaries,
+    trace_projection_superop,
 )
 from .index import dual_weight
 from .spatial import relative_entropy_spatial, relative_entropy_umegaki
@@ -29,7 +26,6 @@ from .states import (
     WeightDensity,
     canonical_density,
     random_faithful_state,
-    trace_state,
 )
 
 __all__ = [
@@ -59,25 +55,11 @@ def _random_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _leg_average(
-    algebra: MatrixBlockAlgebra,
-    left_dim: int,
-    sub_dim: int,
-    right_dim: int,
-    conjugator: np.ndarray | None = None,
+def _trace_expectation(
+    source: MatrixBlockAlgebra, target: MatrixBlockAlgebra
 ) -> ConditionalExpectationMap:
-    """Average over shift-and-clock unitaries on the middle tensor leg.
-
-    The unitaries act as 1 (x) w (x) 1 on C^left (x) C^sub (x) C^right,
-    optionally conjugated; the target is everything commuting with that leg.
-    """
-    units = []
-    for w in weyl_unitaries(sub_dim):
-        u = np.kron(np.kron(np.eye(left_dim), w), np.eye(right_dim))
-        if conjugator is not None:
-            u = conjugator @ u @ conjugator.conj().T
-        units.append(u)
-    return group_average_expectation(algebra, units)
+    """The trace-preserving conditional expectation source -> target."""
+    return ConditionalExpectationMap(source, target, trace_projection_superop(target))
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +89,10 @@ def random_difference_instance(
     """A bipartite factor with expectations on both sides of the commutant.
 
     ``side`` is the dimension of each tensor leg (2, 3 or 4).  For side 4
-    the expectations average out half of a leg; for prime sides they
-    depolarize the whole leg.
+    the expectations trace out half of a leg, onto M_2 (x) 1 inside
+    M_4 (x) 1 and its mirror image in the commutant; for prime sides they
+    depolarize the whole leg onto the scalars.  Each target is rotated by
+    a Haar unitary on its own leg.
     """
     if side not in (2, 3, 4):
         raise ValueError("side must be 2, 3 or 4 to keep the ambient dimension small")
@@ -125,16 +109,14 @@ def random_difference_instance(
     if omega is None:
         raise RuntimeError("failed to sample a cyclic and separating vector")
 
-    if side == 4:
-        u1 = np.kron(random_unitary(4, rng), np.eye(4))
-        e1 = _leg_average(algebra, 2, 2, 4, conjugator=u1)
-        u2 = np.kron(np.eye(4), random_unitary(4, rng))
-        e2 = _leg_average(dual, 4 * 2, 2, 1, conjugator=u2)
-    else:
-        u1 = np.kron(random_unitary(side, rng), np.eye(side))
-        e1 = _leg_average(algebra, 1, side, side, conjugator=u1)
-        u2 = np.kron(np.eye(side), random_unitary(side, rng))
-        e2 = _leg_average(dual, side, side, 1, conjugator=u2)
+    u1 = np.kron(random_unitary(side, rng), np.eye(side))
+    u2 = np.kron(np.eye(side), random_unitary(side, rng))
+    sub = [(2, 8)] if side == 4 else [(1, dim)]
+    e1 = _trace_expectation(algebra, build_algebra(sub).conjugated(u1))
+    # The commutant acts on the second leg; the leg swap moves the same
+    # subalgebra there before the rotation.
+    swap = _swap_matrix(side, side)
+    e2 = _trace_expectation(dual, build_algebra(sub).conjugated(u2 @ swap))
     return DifferenceInstance(algebra=algebra, omega=omega, e1=e1, e2=e2)
 
 
@@ -191,30 +173,20 @@ class ChainReport:
     residual: float
 
 
-@lru_cache(maxsize=1)
-def _base_chain() -> tuple[MatrixBlockAlgebra, ...]:
-    n1 = build_algebra([(8, 2)])
-    n2 = build_algebra([(4, 4)])
-    n3 = build_algebra([(2, 8)])
-    f1 = _leg_average(n1, 4, 2, 2)
-    f2 = _leg_average(n2, 2, 2, 4)
-    return n1, n2, n3, f1, f2
-
-
 def random_chain_instance(rng: np.random.Generator) -> ChainInstance:
     """Three nested tensor-leg factors, rotated by a Haar unitary, with a
     random vector.
 
-    The middle algebra is square in the ambient space, so a generic vector
-    is cyclic and separating for it, which is what the additivity statement
-    needs.  The reference chain is built once; randomness enters through the
+    The chain is M_8 (x) 1_2 > M_4 (x) 1_4 > M_2 (x) 1_8 on C^16, each step
+    tracing out one qubit leg.  The middle algebra is square in the ambient
+    space, so a generic vector is cyclic and separating for it, which is
+    what the additivity statement needs.  Randomness enters through the
     global rotation and the vector.
     """
-    n1, n2, n3, f1, f2 = _base_chain()
     u = random_unitary(16, rng)
-    f1 = f1.conjugated(u)
-    f2 = f2.conjugated(u)
-    n1, n2, n3 = f1.source, f2.source, f2.target
+    n1, n2, n3 = (build_algebra([b]).conjugated(u) for b in [(8, 2), (4, 4), (2, 8)])
+    f1 = _trace_expectation(n1, n2)
+    f2 = _trace_expectation(n2, n3)
     omega = None
     for _ in range(8):
         cand = VectorStateData(n2, _random_vector(16, rng))
@@ -305,7 +277,7 @@ def _check_chain_rule(rng: np.random.Generator) -> IdentityCheckReport:
     full = build_algebra([(d * e, 1)])
     u = random_unitary(d * e, rng)
     sub = build_algebra([(d, e)]).conjugated(u)
-    exp = state_preserving_expectation(full, sub, trace_state(full))
+    exp = _trace_expectation(full, sub)
     omega = random_faithful_state(full, rng)
     psi = random_faithful_state(sub, rng)
     lhs = relative_entropy_umegaki(omega, exp.pull_back(psi))

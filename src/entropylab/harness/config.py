@@ -9,6 +9,7 @@ the parsed config is echoed into the run report, defaults included.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -144,6 +145,17 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("'c-fit' fits single intervals; 'arcs' does not apply")
     if config.kind == "two-d" and not config.right_arcs:
         raise ConfigError("'two-d' requires 'right_arcs' for the second chiral half")
+    if config.kind == "c-fit" and not config.lengths and config.sizes[0] < 16:
+        raise ConfigError("'c-fit' needs sizes of at least 16 unless 'lengths' is given")
+    if config.kind == "c-fit" and config.lengths:
+        if len(config.lengths) < 6:
+            raise ConfigError("'lengths' needs at least 6 entries for a stable fit")
+        smallest = config.sizes[0]
+        if not all(1 <= l < smallest for l in config.lengths):
+            raise ConfigError(f"'lengths' must lie in [1, {smallest}), the smallest size")
+        # S(l) depends on l only through sin(pi l / N), so l and N - l coincide.
+        if any(len({min(l, n - l) for l in config.lengths}) < 2 for n in config.sizes):
+            raise ConfigError("'lengths' need two distinct min(l, N - l) at every size")
     if config.kind == "shrink":
         if not config.schedule:
             raise ConfigError("'shrink' requires 'schedule'")
@@ -151,6 +163,12 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError("'arc_index' out of range for the given arcs")
     if config.kind == "cross-ratio-sweep" and not config.sweep_lengths:
         raise ConfigError("'cross-ratio-sweep' requires 'sweep_lengths'")
+    for key in ("schedule", "sweep_lengths"):
+        for length in getattr(config, key):
+            if not 0 < length < math.tau:
+                raise ConfigError(
+                    f"'{key}' entries are arc lengths in (0, 2*pi), got {length:g}"
+                )
     if config.r_convention not in ("chord", "arc"):
         raise ConfigError("r_convention must be 'chord' or 'arc'")
     if config.c <= 0:

@@ -305,11 +305,13 @@ def _run_sweep(config: ExperimentConfig):
     (a1, b1), (a2, _) = _spec_from(config.arcs).arcs
     timings: dict = {}
 
+    # Every swept geometry is checked before anything is computed.
+    specs = {l: _spec_from(((a1, b1), (a2, a2 + l))) for l in config.sweep_lengths}
     work = [(n, length) for n in config.sizes for length in config.sweep_lengths]
 
     def one(item):
         n, length = item
-        spec = RegionSpec([(a1, b1), (a2, a2 + length)])
+        spec = specs[length]
         corr = ground_state_correlations(n)
         eta = cross_ratio(spec, config.r_convention == "arc")
         value = product_state_relative_entropy(corr, spec)

@@ -1,17 +1,23 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately written from first principles with no
-imports from entropylab internals: eigen-overlap relative entropy, a
-brute-force commutant solver, the dense restricted correlation matrix
-of the hopping chain with its eigenvalue entropy (Peschel, J. Phys. A 36
-L205, 2003), and a many-body spin-chain construction of the
-imaginary-hopping Hamiltonian (Jordan-Wigner form) whose ground state
-gives correlation functions and reduced entropies the long way.
+Everything here except ``leg_average`` is deliberately written from
+first principles with no imports from entropylab internals:
+eigen-overlap relative entropy, a brute-force commutant solver, the dense
+restricted correlation matrix of the hopping chain with its eigenvalue
+entropy (Peschel, J. Phys. A 36 L205, 2003), and a many-body spin-chain
+construction of the imaginary-hopping Hamiltonian (Jordan-Wigner form)
+whose ground state gives correlation functions and reduced entropies the
+long way.  ``leg_average`` is the Weyl-group oracle for the findim
+instance expectations: it rediscovers their targets through the
+package's group averaging and structure discovery, which the instances
+themselves do not use.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from entropylab.findim import group_average_expectation, weyl_unitaries
 
 _EPS = 1e-12
 
@@ -51,6 +57,23 @@ def brute_force_commutant(basis, dim: int) -> np.ndarray:
     _, svals, vh = np.linalg.svd(stacked)
     rank = int(np.sum(svals > 1e-10 * svals[0])) if svals.size else 0
     return vh[rank:].conj()
+
+
+def leg_average(
+    algebra, left_dim: int, sub_dim: int, right_dim: int, conjugator=None
+):
+    """Average over shift-and-clock unitaries on the middle tensor leg.
+
+    The unitaries act as 1 (x) w (x) 1 on C^left (x) C^sub (x) C^right,
+    optionally conjugated; the target is everything commuting with that leg.
+    """
+    units = []
+    for w in weyl_unitaries(sub_dim):
+        u = np.kron(np.kron(np.eye(left_dim), w), np.eye(right_dim))
+        if conjugator is not None:
+            u = conjugator @ u @ conjugator.conj().T
+        units.append(u)
+    return group_average_expectation(algebra, units)
 
 
 def conjugation_flow(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:

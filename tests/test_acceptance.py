@@ -31,7 +31,6 @@ from entropylab.findim import (
     relative_entropy_umegaki,
     symmetric_group_unitaries,
 )
-from entropylab.findim.identities import _leg_average
 from entropylab.lattice import (
     LatticeCircle,
     RegionSpec,
@@ -48,6 +47,7 @@ from entropylab.lattice import (
     shrink_experiment,
     two_dimensional_deficit,
 )
+from oracles import leg_average
 
 TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
 RIGHT_ARCS = RegionSpec([(0.50, 1.70), (3.00, 4.40)])
@@ -161,8 +161,8 @@ def test_criterion_05_index_battery():
         worst_dual = max(worst_dual, abs(qb.index_value - got))
 
     n1 = build_algebra([(8, 2)])
-    f1 = _leg_average(n1, 4, 2, 2)
-    f2 = _leg_average(f1.target, 2, 2, 4)
+    f1 = leg_average(n1, 4, 2, 2)
+    f2 = leg_average(f1.target, 2, 2, 4)
     i1, i2 = kosaki_index(f1), kosaki_index(f2)
     ic = kosaki_index(compose_expectations(f1, f2))
     mult_err = abs(ic - i1 * i2) / (i1 * i2)

@@ -16,6 +16,7 @@ from entropylab.findim import (
     weyl_unitaries,
 )
 from entropylab.findim.identities import random_unitary
+from oracles import leg_average
 
 
 def _qubit_leg_average(rng=None):
@@ -101,9 +102,7 @@ def test_compose_expectations_chains_targets():
 
 
 def _tensor_leg_expectation(algebra, left, mid, right):
-    from entropylab.findim.identities import _leg_average
-
-    return _leg_average(algebra, left, mid, right)
+    return leg_average(algebra, left, mid, right)
 
 
 def _random_in(algebra, rng):

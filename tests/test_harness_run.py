@@ -275,6 +275,46 @@ def test_cli_seed_override_is_validated(tmp_path, capsys, argv, text):
     assert not (tmp_path / "cache").exists()  # nothing was cached
 
 
+_CFIT = "[experiment]\nkind = c-fit\nsizes = 16 32\n"
+_SHRINK = "[experiment]\nkind = shrink\nsizes = 64\narcs = 0.2 1.1, 2.0 2.9\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("cross-ratio-sweep", SWEEP.replace("0.8 1.2", "4.0")),
+        ("cross-ratio-sweep", SWEEP.replace("0.8 1.2", "9.0")),
+        ("c-fit", _CFIT + "lengths = 4 40 6 8 10 12\n"),
+        ("c-fit", _CFIT + "lengths = 0 2 4 6 8 10\n"),
+        ("c-fit", _CFIT + "lengths = 2 4 6\n"),
+        ("shrink", _SHRINK + "schedule = 0.5 7.0\n"),
+        ("c-fit", "[experiment]\nkind = c-fit\nsizes = 8 16\n"),
+        ("c-fit", _CFIT + "lengths = 3 3 3 3 3 3\n"),
+        ("c-fit", _CFIT + "lengths = 4 12 4 12 4 12\n"),
+    ],
+    ids=[
+        "sweep-overlaps-first-arc",
+        "sweep-longer-than-circle",
+        "cfit-length-beyond-size",
+        "cfit-length-zero",
+        "cfit-too-few-lengths",
+        "shrink-schedule-beyond-circle",
+        "cfit-default-lengths-too-small",
+        "cfit-one-length",
+        "cfit-mirrored-lengths",
+    ],
+)
+def test_cli_rejects_geometry_it_cannot_build(tmp_path, capsys, kind, text):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(text)
+    code = main(["fermion", kind, "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "cache").exists()  # nothing was cached
+
+
 def test_cli_cache_hit_reproduces_bytes(tmp_path, capsys):
     config_path = tmp_path / "exp.ini"
     config_path.write_text(DUALITY)

@@ -11,6 +11,28 @@ from entropylab.findim import (
     random_chain_instance,
     random_difference_instance,
 )
+from entropylab.findim import expectations, identities
+from oracles import leg_average
+
+
+def _recording_unitaries(monkeypatch):
+    drawn = []
+    original = identities.random_unitary
+
+    def record(dim, rng):
+        u = original(dim, rng)
+        drawn.append(u)
+        return u
+
+    monkeypatch.setattr(identities, "random_unitary", record)
+    return drawn
+
+
+def _assert_matches_oracle(named, oracle):
+    np.testing.assert_allclose(named.superop, oracle.superop, rtol=0, atol=1e-12)
+    assert named.target.span_equals(oracle.target)
+    assert named.source is oracle.source
+    assert max(named.validate().values()) <= 1e-10
 
 
 @pytest.mark.parametrize("side", [2, 3, 4])
@@ -22,6 +44,44 @@ def test_difference_identity_residual_tiny(side):
     # the two single-expectation terms are genuine relative entropies
     assert report.s1 >= -1e-12
     assert report.s2 >= -1e-12
+
+
+@pytest.mark.parametrize("side", [2, 3, 4])
+def test_difference_expectations_match_weyl_group_average(side, monkeypatch):
+    drawn = _recording_unitaries(monkeypatch)
+    inst = random_difference_instance(np.random.default_rng(60 + side), side=side)
+    u1 = np.kron(drawn[0], np.eye(side))
+    u2 = np.kron(np.eye(side), drawn[1])
+    dual = inst.algebra.commutant()
+    if side == 4:
+        e1 = leg_average(inst.algebra, 2, 2, 4, conjugator=u1)
+        e2 = leg_average(dual, 8, 2, 1, conjugator=u2)
+    else:
+        e1 = leg_average(inst.algebra, 1, side, side, conjugator=u1)
+        e2 = leg_average(dual, side, side, 1, conjugator=u2)
+    _assert_matches_oracle(inst.e1, e1)
+    _assert_matches_oracle(inst.e2, e2)
+
+
+def test_chain_expectations_match_weyl_group_average(monkeypatch):
+    drawn = _recording_unitaries(monkeypatch)
+    inst = random_chain_instance(np.random.default_rng(61))
+    (u,) = drawn
+    _assert_matches_oracle(inst.f1, leg_average(inst.n1, 4, 2, 2, conjugator=u))
+    _assert_matches_oracle(inst.f2, leg_average(inst.n2, 2, 2, 4, conjugator=u))
+
+
+def test_instances_are_built_without_structure_discovery(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("instance construction rediscovered a known subalgebra")
+
+    monkeypatch.setattr(expectations, "algebra_from_basis", refuse)
+    rng = np.random.default_rng(62)
+    for side in (2, 3, 4):
+        random_difference_instance(rng, side=side)
+    random_chain_instance(rng)
+    for which in range(1, 6):
+        assert check_entropy_identity(which, rng).passed
 
 
 def test_difference_identity_many_seeds():
