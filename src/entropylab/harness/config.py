@@ -125,6 +125,19 @@ def _parse_arcs(raw: str, key: str) -> tuple[tuple[float, float], ...]:
     return tuple(arcs)
 
 
+def _separated(arcs) -> bool:
+    """RegionSpec's rule for arcs, in plain arithmetic: after reduction mod
+    2*pi and sorting, no arc is degenerate and each ends strictly before
+    the next one starts."""
+    cleaned = sorted((a % math.tau, b % math.tau) for a, b in arcs)
+    for k, (a, b) in enumerate(cleaned):
+        end = b if b > a else b + math.tau
+        following = cleaned[k + 1][0] if k + 1 < len(cleaned) else cleaned[0][0] + math.tau
+        if a == b or end >= following:
+            return False
+    return True
+
+
 def validate_config(config: ExperimentConfig) -> None:
     """Raise ConfigError unless the config can run; call again after any override."""
     if config.kind not in EXPERIMENT_KINDS:
@@ -161,6 +174,8 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError("'shrink' requires 'schedule'")
         if not 0 <= config.arc_index < len(config.arcs):
             raise ConfigError("'arc_index' out of range for the given arcs")
+        if len(config.arcs) < 2:
+            raise ConfigError("'shrink' needs at least one arc besides the scheduled one")
     if config.kind == "cross-ratio-sweep" and not config.sweep_lengths:
         raise ConfigError("'cross-ratio-sweep' requires 'sweep_lengths'")
     for key in ("schedule", "sweep_lengths"):
@@ -168,6 +183,17 @@ def validate_config(config: ExperimentConfig) -> None:
             if not 0 < length < math.tau:
                 raise ConfigError(
                     f"'{key}' entries are arc lengths in (0, 2*pi), got {length:g}"
+                )
+    if config.kind == "shrink" and _separated(config.arcs):
+        # The scheduled arc keeps the start of arcs[arc_index] (sorted as
+        # RegionSpec sorts them) and must stay clear of every other arc.
+        arcs = sorted((a % math.tau, b % math.tau) for a, b in config.arcs)
+        start = arcs[config.arc_index][0]
+        others = arcs[: config.arc_index] + arcs[config.arc_index + 1 :]
+        for length in config.schedule:
+            if not _separated(others + [(start, start + length)]):
+                raise ConfigError(
+                    f"'schedule' entry {length:g} runs arc {config.arc_index} into the next arc"
                 )
     if config.r_convention not in ("chord", "arc"):
         raise ConfigError("r_convention must be 'chord' or 'arc'")

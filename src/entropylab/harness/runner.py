@@ -7,6 +7,7 @@ types themselves live in :mod:`entropylab.harness.report`.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -30,7 +31,9 @@ from ..findim import (
     symmetric_group_unitaries,
 )
 from ..lattice import (
+    LatticeCircle,
     RegionSpec,
+    arc_sites,
     central_charge_fit,
     cross_ratio,
     cross_ratio_collapse,
@@ -385,6 +388,19 @@ def _run_cfit(config: ExperimentConfig):
 
 def _run_shrink(config: ExperimentConfig):
     spec = _spec_from(config.arcs)
+    # Every arc a step builds is checked for sites before anything is
+    # computed: only the final step may leave the scheduled arc empty.
+    start = spec.arcs[config.arc_index][0]
+    fixed = [arc for k, arc in enumerate(spec.arcs) if k != config.arc_index]
+    steps = [(start, (start + length) % math.tau) for length in config.schedule[:-1]]
+    for n in config.sizes:
+        circle = LatticeCircle(n)
+        for a, b in fixed + steps:
+            if arc_sites(circle, (a, b)).size == 0:
+                raise ConfigError(
+                    f"arc ({a:.4g}, {b:.4g}) holds no sites at N = {n}; only the "
+                    "final schedule step may empty the scheduled arc"
+                )
     tol = config.effective_tolerance
     timings: dict = {}
     cases = []

@@ -20,7 +20,6 @@ from .deficit import (
     regularized_entropy,
     two_dimensional_deficit,
 )
-from .exact import ExactEntropies, exact_diagonalization_entropies, ground_orbitals
 from .experiments import (
     CollapseReport,
     ShrinkReport,
@@ -31,7 +30,6 @@ from .experiments import (
 from .gaussian import (
     CorrelationMatrix,
     ground_state_correlations,
-    hopping_matrix,
     product_state_relative_entropy,
     region_entropy,
 )
@@ -59,9 +57,6 @@ __all__ = [
     "entropy_deficit",
     "regularized_entropy",
     "two_dimensional_deficit",
-    "ExactEntropies",
-    "exact_diagonalization_entropies",
-    "ground_orbitals",
     "CollapseReport",
     "ShrinkReport",
     "ShrinkStep",
@@ -69,7 +64,6 @@ __all__ = [
     "shrink_experiment",
     "CorrelationMatrix",
     "ground_state_correlations",
-    "hopping_matrix",
     "product_state_relative_entropy",
     "region_entropy",
     "CentralChargeFit",

@@ -88,8 +88,11 @@ def entropy_deficit(
     if len(spec.arcs) < 2:
         raise ValueError("deficit needs at least two arcs")
     comp = spec.complement()
-    s_region = product_state_relative_entropy(corr, spec)
-    s_complement = product_state_relative_entropy(corr, comp)
+    # The complement's sites are the region's complement (half-open arcs),
+    # so by purity the two unions share one entropy, evaluated once.
+    memo: dict = {}
+    s_region = product_state_relative_entropy(corr, spec, memo)
+    s_complement = product_state_relative_entropy(corr, comp, memo)
     lengths = interval_lengths(spec, use_arc_length)
     lengths_comp = interval_lengths(comp, use_arc_length)
     g_region = _geometry_term(lengths, c) - s_region

@@ -71,7 +71,9 @@ def shrink_experiment(
     others = [arc for k, arc in enumerate(spec.arcs) if k != arc_index]
     if not others:
         raise ValueError("need at least one arc besides the scheduled one")
-    target = product_state_relative_entropy(corr, RegionSpec(others))
+    # The fixed arcs enter every step; one memo evaluates each site set once.
+    memo: dict = {}
+    target = product_state_relative_entropy(corr, RegionSpec(others), memo)
 
     steps = []
     for position, length in enumerate(schedule):
@@ -84,7 +86,7 @@ def shrink_experiment(
                 raise ValueError("schedule empties the arc before the final step")
             value = target
         else:
-            value = product_state_relative_entropy(corr, RegionSpec(others + [arc]))
+            value = product_state_relative_entropy(corr, RegionSpec(others + [arc]), memo)
         steps.append(
             ShrinkStep(
                 length=length,

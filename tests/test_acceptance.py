@@ -38,7 +38,6 @@ from entropylab.lattice import (
     cross_ratio_collapse,
     entropy_deficit,
     equal_eta_family,
-    exact_diagonalization_entropies,
     finite_size_extrapolate,
     ground_state_correlations,
     lattice_region,
@@ -47,7 +46,7 @@ from entropylab.lattice import (
     shrink_experiment,
     two_dimensional_deficit,
 )
-from oracles import leg_average
+from oracles import exact_diagonalization_entropies, leg_average
 
 TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
 RIGHT_ARCS = RegionSpec([(0.50, 1.70), (3.00, 4.40)])

@@ -18,6 +18,7 @@ from entropylab.lattice import (
     regularized_entropy,
     two_dimensional_deficit,
 )
+from entropylab.lattice import gaussian
 from entropylab.lattice.circle import LatticeCircle
 
 TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
@@ -67,6 +68,23 @@ def test_deficit_two_routes_agree():
     report = entropy_deficit(corr, TWO_ARCS, c=2.0)
     via_eta = -(report.c / 6.0) * math.log(report.eta) - report.s_region + report.s_complement
     assert report.deficit == pytest.approx(via_eta, abs=1e-12)
+
+
+def test_deficit_evaluates_the_shared_union_once(monkeypatch):
+    # Two arcs, two complement arcs and one union: by purity the region's
+    # union and the complement's union share a single entropy.
+    evaluated = []
+
+    def recording(corr, sites):
+        evaluated.append(tuple(sites))
+        return region_entropy(corr, sites)
+
+    monkeypatch.setattr(gaussian, "region_entropy", recording)
+    corr = ground_state_correlations(256)
+    report = entropy_deficit(corr, TWO_ARCS, c=2.0)
+    assert len(evaluated) == len(set(evaluated)) == 5
+    assert report.s_region == product_state_relative_entropy(corr, TWO_ARCS)
+    assert report.s_complement == product_state_relative_entropy(corr, TWO_ARCS.complement())
 
 
 def test_deficit_three_arcs_has_no_eta():

@@ -6,7 +6,6 @@ import pytest
 from entropylab.lattice import (
     LatticeCircle,
     RegionSpec,
-    exact_diagonalization_entropies,
     ground_state_correlations,
     lattice_region,
     product_state_relative_entropy,
@@ -14,6 +13,7 @@ from entropylab.lattice import (
 )
 
 import oracles
+from oracles import exact_diagonalization_entropies
 
 
 def _random_two_arc_spec(rng):

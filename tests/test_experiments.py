@@ -10,8 +10,10 @@ from entropylab.lattice import (
     equal_eta_family,
     ground_state_correlations,
     product_state_relative_entropy,
+    region_entropy,
     shrink_experiment,
 )
+from entropylab.lattice import gaussian
 
 THREE_ARCS = RegionSpec([(0.2, 1.1), (2.0, 2.9), (4.1, 5.3)])
 SCHEDULE = [0.9 * 0.62**k for k in range(8)]
@@ -24,6 +26,23 @@ def test_shrink_gaps_close():
     assert report.eventually_monotone
     assert report.gaps[-1] < report.gaps[0]
     assert report.gaps[-1] < 5e-2
+
+
+def test_shrink_evaluates_each_site_set_once(monkeypatch):
+    # The harness-replay shrink geometry at N = 512: the fixed arcs enter
+    # every step, and the last two steps hold the same single site, so 43
+    # entropies reduce to 21 distinct site sets.
+    evaluated = []
+
+    def recording(corr, sites):
+        evaluated.append(tuple(sites))
+        return region_entropy(corr, sites)
+
+    monkeypatch.setattr(gaussian, "region_entropy", recording)
+    schedule = [0.9, 0.558, 0.346, 0.2145, 0.133, 0.0825, 0.0511, 0.0317, 0.0197, 0.0122]
+    report = shrink_experiment(ground_state_correlations(512), THREE_ARCS, 0, schedule)
+    assert len(evaluated) == len(set(evaluated)) == 21
+    assert report.steps[-1].value == report.steps[-2].value
 
 
 def test_shrink_target_is_remaining_arcs():

@@ -13,7 +13,6 @@ from entropylab.lattice import (
     LatticeCircle,
     RegionSpec,
     ground_state_correlations,
-    hopping_matrix,
     lattice_region,
     product_state_relative_entropy,
     region_entropy,
@@ -21,6 +20,7 @@ from entropylab.lattice import (
 )
 
 import oracles
+from oracles import hopping_matrix
 
 
 def test_hopping_matrix_is_hermitian_antiperiodic():
@@ -130,11 +130,23 @@ def _site_sets(draw):
 @example((16, np.arange(1, 16, 2)))
 @example((32, np.arange(3, 24)))
 @example((64, np.array([0, 5, 6, 17, 40, 41, 63])))
+@example((64, np.arange(1, 64, 2)))  # one parity: no paired modes at all
+@example((1024, np.arange(0, 600, 2)))
+@example((1024, np.arange(600)))  # near-pure: 281 of 300 pairs have nu(1-nu) < 1e-14
 @settings(max_examples=60, deadline=None)
 def test_kernel_entropy_matches_dense_eigensolve(case):
     n, sites = case
     want = oracles.block_entropy(oracles.correlation_block(n, sites))
     assert region_entropy(ground_state_correlations(n), sites) == pytest.approx(want, abs=1e-10)
+
+
+def test_two_arc_union_entropy_matches_high_precision_value():
+    # A 40-digit eigensolve of the union's Gram product (213 sites) gives
+    # 4.3366220962238839194; clamping nu at 1e-14 put the kernel 5.1e-11 off.
+    n = 512
+    sites = lattice_region(LatticeCircle(n), RegionSpec([(0.30, 1.45), (2.65, 4.10)]))
+    got = region_entropy(ground_state_correlations(n), sites)
+    assert got == pytest.approx(4.3366220962238839194, abs=5e-12)
 
 
 def test_region_entropy_allocates_only_the_region_block():

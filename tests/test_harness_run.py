@@ -277,6 +277,7 @@ def test_cli_seed_override_is_validated(tmp_path, capsys, argv, text):
 
 _CFIT = "[experiment]\nkind = c-fit\nsizes = 16 32\n"
 _SHRINK = "[experiment]\nkind = shrink\nsizes = 64\narcs = 0.2 1.1, 2.0 2.9\n"
+_SHRINK3 = "[experiment]\nkind = shrink\nsizes = {}\narcs = 0.2 1.1, 2.0 2.9, 4.1 5.3\n"
 
 
 @pytest.mark.parametrize(
@@ -291,6 +292,10 @@ _SHRINK = "[experiment]\nkind = shrink\nsizes = 64\narcs = 0.2 1.1, 2.0 2.9\n"
         ("c-fit", "[experiment]\nkind = c-fit\nsizes = 8 16\n"),
         ("c-fit", _CFIT + "lengths = 3 3 3 3 3 3\n"),
         ("c-fit", _CFIT + "lengths = 4 12 4 12 4 12\n"),
+        ("shrink", _SHRINK3.format(512) + "schedule = 2.5 0.5\n"),
+        ("shrink", _SHRINK3.format(64) + "schedule = 0.5 0.001 0.3\n"),
+        ("shrink", _SHRINK.replace("2.0 2.9", "2.0 2.05") + "schedule = 0.5\n"),
+        ("shrink", _SHRINK.replace(", 2.0 2.9", "") + "schedule = 0.5\n"),
     ],
     ids=[
         "sweep-overlaps-first-arc",
@@ -302,6 +307,10 @@ _SHRINK = "[experiment]\nkind = shrink\nsizes = 64\narcs = 0.2 1.1, 2.0 2.9\n"
         "cfit-default-lengths-too-small",
         "cfit-one-length",
         "cfit-mirrored-lengths",
+        "shrink-schedule-runs-into-next-arc",
+        "shrink-schedule-empties-arc-early",
+        "shrink-fixed-arc-without-sites",
+        "shrink-single-arc",
     ],
 )
 def test_cli_rejects_geometry_it_cannot_build(tmp_path, capsys, kind, text):
