@@ -47,7 +47,8 @@ def cache_lookup(config: ExperimentConfig) -> RunReport | None:
     return report
 
 
-def cache_store(report: RunReport) -> Path:
+def cache_store(report: RunReport, key: str) -> Path:
+    """Store the report and its compute timings under ``key``, a config hash."""
     directory = cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     payload = {"report": report.to_dict(), "timings": report.timings}
@@ -55,7 +56,7 @@ def cache_store(report: RunReport) -> Path:
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, sort_keys=True))
-        target = _entry_path(report.config_hash)
+        target = _entry_path(key)
         os.replace(tmp_name, target)
     except BaseException:
         try:

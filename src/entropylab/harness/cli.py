@@ -24,7 +24,7 @@ from .config import (
     parse_config,
     validate_config,
 )
-from .report import RunReport
+from .report import RunReport, config_hash
 from .reporting import format_report, load_report, write_report
 
 __all__ = ["main", "build_parser"]
@@ -111,6 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         kind = args.kind if args.command == "fermion" else "findim-suite"
         config = _resolve_config(args, kind)
 
+        key = config_hash(config)
         report = cache_lookup(config) if config.cache_enabled else None
         if report is not None:
             cache = "hit"
@@ -120,14 +121,15 @@ def main(argv: list[str] | None = None) -> int:
             cache = "miss" if config.cache_enabled else "off"
             report = run_experiment(config)
             if config.cache_enabled:
-                cache_store(report)
+                cache_store(report, key)
 
         if config.out_dir:
-            # The cache keeps compute timings only; this call's own status
-            # and wall time go to the sidecar alone.
+            # The cache keeps compute timings only; this call's own status,
+            # wall time and build provenance go to the sidecar alone.
             timings = {
                 **report.timings,
                 "cache": cache,
+                "config_hash": key,
                 "run_seconds": time.perf_counter() - start,
             }
             write_report(replace(report, timings=timings), Path(config.out_dir))

@@ -158,6 +158,12 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("'c-fit' fits single intervals; 'arcs' does not apply")
     if config.kind == "two-d" and not config.right_arcs:
         raise ConfigError("'two-d' requires 'right_arcs' for the second chiral half")
+    if config.kind in ("duality", "two-d") and len(config.arcs) < 2:
+        raise ConfigError(f"'{config.kind}' needs at least two arcs")
+    if config.kind == "two-d" and len(config.right_arcs) != len(config.arcs):
+        raise ConfigError("'right_arcs' needs as many arcs as 'arcs'")
+    if config.kind in ("cross-ratio-sweep", "collapse") and len(config.arcs) != 2:
+        raise ConfigError(f"'{config.kind}' expects exactly 2 arcs")
     if config.kind == "c-fit" and not config.lengths and config.sizes[0] < 16:
         raise ConfigError("'c-fit' needs sizes of at least 16 unless 'lengths' is given")
     if config.kind == "c-fit" and config.lengths:

@@ -2,8 +2,10 @@
 
 A run produces a RunReport: one CaseRecord per computed case, plus named
 verdicts over groups of cases.  Everything that enters the report is a
-deterministic function of the config and the engine sources; wall-clock
-timings are collected on the side and never mix into report bytes.
+deterministic function of the config and the computed values; wall-clock
+timings and the build provenance (``config_hash``, which changes with any
+edit to the engine sources) are kept on the side and never mix into report
+bytes.
 
 This module imports only the standard library and the config, so that a
 cache hit or ``entropylab report`` never loads numpy or an engine.
@@ -45,7 +47,6 @@ class RunReport:
     kind: str
     seed: int
     config_echo: dict
-    config_hash: str
     engine_version: str
     cases: list[CaseRecord]
     verdicts: list[Verdict]
@@ -70,7 +71,6 @@ class RunReport:
             "kind": self.kind,
             "seed": self.seed,
             "config": self.config_echo,
-            "config_hash": self.config_hash,
             "engine_version": self.engine_version,
             "cases": [asdict(c) for c in self.cases],
             "verdicts": [asdict(v) for v in self.verdicts],
@@ -80,6 +80,8 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunReport":
+        """Read back ``to_dict``; keys it no longer writes, such as the
+        ``config_hash`` of older summaries and cache entries, are ignored."""
         cases = [CaseRecord(**c) for c in payload["cases"]]
         verdicts = [
             Verdict(
@@ -94,7 +96,6 @@ class RunReport:
             kind=payload["kind"],
             seed=payload["seed"],
             config_echo=payload["config"],
-            config_hash=payload["config_hash"],
             engine_version=payload["engine_version"],
             cases=cases,
             verdicts=verdicts,

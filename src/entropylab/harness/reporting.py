@@ -4,16 +4,17 @@ Three kinds of output land in the chosen directory:
 
 * ``summary.json``: the full report (config echo, every case record,
   verdicts, residual maxima).  Serialized with sorted keys so the bytes
-  are stable for a fixed config and engine build, and parseable back
-  into a :class:`~entropylab.harness.report.RunReport` for regression
-  diffing.
+  are stable for a fixed config and computed values, across engine edits
+  that leave the values alone, and parseable back into a
+  :class:`~entropylab.harness.report.RunReport` for regression diffing.
 * ``cases.csv``: the sweep table, one row per case, RFC-4180 style.
 * ``*.dat``: plain two-column plot data, one file per curve, with the
   seed recorded in a comment header.
 
 Wall-clock timings vary run to run, so they are quarantined in a
 ``timings.json`` sidecar and never enter the byte-stable artifacts.  The
-command line adds whether the call hit the cache and its own wall time.
+command line adds whether the call hit the cache, its own wall time, and
+the ``config_hash`` of the config and engine sources that keyed the run.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def write_report(report: RunReport, out_dir: str | Path) -> list[Path]:
 def format_report(report: RunReport) -> str:
     lines = [
         f"{report.kind}  seed={report.seed}  engine={report.engine_version}",
-        f"config {report.config_hash[:12]}  cases {len(report.cases)}"
+        f"cases {len(report.cases)}"
         + ("  (vacuous)" if report.pass_vacuous else ""),
     ]
     for verdict in report.verdicts:

@@ -3,6 +3,12 @@
 Each of the seven experiment kinds has one ``_run_*`` function that turns
 the config into case records, verdicts and wall-clock timings; the report
 types themselves live in :mod:`entropylab.harness.report`.
+
+The six fermion kinds share their pieces: ``_require_sites`` rejects, with
+``ConfigError`` and before anything is computed, a region with an arc that
+holds no site or that leaves none outside it; ``_per_size`` evaluates and
+times each lattice size in order; ``_limit`` gives the N -> infinity verdict
+on a deficit and ``_decreasing`` the verdict that a sequence shrinks with N.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from ..lattice import (
     two_dimensional_deficit,
 )
 from .config import ConfigError, ExperimentConfig
-from .report import CaseRecord, RunReport, Verdict, config_hash
+from .report import CaseRecord, RunReport, Verdict
 
 __all__ = ["run_experiment"]
 
@@ -63,7 +69,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         kind=config.kind,
         seed=config.seed,
         config_echo=config.echo(),
-        config_hash=config_hash(config),
         engine_version=ENGINE_VERSION,
         cases=cases,
         verdicts=verdicts,
@@ -221,120 +226,150 @@ def _run_findim(config: ExperimentConfig):
 # fermion experiments
 
 
+def _per_size(config, compute) -> tuple[list, dict]:
+    """``compute(n, ground_state_correlations(n))`` for each size in order.
+
+    Returns the results and each size's wall time, keyed ``N=<n>``.
+    """
+    results: list = []
+    timings: dict = {}
+    for n in config.sizes:
+        t0 = time.perf_counter()
+        results.append(compute(n, ground_state_correlations(n)))
+        timings[f"N={n}"] = time.perf_counter() - t0
+    return results, timings
+
+
+def _require_sites(sizes, specs, final_step=None) -> None:
+    """Reject, before anything is computed, a region the lattice cannot resolve.
+
+    At every size each arc of each region must hold a site, and each region
+    must leave a site outside it.  ``final_step`` is the last shrink step:
+    its scheduled arc may hold no sites (the step then equals the target),
+    but the region must still leave a site outside it.
+    """
+    for n in sizes:
+        circle = LatticeCircle(n)
+        for spec in filter(None, [*specs, final_step]):
+            counts = [arc_sites(circle, arc).size for arc in spec.arcs]
+            if 0 in counts and spec is not final_step:
+                a, b = spec.arcs[counts.index(0)]
+                raise ConfigError(f"arc ({a:.4g}, {b:.4g}) holds no sites at N = {n}")
+            if sum(counts) == n:
+                arcs = ", ".join(f"({a:.4g}, {b:.4g})" for a, b in spec.arcs)
+                raise ConfigError(f"region {arcs} leaves no site outside it at N = {n}")
+
+
+def _decreasing(name, label, cases, values) -> list[Verdict]:
+    """The verdict that ``values``, one per size case, strictly decrease (two sizes on)."""
+    if len(values) < 2:
+        return []
+    return [
+        Verdict(
+            name=name,
+            passed=all(b < a for a, b in zip(values, values[1:])),
+            detail=f"{label} {['%.3e' % v for v in values]}",
+            case_ids=tuple(c.case_id for c in cases),
+        )
+    ]
+
+
+def _limit(config, cases, key, limit, prefix, name) -> Verdict:
+    """The N -> infinity verdict ``<name>-*`` on the per-size deficits ``values[key]``.
+
+    From three sizes on, the deficit is extrapolated in 1/N, reported as
+    ``limit``, and the fit is appended to ``cases`` as
+    ``<prefix>-extrapolation``; with fewer sizes |deficit| is bounded at
+    every size.
+    """
+    tol = config.effective_tolerance
+    ids = tuple(c.case_id for c in cases)
+    if len(cases) < 3:
+        magnitudes = [abs(c.values[key]) for c in cases]
+        return Verdict(
+            name=f"{name}-within-tolerance",
+            passed=all(m <= tol for m in magnitudes),
+            detail=f"max |{key}| = {max(magnitudes):.3e} vs {tol:.1e}",
+            case_ids=ids,
+        )
+    ext = finite_size_extrapolate([(n, c.values[key]) for n, c in zip(config.sizes, cases)])
+    case_id = f"{prefix}-extrapolation"
+    cases.append(
+        CaseRecord(
+            case_id=case_id,
+            inputs={"model": "v + a/N + b/N^2", "constituents": list(ids)},
+            values={"D_inf": ext.value, "max_fit_residual": ext.max_residual},
+            residual=abs(ext.value),
+            tolerance=tol,
+            passed=abs(ext.value) <= tol,
+        )
+    )
+    return Verdict(
+        name=f"{name}-extrapolates-to-zero",
+        passed=abs(ext.value) <= tol,
+        detail=f"|{limit}| = {abs(ext.value):.3e} vs {tol:.1e}",
+        case_ids=ids + (case_id,),
+    )
+
+
 def _run_duality(config: ExperimentConfig):
     spec = _spec_from(config.arcs)
+    _require_sites(config.sizes, [spec, spec.complement()])
     arc_flag = config.r_convention == "arc"
-    tol = config.effective_tolerance
-    timings: dict = {}
 
-    def one(n: int):
-        t0 = time.perf_counter()
-        rep = entropy_deficit(ground_state_correlations(n), spec, config.c, arc_flag)
-        return rep, time.perf_counter() - t0
+    def case(n, corr) -> CaseRecord:
+        rep = entropy_deficit(corr, spec, config.c, arc_flag)
+        return CaseRecord(
+            case_id=f"duality-N{n}",
+            inputs={"N": n, "c": config.c, "r_convention": config.r_convention},
+            values={
+                "S_I": rep.s_region,
+                "S_Icomp": rep.s_complement,
+                "eta": rep.eta,
+                "G_I": rep.g_region,
+                "G_Icomp": rep.g_complement,
+                "D": rep.deficit,
+                "mu": rep.mu,
+                "D_hat": rep.dual_deficit,
+            },
+            residual=abs(rep.deficit),
+        )
 
-    results = [one(n) for n in config.sizes]
-    cases = []
-    for n, (rep, seconds) in zip(config.sizes, results):
-        timings[f"N={n}"] = seconds
-        cases.append(
-            CaseRecord(
-                case_id=f"duality-N{n}",
-                inputs={"N": n, "c": config.c, "r_convention": config.r_convention},
-                values={
-                    "S_I": rep.s_region,
-                    "S_Icomp": rep.s_complement,
-                    "eta": rep.eta,
-                    "G_I": rep.g_region,
-                    "G_Icomp": rep.g_complement,
-                    "D": rep.deficit,
-                    "mu": rep.mu,
-                    "D_hat": rep.dual_deficit,
-                },
-                residual=abs(rep.deficit),
-                tolerance=None,
-                passed=None,
-            )
-        )
-    verdicts = []
-    deficits = [abs(c.values["D"]) for c in cases]
-    ids = tuple(c.case_id for c in cases)
-    if len(cases) >= 2:
-        decreasing = all(b < a for a, b in zip(deficits, deficits[1:]))
-        verdicts.append(
-            Verdict(
-                name="deficit-magnitude-decreasing",
-                passed=decreasing,
-                detail=f"|D| sequence {['%.3e' % d for d in deficits]}",
-                case_ids=ids,
-            )
-        )
-    if len(cases) >= 3:
-        ext = finite_size_extrapolate(
-            [(n, c.values["D"]) for n, c in zip(config.sizes, cases)]
-        )
-        cases.append(
-            CaseRecord(
-                case_id="duality-extrapolation",
-                inputs={"model": "v + a/N + b/N^2", "constituents": list(ids)},
-                values={"D_inf": ext.value, "max_fit_residual": ext.max_residual},
-                residual=abs(ext.value),
-                tolerance=tol,
-                passed=abs(ext.value) <= tol,
-            )
-        )
-        verdicts.append(
-            Verdict(
-                name="deficit-extrapolates-to-zero",
-                passed=abs(ext.value) <= tol,
-                detail=f"|D_inf| = {abs(ext.value):.3e} vs {tol:.1e}",
-                case_ids=ids + ("duality-extrapolation",),
-            )
-        )
-    else:
-        verdicts.append(
-            Verdict(
-                name="deficit-within-tolerance",
-                passed=all(d <= tol for d in deficits),
-                detail=f"max |D| = {max(deficits):.3e} vs {tol:.1e}",
-                case_ids=ids,
-            )
-        )
+    cases, timings = _per_size(config, case)
+    verdicts = _decreasing(
+        "deficit-magnitude-decreasing", "|D| sequence", cases,
+        [abs(c.values["D"]) for c in cases],
+    )
+    verdicts.append(_limit(config, cases, "D", "D_inf", "duality", "deficit"))
     return cases, verdicts, timings
 
 
 def _run_sweep(config: ExperimentConfig):
-    if len(config.arcs) != 2:
-        raise ConfigError("cross-ratio-sweep expects exactly 2 base arcs")
     (a1, b1), (a2, _) = _spec_from(config.arcs).arcs
-    timings: dict = {}
-
-    # Every swept geometry is checked before anything is computed.
     specs = {l: _spec_from(((a1, b1), (a2, a2 + l))) for l in config.sweep_lengths}
-    work = [(n, length) for n in config.sizes for length in config.sweep_lengths]
+    _require_sites(config.sizes, specs.values())
+    arc_flag = config.r_convention == "arc"
+    tol = config.effective_tolerance
 
-    def one(item):
-        n, length = item
-        spec = specs[length]
-        corr = ground_state_correlations(n)
-        eta = cross_ratio(spec, config.r_convention == "arc")
-        value = product_state_relative_entropy(corr, spec)
-        return eta, value
-
-    t0 = time.perf_counter()
-    results = [one(item) for item in work]
-    timings["sweep"] = time.perf_counter() - t0
-    cases = []
-    for (n, length), (eta, value) in zip(work, results):
-        cases.append(
-            CaseRecord(
-                case_id=f"sweep-N{n}-l{length:g}",
-                inputs={"N": n, "second_arc_length": length},
-                values={"eta": eta, "S_product": value},
-                residual=max(0.0, -value),
-                tolerance=config.effective_tolerance,
-                passed=value >= -config.effective_tolerance,
+    def size_cases(n, corr) -> list[CaseRecord]:
+        memo: dict = {}  # the fixed first arc is evaluated once per size
+        cases = []
+        for length in config.sweep_lengths:
+            value = product_state_relative_entropy(corr, specs[length], memo)
+            cases.append(
+                CaseRecord(
+                    case_id=f"sweep-N{n}-l{length:g}",
+                    inputs={"N": n, "second_arc_length": length},
+                    values={"eta": cross_ratio(specs[length], arc_flag), "S_product": value},
+                    residual=max(0.0, -value),
+                    tolerance=tol,
+                    passed=value >= -tol,
+                )
             )
-        )
+        return cases
+
+    per_size, timings = _per_size(config, size_cases)
+    cases = [c for group in per_size for c in group]
     verdicts = [
         _group_verdict(
             "product-relative-entropy-nonnegative",
@@ -347,35 +382,26 @@ def _run_sweep(config: ExperimentConfig):
 
 def _run_cfit(config: ExperimentConfig):
     tol = config.effective_tolerance
-    timings: dict = {}
 
-    def one(n: int):
-        t0 = time.perf_counter()
-        corr = ground_state_correlations(n)
+    def case(n, corr) -> CaseRecord:
         lengths = list(config.lengths) or [
             n // 16, n // 8, 3 * n // 16, n // 4, 3 * n // 8, n // 2
         ]
         entropies = [region_entropy(corr, np.arange(l)) for l in lengths]
         fit = central_charge_fit(lengths, entropies, n)
-        return fit, lengths, time.perf_counter() - t0
-
-    results = [one(n) for n in config.sizes]
-    cases = []
-    for n, (fit, lengths, seconds) in zip(config.sizes, results):
-        timings[f"N={n}"] = seconds
-        cases.append(
-            _residual_case(
-                f"cfit-N{n}",
-                {"N": n, "lengths": lengths},
-                {
-                    "c_hat": fit.c_hat,
-                    "intercept": fit.intercept,
-                    "fit_residual_norm": fit.residual_norm,
-                },
-                abs(fit.c_hat - 1.0),
-                tol,
-            )
+        return _residual_case(
+            f"cfit-N{n}",
+            {"N": n, "lengths": lengths},
+            {
+                "c_hat": fit.c_hat,
+                "intercept": fit.intercept,
+                "fit_residual_norm": fit.residual_norm,
+            },
+            abs(fit.c_hat - 1.0),
+            tol,
         )
+
+    cases, timings = _per_size(config, case)
     verdicts = [
         _group_verdict(
             "central-charge-near-one",
@@ -388,99 +414,69 @@ def _run_cfit(config: ExperimentConfig):
 
 def _run_shrink(config: ExperimentConfig):
     spec = _spec_from(config.arcs)
-    # Every arc a step builds is checked for sites before anything is
-    # computed: only the final step may leave the scheduled arc empty.
     start = spec.arcs[config.arc_index][0]
     fixed = [arc for k, arc in enumerate(spec.arcs) if k != config.arc_index]
-    steps = [(start, (start + length) % math.tau) for length in config.schedule[:-1]]
-    for n in config.sizes:
-        circle = LatticeCircle(n)
-        for a, b in fixed + steps:
-            if arc_sites(circle, (a, b)).size == 0:
-                raise ConfigError(
-                    f"arc ({a:.4g}, {b:.4g}) holds no sites at N = {n}; only the "
-                    "final schedule step may empty the scheduled arc"
-                )
+    steps = [
+        _spec_from(fixed + [(start, (start + length) % math.tau)])
+        for length in config.schedule
+    ]
+    _require_sites(config.sizes, [_spec_from(fixed)] + steps[:-1], final_step=steps[-1])
     tol = config.effective_tolerance
-    timings: dict = {}
-    cases = []
-    verdicts = []
-    for n in config.sizes:
-        t0 = time.perf_counter()
-        report = shrink_experiment(
-            ground_state_correlations(n), spec, config.arc_index, list(config.schedule)
-        )
-        timings[f"N={n}"] = time.perf_counter() - t0
-        ids = []
-        for k, step in enumerate(report.steps):
-            cid = f"shrink-N{n}-step{k:02d}"
-            ids.append(cid)
-            cases.append(
-                CaseRecord(
-                    case_id=cid,
-                    inputs={"N": n, "length": step.length, "sites": step.sites_in_arc},
-                    values={
-                        "S_product": step.value,
-                        "target": report.target,
-                        "gap": step.gap,
-                    },
-                    residual=abs(step.gap),
-                    tolerance=None,
-                    passed=None,
-                )
+
+    def size_run(n, corr) -> tuple[list[CaseRecord], Verdict]:
+        report = shrink_experiment(corr, spec, config.arc_index, list(config.schedule))
+        cases = [
+            CaseRecord(
+                case_id=f"shrink-N{n}-step{k:02d}",
+                inputs={"N": n, "length": step.length, "sites": step.sites_in_arc},
+                values={"S_product": step.value, "target": report.target, "gap": step.gap},
+                residual=abs(step.gap),
             )
+            for k, step in enumerate(report.steps)
+        ]
         final_gap = abs(report.gaps[-1])
-        verdicts.append(
-            Verdict(
-                name=f"shrink-gap-closes-N{n}",
-                passed=report.eventually_monotone and final_gap <= tol,
-                detail=(
-                    f"final gap {final_gap:.3e} vs {tol:.1e}, "
-                    f"monotone from step {report.monotone_from}"
-                ),
-                case_ids=tuple(ids),
-            )
+        verdict = Verdict(
+            name=f"shrink-gap-closes-N{n}",
+            passed=report.eventually_monotone and final_gap <= tol,
+            detail=(
+                f"final gap {final_gap:.3e} vs {tol:.1e}, "
+                f"monotone from step {report.monotone_from}"
+            ),
+            case_ids=tuple(c.case_id for c in cases),
         )
-    return cases, verdicts, timings
+        return cases, verdict
+
+    results, timings = _per_size(config, size_run)
+    cases = [c for group, _ in results for c in group]
+    return cases, [verdict for _, verdict in results], timings
 
 
 def _run_collapse(config: ExperimentConfig):
-    spec = _spec_from(config.arcs)
-    if len(spec.arcs) != 2:
-        raise ConfigError("collapse expects a two-arc region")
     rng = np.random.default_rng([config.seed, 10])
-    family = equal_eta_family(spec, config.family_size, rng)
+    family = equal_eta_family(_spec_from(config.arcs), config.family_size, rng)
+    _require_sites(config.sizes, family)
     tol = config.effective_tolerance
-    timings: dict = {}
-
-    def one(n: int):
-        t0 = time.perf_counter()
-        rep = cross_ratio_collapse(
-            ground_state_correlations(n), family,
-            use_arc_length=config.r_convention == "arc",
-        )
-        return rep, time.perf_counter() - t0
-
-    results = [one(n) for n in config.sizes]
     largest = max(config.sizes)
-    cases = []
-    for n, (rep, seconds) in zip(config.sizes, results):
-        timings[f"N={n}"] = seconds
+
+    def case(n, corr) -> CaseRecord:
+        rep = cross_ratio_collapse(
+            corr, family, use_arc_length=config.r_convention == "arc"
+        )
         values = {"eta": rep.eta, "spread": rep.spread}
         for j, v in enumerate(rep.values):
             values[f"S_geometry{j}"] = v
         # The tolerance binds at the largest size; the smaller sizes are
         # there to exhibit the trend.
-        cases.append(
-            CaseRecord(
-                case_id=f"collapse-N{n}",
-                inputs={"N": n, "family_size": len(family)},
-                values=values,
-                residual=rep.spread,
-                tolerance=tol if n == largest else None,
-                passed=rep.spread <= tol if n == largest else None,
-            )
+        return CaseRecord(
+            case_id=f"collapse-N{n}",
+            inputs={"N": n, "family_size": len(family)},
+            values=values,
+            residual=rep.spread,
+            tolerance=tol if n == largest else None,
+            passed=rep.spread <= tol if n == largest else None,
         )
+
+    cases, timings = _per_size(config, case)
     verdicts = [
         _group_verdict(
             "equal-eta-values-collapse",
@@ -488,87 +484,36 @@ def _run_collapse(config: ExperimentConfig):
             detail=f"spread {cases[-1].values['spread']:.3e} vs {tol:.1e} at N={largest}",
         )
     ]
-    spreads = [c.values["spread"] for c in cases]
-    if len(spreads) >= 2:
-        verdicts.append(
-            Verdict(
-                name="collapse-spread-decreasing",
-                passed=all(b < a for a, b in zip(spreads, spreads[1:])),
-                detail=f"spreads {['%.3e' % s for s in spreads]}",
-                case_ids=tuple(c.case_id for c in cases),
-            )
-        )
+    verdicts += _decreasing(
+        "collapse-spread-decreasing", "spreads", cases, [c.values["spread"] for c in cases]
+    )
     return cases, verdicts, timings
 
 
 def _run_twod(config: ExperimentConfig):
     left = _spec_from(config.arcs)
     right = _spec_from(config.right_arcs)
+    _require_sites(config.sizes, [left, left.complement(), right, right.complement()])
     arc_flag = config.r_convention == "arc"
-    tol = config.effective_tolerance
-    timings: dict = {}
 
-    def one(n: int):
-        t0 = time.perf_counter()
-        corr = ground_state_correlations(n)
+    def case(n, corr) -> CaseRecord:
         rep_l = entropy_deficit(corr, left, config.c, arc_flag)
         rep_r = entropy_deficit(corr, right, config.c, arc_flag)
         combined = two_dimensional_deficit(rep_l, rep_r)
-        return rep_l, rep_r, combined, time.perf_counter() - t0
+        return CaseRecord(
+            case_id=f"twod-N{n}",
+            inputs={"N": n, "c": config.c},
+            values={
+                "D_left": rep_l.deficit,
+                "D_right": rep_r.deficit,
+                "D_2d": combined.deficit,
+                "G_2d": combined.g_region,
+            },
+            residual=abs(combined.deficit),
+        )
 
-    results = [one(n) for n in config.sizes]
-    cases = []
-    for n, (rep_l, rep_r, combined, seconds) in zip(config.sizes, results):
-        timings[f"N={n}"] = seconds
-        cases.append(
-            CaseRecord(
-                case_id=f"twod-N{n}",
-                inputs={"N": n, "c": config.c},
-                values={
-                    "D_left": rep_l.deficit,
-                    "D_right": rep_r.deficit,
-                    "D_2d": combined.deficit,
-                    "G_2d": combined.g_region,
-                },
-                residual=abs(combined.deficit),
-                tolerance=None,
-                passed=None,
-            )
-        )
-    ids = tuple(c.case_id for c in cases)
-    verdicts = []
-    if len(cases) >= 3:
-        ext = finite_size_extrapolate(
-            [(n, c.values["D_2d"]) for n, c in zip(config.sizes, cases)]
-        )
-        cases.append(
-            CaseRecord(
-                case_id="twod-extrapolation",
-                inputs={"model": "v + a/N + b/N^2", "constituents": list(ids)},
-                values={"D_inf": ext.value, "max_fit_residual": ext.max_residual},
-                residual=abs(ext.value),
-                tolerance=tol,
-                passed=abs(ext.value) <= tol,
-            )
-        )
-        verdicts.append(
-            Verdict(
-                name="two-d-deficit-extrapolates-to-zero",
-                passed=abs(ext.value) <= tol,
-                detail=f"|D_2d,inf| = {abs(ext.value):.3e} vs {tol:.1e}",
-                case_ids=ids + ("twod-extrapolation",),
-            )
-        )
-    else:
-        worst = max((abs(c.values["D_2d"]) for c in cases), default=0.0)
-        verdicts.append(
-            Verdict(
-                name="two-d-deficit-within-tolerance",
-                passed=worst <= tol,
-                detail=f"max |D_2d| = {worst:.3e} vs {tol:.1e}",
-                case_ids=ids,
-            )
-        )
+    cases, timings = _per_size(config, case)
+    verdicts = [_limit(config, cases, "D_2d", "D_2d,inf", "twod", "two-d-deficit")]
     return cases, verdicts, timings
 
 

@@ -13,6 +13,7 @@ from entropylab.lattice import (
     region_entropy,
     shrink_experiment,
 )
+from entropylab.harness import ExperimentConfig, run_experiment
 from entropylab.lattice import gaussian
 
 THREE_ARCS = RegionSpec([(0.2, 1.1), (2.0, 2.9), (4.1, 5.3)])
@@ -43,6 +44,26 @@ def test_shrink_evaluates_each_site_set_once(monkeypatch):
     report = shrink_experiment(ground_state_correlations(512), THREE_ARCS, 0, schedule)
     assert len(evaluated) == len(set(evaluated)) == 21
     assert report.steps[-1].value == report.steps[-2].value
+
+
+def test_sweep_evaluates_each_site_set_once(monkeypatch):
+    # The harness-replay cross-ratio-sweep geometry: per size the fixed first
+    # arc enters every swept region, so 24 entropies reduce to 18 site sets.
+    evaluated = []
+
+    def recording(corr, sites):
+        evaluated.append((corr.n_sites, tuple(sites)))
+        return region_entropy(corr, sites)
+
+    monkeypatch.setattr(gaussian, "region_entropy", recording)
+    config = ExperimentConfig(
+        kind="cross-ratio-sweep",
+        sizes=(64, 128),
+        arcs=((0.30, 1.45), (2.65, 4.10)),
+        sweep_lengths=(0.6, 0.9, 1.2, 1.5),
+    )
+    assert run_experiment(config).passed
+    assert len(evaluated) == len(set(evaluated)) == 18
 
 
 def test_shrink_target_is_remaining_arcs():

@@ -95,7 +95,6 @@ def test_empty_report_is_vacuous_with_header_only_csv(tmp_path):
         kind="cross-ratio-sweep",
         seed=0,
         config_echo={},
-        config_hash="0" * 64,
         engine_version=__version__,
         cases=[],
         verdicts=[],
@@ -126,7 +125,8 @@ def test_config_hash_tracks_seed_and_version(tmp_path):
 
 def test_config_hash_tracks_engine_sources(tmp_path):
     # A copy of the package keys like the original until one file is edited;
-    # the version string stays the same throughout.
+    # the version string stays the same throughout.  The key is build
+    # provenance: it goes to timings.json and leaves summary.json alone.
     package = tmp_path / "src" / "entropylab"
     shutil.copytree(
         Path(entropylab.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
@@ -147,17 +147,32 @@ def test_config_hash_tracks_engine_sources(tmp_path):
         assert Path(out[0]).parent == package
         return out[1]
 
-    assert copied_key() == config_hash(parse_config(ini))
+    def copied_run(out):
+        subprocess.run(
+            [sys.executable, "-m", "entropylab.harness.cli", "fermion", "duality",
+             "--config", str(ini), "--no-cache", "--out", str(out)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        timings = json.loads((out / "timings.json").read_text())
+        return (out / "summary.json").read_bytes(), timings["config_hash"]
+
+    original = config_hash(parse_config(ini))
+    assert copied_key() == original
+    summary, sidecar_key = copied_run(tmp_path / "before")
+    assert sidecar_key == original
+    # a docstring-only edit
     edited = package / "lattice" / "gaussian.py"
-    edited.write_text(edited.read_text() + "\n# edited\n")
-    assert copied_key() != config_hash(parse_config(ini))
+    edited.write_text(edited.read_text().replace('"""', '"""Edited. ', 1))
+    edited_key = copied_key()
+    assert edited_key != original
+    assert copied_run(tmp_path / "after") == (summary, edited_key)
 
 
 def test_cache_roundtrip(tmp_path):
     config = _config(tmp_path, DUALITY)
     assert cache_lookup(config) is None
     report = run_experiment(config)
-    cache_store(report)
+    cache_store(report, config_hash(config))
     cached = cache_lookup(config)
     assert cached is not None
     assert cached.to_dict() == report.to_dict()
@@ -168,7 +183,7 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_evicts_corrupt_entries(tmp_path):
     config = _config(tmp_path, DUALITY)
     report = run_experiment(config)
-    path = cache_store(report)
+    path = cache_store(report, config_hash(config))
     path.write_text("{not json")
     assert cache_lookup(config) is None
     assert not path.exists()
@@ -233,6 +248,12 @@ def test_cli_report_rerenders_stored_summary(tmp_path, capsys):
     code = main(["report", str(out_dir / "summary.json")])
     assert code == 0
     assert "overall: PASS" in capsys.readouterr().out
+    # Older summaries also carry the config_hash that now lives in timings.json.
+    old = json.loads((out_dir / "summary.json").read_text())
+    old["config_hash"] = "0" * 64
+    (tmp_path / "old.json").write_text(json.dumps(old, sort_keys=True, indent=2) + "\n")
+    assert main(["report", str(tmp_path / "old.json")]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_cli_seed_override_lands_in_echo(tmp_path, capsys):
@@ -278,6 +299,9 @@ def test_cli_seed_override_is_validated(tmp_path, capsys, argv, text):
 _CFIT = "[experiment]\nkind = c-fit\nsizes = 16 32\n"
 _SHRINK = "[experiment]\nkind = shrink\nsizes = 64\narcs = 0.2 1.1, 2.0 2.9\n"
 _SHRINK3 = "[experiment]\nkind = shrink\nsizes = {}\narcs = 0.2 1.1, 2.0 2.9, 4.1 5.3\n"
+_TWOD = "[experiment]\nkind = two-d\nsizes = 16 32\narcs = {}\nright_arcs = 0.50 1.70, 3.00 4.40\n"
+# At N = 8 the gap (1.6, 2.3) holds no site.
+_SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
 
 
 @pytest.mark.parametrize(
@@ -296,6 +320,23 @@ _SHRINK3 = "[experiment]\nkind = shrink\nsizes = {}\narcs = 0.2 1.1, 2.0 2.9, 4.
         ("shrink", _SHRINK3.format(64) + "schedule = 0.5 0.001 0.3\n"),
         ("shrink", _SHRINK.replace("2.0 2.9", "2.0 2.05") + "schedule = 0.5\n"),
         ("shrink", _SHRINK.replace(", 2.0 2.9", "") + "schedule = 0.5\n"),
+        ("duality", DUALITY.replace("16 32", "16 32 64").replace("1.45", "0.35")),
+        ("duality", "[experiment]\nkind = duality\n" + _SITELESS_GAP),
+        ("duality", DUALITY.replace(", 2.65 4.10", "")),
+        ("collapse", "[experiment]\nkind = collapse\nsizes = 16 32\narcs = 0.30 0.40, 2.65 4.10\n"),
+        ("collapse", "[experiment]\nkind = collapse\nsizes = 16\narcs = 0.3 1, 2 3, 4 5\n"),
+        ("two-d", _TWOD.format("0.30 0.35, 2.65 4.10")),
+        ("two-d", _TWOD.format("0.30 1.45, 2.65 4.10, 5.0 5.5")),
+        ("cross-ratio-sweep", SWEEP.replace("1.45", "0.35")),
+        (
+            "cross-ratio-sweep",
+            "[experiment]\nkind = cross-ratio-sweep\nsizes = 8\narcs = 3.1 6.2, 6.23 1.0\n"
+            "sweep_lengths = 3.05\n",
+        ),
+        (
+            "shrink",
+            "[experiment]\nkind = shrink\n" + _SITELESS_GAP + "arc_index = 1\nschedule = 3.0 4.2\n",
+        ),
     ],
     ids=[
         "sweep-overlaps-first-arc",
@@ -311,6 +352,16 @@ _SHRINK3 = "[experiment]\nkind = shrink\nsizes = {}\narcs = 0.2 1.1, 2.0 2.9, 4.
         "shrink-schedule-empties-arc-early",
         "shrink-fixed-arc-without-sites",
         "shrink-single-arc",
+        "duality-arc-without-sites",
+        "duality-complement-arc-without-sites",
+        "duality-single-arc",
+        "collapse-image-arc-without-sites",
+        "collapse-three-arcs",
+        "twod-left-arc-without-sites",
+        "twod-mismatched-arc-counts",
+        "sweep-first-arc-without-sites",
+        "sweep-region-covers-every-site",
+        "shrink-final-step-covers-every-site",
     ],
 )
 def test_cli_rejects_geometry_it_cannot_build(tmp_path, capsys, kind, text):
@@ -322,6 +373,16 @@ def test_cli_rejects_geometry_it_cannot_build(tmp_path, capsys, kind, text):
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "cache").exists()  # nothing was cached
+
+
+def test_shrink_final_step_may_empty_the_arc(tmp_path):
+    # The last step may leave the scheduled arc without sites; the step then
+    # equals the target and the gap closes exactly.
+    config = _config(tmp_path, _SHRINK + "schedule = 0.5 0.001\n")
+    report = run_experiment(config)
+    assert report.passed
+    assert [c.inputs["sites"] for c in report.cases][-1] == 0
+    assert report.cases[-1].values["gap"] == 0.0
 
 
 def test_cli_cache_hit_reproduces_bytes(tmp_path, capsys):
