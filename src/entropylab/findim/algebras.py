@@ -1,16 +1,21 @@
-"""Finite-dimensional von Neumann algebras as explicit matrix spans.
+"""Finite-dimensional von Neumann algebras held as their block isometries.
 
 Every algebra handled here is a unital *-subalgebra of B(C^D), i.e. up to
 a unitary change of basis a direct sum of blocks M_{n_k} tensor 1_{m_k}.
-Each :class:`MatrixBlockAlgebra` carries that change of basis explicitly
-(one isometry per block), which makes commutants, canonical densities and
-spatial derivatives cheap block-wise computations instead of repeated
-null-space solves.
+A :class:`MatrixBlockAlgebra` stores only that change of basis (one
+isometry per block); its block shapes, dimension and Hilbert-Schmidt
+basis are derived from it, so they cannot disagree.  Commutants,
+conjugates, canonical densities and spatial derivatives are then cheap
+block-wise computations instead of repeated null-space solves.
+:func:`algebra_from_basis` recovers the isometries of a spanned algebra
+and certifies them against its input: the result must have the input
+span's dimension and contain every input element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +30,7 @@ __all__ = [
 SPAN_TOL = 1e-12
 # Relative gap used to split eigenvalue clusters during structure discovery.
 CLUSTER_GAP = 1e-7
-# Residual accepted for the discovered block factorisation itself.
+# Relative residual accepted for an input element in the discovered algebra.
 STRUCTURE_TOL = 1e-9
 
 _DISCOVERY_SEED = 0x5EED
@@ -44,10 +49,6 @@ class BlockStructure:
     m: int
     iso: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.n * self.m
-
 
 def _vec(mats: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mats])
@@ -62,36 +63,28 @@ def _orthonormal_span(mats: list[np.ndarray], dim: int) -> list[np.ndarray]:
 
 
 class MatrixBlockAlgebra:
-    """A *-subalgebra of B(C^D) together with its block decomposition."""
+    """A *-subalgebra of B(C^D), held as the isometries of its blocks."""
 
-    def __init__(
-        self,
-        blocks: list[tuple[int, int]],
-        structure: list[BlockStructure],
-        basis: list[np.ndarray] | None = None,
-    ):
-        if not blocks:
+    def __init__(self, structure: list[BlockStructure]):
+        if not structure:
             raise ValueError("algebra needs at least one block")
-        for n, m in blocks:
-            if n < 1 or m < 1:
-                raise ValueError(f"invalid block shape ({n}, {m})")
-        self.blocks = [(int(n), int(m)) for n, m in blocks]
-        self.structure = structure
-        self.ambient_dim = structure[0].iso.shape[1]
+        for blk in structure:
+            if blk.n < 1 or blk.m < 1:
+                raise ValueError(f"invalid block shape ({blk.n}, {blk.m})")
+        self.structure = list(structure)
+        self.blocks = [(int(blk.n), int(blk.m)) for blk in self.structure]
+        self.ambient_dim = self.structure[0].iso.shape[1]
         if sum(n * m for n, m in self.blocks) != self.ambient_dim:
             raise ValueError(
                 "ambient dimension mismatch: blocks sum to "
                 f"{sum(n * m for n, m in self.blocks)}, ambient is {self.ambient_dim}"
             )
         self.dim = sum(n * n for n, _ in self.blocks)
-        if basis is None:
-            basis = self._standard_basis()
-        self.basis = basis
         self._commutant: MatrixBlockAlgebra | None = None
 
-    # -- construction helpers -------------------------------------------------
-
-    def _standard_basis(self) -> list[np.ndarray]:
+    @cached_property
+    def basis(self) -> list[np.ndarray]:
+        """Hilbert-Schmidt orthonormal basis: the matrix units of each block, lifted."""
         out = []
         for blk in self.structure:
             n, m = blk.n, blk.m
@@ -155,9 +148,7 @@ class MatrixBlockAlgebra:
             for blk in self.structure:
                 swap = _swap_matrix(blk.n, blk.m)
                 structure.append(BlockStructure(n=blk.m, m=blk.n, iso=swap @ blk.iso))
-            dual = MatrixBlockAlgebra(
-                [(m, n) for n, m in self.blocks], structure
-            )
+            dual = MatrixBlockAlgebra(structure)
             dual._commutant = self
             self._commutant = dual
         return self._commutant
@@ -170,33 +161,7 @@ class MatrixBlockAlgebra:
             BlockStructure(blk.n, blk.m, blk.iso @ u.conj().T)
             for blk in self.structure
         ]
-        return MatrixBlockAlgebra(
-            list(self.blocks),
-            structure,
-            basis=[u @ b @ u.conj().T for b in self.basis],
-        )
-
-    def validate(self, tol: float = STRUCTURE_TOL) -> dict[str, float]:
-        """Residuals for the structural invariants (adjoints, products, blocks)."""
-        adj = max(self.span_distance(b.conj().T) for b in self.basis)
-        rng = np.random.default_rng(_DISCOVERY_SEED)
-        prod = 0.0
-        pairs = min(len(self.basis) ** 2, 200)
-        for _ in range(pairs):
-            a = self.basis[rng.integers(len(self.basis))]
-            b = self.basis[rng.integers(len(self.basis))]
-            prod = max(prod, self.span_distance(a @ b))
-        block = 0.0
-        for b in self.basis:
-            for blk in self.structure:
-                comp = blk.iso @ b @ blk.iso.conj().T
-                part = comp.reshape(blk.n, blk.m, blk.n, blk.m)
-                avg = np.einsum("iljl->ij", part) / blk.m
-                block = max(
-                    block, float(np.linalg.norm(comp - np.kron(avg, np.eye(blk.m))))
-                )
-        unit = self.span_distance(self.identity)
-        return {"adjoint": adj, "product": prod, "block": block, "unit": unit}
+        return MatrixBlockAlgebra(structure)
 
     def __repr__(self) -> str:
         return f"MatrixBlockAlgebra(blocks={self.blocks}, ambient={self.ambient_dim})"
@@ -239,7 +204,7 @@ def build_algebra(
         iso[:, offset : offset + size] = np.eye(size)
         structure.append(BlockStructure(n=n, m=m, iso=iso))
         offset += size
-    return MatrixBlockAlgebra(list(blocks), structure)
+    return MatrixBlockAlgebra(structure)
 
 
 # -- structure discovery -------------------------------------------------------
@@ -250,10 +215,12 @@ def algebra_from_basis(
 ) -> MatrixBlockAlgebra:
     """Recover the block structure of the *-algebra spanned by ``mats``.
 
-    The input must span a unital *-closed algebra; the identity is adjoined
-    automatically.  Block shapes and isometries are found by splitting a
-    generic central element into eigenprojections and then factoring each
-    central summand with intertwiners read off from the algebra itself.
+    The input must span a unital *-closed algebra; the identity and the
+    adjoints are adjoined automatically.  Block shapes and isometries are
+    found by splitting a generic central element into eigenprojections and
+    then factoring each central summand with intertwiners read off from the
+    algebra itself.  Raises ValueError unless the result has the dimension
+    of that span and contains every input element within STRUCTURE_TOL.
     """
     if not mats:
         raise ValueError("empty generating set")
@@ -264,16 +231,16 @@ def algebra_from_basis(
     basis = _orthonormal_span(closed, dim)
     center = _center_basis(basis, dim)
     projections = _central_projections(center, basis, dim, rng)
-    structure: list[BlockStructure] = []
-    for proj_basis in projections:
-        structure.append(_factor_structure(proj_basis, basis, dim, rng))
-    order = sorted(range(len(structure)), key=lambda k: (structure[k].n, structure[k].m))
-    structure = [structure[k] for k in order]
-    alg = MatrixBlockAlgebra([(b.n, b.m) for b in structure], structure, basis=basis)
-    res = alg.validate()
-    worst = max(res.values())
-    if worst > STRUCTURE_TOL:
-        raise ValueError(f"could not certify block structure (residual {worst:.2e})")
+    structure = [_factor_structure(cols, basis, dim, rng) for cols in projections]
+    alg = MatrixBlockAlgebra(sorted(structure, key=lambda blk: (blk.n, blk.m)))
+    # A subspace of the result with the result's dimension is the result:
+    # this certifies the blocks and that the input spans an algebra.
+    if alg.dim != len(basis) or not all(alg.contains(x, STRUCTURE_TOL) for x in mats):
+        raise ValueError(
+            f"the input spans dimension {len(basis)}, but the discovered blocks "
+            f"{alg.blocks} of dimension {alg.dim} do not reproduce that span: "
+            "the input does not span a *-algebra"
+        )
     return alg
 
 

@@ -260,15 +260,14 @@ def group_average_expectation(
     superop = superop @ trace_projection_superop(source)
 
     basis = source.basis
+    frame = np.stack([vec_matrix(f) for f in basis], axis=1)
     rows = []
     for u in units:
-        conj_coords = np.empty((len(basis), len(basis)), dtype=complex)
-        for b, f in enumerate(basis):
-            g = u @ f @ u.conj().T
-            if source.span_distance(g) > 1e-9:
-                raise ValueError("unitaries do not normalize the algebra")
-            for a, fa in enumerate(basis):
-                conj_coords[a, b] = np.trace(fa.conj().T @ g)
+        images = [u @ f @ u.conj().T for f in basis]
+        if any(source.span_distance(g) > 1e-9 for g in images):
+            raise ValueError("unitaries do not normalize the algebra")
+        # coordinates Tr(f_a* g_b) of the conjugated basis, in one product
+        conj_coords = frame.conj().T @ np.stack([vec_matrix(g) for g in images], axis=1)
         rows.append(conj_coords - np.eye(len(basis)))
     stacked = np.vstack(rows)
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)

@@ -5,6 +5,12 @@ D_psi in A with Tr(D_psi x) = psi(x) for all x in A (plain ambient trace).
 Block-intrinsic density matrices (the physically normalised ones, with the
 multiplicity divided out) are derived from it on demand; those are what the
 modular machinery in :mod:`entropylab.findim.spatial` consumes.
+
+A vector state is read off the same blocks.  On block k, with isometry V_k,
+the vector is the n_k x m_k coefficient matrix C_k = (V_k v).reshape(n_k, m_k).
+The algebra acts on it as a C_k (a in M_{n_k}) and the commutant as C_k b^T
+(b in M_{m_k}), so v is cyclic exactly when every C_k has rank m_k and
+separating exactly when every C_k has rank n_k.
 """
 
 from __future__ import annotations
@@ -139,8 +145,12 @@ class VectorStateData:
             raise ValueError(f"vector is not normalised (norm {norm})")
         self.algebra = algebra
         self.vector = vector
-        self.cyclic = _spans_everything(algebra, vector)
-        self.separating = _spans_everything(algebra.commutant(), vector)
+        ranks = [
+            np.linalg.matrix_rank((blk.iso @ vector).reshape(blk.n, blk.m), tol=1e-10)
+            for blk in algebra.structure
+        ]
+        self.cyclic = all(r == m for r, (_, m) in zip(ranks, algebra.blocks))
+        self.separating = all(r == n for r, (n, _) in zip(ranks, algebra.blocks))
 
     def state(self) -> WeightDensity:
         """The induced state on the algebra (canonical density)."""
@@ -156,12 +166,6 @@ class VectorStateData:
             f"VectorStateData(cyclic={self.cyclic}, separating={self.separating}, "
             f"blocks={self.algebra.blocks})"
         )
-
-
-def _spans_everything(algebra: MatrixBlockAlgebra, vector: np.ndarray) -> bool:
-    stack = np.stack([b @ vector for b in algebra.basis])
-    rank = np.linalg.matrix_rank(stack, tol=1e-10)
-    return int(rank) == algebra.ambient_dim
 
 
 def trace_state(algebra: MatrixBlockAlgebra, total: float = 1.0) -> WeightDensity:

@@ -203,6 +203,12 @@ def validate_config(config: ExperimentConfig) -> None:
                 )
     if config.r_convention not in ("chord", "arc"):
         raise ConfigError("r_convention must be 'chord' or 'arc'")
+    if config.kind == "collapse" and config.r_convention == "arc":
+        # The family's Moebius images keep the chord cross ratio but not the
+        # arc-length one, so their arc-length etas never agree.
+        raise ConfigError(
+            "'collapse' needs r_convention = chord: Moebius images keep only the chord cross ratio"
+        )
     if config.c <= 0:
         raise ConfigError("central charge must be positive")
     if config.seed < 0:

@@ -3,7 +3,8 @@
 Everything here except ``leg_average`` and the exact diagonalization is
 deliberately written from first principles with no imports from
 entropylab internals: eigen-overlap relative entropy, a brute-force
-commutant solver, the dense restricted correlation matrix of the hopping
+commutant solver, a rank test of whether a vector is cyclic for a span of
+matrices, the dense restricted correlation matrix of the hopping
 chain with its eigenvalue entropy (Peschel, J. Phys. A 36 L205, 2003),
 the single-particle hopping Hamiltonian, and a many-body spin-chain
 construction of the imaginary-hopping Hamiltonian (Jordan-Wigner form)
@@ -66,6 +67,12 @@ def brute_force_commutant(basis, dim: int) -> np.ndarray:
     _, svals, vh = np.linalg.svd(stacked)
     rank = int(np.sum(svals > 1e-10 * svals[0])) if svals.size else 0
     return vh[rank:].conj()
+
+
+def spans_everything(mats, vector: np.ndarray) -> bool:
+    """Whether {x v : x in span(mats)} is the whole space, by the rank of the images."""
+    stack = np.stack([np.asarray(x).reshape(len(vector), len(vector)) @ vector for x in mats])
+    return int(np.linalg.matrix_rank(stack, tol=1e-10)) == len(vector)
 
 
 def leg_average(

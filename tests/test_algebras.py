@@ -17,12 +17,18 @@ from entropylab.findim.identities import random_unitary
 from oracles import brute_force_commutant
 
 
+def _assert_orthonormal_basis_inside(alg):
+    frame = np.stack([b.reshape(-1) for b in alg.basis])
+    assert np.abs(frame.conj() @ frame.T - np.eye(alg.dim)).max() < 1e-12
+    assert all(alg.contains(b) for b in alg.basis)
+
+
 def test_build_single_factor():
     alg = build_algebra([(3, 2)])
     assert alg.ambient_dim == 6
     assert alg.dim == 9
     assert len(alg.basis) == 9
-    alg.validate()
+    _assert_orthonormal_basis_inside(alg)
 
 
 def test_build_multi_block_dimensions():
@@ -30,7 +36,7 @@ def test_build_multi_block_dimensions():
     assert alg.ambient_dim == 4 + 3 + 3
     assert alg.dim == 4 + 1 + 9
     assert len(alg.basis) == 4 + 1 + 9
-    alg.validate()
+    _assert_orthonormal_basis_inside(alg)
 
 
 def test_identity_is_contained():
@@ -78,9 +84,10 @@ def test_project_is_idempotent_and_contained():
 def test_conjugated_preserves_structure():
     rng = np.random.default_rng(2)
     alg = build_algebra([(2, 2), (1, 1)])
-    rotated = alg.conjugated(random_unitary(5, rng))
+    u = random_unitary(5, rng)
+    rotated = alg.conjugated(u)
     assert rotated.blocks == alg.blocks
-    rotated.validate()
+    assert all(rotated.contains(u @ b @ u.conj().T) for b in alg.basis)
     assert not rotated.span_equals(alg) or np.allclose(alg.basis, rotated.basis)
 
 
@@ -90,6 +97,22 @@ def test_discovery_recovers_blocks():
     found = algebra_from_basis(alg.basis)
     assert sorted(found.blocks) == sorted(alg.blocks)
     assert found.span_equals(alg)
+
+
+def test_discovery_rejects_a_span_that_is_not_an_algebra():
+    # (X ⊕ X)(1 ⊕ 0) = X ⊕ 0 lies outside the span {1 ⊕ 1, X ⊕ X, Y ⊕ Y,
+    # Z ⊕ Z, 1 ⊕ 0}: the algebra it generates has blocks [(2, 1), (2, 1)]
+    # and dimension 8 against the span's 5.
+    paulis = [
+        np.eye(2),
+        np.array([[0, 1], [1, 0]]),
+        np.array([[0, -1j], [1j, 0]]),
+        np.diag([1, -1]),
+    ]
+    mats = [np.kron(np.eye(2), p).astype(complex) for p in paulis]
+    mats.append(np.kron(np.diag([1, 0]), np.eye(2)).astype(complex))
+    with pytest.raises(ValueError, match="dimension 5.*dimension 8"):
+        algebra_from_basis(mats)
 
 
 def test_discovery_circulant_center():

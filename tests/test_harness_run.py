@@ -325,6 +325,11 @@ _SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
         ("duality", DUALITY.replace(", 2.65 4.10", "")),
         ("collapse", "[experiment]\nkind = collapse\nsizes = 16 32\narcs = 0.30 0.40, 2.65 4.10\n"),
         ("collapse", "[experiment]\nkind = collapse\nsizes = 16\narcs = 0.3 1, 2 3, 4 5\n"),
+        (
+            "collapse",
+            "[experiment]\nkind = collapse\nsizes = 64 128\narcs = 0.30 1.45, 2.65 4.10\n"
+            "r_convention = arc\nseed = 3\n",
+        ),
         ("two-d", _TWOD.format("0.30 0.35, 2.65 4.10")),
         ("two-d", _TWOD.format("0.30 1.45, 2.65 4.10, 5.0 5.5")),
         ("cross-ratio-sweep", SWEEP.replace("1.45", "0.35")),
@@ -357,6 +362,7 @@ _SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
         "duality-single-arc",
         "collapse-image-arc-without-sites",
         "collapse-three-arcs",
+        "collapse-arc-length-convention",
         "twod-left-arc-without-sites",
         "twod-mismatched-arc-counts",
         "sweep-first-arc-without-sites",

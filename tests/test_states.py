@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from entropylab.findim import (
     VectorStateData,
@@ -10,6 +12,8 @@ from entropylab.findim import (
     trace_state,
 )
 from entropylab.findim.identities import random_unitary
+
+from oracles import brute_force_commutant, spans_everything
 
 
 def test_trace_state_mass_and_blocks():
@@ -105,6 +109,54 @@ def test_rank_deficient_vector_not_separating():
     om = VectorStateData(alg, v)
     assert not om.separating
     assert not om.cyclic
+
+
+@st.composite
+def blocks_with_ranks(draw):
+    """Block shapes on at most C^9, each with the rank of its coefficient matrix.
+
+    Every block gets full rank min(n, m) except possibly one, which gets a
+    smaller rank, so that both flags take both values across examples.
+    """
+    blocks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=1, max_value=3))
+        m = draw(st.integers(min_value=1, max_value=3))
+        if blocks and sum(a * b for a, b in blocks) + n * m > 8:
+            break
+        blocks.append((n, m))
+    ranks = [min(n, m) for n, m in blocks]
+    deficient = draw(st.integers(min_value=0, max_value=len(blocks)))
+    if deficient < len(blocks):
+        ranks[deficient] = draw(st.integers(min_value=0, max_value=ranks[deficient] - 1))
+    return blocks, ranks
+
+
+@given(blocks_with_ranks(), st.integers(min_value=0, max_value=2**31 - 1))
+@example(([(2, 2), (1, 1)], [2, 1]), 0)  # cyclic and separating
+@example(([(2, 3), (1, 1)], [2, 1]), 0)  # separating only
+@example(([(3, 2)], [2]), 0)  # cyclic only
+@example(([(2, 2), (1, 3)], [1, 1]), 0)  # neither
+@settings(max_examples=30, deadline=None)
+def test_property_cyclic_separating_match_span_oracle(shapes, seed):
+    blocks, ranks = shapes
+    rng = np.random.default_rng(seed)
+    dim = sum(n * m for n, m in blocks)
+    parts = []
+    for (n, m), r in zip(blocks, ranks):
+        left = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+        right = rng.normal(size=(r, m)) + 1j * rng.normal(size=(r, m))
+        parts.append((left @ right).reshape(-1))
+    v = np.concatenate(parts)
+    assume(np.linalg.norm(v) > 0)
+    u = random_unitary(dim, rng)
+    v = u @ v / np.linalg.norm(v)
+    alg = build_algebra(blocks).conjugated(u)
+    om = VectorStateData(alg, v)
+    assert om.cyclic == spans_everything(alg.basis, v)
+    assert om.separating == spans_everything(brute_force_commutant(alg.basis, dim), v)
+    assert om.cyclic == all(r == m for r, (_, m) in zip(ranks, blocks))
+    assert om.separating == all(r == n for r, (n, _) in zip(ranks, blocks))
 
 
 def test_weight_rejects_non_hermitian():
