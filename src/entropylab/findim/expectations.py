@@ -1,11 +1,15 @@
-"""Conditional expectations as superoperators on the ambient matrix space.
+"""Conditional expectations between block algebras, held as a target and a density.
 
-A map E: M -> N is stored as a D^2 x D^2 matrix acting on column-major
-vectorized D x D matrices, so vec(A X B) = (B^T kron A) vec(X) and the
-conjugation x -> u x u* becomes kron(conj(u), u).  Every expectation here
-is the restriction to M of a completely positive map on all of B(H)
-(the trace projection onto M composed with the expectation itself), which
-makes the Choi-positivity check meaningful as stated.
+Every conditional expectation E: M -> N between finite-dimensional
+algebras has the form E(x) = P_N(h x), where P_N is the Hilbert-Schmidt
+projection onto N and h > 0 lies in N' cap M with P_N(h) = 1; h = 1 is the
+trace-preserving expectation.  A map is stored as (source, target, h), so
+applying it or its adjoint costs one block projection.  Since h^(1/2)
+commutes with N, P_N(h x) = P_N(h^(1/2) x h^(1/2)) is completely positive
+on all of B(H), which makes the Choi-positivity check meaningful as
+stated.  That check alone needs the D^2 x D^2 superoperator on
+column-major vectorized matrices, vec(A X B) = (B^T kron A) vec(X); it is
+formed on demand.
 """
 
 from __future__ import annotations
@@ -22,12 +26,10 @@ __all__ = [
     "state_preserving_expectation",
     "group_average_expectation",
     "compose_expectations",
-    "trace_projection_superop",
     "weyl_unitaries",
     "cyclic_group_unitaries",
     "symmetric_group_unitaries",
     "vec_matrix",
-    "unvec_matrix",
 ]
 
 AXIOM_TOL = 1e-10
@@ -45,48 +47,46 @@ def vec_matrix(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(-1, order="F")
 
 
-def unvec_matrix(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
-
-
-def conjugation_superop(u: np.ndarray) -> np.ndarray:
-    """Superoperator of x -> u x u* (u unitary)."""
-    return np.kron(u.conj(), u)
-
-
-def trace_projection_superop(algebra: MatrixBlockAlgebra) -> np.ndarray:
-    """Superoperator of the trace-preserving expectation B(H) -> algebra.
-
-    This is the orthogonal projection onto the algebra span in the
-    Hilbert-Schmidt metric.
-    """
-    frame = np.stack([vec_matrix(f) for f in algebra.basis], axis=1)
-    return frame @ frame.conj().T
-
-
 class ConditionalExpectationMap:
-    """Idempotent unital completely positive N-bimodule map E: M -> N."""
+    """Idempotent unital completely positive N-bimodule map E: M -> N.
+
+    ``density`` is the relative density h of E(x) = P_N(h x); it defaults
+    to the identity, the trace-preserving expectation.
+    """
 
     def __init__(
         self,
         source: MatrixBlockAlgebra,
         target: MatrixBlockAlgebra,
-        superop: np.ndarray,
+        density: np.ndarray | None = None,
     ):
         d = source.ambient_dim
         if target.ambient_dim != d:
             raise ValueError("source and target act on different ambient spaces")
-        superop = np.asarray(superop, dtype=complex)
-        if superop.shape != (d * d, d * d):
-            raise ValueError(f"superoperator must be {d * d} x {d * d}")
+        if density is None:
+            density = np.eye(d)
+        density = np.asarray(density, dtype=complex)
+        if density.shape != (d, d):
+            raise ValueError(f"density must be {d} x {d}")
         self.source = source
         self.target = target
-        self.superop = superop
+        self.density = density
         self.ambient_dim = d
         self._index = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return unvec_matrix(self.superop @ vec_matrix(x), self.ambient_dim)
+        return self.target.project(self.density @ x)
+
+    @property
+    def superop(self) -> np.ndarray:
+        """The D^2 x D^2 matrix of the map on column-major vectorized matrices.
+
+        E(x) = sum_a f_a Tr(f_a* h x) over the target's orthonormal basis.
+        """
+        frame = np.stack([vec_matrix(f) for f in self.target.basis], axis=1)
+        adj = self.density.conj().T
+        weighted = np.stack([vec_matrix(adj @ f) for f in self.target.basis], axis=1)
+        return frame @ weighted.conj().T
 
     def choi_matrix(self) -> np.ndarray:
         d = self.ambient_dim
@@ -101,10 +101,7 @@ class ConditionalExpectationMap:
         matrix enters, through the Hilbert-Schmidt adjoint of the map.
         """
         mat = omega.matrix if isinstance(omega, WeightDensity) else np.asarray(omega)
-        pulled = unvec_matrix(
-            self.superop.conj().T @ vec_matrix(mat), self.ambient_dim
-        )
-        return canonical_density(self.source, pulled)
+        return canonical_density(self.source, self.density @ self.target.project(mat))
 
     def is_identity(self, tol: float = 1e-10) -> bool:
         return self.source.span_equals(self.target) and all(
@@ -114,11 +111,10 @@ class ConditionalExpectationMap:
 
     def conjugated(self, u: np.ndarray) -> "ConditionalExpectationMap":
         """The expectation x -> u E(u* x u) u* between the rotated algebras."""
-        conj = conjugation_superop(u)
         return ConditionalExpectationMap(
             self.source.conjugated(u),
             self.target.conjugated(u),
-            conj @ self.superop @ conj.conj().T,
+            u @ self.density @ u.conj().T,
         )
 
     def validate(
@@ -178,9 +174,7 @@ def _random_element(algebra: MatrixBlockAlgebra, rng: np.random.Generator) -> np
 
 
 def identity_expectation(algebra: MatrixBlockAlgebra) -> ConditionalExpectationMap:
-    return ConditionalExpectationMap(
-        algebra, algebra, trace_projection_superop(algebra)
-    )
+    return ConditionalExpectationMap(algebra, algebra)
 
 
 def state_preserving_expectation(
@@ -190,11 +184,11 @@ def state_preserving_expectation(
 ) -> ConditionalExpectationMap:
     """The omega-preserving conditional expectation source -> target.
 
-    Built as the orthogonal projection onto the subalgebra in the GNS inner
-    product <x, y> = omega(x* y).  That projection is a conditional
-    expectation exactly when the modular flow of omega preserves the
-    subalgebra; otherwise some axiom fails and
-    NoPreservingExpectationError is raised.
+    Such an expectation exists exactly when the modular flow of omega
+    preserves the subalgebra (Takesaki, J. Funct. Anal. 9, 306, 1972), and
+    then its density is h = P_N(D)^(-1) D for the density D of omega.
+    Otherwise that h does not commute with the target, some axiom fails
+    and NoPreservingExpectationError is raised.
     """
     if omega.algebra is not source and not omega.algebra.span_equals(source):
         raise ValueError("state must live on the source algebra")
@@ -204,20 +198,9 @@ def state_preserving_expectation(
         if not source.contains(f, tol=1e-8):
             raise ValueError("target is not a subalgebra of the source")
     dens = omega.matrix
-    gram = np.empty((len(target.basis), len(target.basis)), dtype=complex)
-    for a, na in enumerate(target.basis):
-        for b, nb in enumerate(target.basis):
-            gram[a, b] = np.trace(dens @ na.conj().T @ nb)
-    inv = np.linalg.inv(gram)
-    d = source.ambient_dim
-    superop = np.zeros((d * d, d * d), dtype=complex)
-    for a, na in enumerate(target.basis):
-        va = vec_matrix(na)
-        for b, nb in enumerate(target.basis):
-            # omega(n_b* x) = <n_b D, x> in the Hilbert-Schmidt pairing
-            wb = vec_matrix(nb @ dens)
-            superop += inv[a, b] * np.outer(va, wb.conj())
-    cand = ConditionalExpectationMap(source, target, superop)
+    cand = ConditionalExpectationMap(
+        source, target, np.linalg.solve(target.project(dens), dens)
+    )
     residuals = cand.validate(state=omega)
     worst = max(residuals, key=residuals.get)
     if residuals[worst] > AXIOM_TOL * 100:
@@ -238,7 +221,9 @@ def group_average_expectation(
     The target is the fixed-point subalgebra, discovered from the nullspace
     of the stacked (Ad u - id) constraints in source-span coordinates.  The
     unitaries must form a group up to phase; products are matched against
-    the listed elements through |tr(u_k* u_g u_h)| = D.
+    the listed elements through |tr(u_k* u_g u_h)| = D.  The average
+    preserves the trace on the source, and the trace-preserving expectation
+    onto the target is unique, so the result is that expectation.
     """
     d = source.ambient_dim
     units = [np.asarray(u, dtype=complex) for u in unitaries]
@@ -250,14 +235,6 @@ def group_average_expectation(
         if np.linalg.norm(u @ u.conj().T - np.eye(d)) > 1e-10 * d:
             raise ValueError("input matrix is not unitary")
     _check_group_closure(units, closure_tol)
-
-    superop = np.zeros((d * d, d * d), dtype=complex)
-    for u in units:
-        superop += conjugation_superop(u)
-    superop /= len(units)
-    # Restrict to the source first; off-span behavior of the raw average is
-    # irrelevant and would spoil the idempotency of the stored matrix.
-    superop = superop @ trace_projection_superop(source)
 
     basis = source.basis
     frame = np.stack([vec_matrix(f) for f in basis], axis=1)
@@ -276,8 +253,7 @@ def group_average_expectation(
     fixed = [
         sum(c * f for c, f in zip(coords, basis)) for coords in fixed_coords
     ]
-    target = algebra_from_basis(fixed)
-    return ConditionalExpectationMap(source, target, superop)
+    return ConditionalExpectationMap(source, algebra_from_basis(fixed))
 
 
 def _check_group_closure(units: list[np.ndarray], tol: float) -> None:
@@ -300,7 +276,7 @@ def compose_expectations(
     if not first.target.span_equals(second.source):
         raise ValueError("target of the first map must equal source of the second")
     return ConditionalExpectationMap(
-        first.source, second.target, second.superop @ first.superop
+        first.source, second.target, second.density @ first.density
     )
 
 

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import MatrixBlockAlgebra, _swap_matrix, build_algebra
-from .expectations import (
-    ConditionalExpectationMap,
-    compose_expectations,
-    trace_projection_superop,
-)
+from .expectations import ConditionalExpectationMap, compose_expectations
 from .index import dual_weight
 from .spatial import relative_entropy_spatial, relative_entropy_umegaki
 from .states import (
@@ -53,13 +49,6 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _random_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
-
-
-def _trace_expectation(
-    source: MatrixBlockAlgebra, target: MatrixBlockAlgebra
-) -> ConditionalExpectationMap:
-    """The trace-preserving conditional expectation source -> target."""
-    return ConditionalExpectationMap(source, target, trace_projection_superop(target))
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +101,11 @@ def random_difference_instance(
     u1 = np.kron(random_unitary(side, rng), np.eye(side))
     u2 = np.kron(np.eye(side), random_unitary(side, rng))
     sub = [(2, 8)] if side == 4 else [(1, dim)]
-    e1 = _trace_expectation(algebra, build_algebra(sub).conjugated(u1))
+    e1 = ConditionalExpectationMap(algebra, build_algebra(sub).conjugated(u1))
     # The commutant acts on the second leg; the leg swap moves the same
     # subalgebra there before the rotation.
     swap = _swap_matrix(side, side)
-    e2 = _trace_expectation(dual, build_algebra(sub).conjugated(u2 @ swap))
+    e2 = ConditionalExpectationMap(dual, build_algebra(sub).conjugated(u2 @ swap))
     return DifferenceInstance(algebra=algebra, omega=omega, e1=e1, e2=e2)
 
 
@@ -185,8 +174,8 @@ def random_chain_instance(rng: np.random.Generator) -> ChainInstance:
     """
     u = random_unitary(16, rng)
     n1, n2, n3 = (build_algebra([b]).conjugated(u) for b in [(8, 2), (4, 4), (2, 8)])
-    f1 = _trace_expectation(n1, n2)
-    f2 = _trace_expectation(n2, n3)
+    f1 = ConditionalExpectationMap(n1, n2)
+    f2 = ConditionalExpectationMap(n2, n3)
     omega = None
     for _ in range(8):
         cand = VectorStateData(n2, _random_vector(16, rng))
@@ -277,7 +266,7 @@ def _check_chain_rule(rng: np.random.Generator) -> IdentityCheckReport:
     full = build_algebra([(d * e, 1)])
     u = random_unitary(d * e, rng)
     sub = build_algebra([(d, e)]).conjugated(u)
-    exp = _trace_expectation(full, sub)
+    exp = ConditionalExpectationMap(full, sub)
     omega = random_faithful_state(full, rng)
     psi = random_faithful_state(sub, rng)
     lhs = relative_entropy_umegaki(omega, exp.pull_back(psi))

@@ -4,7 +4,9 @@ Everything here except ``leg_average`` and the exact diagonalization is
 deliberately written from first principles with no imports from
 entropylab internals: eigen-overlap relative entropy, a brute-force
 commutant solver, a rank test of whether a vector is cyclic for a span of
-matrices, the dense restricted correlation matrix of the hopping
+matrices, the explicit D^2 x D^2 superoperators of a group average and of
+a GNS-orthogonal projection (they read only an algebra's basis), the
+dense restricted correlation matrix of the hopping
 chain with its eigenvalue entropy (Peschel, J. Phys. A 36 L205, 2003),
 the single-particle hopping Hamiltonian, and a many-body spin-chain
 construction of the imaginary-hopping Hamiltonian (Jordan-Wigner form)
@@ -64,7 +66,8 @@ def brute_force_commutant(basis, dim: int) -> np.ndarray:
     for b in basis:
         rows.append(np.kron(eye, b.T) - np.kron(b, eye))
     stacked = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(stacked)
+    # stacked is tall, so the thin factorization keeps every right vector
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     rank = int(np.sum(svals > 1e-10 * svals[0])) if svals.size else 0
     return vh[rank:].conj()
 
@@ -75,21 +78,57 @@ def spans_everything(mats, vector: np.ndarray) -> bool:
     return int(np.linalg.matrix_rank(stack, tol=1e-10)) == len(vector)
 
 
-def leg_average(
-    algebra, left_dim: int, sub_dim: int, right_dim: int, conjugator=None
-):
-    """Average over shift-and-clock unitaries on the middle tensor leg.
+def _vec(x: np.ndarray) -> np.ndarray:
+    """Column-major vectorization: vec(A X B) = (B^T kron A) vec(X)."""
+    return np.asarray(x, dtype=complex).reshape(-1, order="F")
 
-    The unitaries act as 1 (x) w (x) 1 on C^left (x) C^sub (x) C^right,
-    optionally conjugated; the target is everything commuting with that leg.
-    """
+
+def group_average_superop(source, units) -> np.ndarray:
+    """sum_g kron(conj(u_g), u_g) / |G|, the explicit average of x -> u x u*,
+    composed with the Hilbert-Schmidt projection onto the span of
+    ``source.basis``."""
+    avg = sum(np.kron(u.conj(), u) for u in units) / len(units)
+    frame = np.stack([_vec(f) for f in source.basis], axis=1)
+    return avg @ (frame @ frame.conj().T)
+
+
+def gns_projection_superop(target, density: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto the span of ``target.basis`` in the inner
+    product <x, y> = Tr(D x* y), from the Gram matrix of that basis."""
+    basis = target.basis
+    gram = np.array(
+        [[np.trace(density @ na.conj().T @ nb) for nb in basis] for na in basis]
+    )
+    inv = np.linalg.inv(gram)
+    d2 = density.shape[0] ** 2
+    superop = np.zeros((d2, d2), dtype=complex)
+    for a, na in enumerate(basis):
+        for b, nb in enumerate(basis):
+            # Tr(D n_b* x) = <n_b D, x> in the Hilbert-Schmidt pairing
+            superop += inv[a, b] * np.outer(_vec(na), _vec(nb @ density).conj())
+    return superop
+
+
+def leg_unitaries(left_dim: int, sub_dim: int, right_dim: int, conjugator=None):
+    """Shift-and-clock unitaries 1 (x) w (x) 1 on C^left (x) C^sub (x) C^right,
+    optionally conjugated."""
     units = []
     for w in weyl_unitaries(sub_dim):
         u = np.kron(np.kron(np.eye(left_dim), w), np.eye(right_dim))
         if conjugator is not None:
             u = conjugator @ u @ conjugator.conj().T
         units.append(u)
-    return group_average_expectation(algebra, units)
+    return units
+
+
+def leg_average(
+    algebra, left_dim: int, sub_dim: int, right_dim: int, conjugator=None
+):
+    """Average over the ``leg_unitaries``; the target is everything commuting
+    with that leg."""
+    return group_average_expectation(
+        algebra, leg_unitaries(left_dim, sub_dim, right_dim, conjugator)
+    )
 
 
 def conjugation_flow(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 from entropylab.findim import (
     ConditionalExpectationMap,
     NoPreservingExpectationError,
+    WeightDensity,
     build_algebra,
     compose_expectations,
     cyclic_group_unitaries,
@@ -16,7 +17,12 @@ from entropylab.findim import (
     weyl_unitaries,
 )
 from entropylab.findim.identities import random_unitary
-from oracles import leg_average
+from oracles import (
+    gns_projection_superop,
+    group_average_superop,
+    leg_average,
+    leg_unitaries,
+)
 
 
 def _qubit_leg_average(rng=None):
@@ -75,6 +81,27 @@ def test_group_average_symmetric_group_fixed_points():
     assert sorted(n for n, _ in e.target.blocks) == [1, 1, 2]
 
 
+_FLIP = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]])).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "blocks, units",
+    [
+        ([(4, 1)], [np.eye(4, dtype=complex), _FLIP]),
+        ([(3, 1)], cyclic_group_unitaries(3)),
+        ([(6, 1)], symmetric_group_unitaries(3)),
+        ([(4, 1)], leg_unitaries(1, 2, 2)),
+    ],
+    ids=["cyclic-2", "cyclic-3", "symmetric-3", "qubit-leg"],
+)
+def test_group_average_matches_explicit_average(blocks, units):
+    alg = build_algebra(blocks)
+    e = group_average_expectation(alg, units)
+    np.testing.assert_allclose(
+        e.superop, group_average_superop(alg, units), rtol=0, atol=1e-12
+    )
+
+
 def test_expectation_is_idempotent_superoperator():
     e = _qubit_leg_average()
     np.testing.assert_allclose(e.superop @ e.superop, e.superop, atol=1e-10)
@@ -131,6 +158,30 @@ def test_state_preserving_expectation_exists_for_flow_invariant_state():
         assert abs(omega.value(e(b)) - omega.value(b)) < 1e-9
 
 
+def _product_state(rng):
+    """rho1 (x) rho2 on M_2 (x) M_2: its density relative to M_2 (x) 1 is 1 (x) 2 rho2."""
+    qubit = build_algebra([(2, 1)])
+    rho1, rho2 = (random_faithful_state(qubit, rng).matrix for _ in range(2))
+    return WeightDensity(build_algebra([(4, 1)]), np.kron(rho1, rho2))
+
+
+@pytest.mark.parametrize("kind", ["flow-invariant", "product"])
+def test_state_preserving_expectation_matches_gns_projection(kind):
+    rng = np.random.default_rng(5)
+    big = build_algebra([(4, 1)])
+    if kind == "flow-invariant":
+        e_avg = _qubit_leg_average()
+        sub = e_avg.target
+        omega = e_avg.pull_back(random_faithful_state(sub, rng))
+    else:
+        sub = build_algebra([(2, 2)])
+        omega = _product_state(rng)
+    e = state_preserving_expectation(big, sub, omega)
+    np.testing.assert_allclose(
+        e.superop, gns_projection_superop(sub, omega.matrix), rtol=0, atol=1e-10
+    )
+
+
 def test_state_preserving_expectation_can_fail():
     rng = np.random.default_rng(6)
     big = build_algebra([(4, 1)])
@@ -157,8 +208,8 @@ def test_compose_rejects_mismatched_chain():
 def test_validate_flags_broken_superoperator():
     rng = np.random.default_rng(7)
     e = _qubit_leg_average()
-    # damage idempotency: scale the superoperator
-    broken = ConditionalExpectationMap(e.source, e.target, 0.5 * e.superop)
+    # damage idempotency: halve the density
+    broken = ConditionalExpectationMap(e.source, e.target, 0.5 * np.eye(4))
     residuals = broken.validate(rng=rng, state=trace_state(e.source), samples=5)
     assert residuals["idempotent"] > 1e-2
     assert residuals["unital"] > 1e-2

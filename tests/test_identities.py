@@ -1,18 +1,30 @@
 """The entropy identities: difference formula, chain additivity, and the
 five-part check battery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from entropylab.findim import (
+    ConditionalExpectationMap,
+    DifferenceInstance,
+    VectorStateData,
+    build_algebra,
     check_entropy_identity,
     entropy_additivity_chain,
     entropy_difference_identity,
+    group_average_expectation,
+    kosaki_index,
     random_chain_instance,
     random_difference_instance,
+    random_unitary,
 )
 from entropylab.findim import expectations, identities
-from oracles import leg_average
+from entropylab.findim.algebras import _swap_matrix
+from entropylab.harness.config import default_config
+from entropylab.harness.runner import run_experiment
+from oracles import group_average_superop, leg_unitaries
 
 
 def _recording_unitaries(monkeypatch):
@@ -28,11 +40,21 @@ def _recording_unitaries(monkeypatch):
     return drawn
 
 
-def _assert_matches_oracle(named, oracle):
-    np.testing.assert_allclose(named.superop, oracle.superop, rtol=0, atol=1e-12)
-    assert named.target.span_equals(oracle.target)
-    assert named.source is oracle.source
+def _assert_matches_oracle(named, units):
+    """``named`` is the average over ``units``: the explicit D^2 x D^2 average
+    agrees with its superoperator, and discovery finds its target."""
+    oracle = group_average_superop(named.source, units)
+    np.testing.assert_allclose(named.superop, oracle, rtol=0, atol=1e-12)
+    discovered = group_average_expectation(named.source, units).target
+    assert named.target.span_equals(discovered)
     assert max(named.validate().values()) <= 1e-10
+
+
+def _refuse_superop(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a D^2 x D^2 superoperator was built")
+
+    monkeypatch.setattr(ConditionalExpectationMap, "superop", property(refuse))
 
 
 @pytest.mark.parametrize("side", [2, 3, 4])
@@ -52,23 +74,24 @@ def test_difference_expectations_match_weyl_group_average(side, monkeypatch):
     inst = random_difference_instance(np.random.default_rng(60 + side), side=side)
     u1 = np.kron(drawn[0], np.eye(side))
     u2 = np.kron(np.eye(side), drawn[1])
-    dual = inst.algebra.commutant()
+    assert inst.e1.source is inst.algebra
+    assert inst.e2.source is inst.algebra.commutant()
     if side == 4:
-        e1 = leg_average(inst.algebra, 2, 2, 4, conjugator=u1)
-        e2 = leg_average(dual, 8, 2, 1, conjugator=u2)
+        units1 = leg_unitaries(2, 2, 4, conjugator=u1)
+        units2 = leg_unitaries(8, 2, 1, conjugator=u2)
     else:
-        e1 = leg_average(inst.algebra, 1, side, side, conjugator=u1)
-        e2 = leg_average(dual, side, side, 1, conjugator=u2)
-    _assert_matches_oracle(inst.e1, e1)
-    _assert_matches_oracle(inst.e2, e2)
+        units1 = leg_unitaries(1, side, side, conjugator=u1)
+        units2 = leg_unitaries(side, side, 1, conjugator=u2)
+    _assert_matches_oracle(inst.e1, units1)
+    _assert_matches_oracle(inst.e2, units2)
 
 
 def test_chain_expectations_match_weyl_group_average(monkeypatch):
     drawn = _recording_unitaries(monkeypatch)
     inst = random_chain_instance(np.random.default_rng(61))
     (u,) = drawn
-    _assert_matches_oracle(inst.f1, leg_average(inst.n1, 4, 2, 2, conjugator=u))
-    _assert_matches_oracle(inst.f2, leg_average(inst.n2, 2, 2, 4, conjugator=u))
+    _assert_matches_oracle(inst.f1, leg_unitaries(4, 2, 2, conjugator=u))
+    _assert_matches_oracle(inst.f2, leg_unitaries(2, 2, 4, conjugator=u))
 
 
 def test_instances_are_built_without_structure_discovery(monkeypatch):
@@ -82,6 +105,49 @@ def test_instances_are_built_without_structure_discovery(monkeypatch):
     random_chain_instance(rng)
     for which in range(1, 6):
         assert check_entropy_identity(which, rng).passed
+
+
+@pytest.mark.parametrize("side, sub, index", [(5, (1, 25), 25.0), (6, (3, 12), 4.0)])
+def test_large_difference_instances_build_no_superoperator(
+    side, sub, index, monkeypatch
+):
+    """D = 25 (onto the scalars) and D = 36 (M_3 (x) 1_2 inside M_6), by hand."""
+    _refuse_superop(monkeypatch)
+    rng = np.random.default_rng(70 + side)
+    algebra = build_algebra([(side, side)])
+    v = rng.normal(size=side * side) + 1j * rng.normal(size=side * side)
+    omega = VectorStateData(algebra, v / np.linalg.norm(v))
+    assert omega.cyclic and omega.separating
+    u1 = np.kron(random_unitary(side, rng), np.eye(side))
+    u2 = np.kron(np.eye(side), random_unitary(side, rng))
+    e1 = ConditionalExpectationMap(algebra, build_algebra([sub]).conjugated(u1))
+    e2 = ConditionalExpectationMap(
+        algebra.commutant(),
+        build_algebra([sub]).conjugated(u2 @ _swap_matrix(side, side)),
+    )
+    report = entropy_difference_identity(
+        DifferenceInstance(algebra=algebra, omega=omega, e1=e1, e2=e2)
+    )
+    assert report.residual <= 1e-9
+    assert abs(kosaki_index(e1) - index) <= 1e-9
+    assert abs(kosaki_index(e2) - index) <= 1e-9
+
+
+def test_findim_suite_builds_no_superoperator(monkeypatch):
+    """Every instance kind of the suite: difference sides 2-4, chains, the
+    five identities and the three group-average index cases."""
+    _refuse_superop(monkeypatch)
+    report = run_experiment(replace(default_config("findim-suite"), instances=3))
+    assert report.passed
+    assert {c.case_id for c in report.cases} >= {
+        "difference-000",
+        "difference-001",
+        "difference-002",
+        "chain-000",
+        "index-cyclic-2",
+        "index-cyclic-3",
+        "index-symmetric-3",
+    }
 
 
 def test_difference_identity_many_seeds():
