@@ -7,9 +7,9 @@ trace-preserving expectation.  A map is stored as (source, target, h), so
 applying it or its adjoint costs one block projection.  Since h^(1/2)
 commutes with N, P_N(h x) = P_N(h^(1/2) x h^(1/2)) is completely positive
 on all of B(H), which makes the Choi-positivity check meaningful as
-stated.  That check alone needs the D^2 x D^2 superoperator on
-column-major vectorized matrices, vec(A X B) = (B^T kron A) vec(X); it is
-formed on demand.
+stated.  The D^2 x D^2 superoperator on column-major vectorized matrices,
+vec(A X B) = (B^T kron A) vec(X), is formed on demand, by validate() for
+its idempotency and Choi checks, by choi_matrix() and by tests.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "weyl_unitaries",
     "cyclic_group_unitaries",
     "symmetric_group_unitaries",
-    "vec_matrix",
 ]
 
 AXIOM_TOL = 1e-10
@@ -43,7 +42,7 @@ class NoPreservingExpectationError(Exception):
     """
 
 
-def vec_matrix(x: np.ndarray) -> np.ndarray:
+def _vec_matrix(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(-1, order="F")
 
 
@@ -83,9 +82,9 @@ class ConditionalExpectationMap:
 
         E(x) = sum_a f_a Tr(f_a* h x) over the target's orthonormal basis.
         """
-        frame = np.stack([vec_matrix(f) for f in self.target.basis], axis=1)
+        frame = np.stack([_vec_matrix(f) for f in self.target.basis], axis=1)
         adj = self.density.conj().T
-        weighted = np.stack([vec_matrix(adj @ f) for f in self.target.basis], axis=1)
+        weighted = np.stack([_vec_matrix(adj @ f) for f in self.target.basis], axis=1)
         return frame @ weighted.conj().T
 
     def choi_matrix(self) -> np.ndarray:
@@ -98,10 +97,13 @@ class ConditionalExpectationMap:
 
         ``omega`` is a WeightDensity or a raw ambient density matrix (for
         instance the rank-one density of a vector state); only the ambient
-        matrix enters, through the Hilbert-Schmidt adjoint of the map.
+        matrix G enters, through Tr(G P_N(h x)) = Tr(P_N(G) h x).  That is
+        the map's transpose under the trace pairing, the adjoint of its
+        Hilbert-Schmidt adjoint h* P_N(G) at self-adjoint G, so it agrees
+        with ``superop`` for every density.
         """
         mat = omega.matrix if isinstance(omega, WeightDensity) else np.asarray(omega)
-        return canonical_density(self.source, self.density @ self.target.project(mat))
+        return canonical_density(self.source, self.target.project(mat) @ self.density)
 
     def is_identity(self, tol: float = 1e-10) -> bool:
         return self.source.span_equals(self.target) and all(
@@ -237,14 +239,14 @@ def group_average_expectation(
     _check_group_closure(units, closure_tol)
 
     basis = source.basis
-    frame = np.stack([vec_matrix(f) for f in basis], axis=1)
+    frame = np.stack([_vec_matrix(f) for f in basis], axis=1)
     rows = []
     for u in units:
         images = [u @ f @ u.conj().T for f in basis]
         if any(source.span_distance(g) > 1e-9 for g in images):
             raise ValueError("unitaries do not normalize the algebra")
         # coordinates Tr(f_a* g_b) of the conjugated basis, in one product
-        conj_coords = frame.conj().T @ np.stack([vec_matrix(g) for g in images], axis=1)
+        conj_coords = frame.conj().T @ np.stack([_vec_matrix(g) for g in images], axis=1)
         rows.append(conj_coords - np.eye(len(basis)))
     stacked = np.vstack(rows)
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)

@@ -182,6 +182,23 @@ def test_state_preserving_expectation_matches_gns_projection(kind):
     )
 
 
+def test_pull_back_is_the_transpose_of_the_superoperator():
+    """omega(E(x)) read through pull_back equals vec(G^T)^T S vec(x), for a
+    density h != 1 and its rotation by a unitary."""
+    rng = np.random.default_rng(8)
+    big = build_algebra([(4, 1)])
+    e = state_preserving_expectation(big, build_algebra([(2, 2)]), _product_state(rng))
+    assert np.linalg.norm(e.density - np.eye(4)) > 0.1
+    for m in (e, e.conjugated(random_unitary(4, rng))):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        g = np.outer(v, v.conj()) / np.vdot(v, v).real
+        pulled = m.pull_back(g)
+        s = m.superop
+        for b in m.source.basis:
+            direct = g.T.reshape(-1, order="F") @ s @ b.reshape(-1, order="F")
+            assert abs(pulled.value(b) - direct) < 1e-12
+
+
 def test_state_preserving_expectation_can_fail():
     rng = np.random.default_rng(6)
     big = build_algebra([(4, 1)])

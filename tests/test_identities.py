@@ -40,9 +40,11 @@ def _recording_unitaries(monkeypatch):
     return drawn
 
 
-def _assert_matches_oracle(named, units):
-    """``named`` is the average over ``units``: the explicit D^2 x D^2 average
-    agrees with its superoperator, and discovery finds its target."""
+def _assert_matches_oracle(named, source, units):
+    """``named`` is the average over ``units`` on ``source``: the explicit
+    D^2 x D^2 average agrees with its superoperator, and discovery finds its
+    target."""
+    assert named.source is source
     oracle = group_average_superop(named.source, units)
     np.testing.assert_allclose(named.superop, oracle, rtol=0, atol=1e-12)
     discovered = group_average_expectation(named.source, units).target
@@ -74,24 +76,22 @@ def test_difference_expectations_match_weyl_group_average(side, monkeypatch):
     inst = random_difference_instance(np.random.default_rng(60 + side), side=side)
     u1 = np.kron(drawn[0], np.eye(side))
     u2 = np.kron(np.eye(side), drawn[1])
-    assert inst.e1.source is inst.algebra
-    assert inst.e2.source is inst.algebra.commutant()
     if side == 4:
         units1 = leg_unitaries(2, 2, 4, conjugator=u1)
         units2 = leg_unitaries(8, 2, 1, conjugator=u2)
     else:
         units1 = leg_unitaries(1, side, side, conjugator=u1)
         units2 = leg_unitaries(side, side, 1, conjugator=u2)
-    _assert_matches_oracle(inst.e1, units1)
-    _assert_matches_oracle(inst.e2, units2)
+    _assert_matches_oracle(inst.e1, inst.algebra, units1)
+    _assert_matches_oracle(inst.e2, inst.algebra.commutant(), units2)
 
 
 def test_chain_expectations_match_weyl_group_average(monkeypatch):
     drawn = _recording_unitaries(monkeypatch)
     inst = random_chain_instance(np.random.default_rng(61))
     (u,) = drawn
-    _assert_matches_oracle(inst.f1, leg_unitaries(4, 2, 2, conjugator=u))
-    _assert_matches_oracle(inst.f2, leg_unitaries(2, 2, 4, conjugator=u))
+    _assert_matches_oracle(inst.f1, inst.n1, leg_unitaries(4, 2, 2, conjugator=u))
+    _assert_matches_oracle(inst.f2, inst.n2, leg_unitaries(2, 2, 4, conjugator=u))
 
 
 def test_instances_are_built_without_structure_discovery(monkeypatch):
