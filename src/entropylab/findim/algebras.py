@@ -7,6 +7,8 @@ isometry per block); its block shapes, dimension and Hilbert-Schmidt
 basis are derived from it, so they cannot disagree.  Commutants,
 conjugates, canonical densities and spatial derivatives are then cheap
 block-wise computations instead of repeated null-space solves.
+No Kronecker product is formed: with rows[i] the m x D slab of V for
+matrix index i, V*(a tensor b)V = sum_ij a_ij rows[i]* b rows[j].
 :func:`algebra_from_basis` recovers the isometries of a spanned algebra
 and certifies them against its input: the result must have the input
 span's dimension and contain every input element.
@@ -50,6 +52,15 @@ class BlockStructure:
     iso: np.ndarray
 
 
+def _lift(blk: BlockStructure, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """V*(a tensor b)V on the ambient space; ``b`` defaults to the identity 1_m."""
+    rows = blk.iso.reshape(blk.n, blk.m, -1)
+    if b is not None:
+        rows = np.matmul(b, rows)
+    acted = (a @ rows.reshape(blk.n, -1)).reshape(blk.n * blk.m, -1)
+    return blk.iso.conj().T @ acted
+
+
 def _vec(mats: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mats])
 
@@ -87,14 +98,11 @@ class MatrixBlockAlgebra:
         """Hilbert-Schmidt orthonormal basis: the matrix units of each block, lifted."""
         out = []
         for blk in self.structure:
-            n, m = blk.n, blk.m
-            lift = blk.iso.conj().T
-            for i in range(n):
-                for j in range(n):
-                    unit = np.zeros((n, n), dtype=complex)
-                    unit[i, j] = 1.0
-                    mat = lift @ np.kron(unit, np.eye(m)) @ blk.iso
-                    out.append(mat / np.sqrt(m))
+            rows = blk.iso.reshape(blk.n, blk.m, -1)
+            scale = 1.0 / np.sqrt(blk.m)
+            for i in range(blk.n):
+                for j in range(blk.n):
+                    out.append(rows[i].conj().T @ rows[j] * scale)
         return out
 
     @property
@@ -110,17 +118,15 @@ class MatrixBlockAlgebra:
         """Compress x to its n_k x n_k matrix parts (tracing out multiplicity)."""
         parts = []
         for blk in self.structure:
-            comp = blk.iso @ x @ blk.iso.conj().T
-            comp = comp.reshape(blk.n, blk.m, blk.n, blk.m)
-            parts.append(np.einsum("iljl->ij", comp) / blk.m)
+            left = (blk.iso @ x).reshape(blk.n, -1)
+            parts.append(left @ blk.iso.reshape(blk.n, -1).conj().T / blk.m)
         return parts
 
     def embed_blocks(self, parts: list[np.ndarray]) -> np.ndarray:
         """Assemble an algebra element from its matrix parts."""
         out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
         for blk, part in zip(self.structure, parts):
-            part = np.asarray(part, dtype=complex).reshape(blk.n, blk.n)
-            out += blk.iso.conj().T @ np.kron(part, np.eye(blk.m)) @ blk.iso
+            out += _lift(blk, np.asarray(part, dtype=complex).reshape(blk.n, blk.n))
         return out
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -128,13 +134,14 @@ class MatrixBlockAlgebra:
         return self.embed_blocks(self.matrix_blocks(x))
 
     def contains(self, x: np.ndarray, tol: float = SPAN_TOL) -> bool:
-        scale = max(1.0, float(np.linalg.norm(x)))
-        return float(np.linalg.norm(self.project(x) - x)) <= tol * scale
+        return self.span_distance(x) <= tol * max(1.0, float(np.linalg.norm(x)))
 
     def span_distance(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.project(x) - x))
 
     def span_equals(self, other: "MatrixBlockAlgebra", tol: float = SPAN_TOL) -> bool:
+        if other is self:
+            return True
         if other.ambient_dim != self.ambient_dim or other.dim != self.dim:
             return False
         return all(self.contains(b, tol) for b in other.basis)

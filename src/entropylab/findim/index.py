@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebras import MatrixBlockAlgebra
+from .algebras import MatrixBlockAlgebra, _lift
 from .expectations import ConditionalExpectationMap
 from .spatial import spatial_derivative
-from .states import WeightDensity, trace_state
+from .states import WeightDensity, _on, trace_state
 
 __all__ = [
     "dual_weight",
@@ -49,18 +49,12 @@ def dual_weight(
     source = expectation.source
     target = expectation.target
     dual_of_source = source.commutant()
-    if phi_c.algebra is not dual_of_source:
-        if not phi_c.algebra.span_equals(dual_of_source):
-            raise ValueError("weight must live on the commutant of the source algebra")
-        phi_c = WeightDensity(dual_of_source, phi_c.matrix)
+    phi_c = _on(phi_c, dual_of_source, "weight must live on the commutant of the source algebra")
     if not phi_c.is_faithful:
         raise ValueError("dual weight needs a faithful weight on the commutant")
     if psi is None:
         psi = trace_state(target)
-    elif psi.algebra is not target:
-        if not psi.algebra.span_equals(target):
-            raise ValueError("auxiliary weight must live on the target algebra")
-        psi = WeightDensity(target, psi.matrix)
+    psi = _on(psi, target, "auxiliary weight must live on the target algebra")
     if not psi.is_faithful:
         raise ValueError("auxiliary weight must be faithful")
 
@@ -72,18 +66,18 @@ def dual_weight(
     recon = np.zeros_like(lhs)
     for blk, rho_j in zip(target.structure, rho):
         nu, mu = blk.n, blk.m
-        compressed = blk.iso @ lhs @ blk.iso.conj().T
+        compressed = (blk.iso @ lhs @ blk.iso.conj().T).reshape(nu, mu, nu, mu)
         vals, vecs = np.linalg.eigh(rho_j)
         rho_inv = (vecs / vals) @ vecs.conj().T
-        stripped = np.kron(rho_inv, np.eye(mu)) @ compressed
-        x = np.einsum("iaib->ab", stripped.reshape(nu, mu, nu, mu)) / nu
+        # strip rho_j from (rho_j tensor x): trace (rho_inv tensor 1) lhs over C^nu
+        x = np.einsum("ij,jaib->ab", rho_inv, compressed) / nu
         x = (x + x.conj().T) / 2
         xvals = np.linalg.eigvalsh(x)
         if xvals[0] <= 1e-12 * max(1.0, xvals[-1]):
             raise ValueError(
                 "defining equation produced a singular block; the expectation is degenerate"
             )
-        recon += blk.iso.conj().T @ np.kron(rho_j, x) @ blk.iso
+        recon += _lift(blk, rho_j, x)
         inverted.append(np.linalg.inv(x))
     scale = max(1.0, float(np.linalg.norm(lhs)))
     residual = float(np.linalg.norm(lhs - recon)) / scale
@@ -95,31 +89,18 @@ def dual_weight(
 
 
 def _hermitian_basis(algebra: MatrixBlockAlgebra) -> list[np.ndarray]:
-    """A Hilbert-Schmidt orthonormal Hermitian basis of the algebra span."""
+    """A Hilbert-Schmidt orthonormal Hermitian basis of the algebra span,
+    combined from its lifted matrix units f_ij per block."""
     out = []
-    zeros = [np.zeros((blk.n, blk.n), dtype=complex) for blk in algebra.structure]
-    for k, blk in enumerate(algebra.structure):
-        n = blk.n
-        root = np.sqrt(blk.m)
-        for i in range(n):
-            h = np.zeros((n, n), dtype=complex)
-            h[i, i] = 1.0
-            parts = list(zeros)
-            parts[k] = h / root
-            out.append(algebra.embed_blocks(parts))
+    start = 0
+    for n, _ in algebra.blocks:
+        f = algebra.basis[start : start + n * n]
+        start += n * n
+        out += [f[i * n + i] for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                h = np.zeros((n, n), dtype=complex)
-                h[i, j] = h[j, i] = 1.0 / np.sqrt(2.0)
-                parts = list(zeros)
-                parts[k] = h / root
-                out.append(algebra.embed_blocks(parts))
-                h = np.zeros((n, n), dtype=complex)
-                h[i, j] = -1j / np.sqrt(2.0)
-                h[j, i] = 1j / np.sqrt(2.0)
-                parts = list(zeros)
-                parts[k] = h / root
-                out.append(algebra.embed_blocks(parts))
+                out.append((f[i * n + j] + f[j * n + i]) / np.sqrt(2.0))
+                out.append(1j * (f[j * n + i] - f[i * n + j]) / np.sqrt(2.0))
     return out
 
 
@@ -155,7 +136,7 @@ def dual_weight_map(expectation: ConditionalExpectationMap) -> DualWeightMap:
     """
     dual_of_source = expectation.source.commutant()
     dim = dual_of_source.ambient_dim
-    base = WeightDensity(dual_of_source, np.eye(dim, dtype=complex))
+    base = trace_state(dual_of_source, total=dim)
     base_out = dual_weight(expectation, base).matrix
     basis = _hermitian_basis(dual_of_source)
     images = []
@@ -187,7 +168,7 @@ def kosaki_index(expectation: ConditionalExpectationMap) -> float | np.ndarray:
     source = expectation.source
     dual_of_source = source.commutant()
     dim = source.ambient_dim
-    base = WeightDensity(dual_of_source, np.eye(dim, dtype=complex))
+    base = trace_state(dual_of_source, total=dim)
     base_mass = dual_weight(expectation, base).mass
     if len(source.blocks) == 1:
         value: float | np.ndarray = base_mass / dim
@@ -238,10 +219,7 @@ def quasi_basis(
     tau = trace_state(expectation.target)
 
     products = [[expectation(fa.conj().T @ fb) for fb in fs] for fa in fs]
-    gram = np.empty((dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            gram[a, b] = tau.value(products[a][b])
+    gram = np.array([[tau.value(p) for p in row] for row in products])
     gram = (gram + gram.conj().T) / 2
 
     frame = np.empty((dim, dim), dtype=complex)

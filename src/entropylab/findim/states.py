@@ -1,19 +1,23 @@
-"""States and weights on a block algebra, stored as trace-pairing densities.
+"""States and weights on a block algebra, held as their intrinsic blocks.
 
 A positive functional psi on an algebra A is represented by the unique
 D_psi in A with Tr(D_psi x) = psi(x) for all x in A (plain ambient trace).
-Block-intrinsic density matrices (the physically normalised ones, with the
-multiplicity divided out) are derived from it on demand; those are what the
-modular machinery in :mod:`entropylab.findim.spatial` consumes.
+It is stored as the block-intrinsic density matrices of D_psi (the
+physically normalised ones, with the multiplicity multiplied back in) and
+their spectra; D_psi itself is embedded from them on first use.  The blocks
+are what the modular machinery in :mod:`entropylab.findim.spatial` consumes.
 
 A vector state is read off the same blocks.  On block k, with isometry V_k,
 the vector is the n_k x m_k coefficient matrix C_k = (V_k v).reshape(n_k, m_k).
 The algebra acts on it as a C_k (a in M_{n_k}) and the commutant as C_k b^T
 (b in M_{m_k}), so v is cyclic exactly when every C_k has rank m_k and
-separating exactly when every C_k has rank n_k.
+separating exactly when every C_k has rank n_k.  Its state on the algebra
+has the blocks C_k C_k*, and on the commutant C_k^T conj(C_k).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -34,71 +38,72 @@ SUPPORT_CUTOFF = 1e-12
 
 
 class WeightDensity:
-    """A positive functional on an algebra, held as its canonical density."""
+    """A positive functional on an algebra, held as its intrinsic blocks."""
 
     def __init__(self, algebra: MatrixBlockAlgebra, matrix: np.ndarray, atol: float = 1e-10):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (algebra.ambient_dim, algebra.ambient_dim):
             raise ValueError("density has wrong shape for the ambient space")
-        if not algebra.contains(matrix, tol=1e-10):
+        parts = algebra.matrix_blocks(matrix)
+        scale = max(1.0, float(np.linalg.norm(matrix)))
+        if float(np.linalg.norm(algebra.embed_blocks(parts) - matrix)) > 1e-10 * scale:
             raise ValueError("density does not lie in the algebra")
-        if np.linalg.norm(matrix - matrix.conj().T) > atol * max(1.0, np.linalg.norm(matrix)):
+        self._settle(algebra, [p * m for p, (_, m) in zip(parts, algebra.blocks)], atol)
+        self.matrix = (matrix + matrix.conj().T) / 2  # fills the cached property
+
+    def _settle(self, algebra: MatrixBlockAlgebra, blocks: list[np.ndarray], atol: float):
+        # block k embeds as V*(rho/m kron 1_m)V, of squared norm ||rho||^2 / m
+        mults = [m for _, m in algebra.blocks]
+        skew = sum(np.linalg.norm(r - r.conj().T) ** 2 / m for r, m in zip(blocks, mults))
+        size = sum(np.linalg.norm(r) ** 2 / m for r, m in zip(blocks, mults))
+        if skew > atol**2 * max(1.0, size):
             raise ValueError("density is not self-adjoint")
         self.algebra = algebra
-        self.matrix = (matrix + matrix.conj().T) / 2
-        self._blocks: list[np.ndarray] | None = None
-        mass = float(np.trace(self.matrix).real)
-        for rho in self.intrinsic_blocks():
-            low = float(np.min(np.linalg.eigvalsh(rho)))
-            if low < -1e-10 * max(1.0, mass):
-                raise ValueError("functional is not positive on the algebra")
-        self.mass = mass
+        self._blocks = [(r + r.conj().T) / 2 for r in blocks]
+        self._spectra = [np.linalg.eigvalsh(rho) for rho in self._blocks]
+        self.mass = float(sum(np.trace(rho).real for rho in self._blocks))
+        if min(float(ev[0]) for ev in self._spectra) < -1e-10 * max(1.0, self.mass):
+            raise ValueError("functional is not positive on the algebra")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The canonical density, embedded from the blocks on first use."""
+        return self.algebra.embed_blocks(
+            [rho / m for rho, (_, m) in zip(self._blocks, self.algebra.blocks)]
+        )
 
     # -- basic queries ---------------------------------------------------------
 
     def value(self, x: np.ndarray) -> complex:
-        """psi(x) via the trace pairing (x need not lie in the algebra)."""
-        return complex(np.trace(self.matrix @ self.algebra.project(x)))
+        """psi(P(x)) = Tr(D P(x)) = Tr(D x) for the projection P onto the algebra."""
+        return complex(np.einsum("ij,ji->", self.matrix, x))
 
     @property
     def is_normalized(self) -> bool:
         return abs(self.mass - 1.0) <= NORMALIZATION_TOL
 
     def intrinsic_blocks(self) -> list[np.ndarray]:
-        """Block density matrices rho_k with psi(x_k) = Tr(rho_k xhat_k).
-
-        These carry the honest normalisation: the canonical density stores
-        rho_k / m_k on block k, so the multiplicity is multiplied back in.
-        """
-        if self._blocks is None:
-            parts = self.algebra.matrix_blocks(self.matrix)
-            self._blocks = [
-                (p + p.conj().T) / 2 * m for p, (_, m) in zip(parts, self.algebra.blocks)
-            ]
+        """Block density matrices rho_k with psi(x_k) = Tr(rho_k xhat_k);
+        the canonical density holds rho_k / m_k on block k."""
         return self._blocks
 
     @property
     def is_faithful(self) -> bool:
-        scale = max(
-            (float(np.max(np.linalg.eigvalsh(r))) for r in self.intrinsic_blocks()),
-            default=0.0,
-        )
+        scale = max(float(ev[-1]) for ev in self._spectra)
         if scale <= 0.0:
             return False
-        return all(
-            float(np.min(np.linalg.eigvalsh(r))) > SUPPORT_CUTOFF * scale
-            for r in self.intrinsic_blocks()
-        )
+        return all(float(ev[0]) > SUPPORT_CUTOFF * scale for ev in self._spectra)
 
     def normalized(self) -> "WeightDensity":
         if self.mass <= 0:
             raise ValueError("cannot normalise a null functional")
-        return WeightDensity(self.algebra, self.matrix / self.mass)
+        return self.scaled(1.0 / self.mass)
 
     def scaled(self, factor: float) -> "WeightDensity":
         if factor < 0:
             raise ValueError("scale factor must be nonnegative")
-        return WeightDensity(self.algebra, self.matrix * factor)
+        blocks = [rho * factor for rho in self._blocks]
+        return WeightDensity.from_intrinsic_blocks(self.algebra, blocks)
 
     def mixed_with(self, other: "WeightDensity", weight: float) -> "WeightDensity":
         """Convex-type combination weight*self + (1-weight)*other."""
@@ -110,14 +115,25 @@ class WeightDensity:
     def from_intrinsic_blocks(
         cls, algebra: MatrixBlockAlgebra, blocks: list[np.ndarray]
     ) -> "WeightDensity":
-        parts = [
-            np.asarray(rho, dtype=complex) / m
-            for rho, (_, m) in zip(blocks, algebra.blocks)
-        ]
-        return cls(algebra, algebra.embed_blocks(parts))
+        self = cls.__new__(cls)
+        self._settle(algebra, [np.asarray(rho, dtype=complex) for rho in blocks], 1e-10)
+        return self
 
     def __repr__(self) -> str:
         return f"WeightDensity(mass={self.mass:.6g}, blocks={self.algebra.blocks})"
+
+
+def _on(weight: WeightDensity, algebra: MatrixBlockAlgebra, error: str) -> WeightDensity:
+    """``weight`` on ``algebra``, which must span the same algebra as its own.
+
+    Intrinsic blocks depend on the block isometries, so a weight given on an
+    independently built copy is carried over through its ambient matrix.
+    """
+    if weight.algebra is algebra:
+        return weight
+    if not weight.algebra.span_equals(algebra):
+        raise ValueError(error)
+    return WeightDensity(algebra, weight.matrix)
 
 
 def canonical_density(algebra: MatrixBlockAlgebra, functional: np.ndarray) -> WeightDensity:
@@ -130,7 +146,13 @@ def canonical_density(algebra: MatrixBlockAlgebra, functional: np.ndarray) -> We
     g = np.asarray(functional, dtype=complex)
     if g.shape != (algebra.ambient_dim, algebra.ambient_dim):
         raise ValueError("functional matrix has wrong shape")
-    return WeightDensity(algebra, algebra.project(g))
+    blocks = [p * m for p, (_, m) in zip(algebra.matrix_blocks(g), algebra.blocks)]
+    return WeightDensity.from_intrinsic_blocks(algebra, blocks)
+
+
+def _coefficients(algebra: MatrixBlockAlgebra, vector: np.ndarray) -> list[np.ndarray]:
+    """The n_k x m_k coefficient matrices C_k = (V_k v).reshape(n_k, m_k)."""
+    return [(blk.iso @ vector).reshape(blk.n, blk.m) for blk in algebra.structure]
 
 
 class VectorStateData:
@@ -145,21 +167,19 @@ class VectorStateData:
             raise ValueError(f"vector is not normalised (norm {norm})")
         self.algebra = algebra
         self.vector = vector
-        ranks = [
-            np.linalg.matrix_rank((blk.iso @ vector).reshape(blk.n, blk.m), tol=1e-10)
-            for blk in algebra.structure
-        ]
+        self._coefficients = _coefficients(algebra, vector)
+        ranks = [np.linalg.matrix_rank(c, tol=1e-10) for c in self._coefficients]
         self.cyclic = all(r == m for r, (_, m) in zip(ranks, algebra.blocks))
         self.separating = all(r == n for r, (n, _) in zip(ranks, algebra.blocks))
 
     def state(self) -> WeightDensity:
-        """The induced state on the algebra (canonical density)."""
-        return canonical_density(self.algebra, np.outer(self.vector, self.vector.conj()))
+        """The induced state on the algebra (blocks C_k C_k*)."""
+        blocks = [c @ c.conj().T for c in self._coefficients]
+        return WeightDensity.from_intrinsic_blocks(self.algebra, blocks)
 
     def commutant_state(self) -> WeightDensity:
-        return canonical_density(
-            self.algebra.commutant(), np.outer(self.vector, self.vector.conj())
-        )
+        blocks = [c.T @ c.conj() for c in self._coefficients]
+        return WeightDensity.from_intrinsic_blocks(self.algebra.commutant(), blocks)
 
     def __repr__(self) -> str:
         return (
@@ -170,8 +190,8 @@ class VectorStateData:
 
 def trace_state(algebra: MatrixBlockAlgebra, total: float = 1.0) -> WeightDensity:
     """The normalised trace of the algebra, scaled to the given total mass."""
-    dims = sum(n * m for n, m in algebra.blocks)
-    return WeightDensity(algebra, algebra.identity * (total / dims))
+    blocks = [np.eye(n) * (m * total / algebra.ambient_dim) for n, m in algebra.blocks]
+    return WeightDensity.from_intrinsic_blocks(algebra, blocks)
 
 
 def random_faithful_state(

@@ -6,6 +6,8 @@ entropylab internals: eigen-overlap relative entropy, a brute-force
 commutant solver, a rank test of whether a vector is cyclic for a span of
 matrices, the explicit D^2 x D^2 superoperators of a group average and of
 a GNS-orthogonal projection (they read only an algebra's basis), the
+Kronecker-product forms of a block embedding and of the spatial relative
+entropy (they read only an algebra's block isometries), the
 dense restricted correlation matrix of the hopping
 chain with its eigenvalue entropy (Peschel, J. Phys. A 36 L205, 2003),
 the single-particle hopping Hamiltonian, and a many-body spin-chain
@@ -107,6 +109,47 @@ def gns_projection_superop(target, density: np.ndarray) -> np.ndarray:
             # Tr(D n_b* x) = <n_b D, x> in the Hilbert-Schmidt pairing
             superop += inv[a, b] * np.outer(_vec(na), _vec(nb @ density).conj())
     return superop
+
+
+def kron_embed_blocks(algebra, parts) -> np.ndarray:
+    """sum_k V_k* (x_k kron 1_{m_k}) V_k, with the Kronecker product formed."""
+    dim = algebra.structure[0].iso.shape[1]
+    out = np.zeros((dim, dim), dtype=complex)
+    for blk, part in zip(algebra.structure, parts):
+        out += blk.iso.conj().T @ np.kron(part, np.eye(blk.m)) @ blk.iso
+    return out
+
+
+# Relative spectral cutoff and kernel-mass bound of the spatial entropy.
+_SUPPORT_CUTOFF = 1e-12
+_KERNEL_MASS_TOL = 1e-10
+
+
+def kron_relative_entropy_spatial(algebra, vector, sigma_blocks) -> float:
+    """-<ln Delta v, v> with Delta_k = sigma_k kron rho'_k^(-1) diagonalised
+    as one (n m) x (n m) matrix per block.
+
+    rho'_k is the partial trace over C^n of V_k |v><v| V_k*, the inverse is
+    taken on its support, and +inf is returned when more than the kernel
+    bound of the vector's mass sits on the kernel of Delta.
+    """
+    total = 0.0
+    kernel_mass = 0.0
+    for blk, sig in zip(algebra.structure, sigma_blocks):
+        local = blk.iso @ vector
+        rank_one = np.outer(local, local.conj()).reshape(blk.n, blk.m, blk.n, blk.m)
+        rho_c = np.einsum("iaib->ab", rank_one)
+        r_vals, r_vecs = np.linalg.eigh((rho_c + rho_c.conj().T) / 2)
+        keep_r = r_vals > _SUPPORT_CUTOFF * max(1.0, float(r_vals[-1]))
+        inv = (r_vecs[:, keep_r] / r_vals[keep_r]) @ r_vecs[:, keep_r].conj().T
+        delta = np.kron(sig, inv)
+        vals, vecs = np.linalg.eigh((delta + delta.conj().T) / 2)
+        weights = np.abs(vecs.conj().T @ local) ** 2
+        cutoff = _SUPPORT_CUTOFF * max(1.0, float(vals[-1]))
+        kernel_mass += float(np.sum(weights[vals <= cutoff]))
+        keep = vals > cutoff
+        total -= float(np.sum(weights[keep] * np.log(vals[keep])))
+    return math.inf if kernel_mass > _KERNEL_MASS_TOL else total
 
 
 def leg_unitaries(left_dim: int, sub_dim: int, right_dim: int, conjugator=None):

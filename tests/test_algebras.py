@@ -14,7 +14,7 @@ from entropylab.findim import (
 )
 from entropylab.findim.identities import random_unitary
 
-from oracles import brute_force_commutant
+from oracles import brute_force_commutant, kron_embed_blocks
 
 
 def _assert_orthonormal_basis_inside(alg):
@@ -166,6 +166,39 @@ def block_lists(draw):
         blocks.append((n, m))
         total += n * m
     return blocks or [(2, 1)]
+
+
+@st.composite
+def multiplicity_blocks(draw):
+    """Two or three blocks, every one with multiplicity m > 1."""
+    count = draw(st.integers(min_value=2, max_value=3))
+    sizes = st.integers(min_value=1, max_value=3)
+    mults = st.integers(min_value=2, max_value=3)
+    return [(draw(sizes), draw(mults)) for _ in range(count)]
+
+
+@given(multiplicity_blocks(), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_property_embedding_matches_kron_oracle(blocks, seed):
+    """embed_blocks and the basis agree with V*(x kron 1_m)V formed with
+    np.kron, to 1e-12 relative, on Haar-rotated multi-block algebras."""
+    rng = np.random.default_rng(seed)
+    dim = sum(n * m for n, m in blocks)
+    alg = build_algebra(blocks).conjugated(random_unitary(dim, rng))
+    parts = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n, _ in blocks]
+    want = kron_embed_blocks(alg, parts)
+    got = alg.embed_blocks(parts)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for x, back in zip(parts, alg.matrix_blocks(got)):
+        assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
+    units = []
+    for k, (n, m) in enumerate(blocks):
+        for i in range(n):
+            for j in range(n):
+                unit = [np.zeros((b, b), dtype=complex) for b, _ in blocks]
+                unit[k][i, j] = 1.0 / np.sqrt(m)
+                units.append(kron_embed_blocks(alg, unit))
+    assert np.abs(np.stack(alg.basis) - np.stack(units)).max() <= 1e-12
 
 
 @given(block_lists())

@@ -62,12 +62,15 @@ def test_continuum_tolerance_binds_at_small_size():
 
 
 def test_deficit_two_routes_agree():
-    # the cross-ratio rearrangement is verified inside entropy_deficit and
-    # raises ArithmeticError on mismatch; surviving the call is the check
-    corr = ground_state_correlations(256)
-    report = entropy_deficit(corr, TWO_ARCS, c=2.0)
-    via_eta = -(report.c / 6.0) * math.log(report.eta) - report.s_region + report.s_complement
-    assert report.deficit == pytest.approx(via_eta, abs=1e-12)
+    """The deficit recombined through the cross ratio,
+    -(c/6) ln eta - S_region + S_complement, agrees to 1e-12."""
+    for n in (256, 1024):
+        corr = ground_state_correlations(n)
+        for use_arc_length in (False, True):
+            report = entropy_deficit(corr, TWO_ARCS, c=2.0, use_arc_length=use_arc_length)
+            s_i, s_j = report.s_region, report.s_complement
+            via_eta = -(report.c / 6.0) * math.log(report.eta) - s_i + s_j
+            assert abs(report.deficit - via_eta) <= 1e-12
 
 
 def test_deficit_evaluates_the_shared_union_once(monkeypatch):

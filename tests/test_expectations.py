@@ -16,6 +16,7 @@ from entropylab.findim import (
     trace_state,
     weyl_unitaries,
 )
+from entropylab.findim.expectations import AXIOM_TOL
 from entropylab.findim.identities import random_unitary
 from oracles import (
     gns_projection_superop,
@@ -230,6 +231,31 @@ def test_validate_flags_broken_superoperator():
     residuals = broken.validate(rng=rng, state=trace_state(e.source), samples=5)
     assert residuals["idempotent"] > 1e-2
     assert residuals["unital"] > 1e-2
+
+
+def test_preserving_certificate_agrees_with_validate():
+    """state_preserving_expectation certifies h = P_N(D)^(-1) D by its O(D^3)
+    invariants; validate()'s D^2 x D^2 axioms give the same verdict, both on
+    flow-invariant states and on states whose h does not commute with N."""
+    rng = np.random.default_rng(9)
+    big = build_algebra([(4, 1)])
+    avg = _qubit_leg_average()
+    sub = avg.target
+    invariant = [
+        (sub, avg.pull_back(random_faithful_state(sub, rng))),
+        (build_algebra([(2, 2)]), _product_state(rng)),
+        (build_algebra([(1, 4)]), random_faithful_state(big, rng)),
+    ]
+    for target, omega in invariant:
+        e = state_preserving_expectation(big, target, omega)
+        assert max(e.validate(rng=rng, state=omega).values()) <= 100 * AXIOM_TOL
+    for _ in range(5):
+        omega = random_faithful_state(big, rng)
+        with pytest.raises(NoPreservingExpectationError, match="commutes_with_target"):
+            state_preserving_expectation(big, sub, omega)
+        dens = omega.matrix
+        cand = ConditionalExpectationMap(big, sub, np.linalg.solve(sub.project(dens), dens))
+        assert max(cand.validate(rng=rng, state=omega).values()) > 100 * AXIOM_TOL
 
 
 def test_preserving_expectation_rejects_non_subalgebra():

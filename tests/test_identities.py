@@ -1,7 +1,9 @@
 """The entropy identities: difference formula, chain additivity, and the
 five-part check battery."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from entropylab.findim import (
 )
 from entropylab.findim import expectations, identities
 from entropylab.findim.algebras import _swap_matrix
-from entropylab.harness.config import default_config
+from entropylab.harness.config import default_config, parse_config
 from entropylab.harness.runner import run_experiment
 from oracles import group_average_superop, leg_unitaries
 
@@ -148,6 +150,41 @@ def test_findim_suite_builds_no_superoperator(monkeypatch):
         "index-cyclic-3",
         "index-symmetric-3",
     }
+
+
+def test_evaluation_forms_no_kronecker_product(monkeypatch):
+    """On built instances, both identities run on the blocks: np.kron raises."""
+    rng = np.random.default_rng(63)
+    instances = [random_difference_instance(rng, side=side) for side in (2, 3, 4)]
+    chain = random_chain_instance(rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.kron was called during evaluation")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    for inst in instances:
+        assert entropy_difference_identity(inst).residual <= 1e-9
+    assert entropy_additivity_chain(chain).residual <= 1e-9
+
+
+def test_findim_suite_matches_the_benchmark_reference():
+    """The seed-0 benchmark config, run in-process, has the reference's case
+    ids and verdicts, and every value within 1e-10 of it."""
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    reference = json.loads((root / "reference" / "findim-suite.json").read_text())
+    want = reference["suite"]["seeds"]["0"]["cases"]
+    config = replace(parse_config(root / "configs" / "findim-suite" / "suite.ini"), seed=0)
+    report = run_experiment(config)
+    assert report.passed
+    assert [c.case_id for c in report.cases] == [c["case_id"] for c in want]
+    for got, case in zip(report.cases, want):
+        assert got.passed is case["passed"], got.case_id
+        assert got.values.keys() == case["values"].keys(), got.case_id
+        for key, value in case["values"].items():
+            np.testing.assert_allclose(
+                got.values[key], value, rtol=0, atol=1e-10, err_msg=f"{got.case_id}.{key}"
+            )
+        assert abs(got.residual - case["residual"]) <= 1e-10, got.case_id
 
 
 def test_difference_identity_many_seeds():

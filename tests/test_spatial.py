@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropylab.findim import (
     VectorStateData,
@@ -20,7 +22,7 @@ from entropylab.findim import (
 )
 from entropylab.findim.identities import random_unitary
 
-from oracles import conjugation_flow, eigen_relative_entropy
+from oracles import conjugation_flow, eigen_relative_entropy, kron_relative_entropy_spatial
 
 
 def test_spatial_derivative_diagonal_example():
@@ -159,6 +161,8 @@ def test_spatial_entropy_accepts_span_equal_weight():
     s1 = relative_entropy_spatial(om, sig_twin)
     s2 = relative_entropy_umegaki(om.state(), canonical_density(alg, sig_twin.matrix))
     assert abs(s1 - s2) < 1e-10
+    # the trace formula pairs blocks, so the twin's weight is carried over first
+    assert abs(relative_entropy_umegaki(om.state(), sig_twin) - s2) < 1e-10
 
 
 def test_umegaki_against_trace_state_gives_entropy_defect():
@@ -171,3 +175,62 @@ def test_umegaki_against_trace_state_gives_entropy_defect():
     shannon = -np.sum(vals * np.log(vals))
     got = relative_entropy_umegaki(rho, uniform)
     assert abs(got - (math.log(4) - shannon)) < 1e-10
+
+
+def _with_spectrum(rng, rows, cols, rank):
+    """A rows x cols matrix with ``rank`` singular values in [0.45, 1], the
+    rest exactly zero, between Haar-random frames."""
+    sv = np.zeros(min(rows, cols))
+    sv[:rank] = rng.uniform(0.45, 1.0, size=rank)
+    left = random_unitary(rows, rng)[:, : sv.size]
+    right = random_unitary(cols, rng)[: sv.size]
+    return (left * sv) @ right
+
+
+@st.composite
+def spatial_cases(draw):
+    """Two or three blocks with m > 1, and which factor is rank deficient."""
+    count = draw(st.integers(min_value=2, max_value=3))
+    sizes = st.integers(min_value=1, max_value=3)
+    mults = st.integers(min_value=2, max_value=3)
+    blocks = [(draw(sizes), draw(mults)) for _ in range(count)]
+    defect = draw(st.sampled_from(["none", "sigma", "rho_c"]))
+    where = draw(st.integers(min_value=0, max_value=count - 1))
+    return blocks, defect, where, draw(st.integers(min_value=0, max_value=2**31 - 1))
+
+
+@given(spatial_cases())
+@settings(max_examples=40, deadline=None)
+def test_property_spatial_entropy_matches_kron_oracle(case):
+    """The factorised spatial entropy agrees with the eigh of sigma_k kron
+    rho'_k^(-1) to 1e-12 relative, on Haar-rotated multi-block algebras.
+
+    ``sigma`` makes sigma non-faithful on one block (the entropy is +inf);
+    ``rho_c`` drops a singular value of one coefficient matrix, so rho' is
+    rank deficient there (as it is on every block with n < m).  Nonzero
+    eigenvalues stay in [0.2, 1], so the tolerance measures the two
+    diagonalisations and not the conditioning of the draw.
+    """
+    blocks, defect, where, seed = case
+    rng = np.random.default_rng(seed)
+    dim = sum(n * m for n, m in blocks)
+    u = random_unitary(dim, rng)
+    alg = build_algebra(blocks).conjugated(u)
+    sig_blocks, coeffs = [], []
+    for k, (n, m) in enumerate(blocks):
+        s_rank = n - 1 if (defect == "sigma" and k == where) else n
+        root = _with_spectrum(rng, n, n, s_rank)
+        sig_blocks.append(root @ root.conj().T)
+        c_rank = min(n, m) - 1 if (defect == "rho_c" and k == where) else min(n, m)
+        coeffs.append(_with_spectrum(rng, n, m, c_rank).reshape(-1))
+    v = np.concatenate(coeffs)
+    omega = VectorStateData(alg, u @ v / np.linalg.norm(v))
+    sigma = WeightDensity.from_intrinsic_blocks(alg, sig_blocks)
+    got = relative_entropy_spatial(omega, sigma)
+    want = kron_relative_entropy_spatial(alg, omega.vector, sigma.intrinsic_blocks())
+    if defect == "sigma":
+        assert math.isinf(want)
+    if math.isinf(want):
+        assert math.isinf(got)
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

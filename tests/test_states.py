@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entropylab.findim import (
+    MatrixBlockAlgebra,
     VectorStateData,
     WeightDensity,
     build_algebra,
@@ -169,3 +170,73 @@ def test_weight_rejects_negative():
     alg = build_algebra([(2, 1)])
     with pytest.raises(ValueError):
         WeightDensity(alg, np.diag([1.0, -0.5]).astype(complex))
+
+
+def _rotated_multi_block(rng):
+    alg = build_algebra([(2, 2), (1, 3), (2, 1)])
+    return alg.conjugated(random_unitary(alg.ambient_dim, rng))
+
+
+def test_weight_rejects_on_a_rotated_multi_block_algebra():
+    """Non-members, non-self-adjoint and non-positive members are rejected at
+    the tolerances of the ambient-matrix checks; a member is accepted."""
+    rng = np.random.default_rng(12)
+    alg = _rotated_multi_block(rng)
+    good = random_faithful_state(alg, rng).matrix
+    WeightDensity(alg, good)
+    stray = rng.normal(size=good.shape) + 1j * rng.normal(size=good.shape)
+    stray -= alg.project(stray)
+    stray /= np.linalg.norm(stray)
+    WeightDensity(alg, good + 1e-12 * stray)
+    with pytest.raises(ValueError, match="does not lie"):
+        WeightDensity(alg, good + 1e-9 * stray)
+    skew = alg.embed_blocks([1j * np.eye(n) for n, _ in alg.blocks])
+    WeightDensity(alg, good + 1e-12 * skew)
+    with pytest.raises(ValueError, match="self-adjoint"):
+        WeightDensity(alg, good + 1e-9 * skew)
+    negative = alg.embed_blocks(
+        [np.diag([-1.0] + [0.0] * (n - 1)).astype(complex) for n, _ in alg.blocks]
+    )
+    with pytest.raises(ValueError, match="not positive"):
+        WeightDensity(alg, good + 0.5 * negative)
+
+
+def _count_block_calls(monkeypatch):
+    calls = {"matrix_blocks": 0, "embed_blocks": 0}
+    for name in calls:
+        original = getattr(MatrixBlockAlgebra, name)
+
+        def counted(self, arg, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, arg)
+
+        monkeypatch.setattr(MatrixBlockAlgebra, name, counted)
+    return calls
+
+
+def test_each_density_is_compressed_once(monkeypatch):
+    """canonical_density compresses once, and embeds once when its matrix is
+    first read; a vector state and its commutant state read their blocks off
+    the coefficient matrices."""
+    rng = np.random.default_rng(13)
+    alg = _rotated_multi_block(rng)
+    v = rng.normal(size=alg.ambient_dim) + 1j * rng.normal(size=alg.ambient_dim)
+    omega = VectorStateData(alg, v / np.linalg.norm(v))
+    rank_one = np.outer(omega.vector, omega.vector.conj())
+    calls = _count_block_calls(monkeypatch)
+    w = canonical_density(alg, rank_one)
+    assert w.is_faithful == omega.separating
+    assert calls == {"matrix_blocks": 1, "embed_blocks": 0}
+    first = w.matrix
+    assert w.matrix is first
+    assert calls == {"matrix_blocks": 1, "embed_blocks": 1}
+    np.testing.assert_allclose(first, alg.project(rank_one), rtol=0, atol=1e-14)
+    calls.update(matrix_blocks=0, embed_blocks=0)
+    state = omega.state()
+    dual_state = omega.commutant_state()
+    assert calls == {"matrix_blocks": 0, "embed_blocks": 0}
+    for got, want in zip(state.intrinsic_blocks(), w.intrinsic_blocks()):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    dual = canonical_density(alg.commutant(), rank_one)
+    for got, want in zip(dual_state.intrinsic_blocks(), dual.intrinsic_blocks()):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
