@@ -230,12 +230,15 @@ def group_average_expectation(
 ) -> ConditionalExpectationMap:
     """Average of x -> u x u* over a finite unitary group normalizing ``source``.
 
-    The target is the fixed-point subalgebra, discovered from the nullspace
-    of the stacked (Ad u - id) constraints in source-span coordinates.  The
-    unitaries must form a group up to phase; products are matched against
-    the listed elements through |tr(u_k* u_g u_h)| = D.  The average
-    preserves the trace on the source, and the trace-preserving expectation
-    onto the target is unique, so the result is that expectation.
+    The target is the fixed-point subalgebra.  In the source's orthonormal
+    basis each Ad u is a unitary matrix, and the unitaries form a group up
+    to phase (products are matched against the listed elements through
+    |tr(u_k* u_g u_h)| = D), so the average of those matrices is the
+    orthogonal projector onto the fixed points: its eigenvectors of
+    eigenvalue 1 are their coordinates.  An eigenvalue away from 0 and 1
+    rejects the input.  The average preserves the trace on the source, and
+    the trace-preserving expectation onto the target is unique, so the
+    result is that expectation.
     """
     d = source.ambient_dim
     units = [np.asarray(u, dtype=complex) for u in unitaries]
@@ -250,20 +253,23 @@ def group_average_expectation(
 
     basis = source.basis
     frame = np.stack([_vec_matrix(f) for f in basis], axis=1)
-    rows = []
+    average = np.zeros((len(basis), len(basis)), dtype=complex)
     for u in units:
         images = [u @ f @ u.conj().T for f in basis]
         if any(source.span_distance(g) > 1e-9 for g in images):
             raise ValueError("unitaries do not normalize the algebra")
         # coordinates Tr(f_a* g_b) of the conjugated basis, in one product
-        conj_coords = frame.conj().T @ np.stack([_vec_matrix(g) for g in images], axis=1)
-        rows.append(conj_coords - np.eye(len(basis)))
-    stacked = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(svals > 1e-9 * max(1.0, svals[0] if svals.size else 1.0)))
-    fixed_coords = vh[rank:].conj()
+        average += frame.conj().T @ np.stack([_vec_matrix(g) for g in images], axis=1)
+    average /= len(units)
+    vals, vecs = np.linalg.eigh(0.5 * (average + average.conj().T))
+    fixed_point = vals > 0.5
+    if np.abs(vals - fixed_point).max() > 1e-9:
+        raise ValueError(
+            "the group average is not a projector: eigenvalues off {0, 1} by "
+            f"{np.abs(vals - fixed_point).max():.3e}"
+        )
     fixed = [
-        sum(c * f for c, f in zip(coords, basis)) for coords in fixed_coords
+        sum(c * f for c, f in zip(coords, basis)) for coords in vecs[:, fixed_point].T
     ]
     return ConditionalExpectationMap(source, algebra_from_basis(fixed))
 

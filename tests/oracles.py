@@ -10,6 +10,7 @@ Kronecker-product forms of a block embedding and of the spatial relative
 entropy (they read only an algebra's block isometries), the
 dense restricted correlation matrix of the hopping
 chain with its eigenvalue entropy (Peschel, J. Phys. A 36 L205, 2003),
+the Gram eigensolve of its even x odd block,
 the single-particle hopping Hamiltonian, and a many-body spin-chain
 construction of the imaginary-hopping Hamiltonian (Jordan-Wigner form)
 whose ground state gives correlation functions and reduced entropies the
@@ -208,6 +209,41 @@ def block_entropy(block: np.ndarray) -> float:
     probs = np.concatenate([occupations, 1.0 - occupations])
     probs = probs[probs > 0.0]
     return float(-np.sum(probs * np.log(probs)))
+
+
+def even_odd_block(n_sites: int, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The real block B_jk = -i C_jk with j over even and k over odd sites.
+
+    The formula holds for any rows and columns of opposite parity.
+    """
+    n = n_sites
+    # 1 / (n sin(pi d / n)) evaluated in place: one |E| x |O| array.
+    block = np.subtract.outer(even.astype(float), odd.astype(float))
+    block *= np.pi
+    block /= n
+    np.sin(block, out=block)
+    block *= n
+    return np.divide(1.0, block, out=block)
+
+
+def gram_region_entropy(n_sites: int, sites) -> float:
+    """Entropy of a site set from the Gram eigensolve of its even x odd block.
+
+    sigma^2 are the eigenvalues of the smaller Gram product, B B^T or B^T B,
+    and each pair of modes takes its entropy from nu (1 - nu) = 1/4 - sigma^2.
+    """
+    sites = np.asarray(sites, dtype=int)
+    even = sites[sites % 2 == 0]
+    odd = sites[sites % 2 == 1]
+    block = even_odd_block(n_sites, even, odd)
+    if block.shape[0] > block.shape[1]:
+        block = block.T
+    sigma_sq = np.linalg.eigvalsh(block @ block.T)
+    lam = 0.25 - sigma_sq
+    mixed = lam > 0.0
+    nu = lam[mixed] / (0.5 + np.sqrt(np.maximum(sigma_sq[mixed], 0.0)))
+    paired = -np.sum(nu * np.log(nu) + (1.0 - nu) * np.log1p(-nu))
+    return float(2.0 * paired + abs(even.size - odd.size) * math.log(2.0))
 
 
 def hopping_matrix(n_sites: int) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Regularized entropies, the region/complement deficit, and the fits."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from entropylab.harness import parse_config
+from entropylab.harness.runner import run_experiment
 from entropylab.lattice import (
     RegionSpec,
     central_charge_fit,
@@ -202,3 +206,22 @@ def test_extrapolated_deficit_is_small():
         points.append((n, entropy_deficit(corr, TWO_ARCS, c=2.0).deficit))
     out = finite_size_extrapolate(points)
     assert abs(out.value) < 5e-3
+
+
+def test_lattice_large_matches_the_benchmark_reference():
+    """The lattice-large benchmark config, run in-process, has the reference's
+    case ids and verdicts, and every value within 1e-9 of it."""
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    reference = json.loads((root / "reference" / "lattice-large.json").read_text())
+    want = reference["duality"]["seeds"]["0"]["cases"]
+    report = run_experiment(parse_config(root / "configs" / "lattice-large" / "duality.ini"))
+    assert report.passed
+    assert [c.case_id for c in report.cases] == [c["case_id"] for c in want]
+    for got, case in zip(report.cases, want):
+        assert got.passed is case["passed"], got.case_id
+        assert got.values.keys() == case["values"].keys(), got.case_id
+        for key, value in case["values"].items():
+            np.testing.assert_allclose(
+                got.values[key], value, rtol=0, atol=1e-9, err_msg=f"{got.case_id}.{key}"
+            )
+        assert abs(got.residual - case["residual"]) <= 1e-9, got.case_id

@@ -103,6 +103,19 @@ def test_group_average_matches_explicit_average(blocks, units):
     )
 
 
+def test_group_average_rejects_a_set_that_averages_to_no_projector():
+    # {1, u} with u of order 6 is no group: its average has eigenvalues
+    # (1 + e^{+-i pi/3}) / 2 besides 1.  A loose closure tolerance lets it
+    # through, and the eigenvalue check rejects it.
+    u = np.diag([1.0, np.exp(1j * np.pi / 3)])
+    units = [np.eye(2, dtype=complex), u]
+    alg = build_algebra([(2, 1)])
+    with pytest.raises(ValueError, match="closed under products"):
+        group_average_expectation(alg, units)
+    with pytest.raises(ValueError, match="not a projector"):
+        group_average_expectation(alg, units, closure_tol=1.0)
+
+
 def test_expectation_is_idempotent_superoperator():
     e = _qubit_leg_average()
     np.testing.assert_allclose(e.superop @ e.superop, e.superop, atol=1e-10)

@@ -85,7 +85,6 @@ def test_correlations_are_cached():
 
 def test_restricted_blocks_are_slices_of_the_full_block():
     n = 64
-    corr = ground_state_correlations(n)
     full = oracles.correlation_block(n, np.arange(n))
     rng = np.random.default_rng(11)
     for size in (1, 2, 7, 31, 64):
@@ -95,8 +94,22 @@ def test_restricted_blocks_are_slices_of_the_full_block():
         )
         even, odd = sites[sites % 2 == 0], sites[sites % 2 == 1]
         np.testing.assert_array_equal(
-            corr.even_odd_block(even, odd), full.imag[np.ix_(even, odd)]
+            oracles.even_odd_block(n, even, odd), full.imag[np.ix_(even, odd)]
         )
+
+
+def test_coupling_block_is_bitwise_the_in_place_formula():
+    """The Toeplitz-view build of K[rows, cols] reproduces the oracle's
+    in-place 1 / (n sin(pi d / n)) entry for entry, for either parity of rows."""
+    rng = np.random.default_rng(5)
+    for n in (8, 64, 1024):
+        for size in (1, 3, n // 4, n // 2):
+            sites = np.sort(rng.choice(n, size=size, replace=False))
+            for parity in (0, 1):
+                rows = sites[sites % 2 == parity]
+                cols = np.setdiff1d(np.arange(1 - parity, n, 2), sites)
+                got = gaussian._coupling(n, rows, cols)
+                np.testing.assert_array_equal(got, oracles.even_odd_block(n, rows, cols))
 
 
 @pytest.mark.parametrize("bad", [[-1, 0], [0, 64], [3, 70]])
@@ -138,6 +151,67 @@ def test_kernel_entropy_matches_dense_eigensolve(case):
     n, sites = case
     want = oracles.block_entropy(oracles.correlation_block(n, sites))
     assert region_entropy(ground_state_correlations(n), sites) == pytest.approx(want, abs=1e-10)
+
+
+@st.composite
+def _arc_unions(draw):
+    """A chain size and the union of one to three site arcs, possibly wrapping."""
+    n = draw(st.sampled_from([64, 256, 1024]))
+    arcs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, n // 3)), min_size=1, max_size=3
+        )
+    )
+    return n, np.unique(np.concatenate([(a + np.arange(l)) % n for a, l in arcs]))
+
+
+def _union(n, spec):
+    return lattice_region(LatticeCircle(n), spec)
+
+
+THREE_ARCS = RegionSpec([(0.2, 0.9), (1.6, 2.8), (3.5, 5.0)])
+
+
+@given(st.one_of(_site_sets(), _arc_unions()))
+@example((64, np.arange(1, 64, 2)))  # all odd sites: R is empty, and so is F
+@example((64, np.array([0, 2, 4, 6, 9, 40])))  # |E| != |O|
+@example((64, np.arange(0, 30)))  # R narrower than one sketch block
+@example((1024, np.arange(40, 80)))
+@example((256, np.arange(128)))  # exactly half the chain
+@example((256, np.arange(77, 205)))
+@example((512, _union(512, THREE_ARCS)))
+@example((2048, _union(2048, THREE_ARCS)))
+@example((4096, _union(4096, RegionSpec([(0.30, 1.45), (2.65, 4.10)]))))
+@settings(max_examples=40, deadline=None)
+def test_kernel_entropy_matches_gram_eigensolve(case):
+    n, sites = case
+    got = region_entropy(ground_state_correlations(n), sites)
+    assert got == pytest.approx(oracles.gram_region_entropy(n, sites), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n, sites",
+    [
+        (512, _union(512, RegionSpec([(0.30, 1.45), (2.65, 4.10)]))),
+        (1024, _union(1024, THREE_ARCS)),
+        (2048, np.arange(300)),
+    ],
+)
+def test_dropped_mass_drives_the_sketch_and_bounds_the_error(n, sites, monkeypatch):
+    """With one test column per step the range finder grows until the
+    certified dropped mass reaches rounding; stopped early, its bound still
+    covers the entropy it misses."""
+    corr = ground_state_correlations(n)
+    want = oracles.gram_region_entropy(n, sites)
+    monkeypatch.setattr(gaussian, "_SKETCH_BLOCK", 1)
+    got, bound = gaussian._entropy_and_bound(corr, sites)
+    assert got == pytest.approx(want, abs=1e-10)
+    assert 0.0 <= bound <= 1e-11
+    # a tolerance of 2^40 ulps, about 2e-4 of ||B'||_F^2, stops after a few columns
+    monkeypatch.setattr(gaussian, "_ROUNDING_ULPS", 2**40)
+    early, early_bound = gaussian._entropy_and_bound(corr, sites)
+    assert want - early > 1e-8
+    assert want - early <= early_bound + 1e-10
 
 
 def test_two_arc_union_entropy_matches_high_precision_value():

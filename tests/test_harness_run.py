@@ -445,7 +445,7 @@ _IMPORT_PROBE = """\
 import json, sys
 
 ENGINES = ("numpy", "entropylab.findim", "entropylab.lattice")
-ini, out, result_path = sys.argv[1:]
+ini, out, result_path, *command = sys.argv[1:]
 seen = {}
 
 def loaded():
@@ -457,23 +457,31 @@ seen["import"] = loaded()
 
 from entropylab.harness import cli
 
-argv = ["fermion", "duality", "--config", ini]
+argv = [*command, "--config", ini]
 seen["report"] = [cli.main(["report", out + "/summary.json"]), *loaded()]
 seen["hit"] = [cli.main([*argv, "--out", out + "-hit"]), *loaded()]
 with open(out + "-hit/timings.json") as fh:
     seen["hit_cache"] = json.load(fh)["cache"]
 seen["no-cache"] = [cli.main([*argv, "--no-cache"]), *loaded()]
+seen["numpy.random"] = "numpy.random" in sys.modules
 with open(result_path, "w") as fh:
     json.dump(seen, fh)
 """
 
+FINDIM_SMALL = """\
+[experiment]
+kind = findim-suite
+instances = 2
+"""
 
-def test_cache_hit_and_report_load_no_engine(tmp_path, capsys):
+
+def _import_probe(tmp_path, command, text) -> dict:
+    """Modules loaded by a fresh process at each step of a report, a cache hit
+    and an uncached run of ``command`` on the config ``text``."""
     config_path = tmp_path / "exp.ini"
-    config_path.write_text(DUALITY)
+    config_path.write_text(text)
     out = tmp_path / "out"
-    assert main(["fermion", "duality", "--config", str(config_path), "--out", str(out)]) == 0
-    capsys.readouterr()
+    assert main([*command, "--config", str(config_path), "--out", str(out)]) == 0
     result = tmp_path / "probe.json"
     env = dict(
         os.environ,
@@ -481,7 +489,7 @@ def test_cache_hit_and_report_load_no_engine(tmp_path, capsys):
         PYTHONDONTWRITEBYTECODE="1",
     )
     subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(config_path), str(out), str(result)],
+        [sys.executable, "-c", _IMPORT_PROBE, str(config_path), str(out), str(result), *command],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     seen = json.loads(result.read_text())
@@ -489,8 +497,20 @@ def test_cache_hit_and_report_load_no_engine(tmp_path, capsys):
     assert seen["report"] == [0]
     assert seen["hit_cache"] == "hit"
     assert seen["hit"] == [0]
-    # control: computing does load the engines, so the probe can fail
-    assert seen["no-cache"] == [0, "numpy", "entropylab.findim", "entropylab.lattice"]
+    return seen
+
+
+def test_cache_hit_and_report_load_no_engine(tmp_path):
+    seen = _import_probe(tmp_path, ["fermion", "duality"], DUALITY)
+    # control: computing loads numpy and the lattice engine alone, so the
+    # probe can fail; a duality run draws nothing at random
+    assert seen["no-cache"] == [0, "numpy", "entropylab.lattice"]
+    assert seen["numpy.random"] is False
+
+
+def test_findim_cache_hit_and_report_load_no_engine(tmp_path):
+    seen = _import_probe(tmp_path, ["findim-suite"], FINDIM_SMALL)
+    assert seen["no-cache"] == [0, "numpy", "entropylab.findim"]
 
 
 def test_cli_findim_runs_without_config(tmp_path, capsys):
