@@ -31,8 +31,9 @@ falls to 256 ulps of ||B'||_F^2 (its rounding is a few ulps) or Q spans
 all of R.  Then lambda = eigvalsh(Z Z^T) with Z = Q^T B'.  The compressed
 eigenvalues interlace below the true ones and fall short by eps in total;
 the pair entropy s(lambda) = 2 h(nu) is concave and increasing with
-s(0) = 0, so the computed entropy is low by at most |R| s(eps / |R|) nats.  A set with
-|R| no larger than one block is evaluated on the whole of R (Q square).
+s(0) = 0, so the computed entropy is low by at most |R| s(eps / |R|) nats.
+A set with |R| no larger than one block is evaluated on the whole of R
+(Q square).
 
 Because the ground state is pure, a region and its complement have the
 same entropy.  The arc-union relative entropy evaluates each entropy on
@@ -192,9 +193,10 @@ def _entropy_and_bound(corr: CorrelationMatrix, sites: np.ndarray) -> tuple[floa
     parity = ordered % 2
     side = int(2 * parity.sum() < ordered.size)  # parity of R, the smaller side
     rows = ordered[parity == side]
-    free = np.ones(n // 2, dtype=bool)
+    free = np.ones(n // 2, dtype=bool)  # F: other-parity sites outside, by site // 2
     free[ordered[parity != side] // 2] = False
-    lam, dropped = _coupling_spectrum(_coupling(n, rows, 2 * np.flatnonzero(free) + 1 - side))
+    cols = 2 * np.flatnonzero(free) + 1 - side
+    lam, dropped = _coupling_spectrum(_coupling(n, rows, cols))
     if lam.size and (lam.min() < -EIGENVALUE_SLACK or lam.max() > 0.25 + EIGENVALUE_SLACK):
         raise ValueError(
             f"mode occupation outside [0, 1]: nu (1 - nu) range "
@@ -202,7 +204,9 @@ def _entropy_and_bound(corr: CorrelationMatrix, sites: np.ndarray) -> tuple[floa
         )
     unpaired = ordered.size - 2 * rows.size
     entropy = 2.0 * _mode_entropy(lam) + unpaired * math.log(2.0)
-    bound = 2.0 * rows.size * _mode_entropy(np.array([dropped / rows.size])) if dropped else 0.0
+    bound = 0.0
+    if dropped:
+        bound = 2.0 * rows.size * _mode_entropy(np.array([dropped / rows.size]))
     return entropy, bound
 
 
