@@ -4,26 +4,36 @@ Given an expectation E: M -> N, the dual map carries weights on M' to
 weights on N'.  It is pinned down by one equation: the spatial derivative
 of (psi composed with E) relative to phi' must equal the spatial
 derivative of psi relative to the dual weight, for an auxiliary faithful
-psi on N.  Everything here is solved block by block from that equation;
-the solution is independent of psi, and the index is the dual map
-evaluated at the identity.
+psi on N.  ``dual_weight`` solves it block by block; the solution is
+independent of psi.
+
+The index of E (Kosaki, J. Funct. Anal. 66, 123, 1986; Watatani, Mem. AMS
+424, 1990) is that dual map evaluated at the identity.  For E(x) = P_N(h x)
+it has a closed form.  Let p_i be the central projections of M, with M
+holding M_{a_i} tensor 1_{b_i} on the range of p_i, and q_k those of N,
+with N holding M_{n_k} tensor 1_{m_k} on the range of q_k.  Then
+
+    Ind E = sum_i p_i sum_k m_k Tr(p_i q_k h^-1) / (n_k b_i^2),
+
+a positive element of the center of M.  For M = M_D, where h acts as
+1_{n_k} tensor h_k with h_k in M_{m_k} on the range of q_k, this is
+sum_k m_k Tr(h_k^-1), and sum_k m_k^2 when h = 1 (Jones, Invent. Math. 72,
+1, 1983).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import MatrixBlockAlgebra, _lift
+from .algebras import _lift
 from .expectations import ConditionalExpectationMap
 from .spatial import spatial_derivative
 from .states import WeightDensity, _on, trace_state
 
 __all__ = [
     "dual_weight",
-    "DualWeightMap",
-    "dual_weight_map",
     "kosaki_index",
     "quasi_basis",
     "QuasiBasis",
@@ -88,102 +98,29 @@ def dual_weight(
     return WeightDensity.from_intrinsic_blocks(target.commutant(), inverted)
 
 
-def _hermitian_basis(algebra: MatrixBlockAlgebra) -> list[np.ndarray]:
-    """A Hilbert-Schmidt orthonormal Hermitian basis of the algebra span,
-    combined from its lifted matrix units f_ij per block."""
-    out = []
-    start = 0
-    for n, _ in algebra.blocks:
-        f = algebra.basis[start : start + n * n]
-        start += n * n
-        out += [f[i * n + i] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append((f[i * n + j] + f[j * n + i]) / np.sqrt(2.0))
-                out.append(1j * (f[j * n + i] - f[i * n + j]) / np.sqrt(2.0))
-    return out
-
-
-@dataclass
-class DualWeightMap:
-    """The dual of a conditional expectation, as a positive linear map N' -> M'.
-
-    ``value_at_identity`` is the index of the underlying expectation, a
-    positive element of the common center (a multiple of the identity when
-    the source is a factor).
-    """
-
-    expectation: ConditionalExpectationMap
-    value_at_identity: np.ndarray
-    _basis: list[np.ndarray] = field(repr=False)
-    _images: list[np.ndarray] = field(repr=False)
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        dual_target = self.expectation.target.commutant()
-        if not dual_target.contains(y, tol=1e-8):
-            raise ValueError("argument must lie in the commutant of the target")
-        out = np.zeros_like(self._images[0])
-        for h, image in zip(self._basis, self._images):
-            out = out + np.trace(image @ y) * h
-        return out
-
-
-def dual_weight_map(expectation: ConditionalExpectationMap) -> DualWeightMap:
-    """Assemble the full dual map from dual weights of a spanning family.
-
-    The density of the dual weight is linear in the input weight, so exact
-    finite differences around the ambient trace recover the whole map.
-    """
-    dual_of_source = expectation.source.commutant()
-    dim = dual_of_source.ambient_dim
-    base = trace_state(dual_of_source, total=dim)
-    base_out = dual_weight(expectation, base).matrix
-    basis = _hermitian_basis(dual_of_source)
-    images = []
-    for h in basis:
-        step = 0.5 / max(1.0, float(np.linalg.norm(h, 2)))
-        shifted = WeightDensity(
-            dual_of_source, np.eye(dim, dtype=complex) + step * h
-        )
-        images.append((dual_weight(expectation, shifted).matrix - base_out) / step)
-    value = np.zeros((dim, dim), dtype=complex)
-    for h, image in zip(basis, images):
-        value = value + np.trace(image) * h
-    return DualWeightMap(
-        expectation=expectation,
-        value_at_identity=value,
-        _basis=basis,
-        _images=images,
-    )
-
-
 def kosaki_index(expectation: ConditionalExpectationMap) -> float | np.ndarray:
-    """Index of the expectation: the dual map evaluated at the identity.
+    """Index of the expectation, from the closed form in the module docstring.
 
     Returns a float when the source is a factor, otherwise the central
-    positive matrix itself.  Cached on the expectation.
+    positive matrix itself.  Raises ValueError when the density is
+    singular: the expectation is then not faithful and its index infinite.
     """
-    if expectation._index is not None:
-        return expectation._index
+    h = expectation.density
+    svals = np.linalg.svd(h, compute_uv=False)
+    if svals[-1] <= 1e-12 * svals[0]:
+        raise ValueError("the density is singular; the index is infinite")
+    h_inv = np.linalg.inv(h)
+    target = expectation.target
+    weighted = sum(
+        (m / n) * (q @ h_inv) for (n, m), q in zip(target.blocks, target.central_projections())
+    )
     source = expectation.source
-    dual_of_source = source.commutant()
-    dim = source.ambient_dim
-    base = trace_state(dual_of_source, total=dim)
-    base_mass = dual_weight(expectation, base).mass
-    if len(source.blocks) == 1:
-        value: float | np.ndarray = base_mass / dim
-    else:
-        value = np.zeros((dim, dim), dtype=complex)
-        for proj in dual_of_source.central_projections():
-            shifted = WeightDensity(
-                dual_of_source, np.eye(dim, dtype=complex) + proj
-            )
-            coeff = (dual_weight(expectation, shifted).mass - base_mass) / float(
-                np.trace(proj).real
-            )
-            value = value + coeff * proj
-    expectation._index = value
-    return value
+    projections = source.central_projections()
+    # Tr(p_i W) = vdot(p_i, W), as p_i is self-adjoint
+    coeffs = [np.vdot(p, weighted).real / b**2 for (_, b), p in zip(source.blocks, projections)]
+    if len(coeffs) == 1:
+        return float(coeffs[0])
+    return sum(c * p for c, p in zip(coeffs, projections))
 
 
 @dataclass(frozen=True)

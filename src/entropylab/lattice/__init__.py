@@ -15,10 +15,8 @@ from .circle import (
 )
 from .deficit import (
     DeficitReport,
-    TwoDimensionalDeficitReport,
     entropy_deficit,
     regularized_entropy,
-    two_dimensional_deficit,
 )
 from .experiments import (
     CollapseReport,
@@ -53,10 +51,8 @@ __all__ = [
     "mobius_region",
     "rotated_region",
     "DeficitReport",
-    "TwoDimensionalDeficitReport",
     "entropy_deficit",
     "regularized_entropy",
-    "two_dimensional_deficit",
     "CollapseReport",
     "ShrinkReport",
     "ShrinkStep",

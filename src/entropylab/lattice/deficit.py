@@ -19,10 +19,8 @@ from .gaussian import CorrelationMatrix, product_state_relative_entropy
 
 __all__ = [
     "DeficitReport",
-    "TwoDimensionalDeficitReport",
     "regularized_entropy",
     "entropy_deficit",
-    "two_dimensional_deficit",
 ]
 
 
@@ -41,15 +39,6 @@ class DeficitReport:
     deficit: float
     mu: float = 1.0
     dual_deficit: float = 0.0
-
-
-@dataclass(frozen=True)
-class TwoDimensionalDeficitReport:
-    left: DeficitReport
-    right: DeficitReport
-    g_region: float
-    g_complement: float
-    deficit: float
 
 
 def _geometry_term(lengths: tuple[float, ...], c: float) -> float:
@@ -112,23 +101,4 @@ def entropy_deficit(
         g_region=g_region,
         g_complement=g_complement,
         deficit=deficit,
-    )
-
-
-def two_dimensional_deficit(
-    left: DeficitReport, right: DeficitReport
-) -> TwoDimensionalDeficitReport:
-    """Additive combination of two chiral reports for a product of nets.
-
-    Double cones factor into left/right arc families of equal count; the
-    regularized entropy and the deficit are sums of the chiral values.
-    """
-    if len(left.region.arcs) != len(right.region.arcs):
-        raise ValueError("mismatched double-cone counts between the chiral halves")
-    return TwoDimensionalDeficitReport(
-        left=left,
-        right=right,
-        g_region=left.g_region + right.g_region,
-        g_complement=left.g_complement + right.g_complement,
-        deficit=left.deficit + right.deficit,
     )

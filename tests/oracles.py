@@ -1,21 +1,25 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here except ``leg_average`` and the exact diagonalization is
+Everything here except ``dual_weight_index``, ``leg_average``, the
+instance builder ``random_inclusion`` and the exact diagonalization is
 deliberately written from first principles with no imports from
-entropylab internals: eigen-overlap relative entropy, a brute-force
-commutant solver, a rank test of whether a vector is cyclic for a span of
-matrices, the explicit D^2 x D^2 superoperators of a group average and of
-a GNS-orthogonal projection (they read only an algebra's basis), the
-Kronecker-product forms of a block embedding and of the spatial relative
-entropy (they read only an algebra's block isometries), the
-dense restricted correlation matrix of the hopping
-chain with its eigenvalue entropy (Peschel, J. Phys. A 36 L205, 2003),
-the Gram eigensolve of its even x odd block,
-the single-particle hopping Hamiltonian, and a many-body spin-chain
+entropylab internals: eigen-overlap relative entropy, a
+brute-force commutant solver, a rank test of whether a vector is cyclic
+for a span of matrices, the explicit D^2 x D^2 superoperators of a group
+average, of a GNS-orthogonal projection and of an expectation
+x -> P_N(h x) with its idempotency and Choi-positivity axioms (they read
+only an algebra's basis and the density h), the Kronecker-product forms
+of a block embedding and of the spatial relative entropy (they read only
+an algebra's block isometries), the dense restricted correlation matrix
+of the hopping chain with its eigenvalue entropy (Peschel, J. Phys. A 36
+L205, 2003), the Gram eigensolve of its even x odd block, the
+single-particle hopping Hamiltonian, and a many-body spin-chain
 construction of the imaginary-hopping Hamiltonian (Jordan-Wigner form)
 whose ground state gives correlation functions and reduced entropies the
-long way.  ``leg_average`` is the Weyl-group oracle for the findim
-instance expectations: it rediscovers their targets through the
+long way.  ``dual_weight_index`` is the definitional route to the index,
+finite differences of the package's ``dual_weight``, against which its
+closed form is checked.  ``leg_average`` is the Weyl-group oracle for the
+findim instance expectations: it rediscovers their targets through the
 package's group averaging and structure discovery, which the instances
 themselves do not use.  ``exact_diagonalization_entropies`` builds the
 2^N ground state from the Slater determinant of ``hopping_matrix``; it
@@ -31,7 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from entropylab.findim import group_average_expectation, weyl_unitaries
+from entropylab.findim import (
+    BlockStructure,
+    ConditionalExpectationMap,
+    MatrixBlockAlgebra,
+    WeightDensity,
+    build_algebra,
+    dual_weight,
+    group_average_expectation,
+    trace_state,
+    weyl_unitaries,
+)
 from entropylab.lattice import LatticeCircle, RegionSpec, arc_sites, lattice_region
 
 _EPS = 1e-12
@@ -110,6 +124,98 @@ def gns_projection_superop(target, density: np.ndarray) -> np.ndarray:
             # Tr(D n_b* x) = <n_b D, x> in the Hilbert-Schmidt pairing
             superop += inv[a, b] * np.outer(_vec(na), _vec(nb @ density).conj())
     return superop
+
+
+def expectation_superop(e) -> np.ndarray:
+    """The D^2 x D^2 matrix of E(x) = P_N(h x) on column-major vectorized
+    matrices: E(x) = sum_a f_a Tr(f_a* h x) over the orthonormal basis f_a
+    of ``e.target``, with h = ``e.density``."""
+    frame = np.stack([_vec(f) for f in e.target.basis], axis=1)
+    adj = e.density.conj().T
+    weighted = np.stack([_vec(adj @ f) for f in e.target.basis], axis=1)
+    return frame @ weighted.conj().T
+
+
+def superop_axioms(e) -> dict[str, float]:
+    """Idempotency |S S - S| / max(1, |S|) of the superoperator S (a D^6
+    product), and the distance of the Choi matrix sum_ce E_ce kron E(E_ce)
+    from positive semidefinite: its anti-Hermitian part or its most
+    negative eigenvalue, whichever is larger."""
+    s = expectation_superop(e)
+    d = e.density.shape[0]
+    choi = s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    lowest = np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0]
+    return {
+        "idempotent": float(np.linalg.norm(s @ s - s)) / max(1.0, float(np.linalg.norm(s))),
+        "choi_negativity": max(float(np.linalg.norm(choi - choi.conj().T)), -float(lowest), 0.0),
+    }
+
+
+def dual_weight_index(e):
+    """The index as the dual map evaluated at the identity, by finite
+    differences of ``dual_weight``.
+
+    The dual weight's density is linear in the input weight, so the mass of
+    the dual of the ambient trace on M' gives the index of a factor source,
+    and shifting that trace by each central projection z reads off the
+    coefficient of z otherwise.  A float for a factor source, else the
+    central matrix.
+    """
+    dual_of_source = e.source.commutant()
+    dim = e.source.ambient_dim
+    base_mass = dual_weight(e, trace_state(dual_of_source, total=dim)).mass
+    if len(e.source.blocks) == 1:
+        return base_mass / dim
+    value = np.zeros((dim, dim), dtype=complex)
+    for proj in dual_of_source.central_projections():
+        shifted = WeightDensity(dual_of_source, np.eye(dim, dtype=complex) + proj)
+        coeff = (dual_weight(e, shifted).mass - base_mass) / float(np.trace(proj).real)
+        value = value + coeff * proj
+    return value
+
+
+def random_inclusion(inclusion, sizes, multiplicities, rng) -> ConditionalExpectationMap:
+    """An expectation E(x) = P_N(h x) laid out by index arithmetic, with random h.
+
+    The source is M = (+)_i M_{a_i} (x) 1_{b_i} with b_i = multiplicities[i],
+    and its block i holds inclusion[i][k] copies of M_{n_k}, n_k = sizes[k],
+    side by side, so a_i = sum_k inclusion[i][k] n_k.  The target N is the
+    algebra of those copies: M_{n_k} (x) 1_{m_k} with
+    m_k = sum_i inclusion[i][k] b_i.  On target block k the density is
+    1_{n_k} (x) h_k, where h_k is (+)_i Y_ik (x) 1_{b_i} for random positive
+    definite Y_ik acting on the copies, scaled to Tr h_k = m_k; so h is
+    positive, lies in N' cap M and has P_N(h) = 1.
+    """
+    a = [sum(c * n for c, n in zip(row, sizes)) for row in inclusion]
+    source = build_algebra(list(zip(a, multiplicities)))
+    dim = source.ambient_dim
+    start = np.cumsum([0] + [ai * b for ai, b in zip(a, multiplicities)])
+    structure = []
+    density = np.zeros((dim, dim), dtype=complex)
+    for k, n in enumerate(sizes):
+        where, copies = [], []
+        for i, (row, b) in enumerate(zip(inclusion, multiplicities)):
+            if not row[k]:
+                continue
+            first = sum(c * s for c, s in zip(row[:k], sizes[:k]))
+            # ambient index of (matrix index, copy, multiplicity) in block i
+            block = start[i] + np.arange(a[i] * b).reshape(a[i], b)[first : first + row[k] * n]
+            where.append(block.reshape(row[k], n, b).transpose(1, 0, 2).reshape(n, -1))
+            g = rng.normal(size=(row[k], row[k])) + 1j * rng.normal(size=(row[k], row[k]))
+            copies.append(np.kron(g @ g.conj().T + 0.1 * np.eye(row[k]), np.eye(b)))
+        where = np.concatenate(where, axis=1)
+        m = where.shape[1]
+        iso = np.zeros((n * m, dim), dtype=complex)
+        iso[np.arange(n * m), where.reshape(-1)] = 1.0
+        structure.append(BlockStructure(n, m, iso))
+        h_k = np.zeros((m, m), dtype=complex)
+        pos = 0
+        for y in copies:
+            h_k[pos : pos + len(y), pos : pos + len(y)] = y
+            pos += len(y)
+        h_k *= m / np.trace(h_k).real
+        density += iso.conj().T @ np.kron(np.eye(n), h_k) @ iso
+    return ConditionalExpectationMap(source, MatrixBlockAlgebra(structure), density)
 
 
 def kron_embed_blocks(algebra, parts) -> np.ndarray:

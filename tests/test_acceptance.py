@@ -31,6 +31,8 @@ from entropylab.findim import (
     relative_entropy_umegaki,
     symmetric_group_unitaries,
 )
+from entropylab.harness import ExperimentConfig
+from entropylab.harness.runner import run_experiment
 from entropylab.lattice import (
     LatticeCircle,
     RegionSpec,
@@ -44,7 +46,6 @@ from entropylab.lattice import (
     product_state_relative_entropy,
     region_entropy,
     shrink_experiment,
-    two_dimensional_deficit,
 )
 from oracles import exact_diagonalization_entropies, leg_average
 
@@ -357,17 +358,20 @@ def test_criterion_11_shrinking_interval():
 
 def test_criterion_12_two_dimensional_deficit():
     sizes = (256, 512, 1024)
+    config = ExperimentConfig(
+        kind="two-d", sizes=sizes, arcs=TWO_ARCS.arcs, right_arcs=RIGHT_ARCS.arcs, c=2.0
+    )
     points = []
     exact_additive = True
-    for n in sizes:
+    for n, case in zip(sizes, run_experiment(config).cases):
         corr = ground_state_correlations(n)
         left = entropy_deficit(corr, TWO_ARCS, c=2.0)
         right = entropy_deficit(corr, RIGHT_ARCS, c=2.0)
-        combined = two_dimensional_deficit(left, right)
         exact_additive = exact_additive and (
-            combined.deficit == left.deficit + right.deficit
+            case.values["D_2d"] == left.deficit + right.deficit
+            and case.values["G_2d"] == left.g_region + right.g_region
         )
-        points.append((n, combined.deficit))
+        points.append((n, case.values["D_2d"]))
     extrap = finite_size_extrapolate(points)
     ok = exact_additive and abs(extrap.value) <= 1e-2
     _line(

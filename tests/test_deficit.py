@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entropylab.harness import parse_config
+from entropylab.harness import ExperimentConfig, parse_config
 from entropylab.harness.runner import run_experiment
 from entropylab.lattice import (
     RegionSpec,
@@ -20,7 +20,6 @@ from entropylab.lattice import (
     product_state_relative_entropy,
     region_entropy,
     regularized_entropy,
-    two_dimensional_deficit,
 )
 from entropylab.lattice import gaussian
 from entropylab.lattice.circle import LatticeCircle
@@ -141,21 +140,18 @@ def test_deficit_shrinks_with_size():
 
 
 def test_two_dimensional_deficit_is_additive():
+    """The two-d runner's D_2d and G_2d are the sums, bit for bit, of the
+    two chiral entropy_deficit values."""
+    right = RegionSpec([(0.5, 1.7), (3.0, 4.4)])
+    config = ExperimentConfig(
+        kind="two-d", sizes=(256,), arcs=TWO_ARCS.arcs, right_arcs=right.arcs, c=2.0
+    )
+    (case,) = run_experiment(config).cases
     corr = ground_state_correlations(256)
     left = entropy_deficit(corr, TWO_ARCS, c=2.0)
-    right = entropy_deficit(corr, RegionSpec([(0.5, 1.7), (3.0, 4.4)]), c=2.0)
-    combined = two_dimensional_deficit(left, right)
-    assert combined.deficit == left.deficit + right.deficit
-    assert combined.g_region == left.g_region + right.g_region
-    assert combined.g_complement == left.g_complement + right.g_complement
-
-
-def test_two_dimensional_deficit_rejects_mismatched_counts():
-    corr = ground_state_correlations(128)
-    left = entropy_deficit(corr, TWO_ARCS, c=2.0)
-    right = entropy_deficit(corr, RegionSpec([(0.2, 1.1), (2.0, 2.9), (4.1, 5.3)]), c=2.0)
-    with pytest.raises(ValueError, match="double-cone"):
-        two_dimensional_deficit(left, right)
+    right = entropy_deficit(corr, right, c=2.0)
+    assert case.values["D_2d"] == left.deficit + right.deficit
+    assert case.values["G_2d"] == left.g_region + right.g_region
 
 
 def test_central_charge_fit_near_unity():

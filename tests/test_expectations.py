@@ -19,10 +19,13 @@ from entropylab.findim import (
 from entropylab.findim.expectations import AXIOM_TOL
 from entropylab.findim.identities import random_unitary
 from oracles import (
+    expectation_superop,
     gns_projection_superop,
     group_average_superop,
     leg_average,
     leg_unitaries,
+    random_inclusion,
+    superop_axioms,
 )
 
 
@@ -99,7 +102,7 @@ def test_group_average_matches_explicit_average(blocks, units):
     alg = build_algebra(blocks)
     e = group_average_expectation(alg, units)
     np.testing.assert_allclose(
-        e.superop, group_average_superop(alg, units), rtol=0, atol=1e-12
+        expectation_superop(e), group_average_superop(alg, units), rtol=0, atol=1e-12
     )
 
 
@@ -117,8 +120,8 @@ def test_group_average_rejects_a_set_that_averages_to_no_projector():
 
 
 def test_expectation_is_idempotent_superoperator():
-    e = _qubit_leg_average()
-    np.testing.assert_allclose(e.superop @ e.superop, e.superop, atol=1e-10)
+    s = expectation_superop(_qubit_leg_average())
+    np.testing.assert_allclose(s @ s, s, atol=1e-10)
 
 
 def test_pull_back_matches_composition():
@@ -192,7 +195,7 @@ def test_state_preserving_expectation_matches_gns_projection(kind):
         omega = _product_state(rng)
     e = state_preserving_expectation(big, sub, omega)
     np.testing.assert_allclose(
-        e.superop, gns_projection_superop(sub, omega.matrix), rtol=0, atol=1e-10
+        expectation_superop(e), gns_projection_superop(sub, omega.matrix), rtol=0, atol=1e-10
     )
 
 
@@ -207,7 +210,7 @@ def test_pull_back_is_the_transpose_of_the_superoperator():
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         g = np.outer(v, v.conj()) / np.vdot(v, v).real
         pulled = m.pull_back(g)
-        s = m.superop
+        s = expectation_superop(m)
         for b in m.source.basis:
             direct = g.T.reshape(-1, order="F") @ s @ b.reshape(-1, order="F")
             assert abs(pulled.value(b) - direct) < 1e-12
@@ -242,13 +245,51 @@ def test_validate_flags_broken_superoperator():
     # damage idempotency: halve the density
     broken = ConditionalExpectationMap(e.source, e.target, 0.5 * np.eye(4))
     residuals = broken.validate(rng=rng, state=trace_state(e.source), samples=5)
-    assert residuals["idempotent"] > 1e-2
+    assert superop_axioms(broken)["idempotent"] > 1e-2
     assert residuals["unital"] > 1e-2
 
 
+def _first_failing(residuals):
+    return next((k for k, v in residuals.items() if v > 100 * AXIOM_TOL), None)
+
+
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def test_validate_agrees_with_the_superoperator_axioms():
+    """validate()'s invariants give the verdict of the D^2 x D^2 idempotency
+    and Choi-positivity axioms: on good maps, and on three maps into
+    M_2 (x) 1_2 that each break one invariant."""
+    rng = np.random.default_rng(12)
+    big, sub = build_algebra([(4, 1)]), build_algebra([(2, 2)])
+    leg = _qubit_leg_average()
+    multi = random_inclusion([[1, 2], [0, 1]], [1, 2], [1, 2], rng)
+    good = [
+        leg,
+        leg.conjugated(random_unitary(4, rng)),
+        state_preserving_expectation(big, sub, _product_state(rng)),
+        multi,
+        multi.conjugated(random_unitary(multi.ambient_dim, rng)),
+    ]
+    for e in good:
+        assert _first_failing(e.validate(rng=rng)) is None
+        assert max(superop_axioms(e).values()) <= 100 * AXIOM_TOL
+    broken = [
+        # P_N(X (x) Z) = 0, so P_N(h) = 1 and h > 0, but h misses N'
+        (np.eye(4) + 0.3 * np.kron(_PAULI_X, _PAULI_Z), "commutes_with_target"),
+        (np.kron(np.eye(2), np.diag([2.5, -0.5])), "positive"),
+        (np.kron(np.eye(2), np.diag([2.0, 1.0])), "unital"),
+    ]
+    for h, name in broken:
+        e = ConditionalExpectationMap(big, sub, h)
+        assert _first_failing(e.validate(rng=rng)) == name
+        assert max(superop_axioms(e).values()) > 100 * AXIOM_TOL, name
+
+
 def test_preserving_certificate_agrees_with_validate():
-    """state_preserving_expectation certifies h = P_N(D)^(-1) D by its O(D^3)
-    invariants; validate()'s D^2 x D^2 axioms give the same verdict, both on
+    """state_preserving_expectation certifies h = P_N(D)^(-1) D through
+    validate(); the oracle's D^2 x D^2 axioms give the same verdict, both on
     flow-invariant states and on states whose h does not commute with N."""
     rng = np.random.default_rng(9)
     big = build_algebra([(4, 1)])
@@ -262,6 +303,7 @@ def test_preserving_certificate_agrees_with_validate():
     for target, omega in invariant:
         e = state_preserving_expectation(big, target, omega)
         assert max(e.validate(rng=rng, state=omega).values()) <= 100 * AXIOM_TOL
+        assert max(superop_axioms(e).values()) <= 100 * AXIOM_TOL
     for _ in range(5):
         omega = random_faithful_state(big, rng)
         with pytest.raises(NoPreservingExpectationError, match="commutes_with_target"):
@@ -269,6 +311,7 @@ def test_preserving_certificate_agrees_with_validate():
         dens = omega.matrix
         cand = ConditionalExpectationMap(big, sub, np.linalg.solve(sub.project(dens), dens))
         assert max(cand.validate(rng=rng, state=omega).values()) > 100 * AXIOM_TOL
+        assert max(superop_axioms(cand).values()) > 100 * AXIOM_TOL
 
 
 def test_preserving_expectation_rejects_non_subalgebra():

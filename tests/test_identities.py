@@ -2,6 +2,8 @@
 five-part check battery."""
 
 import json
+import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,9 +26,10 @@ from entropylab.findim import (
 )
 from entropylab.findim import expectations, identities
 from entropylab.findim.algebras import _swap_matrix
+from entropylab.findim.expectations import AXIOM_TOL
 from entropylab.harness.config import default_config, parse_config
 from entropylab.harness.runner import run_experiment
-from oracles import group_average_superop, leg_unitaries
+from oracles import expectation_superop, group_average_superop, leg_unitaries
 
 
 def _recording_unitaries(monkeypatch):
@@ -48,17 +51,25 @@ def _assert_matches_oracle(named, source, units):
     target."""
     assert named.source is source
     oracle = group_average_superop(named.source, units)
-    np.testing.assert_allclose(named.superop, oracle, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(expectation_superop(named), oracle, rtol=0, atol=1e-12)
     discovered = group_average_expectation(named.source, units).target
     assert named.target.span_equals(discovered)
     assert max(named.validate().values()) <= 1e-10
 
 
-def _refuse_superop(monkeypatch):
-    def refuse(self):
-        raise AssertionError("a D^2 x D^2 superoperator was built")
-
-    monkeypatch.setattr(ConditionalExpectationMap, "superop", property(refuse))
+@contextmanager
+def _no_superop(dim):
+    """The library forms no D^2 x D^2 superoperator: the map has no such
+    method, and the block allocates less than one complex D^2 x D^2 matrix."""
+    for name in ("superop", "choi_matrix"):
+        assert not hasattr(ConditionalExpectationMap, name), name
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * dim**4, f"peak allocation {peak} B at D = {dim}"
 
 
 @pytest.mark.parametrize("side", [2, 3, 4])
@@ -110,36 +121,38 @@ def test_instances_are_built_without_structure_discovery(monkeypatch):
 
 
 @pytest.mark.parametrize("side, sub, index", [(5, (1, 25), 25.0), (6, (3, 12), 4.0)])
-def test_large_difference_instances_build_no_superoperator(
-    side, sub, index, monkeypatch
-):
-    """D = 25 (onto the scalars) and D = 36 (M_3 (x) 1_2 inside M_6), by hand."""
-    _refuse_superop(monkeypatch)
-    rng = np.random.default_rng(70 + side)
-    algebra = build_algebra([(side, side)])
-    v = rng.normal(size=side * side) + 1j * rng.normal(size=side * side)
-    omega = VectorStateData(algebra, v / np.linalg.norm(v))
-    assert omega.cyclic and omega.separating
-    u1 = np.kron(random_unitary(side, rng), np.eye(side))
-    u2 = np.kron(np.eye(side), random_unitary(side, rng))
-    e1 = ConditionalExpectationMap(algebra, build_algebra([sub]).conjugated(u1))
-    e2 = ConditionalExpectationMap(
-        algebra.commutant(),
-        build_algebra([sub]).conjugated(u2 @ _swap_matrix(side, side)),
-    )
-    report = entropy_difference_identity(
-        DifferenceInstance(algebra=algebra, omega=omega, e1=e1, e2=e2)
-    )
-    assert report.residual <= 1e-9
-    assert abs(kosaki_index(e1) - index) <= 1e-9
-    assert abs(kosaki_index(e2) - index) <= 1e-9
+def test_large_difference_instances_build_no_superoperator(side, sub, index):
+    """D = 25 (onto the scalars) and D = 36 (M_3 (x) 1_2 inside M_6), by hand,
+    each map certified by validate()."""
+    with _no_superop(side * side):
+        rng = np.random.default_rng(70 + side)
+        algebra = build_algebra([(side, side)])
+        v = rng.normal(size=side * side) + 1j * rng.normal(size=side * side)
+        omega = VectorStateData(algebra, v / np.linalg.norm(v))
+        assert omega.cyclic and omega.separating
+        u1 = np.kron(random_unitary(side, rng), np.eye(side))
+        u2 = np.kron(np.eye(side), random_unitary(side, rng))
+        e1 = ConditionalExpectationMap(algebra, build_algebra([sub]).conjugated(u1))
+        e2 = ConditionalExpectationMap(
+            algebra.commutant(),
+            build_algebra([sub]).conjugated(u2 @ _swap_matrix(side, side)),
+        )
+        report = entropy_difference_identity(
+            DifferenceInstance(algebra=algebra, omega=omega, e1=e1, e2=e2)
+        )
+        assert report.residual <= 1e-9
+        assert abs(kosaki_index(e1) - index) <= 1e-9
+        assert abs(kosaki_index(e2) - index) <= 1e-9
+        for e in (e1, e2):
+            assert max(e.validate().values()) <= 100 * AXIOM_TOL
 
 
-def test_findim_suite_builds_no_superoperator(monkeypatch):
+def test_findim_suite_builds_no_superoperator():
     """Every instance kind of the suite: difference sides 2-4, chains, the
-    five identities and the three group-average index cases."""
-    _refuse_superop(monkeypatch)
-    report = run_experiment(replace(default_config("findim-suite"), instances=3))
+    five identities and the three group-average index cases; the largest
+    instances act on C^16."""
+    with _no_superop(16):
+        report = run_experiment(replace(default_config("findim-suite"), instances=3))
     assert report.passed
     assert {c.case_id for c in report.cases} >= {
         "difference-000",

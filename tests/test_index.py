@@ -3,13 +3,15 @@ Pimsner-Popa inequality."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from entropylab.findim import (
+    ConditionalExpectationMap,
     build_algebra,
     compose_expectations,
     cyclic_group_unitaries,
     dual_weight,
-    dual_weight_map,
     group_average_expectation,
     identity_expectation,
     kosaki_index,
@@ -21,7 +23,7 @@ from entropylab.findim import (
     weyl_unitaries,
 )
 from entropylab.findim.identities import random_unitary
-from oracles import leg_average
+from oracles import dual_weight_index, leg_average, random_inclusion
 
 
 def _partial_trace_expectation():
@@ -52,11 +54,45 @@ def test_group_fixed_point_indices_equal_group_order():
         assert abs(kosaki_index(e) - order) < 1e-9
 
 
-def test_dual_weight_map_at_identity_is_index():
-    e = _partial_trace_expectation()
-    dm = dual_weight_map(e)
-    want = kosaki_index(e) * np.eye(e.source.ambient_dim)
-    np.testing.assert_allclose(dm.value_at_identity, want, atol=1e-9)
+@st.composite
+def inclusions(draw):
+    """An inclusion matrix of one to three source and target blocks, with
+    target sizes and source multiplicities, on at most C^20."""
+    sources = draw(st.integers(min_value=1, max_value=3))
+    targets = draw(st.integers(min_value=1, max_value=3))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=targets, max_size=targets))
+    mults = draw(st.lists(st.integers(1, 2), min_size=sources, max_size=sources))
+    rows = st.lists(st.integers(0, 2), min_size=targets, max_size=targets)
+    inclusion = draw(st.lists(rows.filter(any), min_size=sources, max_size=sources))
+    assume(all(any(row[k] for row in inclusion) for k in range(targets)))
+    dim = sum(b * sum(c * n for c, n in zip(row, sizes)) for row, b in zip(inclusion, mults))
+    assume(dim <= 20)
+    return inclusion, sizes, mults
+
+
+@given(inclusions(), st.integers(min_value=0, max_value=2**31 - 1))
+@example(([[1, 2], [0, 1]], [1, 2], [1, 2]), 0)
+@example(([[1, 0], [1, 1], [0, 2]], [2, 1], [2, 1, 1]), 0)
+@example(([[2]], [1], [3]), 0)
+@settings(max_examples=30, deadline=None)
+def test_property_closed_form_index_matches_dual_weight_oracle(shapes, seed):
+    """The closed-form index equals the dual map at the identity, by finite
+    differences of dual_weight, to 1e-12 relative: on multi-block sources
+    and targets with a random density in N' cap M, and Haar-rotated."""
+    rng = np.random.default_rng(seed)
+    e = random_inclusion(*shapes, rng)
+    for m in (e, e.conjugated(random_unitary(e.ambient_dim, rng))):
+        got = kosaki_index(m)
+        assert isinstance(got, float) == (len(m.source.blocks) == 1)
+        want = np.asarray(dual_weight_index(m))
+        assert np.linalg.norm(np.asarray(got) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_singular_density_has_no_finite_index():
+    h = np.kron(np.eye(2), np.diag([2.0, 0.0]))
+    e = ConditionalExpectationMap(build_algebra([(4, 1)]), build_algebra([(2, 2)]), h)
+    with pytest.raises(ValueError, match="singular"):
+        kosaki_index(e)
 
 
 def test_dual_weight_solves_derivative_exchange():
