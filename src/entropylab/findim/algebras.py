@@ -139,12 +139,47 @@ class MatrixBlockAlgebra:
     def span_distance(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.project(x) - x))
 
+    def basis_distance(self, other: "MatrixBlockAlgebra") -> float:
+        """The largest span_distance of an element of ``other.basis``, in one pass.
+
+        An element of a block (n, m, V) of ``other`` is f_ij = V_i* V_j / sqrt(m)
+        for the m x D slabs V_i of V.  In the frame of a block (N, M, W) of
+        this algebra, W f_ij W* = X_i X_j* / sqrt(m) with X_i = W V_i*, rows
+        (a, mu); the projection zeroes the blocks between two of this
+        algebra's blocks and averages each diagonal block over mu.  The QR
+        factor of X_i, taken with a as the row index, has min(N, M m) rows
+        and leaves the norm of every such product unchanged, so the n^2
+        distances come from one product of the factors, without forming any
+        f_ij or a difference of squared norms.
+        """
+        worst = 0.0
+        for t in other.structure:
+            factors = []
+            for blk in self.structure:
+                x = (blk.iso @ t.iso.conj().T).reshape(blk.n, blk.m, t.n, t.m)
+                x = x.transpose(2, 0, 1, 3).reshape(t.n, blk.n, blk.m * t.m)
+                factors.append(np.linalg.qr(x, mode="r").reshape(t.n, -1, t.m))
+            y = np.concatenate(factors, axis=1)  # (i, (block, rho, mu), tau)
+            diff = np.einsum("ipt,jqt->ijpq", y, y.conj()) / np.sqrt(t.m)
+            start = 0
+            for blk, factor in zip(self.structure, factors):
+                size = factor.shape[1]
+                diag = diff[:, :, start : start + size, start : start + size]
+                diag = diag.reshape(t.n, t.n, -1, blk.m, size // blk.m, blk.m)
+                mean = np.einsum("ijakbk->ijab", diag) / blk.m
+                for mu in range(blk.m):
+                    diag[:, :, :, mu, :, mu] -= mean
+                start += size
+            residual = np.einsum("ijpq,ijpq->ij", diff, diff.conj()).real
+            worst = max(worst, float(np.sqrt(residual.max())))
+        return worst
+
     def span_equals(self, other: "MatrixBlockAlgebra", tol: float = SPAN_TOL) -> bool:
         if other is self:
             return True
         if other.ambient_dim != self.ambient_dim or other.dim != self.dim:
             return False
-        return all(self.contains(b, tol) for b in other.basis)
+        return self.basis_distance(other) <= tol
 
     # -- derived algebras ------------------------------------------------------
 

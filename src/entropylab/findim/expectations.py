@@ -9,8 +9,10 @@ from that triple alone.  Its invariants imply every axiom: when N lies in
 M, h lies in N' cap M, h >= 0 and P_N(h) = 1, then E is N-bimodular because
 P_N is and h commutes with N, so E(n) = P_N(h) n = n makes it idempotent and
 unital, and since h^(1/2) commutes with N, E = P_N o Ad h^(1/2) is completely
-positive.  validate() reports those invariants, in O(D^3), with sampled
-residuals of the map as applied; no D^2 x D^2 superoperator is formed.
+positive.  validate() reports those invariants, with sampled residuals of
+the map as applied, in a fixed number of O(D^3) block projections whatever
+the dimension of N: N in M is checked on all of N's basis in one pass
+(MatrixBlockAlgebra.basis_distance).  No D^2 x D^2 superoperator is formed.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class ConditionalExpectationMap:
         h = self.density
         scale = max(1.0, float(np.linalg.norm(h)))
         out = {
-            "target_in_source": max(self.source.span_distance(f) for f in self.target.basis),
+            "target_in_source": self.source.basis_distance(self.target),
             "commutes_with_target": self.target.commutant().span_distance(h) / scale,
             "density_in_source": self.source.span_distance(h) / scale,
             "positive": float(

@@ -24,16 +24,24 @@ numerically low-rank, because the region talks to its complement only
 across its endpoints: only O(ln L ln 1/eps) of the lambda exceed eps.
 
 Its range is found by a block range finder (Halko, Martinsson and Tropp,
-SIAM Rev. 53, 217, 2011): a fixed +-1 test matrix sketches B', blocks of
-columns are orthonormalised against those already kept, and growth stops
-when the dropped mass eps = ||B'||_F^2 - ||Q^T B'||_F^2 = ||(1 - Q Q^T) B'||_F^2
-falls to 256 ulps of ||B'||_F^2 (its rounding is a few ulps) or Q spans
-all of R.  Then lambda = eigvalsh(Z Z^T) with Z = Q^T B'.  The compressed
+SIAM Rev. 53, 217, 2011), which needs only products with B': a fixed +-1
+test matrix sketches B', blocks of columns are orthonormalised against
+those already kept, and growth stops when the dropped mass
+eps = ||B'||_F^2 - ||Q^T B'||_F^2 = ||(1 - Q Q^T) B'||_F^2 falls to 256
+ulps of ||B'||_F^2 (its rounding is a few ulps) or Q spans all of R.
+Then lambda = eigvalsh(Z Z^T) with Z = Q^T B'.  The compressed
 eigenvalues interlace below the true ones and fall short by eps in total;
 the pair entropy s(lambda) = 2 h(nu) is concave and increasing with
 s(0) = 0, so the computed entropy is low by at most |R| s(eps / |R|) nats.
 A set with |R| no larger than one block is evaluated on the whole of R
 (Q square).
+
+B' is never held whole.  It is streamed in row panels of about 2 MB, each
+rebuilt from Toeplitz views of one cached kernel table into one reused
+buffer.  The first sweep sums ||B'||_F^2 row by row and takes the first
+sketch; each later sweep adds the new rows Q_new^T B' of Z and sketches the
+next block.  The working memory is one panel plus Q and Z, (|R| + |F|) k
+floats for a range of width k, where the block took |R| |F|.
 
 Because the ground state is pure, a region and its complement have the
 same entropy.  The arc-union relative entropy evaluates each entropy on
@@ -56,6 +64,7 @@ from .circle import LatticeCircle, RegionSpec, arc_sites, lattice_region
 EIGENVALUE_SLACK = 1e-8
 _SKETCH_BLOCK = 24  # test-matrix columns added per step of the range finder
 _ROUNDING_ULPS = 256  # the dropped-mass tolerance, in ulps of ||B'||_F^2
+_PANEL_BYTES = 2**21  # rows of B' built at once: one panel stays in cache for both products
 
 __all__ = [
     "CorrelationMatrix",
@@ -109,21 +118,42 @@ def _runs(sites: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return list(zip([0, *cuts.tolist()], np.split(sites, cuts)))
 
 
-def _coupling(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """K[rows, cols] for sorted sites of opposite parity.
+def _panels(n: int, rows: np.ndarray, cols: np.ndarray):
+    """A sweep over B' = K[rows, cols] for sorted sites of opposite parity.
 
-    Each pair of step-2 runs is a Toeplitz block of the kernel table, copied
-    from a sliding-window view: no index array and no second block.
+    Calling the result yields (first row, panel) for consecutive row panels
+    of about ``_PANEL_BYTES``.  Each pair of step-2 runs is a Toeplitz block
+    of the kernel table, copied from a reversed sliding-window view; runs
+    and views are made once, and every sweep rebuilds its panels into one
+    reused buffer (a fresh array per panel would page-fault on every
+    write), so a panel is valid only until the next one is yielded.
     """
     table = _kernel_table(n)
-    out = np.empty((rows.size, cols.size))
-    for i, r in _runs(rows):
-        for j, c in _runs(cols):
-            # entry (a, b) is K at d = r[a] - c[b], table index (d + n - 1) / 2
-            first = (r[0] - c[-1] + n - 1) // 2
-            window = sliding_window_view(table[first : first + r.size + c.size - 1], c.size)
-            out[i : i + r.size, j : j + c.size] = window[:, ::-1]
-    return out
+    row_runs = _runs(rows)
+    # per run c of columns: its offset, width, last site and the windows
+    # whose row t is table[t + c.size - 1], ..., table[t]
+    col_windows = [
+        (j, c.size, c[-1], sliding_window_view(table, c.size)[:, ::-1]) for j, c in _runs(cols)
+    ]
+    height = max(1, _PANEL_BYTES // (8 * max(cols.size, 1)))
+    buffer = np.empty((min(height, rows.size), cols.size))
+
+    def sweep():
+        for lo in range(0, rows.size, height):
+            hi = min(lo + height, rows.size)
+            panel = buffer[: hi - lo]
+            for i, run in row_runs:
+                a, b = max(i, lo), min(i + run.size, hi)
+                if a >= b:
+                    continue
+                for j, width, last, windows in col_windows:
+                    # K at d = r - c sits at table index (d + n - 1) / 2, and
+                    # each next row of the run moves one index along
+                    first = (run[a - i] - last + n - 1) // 2
+                    panel[a - lo : b - lo, j : j + width] = windows[first : first + b - a]
+            yield lo, panel
+
+    return sweep
 
 
 def _test_block(rows: int, first: int, width: int) -> np.ndarray:
@@ -141,27 +171,44 @@ def _test_block(rows: int, first: int, width: int) -> np.ndarray:
     return 1.0 - 2.0 * bits[:, :rows].T
 
 
-def _coupling_spectrum(coupling: np.ndarray) -> tuple[np.ndarray, float]:
+def _coupling_spectrum(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float]:
     """The eigenvalues of Z Z^T, Z = Q^T B', and the certified dropped mass.
 
-    Q grows by blocks of the sketch B' Omega, each orthonormalised against
-    the columns already kept, until the dropped mass ||B'||_F^2 - ||Z||_F^2
-    reaches its rounding level or Q spans every row.
+    B' = K[rows, cols] is streamed in row panels and never held whole.  The
+    first sweep sums ||B'||_F^2 row by row and takes the first sketch
+    B' Omega.  Q then grows by blocks of the sketch, each orthonormalised
+    against the columns already kept, and each later sweep adds the new
+    rows Q_new^T B' of Z and sketches the next block, until the dropped mass
+    ||B'||_F^2 - ||Z||_F^2 reaches its rounding level or Q spans every row.
     """
-    rows, cols = coupling.shape
-    total = math.fsum(np.einsum("ij,ij->i", coupling, coupling))
+    if not rows.size or not cols.size:
+        return np.empty(0), 0.0
+    sweep = _panels(n, rows, cols)
+    row_norms = np.empty(rows.size)
+    width = min(_SKETCH_BLOCK, rows.size)
+    omega = _test_block(cols.size, 0, width)
+    sketch = np.empty((rows.size, width))
+    for lo, panel in sweep():
+        np.einsum("ij,ij->i", panel, panel, out=row_norms[lo : lo + len(panel)])
+        np.matmul(panel, omega, out=sketch[lo : lo + len(panel)])
+    total = math.fsum(row_norms)
     tol = _ROUNDING_ULPS * np.finfo(float).eps * total
-    basis = np.empty((rows, 0))
-    captured = np.empty((0, cols))
+    basis = np.empty((rows.size, 0))
+    captured = np.empty((0, cols.size))
     kept = 0.0
     dropped = total
-    while dropped > tol and basis.shape[1] < rows:
+    while dropped > tol and basis.shape[1] < rows.size:
         k = basis.shape[1]
-        sketch = coupling @ _test_block(cols, k, min(_SKETCH_BLOCK, rows - k))
         # Householder QR of [Q, sketch] keeps Q's span and orthonormalises
         # the new columns against it, even when the sketch adds nothing.
         basis = np.linalg.qr(np.hstack([basis, sketch]))[0]
-        new = basis[:, k:].T @ coupling
+        width = min(_SKETCH_BLOCK, rows.size - basis.shape[1])
+        omega = _test_block(cols.size, basis.shape[1], width)
+        sketch = np.empty((rows.size, width))
+        new = np.zeros((basis.shape[1] - k, cols.size))
+        for lo, panel in sweep():
+            new += basis[lo : lo + len(panel), k:].T @ panel
+            np.matmul(panel, omega, out=sketch[lo : lo + len(panel)])
         captured = np.vstack([captured, new])
         kept += math.fsum(np.einsum("ij,ij->i", new, new))
         dropped = total - kept
@@ -187,8 +234,8 @@ def _entropy_and_bound(corr: CorrelationMatrix, sites: np.ndarray) -> tuple[floa
         raise ValueError("region must contain at least one site")
     if sites.min() < 0 or sites.max() >= n:
         raise ValueError(f"sites must lie in [0, {n})")
-    ordered = np.unique(sites)
-    if ordered.size != sites.size:
+    ordered = np.sort(sites, axis=None)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("sites must be distinct")
     parity = ordered % 2
     side = int(2 * parity.sum() < ordered.size)  # parity of R, the smaller side
@@ -196,7 +243,7 @@ def _entropy_and_bound(corr: CorrelationMatrix, sites: np.ndarray) -> tuple[floa
     free = np.ones(n // 2, dtype=bool)  # F: other-parity sites outside, by site // 2
     free[ordered[parity != side] // 2] = False
     cols = 2 * np.flatnonzero(free) + 1 - side
-    lam, dropped = _coupling_spectrum(_coupling(n, rows, cols))
+    lam, dropped = _coupling_spectrum(n, rows, cols)
     if lam.size and (lam.min() < -EIGENVALUE_SLACK or lam.max() > 0.25 + EIGENVALUE_SLACK):
         raise ValueError(
             f"mode occupation outside [0, 1]: nu (1 - nu) range "
@@ -224,7 +271,9 @@ def _pure_state_entropy(corr: CorrelationMatrix, sites: np.ndarray, memo: dict) 
     """
     n = corr.n_sites
     if 2 * sites.size > n or (2 * sites.size == n and sites.min() > 0):
-        sites = np.setdiff1d(np.arange(n), sites, assume_unique=True)
+        outside = np.ones(n, dtype=bool)
+        outside[sites] = False
+        sites = np.flatnonzero(outside)
     key = (n, sites.tobytes())
     if key not in memo:
         memo[key] = region_entropy(corr, sites)

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here except ``dual_weight_index``, ``leg_average``, the
-instance builder ``random_inclusion`` and the exact diagonalization is
+instance builder ``random_inclusion``, ``basis_distance_by_element``,
+``whole_block_spectrum`` and the exact diagonalization is
 deliberately written from first principles with no imports from
 entropylab internals: eigen-overlap relative entropy, a
 brute-force commutant solver, a rank test of whether a vector is cyclic
@@ -24,7 +25,12 @@ package's group averaging and structure discovery, which the instances
 themselves do not use.  ``exact_diagonalization_entropies`` builds the
 2^N ground state from the Slater determinant of ``hopping_matrix``; it
 takes only the arc-to-site assignment from the package's circle geometry,
-never the Gaussian kernel.
+never the Gaussian kernel.  ``basis_distance_by_element`` is the loop of
+one package projection per basis element that ``basis_distance`` batches.
+``whole_block_spectrum`` is the range finder of the package's lattice
+kernel run on the whole coupling block, held at once, with the package's
+test matrix and constants; the kernel streams the same block in row panels
+and must reach the same spectrum.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from entropylab.findim import (
     trace_state,
     weyl_unitaries,
 )
-from entropylab.lattice import LatticeCircle, RegionSpec, arc_sites, lattice_region
+from entropylab.lattice import LatticeCircle, RegionSpec, arc_sites, gaussian, lattice_region
 
 _EPS = 1e-12
 
@@ -218,6 +224,12 @@ def random_inclusion(inclusion, sizes, multiplicities, rng) -> ConditionalExpect
     return ConditionalExpectationMap(source, MatrixBlockAlgebra(structure), density)
 
 
+def basis_distance_by_element(algebra, other) -> float:
+    """The largest distance of an element of ``other.basis`` from the span of
+    ``algebra``: one projection per basis element."""
+    return max(algebra.span_distance(f) for f in other.basis)
+
+
 def kron_embed_blocks(algebra, parts) -> np.ndarray:
     """sum_k V_k* (x_k kron 1_{m_k}) V_k, with the Kronecker product formed."""
     dim = algebra.structure[0].iso.shape[1]
@@ -350,6 +362,33 @@ def gram_region_entropy(n_sites: int, sites) -> float:
     nu = lam[mixed] / (0.5 + np.sqrt(np.maximum(sigma_sq[mixed], 0.0)))
     paired = -np.sum(nu * np.log(nu) + (1.0 - nu) * np.log1p(-nu))
     return float(2.0 * paired + abs(even.size - odd.size) * math.log(2.0))
+
+
+def whole_block_spectrum(n_sites: int, rows: np.ndarray, cols: np.ndarray):
+    """The kernel's range finder on the whole coupling block B' = K[rows, cols].
+
+    Returns the eigenvalues of Z Z^T, Z = Q^T B' (one per column of Q) and
+    the dropped mass.  Each step sketches the next ``_SKETCH_BLOCK`` columns of
+    the package's test matrix, and growth stops when the dropped mass falls
+    to ``_ROUNDING_ULPS`` ulps of ||B'||_F^2 or Q spans every row.
+    """
+    block = even_odd_block(n_sites, rows, cols)
+    total = math.fsum(np.einsum("ij,ij->i", block, block))
+    tol = gaussian._ROUNDING_ULPS * np.finfo(float).eps * total
+    basis = np.empty((rows.size, 0))
+    captured = np.empty((0, cols.size))
+    kept = 0.0
+    dropped = total
+    while dropped > tol and basis.shape[1] < rows.size:
+        k = basis.shape[1]
+        width = min(gaussian._SKETCH_BLOCK, rows.size - k)
+        sketch = block @ gaussian._test_block(cols.size, k, width)
+        basis = np.linalg.qr(np.hstack([basis, sketch]))[0]
+        new = basis[:, k:].T @ block
+        captured = np.vstack([captured, new])
+        kept += math.fsum(np.einsum("ij,ij->i", new, new))
+        dropped = total - kept
+    return np.linalg.eigvalsh(captured @ captured.T), max(dropped, 0.0)
 
 
 def hopping_matrix(n_sites: int) -> np.ndarray:

@@ -239,6 +239,28 @@ def test_compose_rejects_mismatched_chain():
         compose_expectations(e1, e2)
 
 
+def test_validate_projects_a_fixed_number_of_times(monkeypatch):
+    """validate() makes as many projections at D = 36 as at D = 4: the
+    target's D^2 basis elements are checked in one pass, not one by one."""
+    from entropylab.findim.algebras import MatrixBlockAlgebra
+
+    calls = []
+    project = MatrixBlockAlgebra.project
+
+    def counting(self, x):
+        calls.append(x.shape)
+        return project(self, x)
+
+    monkeypatch.setattr(MatrixBlockAlgebra, "project", counting)
+    counts = []
+    for dim in (4, 36):
+        calls.clear()
+        residuals = identity_expectation(build_algebra([(dim, 1)])).validate()
+        assert max(residuals.values()) <= AXIOM_TOL
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 50
+
+
 def test_validate_flags_broken_superoperator():
     rng = np.random.default_rng(7)
     e = _qubit_leg_average()

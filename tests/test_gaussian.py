@@ -2,6 +2,7 @@
 eigensolve oracle and a full many-body construction at small size."""
 
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -98,18 +99,43 @@ def test_restricted_blocks_are_slices_of_the_full_block():
         )
 
 
-def test_coupling_block_is_bitwise_the_in_place_formula():
-    """The Toeplitz-view build of K[rows, cols] reproduces the oracle's
-    in-place 1 / (n sin(pi d / n)) entry for entry, for either parity of rows."""
+def _coupling_sides(n, sites):
+    """R and F as the kernel takes them: the smaller parity side of the
+    sites, and the sites of the other parity outside them."""
+    parity = sites % 2
+    side = int(2 * parity.sum() < sites.size)
+    return sites[parity == side], np.setdiff1d(np.arange(1 - side, n, 2), sites)
+
+
+def test_coupling_block_is_bitwise_the_in_place_formula(monkeypatch):
+    """Every streamed row panel of K[rows, cols] is, entry for entry, the rows
+    of the oracle's in-place 1 / (n sin(pi d / n)) block, for either parity
+    of rows, with either side empty, in panels of the default size and of
+    one or a few rows; the panels cover the rows in order, in one buffer."""
     rng = np.random.default_rng(5)
+    cases = []
     for n in (8, 64, 1024):
         for size in (1, 3, n // 4, n // 2):
             sites = np.sort(rng.choice(n, size=size, replace=False))
             for parity in (0, 1):
-                rows = sites[sites % 2 == parity]
                 cols = np.setdiff1d(np.arange(1 - parity, n, 2), sites)
-                got = gaussian._coupling(n, rows, cols)
-                np.testing.assert_array_equal(got, oracles.even_odd_block(n, rows, cols))
+                cases.append((n, sites[sites % 2 == parity], cols))
+    cases.append((64, np.array([], dtype=int), np.arange(1, 64, 2)))  # |R| = 0
+    cases.append((64, np.array([0, 2]), np.array([], dtype=int)))  # |F| = 0
+    cases.append((4096, *_coupling_sides(4096, _union(4096, TWO_ARCS))))
+    for panel_bytes in (gaussian._PANEL_BYTES, 1000):
+        monkeypatch.setattr(gaussian, "_PANEL_BYTES", panel_bytes)
+        for n, rows, cols in cases:
+            want = oracles.even_odd_block(n, rows, cols)
+            seen, first = 0, None
+            for lo, panel in gaussian._panels(n, rows, cols)():
+                assert lo == seen and panel.shape[1] == cols.size
+                assert panel.nbytes <= max(panel_bytes, 8 * cols.size)
+                np.testing.assert_array_equal(panel, want[lo : lo + len(panel)])
+                first = panel if first is None else first
+                assert not cols.size or np.shares_memory(panel, first)
+                seen += len(panel)
+            assert seen == rows.size
 
 
 @pytest.mark.parametrize("bad", [[-1, 0], [0, 64], [3, 70]])
@@ -118,10 +144,38 @@ def test_restricted_rejects_sites_outside_the_chain(bad):
         region_entropy(ground_state_correlations(64), np.array(bad))
 
 
-@pytest.mark.parametrize("repeated", [[0, 0], [0, 2, 2], [5, 5, 5]])
+@pytest.mark.parametrize("repeated", [[0, 0], [0, 2, 2], [5, 5, 5], [9, 4, 9, 1]])
 def test_region_entropy_rejects_repeated_sites(repeated):
     with pytest.raises(ValueError, match="distinct"):
         region_entropy(ground_state_correlations(64), np.array(repeated))
+
+
+def test_region_entropy_does_not_depend_on_site_order():
+    n = 1024
+    sites = _union(n, THREE_ARCS)
+    shuffled = np.random.default_rng(3).permutation(sites)
+    corr = ground_state_correlations(n)
+    assert region_entropy(corr, shuffled) == region_entropy(corr, sites)
+
+
+@given(
+    st.sampled_from([8, 16, 64]).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    )
+)
+@example((8, {1, 2, 3, 4}))  # exactly half without site 0: the complement is evaluated
+@example((8, {0, 1, 2, 3}))  # exactly half with site 0: the set itself
+@settings(max_examples=50, deadline=None)
+def test_pure_state_complement_is_the_set_difference(case):
+    """The set _pure_state_entropy evaluates, read off its memo key, is the
+    set itself or np.setdiff1d(arange(n), sites), bytes and all."""
+    n, chosen = case
+    sites = np.array(sorted(chosen))
+    memo = {}
+    gaussian._pure_state_entropy(ground_state_correlations(n), sites, memo)
+    flip = 2 * sites.size > n or (2 * sites.size == n and sites.min() > 0)
+    want = np.setdiff1d(np.arange(n), sites) if flip else sites
+    assert list(memo) == [(n, want.tobytes())]
 
 
 @st.composite
@@ -170,10 +224,13 @@ def _union(n, spec):
 
 
 THREE_ARCS = RegionSpec([(0.2, 0.9), (1.6, 2.8), (3.5, 5.0)])
+TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
 
 
 @given(st.one_of(_site_sets(), _arc_unions()))
 @example((64, np.arange(1, 64, 2)))  # all odd sites: R is empty, and so is F
+@example((64, np.arange(0, 20, 2)))  # R is empty, F is not
+@example((64, np.r_[0, 2, np.arange(1, 64, 2)]))  # F is empty, R is not
 @example((64, np.array([0, 2, 4, 6, 9, 40])))  # |E| != |O|
 @example((64, np.arange(0, 30)))  # R narrower than one sketch block
 @example((1024, np.arange(40, 80)))
@@ -181,12 +238,37 @@ THREE_ARCS = RegionSpec([(0.2, 0.9), (1.6, 2.8), (3.5, 5.0)])
 @example((256, np.arange(77, 205)))
 @example((512, _union(512, THREE_ARCS)))
 @example((2048, _union(2048, THREE_ARCS)))
-@example((4096, _union(4096, RegionSpec([(0.30, 1.45), (2.65, 4.10)]))))
+@example((4096, _union(4096, TWO_ARCS)))
 @settings(max_examples=40, deadline=None)
 def test_kernel_entropy_matches_gram_eigensolve(case):
     n, sites = case
     got = region_entropy(ground_state_correlations(n), sites)
     assert got == pytest.approx(oracles.gram_region_entropy(n, sites), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n, sites",
+    [
+        (64, np.array([0, 5, 6, 17, 40, 41, 63])),
+        (1024, np.arange(300)),
+        (512, _union(512, THREE_ARCS)),
+        (4096, _union(4096, TWO_ARCS)),
+    ],
+)
+def test_streamed_range_finder_matches_the_whole_block(n, sites, monkeypatch):
+    """Streaming B' in row panels changes no step of the range finder: the
+    same width of Q, and the spectrum and dropped mass of the whole-block
+    oracle to 64 ulps of ||B'||_F^2, in default panels and in panels of
+    about 4 kB.  Only the order of the sums Q^T B' differs."""
+    rows, cols = _coupling_sides(n, sites)
+    want, want_dropped = oracles.whole_block_spectrum(n, rows, cols)
+    scale = 64 * np.finfo(float).eps * np.sum(oracles.even_odd_block(n, rows, cols) ** 2)
+    for panel_bytes in (gaussian._PANEL_BYTES, 4096):
+        monkeypatch.setattr(gaussian, "_PANEL_BYTES", panel_bytes)
+        lam, dropped = gaussian._coupling_spectrum(n, rows, cols)
+        assert lam.size == want.size
+        np.testing.assert_allclose(lam, want, rtol=0, atol=scale)
+        assert abs(dropped - want_dropped) <= scale
 
 
 @pytest.mark.parametrize(
@@ -223,15 +305,33 @@ def test_two_arc_union_entropy_matches_high_precision_value():
     assert got == pytest.approx(4.3366220962238839194, abs=5e-12)
 
 
-def test_region_entropy_allocates_only_the_region_block():
-    ground_state_correlations.cache_clear()
+@contextmanager
+def _peak_below(limit):
+    """The guarded block's tracemalloc peak stays below ``limit`` bytes."""
     tracemalloc.start()
     try:
-        region_entropy(ground_state_correlations(2048), np.arange(64))
-        _, peak = tracemalloc.get_traced_memory()
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < limit, f"peak allocation {peak} B, limit {limit} B"
+
+
+def test_region_entropy_allocates_only_the_region_block():
+    ground_state_correlations.cache_clear()
+    with _peak_below(4 * 2**20):
+        region_entropy(ground_state_correlations(2048), np.arange(64))
+
+
+def test_union_entropy_never_holds_the_coupling_block():
+    """One TWO_ARCS union at N = 8192 (|R| = 1694, |F| = 2401) allocates less
+    than a quarter of its dense coupling block, 8 |R| |F| = 32.5 MB."""
+    n = 8192
+    sites = _union(n, TWO_ARCS)
+    rows, cols = _coupling_sides(n, sites)
+    corr = ground_state_correlations(n)
+    with _peak_below(8 * rows.size * cols.size // 4):
+        region_entropy(corr, sites)
 
 
 def test_block_entropy_against_many_body():

@@ -464,6 +464,7 @@ with open(out + "-hit/timings.json") as fh:
     seen["hit_cache"] = json.load(fh)["cache"]
 seen["no-cache"] = [cli.main([*argv, "--no-cache"]), *loaded()]
 seen["numpy.random"] = "numpy.random" in sys.modules
+seen["numpy.ma"] = "numpy.ma" in sys.modules
 with open(result_path, "w") as fh:
     json.dump(seen, fh)
 """
@@ -503,14 +504,66 @@ def _import_probe(tmp_path, command, text) -> dict:
 def test_cache_hit_and_report_load_no_engine(tmp_path):
     seen = _import_probe(tmp_path, ["fermion", "duality"], DUALITY)
     # control: computing loads numpy and the lattice engine alone, so the
-    # probe can fail; a duality run draws nothing at random
+    # probe can fail; a duality run draws nothing at random and uses none
+    # of numpy's set routines, which import numpy.ma
     assert seen["no-cache"] == [0, "numpy", "entropylab.lattice"]
     assert seen["numpy.random"] is False
+    assert seen["numpy.ma"] is False
 
 
 def test_findim_cache_hit_and_report_load_no_engine(tmp_path):
     seen = _import_probe(tmp_path, ["findim-suite"], FINDIM_SMALL)
     assert seen["no-cache"] == [0, "numpy", "entropylab.findim"]
+
+
+# One small passing config per fermion runner; collapse, the only one that
+# draws at random, runs last.
+_FERMION_RUNS = {
+    "duality": DUALITY,
+    "cross-ratio-sweep": SWEEP,
+    "c-fit": "[experiment]\nkind = c-fit\nsizes = 64 128\n",
+    "shrink": _SHRINK3.format(512)
+    + "schedule = 0.9 0.558 0.346 0.2145 0.133 0.0825 0.0511 0.0317 0.0197 0.0122\n",
+    "two-d": _TWOD.format("0.30 1.45, 2.65 4.10") + "tolerance = 1.0\nc = 2.0\n",
+    "collapse": "[experiment]\nkind = collapse\nsizes = 64 128\narcs = 0.30 1.45, 2.65 4.10\n"
+    "family_size = 3\nseed = 7\n",
+}
+
+_FERMION_PROBE = """\
+import json, sys
+from entropylab.harness import cli
+
+out, result_path, *runs = sys.argv[1:]
+seen = []
+for kind, ini in zip(runs[::2], runs[1::2]):
+    code = cli.main(["fermion", kind, "--config", ini, "--out", out + "/" + kind, "--no-cache"])
+    seen.append([kind, code, "numpy.ma" in sys.modules, "numpy.random" in sys.modules])
+with open(result_path, "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_fermion_runs_never_load_numpy_ma(tmp_path):
+    """All six fermion runners in one fresh process: numpy.ma, which numpy's
+    set routines import on first use, never loads, and numpy.random loads
+    only for collapse."""
+    runs = []
+    for kind, text in _FERMION_RUNS.items():
+        path = tmp_path / f"{kind}.ini"
+        path.write_text(text)
+        runs += [kind, str(path)]
+    result = tmp_path / "probe.json"
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(entropylab.__file__).parent.parent),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    subprocess.run(
+        [sys.executable, "-c", _FERMION_PROBE, str(tmp_path / "out"), str(result), *runs],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    seen = json.loads(result.read_text())
+    assert seen == [[kind, 0, False, kind == "collapse"] for kind in _FERMION_RUNS]
 
 
 def test_cli_findim_runs_without_config(tmp_path, capsys):
