@@ -197,7 +197,8 @@ class MatrixBlockAlgebra:
 
     def conjugated(self, u: np.ndarray) -> "MatrixBlockAlgebra":
         """The algebra u A u* for a unitary u."""
-        if not np.allclose(u @ u.conj().T, np.eye(self.ambient_dim), atol=1e-10):
+        d = self.ambient_dim
+        if u.shape != (d, d) or not _is_unitary(u):
             raise ValueError("conjugation matrix is not unitary")
         structure = [
             BlockStructure(blk.n, blk.m, blk.iso @ u.conj().T)
@@ -207,6 +208,19 @@ class MatrixBlockAlgebra:
 
     def __repr__(self) -> str:
         return f"MatrixBlockAlgebra(blocks={self.blocks}, ambient={self.ambient_dim})"
+
+
+def _is_unitary(u: np.ndarray) -> bool:
+    """``np.allclose(u u*, 1, atol=1e-10)`` without its overhead, which
+    dominates at these sizes: |u u* - 1| <= 1e-10 + 1e-5 |1| entrywise, so
+    the diagonal allows 1e-5 more; NaN compares false and is rejected."""
+    d = len(u)
+    gap = u @ u.conj().T
+    gap.flat[:: d + 1] -= 1.0
+    gap = np.abs(gap)
+    diagonal = (gap.diagonal() <= 1e-10 + 1e-5).all()
+    gap.flat[:: d + 1] = 0.0
+    return bool(diagonal and (gap <= 1e-10).all())
 
 
 def _swap_matrix(n: int, m: int) -> np.ndarray:

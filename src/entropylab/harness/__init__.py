@@ -2,7 +2,9 @@
 
 ``run_experiment`` is imported on first access, so that importing the
 package, parsing a config, reading the cache or re-rendering a report
-never loads numpy or the engines.
+never loads numpy or the engines.  The config and report types are named
+tuples, so those steps load neither ``dataclasses`` nor ``inspect``
+either: every one of them is start-up cost of a CLI call.
 """
 
 from .cache import cache_dir, cache_lookup, cache_store

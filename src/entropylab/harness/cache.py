@@ -37,8 +37,9 @@ def cache_lookup(config: ExperimentConfig) -> RunReport | None:
     path = _entry_path(config_hash(config))
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-        report = RunReport.from_dict(payload["report"])
-        report.timings = dict(payload["timings"])
+        report = RunReport.from_dict(payload["report"])._replace(
+            timings=dict(payload["timings"])
+        )
     except FileNotFoundError:
         return None
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):

@@ -5,7 +5,9 @@ case ids go to stderr), 2 configuration problem, 3 I/O problem (also a
 ``summary.json`` that cannot be read back as a report).
 
 The engines are imported only when a run has to compute, so a cache hit
-or ``report`` starts without numpy.
+or ``report`` starts without numpy; the harness itself loads neither
+``dataclasses`` nor ``inspect``.  Both are start-up cost, and a cache hit
+is little more than start-up.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .cache import cache_lookup, cache_store
@@ -80,7 +81,7 @@ def _resolve_config(args: argparse.Namespace, kind: str):
     if args.no_cache:
         overrides["cache_enabled"] = False
     if overrides:
-        config = replace(config, **overrides)
+        config = config._replace(**overrides)
         validate_config(config)
     return config
 
@@ -132,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                 "config_hash": key,
                 "run_seconds": time.perf_counter() - start,
             }
-            write_report(replace(report, timings=timings), Path(config.out_dir))
+            write_report(report._replace(timings=timings), Path(config.out_dir))
         return _finish(report)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

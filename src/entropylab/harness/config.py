@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 
 EXPERIMENT_KINDS = (
@@ -58,24 +58,36 @@ class ConfigError(Exception):
     """Invalid or malformed experiment configuration."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str
-    sizes: tuple[int, ...] = ()
-    arcs: tuple[tuple[float, float], ...] = ()
-    right_arcs: tuple[tuple[float, float], ...] = ()
-    c: float = 2.0
-    r_convention: str = "chord"
-    seed: int = 0
-    tolerance: float | None = None
-    instances: int = 20
-    schedule: tuple[float, ...] = ()
-    arc_index: int = 0
-    family_size: int = 3
-    lengths: tuple[int, ...] = ()
-    sweep_lengths: tuple[float, ...] = ()
-    out_dir: str = ""
-    cache_enabled: bool = True
+_CONFIG_DEFAULTS = {
+    "sizes": (),  # ints
+    "arcs": (),  # (start, end) pairs
+    "right_arcs": (),  # (start, end) pairs
+    "c": 2.0,
+    "r_convention": "chord",
+    "seed": 0,
+    "tolerance": None,  # None: the kind's default
+    "instances": 20,
+    "schedule": (),  # floats
+    "arc_index": 0,
+    "family_size": 3,
+    "lengths": (),  # ints
+    "sweep_lengths": (),  # floats
+    "out_dir": "",
+    "cache_enabled": True,
+}
+
+
+class ExperimentConfig(
+    namedtuple("ExperimentConfig", ["kind", *_CONFIG_DEFAULTS], defaults=_CONFIG_DEFAULTS.values())
+):
+    """An experiment config; ``validate_config`` decides whether it can run.
+
+    A named tuple rather than a dataclass: importing ``dataclasses`` (and
+    through it ``inspect``) would add to the start-up of every CLI call,
+    cache hits included.  Change a field with ``_replace``.
+    """
+
+    __slots__ = ()
 
     @property
     def effective_tolerance(self) -> float:
@@ -86,15 +98,14 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """Flat dict of every effective field, for the report and the cache key."""
         out = {}
-        for f in fields(self):
-            if f.name in ("out_dir", "cache_enabled"):
+        for name, value in zip(self._fields, self):
+            if name in ("out_dir", "cache_enabled"):
                 continue
-            value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = list(
                     list(v) if isinstance(v, tuple) else v for v in value
                 )
-            out[f.name] = value
+            out[name] = value
         out["tolerance"] = self.effective_tolerance
         return out
 

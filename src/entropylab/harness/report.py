@@ -8,7 +8,10 @@ edit to the engine sources) are kept on the side and never mix into report
 bytes.
 
 This module imports only the standard library and the config, so that a
-cache hit or ``entropylab report`` never loads numpy or an engine.
+cache hit or ``entropylab report`` never loads numpy or an engine.  The
+report types are named tuples, not dataclasses, for the same reason:
+``dataclasses`` and the ``inspect`` it imports would add to the start-up
+of every CLI call.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from .config import ExperimentConfig
@@ -24,34 +27,39 @@ from .config import ExperimentConfig
 __all__ = ["CaseRecord", "Verdict", "RunReport", "config_hash"]
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    case_id: str
-    inputs: dict
-    values: dict
-    residual: float | None = None
-    tolerance: float | None = None
-    passed: bool | None = None
+class CaseRecord(
+    namedtuple(
+        "CaseRecord",
+        "case_id inputs values residual tolerance passed",
+        defaults=(None, None, None),
+    )
+):
+    """One computed case: its inputs and values dicts, and, for a checked
+    case, its residual against its tolerance."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Verdict:
-    name: str
-    passed: bool
-    detail: str
-    case_ids: tuple[str, ...]
+class Verdict(namedtuple("Verdict", "name passed detail case_ids")):
+    """A named check over the cases ``case_ids``, a tuple of case ids."""
+
+    __slots__ = ()
 
 
-@dataclass
-class RunReport:
-    kind: str
-    seed: int
-    config_echo: dict
-    engine_version: str
-    cases: list[CaseRecord]
-    verdicts: list[Verdict]
-    pass_vacuous: bool = False
-    timings: dict = field(default_factory=dict)
+class RunReport(
+    namedtuple(
+        "RunReport",
+        "kind seed config_echo engine_version cases verdicts pass_vacuous timings",
+        defaults=(False, None),
+    )
+):
+    """Cases and verdicts of one run, plus its wall-clock ``timings`` dict.
+
+    ``run_experiment``, ``cache_lookup`` and ``from_dict`` each pass a
+    ``timings`` dict of its own; change it with ``_replace``.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -72,8 +80,8 @@ class RunReport:
             "seed": self.seed,
             "config": self.config_echo,
             "engine_version": self.engine_version,
-            "cases": [asdict(c) for c in self.cases],
-            "verdicts": [asdict(v) for v in self.verdicts],
+            "cases": [c._asdict() for c in self.cases],
+            "verdicts": [v._asdict() for v in self.verdicts],
             "pass_vacuous": self.pass_vacuous,
             "passed": self.passed,
         }
@@ -100,6 +108,7 @@ class RunReport:
             cases=cases,
             verdicts=verdicts,
             pass_vacuous=payload["pass_vacuous"],
+            timings={},
         )
 
 

@@ -96,6 +96,28 @@ def test_conjugated_preserves_structure():
     assert not rotated.span_equals(alg) or np.allclose(alg.basis, rotated.basis)
 
 
+def test_conjugated_checks_unitarity_as_allclose_did():
+    """|u u* - 1| <= 1e-10 + 1e-5 |1| entrywise: 1e-9 off the diagonal is
+    rejected, 1e-9 on it accepted, NaN rejected, as np.allclose decides."""
+    alg = build_algebra([(2, 1), (1, 1)])
+    off = np.eye(3)
+    off[0, 1] = off[1, 0] = 0.5e-9  # u u* has 1e-9 at (0, 1) and (1, 0)
+    on = np.diag([np.sqrt(1 + 1e-9), 1.0, 1.0])
+    nan = np.eye(3)
+    nan[2, 2] = np.nan
+    for u, unitary in ((off, False), (on, True), (nan, False)):
+        gram = u @ u.conj().T
+        assert np.allclose(gram, np.eye(3), atol=1e-10) is unitary
+        if unitary:
+            assert alg.conjugated(u).blocks == alg.blocks
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                alg.conjugated(u)
+    assert abs((off @ off.T)[0, 1] - 1e-9) < 1e-15
+    with pytest.raises(ValueError, match="not unitary"):
+        alg.conjugated(np.eye(4))
+
+
 def test_discovery_recovers_blocks():
     rng = np.random.default_rng(11)
     alg = build_algebra([(2, 3), (3, 1)]).conjugated(random_unitary(9, rng))

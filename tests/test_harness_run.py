@@ -5,9 +5,9 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entropylab
@@ -40,6 +40,12 @@ kind = cross-ratio-sweep
 sizes = 16
 arcs = 0.30 1.45, 2.65 4.10
 sweep_lengths = 0.8 1.2
+"""
+
+FINDIM_SMALL = """\
+[experiment]
+kind = findim-suite
+instances = 2
 """
 
 
@@ -118,9 +124,9 @@ def test_summary_roundtrip(tmp_path):
 
 def test_config_hash_tracks_seed_and_version(tmp_path):
     config = _config(tmp_path, DUALITY)
-    assert config_hash(config) != config_hash(replace(config, seed=1))
+    assert config_hash(config) != config_hash(config._replace(seed=1))
     # output settings do not affect the key
-    assert config_hash(config) == config_hash(replace(config, out_dir="/tmp/x"))
+    assert config_hash(config) == config_hash(config._replace(out_dir="/tmp/x"))
 
 
 def test_config_hash_tracks_engine_sources(tmp_path):
@@ -391,17 +397,28 @@ def test_shrink_final_step_may_empty_the_arc(tmp_path):
     assert report.cases[-1].values["gap"] == 0.0
 
 
-def test_cli_cache_hit_reproduces_bytes(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, text, plots",
+    [
+        (["fermion", "duality"], DUALITY, ["deficit_vs_N.dat"]),
+        (["findim-suite"], FINDIM_SMALL, []),
+    ],
+    ids=["duality", "findim-suite"],
+)
+def test_cli_cache_hit_reproduces_bytes(tmp_path, capsys, command, text, plots):
     config_path = tmp_path / "exp.ini"
-    config_path.write_text(DUALITY)
+    config_path.write_text(text)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    assert main(["fermion", "duality", "--config", str(config_path), "--out", str(out_a)]) == 0
-    assert main(["fermion", "duality", "--config", str(config_path), "--out", str(out_b)]) == 0
+    assert main([*command, "--config", str(config_path), "--out", str(out_a)]) == 0
+    assert main([*command, "--config", str(config_path), "--out", str(out_b)]) == 0
     capsys.readouterr()
-    assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
-    for name in ("cases.csv", "deficit_vs_N.dat"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    for out in (out_a, out_b):
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["summary.json", "cases.csv", "timings.json", *plots]
+        )
+    for name in ("summary.json", "cases.csv", *plots):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     # the second run was served from cache: the stored compute timings come
     # back unchanged, and the sidecar says which call computed them
     timings_a = json.loads((out_a / "timings.json").read_text())
@@ -439,40 +456,45 @@ def test_cli_no_cache_recomputes_same_summary(tmp_path, capsys):
     assert "cache" not in stored and "run_seconds" not in stored
 
 
-# Runs in a fresh interpreter that has imported nothing of numpy or the
-# engines, and records which of them each step loads.
+# Runs in a fresh interpreter without ``site``, so that no .pth file has
+# preloaded anything.  It records which of numpy and the engines each step
+# loads, and which start-up cost of a dataclass or a typing.NamedTuple
+# (dataclasses, inspect, typing) each step adds.
 _IMPORT_PROBE = """\
 import json, sys
 
 ENGINES = ("numpy", "entropylab.findim", "entropylab.lattice")
+STARTUP = ("dataclasses", "inspect", "typing")
 ini, out, result_path, *command = sys.argv[1:]
-seen = {}
+preloaded = set(sys.modules)
+seen = {"added": {}}
 
 def loaded():
     return [m for m in ENGINES if m in sys.modules]
 
+def added(step):
+    seen["added"][step] = [m for m in STARTUP if m in sys.modules and m not in preloaded]
+
 import entropylab.harness
 entropylab.harness.parse_config(ini)
 seen["import"] = loaded()
+added("import")
 
 from entropylab.harness import cli
 
 argv = [*command, "--config", ini]
 seen["report"] = [cli.main(["report", out + "/summary.json"]), *loaded()]
+added("report")
 seen["hit"] = [cli.main([*argv, "--out", out + "-hit"]), *loaded()]
+added("hit")
 with open(out + "-hit/timings.json") as fh:
     seen["hit_cache"] = json.load(fh)["cache"]
 seen["no-cache"] = [cli.main([*argv, "--no-cache"]), *loaded()]
+added("no-cache")
 seen["numpy.random"] = "numpy.random" in sys.modules
 seen["numpy.ma"] = "numpy.ma" in sys.modules
 with open(result_path, "w") as fh:
     json.dump(seen, fh)
-"""
-
-FINDIM_SMALL = """\
-[experiment]
-kind = findim-suite
-instances = 2
 """
 
 
@@ -484,13 +506,16 @@ def _import_probe(tmp_path, command, text) -> dict:
     out = tmp_path / "out"
     assert main([*command, "--config", str(config_path), "--out", str(out)]) == 0
     result = tmp_path / "probe.json"
+    # numpy's own directory stands in for the site directories that -S skips
+    path = [Path(entropylab.__file__).parent.parent, Path(np.__file__).parent.parent]
     env = dict(
         os.environ,
-        PYTHONPATH=str(Path(entropylab.__file__).parent.parent),
+        PYTHONPATH=os.pathsep.join(str(p) for p in path),
         PYTHONDONTWRITEBYTECODE="1",
     )
     subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(config_path), str(out), str(result), *command],
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, str(config_path), str(out), str(result),
+         *command],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     seen = json.loads(result.read_text())
@@ -498,6 +523,10 @@ def _import_probe(tmp_path, command, text) -> dict:
     assert seen["report"] == [0]
     assert seen["hit_cache"] == "hit"
     assert seen["hit"] == [0]
+    # start-up: parsing, a report and a cache hit stay free of both
+    assert seen["added"]["import"] == []
+    assert seen["added"]["report"] == []
+    assert seen["added"]["hit"] == []
     return seen
 
 
@@ -509,6 +538,8 @@ def test_cache_hit_and_report_load_no_engine(tmp_path):
     assert seen["no-cache"] == [0, "numpy", "entropylab.lattice"]
     assert seen["numpy.random"] is False
     assert seen["numpy.ma"] is False
+    # control: numpy and the engine's dataclasses do load both
+    assert {"dataclasses", "inspect"} <= set(seen["added"]["no-cache"])
 
 
 def test_findim_cache_hit_and_report_load_no_engine(tmp_path):
@@ -568,7 +599,7 @@ def test_fermion_runs_never_load_numpy_ma(tmp_path):
 
 def test_cli_findim_runs_without_config(tmp_path, capsys):
     config = default_config("findim-suite")
-    fast = replace(config, instances=2)
+    fast = config._replace(instances=2)
     report = run_experiment(fast)
     assert report.passed
     assert {v.name for v in report.verdicts} == {
@@ -578,3 +609,45 @@ def test_cli_findim_runs_without_config(tmp_path, capsys):
         "relative-entropy-identities",
         "group-fixed-point-index",
     }
+
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _leaves(value, where):
+    """(path, leaf) pairs of a parsed JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _leaves(item, f"{where}[{k}]")
+    else:
+        yield where, value
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in (_PERFBENCH / "configs" / "harness-replay").glob("*.ini"))
+)
+def test_harness_replay_matches_the_benchmark_reference(tmp_path, name):
+    """Each harness-replay benchmark config, run in-process and written out,
+    has the reference's artifact list, case ids and verdicts, and every value
+    within 1e-9 of it, read back from the written summary.json."""
+    reference = json.loads((_PERFBENCH / "reference" / "harness-replay.json").read_text())
+    entry = reference[name]
+    report = run_experiment(parse_config(_PERFBENCH / "configs" / "harness-replay" / f"{name}.ini"))
+    written = write_report(report, tmp_path)
+    assert sorted(p.name for p in written) == entry["artifacts"]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["passed"] and all(v["passed"] for v in summary["verdicts"])
+    want = entry["seeds"][str(summary["seed"])]["cases"]
+    assert [c["case_id"] for c in summary["cases"]] == [c["case_id"] for c in want]
+    for got, case in zip(summary["cases"], want):
+        got_leaves = dict(_leaves(got, got["case_id"]))
+        want_leaves = dict(_leaves(case, case["case_id"]))
+        assert got_leaves.keys() == want_leaves.keys(), case["case_id"]
+        for where, value in want_leaves.items():
+            if isinstance(value, float):
+                assert abs(got_leaves[where] - value) <= 1e-9, where
+            else:
+                assert got_leaves[where] == value, where

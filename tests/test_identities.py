@@ -4,7 +4,6 @@ five-part check battery."""
 import json
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +151,7 @@ def test_findim_suite_builds_no_superoperator():
     five identities and the three group-average index cases; the largest
     instances act on C^16."""
     with _no_superop(16):
-        report = run_experiment(replace(default_config("findim-suite"), instances=3))
+        report = run_experiment(default_config("findim-suite")._replace(instances=3))
     assert report.passed
     assert {c.case_id for c in report.cases} >= {
         "difference-000",
@@ -186,7 +185,7 @@ def test_findim_suite_matches_the_benchmark_reference():
     root = Path(__file__).resolve().parent.parent / "perfbench"
     reference = json.loads((root / "reference" / "findim-suite.json").read_text())
     want = reference["suite"]["seeds"]["0"]["cases"]
-    config = replace(parse_config(root / "configs" / "findim-suite" / "suite.ini"), seed=0)
+    config = parse_config(root / "configs" / "findim-suite" / "suite.ini")._replace(seed=0)
     report = run_experiment(config)
     assert report.passed
     assert [c.case_id for c in report.cases] == [c["case_id"] for c in want]
