@@ -1,5 +1,10 @@
 """Finite-dimensional operator algebras, weights, expectations and the
-relative-entropy machinery built on them."""
+relative-entropy machinery built on them.
+
+Result records are named tuples, not dataclasses: importing
+``dataclasses`` and decorating each class would add to the start-up of
+every computing CLI call.
+"""
 
 from .algebras import (
     BlockStructure,
@@ -31,14 +36,7 @@ from .identities import (
     random_difference_instance,
     random_unitary,
 )
-from .index import (
-    PimsnerPopaReport,
-    QuasiBasis,
-    dual_weight,
-    kosaki_index,
-    pimsner_popa_check,
-    quasi_basis,
-)
+from .index import dual_weight, kosaki_index
 from .spatial import (
     connes_cocycle,
     modular_flow,
@@ -79,12 +77,8 @@ __all__ = [
     "random_chain_instance",
     "random_difference_instance",
     "random_unitary",
-    "PimsnerPopaReport",
-    "QuasiBasis",
     "dual_weight",
     "kosaki_index",
-    "pimsner_popa_check",
-    "quasi_basis",
     "connes_cocycle",
     "modular_flow",
     "relative_entropy_spatial",

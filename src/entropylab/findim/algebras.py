@@ -16,7 +16,7 @@ span's dimension and contain every input element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -38,8 +38,7 @@ STRUCTURE_TOL = 1e-9
 _DISCOVERY_SEED = 0x5EED
 
 
-@dataclass(frozen=True)
-class BlockStructure:
+class BlockStructure(namedtuple("BlockStructure", "n m iso")):
     """One central block: shape (n, m) and the isometry exhibiting it.
 
     ``iso`` has shape (n*m, D) with orthonormal rows, ordered so that
@@ -47,9 +46,7 @@ class BlockStructure:
     the algebra (matrix index outer, multiplicity index inner).
     """
 
-    n: int
-    m: int
-    iso: np.ndarray
+    __slots__ = ()
 
 
 def _lift(blk: BlockStructure, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

@@ -9,7 +9,7 @@ function is one reproducible test case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -55,21 +55,19 @@ def _random_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 # The difference identity: S(w, wE1) - S(w, wE2) = S(w, wE1 E2^dual)
 
 
-@dataclass(frozen=True)
-class DifferenceInstance:
-    algebra: MatrixBlockAlgebra
-    omega: VectorStateData
-    e1: ConditionalExpectationMap
-    e2: ConditionalExpectationMap
-    seed_note: str = ""
+class DifferenceInstance(
+    namedtuple("DifferenceInstance", "algebra omega e1 e2 seed_note", defaults=("",))
+):
+    """An algebra, a vector state on it, and expectations E1 on the algebra
+    and E2 on its commutant."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DifferenceReport:
-    s1: float
-    s2: float
-    s12: float
-    residual: float
+class DifferenceReport(namedtuple("DifferenceReport", "s1 s2 s12 residual")):
+    """The three relative entropies and |s1 - s2 - s12|."""
+
+    __slots__ = ()
 
 
 def random_difference_instance(
@@ -144,22 +142,18 @@ def entropy_difference_identity(instance: DifferenceInstance) -> DifferenceRepor
 # Additivity along a chain N3 in N2 in N1
 
 
-@dataclass(frozen=True)
-class ChainInstance:
-    n1: MatrixBlockAlgebra
-    n2: MatrixBlockAlgebra
-    n3: MatrixBlockAlgebra
-    omega: VectorStateData
-    f1: ConditionalExpectationMap
-    f2: ConditionalExpectationMap
+class ChainInstance(namedtuple("ChainInstance", "n1 n2 n3 omega f1 f2")):
+    """A chain N3 in N2 in N1, a vector state on N2, and the expectations
+    F1: N1 -> N2 and F2: N2 -> N3."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    s_composed: float
-    s_f2: float
-    s_f1: float
-    residual: float
+class ChainReport(namedtuple("ChainReport", "s_composed s_f2 s_f1 residual")):
+    """The composed and the two single-step relative entropies, and
+    |s_composed - s_f2 - s_f1|."""
+
+    __slots__ = ()
 
 
 def random_chain_instance(rng: np.random.Generator) -> ChainInstance:
@@ -214,13 +208,13 @@ def entropy_additivity_chain(instance: ChainInstance) -> ChainReport:
 # The five standard relative-entropy properties
 
 
-@dataclass(frozen=True)
-class IdentityCheckReport:
-    which: int
-    residual: float
-    tolerance: float
-    passed: bool
-    values: dict
+class IdentityCheckReport(
+    namedtuple("IdentityCheckReport", "which residual tolerance passed values")
+):
+    """One property check: its number, residual, tolerance, verdict and the
+    values dict of the evaluated terms."""
+
+    __slots__ = ()
 
 
 _TOLERANCES = {1: 1e-8, 2: 1e-9, 3: 1e-9, 4: 1e-9, 5: 1e-8}

@@ -1,4 +1,4 @@
-"""Dual weights, the Kosaki index, quasi-bases and the Pimsner-Popa bound.
+"""Dual weights and the Kosaki index.
 
 Given an expectation E: M -> N, the dual map carries weights on M' to
 weights on N'.  It is pinned down by one equation: the spatial derivative
@@ -23,8 +23,6 @@ sum_k m_k Tr(h_k^-1), and sum_k m_k^2 when h = 1 (Jones, Invent. Math. 72,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebras import _lift
@@ -32,14 +30,7 @@ from .expectations import ConditionalExpectationMap
 from .spatial import spatial_derivative
 from .states import WeightDensity, _on, trace_state
 
-__all__ = [
-    "dual_weight",
-    "kosaki_index",
-    "quasi_basis",
-    "QuasiBasis",
-    "pimsner_popa_check",
-    "PimsnerPopaReport",
-]
+__all__ = ["dual_weight", "kosaki_index"]
 
 FACTORIZATION_TOL = 1e-8
 
@@ -121,122 +112,3 @@ def kosaki_index(expectation: ConditionalExpectationMap) -> float | np.ndarray:
     if len(coeffs) == 1:
         return float(coeffs[0])
     return sum(c * p for c, p in zip(coeffs, projections))
-
-
-@dataclass(frozen=True)
-class QuasiBasis:
-    """A Pimsner-Popa (quasi-)basis for an expectation of finite index."""
-
-    elements: list[np.ndarray]
-    index_matrix: np.ndarray
-    reconstruction_residual: float
-
-    @property
-    def index_value(self) -> float:
-        dim = self.index_matrix.shape[0]
-        return float(np.trace(self.index_matrix).real) / dim
-
-
-def quasi_basis(
-    expectation: ConditionalExpectationMap,
-    rng: np.random.Generator | None = None,
-    check_samples: int = 6,
-) -> QuasiBasis:
-    """Compute a quasi-basis {g_a} with sum_a g_a E(g_a* x) = x on the source.
-
-    Found by frame-correcting the linear basis of the source with the
-    inverse square root of its frame operator, taken self-adjointly in the
-    inner product tau(E(y* x)).  The matrix sum g_a g_a* is the index and
-    does not depend on the choices made here.
-    """
-    rng = rng or np.random.default_rng(7)
-    source = expectation.source
-    fs = source.basis
-    dim = len(fs)
-    tau = trace_state(expectation.target)
-
-    products = [[expectation(fa.conj().T @ fb) for fb in fs] for fa in fs]
-    gram = np.array([[tau.value(p) for p in row] for row in products])
-    gram = (gram + gram.conj().T) / 2
-
-    frame = np.empty((dim, dim), dtype=complex)
-    for b in range(dim):
-        sb = sum(fs[a] @ products[a][b] for a in range(dim))
-        for c in range(dim):
-            frame[c, b] = np.trace(fs[c].conj().T @ sb)
-
-    gvals, gvecs = np.linalg.eigh(gram)
-    if gvals[0] <= 1e-12 * max(1.0, gvals[-1]):
-        raise ValueError("expectation is not faithful on the source")
-    g_half = (gvecs * np.sqrt(gvals)) @ gvecs.conj().T
-    g_half_inv = (gvecs / np.sqrt(gvals)) @ gvecs.conj().T
-    sym = g_half @ frame @ g_half_inv
-    sym = (sym + sym.conj().T) / 2
-    svals, svecs = np.linalg.eigh(sym)
-    if svals[0] <= 1e-12 * max(1.0, svals[-1]):
-        raise ValueError("frame operator is singular; the index is not finite")
-    inv_root = (svecs / np.sqrt(svals)) @ svecs.conj().T
-    correct = g_half_inv @ inv_root @ g_half
-
-    elements = []
-    for a in range(dim):
-        coords = correct[:, a]
-        elements.append(sum(c * f for c, f in zip(coords, fs)))
-
-    worst = 0.0
-    for _ in range(check_samples):
-        coeff = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        x = sum(c * f for c, f in zip(coeff, fs))
-        rebuilt = sum(g @ expectation(g.conj().T @ x) for g in elements)
-        worst = max(
-            worst,
-            float(np.linalg.norm(rebuilt - x)) / max(1.0, float(np.linalg.norm(x))),
-        )
-    index_matrix = sum(g @ g.conj().T for g in elements)
-    return QuasiBasis(
-        elements=elements,
-        index_matrix=np.asarray(index_matrix),
-        reconstruction_residual=worst,
-    )
-
-
-@dataclass(frozen=True)
-class PimsnerPopaReport:
-    bound: float
-    samples: int
-    worst_eigenvalue: float
-    passed: bool
-
-
-def pimsner_popa_check(
-    expectation: ConditionalExpectationMap,
-    samples: int = 100,
-    rng: np.random.Generator | None = None,
-    bound: float | None = None,
-    slack: float = 1e-9,
-) -> PimsnerPopaReport:
-    """Check E(m) >= bound * m on random positive elements of the source.
-
-    ``bound`` defaults to the inverse index.  Reports the most negative
-    eigenvalue of E(m) - bound*m seen over trace-normalized samples.
-    """
-    source = expectation.source
-    if len(source.blocks) != 1 or len(expectation.target.blocks) != 1:
-        raise ValueError("the inequality is stated for factor inclusions only")
-    rng = rng or np.random.default_rng(11)
-    if bound is None:
-        index = kosaki_index(expectation)
-        bound = 1.0 / float(index)
-    n = source.blocks[0][0]
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        part = x @ x.conj().T
-        part /= np.trace(part).real
-        m = source.embed_blocks([part])
-        gap = expectation(m) - bound * m
-        low = float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
-        worst = min(worst, low)
-    return PimsnerPopaReport(
-        bound=bound, samples=samples, worst_eigenvalue=worst, passed=worst >= -slack
-    )

@@ -8,11 +8,18 @@ The engines are imported only when a run has to compute, so a cache hit
 or ``report`` starts without numpy; the harness itself loads neither
 ``dataclasses`` nor ``inspect``.  Both are start-up cost, and a cache hit
 is little more than start-up.
+
+``run`` is the process entry point.  It freezes the garbage collector's
+tracked objects before exiting, so the interpreter's teardown collections
+do not walk the engines' and numpy's objects once more; atexit handlers and
+the flushes of the standard streams still run.  ``main`` has no such side
+effect and can be called in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from pathlib import Path
@@ -28,7 +35,7 @@ from .config import (
 from .report import RunReport, config_hash
 from .reporting import format_report, load_report, write_report
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 FERMION_KINDS = tuple(k for k in EXPERIMENT_KINDS if k != "findim-suite")
 
@@ -143,5 +150,12 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """Exit the process with ``main()``'s code, skipping the teardown collections."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,9 @@
-"""Free-fermion chain on a circle: Gaussian entropies, deficits, scaling."""
+"""Free-fermion chain on a circle: Gaussian entropies, deficits, scaling.
+
+Result records are named tuples, not dataclasses: importing
+``dataclasses`` and decorating each class would add to the start-up of
+every computing CLI call.
+"""
 
 from .circle import (
     LatticeCircle,

@@ -10,7 +10,7 @@ endpoints, never from site counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,15 +31,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LatticeCircle:
+class LatticeCircle(namedtuple("LatticeCircle", "n_sites")):
     """Evenly spaced sites on the unit circle, antiperiodic fermion sector."""
 
-    n_sites: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_sites < 8 or self.n_sites % 2:
+    def __new__(cls, n_sites: int):
+        if n_sites < 8 or n_sites % 2:
             raise ValueError("site count must be even and at least 8")
+        return super().__new__(cls, n_sites)
 
     @property
     def site_angles(self) -> np.ndarray:

@@ -12,7 +12,7 @@ are recorded on the report to make that context explicit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .circle import RegionSpec, cross_ratio, interval_lengths
 from .gaussian import CorrelationMatrix, product_state_relative_entropy
@@ -24,21 +24,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeficitReport:
-    region: RegionSpec
-    n_sites: int
-    c: float
-    s_region: float
-    s_complement: float
-    region_lengths: tuple[float, ...]
-    complement_lengths: tuple[float, ...]
-    eta: float | None
-    g_region: float
-    g_complement: float
-    deficit: float
-    mu: float = 1.0
-    dual_deficit: float = 0.0
+class DeficitReport(
+    namedtuple(
+        "DeficitReport",
+        "region n_sites c s_region s_complement region_lengths complement_lengths"
+        " eta g_region g_complement deficit mu dual_deficit",
+        defaults=(1.0, 0.0),
+    )
+):
+    """Relative entropies, lengths and regularized entropies of a region and
+    its complement, and their deficit; ``eta`` is the cross ratio of a
+    two-arc region, else None."""
+
+    __slots__ = ()
 
 
 def _geometry_term(lengths: tuple[float, ...], c: float) -> float:

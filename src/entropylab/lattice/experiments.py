@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -25,19 +25,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShrinkStep:
-    length: float
-    sites_in_arc: int
-    value: float
-    gap: float
+class ShrinkStep(namedtuple("ShrinkStep", "length sites_in_arc value gap")):
+    """One step of a shrink schedule: the arc's length and site count, the
+    value there and its gap to the target."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShrinkReport:
-    steps: tuple[ShrinkStep, ...]
-    target: float
-    monotone_from: int
+class ShrinkReport(namedtuple("ShrinkReport", "steps target monotone_from")):
+    """The steps, a tuple of ShrinkStep, their target, and the first step
+    from which the gaps no longer grow."""
+
+    __slots__ = ()
 
     @property
     def gaps(self) -> tuple[float, ...]:
@@ -105,11 +104,10 @@ def shrink_experiment(
     return ShrinkReport(steps=tuple(steps), target=target, monotone_from=monotone_from)
 
 
-@dataclass(frozen=True)
-class CollapseReport:
-    eta: float
-    values: tuple[float, ...]
-    spread: float
+class CollapseReport(namedtuple("CollapseReport", "eta values spread")):
+    """The shared cross ratio, one value per geometry, and their spread."""
+
+    __slots__ = ()
 
 
 def cross_ratio_collapse(

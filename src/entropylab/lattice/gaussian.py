@@ -39,9 +39,12 @@ A set with |R| no larger than one block is evaluated on the whole of R
 B' is never held whole.  It is streamed in row panels of about 2 MB, each
 rebuilt from Toeplitz views of one cached kernel table into one reused
 buffer.  The first sweep sums ||B'||_F^2 row by row and takes the first
-sketch; each later sweep adds the new rows Q_new^T B' of Z and sketches the
-next block.  The working memory is one panel plus Q and Z, (|R| + |F|) k
-floats for a range of width k, where the block took |R| |F|.
+sketch.  Each block then costs two sweeps: after its QR, one sweep adds
+its rows Q_new^T B' to Z; only if the dropped mass then asks for another
+block does a sweep sketch it.  A range of width k thus takes 2 ceil(k/24)
+sweeps and about 4 |R| |F| k flops, and no sketch goes unused.  The
+working memory is one panel plus Q and Z, (|R| + |F|) k floats for a range
+of width k, where the block took |R| |F|.
 
 Because the ground state is pure, a region and its complement have the
 same entropy.  The arc-union relative entropy evaluates each entropy on
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -74,8 +77,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(namedtuple("CorrelationMatrix", "n_sites")):
     """Two-point functions <a_j^dag a_k> of the chain ground state.
 
     Only the site count is stored.  The closed form is C_jk = 1/2 on the
@@ -84,11 +86,12 @@ class CorrelationMatrix:
     the NS sector.
     """
 
-    n_sites: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_sites % 2 or self.n_sites < 4:
+    def __new__(cls, n_sites: int):
+        if n_sites % 2 or n_sites < 4:
             raise ValueError("site count must be even and at least 4")
+        return super().__new__(cls, n_sites)
 
 
 @lru_cache(maxsize=8)
@@ -171,26 +174,35 @@ def _test_block(rows: int, first: int, width: int) -> np.ndarray:
     return 1.0 - 2.0 * bits[:, :rows].T
 
 
+def _sketch(sweep, rows: int, cols: int, first: int, row_norms=None) -> np.ndarray:
+    """B' Omega for the next ``_SKETCH_BLOCK`` test columns from ``first`` on,
+    in one sweep; ``row_norms``, if given, receives the squared row norms."""
+    omega = _test_block(cols, first, min(_SKETCH_BLOCK, rows - first))
+    sketch = np.empty((rows, omega.shape[1]))
+    for lo, panel in sweep():
+        if row_norms is not None:
+            np.einsum("ij,ij->i", panel, panel, out=row_norms[lo : lo + len(panel)])
+        np.matmul(panel, omega, out=sketch[lo : lo + len(panel)])
+    return sketch
+
+
 def _coupling_spectrum(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float]:
     """The eigenvalues of Z Z^T, Z = Q^T B', and the certified dropped mass.
 
     B' = K[rows, cols] is streamed in row panels and never held whole.  The
     first sweep sums ||B'||_F^2 row by row and takes the first sketch
     B' Omega.  Q then grows by blocks of the sketch, each orthonormalised
-    against the columns already kept, and each later sweep adds the new
-    rows Q_new^T B' of Z and sketches the next block, until the dropped mass
-    ||B'||_F^2 - ||Z||_F^2 reaches its rounding level or Q spans every row.
+    against the columns already kept.  Before each QR, the first included,
+    growth stops if the dropped mass ||B'||_F^2 - ||Z||_F^2 has reached its
+    rounding level or Q spans every row; after it, one sweep adds the new
+    rows Q_new^T B' of Z.  A block after the first is sketched in a sweep of
+    its own, taken only once the check has asked for it.
     """
     if not rows.size or not cols.size:
         return np.empty(0), 0.0
     sweep = _panels(n, rows, cols)
     row_norms = np.empty(rows.size)
-    width = min(_SKETCH_BLOCK, rows.size)
-    omega = _test_block(cols.size, 0, width)
-    sketch = np.empty((rows.size, width))
-    for lo, panel in sweep():
-        np.einsum("ij,ij->i", panel, panel, out=row_norms[lo : lo + len(panel)])
-        np.matmul(panel, omega, out=sketch[lo : lo + len(panel)])
+    sketch = _sketch(sweep, rows.size, cols.size, 0, row_norms)
     total = math.fsum(row_norms)
     tol = _ROUNDING_ULPS * np.finfo(float).eps * total
     basis = np.empty((rows.size, 0))
@@ -199,16 +211,14 @@ def _coupling_spectrum(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.n
     dropped = total
     while dropped > tol and basis.shape[1] < rows.size:
         k = basis.shape[1]
+        if k:
+            sketch = _sketch(sweep, rows.size, cols.size, k)
         # Householder QR of [Q, sketch] keeps Q's span and orthonormalises
         # the new columns against it, even when the sketch adds nothing.
         basis = np.linalg.qr(np.hstack([basis, sketch]))[0]
-        width = min(_SKETCH_BLOCK, rows.size - basis.shape[1])
-        omega = _test_block(cols.size, basis.shape[1], width)
-        sketch = np.empty((rows.size, width))
         new = np.zeros((basis.shape[1] - k, cols.size))
         for lo, panel in sweep():
             new += basis[lo : lo + len(panel), k:].T @ panel
-            np.matmul(panel, omega, out=sketch[lo : lo + len(panel)])
         captured = np.vstack([captured, new])
         kept += math.fsum(np.einsum("ij,ij->i", new, new))
         dropped = total - kept

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -16,12 +16,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CentralChargeFit:
-    c_hat: float
-    intercept: float
-    residual_norm: float
-    n_sites: int
+class CentralChargeFit(
+    namedtuple("CentralChargeFit", "c_hat intercept residual_norm n_sites")
+):
+    """Slope and intercept of the single-interval fit, and its residual norm."""
+
+    __slots__ = ()
 
 
 def central_charge_fit(
@@ -48,11 +48,10 @@ def central_charge_fit(
     )
 
 
-@dataclass(frozen=True)
-class Extrapolation:
-    value: float
-    max_residual: float
-    coefficients: tuple[float, float, float]
+class Extrapolation(namedtuple("Extrapolation", "value max_residual coefficients")):
+    """The N -> infinity value, the largest fit residual, and (v_inf, a, b)."""
+
+    __slots__ = ()
 
 
 def finite_size_extrapolate(points: Sequence[tuple[int, float]]) -> Extrapolation:

@@ -21,8 +21,6 @@ from entropylab.findim import (
     entropy_difference_identity,
     group_average_expectation,
     kosaki_index,
-    pimsner_popa_check,
-    quasi_basis,
     random_chain_instance,
     random_difference_instance,
     random_faithful_state,
@@ -47,7 +45,12 @@ from entropylab.lattice import (
     region_entropy,
     shrink_experiment,
 )
-from oracles import exact_diagonalization_entropies, leg_average
+from oracles import (
+    exact_diagonalization_entropies,
+    leg_average,
+    pimsner_popa_check,
+    quasi_basis,
+)
 
 TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
 RIGHT_ARCS = RegionSpec([(0.50, 1.70), (3.00, 4.40)])

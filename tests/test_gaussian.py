@@ -271,6 +271,40 @@ def test_streamed_range_finder_matches_the_whole_block(n, sites, monkeypatch):
         assert abs(dropped - want_dropped) <= scale
 
 
+def test_range_finder_sketches_only_the_blocks_it_keeps(monkeypatch):
+    """A TWO_ARCS union at N = 1024 (|R| x |F| = 212 x 299) keeps a range of
+    width 48, two blocks: one sweep takes the norms and the first sketch,
+    one projects each block, and one sketches the second block, so 4 sweeps
+    and 2 test blocks.  No sweep sketches a block that is never kept."""
+    n = 1024
+    rows, cols = _coupling_sides(n, _union(n, TWO_ARCS))
+    assert (rows.size, cols.size) == (212, 299)
+    counts = {"sweeps": 0, "test_blocks": 0}
+    panels, test_block = gaussian._panels, gaussian._test_block
+
+    def counted_panels(*args):
+        sweep = panels(*args)
+
+        def counted_sweep():
+            counts["sweeps"] += 1
+            return sweep()
+
+        return counted_sweep
+
+    def counted_test_block(*args):
+        counts["test_blocks"] += 1
+        return test_block(*args)
+
+    monkeypatch.setattr(gaussian, "_panels", counted_panels)
+    monkeypatch.setattr(gaussian, "_test_block", counted_test_block)
+    lam, dropped = gaussian._coupling_spectrum(n, rows, cols)
+    assert lam.size == 48
+    assert dropped <= gaussian._ROUNDING_ULPS * np.finfo(float).eps * np.sum(
+        oracles.even_odd_block(n, rows, cols) ** 2
+    )
+    assert counts == {"sweeps": 4, "test_blocks": 2}
+
+
 @pytest.mark.parametrize(
     "n, sites",
     [

@@ -232,6 +232,82 @@ def test_cli_io_error_exit_three(tmp_path, capsys):
     assert "i/o error:" in capsys.readouterr().err
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this package; the cache directory is this test's."""
+    env = dict(os.environ, PYTHONPATH=str(Path(entropylab.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m entropylab.harness.cli``, which exits through ``run``."""
+    return _python("-m", "entropylab.harness.cli", *argv)
+
+
+def test_cli_process_exit_codes(tmp_path, capsys):
+    """Exiting through ``run`` keeps every exit code, the stderr lines and the
+    artifacts: a failing verdict exits 1, lists its cases and still writes
+    its report; a bad config exits 2; a cache hit exits 0 and prints what
+    ``main`` prints in-process."""
+    failing = tmp_path / "failing.ini"
+    failing.write_text(DUALITY.replace("tolerance = 1.0", "tolerance = 1e-12"))
+    out = tmp_path / "failing"
+    done = _cli_process("fermion", "duality", "--config", str(failing), "--out", str(out))
+    assert done.returncode == 1
+    assert done.stderr.startswith("failing cases: ")
+    assert "overall: FAIL" in done.stdout
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["summary.json", "cases.csv", "timings.json", "deficit_vs_N.dat"]
+    )
+    assert json.loads((out / "summary.json").read_text())["passed"] is False
+
+    done = _cli_process("fermion", "duality", "--config", str(tmp_path / "missing.ini"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error:")
+
+    passing = tmp_path / "passing.ini"
+    passing.write_text(DUALITY)
+    argv = ["fermion", "duality", "--config", str(passing)]
+    assert main([*argv, "--out", str(tmp_path / "miss")]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "hit")]) == 0
+    in_process = capsys.readouterr().out
+    done = _cli_process(*argv, "--out", str(tmp_path / "process"))
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == in_process
+    assert json.loads((tmp_path / "process" / "timings.json").read_text())["cache"] == "hit"
+
+
+_EXIT_PROBE = """\
+import atexit, gc, sys
+from entropylab.harness import cli
+
+argv = sys.argv[1:]
+after_main = (cli.main(argv), gc.get_freeze_count())
+atexit.register(lambda: print(*after_main, gc.get_freeze_count() > 0))
+sys.argv = ["entropylab", *argv]
+cli.run()
+"""
+
+
+def test_run_freezes_the_collector_only_at_exit(tmp_path):
+    """``main`` leaves the collector alone; ``run`` freezes it before exiting,
+    and atexit handlers still run after that."""
+    done = _python(
+        "-c", _EXIT_PROBE, "fermion", "duality", "--config", str(tmp_path / "missing.ini")
+    )
+    assert done.returncode == 2
+    assert done.stdout.split() == ["2", "0", "True"]
+
+
+def test_console_script_exits_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"entropylab": "entropylab.harness.cli:run"}
+
+
 @pytest.mark.parametrize(
     "content",
     ['{"kind": "duality", "seed": 0, "cas', '{"kind": "duality", "seed": 0}'],
@@ -459,7 +535,8 @@ def test_cli_no_cache_recomputes_same_summary(tmp_path, capsys):
 # Runs in a fresh interpreter without ``site``, so that no .pth file has
 # preloaded anything.  It records which of numpy and the engines each step
 # loads, and which start-up cost of a dataclass or a typing.NamedTuple
-# (dataclasses, inspect, typing) each step adds.
+# (dataclasses, inspect, typing) each step adds.  No step may add
+# dataclasses: every record type, the engines' too, is a named tuple.
 _IMPORT_PROBE = """\
 import json, sys
 
@@ -527,6 +604,10 @@ def _import_probe(tmp_path, command, text) -> dict:
     assert seen["added"]["import"] == []
     assert seen["added"]["report"] == []
     assert seen["added"]["hit"] == []
+    # an uncached run loads numpy, which imports inspect, so the probe sees
+    # start-up modules; the engines' records still load no dataclasses
+    assert "inspect" in seen["added"]["no-cache"]
+    assert "dataclasses" not in seen["added"]["no-cache"]
     return seen
 
 
@@ -538,8 +619,6 @@ def test_cache_hit_and_report_load_no_engine(tmp_path):
     assert seen["no-cache"] == [0, "numpy", "entropylab.lattice"]
     assert seen["numpy.random"] is False
     assert seen["numpy.ma"] is False
-    # control: numpy and the engine's dataclasses do load both
-    assert {"dataclasses", "inspect"} <= set(seen["added"]["no-cache"])
 
 
 def test_findim_cache_hit_and_report_load_no_engine(tmp_path):

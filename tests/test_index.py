@@ -15,15 +15,19 @@ from entropylab.findim import (
     group_average_expectation,
     identity_expectation,
     kosaki_index,
-    pimsner_popa_check,
-    quasi_basis,
     random_faithful_state,
     symmetric_group_unitaries,
     trace_state,
     weyl_unitaries,
 )
 from entropylab.findim.identities import random_unitary
-from oracles import dual_weight_index, leg_average, random_inclusion
+from oracles import (
+    dual_weight_index,
+    leg_average,
+    pimsner_popa_check,
+    quasi_basis,
+    random_inclusion,
+)
 
 
 def _partial_trace_expectation():
