@@ -25,19 +25,11 @@ import time
 from pathlib import Path
 
 from .cache import cache_lookup, cache_store
-from .config import (
-    EXPERIMENT_KINDS,
-    ConfigError,
-    default_config,
-    parse_config,
-    validate_config,
-)
+from .config import KINDS, ConfigError, default_config, parse_config, validate_config
 from .report import RunReport, config_hash
 from .reporting import format_report, load_report, write_report
 
 __all__ = ["main", "run", "build_parser"]
-
-FERMION_KINDS = tuple(k for k in EXPERIMENT_KINDS if k != "findim-suite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,16 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--seed", type=int, help="override the config seed")
 
-    findim = commands.add_parser(
-        "findim-suite", help="finite-dimensional identity and index battery"
-    )
-    run_flags(findim)
-
-    fermion = commands.add_parser(
-        "fermion", help="free-fermion chain experiments"
-    )
-    fermion.add_argument("kind", choices=FERMION_KINDS, help="experiment kind")
-    run_flags(fermion)
+    groups: dict = {}
+    for kind, spec in KINDS.items():
+        groups.setdefault(spec.command, []).append(kind)
+    for (name, text), kinds in groups.items():
+        sub = commands.add_parser(name, help=text)
+        if kinds != [name]:
+            sub.add_argument("kind", choices=kinds, help="experiment kind")
+        run_flags(sub)
 
     report = commands.add_parser(
         "report", help="render a stored summary.json as text"
@@ -76,12 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace, kind: str):
     if args.config is not None:
         config = parse_config(args.config, kind=kind)
-    elif kind == "findim-suite":
-        config = default_config(kind, seed=args.seed if args.seed is not None else 0)
     else:
-        raise ConfigError(f"experiment '{kind}' requires --config")
+        config = default_config(kind)
     overrides = {}
-    if args.seed is not None and args.seed != config.seed:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = str(args.out)
@@ -89,7 +77,7 @@ def _resolve_config(args: argparse.Namespace, kind: str):
         overrides["cache_enabled"] = False
     if overrides:
         config = config._replace(**overrides)
-        validate_config(config)
+        validate_config(config, overrides)
     return config
 
 
@@ -116,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
                 ) from None
             return _finish(report)
 
-        kind = args.kind if args.command == "fermion" else "findim-suite"
+        kind = getattr(args, "kind", args.command)
         config = _resolve_config(args, kind)
 
         key = config_hash(config)

@@ -34,13 +34,6 @@ from .report import CaseRecord, Verdict
 from .runner import _group_verdict, _residual_case
 
 
-def _spec_from(arcs: tuple[tuple[float, float], ...]) -> RegionSpec:
-    try:
-        return RegionSpec(arcs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid arcs: {exc}") from None
-
-
 def _per_size(config, compute) -> tuple[list, dict]:
     """``compute(n, ground_state_correlations(n))`` for each size in order.
 
@@ -127,8 +120,8 @@ def _limit(config, cases, key, limit, prefix, name) -> Verdict:
     )
 
 
-def _run_duality(config: ExperimentConfig):
-    spec = _spec_from(config.arcs)
+def run_duality(config: ExperimentConfig):
+    spec = RegionSpec(config.arcs)
     _require_sites(config.sizes, [spec, spec.complement()])
     arc_flag = config.r_convention == "arc"
 
@@ -159,9 +152,9 @@ def _run_duality(config: ExperimentConfig):
     return cases, verdicts, timings
 
 
-def _run_sweep(config: ExperimentConfig):
-    (a1, b1), (a2, _) = _spec_from(config.arcs).arcs
-    specs = {l: _spec_from(((a1, b1), (a2, a2 + l))) for l in config.sweep_lengths}
+def run_sweep(config: ExperimentConfig):
+    (a1, b1), (a2, _) = RegionSpec(config.arcs).arcs
+    specs = {l: RegionSpec(((a1, b1), (a2, a2 + l))) for l in config.sweep_lengths}
     _require_sites(config.sizes, specs.values())
     arc_flag = config.r_convention == "arc"
     tol = config.effective_tolerance
@@ -195,7 +188,7 @@ def _run_sweep(config: ExperimentConfig):
     return cases, verdicts, timings
 
 
-def _run_cfit(config: ExperimentConfig):
+def run_cfit(config: ExperimentConfig):
     tol = config.effective_tolerance
 
     def case(n, corr) -> CaseRecord:
@@ -227,15 +220,15 @@ def _run_cfit(config: ExperimentConfig):
     return cases, verdicts, timings
 
 
-def _run_shrink(config: ExperimentConfig):
-    spec = _spec_from(config.arcs)
+def run_shrink(config: ExperimentConfig):
+    spec = RegionSpec(config.arcs)
     start = spec.arcs[config.arc_index][0]
     fixed = [arc for k, arc in enumerate(spec.arcs) if k != config.arc_index]
     steps = [
-        _spec_from(fixed + [(start, (start + length) % math.tau)])
+        RegionSpec(fixed + [(start, (start + length) % math.tau)])
         for length in config.schedule
     ]
-    _require_sites(config.sizes, [_spec_from(fixed)] + steps[:-1], final_step=steps[-1])
+    _require_sites(config.sizes, [RegionSpec(fixed)] + steps[:-1], final_step=steps[-1])
     tol = config.effective_tolerance
 
     def size_run(n, corr) -> tuple[list[CaseRecord], Verdict]:
@@ -266,9 +259,9 @@ def _run_shrink(config: ExperimentConfig):
     return cases, [verdict for _, verdict in results], timings
 
 
-def _run_collapse(config: ExperimentConfig):
+def run_collapse(config: ExperimentConfig):
     rng = np.random.default_rng([config.seed, 10])
-    family = equal_eta_family(_spec_from(config.arcs), config.family_size, rng)
+    family = equal_eta_family(RegionSpec(config.arcs), config.family_size, rng)
     _require_sites(config.sizes, family)
     tol = config.effective_tolerance
     largest = max(config.sizes)
@@ -305,9 +298,9 @@ def _run_collapse(config: ExperimentConfig):
     return cases, verdicts, timings
 
 
-def _run_twod(config: ExperimentConfig):
-    left = _spec_from(config.arcs)
-    right = _spec_from(config.right_arcs)
+def run_twod(config: ExperimentConfig):
+    left = RegionSpec(config.arcs)
+    right = RegionSpec(config.right_arcs)
     _require_sites(config.sizes, [left, left.complement(), right, right.complement()])
     arc_flag = config.r_convention == "arc"
 
@@ -334,12 +327,3 @@ def _run_twod(config: ExperimentConfig):
     verdicts = [_limit(config, cases, "D_2d", "D_2d,inf", "twod", "two-d-deficit")]
     return cases, verdicts, timings
 
-
-RUNNERS = {
-    "duality": _run_duality,
-    "cross-ratio-sweep": _run_sweep,
-    "c-fit": _run_cfit,
-    "shrink": _run_shrink,
-    "collapse": _run_collapse,
-    "two-d": _run_twod,
-}

@@ -23,6 +23,7 @@ import csv
 import json
 from pathlib import Path
 
+from .config import KINDS
 from .report import RunReport
 
 __all__ = [
@@ -99,45 +100,18 @@ def _dat_header(report: RunReport, columns: str) -> list[str]:
 
 
 def _curves(report: RunReport) -> dict[str, tuple[str, list[tuple[float, float]]]]:
-    """Map file stem -> (column label line, points)."""
-    kind = report.kind
-    curves: dict[str, tuple[str, list[tuple[float, float]]]] = {}
-    if kind == "duality":
-        pts = [
-            (c.inputs["N"], c.values["D"])
-            for c in report.cases
-            if "S_I" in c.values
-        ]
-        curves["deficit_vs_N"] = ("N D", pts)
-    elif kind == "cross-ratio-sweep":
-        by_size: dict[int, list[tuple[float, float]]] = {}
-        for c in report.cases:
-            by_size.setdefault(c.inputs["N"], []).append(
-                (c.values["eta"], c.values["S_product"])
-            )
-        for n, pts in by_size.items():
-            curves[f"sweep_N{n}"] = ("eta S_product", pts)
-    elif kind == "c-fit":
-        pts = [(c.inputs["N"], c.values["c_hat"]) for c in report.cases]
-        curves["chat_vs_N"] = ("N c_hat", pts)
-    elif kind == "shrink":
-        by_size = {}
-        for c in report.cases:
-            by_size.setdefault(c.inputs["N"], []).append(
-                (c.inputs["length"], c.values["gap"])
-            )
-        for n, pts in by_size.items():
-            curves[f"shrink_gap_N{n}"] = ("length gap", pts)
-    elif kind == "collapse":
-        pts = [(c.inputs["N"], c.values["spread"]) for c in report.cases]
-        curves["collapse_spread_vs_N"] = ("N spread", pts)
-    elif kind == "two-d":
-        pts = [
-            (c.inputs["N"], c.values["D_2d"])
-            for c in report.cases
-            if "D_2d" in c.values and "N" in c.inputs
-        ]
-        curves["deficit2d_vs_N"] = ("N D_2d", pts)
+    """Map file stem -> (column label line, points), as the kind's ``Curve`` declares."""
+    curve = KINDS[report.kind].curve if report.kind in KINDS else None
+    if curve is None:
+        return {}
+    label = f"{curve.x} {curve.y}"
+    curves = {} if curve.per_size else {curve.stem: (label, [])}
+    for case in report.cases:
+        if curve.y not in case.values:
+            continue
+        fields = {**case.inputs, **case.values}
+        stem = f"{curve.stem}_N{case.inputs['N']}" if curve.per_size else curve.stem
+        curves.setdefault(stem, (label, []))[1].append((fields[curve.x], fields[curve.y]))
     return curves
 
 

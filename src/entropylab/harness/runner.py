@@ -1,33 +1,28 @@
-"""Experiment execution: dispatch a validated config to the engine of its kind.
+"""Experiment execution: dispatch a validated config to the runner of its kind.
 
-``run_experiment`` imports the runners of a kind, and through them its
-engine, on first use: a findim-suite run loads ``entropylab.findim`` alone
-(``findim_runs``), a fermion run ``entropylab.lattice`` alone
-(``fermion_runs``).  Each runner turns the config into case records,
-verdicts and wall-clock timings; the report types themselves live in
-:mod:`entropylab.harness.report`.
+``run_experiment`` imports the runner that ``KINDS`` names for the kind,
+and through it its engine, on first use: a findim-suite run loads
+``entropylab.findim`` alone (``findim_runs``), a fermion run
+``entropylab.lattice`` alone (``fermion_runs``).  Each runner turns the
+config into case records, verdicts and wall-clock timings; the report
+types themselves live in :mod:`entropylab.harness.report`.
 """
 
 from __future__ import annotations
 
+import importlib
 import time
 
 from .. import __version__ as ENGINE_VERSION
-from .config import ConfigError, ExperimentConfig
+from .config import KINDS, ExperimentConfig
 from .report import CaseRecord, RunReport, Verdict
 
 __all__ = ["run_experiment"]
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    if config.kind == "findim-suite":
-        from .findim_runs import run_findim as runner
-    else:
-        from .fermion_runs import RUNNERS
-
-        runner = RUNNERS.get(config.kind)
-    if runner is None:
-        raise ConfigError(f"no runner for kind '{config.kind}'")
+    module, name = KINDS[config.kind].runner.split(".")
+    runner = getattr(importlib.import_module(f".{module}", __package__), name)
     start = time.perf_counter()
     cases, verdicts, timings = runner(config)
     timings["total_seconds"] = time.perf_counter() - start

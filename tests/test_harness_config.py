@@ -181,3 +181,25 @@ def test_unknown_kind(tmp_path):
     text = "[experiment]\nkind = teleport\nsizes = 64\n"
     with pytest.raises(ConfigError, match="unknown experiment kind"):
         parse_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (DUALITY.replace("1.45", "3.0"), "invalid 'arcs'"),
+        (
+            "[experiment]\nkind = two-d\nsizes = 64\narcs = 0.3 1.45, 2.65 4.1\n"
+            "right_arcs = 0.5 3.5, 3.0 4.4\n",
+            "invalid 'right_arcs'",
+        ),
+        (
+            "[experiment]\nkind = cross-ratio-sweep\nsizes = 64\narcs = 0.3 1.45, 2.65 4.1\n"
+            "sweep_lengths = 4.0\n",
+            "invalid 'sweep_lengths'",
+        ),
+    ],
+    ids=["overlapping-arcs", "overlapping-right-arcs", "sweep-into-first-arc"],
+)
+def test_regions_are_built_at_parse_time(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(_write(tmp_path, text))

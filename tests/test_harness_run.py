@@ -1,5 +1,6 @@
 """End-to-end harness behavior: runs, artifacts, cache, CLI exit codes."""
 
+import importlib
 import json
 import os
 import shutil
@@ -25,6 +26,7 @@ from entropylab.harness import (
     write_report,
 )
 from entropylab.harness.cli import main
+from entropylab.harness.config import KINDS, ExperimentConfig
 
 DUALITY = """\
 [experiment]
@@ -47,6 +49,8 @@ FINDIM_SMALL = """\
 kind = findim-suite
 instances = 2
 """
+
+FINDIM_ONE = FINDIM_SMALL.replace("instances = 2", "instances = 1")
 
 
 @pytest.fixture(autouse=True)
@@ -123,7 +127,7 @@ def test_summary_roundtrip(tmp_path):
 
 
 def test_config_hash_tracks_seed_and_version(tmp_path):
-    config = _config(tmp_path, DUALITY)
+    config = _config(tmp_path, FINDIM_ONE)
     assert config_hash(config) != config_hash(config._replace(seed=1))
     # output settings do not affect the key
     assert config_hash(config) == config_hash(config._replace(out_dir="/tmp/x"))
@@ -340,12 +344,11 @@ def test_cli_report_rerenders_stored_summary(tmp_path, capsys):
 
 def test_cli_seed_override_lands_in_echo(tmp_path, capsys):
     config_path = tmp_path / "exp.ini"
-    config_path.write_text(DUALITY)
+    config_path.write_text(FINDIM_ONE)
     out_dir = tmp_path / "artifacts"
     code = main(
         [
-            "fermion",
-            "duality",
+            "findim-suite",
             "--config",
             str(config_path),
             "--seed",
@@ -376,6 +379,85 @@ def test_cli_seed_override_is_validated(tmp_path, capsys, argv, text):
     assert code == 2
     assert "config error: seed must be a nonnegative integer" in capsys.readouterr().err
     assert not (tmp_path / "cache").exists()  # nothing was cached
+
+
+# A small runnable config of each kind, with only the keys it needs.
+_SMALL = {
+    "findim-suite": FINDIM_ONE,
+    "duality": DUALITY,
+    "cross-ratio-sweep": SWEEP,
+    "c-fit": "[experiment]\nkind = c-fit\nsizes = 16 32\n",
+    "shrink": "[experiment]\nkind = shrink\nsizes = 64\narcs = 0.2 1.1, 2.0 2.9\nschedule = 0.5\n",
+    "collapse": "[experiment]\nkind = collapse\nsizes = 32 64\narcs = 0.30 1.45, 2.65 4.10\n",
+    "two-d": "[experiment]\nkind = two-d\nsizes = 16 32\narcs = 0.30 1.45, 2.65 4.10\n"
+    "right_arcs = 0.50 1.70, 3.00 4.40\n",
+}
+_PHYSICS_KEYS = [
+    f for f in ExperimentConfig._fields if f not in ("kind", "out_dir", "cache_enabled")
+]
+# A value of each key that passes every range check.
+_IN_RANGE = {
+    "sizes": "64 128",
+    "arcs": "0.30 1.45, 2.65 4.10",
+    "right_arcs": "0.50 1.70, 3.00 4.40",
+    "c": "1.0",
+    "r_convention": "chord",
+    "seed": "3",
+    "tolerance": "0.5",
+    "instances": "2",
+    "schedule": "0.5",
+    "arc_index": "0",
+    "family_size": "2",
+    "lengths": "2 4 6 8 10 12",
+    "sweep_lengths": "0.5",
+}
+
+
+def _argv(kind):
+    command = KINDS[kind].command[0]
+    return [command] if command == kind else [command, kind]
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for kind in KINDS for key in _PHYSICS_KEYS if key not in KINDS[kind].keys],
+)
+def test_cli_rejects_a_key_the_kind_does_not_read(tmp_path, capsys, kind, key):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(_SMALL[kind] + f"{key} = {_IN_RANGE[key]}\n")
+    code = main([*_argv(kind), "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and f"'{key}'" in err and f"'{kind}'" in err
+    assert not (tmp_path / "cache").exists()  # nothing was cached
+
+
+@pytest.mark.parametrize("kind", [kind for kind in KINDS if "seed" not in KINDS[kind].keys])
+def test_cli_seed_override_on_a_kind_without_seed_exits_two(tmp_path, capsys, kind):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(_SMALL[kind])
+    code = main([*_argv(kind), "--config", str(config_path), "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"'{kind}' does not read 'seed'" in err
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_runner_reads_exactly_the_declared_keys(tmp_path, kind):
+    read = set()
+
+    class Recording(ExperimentConfig):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    config = Recording(*_config(tmp_path, _SMALL[kind]))
+    module, name = KINDS[kind].runner.split(".")
+    getattr(importlib.import_module(f"entropylab.harness.{module}"), name)(config)
+    assert read & set(_PHYSICS_KEYS) == set(KINDS[kind].keys)
 
 
 _CFIT = "[experiment]\nkind = c-fit\nsizes = 16 32\n"
@@ -730,3 +812,13 @@ def test_harness_replay_matches_the_benchmark_reference(tmp_path, name):
                 assert abs(got_leaves[where] - value) <= 1e-9, where
             else:
                 assert got_leaves[where] == value, where
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((_PERFBENCH / "configs").glob("*/*.ini")),
+    ids=lambda p: f"{p.parent.name}/{p.stem}",
+)
+def test_benchmark_configs_echo_only_the_keys_their_kind_reads(path):
+    config = parse_config(path)
+    assert set(config.echo()) == {"kind", *KINDS[config.kind].keys, "tolerance"}
