@@ -16,8 +16,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .config import ExperimentConfig
-from .report import RunReport, config_hash
+from .report import RunReport
 
 __all__ = ["cache_dir", "cache_lookup", "cache_store"]
 
@@ -33,8 +32,9 @@ def _entry_path(key: str) -> Path:
     return cache_dir() / f"{key}.json"
 
 
-def cache_lookup(config: ExperimentConfig) -> RunReport | None:
-    path = _entry_path(config_hash(config))
+def cache_lookup(key: str) -> RunReport | None:
+    """The report stored under ``key``, a config hash, or None."""
+    path = _entry_path(key)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         report = RunReport.from_dict(payload["report"])._replace(

@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _resolve_config(args, kind)
 
         key = config_hash(config)
-        report = cache_lookup(config) if config.cache_enabled else None
+        report = cache_lookup(key) if config.cache_enabled else None
         if report is not None:
             cache = "hit"
         else:

@@ -10,7 +10,9 @@ optional ``[output]`` section.  Unknown sections or keys are errors, not
 warnings, so typos cannot silently fall back to defaults; so is a key the
 kind does not read, in the file or as a command-line override.  The run
 report echoes the kind, every key the kind reads (defaults included) and
-the effective tolerance.
+the effective tolerance.  Validation builds every region a run evaluates
+and checks its sites at every size, before the cache lookup and without
+numpy; only collapse's Moebius images wait for the run, which draws them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from ..regions import RegionSpec
+from ..regions import RegionSpec, arc_range
 
 
 class ConfigError(Exception):
@@ -192,22 +194,47 @@ def _region(arcs, what: str) -> RegionSpec:
         raise ConfigError(f"{what}: {exc}") from None
 
 
+def check_sites(sizes, regions, last=None) -> None:
+    """Raise ConfigError unless at every size each arc of each region holds a
+    site and each region leaves one outside it; ``last``, the final shrink
+    step, may leave its scheduled arc empty (the step then equals the target)."""
+    for n in sizes:
+        for spec in [*regions, last] if last else regions:
+            counts = [arc_range(n, arc)[1] for arc in spec.arcs]
+            if 0 in counts and spec is not last:
+                a, b = spec.arcs[counts.index(0)]
+                raise ConfigError(f"arc ({a:.4g}, {b:.4g}) holds no sites at N = {n}")
+            if sum(counts) == n:
+                arcs = ", ".join(f"({a:.4g}, {b:.4g})" for a, b in spec.arcs)
+                raise ConfigError(f"region {arcs} leaves no site outside it at N = {n}")
+
+
 def _check_regions(config: ExperimentConfig, keys) -> None:
-    """Build every region the run builds from its arcs, so bad arcs fail here."""
-    _region(config.right_arcs, "invalid 'right_arcs'")
+    """Build every region the run evaluates and check its sites at every size."""
+    right = _region(config.right_arcs, "invalid 'right_arcs'")
     spec = _region(config.arcs, "invalid 'arcs'")
+    last = None
     if "schedule" in keys:
         # The scheduled arc keeps the start of arcs[arc_index] (sorted as
         # RegionSpec sorts them) and must stay clear of every other arc.
         start = spec.arcs[config.arc_index][0]
         others = [arc for k, arc in enumerate(spec.arcs) if k != config.arc_index]
+        regions = [RegionSpec(others)]
         for length in config.schedule:
             what = f"'schedule' entry {length:g} runs arc {config.arc_index} into the next arc"
-            _region(others + [(start, start + length)], what)
-    if "sweep_lengths" in keys:
+            regions.append(_region(others + [(start, start + length)], what))
+        last = regions.pop()
+    elif "sweep_lengths" in keys:
         (a1, b1), (a2, _) = spec.arcs
-        for length in config.sweep_lengths:
+        regions = [
             _region(((a1, b1), (a2, a2 + length)), f"invalid 'sweep_lengths' entry {length:g}")
+            for length in config.sweep_lengths
+        ]
+    else:
+        regions = [region for region in (spec, right) if region.arcs]
+        if "c" in keys:  # a deficit evaluates each region's complement too
+            regions = [r for region in regions for r in (region, region.complement())]
+    check_sites(config.sizes, regions, last)
 
 
 def validate_config(config: ExperimentConfig, given=()) -> None:
@@ -272,8 +299,10 @@ def validate_config(config: ExperimentConfig, given=()) -> None:
         raise ConfigError(
             f"'{config.kind}' needs r_convention = chord: Moebius images keep only the chord cross ratio"
         )
-    if config.c <= 0:
-        raise ConfigError("central charge must be positive")
+    if not 0 < config.c < math.inf:
+        raise ConfigError("central charge must be finite and positive")
+    if config.tolerance is not None and not 0 < config.tolerance < math.inf:
+        raise ConfigError("tolerance must be finite and positive")
     if config.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     if config.instances < 1:

@@ -1,23 +1,22 @@
 """The six fermion runners: lattice experiments on the free-fermion chain.
 
-They share their pieces: ``_require_sites`` rejects, with ``ConfigError``
-and before anything is computed, a region with an arc that holds no site or
-that leaves none outside it; ``_per_size`` evaluates and times each lattice
-size in order; ``_limit`` gives the N -> infinity verdict on a deficit and
-``_decreasing`` the verdict that a sequence shrinks with N.
+``validate_config`` has built and checked every region they evaluate, at
+every size, when the config was parsed; only collapse's Moebius images,
+drawn here from a seeded generator, are checked when the run starts, by
+the same ``check_sites``.  The runners share their pieces: ``_per_size``
+evaluates and times each lattice size in order; ``_limit`` gives the
+N -> infinity verdict on a deficit and ``_decreasing`` the verdict that a
+sequence shrinks with N.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
 
 from ..lattice import (
-    LatticeCircle,
     RegionSpec,
-    arc_sites,
     central_charge_fit,
     cross_ratio,
     cross_ratio_collapse,
@@ -29,7 +28,7 @@ from ..lattice import (
     region_entropy,
     shrink_experiment,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig, check_sites
 from .report import CaseRecord, Verdict
 from .runner import _group_verdict, _residual_case
 
@@ -46,26 +45,6 @@ def _per_size(config, compute) -> tuple[list, dict]:
         results.append(compute(n, ground_state_correlations(n)))
         timings[f"N={n}"] = time.perf_counter() - t0
     return results, timings
-
-
-def _require_sites(sizes, specs, final_step=None) -> None:
-    """Reject, before anything is computed, a region the lattice cannot resolve.
-
-    At every size each arc of each region must hold a site, and each region
-    must leave a site outside it.  ``final_step`` is the last shrink step:
-    its scheduled arc may hold no sites (the step then equals the target),
-    but the region must still leave a site outside it.
-    """
-    for n in sizes:
-        circle = LatticeCircle(n)
-        for spec in filter(None, [*specs, final_step]):
-            counts = [arc_sites(circle, arc).size for arc in spec.arcs]
-            if 0 in counts and spec is not final_step:
-                a, b = spec.arcs[counts.index(0)]
-                raise ConfigError(f"arc ({a:.4g}, {b:.4g}) holds no sites at N = {n}")
-            if sum(counts) == n:
-                arcs = ", ".join(f"({a:.4g}, {b:.4g})" for a, b in spec.arcs)
-                raise ConfigError(f"region {arcs} leaves no site outside it at N = {n}")
 
 
 def _decreasing(name, label, cases, values) -> list[Verdict]:
@@ -122,7 +101,6 @@ def _limit(config, cases, key, limit, prefix, name) -> Verdict:
 
 def run_duality(config: ExperimentConfig):
     spec = RegionSpec(config.arcs)
-    _require_sites(config.sizes, [spec, spec.complement()])
     arc_flag = config.r_convention == "arc"
 
     def case(n, corr) -> CaseRecord:
@@ -155,7 +133,6 @@ def run_duality(config: ExperimentConfig):
 def run_sweep(config: ExperimentConfig):
     (a1, b1), (a2, _) = RegionSpec(config.arcs).arcs
     specs = {l: RegionSpec(((a1, b1), (a2, a2 + l))) for l in config.sweep_lengths}
-    _require_sites(config.sizes, specs.values())
     arc_flag = config.r_convention == "arc"
     tol = config.effective_tolerance
 
@@ -222,13 +199,6 @@ def run_cfit(config: ExperimentConfig):
 
 def run_shrink(config: ExperimentConfig):
     spec = RegionSpec(config.arcs)
-    start = spec.arcs[config.arc_index][0]
-    fixed = [arc for k, arc in enumerate(spec.arcs) if k != config.arc_index]
-    steps = [
-        RegionSpec(fixed + [(start, (start + length) % math.tau)])
-        for length in config.schedule
-    ]
-    _require_sites(config.sizes, [RegionSpec(fixed)] + steps[:-1], final_step=steps[-1])
     tol = config.effective_tolerance
 
     def size_run(n, corr) -> tuple[list[CaseRecord], Verdict]:
@@ -262,7 +232,7 @@ def run_shrink(config: ExperimentConfig):
 def run_collapse(config: ExperimentConfig):
     rng = np.random.default_rng([config.seed, 10])
     family = equal_eta_family(RegionSpec(config.arcs), config.family_size, rng)
-    _require_sites(config.sizes, family)
+    check_sites(config.sizes, family[1:])
     tol = config.effective_tolerance
     largest = max(config.sizes)
 
@@ -301,7 +271,6 @@ def run_collapse(config: ExperimentConfig):
 def run_twod(config: ExperimentConfig):
     left = RegionSpec(config.arcs)
     right = RegionSpec(config.right_arcs)
-    _require_sites(config.sizes, [left, left.complement(), right, right.complement()])
     arc_flag = config.r_convention == "arc"
 
     def case(n, corr) -> CaseRecord:

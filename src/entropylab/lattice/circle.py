@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ..regions import TWO_PI, RegionSpec
+from ..regions import TWO_PI, RegionSpec, arc_range
 
 __all__ = [
     "LatticeCircle",
@@ -41,20 +41,12 @@ class LatticeCircle(namedtuple("LatticeCircle", "n_sites")):
             raise ValueError("site count must be even and at least 8")
         return super().__new__(cls, n_sites)
 
-    @property
-    def site_angles(self) -> np.ndarray:
-        return np.arange(self.n_sites) * (TWO_PI / self.n_sites)
-
 
 def arc_sites(circle: LatticeCircle, arc: tuple[float, float]) -> np.ndarray:
-    """Sites with angle in [a, b), where an arc with b <= a wraps through 0."""
-    theta = circle.site_angles
-    a, b = arc
-    if a < b:
-        mask = (theta >= a) & (theta < b)
-    else:
-        mask = (theta >= a) | (theta < b)
-    return np.nonzero(mask)[0]
+    """Sorted sites with angle in [a, b), where an arc with b <= a wraps through 0."""
+    first, count = arc_range(circle.n_sites, arc)
+    tail = min(count, circle.n_sites - first)  # the sites before the wrap through 0
+    return np.concatenate([np.arange(count - tail), np.arange(first, first + tail)])
 
 
 def lattice_region(circle: LatticeCircle, spec: RegionSpec) -> np.ndarray:

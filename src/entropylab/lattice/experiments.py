@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 import numpy as np
 
-from .circle import (
-    TWO_PI,
-    LatticeCircle,
-    RegionSpec,
-    arc_sites,
-    cross_ratio,
-)
+from ..regions import arc_range
+from .circle import TWO_PI, RegionSpec, cross_ratio
 from .gaussian import CorrelationMatrix, product_state_relative_entropy
 
 __all__ = [
@@ -65,7 +59,6 @@ def shrink_experiment(
         raise ValueError("empty schedule")
     if not 0 <= arc_index < len(spec.arcs):
         raise ValueError("arc index out of range")
-    circle = LatticeCircle(corr.n_sites)
     start = spec.arcs[arc_index][0]
     others = [arc for k, arc in enumerate(spec.arcs) if k != arc_index]
     if not others:
@@ -79,7 +72,7 @@ def shrink_experiment(
         if not 0 < length < TWO_PI:
             raise ValueError("schedule lengths must lie strictly between 0 and 2*pi")
         arc = (start, (start + length) % TWO_PI)
-        occupied = arc_sites(circle, arc).size
+        occupied = arc_range(corr.n_sites, arc)[1]
         if occupied == 0:
             if position != len(schedule) - 1:
                 raise ValueError("schedule empties the arc before the final step")

@@ -1,8 +1,8 @@
 """Regions on the circle: unions of disjoint arcs in angle coordinates.
 
 Standard library only, so that the harness checks a config's arcs by the
-same separation rule the lattice engine builds its regions with, without
-loading numpy.  ``entropylab.lattice`` re-exports :class:`RegionSpec`.
+separation and arc -> site rules the lattice engine builds its regions
+with, without loading numpy.  ``entropylab.lattice`` re-exports RegionSpec.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 
 TWO_PI = 2.0 * math.pi
 
-__all__ = ["RegionSpec"]
+__all__ = ["RegionSpec", "arc_range"]
 
 
 class RegionSpec:
@@ -27,6 +27,8 @@ class RegionSpec:
     def __init__(self, arcs) -> None:
         cleaned = []
         for a, b in arcs:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError("arc endpoints must be finite")
             a = float(a) % TWO_PI
             b = float(b) % TWO_PI
             if a == b:
@@ -57,3 +59,26 @@ class RegionSpec:
         n = len(self.arcs)
         gaps = [(self.arcs[k][1], self.arcs[(k + 1) % n][0]) for k in range(n)]
         return RegionSpec(gaps)
+
+
+def arc_range(n: int, arc: tuple[float, float]) -> tuple[int, int]:
+    """The sites of ``arc`` on N = ``n`` sites as one run ``(first, count)``.
+
+    Site k sits at angle ``k * (2pi/n)`` and lies in the arc [a, b) (which
+    wraps through 0 when b <= a) when that float is ``>= a`` and ``< b``.
+    The angles grow with k, so each end is the first site at or past it.
+    The sites are first, first + 1, ..., first + count - 1, modulo n.
+    """
+    step = TWO_PI / n
+
+    def first_at(x: float) -> int:  # the least k in [0, n] with k * step >= x, n if none
+        k = min(max(math.ceil(x / step), 0), n)
+        while k > 0 and (k - 1) * step >= x:
+            k -= 1
+        while k < n and k * step < x:
+            k += 1
+        return k
+
+    a, b = arc
+    lo, hi = first_at(a), first_at(b)
+    return lo % n, hi - lo if a < b else n - lo + hi

@@ -32,6 +32,8 @@ themselves do not use.  ``exact_diagonalization_entropies`` builds the
 takes only the arc-to-site assignment from the package's circle geometry,
 never the Gaussian kernel.  ``basis_distance_by_element`` is the loop of
 one package projection per basis element that ``basis_distance`` batches.
+``mask_arc_sites`` is the arc-to-site rule as a float mask over all N site
+angles, the reference that the package's ``arc_range`` must reproduce.
 ``whole_block_spectrum`` is the range finder of the package's lattice
 kernel run on the whole coupling block, held at once, with the package's
 test matrix and constants; the kernel streams the same block in row panels
@@ -424,6 +426,18 @@ def conjugation_flow(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     phases = np.exp(1j * t * np.log(vals))
     u = (vecs * phases) @ vecs.conj().T
     return u @ x @ u.conj().T
+
+
+# --- the arc -> site rule ----------------------------------------------------
+
+
+def mask_arc_sites(n_sites: int, arc: tuple[float, float]) -> np.ndarray:
+    """Sites k whose angle k * (2pi/N) lies in [a, b), wrapping through 0 when b <= a."""
+    theta = np.arange(n_sites) * (2.0 * math.pi / n_sites)
+    a, b = arc
+    if a < b:
+        return np.nonzero((theta >= a) & (theta < b))[0]
+    return np.nonzero((theta >= a) | (theta < b))[0]
 
 
 # --- dense Gaussian route for the hopping chain ----------------------------

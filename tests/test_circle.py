@@ -18,6 +18,8 @@ from entropylab.lattice import (
     mobius_region,
     rotated_region,
 )
+from entropylab.regions import arc_range
+from oracles import mask_arc_sites
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +41,14 @@ def test_region_wraps_when_end_before_start():
 def test_region_rejects_overlap():
     with pytest.raises(ValueError):
         RegionSpec([(0.0, 2.0), (1.0, 3.0)])
+
+
+@pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+def test_region_rejects_non_finite_endpoints(end):
+    with pytest.raises(ValueError, match="finite"):
+        RegionSpec([(0.3, 1.45), (2.65, end)])
+    with pytest.raises(ValueError, match="finite"):
+        RegionSpec([(end, 1.45)])
 
 
 def test_region_rejects_zero_length_arc():
@@ -67,6 +77,41 @@ def test_arc_sites_half_open():
     sites = arc_sites(circle, (0.0, math.pi / 2))
     # includes theta = 0 (start), excludes theta = pi/2 (end)
     assert list(sites) == [0, 1]
+
+
+@st.composite
+def _site_endpoint(draw, n):
+    """An angle on some lattice, k*(2pi/N0) or 2pi*k/N0, or anywhere, moved by a few ulps."""
+    n0 = draw(st.sampled_from([n, n // 2, 2 * n, 8, 16, 64, 256]) | st.integers(1, 70000))
+    k = draw(st.integers(0, n0))
+    x = draw(
+        st.sampled_from([k * (TWO_PI / n0), TWO_PI * k / n0])
+        | st.floats(0.0, TWO_PI, exclude_max=True)
+    )
+    ulps = draw(st.integers(-2, 2))
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _arc_on_lattice(draw):
+    n = 2 * draw(st.integers(4, 32768))
+    return n, (draw(_site_endpoint(n)), draw(_site_endpoint(n)))
+
+
+@given(_arc_on_lattice())
+@settings(max_examples=400, deadline=None)
+def test_property_arc_range_is_the_float_mask(case):
+    # every end is decided by the mask's own comparison, ties and wrapping
+    # arcs included, so the site sets are bitwise the mask's
+    n, arc = case
+    first, count = arc_range(n, arc)
+    expected = mask_arc_sites(n, arc)
+    assert 0 <= first < n and 0 <= count <= n
+    assert sorted((first + j) % n for j in range(count)) == expected.tolist()
+    sites = arc_sites(LatticeCircle(n), arc)
+    assert sites.dtype == expected.dtype and np.array_equal(sites, expected)
 
 
 def test_lattice_region_and_complement_partition():

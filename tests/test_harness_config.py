@@ -1,5 +1,8 @@
 """Config parsing and validation for the experiment harness."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from entropylab.harness import (
@@ -8,6 +11,9 @@ from entropylab.harness import (
     default_config,
     parse_config,
 )
+from entropylab.harness import config as config_module
+from entropylab.lattice import LatticeCircle, arc_sites
+from oracles import mask_arc_sites
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -149,14 +155,19 @@ def test_r_convention_choices(tmp_path):
 
 
 def test_scalar_validation(tmp_path):
-    with pytest.raises(ConfigError, match="positive"):
-        parse_config(_write(tmp_path, DUALITY + "c = -1.0\n"))
-    with pytest.raises(ConfigError, match="nonnegative"):
-        parse_config(_write(tmp_path, DUALITY + "seed = -3\n", "b.ini"))
-    with pytest.raises(ConfigError, match="malformed number"):
-        parse_config(_write(tmp_path, DUALITY + "c = twelve\n", "c.ini"))
-    with pytest.raises(ConfigError, match="malformed integer"):
-        parse_config(_write(tmp_path, DUALITY + "seed = 1.5\n", "d.ini"))
+    for line, message in [
+        ("c = -1.0", "positive"),
+        ("seed = -3", "nonnegative"),
+        ("c = twelve", "malformed number"),
+        ("seed = 1.5", "malformed integer"),
+        ("c = nan", "central charge must be finite and positive"),
+        ("c = inf", "central charge must be finite and positive"),
+        ("tolerance = inf", "tolerance must be finite and positive"),
+        ("tolerance = nan", "tolerance must be finite and positive"),
+        ("tolerance = -1", "tolerance must be finite and positive"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            parse_config(_write(tmp_path, DUALITY + line + "\n"))
 
 
 def test_malformed_arcs(tmp_path):
@@ -183,10 +194,16 @@ def test_unknown_kind(tmp_path):
         parse_config(_write(tmp_path, text))
 
 
+# At N = 8 the gap (1.6, 2.3) holds no site.
+_SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         (DUALITY.replace("1.45", "3.0"), "invalid 'arcs'"),
+        (DUALITY.replace("4.10", "nan"), "invalid 'arcs': arc endpoints must be finite"),
+        (DUALITY.replace("0.30", "-inf"), "invalid 'arcs': arc endpoints must be finite"),
         (
             "[experiment]\nkind = two-d\nsizes = 64\narcs = 0.3 1.45, 2.65 4.1\n"
             "right_arcs = 0.5 3.5, 3.0 4.4\n",
@@ -197,9 +214,87 @@ def test_unknown_kind(tmp_path):
             "sweep_lengths = 4.0\n",
             "invalid 'sweep_lengths'",
         ),
+        (
+            "[experiment]\nkind = shrink\nsizes = 64\narcs = 0.2 1.1, 2.0 2.9, 4.1 5.3\n"
+            "schedule = 0.5 0.001 0.3\n",
+            r"arc \(0.2, 0.201\) holds no sites at N = 64",
+        ),
+        (
+            "[experiment]\nkind = shrink\nsizes = 64\narcs = 0.2 1.1, 2.0 2.05\nschedule = 0.5\n",
+            r"arc \(2, 2.05\) holds no sites at N = 64",
+        ),
+        (
+            "[experiment]\nkind = duality\nsizes = 16 32 64\narcs = 0.30 0.35, 2.65 4.10\n",
+            r"arc \(0.3, 0.35\) holds no sites at N = 16",
+        ),
+        (
+            "[experiment]\nkind = duality\n" + _SITELESS_GAP,
+            r"arc \(1.6, 2.3\) holds no sites at N = 8",
+        ),
+        (
+            "[experiment]\nkind = two-d\nsizes = 16 32\narcs = 0.30 0.35, 2.65 4.10\n"
+            "right_arcs = 0.50 1.70, 3.00 4.40\n",
+            r"arc \(0.3, 0.35\) holds no sites at N = 16",
+        ),
+        (
+            "[experiment]\nkind = cross-ratio-sweep\nsizes = 16\narcs = 0.30 0.35, 2.65 4.10\n"
+            "sweep_lengths = 0.8 1.2\n",
+            r"arc \(0.3, 0.35\) holds no sites at N = 16",
+        ),
+        (
+            "[experiment]\nkind = cross-ratio-sweep\nsizes = 8\narcs = 3.1 6.2, 6.23 1.0\n"
+            "sweep_lengths = 3.05\n",
+            "leaves no site outside it at N = 8",
+        ),
+        (
+            "[experiment]\nkind = shrink\n" + _SITELESS_GAP + "arc_index = 1\nschedule = 3.0 4.2\n",
+            "leaves no site outside it at N = 8",
+        ),
     ],
-    ids=["overlapping-arcs", "overlapping-right-arcs", "sweep-into-first-arc"],
+    ids=[
+        "overlapping-arcs",
+        "nan-endpoint",
+        "infinite-endpoint",
+        "overlapping-right-arcs",
+        "sweep-into-first-arc",
+        "shrink-schedule-empties-arc-early",
+        "shrink-fixed-arc-without-sites",
+        "duality-arc-without-sites",
+        "duality-complement-arc-without-sites",
+        "twod-left-arc-without-sites",
+        "sweep-first-arc-without-sites",
+        "sweep-region-covers-every-site",
+        "shrink-final-step-covers-every-site",
+    ],
 )
 def test_regions_are_built_at_parse_time(tmp_path, text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(_write(tmp_path, text))
+
+
+_BENCHMARK_CONFIGS = sorted(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "configs").glob("*/*.ini")
+)
+
+
+@pytest.mark.parametrize(
+    "path", _BENCHMARK_CONFIGS, ids=[f"{p.parent.name}/{p.stem}" for p in _BENCHMARK_CONFIGS]
+)
+def test_benchmark_config_sites_are_the_float_mask(monkeypatch, path):
+    """Every arc of every region a benchmark config's run evaluates, at each
+    of its sizes, holds the sites of the float mask over all N angles."""
+    checked = []
+    check_sites = config_module.check_sites
+
+    def recording(sizes, regions, last=None):
+        checked.extend(
+            (n, arc) for n in sizes for spec in [*regions, last] if spec for arc in spec.arcs
+        )
+        check_sites(sizes, regions, last)
+
+    monkeypatch.setattr(config_module, "check_sites", recording)
+    config = parse_config(path)
+    assert bool(checked) == bool(config.arcs)
+    for n, arc in checked:
+        expected = mask_arc_sites(n, arc)
+        assert np.array_equal(arc_sites(LatticeCircle(n), arc), expected), (n, arc)

@@ -180,10 +180,10 @@ def test_config_hash_tracks_engine_sources(tmp_path):
 
 def test_cache_roundtrip(tmp_path):
     config = _config(tmp_path, DUALITY)
-    assert cache_lookup(config) is None
+    assert cache_lookup(config_hash(config)) is None
     report = run_experiment(config)
     cache_store(report, config_hash(config))
-    cached = cache_lookup(config)
+    cached = cache_lookup(config_hash(config))
     assert cached is not None
     assert cached.to_dict() == report.to_dict()
     assert cached.timings == report.timings
@@ -195,7 +195,7 @@ def test_cache_evicts_corrupt_entries(tmp_path):
     report = run_experiment(config)
     path = cache_store(report, config_hash(config))
     path.write_text("{not json")
-    assert cache_lookup(config) is None
+    assert cache_lookup(config_hash(config)) is None
     assert not path.exists()
 
 
@@ -657,6 +657,21 @@ with open(result_path, "w") as fh:
 """
 
 
+def _fresh_process(script, *args) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter without ``site``."""
+    # numpy's own directory stands in for the site directories that -S skips
+    path = [Path(entropylab.__file__).parent.parent, Path(np.__file__).parent.parent]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(str(p) for p in path),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    return subprocess.run(
+        [sys.executable, "-S", "-c", script, *args],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+
+
 def _import_probe(tmp_path, command, text) -> dict:
     """Modules loaded by a fresh process at each step of a report, a cache hit
     and an uncached run of ``command`` on the config ``text``."""
@@ -665,18 +680,7 @@ def _import_probe(tmp_path, command, text) -> dict:
     out = tmp_path / "out"
     assert main([*command, "--config", str(config_path), "--out", str(out)]) == 0
     result = tmp_path / "probe.json"
-    # numpy's own directory stands in for the site directories that -S skips
-    path = [Path(entropylab.__file__).parent.parent, Path(np.__file__).parent.parent]
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(str(p) for p in path),
-        PYTHONDONTWRITEBYTECODE="1",
-    )
-    subprocess.run(
-        [sys.executable, "-S", "-c", _IMPORT_PROBE, str(config_path), str(out), str(result),
-         *command],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
+    _fresh_process(_IMPORT_PROBE, str(config_path), str(out), str(result), *command)
     seen = json.loads(result.read_text())
     assert seen["import"] == []
     assert seen["report"] == [0]
@@ -706,6 +710,19 @@ def test_cache_hit_and_report_load_no_engine(tmp_path):
 def test_findim_cache_hit_and_report_load_no_engine(tmp_path):
     seen = _import_probe(tmp_path, ["findim-suite"], FINDIM_SMALL)
     assert seen["no-cache"] == [0, "numpy", "entropylab.findim"]
+
+
+def test_siteless_config_exits_two_without_numpy(tmp_path):
+    # an arc without sites is found when the config is parsed, not by the run
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text("[experiment]\nkind = duality\n" + _SITELESS_GAP)
+    script = (
+        "import sys\nfrom entropylab.harness import cli\n"
+        "print(cli.main(sys.argv[1:]), 'numpy' in sys.modules)\n"
+    )
+    done = _fresh_process(script, "fermion", "duality", "--config", str(config_path))
+    assert done.stdout.split() == ["2", "False"]
+    assert "holds no sites at N = 8" in done.stderr
 
 
 # One small passing config per fermion runner; collapse, the only one that
