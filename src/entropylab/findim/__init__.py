@@ -38,8 +38,6 @@ from .identities import (
 )
 from .index import dual_weight, kosaki_index
 from .spatial import (
-    connes_cocycle,
-    modular_flow,
     relative_entropy_spatial,
     relative_entropy_umegaki,
     spatial_derivative,
@@ -79,8 +77,6 @@ __all__ = [
     "random_unitary",
     "dual_weight",
     "kosaki_index",
-    "connes_cocycle",
-    "modular_flow",
     "relative_entropy_spatial",
     "relative_entropy_umegaki",
     "spatial_derivative",

@@ -1,4 +1,4 @@
-"""Spatial derivatives, modular flow, cocycles and relative entropy.
+"""Spatial derivatives and relative entropy.
 
 The spatial derivative of a weight psi on M relative to a weight phi' on
 the commutant M' is assembled block by block from the intrinsic density
@@ -26,8 +26,6 @@ from .states import SUPPORT_CUTOFF, VectorStateData, WeightDensity, _coefficient
 
 __all__ = [
     "spatial_derivative",
-    "modular_flow",
-    "connes_cocycle",
     "relative_entropy_spatial",
     "relative_entropy_umegaki",
 ]
@@ -70,49 +68,6 @@ def spatial_derivative(psi: WeightDensity, phi_c: WeightDensity) -> np.ndarray:
     for blk, rho_k, sig_k in zip(algebra.structure, rho, sig):
         out += _lift(blk, rho_k, _hermitian_power(sig_k, -1.0))
     return out
-
-
-def modular_flow(psi: WeightDensity, x: np.ndarray, t: float) -> np.ndarray:
-    """sigma_t^psi(x) for x in the algebra of psi (psi faithful)."""
-    if not psi.is_faithful:
-        raise ValueError("modular flow needs a faithful weight; restrict to the support first")
-    algebra = psi.algebra
-    if not algebra.contains(x, tol=1e-8):
-        raise ValueError("element does not lie in the algebra of the weight")
-    parts = algebra.matrix_blocks(x)
-    flowed = []
-    for rho_k, xk in zip(psi.intrinsic_blocks(), parts):
-        u = _hermitian_power(rho_k, 1j * t)
-        flowed.append(u @ xk @ u.conj().T)
-    return algebra.embed_blocks(flowed)
-
-
-def connes_cocycle(
-    psi1: WeightDensity,
-    psi2: WeightDensity,
-    t: float,
-    reference: WeightDensity | None = None,
-) -> np.ndarray:
-    """Connes cocycle [D psi1 : D psi2]_t as an element of the algebra.
-
-    With ``reference`` a faithful weight on the commutant the cocycle is
-    computed as Delta(psi1/ref)^{it} Delta(psi2/ref)^{-it}; the result does
-    not depend on that choice.  Without a reference the block formula
-    rho_1^{it} rho_2^{-it} is used directly.
-    """
-    algebra = psi1.algebra
-    psi2 = _on(psi2, algebra, "cocycle weights must live on the same algebra")
-    if not psi2.is_faithful:
-        raise ValueError("second cocycle weight must be faithful")
-    if reference is not None:
-        d1 = spatial_derivative(psi1, reference)
-        d2 = spatial_derivative(psi2, reference)
-        u = _hermitian_power(d1, 1j * t) @ _hermitian_power(d2, -1j * t)
-        return algebra.project(u)
-    parts = []
-    for rho1, rho2 in zip(psi1.intrinsic_blocks(), psi2.intrinsic_blocks()):
-        parts.append(_hermitian_power(rho1, 1j * t) @ _hermitian_power(rho2, -1j * t))
-    return algebra.embed_blocks(parts)
 
 
 def relative_entropy_spatial(omega: VectorStateData, phi: WeightDensity) -> float:

@@ -4,7 +4,9 @@
 package, parsing a config, reading the cache or re-rendering a report
 never loads numpy or the engines.  The config and report types are named
 tuples, so those steps load neither ``dataclasses`` nor ``inspect``
-either: every one of them is start-up cost of a CLI call.
+either, and ``cli`` parses its command line from ``KINDS`` without
+``argparse`` (nor its ``gettext`` and ``locale``): every one of them is
+start-up cost of a CLI call.
 """
 
 from .cache import cache_dir, cache_lookup, cache_store

@@ -1,24 +1,33 @@
 """Command line front end.
 
-Exit codes: 0 all invariants passed, 1 an invariant failed (failing
-case ids go to stderr), 2 configuration problem, 3 I/O problem (also a
-``summary.json`` that cannot be read back as a report).
+    entropylab {findim-suite | fermion KIND} [--config PATH] [--out DIR] [--no-cache] [--seed N]
+    entropylab report SUMMARY
 
-The engines are imported only when a run has to compute, so a cache hit
-or ``report`` starts without numpy; the harness itself loads neither
-``dataclasses`` nor ``inspect``.  Both are start-up cost, and a cache hit
-is little more than start-up.
+The commands and kinds are read from ``KINDS``.  Options come in any
+order, as ``--flag value`` or ``--flag=value``; ``-h``/``--help`` prints
+the usage to stdout.
+
+Exit codes: 0 all invariants passed (or help printed), 1 an invariant
+failed (failing case ids go to stderr), 2 a usage error (after the usage
+line) or a configuration problem, 3 I/O problem (also a ``summary.json``
+that cannot be read back as a report).
+
+A cache hit is little more than start-up, so a CLI call loads nothing it
+does not use: the engines and numpy only when a run computes, no
+``dataclasses`` or ``inspect``, and no argparse, whose import and first
+parse (gettext lookups, a ``locale`` import, regex compiles) cost more
+than anything else a cache hit does.
 
 ``run`` is the process entry point.  It freezes the garbage collector's
 tracked objects before exiting, so the interpreter's teardown collections
 do not walk the engines' and numpy's objects once more; atexit handlers and
 the flushes of the standard streams still run.  ``main`` has no such side
-effect and can be called in-process.
+effect and can be called in-process; it returns a usage error's 2 rather
+than raising ``SystemExit``.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 import time
@@ -29,55 +38,104 @@ from .config import KINDS, ConfigError, default_config, parse_config, validate_c
 from .report import RunReport, config_hash
 from .reporting import format_report, load_report, write_report
 
-__all__ = ["main", "run", "build_parser"]
+__all__ = ["main", "run"]
+
+# The options of a run command, each with the name of its value (None for a switch).
+_OPTIONS = {"--config": "PATH", "--out": "DIR", "--no-cache": None, "--seed": "N"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entropylab",
-        description="Run relative-entropy property suites and lattice experiments.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+class _Usage(Exception):
+    """A command line outside the grammar."""
 
-    def run_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--config", type=Path, help="experiment config file")
-        sub.add_argument("--out", type=Path, help="directory for report artifacts")
-        sub.add_argument(
-            "--no-cache", action="store_true", help="recompute even if cached"
-        )
-        sub.add_argument("--seed", type=int, help="override the config seed")
 
-    groups: dict = {}
+def _commands() -> dict:
+    """Each run command -> (help, the kinds it takes as its argument); a
+    command named after its only kind takes none."""
+    commands: dict = {}
     for kind, spec in KINDS.items():
-        groups.setdefault(spec.command, []).append(kind)
-    for (name, text), kinds in groups.items():
-        sub = commands.add_parser(name, help=text)
-        if kinds != [name]:
-            sub.add_argument("kind", choices=kinds, help="experiment kind")
-        run_flags(sub)
-
-    report = commands.add_parser(
-        "report", help="render a stored summary.json as text"
-    )
-    report.add_argument("summary", type=Path, help="path to a summary.json")
-    return parser
+        name, text = spec.command
+        kinds = commands.setdefault(name, (text, []))[1]
+        if kind != name:
+            kinds.append(kind)
+    return commands
 
 
-def _resolve_config(args: argparse.Namespace, kind: str):
-    if args.config is not None:
-        config = parse_config(args.config, kind=kind)
+def _usage(commands: dict) -> str:
+    runs = " | ".join(f"{name} KIND" if kinds else name for name, (_, kinds) in commands.items())
+    flags = " ".join(f"[{flag} {meta}]" if meta else f"[{flag}]" for flag, meta in _OPTIONS.items())
+    return f"usage: entropylab {{{runs}}} {flags}\n       entropylab report SUMMARY"
+
+
+def _help(commands: dict) -> str:
+    lines = [_usage(commands), ""]
+    for name, (text, kinds) in commands.items():
+        lines.append(f"  {name:<14}{text}")
+        if kinds:
+            lines.append(f"  {'':<14}KIND: {', '.join(kinds)}")
+    lines.append(f"  {'report':<14}render a stored summary.json as text")
+    return "\n".join(lines)
+
+
+def _parse(argv: list[str], commands: dict) -> tuple[str, str, dict] | None:
+    """``(command, kind or SUMMARY, {flag: value})``, or None for ``--help``.
+
+    Raises _Usage for anything outside the grammar.  A flag's value is the
+    next word unless that is another flag; a negative number is a value.
+    """
+    words, options = [], {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if token[:1] != "-" or token == "-":
+            words.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in _OPTIONS:
+            raise _Usage(f"unknown option '{flag}'")
+        meta = _OPTIONS[flag]
+        if meta is None and eq:
+            raise _Usage(f"{flag} takes no value")
+        if meta is not None and not eq:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not value[1:2].isdigit():
+                raise _Usage(f"{flag} needs a value {meta}")
+        options[flag] = value
+
+    command, *rest = words or [""]
+    if command == "report":
+        if len(rest) != 1 or options:
+            raise _Usage("report takes one SUMMARY and no options")
+        return command, rest[0], options
+    if command not in commands:
+        raise _Usage(f"unknown command '{command}' (one of {', '.join([*commands, 'report'])})")
+    kinds = commands[command][1]
+    kind = rest.pop(0) if kinds and rest else command
+    if kinds and kind not in kinds:
+        raise _Usage(f"'{command}' needs a KIND, one of {', '.join(kinds)}")
+    if rest:
+        raise _Usage(f"unexpected argument '{rest[0]}'")
+    if "--seed" in options:
+        try:
+            options["--seed"] = int(options["--seed"])
+        except ValueError:
+            raise _Usage(f"--seed needs an integer, got '{options['--seed']}'") from None
+    return command, kind, options
+
+
+def _resolve_config(kind: str, options: dict):
+    if "--config" in options:
+        config = parse_config(options["--config"], kind=kind)
     else:
         config = default_config(kind)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = str(args.out)
-    if args.no_cache:
-        overrides["cache_enabled"] = False
-    if overrides:
-        config = config._replace(**overrides)
-        validate_config(config, overrides)
+    if "--seed" in options:
+        # Only the seed changes what a run computes, so only it is checked again.
+        config = config._replace(seed=options["--seed"])
+        validate_config(config, ["seed"])
+    if "--out" in options:
+        config = config._replace(out_dir=str(Path(options["--out"])))
+    if "--no-cache" in options:
+        config = config._replace(cache_enabled=False)
     return config
 
 
@@ -92,20 +150,28 @@ def _finish(report: RunReport) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    commands = _commands()
     try:
-        if args.command == "report":
+        parsed = _parse(sys.argv[1:] if argv is None else argv, commands)
+    except _Usage as exc:
+        print(f"{_usage(commands)}\nentropylab: error: {exc}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        print(_help(commands))
+        return 0
+    command, target, options = parsed
+    try:
+        if command == "report":
+            summary = Path(target)
             try:
-                report = load_report(args.summary)
+                report = load_report(summary)
             except (ValueError, KeyError, TypeError) as exc:
                 raise OSError(
-                    f"{args.summary} is not a run summary: {type(exc).__name__}: {exc}"
+                    f"{summary} is not a run summary: {type(exc).__name__}: {exc}"
                 ) from None
             return _finish(report)
 
-        kind = getattr(args, "kind", args.command)
-        config = _resolve_config(args, kind)
+        config = _resolve_config(target, options)
 
         key = config_hash(config)
         report = cache_lookup(key) if config.cache_enabled else None

@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from ..regions import RegionSpec, arc_range
+from ..regions import RegionSpec, arc_range, shrink_arcs, swept_arcs
 
 
 class ConfigError(Exception):
@@ -215,19 +215,16 @@ def _check_regions(config: ExperimentConfig, keys) -> None:
     spec = _region(config.arcs, "invalid 'arcs'")
     last = None
     if "schedule" in keys:
-        # The scheduled arc keeps the start of arcs[arc_index] (sorted as
-        # RegionSpec sorts them) and must stay clear of every other arc.
-        start = spec.arcs[config.arc_index][0]
-        others = [arc for k, arc in enumerate(spec.arcs) if k != config.arc_index]
+        # The scheduled arc must stay clear of every other arc.
+        others, steps = shrink_arcs(spec, config.arc_index, config.schedule)
         regions = [RegionSpec(others)]
-        for length in config.schedule:
+        for length, arc in zip(config.schedule, steps):
             what = f"'schedule' entry {length:g} runs arc {config.arc_index} into the next arc"
-            regions.append(_region(others + [(start, start + length)], what))
+            regions.append(_region(others + [arc], what))
         last = regions.pop()
     elif "sweep_lengths" in keys:
-        (a1, b1), (a2, _) = spec.arcs
         regions = [
-            _region(((a1, b1), (a2, a2 + length)), f"invalid 'sweep_lengths' entry {length:g}")
+            _region(swept_arcs(spec, length), f"invalid 'sweep_lengths' entry {length:g}")
             for length in config.sweep_lengths
         ]
     else:

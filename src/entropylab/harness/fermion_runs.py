@@ -28,6 +28,7 @@ from ..lattice import (
     region_entropy,
     shrink_experiment,
 )
+from ..regions import swept_arcs
 from .config import ExperimentConfig, check_sites
 from .report import CaseRecord, Verdict
 from .runner import _group_verdict, _residual_case
@@ -131,8 +132,8 @@ def run_duality(config: ExperimentConfig):
 
 
 def run_sweep(config: ExperimentConfig):
-    (a1, b1), (a2, _) = RegionSpec(config.arcs).arcs
-    specs = {l: RegionSpec(((a1, b1), (a2, a2 + l))) for l in config.sweep_lengths}
+    spec = RegionSpec(config.arcs)
+    specs = {l: RegionSpec(swept_arcs(spec, l)) for l in config.sweep_lengths}
     arc_flag = config.r_convention == "arc"
     tol = config.effective_tolerance
 

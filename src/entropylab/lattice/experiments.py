@@ -6,7 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ..regions import arc_range
+from ..regions import arc_range, shrink_arcs
 from .circle import TWO_PI, RegionSpec, cross_ratio
 from .gaussian import CorrelationMatrix, product_state_relative_entropy
 
@@ -59,8 +59,7 @@ def shrink_experiment(
         raise ValueError("empty schedule")
     if not 0 <= arc_index < len(spec.arcs):
         raise ValueError("arc index out of range")
-    start = spec.arcs[arc_index][0]
-    others = [arc for k, arc in enumerate(spec.arcs) if k != arc_index]
+    others, arcs = shrink_arcs(spec, arc_index, schedule)
     if not others:
         raise ValueError("need at least one arc besides the scheduled one")
     # The fixed arcs enter every step; one memo evaluates each site set once.
@@ -68,10 +67,9 @@ def shrink_experiment(
     target = product_state_relative_entropy(corr, RegionSpec(others), memo)
 
     steps = []
-    for position, length in enumerate(schedule):
+    for position, (length, arc) in enumerate(zip(schedule, arcs)):
         if not 0 < length < TWO_PI:
             raise ValueError("schedule lengths must lie strictly between 0 and 2*pi")
-        arc = (start, (start + length) % TWO_PI)
         occupied = arc_range(corr.n_sites, arc)[1]
         if occupied == 0:
             if position != len(schedule) - 1:

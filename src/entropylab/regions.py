@@ -2,7 +2,10 @@
 
 Standard library only, so that the harness checks a config's arcs by the
 separation and arc -> site rules the lattice engine builds its regions
-with, without loading numpy.  ``entropylab.lattice`` re-exports RegionSpec.
+with, without loading numpy.  ``swept_arcs`` and ``shrink_arcs`` are the
+one formula each for the regions a cross-ratio sweep and a shrink run
+evaluate: the config check and the run both build them here.
+``entropylab.lattice`` re-exports RegionSpec.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 
 TWO_PI = 2.0 * math.pi
 
-__all__ = ["RegionSpec", "arc_range"]
+__all__ = ["RegionSpec", "arc_range", "shrink_arcs", "swept_arcs"]
 
 
 class RegionSpec:
@@ -82,3 +85,22 @@ def arc_range(n: int, arc: tuple[float, float]) -> tuple[int, int]:
     a, b = arc
     lo, hi = first_at(a), first_at(b)
     return lo % n, hi - lo if a < b else n - lo + hi
+
+
+def swept_arcs(spec: RegionSpec, length: float) -> tuple[tuple[float, float], ...]:
+    """The arcs a cross-ratio sweep evaluates at ``length``: the first arc of
+    the two-arc ``spec`` and its second arc, from its start, ``length`` long."""
+    (a1, b1), (a2, _) = spec.arcs
+    return ((a1, b1), (a2, a2 + length))
+
+
+def shrink_arcs(spec: RegionSpec, arc_index: int, schedule) -> tuple[list, list]:
+    """The fixed arcs of a shrink run and its scheduled arc at each length.
+
+    The scheduled arc keeps the start of ``spec.arcs[arc_index]`` and takes
+    each ``schedule`` length in turn, its end normalized into [0, 2pi); the
+    fixed arcs are the others of ``spec``.
+    """
+    start = spec.arcs[arc_index][0]
+    others = [arc for k, arc in enumerate(spec.arcs) if k != arc_index]
+    return others, [(start, (start + length) % TWO_PI) for length in schedule]

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here except ``dual_weight_index``, ``quasi_basis``,
-``pimsner_popa_check``, ``leg_average``, the instance builder
+``pimsner_popa_check``, ``leg_average``, ``modular_flow``,
+``connes_cocycle``, the instance builder
 ``random_inclusion``, ``basis_distance_by_element``,
 ``whole_block_spectrum`` and the exact diagonalization is
 deliberately written from first principles with no imports from
@@ -32,6 +33,10 @@ themselves do not use.  ``exact_diagonalization_entropies`` builds the
 takes only the arc-to-site assignment from the package's circle geometry,
 never the Gaussian kernel.  ``basis_distance_by_element`` is the loop of
 one package projection per basis element that ``basis_distance`` batches.
+``modular_flow`` and ``connes_cocycle`` are the modular flow and the
+Connes cocycle built on the package's intrinsic blocks and spatial
+derivative; no run reaches them, and the tests hold them to
+``conjugation_flow`` and the cocycle identities.
 ``mask_arc_sites`` is the arc-to-site rule as a float mask over all N site
 angles, the reference that the package's ``arc_range`` must reproduce.
 ``whole_block_spectrum`` is the range finder of the package's lattice
@@ -60,6 +65,8 @@ from entropylab.findim import (
     trace_state,
     weyl_unitaries,
 )
+from entropylab.findim.spatial import _hermitian_power, spatial_derivative
+from entropylab.findim.states import _on
 from entropylab.lattice import LatticeCircle, RegionSpec, arc_sites, gaussian, lattice_region
 
 _EPS = 1e-12
@@ -418,6 +425,49 @@ def leg_average(
     return group_average_expectation(
         algebra, leg_unitaries(left_dim, sub_dim, right_dim, conjugator)
     )
+
+
+def modular_flow(psi: WeightDensity, x: np.ndarray, t: float) -> np.ndarray:
+    """sigma_t^psi(x) for x in the algebra of psi (psi faithful)."""
+    if not psi.is_faithful:
+        raise ValueError("modular flow needs a faithful weight; restrict to the support first")
+    algebra = psi.algebra
+    if not algebra.contains(x, tol=1e-8):
+        raise ValueError("element does not lie in the algebra of the weight")
+    parts = algebra.matrix_blocks(x)
+    flowed = []
+    for rho_k, xk in zip(psi.intrinsic_blocks(), parts):
+        u = _hermitian_power(rho_k, 1j * t)
+        flowed.append(u @ xk @ u.conj().T)
+    return algebra.embed_blocks(flowed)
+
+
+def connes_cocycle(
+    psi1: WeightDensity,
+    psi2: WeightDensity,
+    t: float,
+    reference: WeightDensity | None = None,
+) -> np.ndarray:
+    """Connes cocycle [D psi1 : D psi2]_t as an element of the algebra.
+
+    With ``reference`` a faithful weight on the commutant the cocycle is
+    computed as Delta(psi1/ref)^{it} Delta(psi2/ref)^{-it}; the result does
+    not depend on that choice.  Without a reference the block formula
+    rho_1^{it} rho_2^{-it} is used directly.
+    """
+    algebra = psi1.algebra
+    psi2 = _on(psi2, algebra, "cocycle weights must live on the same algebra")
+    if not psi2.is_faithful:
+        raise ValueError("second cocycle weight must be faithful")
+    if reference is not None:
+        d1 = spatial_derivative(psi1, reference)
+        d2 = spatial_derivative(psi2, reference)
+        u = _hermitian_power(d1, 1j * t) @ _hermitian_power(d2, -1j * t)
+        return algebra.project(u)
+    parts = []
+    for rho1, rho2 in zip(psi1.intrinsic_blocks(), psi2.intrinsic_blocks()):
+        parts.append(_hermitian_power(rho1, 1j * t) @ _hermitian_power(rho2, -1j * t))
+    return algebra.embed_blocks(parts)
 
 
 def conjugation_flow(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:

@@ -283,6 +283,92 @@ def test_cli_process_exit_codes(tmp_path, capsys):
     assert json.loads((tmp_path / "process" / "timings.json").read_text())["cache"] == "hit"
 
 
+def test_cli_help_names_every_command_and_kind(capsys):
+    for flag in ("--help", "-h"):
+        assert main(["fermion", flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: entropylab ") and captured.err == ""
+        words = captured.out.replace(",", " ").split()
+        for kind, spec in KINDS.items():
+            assert kind in words and spec.command[0] in words
+        assert "report" in words
+
+
+# One command line outside the grammar per kind of mistake.
+_USAGE_ERRORS = {
+    "no command": [],
+    "unknown command": ["lattice", "duality"],
+    "unknown kind": ["fermion", "dualty"],
+    "missing kind": ["fermion", "--no-cache"],
+    "unknown flag": ["findim-suite", "--cache"],
+    "flag without value": ["findim-suite", "--out"],
+    "flag followed by flag": ["findim-suite", "--config", "--no-cache"],
+    "switch with value": ["findim-suite", "--no-cache=1"],
+    "non-integer seed": ["findim-suite", "--seed", "three"],
+    "extra argument": ["findim-suite", "extra"],
+    "report without summary": ["report"],
+    "report with option": ["report", "summary.json", "--no-cache"],
+}
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS.keys())
+def test_cli_usage_error_returns_two(tmp_path, capsys, argv):
+    """A usage error returns 2 from ``main`` (no SystemExit), prints the usage
+    and the reason to stderr, and runs nothing."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: entropylab ")
+    assert "entropylab: error: " in captured.err
+    assert not (tmp_path / "cache").exists()
+
+
+def test_cli_process_usage_errors_exit_two():
+    for argv in (["fermion", "dualty"], ["findim-suite", "--seed", "x"], ["report"]):
+        done = _cli_process(*argv)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("usage: entropylab ")
+    done = _cli_process("--help")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("usage: entropylab ")
+
+
+def test_cli_flag_equals_value_is_the_flag_and_value(tmp_path, capsys):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(FINDIM_ONE)
+    apart = tmp_path / "apart"
+    joined = tmp_path / "joined"
+    argv = ["findim-suite", "--config", str(config_path), "--out", str(apart), "--seed", "2"]
+    assert main(argv) == 0
+    # options in another order, each as --flag=value
+    assert main(["findim-suite", "--seed=2", f"--out={joined}", f"--config={config_path}"]) == 0
+    capsys.readouterr()
+    assert (apart / "summary.json").read_bytes() == (joined / "summary.json").read_bytes()
+    assert json.loads((joined / "summary.json").read_text())["config"]["seed"] == 2
+    assert json.loads((joined / "timings.json").read_text())["cache"] == "hit"
+
+
+def test_out_cache_hit_checks_sites_once(tmp_path, capsys, monkeypatch):
+    """Neither --out nor --no-cache changes what a run computes, so a cache
+    hit with --out builds and checks its regions once, when the config is
+    parsed."""
+    from entropylab.harness import config as config_module
+
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(DUALITY)
+    argv = ["fermion", "duality", "--config", str(config_path)]
+    assert main([*argv, "--out", str(tmp_path / "miss")]) == 0
+    calls = []
+    check_sites = config_module.check_sites
+    monkeypatch.setattr(
+        config_module, "check_sites", lambda *args: calls.append(args) or check_sites(*args)
+    )
+    assert main([*argv, "--out", str(tmp_path / "hit")]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "hit" / "timings.json").read_text())["cache"] == "hit"
+    assert len(calls) == 1
+
+
 _EXIT_PROBE = """\
 import atexit, gc, sys
 from entropylab.harness import cli
@@ -614,16 +700,50 @@ def test_cli_no_cache_recomputes_same_summary(tmp_path, capsys):
     assert "cache" not in stored and "run_seconds" not in stored
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        SWEEP,
+        _SHRINK3.format("64 128") + "schedule = 0.9 0.5 0.3\n",
+        _SHRINK3.format("64") + "arc_index = 1\nschedule = 0.5 0.2\n",
+    ],
+    ids=["sweep", "shrink", "shrink-arc-1"],
+)
+def test_runs_evaluate_the_regions_the_config_checked(tmp_path, monkeypatch, text):
+    """The regions a sweep or shrink run evaluates are the ones its config
+    check built (every step here holds sites, so none is left out)."""
+    from entropylab.harness import config as config_module
+    from entropylab.harness import fermion_runs
+    from entropylab.lattice import experiments
+
+    checked, evaluated = set(), set()
+
+    def check_sites(sizes, regions, last=None):
+        checked.update([*regions, last] if last else regions)
+
+    def value(corr, spec, memo=None):
+        evaluated.add(spec)
+        return 0.0
+
+    monkeypatch.setattr(config_module, "check_sites", check_sites)
+    config = _config(tmp_path, text)
+    monkeypatch.setattr(fermion_runs, "product_state_relative_entropy", value)
+    monkeypatch.setattr(experiments, "product_state_relative_entropy", value)
+    run_experiment(config)
+    assert evaluated and evaluated == checked
+
+
 # Runs in a fresh interpreter without ``site``, so that no .pth file has
 # preloaded anything.  It records which of numpy and the engines each step
 # loads, and which start-up cost of a dataclass or a typing.NamedTuple
-# (dataclasses, inspect, typing) each step adds.  No step may add
-# dataclasses: every record type, the engines' too, is a named tuple.
+# (dataclasses, inspect, typing) or of argparse (argparse, gettext, locale)
+# each step adds.  No step may add dataclasses: every record type, the
+# engines' too, is a named tuple.
 _IMPORT_PROBE = """\
 import json, sys
 
 ENGINES = ("numpy", "entropylab.findim", "entropylab.lattice")
-STARTUP = ("dataclasses", "inspect", "typing")
+STARTUP = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 ini, out, result_path, *command = sys.argv[1:]
 preloaded = set(sys.modules)
 seen = {"added": {}}
@@ -686,7 +806,7 @@ def _import_probe(tmp_path, command, text) -> dict:
     assert seen["report"] == [0]
     assert seen["hit_cache"] == "hit"
     assert seen["hit"] == [0]
-    # start-up: parsing, a report and a cache hit stay free of both
+    # start-up: parsing, a report and a cache hit stay free of all of them
     assert seen["added"]["import"] == []
     assert seen["added"]["report"] == []
     assert seen["added"]["hit"] == []

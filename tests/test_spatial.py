@@ -12,8 +12,6 @@ from entropylab.findim import (
     WeightDensity,
     build_algebra,
     canonical_density,
-    connes_cocycle,
-    modular_flow,
     random_faithful_state,
     relative_entropy_spatial,
     relative_entropy_umegaki,
@@ -22,7 +20,13 @@ from entropylab.findim import (
 )
 from entropylab.findim.identities import random_unitary
 
-from oracles import conjugation_flow, eigen_relative_entropy, kron_relative_entropy_spatial
+from oracles import (
+    conjugation_flow,
+    connes_cocycle,
+    eigen_relative_entropy,
+    kron_relative_entropy_spatial,
+    modular_flow,
+)
 
 
 def test_spatial_derivative_diagonal_example():
