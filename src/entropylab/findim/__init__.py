@@ -14,14 +14,10 @@ from .algebras import (
 )
 from .expectations import (
     ConditionalExpectationMap,
-    NoPreservingExpectationError,
     compose_expectations,
     cyclic_group_unitaries,
     group_average_expectation,
-    identity_expectation,
-    state_preserving_expectation,
     symmetric_group_unitaries,
-    weyl_unitaries,
 )
 from .identities import (
     ChainInstance,
@@ -56,14 +52,10 @@ __all__ = [
     "algebra_from_basis",
     "build_algebra",
     "ConditionalExpectationMap",
-    "NoPreservingExpectationError",
     "compose_expectations",
     "cyclic_group_unitaries",
     "group_average_expectation",
-    "identity_expectation",
-    "state_preserving_expectation",
     "symmetric_group_unitaries",
-    "weyl_unitaries",
     "ChainInstance",
     "ChainReport",
     "DifferenceInstance",

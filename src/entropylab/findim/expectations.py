@@ -9,10 +9,10 @@ from that triple alone.  Its invariants imply every axiom: when N lies in
 M, h lies in N' cap M, h >= 0 and P_N(h) = 1, then E is N-bimodular because
 P_N is and h commutes with N, so E(n) = P_N(h) n = n makes it idempotent and
 unital, and since h^(1/2) commutes with N, E = P_N o Ad h^(1/2) is completely
-positive.  validate() reports those invariants, with sampled residuals of
-the map as applied, in a fixed number of O(D^3) block projections whatever
-the dimension of N: N in M is checked on all of N's basis in one pass
-(MatrixBlockAlgebra.basis_distance).  No D^2 x D^2 superoperator is formed.
+positive.  Checking those invariants takes a fixed number of O(D^3) block
+projections whatever the dimension of N: N in M is checked on all of N's
+basis in one pass (MatrixBlockAlgebra.basis_distance).  No D^2 x D^2
+superoperator is formed.
 """
 
 from __future__ import annotations
@@ -24,25 +24,11 @@ from .states import WeightDensity, canonical_density
 
 __all__ = [
     "ConditionalExpectationMap",
-    "NoPreservingExpectationError",
-    "identity_expectation",
-    "state_preserving_expectation",
     "group_average_expectation",
     "compose_expectations",
-    "weyl_unitaries",
     "cyclic_group_unitaries",
     "symmetric_group_unitaries",
 ]
-
-AXIOM_TOL = 1e-10
-
-
-class NoPreservingExpectationError(Exception):
-    """The state-preserving projection onto the subalgebra is not an expectation.
-
-    Raised when the modular flow of the state does not preserve the
-    subalgebra, so no conditional expectation preserving that state exists.
-    """
 
 
 def _vec_matrix(x: np.ndarray) -> np.ndarray:
@@ -103,104 +89,6 @@ class ConditionalExpectationMap:
             self.target.conjugated(u),
             u @ self.density @ u.conj().T,
         )
-
-    def validate(
-        self,
-        rng: np.random.Generator | None = None,
-        state: WeightDensity | None = None,
-        samples: int = 8,
-    ) -> dict[str, float]:
-        """Residuals of the invariants that make E an expectation, then of the map.
-
-        The invariants come first, in this order: N lies in M
-        (``target_in_source``), h lies in N' (``commutes_with_target``) and
-        in M (``density_in_source``), h >= 0 (``positive``) and P_N(h) = 1
-        (``unital``).  Together they imply every axiom (see the module
-        docstring).  The ``adjoint``, ``bimodule`` and ``range`` residuals,
-        and with ``state`` given ``state_preserved`` (omega(E(x)) = omega(x)),
-        are sampled on unit-normalized x.  Residuals of h are relative to
-        max(1, |h|), the others absolute.
-        """
-        rng = rng or np.random.default_rng(0)
-        h = self.density
-        scale = max(1.0, float(np.linalg.norm(h)))
-        out = {
-            "target_in_source": self.source.basis_distance(self.target),
-            "commutes_with_target": self.target.commutant().span_distance(h) / scale,
-            "density_in_source": self.source.span_distance(h) / scale,
-            "positive": float(
-                max(np.linalg.norm(h - h.conj().T), -np.linalg.eigvalsh(h)[0]) / scale
-            ),
-            "unital": float(np.linalg.norm(self.target.project(h) - np.eye(self.ambient_dim))),
-        }
-        adj = 0.0
-        bimod = 0.0
-        ranged = 0.0
-        preserve = 0.0
-        for _ in range(samples):
-            x = _random_element(self.source, rng)
-            n1 = _random_element(self.target, rng)
-            n2 = _random_element(self.target, rng)
-            ex = self(x)
-            adj = max(adj, float(np.linalg.norm(self(x.conj().T) - ex.conj().T)))
-            bimod = max(
-                bimod, float(np.linalg.norm(self(n1 @ x @ n2) - n1 @ ex @ n2))
-            )
-            ranged = max(ranged, self.target.span_distance(ex))
-            if state is not None:
-                preserve = max(
-                    preserve, abs(complex(state.value(ex)) - complex(state.value(x)))
-                )
-        out["adjoint"] = adj
-        out["bimodule"] = bimod
-        out["range"] = ranged
-        if state is not None:
-            out["state_preserved"] = preserve
-        return out
-
-
-def _random_element(algebra: MatrixBlockAlgebra, rng: np.random.Generator) -> np.ndarray:
-    parts = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n, _ in algebra.blocks]
-    x = algebra.embed_blocks([p / np.sqrt(m) for p, (_, m) in zip(parts, algebra.blocks)])
-    norm = np.linalg.norm(x)
-    return x / norm if norm > 0 else x
-
-
-def identity_expectation(algebra: MatrixBlockAlgebra) -> ConditionalExpectationMap:
-    return ConditionalExpectationMap(algebra, algebra)
-
-
-def state_preserving_expectation(
-    source: MatrixBlockAlgebra,
-    target: MatrixBlockAlgebra,
-    omega: WeightDensity,
-) -> ConditionalExpectationMap:
-    """The omega-preserving conditional expectation source -> target.
-
-    Such an expectation exists exactly when the modular flow of omega
-    preserves the subalgebra (Takesaki, J. Funct. Anal. 9, 306, 1972), and
-    then its density is h = P_N(D)^(-1) D for the density D of omega.
-    Otherwise that h does not commute with the target and
-    NoPreservingExpectationError is raised, naming the first residual of
-    the candidate's validate() above tolerance, invariants first.
-    """
-    if omega.algebra is not source and not omega.algebra.span_equals(source):
-        raise ValueError("state must live on the source algebra")
-    if not omega.is_faithful:
-        raise ValueError("state-preserving projection needs a faithful state")
-    dens = omega.matrix
-    cand = ConditionalExpectationMap(source, target, np.linalg.solve(target.project(dens), dens))
-    residuals = cand.validate(state=omega)
-    if residuals["target_in_source"] > 1e-8:
-        raise ValueError("target is not a subalgebra of the source")
-    failing = [name for name, value in residuals.items() if value > AXIOM_TOL * 100]
-    if failing:
-        raise NoPreservingExpectationError(
-            f"projection violates {failing[0]} (residual {residuals[failing[0]]:.3e}); "
-            "the modular flow of the state does not preserve the subalgebra"
-        )
-    return cand
-
 
 def group_average_expectation(
     source: MatrixBlockAlgebra,
@@ -275,27 +163,6 @@ def compose_expectations(
     return ConditionalExpectationMap(
         first.source, second.target, second.density @ first.density
     )
-
-
-def weyl_unitaries(dim: int) -> list[np.ndarray]:
-    """The dim^2 shift-and-clock unitaries X^a Z^b on C^dim.
-
-    Closed under products up to phase; averaging their conjugations
-    depolarizes a full matrix algebra to the scalars.
-    """
-    shift = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        shift[(j + 1) % dim, j] = 1.0
-    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-    out = []
-    xa = np.eye(dim, dtype=complex)
-    for _ in range(dim):
-        zb = np.eye(dim, dtype=complex)
-        for _ in range(dim):
-            out.append(xa @ zb)
-            zb = zb @ clock
-        xa = xa @ shift
-    return out
 
 
 def cyclic_group_unitaries(n: int) -> list[np.ndarray]:

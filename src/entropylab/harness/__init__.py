@@ -5,8 +5,9 @@ package, parsing a config, reading the cache or re-rendering a report
 never loads numpy or the engines.  The config and report types are named
 tuples, so those steps load neither ``dataclasses`` nor ``inspect``
 either, and ``cli`` parses its command line from ``KINDS`` without
-``argparse`` (nor its ``gettext`` and ``locale``): every one of them is
-start-up cost of a CLI call.
+``argparse`` (nor its ``gettext`` and ``locale``).  The config file, the
+CSV table and the cache key's sha256 need no ``configparser``, ``csv`` or
+``hashlib``: every one of these modules is start-up cost of a CLI call.
 """
 
 from .cache import cache_dir, cache_lookup, cache_store

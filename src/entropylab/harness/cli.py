@@ -16,7 +16,10 @@ A cache hit is little more than start-up, so a CLI call loads nothing it
 does not use: the engines and numpy only when a run computes, no
 ``dataclasses`` or ``inspect``, and no argparse, whose import and first
 parse (gettext lookups, a ``locale`` import, regex compiles) cost more
-than anything else a cache hit does.
+than anything else a cache hit does.  Nor does it load ``configparser``,
+``csv`` or ``hashlib`` (and with it OpenSSL): the config reader and the
+``cases.csv`` writer are the harness's own, and sha256, like the lattice
+kernel's SHAKE-128, comes from the interpreter's built-in modules.
 
 ``run`` is the process entry point.  It freezes the garbage collector's
 tracked objects before exiting, so the interpreter's teardown collections

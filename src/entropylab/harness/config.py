@@ -13,11 +13,16 @@ report echoes the kind, every key the kind reads (defaults included) and
 the effective tolerance.  Validation builds every region a run evaluates
 and checks its sites at every size, before the cache lookup and without
 numpy; only collapse's Moebius images wait for the run, which draws them.
+
+The file is read by ``_read_ini``, not ``configparser``, whose import is
+start-up cost of every CLI call.  It reads what ``ConfigParser(strict=True,
+interpolation=None)`` with case-kept keys reads, less ``[DEFAULT]``, which
+is an unknown section like any other: no section's keys are merged into
+another's.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 from collections import namedtuple
 from pathlib import Path
@@ -311,28 +316,76 @@ def validate_config(config: ExperimentConfig, given=()) -> None:
             raise ConfigError(f"'{config.kind}' does not read '{key}'")
 
 
+def _read_ini(text: str) -> dict[str, dict[str, str]]:
+    """``{section: {key: value}}`` of an INI text; ConfigError if malformed.
+
+    Lines end at line feeds only.  A line whose first non-blank character
+    is ``#`` or ``;`` is a comment; there are no inline comments.  A line
+    indented deeper than the key line above it continues that key's value,
+    and blank lines inside a value are kept: the value's lines are joined
+    with line feeds and the end stripped.  A header is ``[name]``, anything after
+    its last ``]`` ignored.  Otherwise a line is ``key = value`` split at its
+    first ``=`` or ``:``, with a nonempty key.  A duplicate section or key,
+    ``[DEFAULT]``, or a line before the first header is an error.
+    """
+    sections: dict[str, dict[str, list[str]]] = {}
+    section = value = None  # the open section, and the lines of its last value
+    indent = 0  # of the last header or key line
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if stripped[:1] in ("#", ";"):
+            continue
+        if not stripped:
+            if value is not None:
+                value.append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if value is not None and depth > indent:
+            value.append(stripped)
+            continue
+        indent, value = depth, None
+        close = stripped.rfind("]")
+        if stripped[0] == "[" and close > 1:
+            name = stripped[1:close]
+            if name == "DEFAULT":
+                raise ConfigError("unknown section '[DEFAULT]'")
+            if name in sections:
+                raise ConfigError(f"line {number}: duplicate section '[{name}]'")
+            section = sections[name] = {}
+            continue
+        if section is None:
+            raise ConfigError(f"line {number}: text before the first section header")
+        cut = min((i for i in (stripped.find("="), stripped.find(":")) if i >= 0), default=0)
+        key = stripped[:cut].rstrip()
+        if not key:
+            raise ConfigError(f"line {number}: expected 'key = value', got {stripped!r}")
+        if key in section:
+            raise ConfigError(f"line {number}: duplicate key '{key}'")
+        value = section[key] = [stripped[cut + 1 :].strip()]
+    return {
+        name: {key: "\n".join(lines).rstrip() for key, lines in keys.items()}
+        for name, keys in sections.items()
+    }
+
+
 def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
     """Read and validate a config file; ``kind`` must match the file if both given."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(
-        strict=True, interpolation=None, default_section="DEFAULT"
-    )
-    parser.optionxform = str
     try:
-        parser.read_string(path.read_text(encoding="utf-8"))
-    except configparser.Error as exc:
+        sections = _read_ini(path.read_text(encoding="utf-8"))
+    except ConfigError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
-    for section in parser.sections():
+    for section in sections:
         if section not in ("experiment", "output"):
             raise ConfigError(f"unknown section '[{section}]'")
-    if not parser.has_section("experiment"):
+    if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
 
     values: dict = {}
-    for key, raw in parser.items("experiment"):
+    for key, raw in sections["experiment"].items():
         if key == "kind":
             values["kind"] = raw.strip()
         elif key in _KEYS:
@@ -341,17 +394,16 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"unknown key '{key}' in [experiment]")
     given = [key for key in values if key != "kind"]
 
-    if parser.has_section("output"):
-        for key, raw in parser.items("output"):
-            if key not in _OUTPUT_KEYS:
-                raise ConfigError(f"unknown key '{key}' in [output]")
-            if key == "directory":
-                values["out_dir"] = raw.strip()
-            elif key == "cache":
-                lowered = raw.strip().lower()
-                if lowered not in ("on", "off", "true", "false", "1", "0"):
-                    raise ConfigError(f"malformed boolean for 'cache': {raw!r}")
-                values["cache_enabled"] = lowered in ("on", "true", "1")
+    for key, raw in sections.get("output", {}).items():
+        if key not in _OUTPUT_KEYS:
+            raise ConfigError(f"unknown key '{key}' in [output]")
+        if key == "directory":
+            values["out_dir"] = raw.strip()
+        elif key == "cache":
+            lowered = raw.strip().lower()
+            if lowered not in ("on", "off", "true", "false", "1", "0"):
+                raise ConfigError(f"malformed boolean for 'cache': {raw!r}")
+            values["cache_enabled"] = lowered in ("on", "true", "1")
 
     if "kind" not in values:
         if kind is None:

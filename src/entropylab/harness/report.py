@@ -11,18 +11,27 @@ This module imports only the standard library and the config, so that a
 cache hit or ``entropylab report`` never loads numpy or an engine.  The
 report types are named tuples, not dataclasses, for the same reason:
 ``dataclasses`` and the ``inspect`` it imports would add to the start-up
-of every CLI call.
+of every CLI call.  sha256 comes from the interpreter's built-in module,
+as ``random`` takes its sha512: ``hashlib`` would load OpenSSL's
+``_hashlib`` on every call.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from collections import namedtuple
 from pathlib import Path
 
 from .config import ExperimentConfig
+
+try:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 on
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["CaseRecord", "Verdict", "RunReport", "config_hash"]
 
@@ -118,11 +127,12 @@ def _engine_fingerprint() -> str:
 
     Computed on first use, not at import, so that starting the CLI stays
     cheap.  Any edit to the engine changes it, with or without a version bump.
+    The built-in sha256 gives the digests ``hashlib.sha256`` would.
     """
     root = Path(__file__).resolve().parent.parent
-    digest = hashlib.sha256()
+    digest = sha256()
     for path in sorted(root.rglob("*.py")):
-        content = hashlib.sha256(path.read_bytes()).hexdigest()
+        content = sha256(path.read_bytes()).hexdigest()
         digest.update(f"{path.relative_to(root).as_posix()}\n{content}\n".encode("utf-8"))
     return digest.hexdigest()
 
@@ -130,7 +140,7 @@ def _engine_fingerprint() -> str:
 def config_hash(config: ExperimentConfig) -> str:
     """Hash of the effective config plus the engine source fingerprint."""
     canon = json.dumps(config.echo(), sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256()
+    digest = sha256()
     digest.update(canon.encode("utf-8"))
     digest.update(b"\n")
     digest.update(_engine_fingerprint().encode("utf-8"))

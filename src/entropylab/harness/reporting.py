@@ -7,7 +7,9 @@ Three kinds of output land in the chosen directory:
   are stable for a fixed config and computed values, across engine edits
   that leave the values alone, and parseable back into a
   :class:`~entropylab.harness.report.RunReport` for regression diffing.
-* ``cases.csv``: the sweep table, one row per case, RFC-4180 style.
+* ``cases.csv``: the sweep table, one row per case, RFC-4180 style:
+  ``csv.writer``'s excel dialect, written by ``_csv_row`` without
+  importing ``csv``, which would add to the start-up of every CLI call.
 * ``*.dat``: plain two-column plot data, one file per curve, with the
   seed recorded in a comment header.
 
@@ -19,7 +21,6 @@ the ``config_hash`` of the config and engine sources that keyed the run.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -57,6 +58,19 @@ def _cell(value) -> str:
     if isinstance(value, (list, tuple)):
         return " ".join(str(v) for v in value)
     return str(value)
+
+
+def _csv_row(cells: list[str]) -> str:
+    """One CSV line as ``csv.writer`` writes it: a cell holding a comma, a
+    quote or a line break is quoted, its quotes doubled; a row of one empty
+    cell is ``""``, so that it reads back as a row."""
+    if cells == [""]:
+        return '""\r\n'
+    quoted = [
+        '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
+        for cell in cells
+    ]
+    return ",".join(quoted) + "\r\n"
 
 
 def _case_table(report: RunReport) -> tuple[list[str], list[list[str]]]:
@@ -127,10 +141,8 @@ def write_report(report: RunReport, out_dir: str | Path) -> list[Path]:
 
     header, rows = _case_table(report)
     csv_path = out / "cases.csv"
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    table = "".join(_csv_row(row) for row in [header, *rows])
+    csv_path.write_text(table, encoding="utf-8", newline="")
     written.append(csv_path)
 
     for stem, (columns, points) in _curves(report).items():

@@ -54,7 +54,6 @@ evaluates the shared union entropy once.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import namedtuple
 from functools import lru_cache
@@ -63,6 +62,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle import LatticeCircle, RegionSpec, arc_sites, lattice_region
+
+try:  # the built-in module: hashlib would map OpenSSL into the process
+    from _sha3 import shake_128
+except ImportError:
+    from hashlib import shake_128
 
 EIGENVALUE_SLACK = 1e-8
 _SKETCH_BLOCK = 24  # test-matrix columns added per step of the range finder
@@ -167,7 +171,7 @@ def _test_block(rows: int, first: int, width: int) -> np.ndarray:
     """
     size = -(-rows // 8)
     digest = b"".join(
-        hashlib.shake_128(j.to_bytes(8, "little")).digest(size)
+        shake_128(j.to_bytes(8, "little")).digest(size)
         for j in range(first, first + width)
     )
     bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8).reshape(width, size), axis=1)

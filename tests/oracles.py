@@ -4,7 +4,8 @@ Everything here except ``dual_weight_index``, ``quasi_basis``,
 ``pimsner_popa_check``, ``leg_average``, ``modular_flow``,
 ``connes_cocycle``, the instance builder
 ``random_inclusion``, ``basis_distance_by_element``,
-``whole_block_spectrum`` and the exact diagonalization is
+``whole_block_spectrum``, ``validate`` and the expectations it certifies,
+``hashlib_config_hash`` and the exact diagonalization is
 deliberately written from first principles with no imports from
 entropylab internals: eigen-overlap relative entropy, a
 brute-force commutant solver, a rank test of whether a vector is cyclic
@@ -43,13 +44,30 @@ angles, the reference that the package's ``arc_range`` must reproduce.
 kernel run on the whole coupling block, held at once, with the package's
 test matrix and constants; the kernel streams the same block in row panels
 and must reach the same spectrum.
+``validate`` certifies an expectation by the invariants that imply its
+axioms (see ``entropylab.findim.expectations``), with sampled residuals of
+the map as applied; ``state_preserving_expectation`` builds the
+state-preserving expectation and certifies it that way, and
+``identity_expectation`` and ``weyl_unitaries`` build test inputs.  No run
+reaches any of them.
+``configparser_sections``, ``csv_text``, ``hashlib_config_hash`` and
+``hashlib_test_block`` are the standard library's forms of what the
+package does without importing ``configparser``, ``csv`` or ``hashlib``:
+the config reader, the ``cases.csv`` writer, the cache key and the lattice
+kernel's test matrix.
 """
 
 from __future__ import annotations
 
+import configparser
+import csv
+import hashlib
+import io
 import itertools
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -63,13 +81,54 @@ from entropylab.findim import (
     group_average_expectation,
     kosaki_index,
     trace_state,
-    weyl_unitaries,
 )
 from entropylab.findim.spatial import _hermitian_power, spatial_derivative
 from entropylab.findim.states import _on
 from entropylab.lattice import LatticeCircle, RegionSpec, arc_sites, gaussian, lattice_region
 
 _EPS = 1e-12
+AXIOM_TOL = 1e-10
+
+
+def configparser_sections(text: str) -> dict[str, dict[str, str]]:
+    """``{section: {key: value}}`` as read by ``ConfigParser(strict=True,
+    interpolation=None)`` with case-kept keys, the setup the config reader
+    replaces.  ``[DEFAULT]`` is read as a plain section (no header can hold a
+    line break), so that a caller sees it; raises ``configparser.Error``."""
+    parser = configparser.ConfigParser(strict=True, interpolation=None, default_section="\n")
+    parser.optionxform = str
+    parser.read_string(text)
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+def csv_text(rows) -> str:
+    """The rows as ``csv.writer``'s default (excel) dialect writes them."""
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+def hashlib_config_hash(config) -> str:
+    """``config_hash`` through ``hashlib.sha256``: the effective config, then
+    the sha256 of every package source file with its path."""
+    root = Path(gaussian.__file__).resolve().parent.parent
+    engine = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        content = hashlib.sha256(path.read_bytes()).hexdigest()
+        engine.update(f"{path.relative_to(root).as_posix()}\n{content}\n".encode("utf-8"))
+    canon = json.dumps(config.echo(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(f"{canon}\n{engine.hexdigest()}".encode("utf-8")).hexdigest()
+
+
+def hashlib_test_block(rows: int, first: int, width: int) -> np.ndarray:
+    """The lattice kernel's +-1 test columns, from ``hashlib.shake_128``: the
+    first ``rows`` bits of SHAKE-128 of each column index, 1 -> -1, 0 -> +1."""
+    columns = []
+    for j in range(first, first + width):
+        digest = hashlib.shake_128(j.to_bytes(8, "little")).digest(-(-rows // 8))
+        bits = [(byte >> (7 - k)) & 1 for byte in digest for k in range(8)]
+        columns.append([1.0 - 2.0 * bit for bit in bits[:rows]])
+    return np.array(columns).T
 
 
 def eigen_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -356,6 +415,133 @@ def random_inclusion(inclusion, sizes, multiplicities, rng) -> ConditionalExpect
         h_k *= m / np.trace(h_k).real
         density += iso.conj().T @ np.kron(np.eye(n), h_k) @ iso
     return ConditionalExpectationMap(source, MatrixBlockAlgebra(structure), density)
+
+
+class NoPreservingExpectationError(Exception):
+    """The state-preserving projection onto the subalgebra is not an expectation.
+
+    Raised when the modular flow of the state does not preserve the
+    subalgebra, so no conditional expectation preserving that state exists.
+    """
+
+
+def validate(
+    e: ConditionalExpectationMap,
+    rng: np.random.Generator | None = None,
+    state: WeightDensity | None = None,
+    samples: int = 8,
+) -> dict[str, float]:
+    """Residuals of the invariants that make ``e`` an expectation, then of the map.
+
+    The invariants come first, in this order: N lies in M
+    (``target_in_source``), h lies in N' (``commutes_with_target``) and
+    in M (``density_in_source``), h >= 0 (``positive``) and P_N(h) = 1
+    (``unital``).  Together they imply every axiom (see the docstring of
+    ``entropylab.findim.expectations``).  The ``adjoint``, ``bimodule`` and
+    ``range`` residuals, and with ``state`` given ``state_preserved``
+    (omega(E(x)) = omega(x)), are sampled on unit-normalized x.  Residuals
+    of h are relative to max(1, |h|), the others absolute.
+    """
+    rng = rng or np.random.default_rng(0)
+    h = e.density
+    scale = max(1.0, float(np.linalg.norm(h)))
+    out = {
+        "target_in_source": e.source.basis_distance(e.target),
+        "commutes_with_target": e.target.commutant().span_distance(h) / scale,
+        "density_in_source": e.source.span_distance(h) / scale,
+        "positive": float(
+            max(np.linalg.norm(h - h.conj().T), -np.linalg.eigvalsh(h)[0]) / scale
+        ),
+        "unital": float(np.linalg.norm(e.target.project(h) - np.eye(e.ambient_dim))),
+    }
+    adj = 0.0
+    bimod = 0.0
+    ranged = 0.0
+    preserve = 0.0
+    for _ in range(samples):
+        x = _random_element(e.source, rng)
+        n1 = _random_element(e.target, rng)
+        n2 = _random_element(e.target, rng)
+        ex = e(x)
+        adj = max(adj, float(np.linalg.norm(e(x.conj().T) - ex.conj().T)))
+        bimod = max(
+            bimod, float(np.linalg.norm(e(n1 @ x @ n2) - n1 @ ex @ n2))
+        )
+        ranged = max(ranged, e.target.span_distance(ex))
+        if state is not None:
+            preserve = max(
+                preserve, abs(complex(state.value(ex)) - complex(state.value(x)))
+            )
+    out["adjoint"] = adj
+    out["bimodule"] = bimod
+    out["range"] = ranged
+    if state is not None:
+        out["state_preserved"] = preserve
+    return out
+
+
+def _random_element(algebra: MatrixBlockAlgebra, rng: np.random.Generator) -> np.ndarray:
+    parts = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n, _ in algebra.blocks]
+    x = algebra.embed_blocks([p / np.sqrt(m) for p, (_, m) in zip(parts, algebra.blocks)])
+    norm = np.linalg.norm(x)
+    return x / norm if norm > 0 else x
+
+
+def identity_expectation(algebra: MatrixBlockAlgebra) -> ConditionalExpectationMap:
+    return ConditionalExpectationMap(algebra, algebra)
+
+
+def state_preserving_expectation(
+    source: MatrixBlockAlgebra,
+    target: MatrixBlockAlgebra,
+    omega: WeightDensity,
+) -> ConditionalExpectationMap:
+    """The omega-preserving conditional expectation source -> target.
+
+    Such an expectation exists exactly when the modular flow of omega
+    preserves the subalgebra (Takesaki, J. Funct. Anal. 9, 306, 1972), and
+    then its density is h = P_N(D)^(-1) D for the density D of omega.
+    Otherwise that h does not commute with the target and
+    NoPreservingExpectationError is raised, naming the first residual of
+    the candidate's validate() above tolerance, invariants first.
+    """
+    if omega.algebra is not source and not omega.algebra.span_equals(source):
+        raise ValueError("state must live on the source algebra")
+    if not omega.is_faithful:
+        raise ValueError("state-preserving projection needs a faithful state")
+    dens = omega.matrix
+    cand = ConditionalExpectationMap(source, target, np.linalg.solve(target.project(dens), dens))
+    residuals = validate(cand, state=omega)
+    if residuals["target_in_source"] > 1e-8:
+        raise ValueError("target is not a subalgebra of the source")
+    failing = [name for name, value in residuals.items() if value > AXIOM_TOL * 100]
+    if failing:
+        raise NoPreservingExpectationError(
+            f"projection violates {failing[0]} (residual {residuals[failing[0]]:.3e}); "
+            "the modular flow of the state does not preserve the subalgebra"
+        )
+    return cand
+
+
+def weyl_unitaries(dim: int) -> list[np.ndarray]:
+    """The dim^2 shift-and-clock unitaries X^a Z^b on C^dim.
+
+    Closed under products up to phase; averaging their conjugations
+    depolarizes a full matrix algebra to the scalars.
+    """
+    shift = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        shift[(j + 1) % dim, j] = 1.0
+    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    out = []
+    xa = np.eye(dim, dtype=complex)
+    for _ in range(dim):
+        zb = np.eye(dim, dtype=complex)
+        for _ in range(dim):
+            out.append(xa @ zb)
+            zb = zb @ clock
+        xa = xa @ shift
+    return out
 
 
 def basis_distance_by_element(algebra, other) -> float:

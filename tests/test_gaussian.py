@@ -21,7 +21,7 @@ from entropylab.lattice import (
 )
 
 import oracles
-from oracles import hopping_matrix
+from oracles import hashlib_test_block, hopping_matrix
 
 
 def test_hopping_matrix_is_hermitian_antiperiodic():
@@ -449,3 +449,13 @@ def test_region_entropy_extensive_bound():
     sites = np.arange(10)
     s = region_entropy(corr, sites)
     assert 0.0 <= s <= 10 * np.log(2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 200), first=st.integers(0, 1000), width=st.integers(1, 24))
+def test_test_block_is_hashlibs_shake_128(rows, first, width):
+    """The test matrix is bitwise the one ``hashlib.shake_128`` gives."""
+    got = gaussian._test_block(rows, first, width)
+    want = hashlib_test_block(rows, first, width)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)

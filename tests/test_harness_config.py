@@ -1,9 +1,12 @@
 """Config parsing and validation for the experiment harness."""
 
+import configparser
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entropylab.harness import (
     EXPERIMENT_KINDS,
@@ -12,8 +15,9 @@ from entropylab.harness import (
     parse_config,
 )
 from entropylab.harness import config as config_module
+from entropylab.harness.cli import main
 from entropylab.lattice import LatticeCircle, arc_sites
-from oracles import mask_arc_sites
+from oracles import configparser_sections, mask_arc_sites
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -298,3 +302,91 @@ def test_benchmark_config_sites_are_the_float_mask(monkeypatch, path):
     for n, arc in checked:
         expected = mask_arc_sites(n, arc)
         assert np.array_equal(arc_sites(LatticeCircle(n), arc), expected), (n, arc)
+
+
+_DEFAULT_CFIT = "[DEFAULT]\nsizes = 64 128\n[experiment]\nkind = c-fit\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_DEFAULT_CFIT, _DEFAULT_CFIT + "[output]\ncache = off\n"],
+    ids=["default-and-experiment", "default-experiment-and-output"],
+)
+def test_default_section_is_an_unknown_section(tmp_path, capsys, text):
+    """[DEFAULT] lends its keys to no other section: it is an unknown
+    section, not sizes for the c-fit nor an unknown key of [output]."""
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"unknown section '\[DEFAULT\]'"):
+        parse_config(path)
+    assert main(["fermion", "c-fit", "--config", str(path)]) == 2
+    assert "unknown section '[DEFAULT]'" in capsys.readouterr().err
+
+
+def _readme_config() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def _examples(texts):
+    def decorate(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+
+    return decorate
+
+
+# Sections whose lines exercise the grammar: headers with and without
+# trailing text, both delimiters, keys that differ only in case, comments
+# (indented too, and a would-be inline one), blank and continuation lines.
+# One line in ten is malformed (an empty key, no delimiter, an empty header)
+# and one in ten random, over the grammar's characters and a few non-ASCII
+# blanks.  A section or key repeats under two spellings ("[output]" and
+# "  [output]", "sizes = 64 128" and "sizes: 64"), and text may precede the
+# first header.
+_HEADERS = [
+    "[experiment]", "[output]", "[a]", "[DEFAULT]", "[experiment] trailing", "[x]y]", "  [output]",
+]
+_GOOD_LINES = [
+    "kind = c-fit", "Kind = duality", "sizes = 64 128", "sizes: 64", "key=value=more", "k : v = w",
+    "a =", "# comment", "; comment", "   # indented comment", "\t; indented comment",
+    "c = 2.0 # not a comment", "", "   ", "  continued", "\tcontinued", "    deeper = still the value",
+]
+_BAD_LINES = ["= value of no key", ": value of no key", "no delimiter", "[]"]
+_RANDOM_LINE = st.text(alphabet=" \t\r\x0b\x0c\x1c\x85\xa0\u2028\u3000[]=:#;ka", max_size=8)
+_BODY_LINE = st.integers(0, 9).flatmap(
+    lambda k: _RANDOM_LINE if k == 0 else st.sampled_from(_BAD_LINES if k == 1 else _GOOD_LINES)
+)
+
+
+@st.composite
+def _ini_texts(draw):
+    lines = draw(st.lists(st.sampled_from(["", "  ", "# comment", "text"]), max_size=1))
+    for header in draw(st.lists(st.sampled_from(_HEADERS), max_size=3, unique=True)):
+        lines.append(header)
+        lines += draw(st.lists(_BODY_LINE, max_size=6, unique=True))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ini_texts())
+@_examples([_readme_config(), *(p.read_text(encoding="utf-8") for p in _BENCHMARK_CONFIGS)])
+@example("[experiment]\nkind = c-fit\n\n  # note\nsizes = 64\n\n  128\n\n")
+@example("[experiment]\n    kind = c-fit\n  continued?\n")
+def test_read_ini_matches_configparser(text):
+    """The config reader reads what ConfigParser(strict=True,
+    interpolation=None) with case-kept keys reads, keys in the same order,
+    or fails where it fails; it also fails on a [DEFAULT] section."""
+    try:
+        want = configparser_sections(text)
+    except configparser.Error:
+        want = None
+    if want is None or "DEFAULT" in want:
+        with pytest.raises(ConfigError):
+            config_module._read_ini(text)
+    else:
+        got = config_module._read_ini(text)
+        assert [(name, list(keys.items())) for name, keys in got.items()] == [
+            (name, list(keys.items())) for name, keys in want.items()
+        ]

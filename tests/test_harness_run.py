@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import entropylab
 from entropylab import __version__
@@ -25,8 +27,10 @@ from entropylab.harness import (
     summary_json,
     write_report,
 )
+from entropylab.harness import reporting
 from entropylab.harness.cli import main
 from entropylab.harness.config import KINDS, ExperimentConfig
+from oracles import csv_text, hashlib_config_hash
 
 DUALITY = """\
 [experiment]
@@ -51,6 +55,8 @@ instances = 2
 """
 
 FINDIM_ONE = FINDIM_SMALL.replace("instances = 2", "instances = 1")
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(autouse=True)
@@ -117,6 +123,18 @@ def test_empty_report_is_vacuous_with_header_only_csv(tmp_path):
     assert json.loads(summary_json(report))["pass_vacuous"] is True
 
 
+# Cells over the characters that decide quoting, and arbitrary text.
+_CELL = st.one_of(st.text(alphabet=',"\r\n \ta1.-', max_size=6), st.text(max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_CELL, max_size=5), max_size=5))
+@example([[""]])
+@example([["", ""], [""], [], ['a "quoted", cell']])
+def test_csv_rows_are_what_csv_writer_writes(rows):
+    assert "".join(reporting._csv_row(row) for row in rows) == csv_text(rows)
+
+
 def test_summary_roundtrip(tmp_path):
     config = _config(tmp_path, DUALITY)
     report = run_experiment(config)
@@ -131,6 +149,12 @@ def test_config_hash_tracks_seed_and_version(tmp_path):
     assert config_hash(config) != config_hash(config._replace(seed=1))
     # output settings do not affect the key
     assert config_hash(config) == config_hash(config._replace(out_dir="/tmp/x"))
+
+
+def test_config_hash_is_hashlibs_sha256():
+    configs = [parse_config(path) for path in sorted((_PERFBENCH / "configs").glob("*/*.ini"))]
+    for config in [*configs, default_config("findim-suite")]:
+        assert config_hash(config) == hashlib_config_hash(config)
 
 
 def test_config_hash_tracks_engine_sources(tmp_path):
@@ -735,15 +759,22 @@ def test_runs_evaluate_the_regions_the_config_checked(tmp_path, monkeypatch, tex
 
 # Runs in a fresh interpreter without ``site``, so that no .pth file has
 # preloaded anything.  It records which of numpy and the engines each step
-# loads, and which start-up cost of a dataclass or a typing.NamedTuple
-# (dataclasses, inspect, typing) or of argparse (argparse, gettext, locale)
-# each step adds.  No step may add dataclasses: every record type, the
-# engines' too, is a named tuple.
+# loads, and which start-up cost each step adds: of a dataclass or a
+# typing.NamedTuple (dataclasses, inspect, typing), of argparse (argparse,
+# gettext, locale), of the standard config reader and CSV writer
+# (configparser, csv), or of hashlib and the OpenSSL it maps (hashlib,
+# _hashlib).  No step may add dataclasses: every record type, the engines'
+# too, is a named tuple.  A duality run computes without hashlib; a findim
+# run is exempt, because numpy.random loads _hashlib through secrets and
+# hmac.
 _IMPORT_PROBE = """\
 import json, sys
 
 ENGINES = ("numpy", "entropylab.findim", "entropylab.lattice")
-STARTUP = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
+STARTUP = (
+    "dataclasses", "inspect", "typing", "argparse", "gettext", "locale",
+    "configparser", "csv", "hashlib", "_hashlib",
+)
 ini, out, result_path, *command = sys.argv[1:]
 preloaded = set(sys.modules)
 seen = {"added": {}}
@@ -825,6 +856,8 @@ def test_cache_hit_and_report_load_no_engine(tmp_path):
     assert seen["no-cache"] == [0, "numpy", "entropylab.lattice"]
     assert seen["numpy.random"] is False
     assert seen["numpy.ma"] is False
+    # the lattice kernel's test matrix takes SHAKE-128 from the built-in _sha3
+    assert not {"hashlib", "_hashlib"} & set(seen["added"]["no-cache"])
 
 
 def test_findim_cache_hit_and_report_load_no_engine(tmp_path):
@@ -909,7 +942,6 @@ def test_cli_findim_runs_without_config(tmp_path, capsys):
     }
 
 
-_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _leaves(value, where):

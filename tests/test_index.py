@@ -13,20 +13,20 @@ from entropylab.findim import (
     cyclic_group_unitaries,
     dual_weight,
     group_average_expectation,
-    identity_expectation,
     kosaki_index,
     random_faithful_state,
     symmetric_group_unitaries,
     trace_state,
-    weyl_unitaries,
 )
 from entropylab.findim.identities import random_unitary
 from oracles import (
     dual_weight_index,
+    identity_expectation,
     leg_average,
     pimsner_popa_check,
     quasi_basis,
     random_inclusion,
+    weyl_unitaries,
 )
 
 
