@@ -9,16 +9,9 @@ every computing CLI call.
 from .algebras import (
     BlockStructure,
     MatrixBlockAlgebra,
-    algebra_from_basis,
     build_algebra,
 )
-from .expectations import (
-    ConditionalExpectationMap,
-    compose_expectations,
-    cyclic_group_unitaries,
-    group_average_expectation,
-    symmetric_group_unitaries,
-)
+from .expectations import ConditionalExpectationMap, compose_expectations
 from .identities import (
     ChainInstance,
     ChainReport,
@@ -49,13 +42,9 @@ from .states import (
 __all__ = [
     "BlockStructure",
     "MatrixBlockAlgebra",
-    "algebra_from_basis",
     "build_algebra",
     "ConditionalExpectationMap",
     "compose_expectations",
-    "cyclic_group_unitaries",
-    "group_average_expectation",
-    "symmetric_group_unitaries",
     "ChainInstance",
     "ChainReport",
     "DifferenceInstance",

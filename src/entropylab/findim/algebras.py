@@ -9,9 +9,10 @@ conjugates, canonical densities and spatial derivatives are then cheap
 block-wise computations instead of repeated null-space solves.
 No Kronecker product is formed: with rows[i] the m x D slab of V for
 matrix index i, V*(a tensor b)V = sum_ij a_ij rows[i]* b rows[j].
-:func:`algebra_from_basis` recovers the isometries of a spanned algebra
-and certifies them against its input: the result must have the input
-span's dimension and contain every input element.
+Every algebra is built from block shapes and a known change of basis
+(:func:`build_algebra`, :meth:`MatrixBlockAlgebra.conjugated`,
+:meth:`MatrixBlockAlgebra.commutant`); none is recovered numerically from a
+spanning set.
 """
 
 from __future__ import annotations
@@ -25,17 +26,10 @@ __all__ = [
     "BlockStructure",
     "MatrixBlockAlgebra",
     "build_algebra",
-    "algebra_from_basis",
 ]
 
 # Residual accepted when deciding that a matrix lies in a span.
 SPAN_TOL = 1e-12
-# Relative gap used to split eigenvalue clusters during structure discovery.
-CLUSTER_GAP = 1e-7
-# Relative residual accepted for an input element in the discovered algebra.
-STRUCTURE_TOL = 1e-9
-
-_DISCOVERY_SEED = 0x5EED
 
 
 class BlockStructure(namedtuple("BlockStructure", "n m iso")):
@@ -56,18 +50,6 @@ def _lift(blk: BlockStructure, a: np.ndarray, b: np.ndarray | None = None) -> np
         rows = np.matmul(b, rows)
     acted = (a @ rows.reshape(blk.n, -1)).reshape(blk.n * blk.m, -1)
     return blk.iso.conj().T @ acted
-
-
-def _vec(mats: list[np.ndarray]) -> np.ndarray:
-    return np.stack([m.reshape(-1) for m in mats])
-
-
-def _orthonormal_span(mats: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Hilbert-Schmidt orthonormal basis of the span of ``mats``."""
-    stack = _vec(mats)
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(s > max(1.0, s[0]) * 1e-12)) if s.size else 0
-    return [vh[i].reshape(dim, dim) for i in range(rank)]
 
 
 class MatrixBlockAlgebra:
@@ -136,47 +118,12 @@ class MatrixBlockAlgebra:
     def span_distance(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.project(x) - x))
 
-    def basis_distance(self, other: "MatrixBlockAlgebra") -> float:
-        """The largest span_distance of an element of ``other.basis``, in one pass.
-
-        An element of a block (n, m, V) of ``other`` is f_ij = V_i* V_j / sqrt(m)
-        for the m x D slabs V_i of V.  In the frame of a block (N, M, W) of
-        this algebra, W f_ij W* = X_i X_j* / sqrt(m) with X_i = W V_i*, rows
-        (a, mu); the projection zeroes the blocks between two of this
-        algebra's blocks and averages each diagonal block over mu.  The QR
-        factor of X_i, taken with a as the row index, has min(N, M m) rows
-        and leaves the norm of every such product unchanged, so the n^2
-        distances come from one product of the factors, without forming any
-        f_ij or a difference of squared norms.
-        """
-        worst = 0.0
-        for t in other.structure:
-            factors = []
-            for blk in self.structure:
-                x = (blk.iso @ t.iso.conj().T).reshape(blk.n, blk.m, t.n, t.m)
-                x = x.transpose(2, 0, 1, 3).reshape(t.n, blk.n, blk.m * t.m)
-                factors.append(np.linalg.qr(x, mode="r").reshape(t.n, -1, t.m))
-            y = np.concatenate(factors, axis=1)  # (i, (block, rho, mu), tau)
-            diff = np.einsum("ipt,jqt->ijpq", y, y.conj()) / np.sqrt(t.m)
-            start = 0
-            for blk, factor in zip(self.structure, factors):
-                size = factor.shape[1]
-                diag = diff[:, :, start : start + size, start : start + size]
-                diag = diag.reshape(t.n, t.n, -1, blk.m, size // blk.m, blk.m)
-                mean = np.einsum("ijakbk->ijab", diag) / blk.m
-                for mu in range(blk.m):
-                    diag[:, :, :, mu, :, mu] -= mean
-                start += size
-            residual = np.einsum("ijpq,ijpq->ij", diff, diff.conj()).real
-            worst = max(worst, float(np.sqrt(residual.max())))
-        return worst
-
     def span_equals(self, other: "MatrixBlockAlgebra", tol: float = SPAN_TOL) -> bool:
         if other is self:
             return True
         if other.ambient_dim != self.ambient_dim or other.dim != self.dim:
             return False
-        return self.basis_distance(other) <= tol
+        return max(self.span_distance(f) for f in other.basis) <= tol
 
     # -- derived algebras ------------------------------------------------------
 
@@ -258,176 +205,3 @@ def build_algebra(
         structure.append(BlockStructure(n=n, m=m, iso=iso))
         offset += size
     return MatrixBlockAlgebra(structure)
-
-
-# -- structure discovery -------------------------------------------------------
-
-
-def algebra_from_basis(
-    mats: list[np.ndarray], rng: np.random.Generator | None = None
-) -> MatrixBlockAlgebra:
-    """Recover the block structure of the *-algebra spanned by ``mats``.
-
-    The input must span a unital *-closed algebra; the identity and the
-    adjoints are adjoined automatically.  Block shapes and isometries are
-    found by splitting a generic central element into eigenprojections and
-    then factoring each central summand with intertwiners read off from the
-    algebra itself.  Raises ValueError unless the result has the dimension
-    of that span and contains every input element within STRUCTURE_TOL.
-    """
-    if not mats:
-        raise ValueError("empty generating set")
-    dim = mats[0].shape[0]
-    if rng is None:
-        rng = np.random.default_rng(_DISCOVERY_SEED)
-    closed = list(mats) + [m.conj().T for m in mats] + [np.eye(dim, dtype=complex)]
-    basis = _orthonormal_span(closed, dim)
-    center = _center_basis(basis, dim)
-    projections = _central_projections(center, basis, dim, rng)
-    structure = [_factor_structure(cols, basis, dim, rng) for cols in projections]
-    alg = MatrixBlockAlgebra(sorted(structure, key=lambda blk: (blk.n, blk.m)))
-    # A subspace of the result with the result's dimension is the result:
-    # this certifies the blocks and that the input spans an algebra.
-    if alg.dim != len(basis) or not all(alg.contains(x, STRUCTURE_TOL) for x in mats):
-        raise ValueError(
-            f"the input spans dimension {len(basis)}, but the discovered blocks "
-            f"{alg.blocks} of dimension {alg.dim} do not reproduce that span: "
-            "the input does not span a *-algebra"
-        )
-    return alg
-
-
-def _center_basis(basis: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Basis of the center: elements of the span commuting with every basis element."""
-    rows = []
-    for b in basis:
-        block = np.stack([(f @ b - b @ f).reshape(-1) for f in basis])
-        rows.append(block.T)
-    constraint = np.concatenate(rows, axis=0)
-    _, s, vh = np.linalg.svd(constraint, full_matrices=False)
-    tol = max(1.0, (s[0] if s.size else 1.0)) * 1e-10
-    null = [vh[i].conj() for i in range(len(basis)) if i >= len(s) or s[i] <= tol]
-    center = []
-    for coeffs in null:
-        z = sum(c * f for c, f in zip(coeffs, basis))
-        center.append(z)
-    return center
-
-
-def _central_projections(
-    center: list[np.ndarray],
-    basis: list[np.ndarray],
-    dim: int,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Split C^dim into the ranges of the minimal central projections.
-
-    Returns one orthonormal column block per central summand.
-    """
-    n_blocks = len(center)
-    if n_blocks == 1:
-        return [np.eye(dim, dtype=complex)]
-    for _ in range(12):
-        # Complex coefficients matter: a real-spanning basis can have
-        # Hermitian parts that miss directions of the center, leaving
-        # eigenvalues systematically degenerate.
-        coeff = rng.standard_normal(n_blocks) + 1j * rng.standard_normal(n_blocks)
-        raw = sum(c * m for c, m in zip(coeff, center))
-        z = (raw + raw.conj().T) / 2
-        vals, vecs = np.linalg.eigh(z)
-        groups = _cluster(vals)
-        if len(groups) != n_blocks:
-            continue
-        cols = [vecs[:, idx] for idx in groups]
-        good = all(
-            max(
-                float(np.linalg.norm(q.conj().T @ b @ p))
-                for b in basis[: min(len(basis), 12)]
-            )
-            < 1e-8
-            for a, q in enumerate(cols)
-            for c, p in enumerate(cols)
-            if a != c
-        )
-        if good:
-            return cols
-    raise ValueError("could not separate central projections")
-
-
-def _cluster(vals: np.ndarray) -> list[np.ndarray]:
-    """Group sorted eigenvalues into clusters separated by clear gaps."""
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    groups = []
-    current = [0]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > CLUSTER_GAP * scale:
-            groups.append(np.array(current))
-            current = [i]
-        else:
-            current.append(i)
-    groups.append(np.array(current))
-    return groups
-
-
-def _factor_structure(
-    cols: np.ndarray,
-    basis: list[np.ndarray],
-    dim: int,
-    rng: np.random.Generator,
-) -> BlockStructure:
-    """Factor one central summand as M_n tensor 1_m and build its isometry."""
-    d = cols.shape[1]
-    compressed = [cols.conj().T @ b @ cols for b in basis]
-    compressed = _orthonormal_span(compressed, d)
-    s = len(compressed)
-    n = int(round(np.sqrt(s)))
-    if n * n != s or d % n != 0:
-        raise ValueError(f"summand span of dimension {s} on C^{d} is not a factor")
-    m = d // n
-    if n == 1:
-        return BlockStructure(n=1, m=d, iso=cols.conj().T)
-    for _ in range(12):
-        coeff = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-        raw = sum(c * g for c, g in zip(coeff, compressed))
-        a = (raw + raw.conj().T) / 2
-        vals, vecs = np.linalg.eigh(a)
-        groups = _cluster(vals)
-        if len(groups) != n or any(len(g) != m for g in groups):
-            continue
-        eigenspaces = [vecs[:, g] for g in groups]
-        frames = _intertwine(eigenspaces, compressed, rng)
-        if frames is None:
-            continue
-        iso_rows = np.concatenate([w.conj().T for w in frames], axis=0)
-        return BlockStructure(n=n, m=m, iso=iso_rows @ cols.conj().T)
-    raise ValueError("could not factor central summand")
-
-
-def _intertwine(
-    eigenspaces: list[np.ndarray],
-    compressed: list[np.ndarray],
-    rng: np.random.Generator,
-) -> list[np.ndarray] | None:
-    """Align the eigenspace frames using intertwiners from the algebra itself."""
-    m = eigenspaces[0].shape[1]
-    frames = [eigenspaces[0]]
-    for w in eigenspaces[1:]:
-        aligned = None
-        for _ in range(8):
-            coeff = rng.standard_normal(len(compressed)) + 1j * rng.standard_normal(
-                len(compressed)
-            )
-            g = sum(c * mat for c, mat in zip(coeff, compressed))
-            s = w.conj().T @ g @ eigenspaces[0]
-            u, sing, vh = np.linalg.svd(s)
-            if sing[0] < 1e-9:
-                continue
-            if sing[-1] < 0.5 * sing[0]:
-                # not scalar times unitary; g had a zero matrix entry, retry
-                continue
-            aligned = w @ (u @ vh)
-            break
-        if aligned is None:
-            return None
-        frames.append(aligned)
-    return frames

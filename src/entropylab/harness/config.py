@@ -375,6 +375,8 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         sections = _read_ini(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot parse {path}: not UTF-8 at byte {exc.start}") from None
     except ConfigError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 

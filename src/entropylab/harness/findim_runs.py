@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
 
 from ..findim import (
+    ConditionalExpectationMap,
     VectorStateData,
     build_algebra,
     check_entropy_identity,
-    cyclic_group_unitaries,
     entropy_additivity_chain,
     entropy_difference_identity,
-    group_average_expectation,
     kosaki_index,
     random_chain_instance,
     random_difference_instance,
@@ -21,11 +21,54 @@ from ..findim import (
     random_unitary,
     relative_entropy_spatial,
     relative_entropy_umegaki,
-    symmetric_group_unitaries,
 )
 from .config import ExperimentConfig
 from .report import CaseRecord, Verdict
 from .runner import _group_verdict, _residual_case
+
+
+def index_targets():
+    """(label, |G|, fixed points of Ad(G)) for each group of the index battery.
+
+    The fixed points of Ad(G) on B(C^d) are the commutant of the algebra that
+    G generates.  That algebra is the direct sum over the irreducible
+    representations rho in G's representation of M_{d_rho} (x) 1 in a basis
+    adapted to them (Peter-Weyl; Serre, Linear Representations of Finite
+    Groups, 1977), so each target is built from that basis, the rows of V,
+    and never found numerically.  The trace-preserving expectation onto it
+    has index |G|, which is sum_rho d_rho^2 for a regular representation.
+
+    - the flip sx (x) sx on C^4: its +1 and -1 eigenspaces, spanned by
+      (e_0 + e_3, e_1 + e_2) and (e_0 - e_3, e_1 - e_2) over sqrt(2);
+    - the regular representation of Z_3: the Fourier rows w^(kg)/sqrt(3);
+    - the left regular representation of S_3 on its elements in
+      ``itertools.permutations`` order: rows sqrt(d_rho/6) rho(g)_ij for the
+      trivial, sign and 2-dimensional standard representations, ordered
+      (rho, i, j).
+    """
+    flip = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]]) / np.sqrt(2)
+    fourier = np.exp(2j * np.pi / 3 * np.outer(range(3), range(3))) / np.sqrt(3)
+    # P(g) e_k = e_g(k) is the trivial plus the standard representation; the
+    # standard one acts on the orthonormal frame of the complement of (1, 1, 1).
+    frame = np.array([[1, -1, 0], [1, 1, -2]]) / np.sqrt([[2], [6]])
+    perms = [np.eye(3)[:, list(g)] for g in itertools.permutations(range(3))]
+    standard = np.array([frame @ p @ frame.T for p in perms])
+    symmetric = np.concatenate(
+        [
+            np.ones((1, 6)) / np.sqrt(6),
+            np.array([[np.linalg.det(p) for p in perms]]) / np.sqrt(6),
+            standard.reshape(6, 4).T / np.sqrt(3),
+        ]
+    )
+    groups = [
+        ("cyclic-2", 2.0, [(1, 2), (1, 2)], flip),
+        ("cyclic-3", 3.0, [(1, 1)] * 3, fourier),
+        ("symmetric-3", 6.0, [(1, 1), (1, 1), (2, 2)], symmetric),
+    ]
+    return [
+        (label, order, build_algebra(blocks).conjugated(v.conj().T).commutant())
+        for label, order, blocks, v in groups
+    ]
 
 
 def run_findim(config: ExperimentConfig):
@@ -111,16 +154,9 @@ def run_findim(config: ExperimentConfig):
 
     def index_cases() -> list[CaseRecord]:
         out = []
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        flip = np.kron(sx, sx)
-        targets = [
-            ("cyclic-2", build_algebra([(4, 1)]), [np.eye(4, dtype=complex), flip], 2.0),
-            ("cyclic-3", build_algebra([(3, 1)]), cyclic_group_unitaries(3), 3.0),
-            ("symmetric-3", build_algebra([(6, 1)]), symmetric_group_unitaries(3), 6.0),
-        ]
-        for label, algebra, units, want in targets:
-            exp = group_average_expectation(algebra, units)
-            got = float(kosaki_index(exp))
+        for label, want, target in index_targets():
+            source = build_algebra([(target.ambient_dim, 1)])
+            got = float(kosaki_index(ConditionalExpectationMap(source, target)))
             out.append(
                 _residual_case(
                     f"index-{label}",

@@ -16,13 +16,8 @@ from .circle import (
     interval_lengths,
     lattice_region,
     mobius_region,
-    rotated_region,
 )
-from .deficit import (
-    DeficitReport,
-    entropy_deficit,
-    regularized_entropy,
-)
+from .deficit import DeficitReport, entropy_deficit
 from .experiments import (
     CollapseReport,
     ShrinkReport,
@@ -54,10 +49,8 @@ __all__ = [
     "interval_lengths",
     "lattice_region",
     "mobius_region",
-    "rotated_region",
     "DeficitReport",
     "entropy_deficit",
-    "regularized_entropy",
     "CollapseReport",
     "ShrinkReport",
     "ShrinkStep",

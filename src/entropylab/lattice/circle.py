@@ -25,7 +25,6 @@ __all__ = [
     "arc_length",
     "interval_lengths",
     "cross_ratio",
-    "rotated_region",
     "mobius_region",
     "equal_eta_family",
 ]
@@ -88,10 +87,6 @@ def cross_ratio(spec: RegionSpec, use_arc_length: bool = False) -> float:
     r_in = interval_lengths(spec, use_arc_length)
     r_out = interval_lengths(spec.complement(), use_arc_length)
     return (r_out[0] * r_out[1]) / (r_in[0] * r_in[1])
-
-
-def rotated_region(spec: RegionSpec, angle: float) -> RegionSpec:
-    return RegionSpec([(a + angle, b + angle) for a, b in spec.arcs])
 
 
 def mobius_region(spec: RegionSpec, pull: complex, phase: float = 0.0) -> RegionSpec:

@@ -19,7 +19,6 @@ from .gaussian import CorrelationMatrix, product_state_relative_entropy
 
 __all__ = [
     "DeficitReport",
-    "regularized_entropy",
     "entropy_deficit",
 ]
 
@@ -41,19 +40,6 @@ class DeficitReport(
 
 def _geometry_term(lengths: tuple[float, ...], c: float) -> float:
     return (c / 6.0) * math.fsum(math.log(r) for r in lengths)
-
-
-def regularized_entropy(
-    corr: CorrelationMatrix,
-    spec: RegionSpec,
-    c: float,
-    use_arc_length: bool = False,
-) -> float:
-    """(c/6) sum_i ln r_i - S(omega, omega-product); (c/6) ln r for one arc."""
-    if c <= 0:
-        raise ValueError("central charge must be positive")
-    lengths = interval_lengths(spec, use_arc_length)
-    return _geometry_term(lengths, c) - product_state_relative_entropy(corr, spec)
 
 
 def entropy_deficit(

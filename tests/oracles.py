@@ -1,11 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here except ``dual_weight_index``, ``quasi_basis``,
-``pimsner_popa_check``, ``leg_average``, ``modular_flow``,
-``connes_cocycle``, the instance builder
-``random_inclusion``, ``basis_distance_by_element``,
+``pimsner_popa_check``, ``leg_average``, ``group_average_expectation``
+and ``algebra_from_basis``, ``modular_flow``, ``connes_cocycle``, the
+instance constructor ``random_inclusion``, ``basis_distance_by_element``,
 ``whole_block_spectrum``, ``validate`` and the expectations it certifies,
-``hashlib_config_hash`` and the exact diagonalization is
+``regularized_entropy``, ``hashlib_config_hash`` and the exact
+diagonalization is
 deliberately written from first principles with no imports from
 entropylab internals: eigen-overlap relative entropy, a
 brute-force commutant solver, a rank test of whether a vector is cyclic
@@ -26,20 +27,34 @@ closed form is checked.  ``quasi_basis`` (a Pimsner-Popa basis,
 frame-corrected in the package's expectation inner product) and
 ``pimsner_popa_check`` (E(m) >= m / Ind E on random positive m) are the
 operator-level cross-checks of that index; no run reaches them.
-``leg_average`` is the Weyl-group oracle for the
-findim instance expectations: it rediscovers their targets through the
-package's group averaging and structure discovery, which the instances
-themselves do not use.  ``exact_diagonalization_entropies`` builds the
+``group_average_expectation`` finds the fixed points of Ad(G) for a
+finite unitary group numerically: the average of Ad(u) over the group is
+a projector on the source's basis, and ``algebra_from_basis`` splits the
+span of its range into blocks by eigen-splitting random central elements
+under a fixed seed.  The package never discovers structure: it builds
+every algebra from known blocks, the index battery's fixed-point targets
+from their groups' irreducible representations.  These two are the
+references those targets, and the findim instance expectations through
+the Weyl-group oracle ``leg_average``, are compared against;
+``cyclic_group_unitaries`` and ``symmetric_group_unitaries`` are the
+regular representations of the index battery's groups.
+``exact_diagonalization_entropies`` builds the
 2^N ground state from the Slater determinant of ``hopping_matrix``; it
 takes only the arc-to-site assignment from the package's circle geometry,
-never the Gaussian kernel.  ``basis_distance_by_element`` is the loop of
-one package projection per basis element that ``basis_distance`` batches.
+never the Gaussian kernel.  ``basis_distance_by_element`` is the largest
+distance of one algebra's basis elements from another's span, one package
+projection per element; ``validate`` reads N in M from it.
+``is_identity`` and ``conjugated_expectation`` test and rotate a package
+expectation.
 ``modular_flow`` and ``connes_cocycle`` are the modular flow and the
 Connes cocycle built on the package's intrinsic blocks and spatial
 derivative; no run reaches them, and the tests hold them to
 ``conjugation_flow`` and the cocycle identities.
 ``mask_arc_sites`` is the arc-to-site rule as a float mask over all N site
 angles, the reference that the package's ``arc_range`` must reproduce.
+``rotated_region`` and ``regularized_entropy`` (of one region, from the
+package's lengths and product-state relative entropy) are lattice forms
+that no run needs.
 ``whole_block_spectrum`` is the range finder of the package's lattice
 kernel run on the whole coupling block, held at once, with the package's
 test matrix and constants; the kernel streams the same block in row panels
@@ -78,13 +93,20 @@ from entropylab.findim import (
     WeightDensity,
     build_algebra,
     dual_weight,
-    group_average_expectation,
     kosaki_index,
     trace_state,
 )
 from entropylab.findim.spatial import _hermitian_power, spatial_derivative
 from entropylab.findim.states import _on
-from entropylab.lattice import LatticeCircle, RegionSpec, arc_sites, gaussian, lattice_region
+from entropylab.lattice import (
+    LatticeCircle,
+    RegionSpec,
+    arc_sites,
+    gaussian,
+    interval_lengths,
+    lattice_region,
+    product_state_relative_entropy,
+)
 
 _EPS = 1e-12
 AXIOM_TOL = 1e-10
@@ -446,7 +468,7 @@ def validate(
     h = e.density
     scale = max(1.0, float(np.linalg.norm(h)))
     out = {
-        "target_in_source": e.source.basis_distance(e.target),
+        "target_in_source": basis_distance_by_element(e.source, e.target),
         "commutes_with_target": e.target.commutant().span_distance(h) / scale,
         "density_in_source": e.source.span_distance(h) / scale,
         "positive": float(
@@ -550,6 +572,20 @@ def basis_distance_by_element(algebra, other) -> float:
     return max(algebra.span_distance(f) for f in other.basis)
 
 
+def is_identity(e: ConditionalExpectationMap, tol: float = 1e-10) -> bool:
+    """Whether ``e`` fixes every element of its source."""
+    return e.source.span_equals(e.target) and all(
+        np.linalg.norm(e(f) - f) <= tol * e.ambient_dim for f in e.source.basis
+    )
+
+
+def conjugated_expectation(e: ConditionalExpectationMap, u: np.ndarray) -> ConditionalExpectationMap:
+    """The expectation x -> u E(u* x u) u* between the rotated algebras."""
+    return ConditionalExpectationMap(
+        e.source.conjugated(u), e.target.conjugated(u), u @ e.density @ u.conj().T
+    )
+
+
 def kron_embed_blocks(algebra, parts) -> np.ndarray:
     """sum_k V_k* (x_k kron 1_{m_k}) V_k, with the Kronecker product formed."""
     dim = algebra.structure[0].iso.shape[1]
@@ -613,6 +649,284 @@ def leg_average(
     )
 
 
+# --- group averaging and block-structure discovery ----------------------------
+
+
+def cyclic_group_unitaries(n: int) -> list[np.ndarray]:
+    """Regular representation of the cyclic group of order n (powers of the shift)."""
+    shift = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        shift[(j + 1) % n, j] = 1.0
+    out = [np.eye(n, dtype=complex)]
+    for _ in range(n - 1):
+        out.append(shift @ out[-1])
+    return out
+
+
+def symmetric_group_unitaries(letters: int = 3) -> list[np.ndarray]:
+    """Left regular representation of the symmetric group on ``letters`` symbols."""
+    elems = list(itertools.permutations(range(letters)))
+    index = {p: i for i, p in enumerate(elems)}
+    out = []
+    for g in elems:
+        u = np.zeros((len(elems), len(elems)), dtype=complex)
+        for i, h in enumerate(elems):
+            gh = tuple(g[h[k]] for k in range(letters))
+            u[index[gh], i] = 1.0
+        out.append(u)
+    return out
+
+
+def group_average_expectation(
+    source: MatrixBlockAlgebra,
+    unitaries: list[np.ndarray],
+    closure_tol: float = 1e-8,
+) -> ConditionalExpectationMap:
+    """Average of x -> u x u* over a finite unitary group normalizing ``source``.
+
+    The target is the fixed-point subalgebra.  In the source's orthonormal
+    basis each Ad u is a unitary matrix, and the unitaries form a group up
+    to phase (products are matched against the listed elements through
+    |tr(u_k* u_g u_h)| = D), so the average of those matrices is the
+    orthogonal projector onto the fixed points: its eigenvectors of
+    eigenvalue 1 are their coordinates, and ``algebra_from_basis`` finds
+    their blocks.  An eigenvalue away from 0 and 1 rejects the input.  The
+    average preserves the trace on the source, and the trace-preserving
+    expectation onto the target is unique, so the result is that
+    expectation.
+    """
+    d = source.ambient_dim
+    units = [np.asarray(u, dtype=complex) for u in unitaries]
+    if not units:
+        raise ValueError("need at least one unitary")
+    for u in units:
+        if u.shape != (d, d):
+            raise ValueError("unitary dimension mismatch")
+        if np.linalg.norm(u @ u.conj().T - np.eye(d)) > 1e-10 * d:
+            raise ValueError("input matrix is not unitary")
+    _check_group_closure(units, closure_tol)
+
+    basis = source.basis
+    frame = np.stack([_vec(f) for f in basis], axis=1)
+    average = np.zeros((len(basis), len(basis)), dtype=complex)
+    for u in units:
+        images = [u @ f @ u.conj().T for f in basis]
+        if any(source.span_distance(g) > 1e-9 for g in images):
+            raise ValueError("unitaries do not normalize the algebra")
+        # coordinates Tr(f_a* g_b) of the conjugated basis, in one product
+        average += frame.conj().T @ np.stack([_vec(g) for g in images], axis=1)
+    average /= len(units)
+    vals, vecs = np.linalg.eigh(0.5 * (average + average.conj().T))
+    fixed_point = vals > 0.5
+    if np.abs(vals - fixed_point).max() > 1e-9:
+        raise ValueError(
+            "the group average is not a projector: eigenvalues off {0, 1} by "
+            f"{np.abs(vals - fixed_point).max():.3e}"
+        )
+    fixed = [
+        sum(c * f for c, f in zip(coords, basis)) for coords in vecs[:, fixed_point].T
+    ]
+    return ConditionalExpectationMap(source, algebra_from_basis(fixed))
+
+
+def _check_group_closure(units: list[np.ndarray], tol: float) -> None:
+    d = units[0].shape[0]
+    for g in units:
+        for h in units:
+            prod = g @ h
+            best = max(abs(np.trace(k.conj().T @ prod)) for k in units)
+            if abs(best - d) > tol * d:
+                raise ValueError(
+                    "unitaries are not closed under products (up to phase)"
+                )
+
+
+# Relative gap used to split eigenvalue clusters during structure discovery.
+CLUSTER_GAP = 1e-7
+# Relative residual accepted for an input element in the discovered algebra.
+STRUCTURE_TOL = 1e-9
+
+_DISCOVERY_SEED = 0x5EED
+
+
+def algebra_from_basis(
+    mats: list[np.ndarray], rng: np.random.Generator | None = None
+) -> MatrixBlockAlgebra:
+    """Recover the block structure of the *-algebra spanned by ``mats``.
+
+    The input must span a unital *-closed algebra; the identity and the
+    adjoints are adjoined automatically.  Block shapes and isometries are
+    found by splitting a generic central element into eigenprojections and
+    then factoring each central summand with intertwiners read off from the
+    algebra itself.  Raises ValueError unless the result has the dimension
+    of that span and contains every input element within STRUCTURE_TOL.
+    """
+    if not mats:
+        raise ValueError("empty generating set")
+    dim = mats[0].shape[0]
+    if rng is None:
+        rng = np.random.default_rng(_DISCOVERY_SEED)
+    closed = list(mats) + [m.conj().T for m in mats] + [np.eye(dim, dtype=complex)]
+    basis = _orthonormal_span(closed, dim)
+    center = _center_basis(basis, dim)
+    projections = _central_projections(center, basis, dim, rng)
+    structure = [_factor_structure(cols, basis, dim, rng) for cols in projections]
+    alg = MatrixBlockAlgebra(sorted(structure, key=lambda blk: (blk.n, blk.m)))
+    # A subspace of the result with the result's dimension is the result:
+    # this certifies the blocks and that the input spans an algebra.
+    if alg.dim != len(basis) or not all(alg.contains(x, STRUCTURE_TOL) for x in mats):
+        raise ValueError(
+            f"the input spans dimension {len(basis)}, but the discovered blocks "
+            f"{alg.blocks} of dimension {alg.dim} do not reproduce that span: "
+            "the input does not span a *-algebra"
+        )
+    return alg
+
+
+def _orthonormal_span(mats: list[np.ndarray], dim: int) -> list[np.ndarray]:
+    """Hilbert-Schmidt orthonormal basis of the span of ``mats``."""
+    stack = np.stack([m.reshape(-1) for m in mats])
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    rank = int(np.sum(s > max(1.0, s[0]) * 1e-12)) if s.size else 0
+    return [vh[i].reshape(dim, dim) for i in range(rank)]
+
+
+def _center_basis(basis: list[np.ndarray], dim: int) -> list[np.ndarray]:
+    """Basis of the center: elements of the span commuting with every basis element."""
+    rows = []
+    for b in basis:
+        block = np.stack([(f @ b - b @ f).reshape(-1) for f in basis])
+        rows.append(block.T)
+    constraint = np.concatenate(rows, axis=0)
+    _, s, vh = np.linalg.svd(constraint, full_matrices=False)
+    tol = max(1.0, (s[0] if s.size else 1.0)) * 1e-10
+    null = [vh[i].conj() for i in range(len(basis)) if i >= len(s) or s[i] <= tol]
+    center = []
+    for coeffs in null:
+        z = sum(c * f for c, f in zip(coeffs, basis))
+        center.append(z)
+    return center
+
+
+def _central_projections(
+    center: list[np.ndarray],
+    basis: list[np.ndarray],
+    dim: int,
+    rng: np.random.Generator,
+) -> list[np.ndarray]:
+    """Split C^dim into the ranges of the minimal central projections.
+
+    Returns one orthonormal column block per central summand.
+    """
+    n_blocks = len(center)
+    if n_blocks == 1:
+        return [np.eye(dim, dtype=complex)]
+    for _ in range(12):
+        # Complex coefficients matter: a real-spanning basis can have
+        # Hermitian parts that miss directions of the center, leaving
+        # eigenvalues systematically degenerate.
+        coeff = rng.standard_normal(n_blocks) + 1j * rng.standard_normal(n_blocks)
+        raw = sum(c * m for c, m in zip(coeff, center))
+        z = (raw + raw.conj().T) / 2
+        vals, vecs = np.linalg.eigh(z)
+        groups = _cluster(vals)
+        if len(groups) != n_blocks:
+            continue
+        cols = [vecs[:, idx] for idx in groups]
+        good = all(
+            max(
+                float(np.linalg.norm(q.conj().T @ b @ p))
+                for b in basis[: min(len(basis), 12)]
+            )
+            < 1e-8
+            for a, q in enumerate(cols)
+            for c, p in enumerate(cols)
+            if a != c
+        )
+        if good:
+            return cols
+    raise ValueError("could not separate central projections")
+
+
+def _cluster(vals: np.ndarray) -> list[np.ndarray]:
+    """Group sorted eigenvalues into clusters separated by clear gaps."""
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    groups = []
+    current = [0]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[i - 1] > CLUSTER_GAP * scale:
+            groups.append(np.array(current))
+            current = [i]
+        else:
+            current.append(i)
+    groups.append(np.array(current))
+    return groups
+
+
+def _factor_structure(
+    cols: np.ndarray,
+    basis: list[np.ndarray],
+    dim: int,
+    rng: np.random.Generator,
+) -> BlockStructure:
+    """Factor one central summand as M_n tensor 1_m and build its isometry."""
+    d = cols.shape[1]
+    compressed = [cols.conj().T @ b @ cols for b in basis]
+    compressed = _orthonormal_span(compressed, d)
+    s = len(compressed)
+    n = int(round(np.sqrt(s)))
+    if n * n != s or d % n != 0:
+        raise ValueError(f"summand span of dimension {s} on C^{d} is not a factor")
+    m = d // n
+    if n == 1:
+        return BlockStructure(n=1, m=d, iso=cols.conj().T)
+    for _ in range(12):
+        coeff = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        raw = sum(c * g for c, g in zip(coeff, compressed))
+        a = (raw + raw.conj().T) / 2
+        vals, vecs = np.linalg.eigh(a)
+        groups = _cluster(vals)
+        if len(groups) != n or any(len(g) != m for g in groups):
+            continue
+        eigenspaces = [vecs[:, g] for g in groups]
+        frames = _intertwine(eigenspaces, compressed, rng)
+        if frames is None:
+            continue
+        iso_rows = np.concatenate([w.conj().T for w in frames], axis=0)
+        return BlockStructure(n=n, m=m, iso=iso_rows @ cols.conj().T)
+    raise ValueError("could not factor central summand")
+
+
+def _intertwine(
+    eigenspaces: list[np.ndarray],
+    compressed: list[np.ndarray],
+    rng: np.random.Generator,
+) -> list[np.ndarray] | None:
+    """Align the eigenspace frames using intertwiners from the algebra itself."""
+    m = eigenspaces[0].shape[1]
+    frames = [eigenspaces[0]]
+    for w in eigenspaces[1:]:
+        aligned = None
+        for _ in range(8):
+            coeff = rng.standard_normal(len(compressed)) + 1j * rng.standard_normal(
+                len(compressed)
+            )
+            g = sum(c * mat for c, mat in zip(coeff, compressed))
+            s = w.conj().T @ g @ eigenspaces[0]
+            u, sing, vh = np.linalg.svd(s)
+            if sing[0] < 1e-9:
+                continue
+            if sing[-1] < 0.5 * sing[0]:
+                # not scalar times unitary; g had a zero matrix entry, retry
+                continue
+            aligned = w @ (u @ vh)
+            break
+        if aligned is None:
+            return None
+        frames.append(aligned)
+    return frames
+
+
 def modular_flow(psi: WeightDensity, x: np.ndarray, t: float) -> np.ndarray:
     """sigma_t^psi(x) for x in the algebra of psi (psi faithful)."""
     if not psi.is_faithful:
@@ -664,7 +978,7 @@ def conjugation_flow(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     return u @ x @ u.conj().T
 
 
-# --- the arc -> site rule ----------------------------------------------------
+# --- arc regions: the arc -> site rule, rotations, regularized entropy --------
 
 
 def mask_arc_sites(n_sites: int, arc: tuple[float, float]) -> np.ndarray:
@@ -674,6 +988,20 @@ def mask_arc_sites(n_sites: int, arc: tuple[float, float]) -> np.ndarray:
     if a < b:
         return np.nonzero((theta >= a) & (theta < b))[0]
     return np.nonzero((theta >= a) | (theta < b))[0]
+
+
+def rotated_region(spec: RegionSpec, angle: float) -> RegionSpec:
+    """The region turned by ``angle`` around the circle."""
+    return RegionSpec([(a + angle, b + angle) for a, b in spec.arcs])
+
+
+def regularized_entropy(corr, spec: RegionSpec, c: float, use_arc_length: bool = False) -> float:
+    """(c/6) sum_i ln r_i - S(omega, omega-product); (c/6) ln r for one arc."""
+    if c <= 0:
+        raise ValueError("central charge must be positive")
+    lengths = interval_lengths(spec, use_arc_length)
+    geometry = (c / 6.0) * math.fsum(math.log(r) for r in lengths)
+    return geometry - product_state_relative_entropy(corr, spec)
 
 
 # --- dense Gaussian route for the hopping chain ----------------------------

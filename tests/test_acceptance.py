@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from entropylab.findim import (
+    ConditionalExpectationMap,
     VectorStateData,
     build_algebra,
     check_entropy_identity,
     compose_expectations,
-    cyclic_group_unitaries,
     entropy_additivity_chain,
     entropy_difference_identity,
-    group_average_expectation,
     kosaki_index,
     random_chain_instance,
     random_difference_instance,
@@ -27,9 +26,9 @@ from entropylab.findim import (
     random_unitary,
     relative_entropy_spatial,
     relative_entropy_umegaki,
-    symmetric_group_unitaries,
 )
 from entropylab.harness import ExperimentConfig
+from entropylab.harness.findim_runs import index_targets
 from entropylab.harness.runner import run_experiment
 from entropylab.lattice import (
     LatticeCircle,
@@ -148,16 +147,10 @@ def test_criterion_04_entropy_property_suite():
 
 
 def test_criterion_05_index_battery():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    groups = [
-        ("Z2", build_algebra([(4, 1)]), [np.eye(4, dtype=complex), np.kron(sx, sx)], 2.0),
-        ("Z3", build_algebra([(3, 1)]), cyclic_group_unitaries(3), 3.0),
-        ("S3", build_algebra([(6, 1)]), symmetric_group_unitaries(3), 6.0),
-    ]
     worst_order = 0.0
     worst_dual = 0.0
-    for label, ambient, units, order in groups:
-        e = group_average_expectation(ambient, units)
+    for label, order, target in index_targets():
+        e = ConditionalExpectationMap(build_algebra([(target.ambient_dim, 1)]), target)
         got = float(kosaki_index(e))
         worst_order = max(worst_order, abs(got - order))
         qb = quasi_basis(e, np.random.default_rng(105))

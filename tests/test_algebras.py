@@ -1,4 +1,5 @@
-"""Block algebra construction, commutants, and structure discovery."""
+"""Block algebra construction and commutants, and the test oracles'
+structure discovery."""
 
 import tracemalloc
 
@@ -7,19 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropylab.findim import (
-    MatrixBlockAlgebra,
-    algebra_from_basis,
-    build_algebra,
-)
+from entropylab.findim import MatrixBlockAlgebra, build_algebra
 from entropylab.findim.identities import random_unitary
 
-from oracles import (
-    basis_distance_by_element,
-    brute_force_commutant,
-    kron_embed_blocks,
-    random_inclusion,
-)
+from oracles import algebra_from_basis, brute_force_commutant, kron_embed_blocks
 
 
 def _assert_orthonormal_basis_inside(alg):
@@ -252,44 +244,3 @@ def test_rejects_bad_blocks():
         build_algebra([(0, 2)])
     with pytest.raises(ValueError):
         build_algebra([(2, 2)], ambient_dim=5)
-
-
-_SMALL_BLOCKS = st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=3)
-
-
-@st.composite
-def _algebra_pairs(draw):
-    """Two algebras on one C^D, each possibly rotated: unrelated block
-    shapes, or a target inside a source laid out by an inclusion matrix."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    if draw(st.booleans()):
-        rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-        inclusion = [[draw(st.integers(0, 2)) for _ in range(cols)] for _ in range(rows)]
-        for i in range(rows):
-            inclusion[i][i % cols] = max(inclusion[i][i % cols], 1)
-        for k in range(cols):
-            inclusion[k % rows][k] = max(inclusion[k % rows][k], 1)
-        sizes = [draw(st.integers(1, 2)) for _ in range(cols)]
-        mults = [draw(st.integers(1, 2)) for _ in range(rows)]
-        e = random_inclusion(inclusion, sizes, mults, rng)
-        pair = [e.source, e.target]
-    else:
-        shapes = [draw(_SMALL_BLOCKS), draw(_SMALL_BLOCKS)]
-        dim = max(sum(n * m for n, m in b) for b in shapes)
-        for b in shapes:
-            if sum(n * m for n, m in b) < dim:
-                b.append((1, dim - sum(n * m for n, m in b)))
-        pair = [build_algebra(b) for b in shapes]
-    dim = pair[0].ambient_dim
-    u = random_unitary(dim, rng)
-    return [a.conjugated(u) if draw(st.booleans()) else a for a in pair]
-
-
-@given(_algebra_pairs())
-@settings(max_examples=40, deadline=None)
-def test_property_basis_distance_matches_the_element_loop(pair):
-    """One batched pass gives the largest distance of the other algebra's
-    basis elements, inside or outside, as one projection per element does."""
-    for alg, other in (pair, pair[::-1], (pair[0], pair[0])):
-        want = basis_distance_by_element(alg, other)
-        assert abs(alg.basis_distance(other) - want) <= 1e-12

@@ -16,10 +16,9 @@ from entropylab.lattice import (
     interval_lengths,
     lattice_region,
     mobius_region,
-    rotated_region,
 )
 from entropylab.regions import arc_range
-from oracles import mask_arc_sites
+from oracles import mask_arc_sites, rotated_region
 
 TWO_PI = 2.0 * math.pi
 

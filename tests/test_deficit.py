@@ -19,10 +19,10 @@ from entropylab.lattice import (
     lattice_region,
     product_state_relative_entropy,
     region_entropy,
-    regularized_entropy,
 )
 from entropylab.lattice import gaussian
 from entropylab.lattice.circle import LatticeCircle
+from oracles import regularized_entropy
 
 TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
 

@@ -6,25 +6,27 @@ from entropylab.findim import (
     WeightDensity,
     build_algebra,
     compose_expectations,
-    cyclic_group_unitaries,
-    group_average_expectation,
     random_faithful_state,
-    symmetric_group_unitaries,
     trace_state,
 )
 from entropylab.findim.identities import random_unitary
 from oracles import (
     AXIOM_TOL,
     NoPreservingExpectationError,
+    conjugated_expectation,
+    cyclic_group_unitaries,
     expectation_superop,
     gns_projection_superop,
+    group_average_expectation,
     group_average_superop,
     identity_expectation,
+    is_identity,
     leg_average,
     leg_unitaries,
     random_inclusion,
     state_preserving_expectation,
     superop_axioms,
+    symmetric_group_unitaries,
     validate,
     weyl_unitaries,
 )
@@ -40,7 +42,7 @@ def _qubit_leg_average(rng=None):
 def test_identity_expectation_is_identity():
     alg = build_algebra([(2, 2)])
     e = identity_expectation(alg)
-    assert e.is_identity()
+    assert is_identity(e)
     x = alg.basis[1]
     np.testing.assert_allclose(e(x), x, atol=1e-12)
 
@@ -158,7 +160,7 @@ def test_conjugated_expectation_commutes_with_rotation():
     rng = np.random.default_rng(4)
     e = _qubit_leg_average()
     u = random_unitary(4, rng)
-    rotated = e.conjugated(u)
+    rotated = conjugated_expectation(e, u)
     x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     np.testing.assert_allclose(rotated(x), u @ e(u.conj().T @ x @ u) @ u.conj().T, atol=1e-10)
     validate(rotated, rng=rng, state=trace_state(rotated.source), samples=10)
@@ -207,7 +209,7 @@ def test_pull_back_is_the_transpose_of_the_superoperator():
     big = build_algebra([(4, 1)])
     e = state_preserving_expectation(big, build_algebra([(2, 2)]), _product_state(rng))
     assert np.linalg.norm(e.density - np.eye(4)) > 0.1
-    for m in (e, e.conjugated(random_unitary(4, rng))):
+    for m in (e, conjugated_expectation(e, random_unitary(4, rng))):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         g = np.outer(v, v.conj()) / np.vdot(v, v).real
         pulled = m.pull_back(g)
@@ -240,28 +242,6 @@ def test_compose_rejects_mismatched_chain():
         compose_expectations(e1, e2)
 
 
-def test_validate_projects_a_fixed_number_of_times(monkeypatch):
-    """validate() makes as many projections at D = 36 as at D = 4: the
-    target's D^2 basis elements are checked in one pass, not one by one."""
-    from entropylab.findim.algebras import MatrixBlockAlgebra
-
-    calls = []
-    project = MatrixBlockAlgebra.project
-
-    def counting(self, x):
-        calls.append(x.shape)
-        return project(self, x)
-
-    monkeypatch.setattr(MatrixBlockAlgebra, "project", counting)
-    counts = []
-    for dim in (4, 36):
-        calls.clear()
-        residuals = validate(identity_expectation(build_algebra([(dim, 1)])))
-        assert max(residuals.values()) <= AXIOM_TOL
-        counts.append(len(calls))
-    assert counts[0] == counts[1] < 50
-
-
 def test_validate_flags_broken_superoperator():
     rng = np.random.default_rng(7)
     e = _qubit_leg_average()
@@ -290,10 +270,10 @@ def test_validate_agrees_with_the_superoperator_axioms():
     multi = random_inclusion([[1, 2], [0, 1]], [1, 2], [1, 2], rng)
     good = [
         leg,
-        leg.conjugated(random_unitary(4, rng)),
+        conjugated_expectation(leg, random_unitary(4, rng)),
         state_preserving_expectation(big, sub, _product_state(rng)),
         multi,
-        multi.conjugated(random_unitary(multi.ambient_dim, rng)),
+        conjugated_expectation(multi, random_unitary(multi.ambient_dim, rng)),
     ]
     for e in good:
         assert _first_failing(validate(e, rng=rng)) is None

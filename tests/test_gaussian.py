@@ -17,11 +17,10 @@ from entropylab.lattice import (
     lattice_region,
     product_state_relative_entropy,
     region_entropy,
-    rotated_region,
 )
 
 import oracles
-from oracles import hashlib_test_block, hopping_matrix
+from oracles import hashlib_test_block, hopping_matrix, rotated_region
 
 
 def test_hopping_matrix_is_hermitian_antiperiodic():

@@ -655,6 +655,21 @@ def test_cli_rejects_geometry_it_cannot_build(tmp_path, capsys, kind, text):
     assert not (tmp_path / "cache").exists()  # nothing was cached
 
 
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    """A Latin-1 byte 0xE9 in a comment is a config error (exit 2, one
+    ``config error:`` line), in-process and from a fresh process."""
+    config_path = tmp_path / "latin1.ini"
+    config_path.write_bytes(b"# r\xe9sum\xe9 of the c-fit run\n" + _CFIT.encode())
+    argv = ["fermion", "c-fit", "--config", str(config_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "UTF-8" in err and "Traceback" not in err
+    done = _cli_process(*argv)
+    assert done.returncode == 2
+    assert done.stderr == err
+
+
 def test_shrink_final_step_may_empty_the_arc(tmp_path):
     # The last step may leave the scheduled arc without sites; the step then
     # equals the target and the gap closes exactly.
@@ -957,15 +972,24 @@ def _leaves(value, where):
 
 
 @pytest.mark.parametrize(
-    "name", sorted(p.stem for p in (_PERFBENCH / "configs" / "harness-replay").glob("*.ini"))
+    "workload, name",
+    [
+        *(
+            pytest.param("harness-replay", p.stem, id=p.stem)
+            for p in sorted((_PERFBENCH / "configs" / "harness-replay").glob("*.ini"))
+        ),
+        pytest.param("findim-suite", "suite", id="findim-suite/suite"),
+        pytest.param("lattice-large", "duality", id="lattice-large/duality"),
+    ],
 )
-def test_harness_replay_matches_the_benchmark_reference(tmp_path, name):
-    """Each harness-replay benchmark config, run in-process and written out,
-    has the reference's artifact list, case ids and verdicts, and every value
-    within 1e-9 of it, read back from the written summary.json."""
-    reference = json.loads((_PERFBENCH / "reference" / "harness-replay.json").read_text())
+def test_harness_replay_matches_the_benchmark_reference(tmp_path, workload, name):
+    """Each harness-replay benchmark config, and the findim-suite and
+    lattice-large ones at seed 0, run in-process and written out, has the
+    reference's artifact list, case ids and verdicts, and every value within
+    1e-9 of it, read back from the written summary.json."""
+    reference = json.loads((_PERFBENCH / "reference" / f"{workload}.json").read_text())
     entry = reference[name]
-    report = run_experiment(parse_config(_PERFBENCH / "configs" / "harness-replay" / f"{name}.ini"))
+    report = run_experiment(parse_config(_PERFBENCH / "configs" / workload / f"{name}.ini"))
     written = write_report(report, tmp_path)
     assert sorted(p.name for p in written) == entry["artifacts"]
     summary = json.loads((tmp_path / "summary.json").read_text())

@@ -10,22 +10,24 @@ from entropylab.findim import (
     ConditionalExpectationMap,
     build_algebra,
     compose_expectations,
-    cyclic_group_unitaries,
     dual_weight,
-    group_average_expectation,
     kosaki_index,
     random_faithful_state,
-    symmetric_group_unitaries,
     trace_state,
 )
 from entropylab.findim.identities import random_unitary
+from entropylab.harness.findim_runs import index_targets
 from oracles import (
+    conjugated_expectation,
+    cyclic_group_unitaries,
     dual_weight_index,
+    group_average_expectation,
     identity_expectation,
     leg_average,
     pimsner_popa_check,
     quasi_basis,
     random_inclusion,
+    symmetric_group_unitaries,
     weyl_unitaries,
 )
 
@@ -58,6 +60,31 @@ def test_group_fixed_point_indices_equal_group_order():
         assert abs(kosaki_index(e) - order) < 1e-9
 
 
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_INDEX_GROUPS = {
+    "cyclic-2": [np.eye(4, dtype=complex), np.kron(_SX, _SX)],
+    "cyclic-3": cyclic_group_unitaries(3),
+    "symmetric-3": symmetric_group_unitaries(3),
+}
+
+
+@pytest.mark.parametrize(
+    "label, order, target", [pytest.param(*t, id=t[0]) for t in index_targets()]
+)
+def test_index_targets_are_the_fixed_points(label, order, target):
+    """Each target built from irreducible representations commutes with its
+    group, has the dimension (1/|G|) sum_g |tr u_g|^2 of the fixed points,
+    and spans what the oracle's group average discovers."""
+    units = _INDEX_GROUPS[label]
+    assert len(units) == order
+    for u in units:
+        for f in target.basis:
+            assert np.abs(u @ f - f @ u).max() <= 1e-12
+    assert abs(target.dim - sum(abs(np.trace(u)) ** 2 for u in units) / len(units)) <= 1e-9
+    source = build_algebra([(target.ambient_dim, 1)])
+    assert target.span_equals(group_average_expectation(source, units).target)
+
+
 @st.composite
 def inclusions(draw):
     """An inclusion matrix of one to three source and target blocks, with
@@ -85,7 +112,7 @@ def test_property_closed_form_index_matches_dual_weight_oracle(shapes, seed):
     and targets with a random density in N' cap M, and Haar-rotated."""
     rng = np.random.default_rng(seed)
     e = random_inclusion(*shapes, rng)
-    for m in (e, e.conjugated(random_unitary(e.ambient_dim, rng))):
+    for m in (e, conjugated_expectation(e, random_unitary(e.ambient_dim, rng))):
         got = kosaki_index(m)
         assert isinstance(got, float) == (len(m.source.blocks) == 1)
         want = np.asarray(dual_weight_index(m))
@@ -132,7 +159,7 @@ def test_index_multiplicative_along_tensor_chain():
     assert abs(ic - i1 * i2) / (i1 * i2) < 1e-10
     # conjugating the whole chain must not move the index
     u = random_unitary(16, rng)
-    assert abs(kosaki_index(composed.conjugated(u)) - ic) < 1e-8
+    assert abs(kosaki_index(conjugated_expectation(composed, u)) - ic) < 1e-8
 
 
 def test_quasi_basis_reconstructs_index():

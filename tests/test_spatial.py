@@ -21,6 +21,7 @@ from entropylab.findim import (
 from entropylab.findim.identities import random_unitary
 
 from oracles import (
+    algebra_from_basis,
     conjugation_flow,
     connes_cocycle,
     eigen_relative_entropy,
@@ -156,8 +157,6 @@ def test_spatial_entropy_accepts_span_equal_weight():
     # weight built on an independently discovered copy of the algebra
     rng = np.random.default_rng(8)
     alg = build_algebra([(2, 2)]).conjugated(random_unitary(4, rng))
-    from entropylab.findim import algebra_from_basis
-
     twin = algebra_from_basis(alg.basis)
     sig_twin = random_faithful_state(twin, rng)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
