@@ -65,10 +65,9 @@ def dual_weight(
     rho = psi.intrinsic_blocks()
     inverted = []
     recon = np.zeros_like(lhs)
-    for blk, rho_j in zip(target.structure, rho):
+    for blk, rho_j, (vals, vecs) in zip(target.structure, rho, psi.intrinsic_eigensystems()):
         nu, mu = blk.n, blk.m
         compressed = (blk.iso @ lhs @ blk.iso.conj().T).reshape(nu, mu, nu, mu)
-        vals, vecs = np.linalg.eigh(rho_j)
         rho_inv = (vecs / vals) @ vecs.conj().T
         # strip rho_j from (rho_j tensor x): trace (rho_inv tensor 1) lhs over C^nu
         x = np.einsum("ij,jaib->ab", rho_inv, compressed) / nu

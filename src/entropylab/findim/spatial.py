@@ -44,12 +44,6 @@ def _support_power(vals: np.ndarray, exponent: complex) -> np.ndarray:
     return out
 
 
-def _hermitian_power(mat: np.ndarray, exponent: complex) -> np.ndarray:
-    """mat**exponent on the support of a PSD matrix (zero on the kernel)."""
-    vals, vecs = np.linalg.eigh(mat)
-    return (vecs * _support_power(vals, exponent)) @ vecs.conj().T
-
-
 def spatial_derivative(psi: WeightDensity, phi_c: WeightDensity) -> np.ndarray:
     """Spatial derivative Delta(psi / phi_c) as a positive D x D matrix.
 
@@ -63,10 +57,10 @@ def spatial_derivative(psi: WeightDensity, phi_c: WeightDensity) -> np.ndarray:
     if not phi_c.is_faithful:
         raise ValueError("commutant weight must be faithful")
     rho = psi.intrinsic_blocks()
-    sig = phi_c.intrinsic_blocks()
+    sig = phi_c.intrinsic_eigensystems()
     out = np.zeros((algebra.ambient_dim, algebra.ambient_dim), dtype=complex)
-    for blk, rho_k, sig_k in zip(algebra.structure, rho, sig):
-        out += _lift(blk, rho_k, _hermitian_power(sig_k, -1.0))
+    for blk, rho_k, (s_vals, s_vecs) in zip(algebra.structure, rho, sig):
+        out += _lift(blk, rho_k, (s_vecs * _support_power(s_vals, -1.0)) @ s_vecs.conj().T)
     return out
 
 
@@ -88,8 +82,7 @@ def relative_entropy_spatial(omega: VectorStateData, phi: WeightDensity) -> floa
     coeffs = _coefficients(algebra, omega.vector)
     total = 0.0
     kernel_mass = 0.0
-    for c_k, sig_k in zip(coeffs, phi.intrinsic_blocks()):
-        s_vals, s_vecs = np.linalg.eigh(sig_k)
+    for c_k, (s_vals, s_vecs) in zip(coeffs, phi.intrinsic_eigensystems()):
         r_vals, r_vecs = np.linalg.eigh(c_k.T @ c_k.conj())
         vals = np.outer(s_vals, _support_power(r_vals, -1.0).real)
         weights = np.abs(s_vecs.conj().T @ c_k @ r_vecs.conj()) ** 2
@@ -112,9 +105,9 @@ def relative_entropy_umegaki(rho: WeightDensity, sigma: WeightDensity) -> float:
     """
     sigma = _on(sigma, rho.algebra, "relative entropy needs two functionals on the same algebra")
     total = 0.0
-    for rho_k, sig_k in zip(rho.intrinsic_blocks(), sigma.intrinsic_blocks()):
-        p_vals, p_vecs = np.linalg.eigh(rho_k)
-        s_vals, s_vecs = np.linalg.eigh(sig_k)
+    for rho_k, (p_vals, p_vecs), (s_vals, s_vecs) in zip(
+        rho.intrinsic_blocks(), rho.intrinsic_eigensystems(), sigma.intrinsic_eigensystems()
+    ):
         p_cut = SUPPORT_CUTOFF * max(1.0, float(p_vals[-1]) if p_vals.size else 1.0)
         s_cut = SUPPORT_CUTOFF * max(1.0, float(s_vals[-1]) if s_vals.size else 1.0)
         s_kernel = s_vecs[:, s_vals <= s_cut]

@@ -60,9 +60,9 @@ class WeightDensity:
             raise ValueError("density is not self-adjoint")
         self.algebra = algebra
         self._blocks = [(r + r.conj().T) / 2 for r in blocks]
-        self._spectra = [np.linalg.eigvalsh(rho) for rho in self._blocks]
+        self._eigen = [np.linalg.eigh(rho) for rho in self._blocks]
         self.mass = float(sum(np.trace(rho).real for rho in self._blocks))
-        if min(float(ev[0]) for ev in self._spectra) < -1e-10 * max(1.0, self.mass):
+        if min(float(vals[0]) for vals, _ in self._eigen) < -1e-10 * max(1.0, self.mass):
             raise ValueError("functional is not positive on the algebra")
 
     @cached_property
@@ -87,12 +87,17 @@ class WeightDensity:
         the canonical density holds rho_k / m_k on block k."""
         return self._blocks
 
+    def intrinsic_eigensystems(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(eigenvalues, eigenvectors) of each intrinsic block, as
+        ``np.linalg.eigh`` gives them: computed once, when the weight is made."""
+        return self._eigen
+
     @property
     def is_faithful(self) -> bool:
-        scale = max(float(ev[-1]) for ev in self._spectra)
+        scale = max(float(vals[-1]) for vals, _ in self._eigen)
         if scale <= 0.0:
             return False
-        return all(float(ev[0]) > SUPPORT_CUTOFF * scale for ev in self._spectra)
+        return all(float(vals[0]) > SUPPORT_CUTOFF * scale for vals, _ in self._eigen)
 
     def normalized(self) -> "WeightDensity":
         if self.mass <= 0:

@@ -18,8 +18,8 @@ does not use: the engines and numpy only when a run computes, no
 parse (gettext lookups, a ``locale`` import, regex compiles) cost more
 than anything else a cache hit does.  Nor does it load ``configparser``,
 ``csv`` or ``hashlib`` (and with it OpenSSL): the config reader and the
-``cases.csv`` writer are the harness's own, and sha256, like the lattice
-kernel's SHAKE-128, comes from the interpreter's built-in modules.
+``cases.csv`` writer are the harness's own, and sha256 comes from the
+interpreter's built-in module.
 
 ``run`` is the process entry point.  It freezes the garbage collector's
 tracked objects before exiting, so the interpreter's teardown collections

@@ -23,28 +23,29 @@ cancellation, so near-pure modes keep full relative precision.  B' is
 numerically low-rank, because the region talks to its complement only
 across its endpoints: only O(ln L ln 1/eps) of the lambda exceed eps.
 
-Its range is found by a block range finder (Halko, Martinsson and Tropp,
-SIAM Rev. 53, 217, 2011), which needs only products with B': a fixed +-1
-test matrix sketches B', blocks of columns are orthonormalised against
-those already kept, and growth stops when the dropped mass
-eps = ||B'||_F^2 - ||Q^T B'||_F^2 = ||(1 - Q Q^T) B'||_F^2 falls to 256
-ulps of ||B'||_F^2 (its rounding is a few ulps) or Q spans all of R.
-Then lambda = eigvalsh(Z Z^T) with Z = Q^T B'.  The compressed
-eigenvalues interlace below the true ones and fall short by eps in total;
-the pair entropy s(lambda) = 2 h(nu) is concave and increasing with
-s(0) = 0, so the computed entropy is low by at most |R| s(eps / |R|) nats.
-A set with |R| no larger than one block is evaluated on the whole of R
-(Q square).
+Its range comes from a column skeleton (Cheng, Gimbutas, Martinsson and
+Rokhlin, SIAM J. Sci. Comput. 26, 1389, 2005) that the geometry chooses.
+The region meets its complement at the ends of the step-2 runs of F on
+the ring (two runs that meet across site 0 are one), so the columns of
+B' at offsets 0, 1, 2, 4, 8, ... from both ends of every run usually
+span the range of B' to rounding already.  They are read
+straight from the kernel table, Q is their Householder QR factor, and
+one sweep gives ||B'||_F^2 and Z = Q^T B'; then lambda = eigvalsh(Z Z^T).
+The dropped mass eps = ||B'||_F^2 - ||Z||_F^2 = ||(1 - Q Q^T) B'||_F^2
+certifies Q: it must fall to 256 ulps of ||B'||_F^2 (its rounding is a
+few ulps), or Q must span all of R.  Otherwise the columns at offsets
+3, 6, 12, ... join the skeleton and a second sweep follows; if that
+misses too, Q = 1 on R, which drops nothing.  A skeleton of |R| columns
+or more also takes Q = 1 on R.  The compressed eigenvalues interlace
+below the true ones and fall short by eps in total; the pair entropy
+s(lambda) = 2 h(nu) is concave and increasing with s(0) = 0, so the
+computed entropy is low by at most |R| s(eps / |R|) nats.
 
-B' is never held whole.  It is streamed in row panels of about 2 MB, each
-rebuilt from Toeplitz views of one cached kernel table into one reused
-buffer.  The first sweep sums ||B'||_F^2 row by row and takes the first
-sketch.  Each block then costs two sweeps: after its QR, one sweep adds
-its rows Q_new^T B' to Z; only if the dropped mass then asks for another
-block does a sweep sketch it.  A range of width k thus takes 2 ceil(k/24)
-sweeps and about 4 |R| |F| k flops, and no sketch goes unused.  The
-working memory is one panel plus Q and Z, (|R| + |F|) k floats for a range
-of width k, where the block took |R| |F|.
+B' is streamed in row panels of about 2 MB, each rebuilt from Toeplitz
+views of one cached kernel table into one reused buffer.  A range of
+width k costs one sweep, the QR of an |R| x k skeleton and about
+2 |R| |F| k flops, in one panel plus Q and Z, (|R| + |F|) k floats, of
+working memory.  Only Q = 1 on R holds B' whole, as Z.
 
 Because the ground state is pure, a region and its complement have the
 same entropy.  The arc-union relative entropy evaluates each entropy on
@@ -63,15 +64,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .circle import LatticeCircle, RegionSpec, arc_sites, lattice_region
 
-try:  # the built-in module: hashlib would map OpenSSL into the process
-    from _sha3 import shake_128
-except ImportError:
-    from hashlib import shake_128
-
 EIGENVALUE_SLACK = 1e-8
-_SKETCH_BLOCK = 24  # test-matrix columns added per step of the range finder
 _ROUNDING_ULPS = 256  # the dropped-mass tolerance, in ulps of ||B'||_F^2
-_PANEL_BYTES = 2**21  # rows of B' built at once: one panel stays in cache for both products
+_PANEL_BYTES = 2**21  # rows of B' built at once: one panel stays in cache for its norms and Q^T B'
 
 __all__ = [
     "CorrelationMatrix",
@@ -163,69 +158,55 @@ def _panels(n: int, rows: np.ndarray, cols: np.ndarray):
     return sweep
 
 
-def _test_block(rows: int, first: int, width: int) -> np.ndarray:
-    """Columns first, ..., first + width - 1 of a fixed matrix of +-1 signs.
-
-    Column j holds the leading bits of SHAKE-128 of j, so the sketch is
-    deterministic and needs no random number generator.
-    """
-    size = -(-rows // 8)
-    digest = b"".join(
-        shake_128(j.to_bytes(8, "little")).digest(size)
-        for j in range(first, first + width)
-    )
-    bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8).reshape(width, size), axis=1)
-    return 1.0 - 2.0 * bits[:, :rows].T
-
-
-def _sketch(sweep, rows: int, cols: int, first: int, row_norms=None) -> np.ndarray:
-    """B' Omega for the next ``_SKETCH_BLOCK`` test columns from ``first`` on,
-    in one sweep; ``row_norms``, if given, receives the squared row norms."""
-    omega = _test_block(cols, first, min(_SKETCH_BLOCK, rows - first))
-    sketch = np.empty((rows, omega.shape[1]))
-    for lo, panel in sweep():
-        if row_norms is not None:
-            np.einsum("ij,ij->i", panel, panel, out=row_norms[lo : lo + len(panel)])
-        np.matmul(panel, omega, out=sketch[lo : lo + len(panel)])
-    return sketch
+def _skeleton(n: int, cols: np.ndarray, offsets: np.ndarray, picked: np.ndarray) -> None:
+    """Mark in ``picked`` the positions in ``cols`` at ``offsets`` from both
+    ends of each step-2 run of the ring: runs that meet across site 0 are
+    one run, as that is no endpoint of the region."""
+    runs = [(j, run.size) for j, run in _runs(cols)]
+    if len(runs) > 1 and cols[0] + n - cols[-1] == 2:
+        runs = [*runs[1:-1], (runs[-1][0], runs[-1][1] + runs[0][1])]
+    for j, size in runs:
+        inside = offsets[offsets < size]
+        picked[(j + inside) % cols.size] = True
+        picked[(j + size - 1 - inside) % cols.size] = True
 
 
 def _coupling_spectrum(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float]:
     """The eigenvalues of Z Z^T, Z = Q^T B', and the certified dropped mass.
 
-    B' = K[rows, cols] is streamed in row panels and never held whole.  The
-    first sweep sums ||B'||_F^2 row by row and takes the first sketch
-    B' Omega.  Q then grows by blocks of the sketch, each orthonormalised
-    against the columns already kept.  Before each QR, the first included,
-    growth stops if the dropped mass ||B'||_F^2 - ||Z||_F^2 has reached its
-    rounding level or Q spans every row; after it, one sweep adds the new
-    rows Q_new^T B' of Z.  A block after the first is sketched in a sweep of
-    its own, taken only once the check has asked for it.
+    Q is the QR factor of the endpoint skeleton, widened once by the
+    half-octave offsets if the dropped mass ||B'||_F^2 - ||Z||_F^2 has not
+    reached its rounding level, and 1 on R if it still has not or once the
+    skeleton has as many columns as R has rows.  Each try is one sweep over
+    the row panels of B' = K[rows, cols], which sums ||B'||_F^2 row by row
+    and forms Z.
     """
     if not rows.size or not cols.size:
         return np.empty(0), 0.0
     sweep = _panels(n, rows, cols)
+    table = _kernel_table(n)
+    picked = np.zeros(cols.size, dtype=bool)
     row_norms = np.empty(rows.size)
-    sketch = _sketch(sweep, rows.size, cols.size, 0, row_norms)
-    total = math.fsum(row_norms)
-    tol = _ROUNDING_ULPS * np.finfo(float).eps * total
-    basis = np.empty((rows.size, 0))
-    captured = np.empty((0, cols.size))
-    kept = 0.0
-    dropped = total
-    while dropped > tol and basis.shape[1] < rows.size:
-        k = basis.shape[1]
-        if k:
-            sketch = _sketch(sweep, rows.size, cols.size, k)
-        # Householder QR of [Q, sketch] keeps Q's span and orthonormalises
-        # the new columns against it, even when the sketch adds nothing.
-        basis = np.linalg.qr(np.hstack([basis, sketch]))[0]
-        new = np.zeros((basis.shape[1] - k, cols.size))
+    octaves = 1 << np.arange(cols.size.bit_length())
+    for offsets in (np.r_[0, octaves], 3 * octaves, None):
+        if offsets is not None:
+            _skeleton(n, cols, offsets, picked)
+        skeleton = cols[picked]
+        basis = None  # Q = 1 on R: Z is B' itself
+        if offsets is not None and skeleton.size < rows.size:
+            basis = np.linalg.qr(table[(rows[:, None] - skeleton + n - 1) // 2])[0]
+        captured = np.zeros((rows.size if basis is None else basis.shape[1], cols.size))
         for lo, panel in sweep():
-            new += basis[lo : lo + len(panel), k:].T @ panel
-        captured = np.vstack([captured, new])
-        kept += math.fsum(np.einsum("ij,ij->i", new, new))
-        dropped = total - kept
+            hi = lo + len(panel)
+            np.einsum("ij,ij->i", panel, panel, out=row_norms[lo:hi])
+            if basis is None:
+                captured[lo:hi] = panel
+            else:
+                captured += basis[lo:hi].T @ panel
+        total = math.fsum(row_norms)
+        dropped = total - math.fsum(np.einsum("ij,ij->i", captured, captured))
+        if basis is None or dropped <= _ROUNDING_ULPS * np.finfo(float).eps * total:
+            break
     return np.linalg.eigvalsh(captured @ captured.T), max(dropped, 0.0)
 
 

@@ -4,7 +4,7 @@ Everything here except ``dual_weight_index``, ``quasi_basis``,
 ``pimsner_popa_check``, ``leg_average``, ``group_average_expectation``
 and ``algebra_from_basis``, ``modular_flow``, ``connes_cocycle``, the
 instance constructor ``random_inclusion``, ``basis_distance_by_element``,
-``whole_block_spectrum``, ``validate`` and the expectations it certifies,
+``validate`` and the expectations it certifies,
 ``regularized_entropy``, ``hashlib_config_hash`` and the exact
 diagonalization is
 deliberately written from first principles with no imports from
@@ -17,8 +17,8 @@ only an algebra's basis and the density h), the Kronecker-product forms
 of a block embedding and of the spatial relative entropy (they read only
 an algebra's block isometries), the dense restricted correlation matrix
 of the hopping chain with its eigenvalue entropy (Peschel, J. Phys. A 36
-L205, 2003), the Gram eigensolve of its even x odd block, the
-single-particle hopping Hamiltonian, and a many-body spin-chain
+L205, 2003), the Gram eigensolves of its even x odd block and of the
+region-complement coupling block, the single-particle hopping Hamiltonian, and a many-body spin-chain
 construction of the imaginary-hopping Hamiltonian (Jordan-Wigner form)
 whose ground state gives correlation functions and reduced entropies the
 long way.  ``dual_weight_index`` is the definitional route to the index,
@@ -48,28 +48,28 @@ projection per element; ``validate`` reads N in M from it.
 expectation.
 ``modular_flow`` and ``connes_cocycle`` are the modular flow and the
 Connes cocycle built on the package's intrinsic blocks and spatial
-derivative; no run reaches them, and the tests hold them to
+derivative, through ``hermitian_power``, a PSD matrix's complex power on
+its support; no run reaches them, and the tests hold them to
 ``conjugation_flow`` and the cocycle identities.
 ``mask_arc_sites`` is the arc-to-site rule as a float mask over all N site
 angles, the reference that the package's ``arc_range`` must reproduce.
 ``rotated_region`` and ``regularized_entropy`` (of one region, from the
 package's lengths and product-state relative entropy) are lattice forms
 that no run needs.
-``whole_block_spectrum`` is the range finder of the package's lattice
-kernel run on the whole coupling block, held at once, with the package's
-test matrix and constants; the kernel streams the same block in row panels
-and must reach the same spectrum.
+``whole_block_spectrum`` is the dense eigensolve of the whole coupling
+block's Gram product B' B'^T, whose spectrum the package's lattice kernel
+compresses onto the range of an endpoint skeleton while it streams the
+block in row panels.
 ``validate`` certifies an expectation by the invariants that imply its
 axioms (see ``entropylab.findim.expectations``), with sampled residuals of
 the map as applied; ``state_preserving_expectation`` builds the
 state-preserving expectation and certifies it that way, and
 ``identity_expectation`` and ``weyl_unitaries`` build test inputs.  No run
 reaches any of them.
-``configparser_sections``, ``csv_text``, ``hashlib_config_hash`` and
-``hashlib_test_block`` are the standard library's forms of what the
-package does without importing ``configparser``, ``csv`` or ``hashlib``:
-the config reader, the ``cases.csv`` writer, the cache key and the lattice
-kernel's test matrix.
+``configparser_sections``, ``csv_text`` and ``hashlib_config_hash`` are
+the standard library's forms of what the package does without importing
+``configparser``, ``csv`` or ``hashlib``: the config reader, the
+``cases.csv`` writer and the cache key.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ from entropylab.findim import (
     kosaki_index,
     trace_state,
 )
-from entropylab.findim.spatial import _hermitian_power, spatial_derivative
+from entropylab.findim.spatial import _support_power, spatial_derivative
 from entropylab.findim.states import _on
 from entropylab.lattice import (
     LatticeCircle,
@@ -140,17 +140,6 @@ def hashlib_config_hash(config) -> str:
         engine.update(f"{path.relative_to(root).as_posix()}\n{content}\n".encode("utf-8"))
     canon = json.dumps(config.echo(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(f"{canon}\n{engine.hexdigest()}".encode("utf-8")).hexdigest()
-
-
-def hashlib_test_block(rows: int, first: int, width: int) -> np.ndarray:
-    """The lattice kernel's +-1 test columns, from ``hashlib.shake_128``: the
-    first ``rows`` bits of SHAKE-128 of each column index, 1 -> -1, 0 -> +1."""
-    columns = []
-    for j in range(first, first + width):
-        digest = hashlib.shake_128(j.to_bytes(8, "little")).digest(-(-rows // 8))
-        bits = [(byte >> (7 - k)) & 1 for byte in digest for k in range(8)]
-        columns.append([1.0 - 2.0 * bit for bit in bits[:rows]])
-    return np.array(columns).T
 
 
 def eigen_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -927,6 +916,12 @@ def _intertwine(
     return frames
 
 
+def hermitian_power(mat: np.ndarray, exponent: complex) -> np.ndarray:
+    """mat**exponent on the support of a PSD matrix (zero on the kernel)."""
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * _support_power(vals, exponent)) @ vecs.conj().T
+
+
 def modular_flow(psi: WeightDensity, x: np.ndarray, t: float) -> np.ndarray:
     """sigma_t^psi(x) for x in the algebra of psi (psi faithful)."""
     if not psi.is_faithful:
@@ -937,7 +932,7 @@ def modular_flow(psi: WeightDensity, x: np.ndarray, t: float) -> np.ndarray:
     parts = algebra.matrix_blocks(x)
     flowed = []
     for rho_k, xk in zip(psi.intrinsic_blocks(), parts):
-        u = _hermitian_power(rho_k, 1j * t)
+        u = hermitian_power(rho_k, 1j * t)
         flowed.append(u @ xk @ u.conj().T)
     return algebra.embed_blocks(flowed)
 
@@ -962,11 +957,11 @@ def connes_cocycle(
     if reference is not None:
         d1 = spatial_derivative(psi1, reference)
         d2 = spatial_derivative(psi2, reference)
-        u = _hermitian_power(d1, 1j * t) @ _hermitian_power(d2, -1j * t)
+        u = hermitian_power(d1, 1j * t) @ hermitian_power(d2, -1j * t)
         return algebra.project(u)
     parts = []
     for rho1, rho2 in zip(psi1.intrinsic_blocks(), psi2.intrinsic_blocks()):
-        parts.append(_hermitian_power(rho1, 1j * t) @ _hermitian_power(rho2, -1j * t))
+        parts.append(hermitian_power(rho1, 1j * t) @ hermitian_power(rho2, -1j * t))
     return algebra.embed_blocks(parts)
 
 
@@ -1067,31 +1062,11 @@ def gram_region_entropy(n_sites: int, sites) -> float:
     return float(2.0 * paired + abs(even.size - odd.size) * math.log(2.0))
 
 
-def whole_block_spectrum(n_sites: int, rows: np.ndarray, cols: np.ndarray):
-    """The kernel's range finder on the whole coupling block B' = K[rows, cols].
-
-    Returns the eigenvalues of Z Z^T, Z = Q^T B' (one per column of Q) and
-    the dropped mass.  Each step sketches the next ``_SKETCH_BLOCK`` columns of
-    the package's test matrix, and growth stops when the dropped mass falls
-    to ``_ROUNDING_ULPS`` ulps of ||B'||_F^2 or Q spans every row.
-    """
+def whole_block_spectrum(n_sites: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """All eigenvalues of B' B'^T for the whole coupling block B' = K[rows, cols],
+    ascending: the spectrum the lattice kernel compresses, held at once."""
     block = even_odd_block(n_sites, rows, cols)
-    total = math.fsum(np.einsum("ij,ij->i", block, block))
-    tol = gaussian._ROUNDING_ULPS * np.finfo(float).eps * total
-    basis = np.empty((rows.size, 0))
-    captured = np.empty((0, cols.size))
-    kept = 0.0
-    dropped = total
-    while dropped > tol and basis.shape[1] < rows.size:
-        k = basis.shape[1]
-        width = min(gaussian._SKETCH_BLOCK, rows.size - k)
-        sketch = block @ gaussian._test_block(cols.size, k, width)
-        basis = np.linalg.qr(np.hstack([basis, sketch]))[0]
-        new = basis[:, k:].T @ block
-        captured = np.vstack([captured, new])
-        kept += math.fsum(np.einsum("ij,ij->i", new, new))
-        dropped = total - kept
-    return np.linalg.eigvalsh(captured @ captured.T), max(dropped, 0.0)
+    return np.linalg.eigvalsh(block @ block.T)
 
 
 def hopping_matrix(n_sites: int) -> np.ndarray:

@@ -788,7 +788,7 @@ import json, sys
 ENGINES = ("numpy", "entropylab.findim", "entropylab.lattice")
 STARTUP = (
     "dataclasses", "inspect", "typing", "argparse", "gettext", "locale",
-    "configparser", "csv", "hashlib", "_hashlib",
+    "configparser", "csv", "hashlib", "_hashlib", "_sha3",
 )
 ini, out, result_path, *command = sys.argv[1:]
 preloaded = set(sys.modules)
@@ -871,8 +871,9 @@ def test_cache_hit_and_report_load_no_engine(tmp_path):
     assert seen["no-cache"] == [0, "numpy", "entropylab.lattice"]
     assert seen["numpy.random"] is False
     assert seen["numpy.ma"] is False
-    # the lattice kernel's test matrix takes SHAKE-128 from the built-in _sha3
-    assert not {"hashlib", "_hashlib"} & set(seen["added"]["no-cache"])
+    # the lattice kernel draws no test matrix: its range comes from the
+    # region's endpoints, so a run hashes nothing but the cache key
+    assert not {"hashlib", "_hashlib", "_sha3"} & set(seen["added"]["no-cache"])
 
 
 def test_findim_cache_hit_and_report_load_no_engine(tmp_path):
