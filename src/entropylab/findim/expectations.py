@@ -32,7 +32,8 @@ class ConditionalExpectationMap:
     """Idempotent unital completely positive N-bimodule map E: M -> N.
 
     ``density`` is the relative density h of E(x) = P_N(h x); it defaults
-    to the identity, the trace-preserving expectation.
+    to the identity, the trace-preserving expectation, and
+    ``trace_preserving`` records that none was given.
     """
 
     def __init__(
@@ -44,6 +45,8 @@ class ConditionalExpectationMap:
         d = source.ambient_dim
         if target.ambient_dim != d:
             raise ValueError("source and target act on different ambient spaces")
+        # h = 1 leaves P_N(G) h = P_N(G), so pull_back skips the product
+        self.trace_preserving = density is None
         if density is None:
             density = np.eye(d)
         density = np.asarray(density, dtype=complex)
@@ -67,7 +70,8 @@ class ConditionalExpectationMap:
         Hilbert-Schmidt adjoint h* P_N(G) at self-adjoint G.
         """
         mat = omega.matrix if isinstance(omega, WeightDensity) else np.asarray(omega)
-        return canonical_density(self.source, self.target.project(mat) @ self.density)
+        g = self.target.project(mat)
+        return canonical_density(self.source, g if self.trace_preserving else g @ self.density)
 
 
 def compose_expectations(
@@ -77,6 +81,8 @@ def compose_expectations(
     """The expectation x -> second(first(x)); first's target must be second's source."""
     if not first.target.span_equals(second.source):
         raise ValueError("target of the first map must equal source of the second")
+    if first.trace_preserving and second.trace_preserving:
+        return ConditionalExpectationMap(first.source, second.target)
     return ConditionalExpectationMap(
         first.source, second.target, second.density @ first.density
     )

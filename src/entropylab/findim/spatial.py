@@ -79,7 +79,9 @@ def relative_entropy_spatial(omega: VectorStateData, phi: WeightDensity) -> floa
     if omega.algebra is not algebra and not omega.algebra.span_equals(algebra):
         raise ValueError("vector state and weight must refer to the same algebra")
     # read in phi's gauge, so the blocks pair with phi's intrinsic blocks
-    coeffs = _coefficients(algebra, omega.vector)
+    coeffs = (
+        omega._coefficients if omega.algebra is algebra else _coefficients(algebra, omega.vector)
+    )
     total = 0.0
     kernel_mass = 0.0
     for c_k, (s_vals, s_vecs) in zip(coeffs, phi.intrinsic_eigensystems()):

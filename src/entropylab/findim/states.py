@@ -161,7 +161,11 @@ def _coefficients(algebra: MatrixBlockAlgebra, vector: np.ndarray) -> list[np.nd
 
 
 class VectorStateData:
-    """A unit vector together with cyclicity/separation data for an algebra."""
+    """A unit vector together with cyclicity/separation data for an algebra.
+
+    ``cyclic`` and ``separating`` are computed on first read, from one rank
+    per coefficient matrix that both share.
+    """
 
     def __init__(self, algebra: MatrixBlockAlgebra, vector: np.ndarray, atol: float = 1e-10):
         vector = np.asarray(vector, dtype=complex).reshape(-1)
@@ -173,9 +177,20 @@ class VectorStateData:
         self.algebra = algebra
         self.vector = vector
         self._coefficients = _coefficients(algebra, vector)
-        ranks = [np.linalg.matrix_rank(c, tol=1e-10) for c in self._coefficients]
-        self.cyclic = all(r == m for r, (_, m) in zip(ranks, algebra.blocks))
-        self.separating = all(r == n for r, (n, _) in zip(ranks, algebra.blocks))
+
+    @cached_property
+    def _ranks(self) -> list[int]:
+        return [np.linalg.matrix_rank(c, tol=1e-10) for c in self._coefficients]
+
+    @cached_property
+    def cyclic(self) -> bool:
+        """Every coefficient matrix C_k has full column rank m_k."""
+        return all(r == m for r, (_, m) in zip(self._ranks, self.algebra.blocks))
+
+    @cached_property
+    def separating(self) -> bool:
+        """Every coefficient matrix C_k has full row rank n_k."""
+        return all(r == n for r, (n, _) in zip(self._ranks, self.algebra.blocks))
 
     def state(self) -> WeightDensity:
         """The induced state on the algebra (blocks C_k C_k*)."""
@@ -204,11 +219,18 @@ def random_faithful_state(
     rng: np.random.Generator,
     normalized: bool = True,
 ) -> WeightDensity:
-    """Faithful random state with blocks X X* / Tr(X X*) from Gaussian X."""
+    """Faithful random state with blocks X X* / Tr(X X*) from Gaussian X.
+
+    Normalized blocks are made Hermitian and scaled by the inverse of their
+    trace mass before the weight settles, so their eigensystems are computed
+    once; the bytes are those of ``normalized()`` on the unnormalized weight.
+    """
     blocks = []
     for n, _ in algebra.blocks:
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rho = x @ x.conj().T + 1e-6 * np.eye(n)
-        blocks.append(rho)
-    weight = WeightDensity.from_intrinsic_blocks(algebra, blocks)
-    return weight.normalized() if normalized else weight
+        blocks.append((rho + rho.conj().T) / 2 if normalized else rho)
+    if normalized:
+        factor = 1.0 / float(sum(np.trace(rho).real for rho in blocks))
+        blocks = [rho * factor for rho in blocks]
+    return WeightDensity.from_intrinsic_blocks(algebra, blocks)

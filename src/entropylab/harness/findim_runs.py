@@ -1,7 +1,16 @@
-"""The findim-suite runner: identity and index batteries on finite-dimensional algebras."""
+"""The findim-suite runner: identity and index batteries on finite-dimensional algebras.
+
+Every case of the araki, difference, chain and identity batteries draws
+from its own generator, ``default_rng([seed, battery, k])``, so the cases
+are independent of each other and of the order they run in.  When two
+CPUs are available they run on two processes: a forked helper takes every
+other case (``runner._evaluate_split``).  The reports are identical either
+way; only ``timings.json`` tells, through ``helper``.
+"""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 
@@ -24,7 +33,7 @@ from ..findim import (
 )
 from .config import ExperimentConfig
 from .report import CaseRecord, Verdict
-from .runner import _group_verdict, _residual_case
+from .runner import _evaluate_split, _group_verdict, _residual_case
 
 
 def index_targets():
@@ -72,16 +81,18 @@ def index_targets():
 
 
 def run_findim(config: ExperimentConfig):
+    """Cases, verdicts and timings of the findim-suite batteries.
+
+    The timings hold each battery's busy seconds, summed over both
+    processes, ``cases_wall``, the wall time of the four randomized
+    batteries together, and ``helper``: ``forked`` when a child took every
+    other case, ``none`` when no fork was tried (one CPU, no ``os.fork`` or
+    another thread running), ``failed`` when the child did not start or
+    deliver and this process evaluated its share too.
+    """
     n = config.instances
-    timings: dict = {}
     cases: list[CaseRecord] = []
     verdicts: list[Verdict] = []
-
-    def clocked(label, fn):
-        t0 = time.perf_counter()
-        result = fn()
-        timings[label] = time.perf_counter() - t0
-        return result
 
     def araki_case(k: int) -> CaseRecord:
         rng = np.random.default_rng([config.seed, 1, k])
@@ -101,10 +112,6 @@ def run_findim(config: ExperimentConfig):
             1e-8,
         )
 
-    araki = clocked("araki", lambda: [araki_case(k) for k in range(n)])
-    cases.extend(araki)
-    verdicts.append(_group_verdict("spatial-equals-trace-form", araki))
-
     def difference_case(k: int) -> CaseRecord:
         rng = np.random.default_rng([config.seed, 2, k])
         side = (2, 3, 4)[k % 3]
@@ -117,10 +124,6 @@ def run_findim(config: ExperimentConfig):
             1e-6,
         )
 
-    diff = clocked("difference", lambda: [difference_case(k) for k in range(n)])
-    cases.extend(diff)
-    verdicts.append(_group_verdict("expectation-difference-identity", diff))
-
     def chain_case(k: int) -> CaseRecord:
         rng = np.random.default_rng([config.seed, 3, k])
         rep = entropy_additivity_chain(random_chain_instance(rng))
@@ -131,11 +134,6 @@ def run_findim(config: ExperimentConfig):
             rep.residual,
             1e-6,
         )
-
-    chain_count = max(n // 2, 5)
-    chain = clocked("chain", lambda: [chain_case(k) for k in range(chain_count)])
-    cases.extend(chain)
-    verdicts.append(_group_verdict("expectation-additivity-chain", chain))
 
     def identity_case(which: int) -> CaseRecord:
         rng = np.random.default_rng([config.seed, 4, which])
@@ -148,27 +146,34 @@ def run_findim(config: ExperimentConfig):
             f"identity-{which}", {"which": which}, values, rep.residual, rep.tolerance
         )
 
-    idents = clocked("identities", lambda: [identity_case(w) for w in range(1, 6)])
-    cases.extend(idents)
-    verdicts.append(_group_verdict("relative-entropy-identities", idents))
+    batteries = [
+        ("araki", "spatial-equals-trace-form", araki_case, range(n)),
+        ("difference", "expectation-difference-identity", difference_case, range(n)),
+        ("chain", "expectation-additivity-chain", chain_case, range(max(n // 2, 5))),
+        ("identities", "relative-entropy-identities", identity_case, range(1, 6)),
+    ]
+    jobs = [functools.partial(case, k) for _, _, case, ks in batteries for k in ks]
+    start = time.perf_counter()
+    results, helper = _evaluate_split(jobs)
+    timings = {"cases_wall": time.perf_counter() - start, "helper": helper}
+    for label, verdict, _, ks in batteries:
+        done, results = results[: len(ks)], results[len(ks) :]
+        battery = [record for record, _ in done]
+        timings[label] = sum(seconds for _, seconds in done)
+        cases.extend(battery)
+        verdicts.append(_group_verdict(verdict, battery))
 
-    def index_cases() -> list[CaseRecord]:
-        out = []
-        for label, want, target in index_targets():
-            source = build_algebra([(target.ambient_dim, 1)])
-            got = float(kosaki_index(ConditionalExpectationMap(source, target)))
-            out.append(
-                _residual_case(
-                    f"index-{label}",
-                    {"group_order": want},
-                    {"index": got},
-                    abs(got - want),
-                    1e-9,
-                )
+    start = time.perf_counter()
+    idx = []
+    for label, want, target in index_targets():
+        source = build_algebra([(target.ambient_dim, 1)])
+        got = float(kosaki_index(ConditionalExpectationMap(source, target)))
+        idx.append(
+            _residual_case(
+                f"index-{label}", {"group_order": want}, {"index": got}, abs(got - want), 1e-9
             )
-        return out
-
-    idx = clocked("index", index_cases)
+        )
+    timings["index"] = time.perf_counter() - start
     cases.extend(idx)
     verdicts.append(_group_verdict("group-fixed-point-index", idx))
 

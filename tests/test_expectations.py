@@ -136,6 +136,20 @@ def test_pull_back_matches_composition():
         assert abs(pulled.value(b) - omega.value(e(b))) < 1e-10
 
 
+def test_trace_preserving_pull_back_is_the_identity_density_one():
+    rng = np.random.default_rng(6)
+    source = build_algebra([(6, 1)])
+    target = build_algebra([(3, 2)]).conjugated(random_unitary(6, rng))
+    default = ConditionalExpectationMap(source, target)
+    given = ConditionalExpectationMap(source, target, np.eye(6))
+    assert default.trace_preserving and not given.trace_preserving
+    omega = random_faithful_state(source, rng)
+    np.testing.assert_array_equal(default.pull_back(omega).matrix, given.pull_back(omega).matrix)
+    inner = ConditionalExpectationMap(target, build_algebra([(1, 6)]))
+    assert compose_expectations(default, inner).trace_preserving
+    assert not compose_expectations(given, inner).trace_preserving
+
+
 def test_compose_expectations_chains_targets():
     rng = np.random.default_rng(3)
     big = build_algebra([(8, 2)])

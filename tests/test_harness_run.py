@@ -4,8 +4,10 @@ import importlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -777,9 +779,10 @@ def test_runs_evaluate_the_regions_the_config_checked(tmp_path, monkeypatch, tex
 # loads, and which start-up cost each step adds: of a dataclass or a
 # typing.NamedTuple (dataclasses, inspect, typing), of argparse (argparse,
 # gettext, locale), of the standard config reader and CSV writer
-# (configparser, csv), or of hashlib and the OpenSSL it maps (hashlib,
-# _hashlib).  No step may add dataclasses: every record type, the engines'
-# too, is a named tuple.  A duality run computes without hashlib; a findim
+# (configparser, csv), of hashlib and the OpenSSL it maps (hashlib,
+# _hashlib), or of a process pool (multiprocessing, concurrent.futures).
+# No step may add dataclasses: every record type, the engines' too, is a
+# named tuple.  A duality run computes without hashlib; a findim
 # run is exempt, because numpy.random loads _hashlib through secrets and
 # hmac.
 _IMPORT_PROBE = """\
@@ -789,6 +792,7 @@ ENGINES = ("numpy", "entropylab.findim", "entropylab.lattice")
 STARTUP = (
     "dataclasses", "inspect", "typing", "argparse", "gettext", "locale",
     "configparser", "csv", "hashlib", "_hashlib", "_sha3",
+    "multiprocessing", "concurrent.futures",
 )
 ini, out, result_path, *command = sys.argv[1:]
 preloaded = set(sys.modules)
@@ -879,6 +883,8 @@ def test_cache_hit_and_report_load_no_engine(tmp_path):
 def test_findim_cache_hit_and_report_load_no_engine(tmp_path):
     seen = _import_probe(tmp_path, ["findim-suite"], FINDIM_SMALL)
     assert seen["no-cache"] == [0, "numpy", "entropylab.findim"]
+    # its cases run on a forked helper without a process pool's imports
+    assert not {"multiprocessing", "concurrent.futures"} & set(seen["added"]["no-cache"])
 
 
 def test_siteless_config_exits_two_without_numpy(tmp_path):
@@ -958,6 +964,102 @@ def test_cli_findim_runs_without_config(tmp_path, capsys):
     }
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _findim_run(seed, monkeypatch=None, fork=True):
+    """A findim-suite report at ``instances = 6``; ``fork=False`` makes the
+    fork raise, so the parent evaluates every case."""
+    if not fork:
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    report = run_experiment(default_config("findim-suite")._replace(instances=6, seed=seed))
+    _no_child_left()
+    return report
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_findim_helper_and_serial_paths_give_equal_records(seed, monkeypatch):
+    two_cpus = len(os.sched_getaffinity(0)) > 1
+    split = _findim_run(seed)
+    assert split.timings["helper"] == ("forked" if two_cpus else "none")
+    serial = _findim_run(seed, monkeypatch, fork=False)
+    assert serial.timings["helper"] == ("failed" if two_cpus else "none")
+    assert split.cases == serial.cases and split.verdicts == serial.verdicts
+    assert summary_json(split) == summary_json(serial)
+    # busy seconds per battery, the cases' wall and the helper; nothing else
+    assert set(split.timings) == {
+        "araki", "difference", "chain", "identities", "index",
+        "cases_wall", "helper", "total_seconds",
+    }
+
+
+@pytest.mark.parametrize("failure", ["exit", "signal", "short-pickle", "exit-after-pickle"])
+def test_findim_child_that_does_not_deliver_leaves_the_serial_records(failure, monkeypatch):
+    from entropylab.harness import findim_runs, runner
+
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the helper forks only with two CPUs")
+    serial = _findim_run(0, monkeypatch, fork=False)
+    monkeypatch.undo()
+    if failure.endswith("pickle"):
+        import pickle
+
+        def bad_dump(obj, pipe):
+            data = pickle.dumps(obj)
+            if failure == "short-pickle":
+                pipe.write(data[:-10])
+            else:  # a whole pickle, then a nonzero exit
+                pipe.write(data)
+                pipe.flush()
+                os._exit(3)
+
+        monkeypatch.setattr(runner.pickle, "dump", bad_dump)
+    else:
+        parent = os.getpid()
+        original = findim_runs.random_unitary
+
+        def unitary_in_parent_only(dim, rng):
+            if os.getpid() != parent:
+                if failure == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(dim, rng)
+
+        monkeypatch.setattr(findim_runs, "random_unitary", unitary_in_parent_only)
+    report = _findim_run(0)
+    assert report.timings["helper"] == "failed"
+    assert report.cases == serial.cases
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_findim_case_that_raises_in_either_half_raises_from_run_experiment(which, monkeypatch):
+    from entropylab.harness import findim_runs
+
+    # At instances = 6 the jobs are 6 araki, 6 difference and 5 chain cases,
+    # then identities 1 to 5: identity 1 is job 17 (the child's share),
+    # identity 2 job 18 (the parent's).
+    original = findim_runs.check_entropy_identity
+    parent = os.getpid()
+
+    def check(w, rng):
+        if w == which:
+            raise ValueError(f"identity {w} refused")
+        if os.getpid() != parent:
+            time.sleep(30)  # a child that only a kill ends in time
+        return original(w, rng)
+
+    monkeypatch.setattr(findim_runs, "check_entropy_identity", check)
+    config = default_config("findim-suite")._replace(instances=6)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^identity {which} refused$"):
+        run_experiment(config)
+    assert time.perf_counter() - start < 20
+    _no_child_left()
 
 
 def _leaves(value, where):

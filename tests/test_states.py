@@ -103,6 +103,43 @@ def test_square_factor_vector_cyclic_separating():
     assert om.cyclic and om.separating
 
 
+def test_vector_flags_read_one_rank_per_block_on_first_read(monkeypatch):
+    rng = np.random.default_rng(5)
+    alg = build_algebra([(2, 3), (3, 2)]).conjugated(random_unitary(12, rng))
+    v = rng.normal(size=12) + 1j * rng.normal(size=12)
+    shapes = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counted(c, tol):
+        shapes.append(c.shape)
+        return matrix_rank(c, tol=tol)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    om = VectorStateData(alg, v / np.linalg.norm(v))
+    om.state()
+    assert shapes == []
+    # a generic C_k has rank min(n_k, m_k): full row rank on the first
+    # block, full column rank on the second, so neither flag holds
+    assert (om.cyclic, om.separating) == (False, False)
+    assert shapes == [(2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("blocks", [[(3, 1)], [(2, 3), (1, 2)]])
+def test_normalized_random_state_is_the_normalized_weight(blocks):
+    alg = build_algebra(blocks)
+    state = random_faithful_state(alg, np.random.default_rng(8))
+    weight = random_faithful_state(alg, np.random.default_rng(8), normalized=False)
+    want = weight.normalized()
+    assert state.mass == want.mass
+    for got, ref in zip(state.intrinsic_blocks(), want.intrinsic_blocks()):
+        np.testing.assert_array_equal(got, ref)
+    for (vals, vecs), (ref_vals, ref_vecs) in zip(
+        state.intrinsic_eigensystems(), want.intrinsic_eigensystems()
+    ):
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(vecs, ref_vecs)
+
+
 def test_rank_deficient_vector_not_separating():
     alg = build_algebra([(2, 2)])
     v = np.zeros(4, dtype=complex)
