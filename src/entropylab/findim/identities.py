@@ -217,9 +217,6 @@ class IdentityCheckReport(
     __slots__ = ()
 
 
-_TOLERANCES = {1: 1e-8, 2: 1e-9, 3: 1e-9, 4: 1e-9, 5: 1e-8}
-
-
 def check_entropy_identity(
     which: int, rng: np.random.Generator | None = None
 ) -> IdentityCheckReport:
@@ -235,27 +232,24 @@ def check_entropy_identity(
     inequality is exceeded); instances are random but fully determined
     by the generator state.
     """
-    rng = rng or np.random.default_rng(2024)
-    if which == 1:
-        report = _check_chain_rule(rng)
-    elif which == 2:
-        report = _check_filtration(rng)
-    elif which == 3:
-        report = _check_domination_bound(rng)
-    elif which == 4:
-        report = _check_restriction_monotonicity(rng)
-    elif which == 5:
-        report = _check_tensor_splitting(rng)
-    else:
+    if which not in _CHECKS:
         raise ValueError("which must be between 1 and 5")
-    return report
+    check, tolerance = _CHECKS[which]
+    residual, values = check(rng or np.random.default_rng(2024))
+    return IdentityCheckReport(
+        which=which,
+        residual=residual,
+        tolerance=tolerance,
+        passed=residual <= tolerance,
+        values=values,
+    )
 
 
 def _restricted(state: WeightDensity, algebra: MatrixBlockAlgebra) -> WeightDensity:
     return canonical_density(algebra, state.matrix)
 
 
-def _check_chain_rule(rng: np.random.Generator) -> IdentityCheckReport:
+def _check_chain_rule(rng: np.random.Generator) -> tuple[float, dict]:
     d, e = int(rng.integers(2, 4)), 2
     full = build_algebra([(d * e, 1)])
     u = random_unitary(d * e, rng)
@@ -266,18 +260,10 @@ def _check_chain_rule(rng: np.random.Generator) -> IdentityCheckReport:
     lhs = relative_entropy_umegaki(omega, exp.pull_back(psi))
     mid = relative_entropy_umegaki(_restricted(omega, sub), psi)
     tail = relative_entropy_umegaki(omega, exp.pull_back(omega))
-    residual = abs(lhs - mid - tail)
-    tol = _TOLERANCES[1]
-    return IdentityCheckReport(
-        which=1,
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        values={"joint": lhs, "restricted": mid, "expectation_term": tail},
-    )
+    return abs(lhs - mid - tail), {"joint": lhs, "restricted": mid, "expectation_term": tail}
 
 
-def _check_filtration(rng: np.random.Generator) -> IdentityCheckReport:
+def _check_filtration(rng: np.random.Generator) -> tuple[float, dict]:
     full = build_algebra([(8, 1)])
     tower = [build_algebra([(2, 4)]), build_algebra([(4, 2)]), build_algebra([(8, 1)])]
     omega1 = random_faithful_state(full, rng)
@@ -291,18 +277,10 @@ def _check_filtration(rng: np.random.Generator) -> IdentityCheckReport:
         max(values[i] - values[i + 1] for i in range(len(values) - 1)),
         abs(values[-1] - final),
     )
-    residual = max(0.0, slack)
-    tol = _TOLERANCES[2]
-    return IdentityCheckReport(
-        which=2,
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        values={"sequence": tuple(values), "full": final},
-    )
+    return max(0.0, slack), {"sequence": tuple(values), "full": final}
 
 
-def _check_domination_bound(rng: np.random.Generator) -> IdentityCheckReport:
+def _check_domination_bound(rng: np.random.Generator) -> tuple[float, dict]:
     d = int(rng.integers(2, 5))
     full = build_algebra([(d, 1)])
     omega = random_faithful_state(full, rng)
@@ -311,17 +289,10 @@ def _check_domination_bound(rng: np.random.Generator) -> IdentityCheckReport:
     dominating = omega.mixed_with(chi, mu)
     value = relative_entropy_umegaki(omega, dominating)
     residual = max(0.0, value - np.log(1.0 / mu))
-    tol = _TOLERANCES[3]
-    return IdentityCheckReport(
-        which=3,
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        values={"entropy": value, "bound": float(np.log(1.0 / mu)), "mu": mu},
-    )
+    return residual, {"entropy": value, "bound": float(np.log(1.0 / mu)), "mu": mu}
 
 
-def _check_restriction_monotonicity(rng: np.random.Generator) -> IdentityCheckReport:
+def _check_restriction_monotonicity(rng: np.random.Generator) -> tuple[float, dict]:
     d, e = int(rng.integers(2, 4)), 2
     full = build_algebra([(d * e, 1)])
     sub = build_algebra([(d, e)]).conjugated(random_unitary(d * e, rng))
@@ -329,18 +300,10 @@ def _check_restriction_monotonicity(rng: np.random.Generator) -> IdentityCheckRe
     phi = random_faithful_state(full, rng)
     big = relative_entropy_umegaki(omega, phi)
     small = relative_entropy_umegaki(_restricted(omega, sub), _restricted(phi, sub))
-    residual = max(0.0, small - big)
-    tol = _TOLERANCES[4]
-    return IdentityCheckReport(
-        which=4,
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        values={"full": big, "restricted": small},
-    )
+    return max(0.0, small - big), {"full": big, "restricted": small}
 
 
-def _check_tensor_splitting(rng: np.random.Generator) -> IdentityCheckReport:
+def _check_tensor_splitting(rng: np.random.Generator) -> tuple[float, dict]:
     d1 = int(rng.integers(2, 5))
     d2 = int(rng.integers(2, 5))
     full = build_algebra([(d1 * d2, 1)])
@@ -359,12 +322,14 @@ def _check_tensor_splitting(rng: np.random.Generator) -> IdentityCheckReport:
     lhs = relative_entropy_umegaki(phi, product_density(psi1, psi2))
     split = relative_entropy_umegaki(phi1, psi1) + relative_entropy_umegaki(phi2, psi2)
     inner = relative_entropy_umegaki(phi, product_density(phi1, phi2))
-    residual = abs(lhs - split - inner)
-    tol = _TOLERANCES[5]
-    return IdentityCheckReport(
-        which=5,
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        values={"joint": lhs, "marginal_sum": split, "correlation": inner},
-    )
+    return abs(lhs - split - inner), {"joint": lhs, "marginal_sum": split, "correlation": inner}
+
+
+# which -> (check, tolerance); each check returns (residual, values)
+_CHECKS = {
+    1: (_check_chain_rule, 1e-8),
+    2: (_check_filtration, 1e-9),
+    3: (_check_domination_bound, 1e-9),
+    4: (_check_restriction_monotonicity, 1e-9),
+    5: (_check_tensor_splitting, 1e-8),
+}

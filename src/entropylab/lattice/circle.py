@@ -2,9 +2,11 @@
 
 Regions are unions of arcs given in continuum angles; lattice sites are
 assigned by a half-open convention so that a region and its complement
-always partition the chain.  Lengths (chord by default, arc length behind
-a flag) and the two-interval cross ratio are computed from the continuum
-endpoints, never from site counts.
+always partition the chain.  ``arc_sites`` and ``lattice_region`` expand
+the runs that ``regions.linear_runs`` makes of ``regions.arc_range``.
+Lengths (chord by default, arc length behind a flag) and the two-interval
+cross ratio are computed from the continuum endpoints, never from site
+counts.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from ..regions import TWO_PI, RegionSpec, arc_range
+from ..regions import TWO_PI, RegionSpec, arc_range, linear_runs
+
+MAX_PULL = 0.45  # the largest |pull| of an equal_eta_family image
 
 __all__ = [
     "LatticeCircle",
@@ -41,21 +45,24 @@ class LatticeCircle(namedtuple("LatticeCircle", "n_sites")):
         return super().__new__(cls, n_sites)
 
 
+def run_sites(runs, step: int = 1) -> np.ndarray:
+    """The sites of ``(first, count)`` runs with the given step, in run order."""
+    parts = [np.arange(first, first + step * count, step) for first, count in runs]
+    return np.concatenate(parts) if parts else np.arange(0)
+
+
 def arc_sites(circle: LatticeCircle, arc: tuple[float, float]) -> np.ndarray:
     """Sorted sites with angle in [a, b), where an arc with b <= a wraps through 0."""
-    first, count = arc_range(circle.n_sites, arc)
-    tail = min(count, circle.n_sites - first)  # the sites before the wrap through 0
-    return np.concatenate([np.arange(count - tail), np.arange(first, first + tail)])
+    return run_sites(linear_runs(circle.n_sites, [arc_range(circle.n_sites, arc)]))
 
 
 def lattice_region(circle: LatticeCircle, spec: RegionSpec) -> np.ndarray:
     """Sorted site indices of the region; errors on empty region or complement."""
-    parts = [arc_sites(circle, arc) for arc in spec.arcs]
-    sites = np.concatenate(parts) if parts else np.array([], dtype=int)
-    sites = np.sort(sites)
+    n = circle.n_sites
+    sites = run_sites(linear_runs(n, [arc_range(n, arc) for arc in spec.arcs]))
     if sites.size == 0:
         raise ValueError("region resolves to fewer than 1 site")
-    if sites.size == circle.n_sites:
+    if sites.size == n:
         raise ValueError("region leaves no complement sites")
     return sites
 
@@ -107,13 +114,11 @@ def mobius_region(spec: RegionSpec, pull: complex, phase: float = 0.0) -> Region
     return RegionSpec([(image(a), image(b)) for a, b in spec.arcs])
 
 
-def equal_eta_family(
-    spec: RegionSpec, count: int, rng: np.random.Generator, max_pull: float = 0.45
-) -> list[RegionSpec]:
+def equal_eta_family(spec: RegionSpec, count: int, rng: np.random.Generator) -> list[RegionSpec]:
     """The region plus ``count`` Moebius images of it, all sharing its cross ratio."""
     family = [spec]
     for _ in range(count):
-        radius = max_pull * math.sqrt(rng.uniform())
+        radius = MAX_PULL * math.sqrt(rng.uniform())
         angle = rng.uniform(0.0, TWO_PI)
         pull = radius * complex(math.cos(angle), math.sin(angle))
         family.append(mobius_region(spec, pull, phase=rng.uniform(0.0, TWO_PI)))

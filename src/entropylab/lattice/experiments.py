@@ -10,6 +10,8 @@ from ..regions import arc_range, shrink_arcs
 from .circle import TWO_PI, RegionSpec, cross_ratio
 from .gaussian import CorrelationMatrix, product_state_relative_entropy
 
+ETA_TOLERANCE = 1e-12  # how far the cross ratios of a collapse family may differ
+
 __all__ = [
     "ShrinkStep",
     "ShrinkReport",
@@ -104,19 +106,18 @@ class CollapseReport(namedtuple("CollapseReport", "eta values spread")):
 def cross_ratio_collapse(
     corr: CorrelationMatrix,
     specs: list[RegionSpec],
-    eta_tolerance: float = 1e-12,
     use_arc_length: bool = False,
 ) -> CollapseReport:
     """Product-state relative entropies of several equal-cross-ratio regions.
 
-    All regions must have two arcs and the same eta within ``eta_tolerance``
+    All regions must have two arcs and the same eta within ``ETA_TOLERANCE``
     (that is the hypothesis that makes the values comparable); the report
     carries the maximum pairwise spread.
     """
     if len(specs) < 2:
         raise ValueError("need at least two geometries to compare")
     etas = [cross_ratio(spec, use_arc_length) for spec in specs]
-    if max(etas) - min(etas) > eta_tolerance:
+    if max(etas) - min(etas) > ETA_TOLERANCE:
         raise ValueError(
             f"cross ratios differ beyond tolerance: spread {max(etas) - min(etas):.3e}"
         )

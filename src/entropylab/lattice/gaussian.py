@@ -24,33 +24,35 @@ numerically low-rank, because the region talks to its complement only
 across its endpoints: only O(ln L ln 1/eps) of the lambda exceed eps.
 
 Its range comes from a column skeleton (Cheng, Gimbutas, Martinsson and
-Rokhlin, SIAM J. Sci. Comput. 26, 1389, 2005) that the geometry chooses.
-The region meets its complement at the ends of the step-2 runs of F on
-the ring (two runs that meet across site 0 are one), so the columns of
-B' at offsets 0, 1, 2, 4, 8, ... from both ends of every run usually
-span the range of B' to rounding already.  They are read
-straight from the kernel table, Q is their Householder QR factor, and
-one sweep gives ||B'||_F^2 and Z = Q^T B'; then lambda = eigvalsh(Z Z^T).
-The dropped mass eps = ||B'||_F^2 - ||Z||_F^2 = ||(1 - Q Q^T) B'||_F^2
-certifies Q: it must fall to 256 ulps of ||B'||_F^2 (its rounding is a
-few ulps), or Q must span all of R.  Otherwise the columns at offsets
-3, 6, 12, ... join the skeleton and a second sweep follows; if that
-misses too, Q = 1 on R, which drops nothing.  A skeleton of |R| columns
-or more also takes Q = 1 on R.  The compressed eigenvalues interlace
-below the true ones and fall short by eps in total; the pair entropy
-s(lambda) = 2 h(nu) is concave and increasing with s(0) = 0, so the
-computed entropy is low by at most |R| s(eps / |R|) nats.
+Rokhlin, SIAM J. Sci. Comput. 26, 1389, 2005) that the geometry chooses:
+the columns of B' at offsets 0, 1, 2, 4, 8, ... from both ends of every
+step-2 run of F on the ring (two runs that meet across site 0 are one),
+read straight from the kernel table.  Q is their Householder QR factor,
+one sweep gives ||B'||_F^2 and Z = Q^T B', and lambda = eigvalsh(Z Z^T).
+The dropped mass eps = ||(1 - Q Q^T) B'||_F^2 certifies Q: it must fall
+to 256 ulps of ||B'||_F^2 (its rounding is a few ulps), or Q must span R.
+Otherwise the offsets 3, 6, 12, ... join and a second sweep follows; if
+that misses too, or the skeleton has |R| columns, Q = 1 on R, which drops
+nothing.  The compressed eigenvalues interlace below the true ones and
+fall short by eps in total; the pair entropy s(lambda) = 2 h(nu) is
+concave and increasing with s(0) = 0, so the computed entropy is low by
+at most |R| s(eps / |R|) nats.  B' is streamed in row panels of about
+2 MB from Toeplitz views of one cached kernel table.  A range of width k
+costs one sweep, the QR of an |R| x k skeleton and about 2 |R| |F| k
+flops, in one panel plus (|R| + |F|) k floats of working memory; only
+Q = 1 on R holds B' whole, as Z.
 
-B' is streamed in row panels of about 2 MB, each rebuilt from Toeplitz
-views of one cached kernel table into one reused buffer.  A range of
-width k costs one sweep, the QR of an |R| x k skeleton and about
-2 |R| |F| k flops, in one panel plus Q and Z, (|R| + |F|) k floats, of
-working memory.  Only Q = 1 on R holds B' whole, as Z.
-
-Because the ground state is pure, a region and its complement have the
-same entropy.  The arc-union relative entropy evaluates each entropy on
-whichever of the two is smaller, and the region/complement deficit
-evaluates the shared union entropy once.
+Regions travel as sorted, merged runs (first, count) of consecutive sites
+on [0, N): an arc union's from ``regions.arc_range``, its complement's
+from the gaps between them.  R and F are maximal step-2 runs by O(#runs)
+arithmetic, which the panels and the skeleton read.  The ground state is
+pure, so each entropy of an arc-union relative entropy is evaluated on
+the smaller of a set and its complement, memoized by (N, runs): the
+region/complement deficit evaluates their shared union entropy once.
+One site array remains.  ``region_entropy(corr, sites)`` takes any set
+of sites and is the one place where sites become runs (a sort and one
+``np.diff``), and the arc path hands it the evaluated side's sites,
+because the benchmark's tracer reads that signature.
 """
 
 from __future__ import annotations
@@ -58,11 +60,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .circle import LatticeCircle, RegionSpec, arc_sites, lattice_region
+from ..regions import arc_range, complement_runs, linear_runs
+from .circle import LatticeCircle, RegionSpec, lattice_region, run_sites
 
 EIGENVALUE_SLACK = 1e-8
 _ROUNDING_ULPS = 256  # the dropped-mass tolerance, in ulps of ||B'||_F^2
@@ -112,90 +116,90 @@ def _kernel_table(n: int) -> np.ndarray:
     return table
 
 
-def _runs(sites: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(offset, run) for each maximal run of sorted ``sites`` with step 2."""
-    if not sites.size:
-        return []
-    cuts = np.flatnonzero(np.diff(sites) != 2) + 1
-    return list(zip([0, *cuts.tolist()], np.split(sites, cuts)))
-
-
-def _panels(n: int, rows: np.ndarray, cols: np.ndarray):
-    """A sweep over B' = K[rows, cols] for sorted sites of opposite parity.
+def _panels(n: int, rows, cols):
+    """A sweep over B' = K[rows, cols] for step-2 runs of opposite parity.
 
     Calling the result yields (first row, panel) for consecutive row panels
-    of about ``_PANEL_BYTES``.  Each pair of step-2 runs is a Toeplitz block
-    of the kernel table, copied from a reversed sliding-window view; runs
-    and views are made once, and every sweep rebuilds its panels into one
-    reused buffer (a fresh array per panel would page-fault on every
-    write), so a panel is valid only until the next one is yielded.
+    of about ``_PANEL_BYTES``.  Each pair of runs is a Toeplitz block of
+    the kernel table, copied from a reversed sliding-window view; views
+    are made once, and every sweep rebuilds its panels into one reused
+    buffer (a fresh array per panel would page-fault on every write), so a
+    panel is valid only until the next one is yielded.
     """
     table = _kernel_table(n)
-    row_runs = _runs(rows)
-    # per run c of columns: its offset, width, last site and the windows
-    # whose row t is table[t + c.size - 1], ..., table[t]
+    # each run's position among the sites of its side, then their number
+    row_starts = list(accumulate((count for _, count in rows), initial=0))
+    col_starts = list(accumulate((count for _, count in cols), initial=0))
+    # per run of columns: its position, width, last site and the windows
+    # whose row t is table[t + width - 1], ..., table[t]
     col_windows = [
-        (j, c.size, c[-1], sliding_window_view(table, c.size)[:, ::-1]) for j, c in _runs(cols)
+        (j, count, first + 2 * count - 2, sliding_window_view(table, count)[:, ::-1])
+        for j, (first, count) in zip(col_starts, cols)
     ]
-    height = max(1, _PANEL_BYTES // (8 * max(cols.size, 1)))
-    buffer = np.empty((min(height, rows.size), cols.size))
+    height = max(1, _PANEL_BYTES // (8 * max(col_starts[-1], 1)))
+    buffer = np.empty((min(height, row_starts[-1]), col_starts[-1]))
 
     def sweep():
-        for lo in range(0, rows.size, height):
-            hi = min(lo + height, rows.size)
+        for lo in range(0, row_starts[-1], height):
+            hi = min(lo + height, row_starts[-1])
             panel = buffer[: hi - lo]
-            for i, run in row_runs:
-                a, b = max(i, lo), min(i + run.size, hi)
+            for i, (row, count) in zip(row_starts, rows):
+                a, b = max(i, lo), min(i + count, hi)
                 if a >= b:
                     continue
                 for j, width, last, windows in col_windows:
                     # K at d = r - c sits at table index (d + n - 1) / 2, and
                     # each next row of the run moves one index along
-                    first = (run[a - i] - last + n - 1) // 2
+                    first = (row + 2 * (a - i) - last + n - 1) // 2
                     panel[a - lo : b - lo, j : j + width] = windows[first : first + b - a]
             yield lo, panel
 
     return sweep
 
 
-def _skeleton(n: int, cols: np.ndarray, offsets: np.ndarray, picked: np.ndarray) -> None:
-    """Mark in ``picked`` the positions in ``cols`` at ``offsets`` from both
-    ends of each step-2 run of the ring: runs that meet across site 0 are
-    one run, as that is no endpoint of the region."""
-    runs = [(j, run.size) for j, run in _runs(cols)]
-    if len(runs) > 1 and cols[0] + n - cols[-1] == 2:
-        runs = [*runs[1:-1], (runs[-1][0], runs[-1][1] + runs[0][1])]
-    for j, size in runs:
-        inside = offsets[offsets < size]
-        picked[(j + inside) % cols.size] = True
-        picked[(j + size - 1 - inside) % cols.size] = True
+def _skeleton(n: int, cols, offsets: np.ndarray) -> set[int]:
+    """The sites ``offsets`` steps from both ends of each step-2 run of
+    ``cols`` on the ring: runs that meet across site 0 are one run, as that
+    is no endpoint of the region."""
+    runs = list(cols)
+    if len(runs) > 1 and runs[0][0] + n == runs[-1][0] + 2 * runs[-1][1]:
+        (_, head), (last, tail) = runs.pop(0), runs.pop()
+        runs.append((last, tail + head))
+    picked = set()
+    for first, count in runs:
+        steps = 2 * offsets[offsets < count]
+        last = first + 2 * count - 2
+        picked.update(((first + steps) % n).tolist(), ((last - steps) % n).tolist())
+    return picked
 
 
-def _coupling_spectrum(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float]:
+def _coupling_spectrum(n: int, rows, cols) -> tuple[np.ndarray, float]:
     """The eigenvalues of Z Z^T, Z = Q^T B', and the certified dropped mass.
 
     Q is the QR factor of the endpoint skeleton, widened once by the
     half-octave offsets if the dropped mass ||B'||_F^2 - ||Z||_F^2 has not
     reached its rounding level, and 1 on R if it still has not or once the
     skeleton has as many columns as R has rows.  Each try is one sweep over
-    the row panels of B' = K[rows, cols], which sums ||B'||_F^2 row by row
-    and forms Z.
+    the row panels of B' = K[rows, cols], the step-2 runs of R and F, which
+    sums ||B'||_F^2 row by row and forms Z.
     """
-    if not rows.size or not cols.size:
+    if not rows or not cols:
         return np.empty(0), 0.0
     sweep = _panels(n, rows, cols)
     table = _kernel_table(n)
-    picked = np.zeros(cols.size, dtype=bool)
-    row_norms = np.empty(rows.size)
-    octaves = 1 << np.arange(cols.size.bit_length())
+    row_sites = run_sites(rows, 2)
+    n_cols = sum(count for _, count in cols)  # |F|
+    picked = set()  # the skeleton's sites
+    row_norms = np.empty(row_sites.size)
+    octaves = 1 << np.arange(n_cols.bit_length())
     for offsets in (np.r_[0, octaves], 3 * octaves, None):
         if offsets is not None:
-            _skeleton(n, cols, offsets, picked)
-        skeleton = cols[picked]
+            picked |= _skeleton(n, cols, offsets)
         basis = None  # Q = 1 on R: Z is B' itself
-        if offsets is not None and skeleton.size < rows.size:
-            basis = np.linalg.qr(table[(rows[:, None] - skeleton + n - 1) // 2])[0]
-        captured = np.zeros((rows.size if basis is None else basis.shape[1], cols.size))
+        if offsets is not None and len(picked) < row_sites.size:
+            skeleton = np.array(sorted(picked))
+            basis = np.linalg.qr(table[(row_sites[:, None] - skeleton + n - 1) // 2])[0]
+        captured = np.zeros((row_sites.size if basis is None else basis.shape[1], n_cols))
         for lo, panel in sweep():
             hi = lo + len(panel)
             np.einsum("ij,ij->i", panel, panel, out=row_norms[lo:hi])
@@ -221,57 +225,78 @@ def _mode_entropy(lam: np.ndarray) -> float:
     return float(-np.sum(nu * np.log(nu) + (1.0 - nu) * np.log1p(-nu)))
 
 
-def _entropy_and_bound(corr: CorrelationMatrix, sites: np.ndarray) -> tuple[float, float]:
-    """S(sites) in nats and the bound on how far below the exact value it lies."""
-    n = corr.n_sites
-    sites = np.asarray(sites, dtype=int)
-    if sites.size == 0:
-        raise ValueError("region must contain at least one site")
-    if sites.min() < 0 or sites.max() >= n:
-        raise ValueError(f"sites must lie in [0, {n})")
-    ordered = np.sort(sites, axis=None)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("sites must be distinct")
-    parity = ordered % 2
-    side = int(2 * parity.sum() < ordered.size)  # parity of R, the smaller side
-    rows = ordered[parity == side]
-    free = np.ones(n // 2, dtype=bool)  # F: other-parity sites outside, by site // 2
-    free[ordered[parity != side] // 2] = False
-    cols = 2 * np.flatnonzero(free) + 1 - side
+def _parity_runs(n: int, runs, parity: int) -> list[tuple[int, int]]:
+    """The sites of ``parity`` in ``runs`` as maximal step-2 runs: the runs
+    of i over their sites 2 i + parity, merged as ``linear_runs`` merges."""
+    halves = []
+    for first, count in runs:
+        low, high = (first + 1 - parity) // 2, (first + count + 1 - parity) // 2
+        halves.append((low, high - low))
+    return [(2 * i + parity, count) for i, count in linear_runs(n // 2, halves)]
+
+
+def _coupling_runs(n: int, runs) -> tuple[list, list]:
+    """R, the smaller parity side of the sites of ``runs`` (the even one on
+    a tie), and F, the sites of the other parity outside them, as maximal
+    step-2 runs on [0, n)."""
+    sides = [_parity_runs(n, runs, parity) for parity in (0, 1)]
+    side = int(sum(c for _, c in sides[1]) < sum(c for _, c in sides[0]))  # parity of R
+    return sides[side], _parity_runs(n, complement_runs(n, runs), 1 - side)
+
+
+def _entropy_and_bound(n: int, runs) -> tuple[float, float]:
+    """S in nats of the sites of ``runs``, sorted and merged runs (first,
+    count) of consecutive sites on [0, n), and the bound on how far below
+    the exact value it lies."""
+    rows, cols = _coupling_runs(n, runs)
     lam, dropped = _coupling_spectrum(n, rows, cols)
     if lam.size and (lam.min() < -EIGENVALUE_SLACK or lam.max() > 0.25 + EIGENVALUE_SLACK):
         raise ValueError(
             f"mode occupation outside [0, 1]: nu (1 - nu) range "
             f"[{lam.min():.3e}, {lam.max():.3e}]"
         )
-    unpaired = ordered.size - 2 * rows.size
+    pairs = sum(count for _, count in rows)
+    unpaired = sum(count for _, count in runs) - 2 * pairs
     entropy = 2.0 * _mode_entropy(lam) + unpaired * math.log(2.0)
     bound = 0.0
     if dropped:
-        bound = 2.0 * rows.size * _mode_entropy(np.array([dropped / rows.size]))
+        bound = 2.0 * pairs * _mode_entropy(np.array([dropped / pairs]))
     return entropy, bound
 
 
 def region_entropy(corr: CorrelationMatrix, sites: np.ndarray) -> float:
-    """Entanglement entropy of a set of distinct sites, in nats."""
-    return _entropy_and_bound(corr, sites)[0]
+    """Entanglement entropy of a set of distinct sites, in nats: the sorted
+    sites cut into runs where the next site is not the neighbor."""
+    n = corr.n_sites
+    sites = np.sort(np.asarray(sites, dtype=int), axis=None)
+    if sites.size == 0:
+        raise ValueError("region must contain at least one site")
+    if sites[0] < 0 or sites[-1] >= n:
+        raise ValueError(f"sites must lie in [0, {n})")
+    steps = np.diff(sites)
+    if not steps.all():
+        raise ValueError("sites must be distinct")
+    cuts = np.flatnonzero(steps != 1) + 1
+    firsts, ends = np.r_[0, cuts], np.r_[cuts, sites.size]
+    runs = zip(sites[firsts].tolist(), (ends - firsts).tolist())
+    return _entropy_and_bound(n, tuple(runs))[0]
 
 
-def _pure_state_entropy(corr: CorrelationMatrix, sites: np.ndarray, memo: dict) -> float:
-    """S(sites), computed on the complement when that is the smaller set.
+def _pure_state_entropy(corr: CorrelationMatrix, runs, memo: dict) -> float:
+    """S of the sites of ``runs``, computed on the complement when that is
+    the smaller set.
 
     A set of exactly half the chain is evaluated as whichever of it and its
     complement holds site 0, so both sides of a purity pair share one key
-    in ``memo``.
+    (N, runs) in ``memo``.
     """
     n = corr.n_sites
-    if 2 * sites.size > n or (2 * sites.size == n and sites.min() > 0):
-        outside = np.ones(n, dtype=bool)
-        outside[sites] = False
-        sites = np.flatnonzero(outside)
-    key = (n, sites.tobytes())
+    size = sum(count for _, count in runs)
+    if 2 * size > n or (2 * size == n and runs[0][0] > 0):
+        runs = complement_runs(n, runs)
+    key = (n, runs)
     if key not in memo:
-        memo[key] = region_entropy(corr, sites)
+        memo[key] = region_entropy(corr, run_sites(runs))
     return memo[key]
 
 
@@ -293,14 +318,12 @@ def product_state_relative_entropy(
     if len(spec.arcs) == 1:
         lattice_region(circle, spec)
         return 0.0
-    parts = []
-    for arc in spec.arcs:
-        sites = arc_sites(circle, arc)
-        if sites.size == 0:
+    n = circle.n_sites
+    ranges = [arc_range(n, arc) for arc in spec.arcs]
+    for arc, (_, count) in zip(spec.arcs, ranges):
+        if count == 0:
             raise ValueError(f"arc ({arc[0]:.4f}, {arc[1]:.4f}) contains no lattice sites")
-        parts.append(sites)
-    union = np.sort(np.concatenate(parts))
-    if union.size == circle.n_sites:
+    if sum(count for _, count in ranges) == n:
         raise ValueError("region leaves no complement sites")
-    total = sum(_pure_state_entropy(corr, sites, memo) for sites in parts)
-    return total - _pure_state_entropy(corr, union, memo)
+    total = sum(_pure_state_entropy(corr, linear_runs(n, [part]), memo) for part in ranges)
+    return total - _pure_state_entropy(corr, linear_runs(n, ranges), memo)

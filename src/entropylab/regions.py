@@ -5,6 +5,9 @@ separation and arc -> site rules the lattice engine builds its regions
 with, without loading numpy.  ``swept_arcs`` and ``shrink_arcs`` are the
 one formula each for the regions a cross-ratio sweep and a shrink run
 evaluate: the config check and the run both build them here.
+``linear_runs`` and ``complement_runs`` build the lattice's one region
+representation, a site set as its sorted ``(first, count)`` runs of
+consecutive sites on [0, N), from ``arc_range``.
 ``entropylab.lattice`` re-exports RegionSpec.
 """
 
@@ -14,7 +17,14 @@ import math
 
 TWO_PI = 2.0 * math.pi
 
-__all__ = ["RegionSpec", "arc_range", "shrink_arcs", "swept_arcs"]
+__all__ = [
+    "RegionSpec",
+    "arc_range",
+    "complement_runs",
+    "linear_runs",
+    "shrink_arcs",
+    "swept_arcs",
+]
 
 
 class RegionSpec:
@@ -32,8 +42,9 @@ class RegionSpec:
         for a, b in arcs:
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError("arc endpoints must be finite")
-            a = float(a) % TWO_PI
-            b = float(b) % TWO_PI
+            # x % 2pi is 2pi itself for x just below 0: that angle is 0
+            a = float(a) % TWO_PI % TWO_PI
+            b = float(b) % TWO_PI % TWO_PI
             if a == b:
                 raise ValueError("degenerate arc (zero or full length)")
             cleaned.append((a, b))
@@ -85,6 +96,39 @@ def arc_range(n: int, arc: tuple[float, float]) -> tuple[int, int]:
     a, b = arc
     lo, hi = first_at(a), first_at(b)
     return lo % n, hi - lo if a < b else n - lo + hi
+
+
+def linear_runs(n: int, ranges) -> tuple[tuple[int, int], ...]:
+    """The sites of ``(first, count)`` ranges on N = ``n`` sites as runs on [0, n).
+
+    The ranges are disjoint and count their sites modulo n, as
+    ``arc_range`` gives them; one that wraps splits at site 0.  The runs
+    come sorted, and runs that touch are merged, so a set of sites has
+    exactly one run tuple.
+    """
+    pieces = []
+    for first, count in ranges:
+        tail = min(count, n - first)  # the sites before the wrap through 0
+        pieces += [(first, tail), (0, count - tail)]
+    runs = []
+    for first, count in sorted(piece for piece in pieces if piece[1]):
+        if runs and first == runs[-1][0] + runs[-1][1]:
+            runs[-1] = (runs[-1][0], runs[-1][1] + count)
+        else:
+            runs.append((first, count))
+    return tuple(runs)
+
+
+def complement_runs(n: int, runs) -> tuple[tuple[int, int], ...]:
+    """The gaps between the sorted, merged ``runs`` on [0, n), as runs."""
+    gaps, end = [], 0
+    for first, count in runs:
+        if first > end:
+            gaps.append((end, first - end))
+        end = first + count
+    if end < n:
+        gaps.append((end, n - end))
+    return tuple(gaps)
 
 
 def swept_arcs(spec: RegionSpec, length: float) -> tuple[tuple[float, float], ...]:

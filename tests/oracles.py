@@ -53,6 +53,10 @@ its support; no run reaches them, and the tests hold them to
 ``conjugation_flow`` and the cocycle identities.
 ``mask_arc_sites`` is the arc-to-site rule as a float mask over all N site
 angles, the reference that the package's ``arc_range`` must reproduce.
+``split_runs`` cuts sorted sites into runs with ``np.diff`` and
+``np.split``, and ``mask_coupling_runs`` finds the lattice kernel's
+parity sides R and F by a sort, a parity split and a mask over N/2
+sites: the references for the package's run arithmetic.
 ``rotated_region`` and ``regularized_entropy`` (of one region, from the
 package's lengths and product-state relative entropy) are lattice forms
 that no run needs.
@@ -1060,6 +1064,28 @@ def gram_region_entropy(n_sites: int, sites) -> float:
     nu = lam[mixed] / (0.5 + np.sqrt(np.maximum(sigma_sq[mixed], 0.0)))
     paired = -np.sum(nu * np.log(nu) + (1.0 - nu) * np.log1p(-nu))
     return float(2.0 * paired + abs(even.size - odd.size) * math.log(2.0))
+
+
+def split_runs(sites: np.ndarray, step: int = 1) -> list[tuple[int, int]]:
+    """(first, count) of each maximal run of sorted ``sites`` with the given
+    step, cut by ``np.diff`` and ``np.split``."""
+    if not sites.size:
+        return []
+    cuts = np.flatnonzero(np.diff(sites) != step) + 1
+    return [(int(run[0]), run.size) for run in np.split(sites, cuts)]
+
+
+def mask_coupling_runs(n_sites: int, sites) -> tuple[list, list]:
+    """The lattice kernel's R and F as step-2 runs, by the array route: sort
+    the sites, split their parities, mask the N/2 sites of F's parity and
+    cut both sides with ``split_runs``."""
+    ordered = np.sort(np.asarray(sites, dtype=int))
+    parity = ordered % 2
+    side = int(2 * parity.sum() < ordered.size)  # parity of R, the smaller side
+    free = np.ones(n_sites // 2, dtype=bool)  # F: other-parity sites outside, by site // 2
+    free[ordered[parity != side] // 2] = False
+    cols = 2 * np.flatnonzero(free) + 1 - side
+    return split_runs(ordered[parity == side], 2), split_runs(cols, 2)
 
 
 def whole_block_spectrum(n_sites: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from entropylab.lattice import (
     lattice_region,
     mobius_region,
 )
-from entropylab.regions import arc_range
+from entropylab.regions import arc_range, complement_runs, linear_runs
 from oracles import mask_arc_sites, rotated_region
 
 TWO_PI = 2.0 * math.pi
@@ -61,6 +61,30 @@ def test_complement_is_exact_involution():
     # the same stored floats come back, not approximations
     assert back == spec
     assert back.arcs == spec.arcs
+
+
+@pytest.mark.parametrize(
+    "arcs, stored",
+    [
+        ([(-1e-20, 1.0), (2.0, 3.0)], ((0.0, 1.0), (2.0, 3.0))),
+        ([(2.0, -1e-20)], ((2.0, 0.0),)),
+        ([(-5e-324, 1.0)], ((0.0, 1.0),)),
+    ],
+)
+def test_endpoints_just_below_zero_are_stored_as_zero(arcs, stored):
+    # x % 2pi rounds to 2pi itself for x just below 0
+    spec = RegionSpec(arcs)
+    assert spec.arcs == stored
+    assert all(0.0 <= x < TWO_PI for arc in spec.arcs for x in arc)
+    assert spec.complement().complement().arcs == spec.arcs
+
+
+def test_linear_runs_split_at_site_zero_and_merge_where_they_touch():
+    # on 8 sites: 3 sites from 6 (wrapping), 2 from 2 and 1 from 4
+    assert linear_runs(8, [(6, 3), (2, 2), (4, 1)]) == ((0, 1), (2, 3), (6, 2))
+    assert complement_runs(8, ((0, 1), (2, 3), (6, 2))) == ((1, 1), (5, 1))
+    assert complement_runs(8, ((3, 2),)) == ((0, 3), (5, 3))
+    assert linear_runs(8, [(5, 0)]) == () and complement_runs(8, ()) == ((0, 8),)
 
 
 def test_complement_of_single_arc_wraps():

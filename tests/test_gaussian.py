@@ -6,7 +6,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entropylab.lattice import gaussian
@@ -20,7 +20,7 @@ from entropylab.lattice import (
 )
 
 import oracles
-from oracles import hopping_matrix, rotated_region
+from oracles import hopping_matrix, rotated_region, split_runs
 
 
 def test_hopping_matrix_is_hermitian_antiperiodic():
@@ -99,11 +99,21 @@ def test_restricted_blocks_are_slices_of_the_full_block():
 
 
 def _coupling_sides(n, sites):
-    """R and F as the kernel takes them: the smaller parity side of the
-    sites, and the sites of the other parity outside them."""
+    """R and F as site arrays: the smaller parity side of the sites, and the
+    sites of the other parity outside them."""
     parity = sites % 2
     side = int(2 * parity.sum() < sites.size)
     return sites[parity == side], np.setdiff1d(np.arange(1 - side, n, 2), sites)
+
+
+def _spectrum(n, rows, cols):
+    """The kernel's coupling spectrum for R and F given as site arrays."""
+    return gaussian._coupling_spectrum(n, split_runs(rows, 2), split_runs(cols, 2))
+
+
+def _entropy_and_bound(n, sites):
+    """The kernel's entropy and bound for a site set given as an array."""
+    return gaussian._entropy_and_bound(n, tuple(split_runs(np.sort(sites))))
 
 
 def test_coupling_block_is_bitwise_the_in_place_formula(monkeypatch):
@@ -127,7 +137,8 @@ def test_coupling_block_is_bitwise_the_in_place_formula(monkeypatch):
         for n, rows, cols in cases:
             want = oracles.even_odd_block(n, rows, cols)
             seen, first = 0, None
-            for lo, panel in gaussian._panels(n, rows, cols)():
+            sweep = gaussian._panels(n, split_runs(rows, 2), split_runs(cols, 2))
+            for lo, panel in sweep():
                 assert lo == seen and panel.shape[1] == cols.size
                 assert panel.nbytes <= max(panel_bytes, 8 * cols.size)
                 np.testing.assert_array_equal(panel, want[lo : lo + len(panel)])
@@ -166,15 +177,25 @@ def test_region_entropy_does_not_depend_on_site_order():
 @example((8, {0, 1, 2, 3}))  # exactly half with site 0: the set itself
 @settings(max_examples=50, deadline=None)
 def test_pure_state_complement_is_the_set_difference(case):
-    """The set _pure_state_entropy evaluates, read off its memo key, is the
-    set itself or np.setdiff1d(arange(n), sites), bytes and all."""
+    """The set _pure_state_entropy evaluates is the set itself or
+    np.setdiff1d(arange(n), sites): its memo key holds that set's runs, and
+    region_entropy receives its sites, bytes and all."""
     n, chosen = case
     sites = np.array(sorted(chosen))
+    evaluated = []
+
+    def recording(corr, sites):
+        evaluated.append(sites)
+        return region_entropy(corr, sites)
+
     memo = {}
-    gaussian._pure_state_entropy(ground_state_correlations(n), sites, memo)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gaussian, "region_entropy", recording)
+        gaussian._pure_state_entropy(ground_state_correlations(n), tuple(split_runs(sites)), memo)
     flip = 2 * sites.size > n or (2 * sites.size == n and sites.min() > 0)
     want = np.setdiff1d(np.arange(n), sites) if flip else sites
-    assert list(memo) == [(n, want.tobytes())]
+    assert list(memo) == [(n, tuple(split_runs(want)))]
+    assert [s.tobytes() for s in evaluated] == [want.tobytes()]
 
 
 @st.composite
@@ -226,6 +247,73 @@ THREE_ARCS = RegionSpec([(0.2, 0.9), (1.6, 2.8), (3.5, 5.0)])
 TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
 
 
+def _quarter_arcs(n, spans):
+    """A region of arcs [a, b) given in quarter-site steps, modulo 4n."""
+    quarter = 2.0 * np.pi / (4 * n)
+    return RegionSpec([((a % (4 * n)) * quarter, (b % (4 * n)) * quarter) for a, b in spans])
+
+
+@st.composite
+def _quarter_site_unions(draw):
+    """A chain size and one to four arcs with ends on quarter-site angles:
+    ends on site angles, arcs that wrap through 0 or hold no site, and gaps
+    of a quarter site that hold none, so that the arcs' runs touch."""
+    n = draw(st.sampled_from([8, 16, 34, 64, 1024, 4096]))
+    lengths = st.one_of(st.integers(3, 8), st.integers(4, n))
+    gaps = st.one_of(st.integers(1, 5), st.integers(1, n))
+    count = draw(st.integers(1, 4))
+    spans = draw(st.lists(st.tuples(lengths, gaps), min_size=count, max_size=count))
+    assume(sum(length + gap for length, gap in spans) <= 4 * n)
+    arcs, start = [], draw(st.integers(0, 4 * n - 1))
+    for length, gap in spans:
+        arcs.append((start, start + length))
+        start += length + gap
+    return n, _quarter_arcs(n, arcs)
+
+
+def _evaluated_side(n, sites):
+    """The set a purity-aware evaluation takes: the sites or their
+    complement, whichever is smaller; of two halves, the one with site 0."""
+    if 2 * sites.size > n or (2 * sites.size == n and sites[0] > 0):
+        return np.setdiff1d(np.arange(n), sites)
+    return sites
+
+
+@given(_quarter_site_unions())
+@example((8, _quarter_arcs(8, [(1, 5), (6, 9)])))  # the gap holds no site: one run
+@example((8, _quarter_arcs(8, [(26, 35), (10, 13)])))  # wraps through site 0
+@example((34, _quarter_arcs(34, [(0, 4), (8, 12), (64, 68)])))  # three single sites
+@example((1024, _quarter_arcs(1024, [(4000, 200), (900, 1700), (1701, 2500)])))
+@example((4096, TWO_ARCS))
+@settings(max_examples=100, deadline=None)
+def test_run_arithmetic_is_the_array_route(case):
+    """The kernel's sides R and F, found by run arithmetic, are the step-2
+    runs that sorting, parity masks and np.diff find; and the arc path's
+    relative entropy is bitwise the entropies of the mask rule's site arrays,
+    each on the side that purity picks.  Inputs that raise do so on both."""
+    n, spec = case
+    corr = ground_state_correlations(n)
+    parts = [oracles.mask_arc_sites(n, arc) for arc in spec.arcs]
+    union = np.sort(np.concatenate(parts))
+    if min(p.size for p in parts) == 0 or union.size == n:
+        with pytest.raises(ValueError, match="no lattice sites|fewer than 1 site|no complement"):
+            product_state_relative_entropy(corr, spec)
+        return
+    for sites in (*parts, union):
+        for side in (sites, np.setdiff1d(np.arange(n), sites)):
+            runs = tuple(split_runs(side))
+            assert gaussian._coupling_runs(n, runs) == oracles.mask_coupling_runs(n, side)
+    memo = {}
+    got = product_state_relative_entropy(corr, spec, memo)
+    if len(parts) == 1:
+        assert got == 0.0 and not memo
+        return
+    chosen = [_evaluated_side(n, sites) for sites in (*parts, union)]
+    assert set(memo) == {(n, tuple(split_runs(sites))) for sites in chosen}
+    *arcs, whole = (region_entropy(corr, sites) for sites in chosen)
+    assert got == sum(arcs) - whole
+
+
 @given(st.one_of(_site_sets(), _arc_unions()))
 @example((64, np.arange(1, 64, 2)))  # all odd sites: R is empty, and so is F
 @example((64, np.arange(0, 20, 2)))  # R is empty, F is not
@@ -265,7 +353,7 @@ def test_streamed_range_finder_matches_the_whole_block(n, sites, monkeypatch):
     scale = 64 * np.finfo(float).eps * np.sum(oracles.even_odd_block(n, rows, cols) ** 2)
     for panel_bytes in (gaussian._PANEL_BYTES, 4096):
         monkeypatch.setattr(gaussian, "_PANEL_BYTES", panel_bytes)
-        lam, dropped = gaussian._coupling_spectrum(n, rows, cols)
+        lam, dropped = _spectrum(n, rows, cols)
         assert 0 < lam.size <= want.size
         assert abs(dropped - (want.sum() - lam.sum())) <= scale
         shortfall = want[want.size - lam.size :] - lam
@@ -315,7 +403,7 @@ def test_endpoint_skeleton_takes_one_sweep_and_one_qr(n, spec, shape, width, mon
     rows, cols = _coupling_sides(n, _union(n, spec))
     assert (rows.size, cols.size) == shape
     counts = _count_sweeps_and_qrs(monkeypatch)
-    lam, dropped = gaussian._coupling_spectrum(n, rows, cols)
+    lam, dropped = _spectrum(n, rows, cols)
     assert lam.size == width and _certified(n, rows, cols, dropped)
     assert counts == {"sweeps": 1, "qrs": 1}
 
@@ -333,9 +421,9 @@ def test_some_sets_need_the_half_octave_skeleton(n, sites, shape, monkeypatch):
     rows, cols = _coupling_sides(n, sites)
     assert (rows.size, cols.size) == shape
     counts = _count_sweeps_and_qrs(monkeypatch)
-    got, bound = gaussian._entropy_and_bound(ground_state_correlations(n), sites)
+    got, bound = _entropy_and_bound(n, sites)
     assert counts == {"sweeps": 2, "qrs": 2}
-    lam, dropped = gaussian._coupling_spectrum(n, rows, cols)
+    lam, dropped = _spectrum(n, rows, cols)
     assert lam.size < rows.size and _certified(n, rows, cols, dropped)
     assert got == pytest.approx(oracles.gram_region_entropy(n, sites), abs=1e-10)
     assert 0.0 <= bound <= 1e-11
@@ -348,7 +436,7 @@ def test_scattered_sites_take_one_sweep_and_match_the_gram_eigensolve(monkeypatc
     n = 1024
     sites = np.sort(np.random.default_rng(0).choice(n, n // 5, replace=False))
     counts = _count_sweeps_and_qrs(monkeypatch)
-    got, bound = gaussian._entropy_and_bound(ground_state_correlations(n), sites)
+    got, bound = _entropy_and_bound(n, sites)
     assert counts == {"sweeps": 1, "qrs": 0} and bound == 0.0
     assert got == pytest.approx(oracles.gram_region_entropy(n, sites), abs=1e-10)
 
@@ -365,20 +453,19 @@ def test_dropped_mass_drives_the_sketch_and_bounds_the_error(n, sites, monkeypat
     """With every other offset of each skeleton level left out, the kernel
     widens Q until the certified dropped mass reaches rounding; stopped
     early, its bound still covers the entropy it misses."""
-    corr = ground_state_correlations(n)
     want = oracles.gram_region_entropy(n, sites)
     skeleton = gaussian._skeleton
 
-    def thin_skeleton(n, cols, offsets, picked):
-        skeleton(n, cols, offsets[::2], picked)
+    def thin_skeleton(n, cols, offsets):
+        return skeleton(n, cols, offsets[::2])
 
     monkeypatch.setattr(gaussian, "_skeleton", thin_skeleton)
-    got, bound = gaussian._entropy_and_bound(corr, sites)
+    got, bound = _entropy_and_bound(n, sites)
     assert got == pytest.approx(want, abs=1e-10)
     assert 0.0 <= bound <= 1e-11
     # a tolerance of 2^40 ulps, about 2e-4 of ||B'||_F^2, stops at the first level
     monkeypatch.setattr(gaussian, "_ROUNDING_ULPS", 2**40)
-    early, early_bound = gaussian._entropy_and_bound(corr, sites)
+    early, early_bound = _entropy_and_bound(n, sites)
     assert want - early > 1e-8
     assert want - early <= early_bound + 1e-10
 
