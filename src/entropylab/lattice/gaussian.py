@@ -36,11 +36,15 @@ that misses too, or the skeleton has |R| columns, Q = 1 on R, which drops
 nothing.  The compressed eigenvalues interlace below the true ones and
 fall short by eps in total; the pair entropy s(lambda) = 2 h(nu) is
 concave and increasing with s(0) = 0, so the computed entropy is low by
-at most |R| s(eps / |R|) nats.  B' is streamed in row panels of about
-2 MB from Toeplitz views of one cached kernel table.  A range of width k
-costs one sweep, the QR of an |R| x k skeleton and about 2 |R| |F| k
-flops, in one panel plus (|R| + |F|) k floats of working memory; only
-Q = 1 on R holds B' whole, as Z.
+at most |R| s(eps / |R|) nats.  B' is streamed from Toeplitz views of
+one cached kernel table in row panels of max(k, ceil(|R| k / |F|)) rows,
+at most |R|, for a range of width k: a panel holds at least as many
+entries as Q and as Z, so Q^T panel moves no more bytes than the panel,
+and a thin F takes one panel, not |R| / k.  A range of width k costs one
+sweep, the QR of an |R| x k skeleton and about 2 |R| |F| k flops, in a
+working memory of range-sized arrays with no constant term: the panel,
+Z, one product buffer and Q, about (2 |R| + 3 |F|) k floats.  Only
+Q = 1 on R holds B' whole, as Z, built as one panel.
 
 Regions travel as sorted, merged runs (first, count) of consecutive sites
 on [0, N): an arc union's from ``regions.arc_range``, its complement's
@@ -70,7 +74,6 @@ from .circle import LatticeCircle, RegionSpec, lattice_region, run_sites
 
 EIGENVALUE_SLACK = 1e-8
 _ROUNDING_ULPS = 256  # the dropped-mass tolerance, in ulps of ||B'||_F^2
-_PANEL_BYTES = 2**21  # rows of B' built at once: one panel stays in cache for its norms and Q^T B'
 
 __all__ = [
     "CorrelationMatrix",
@@ -116,15 +119,23 @@ def _kernel_table(n: int) -> np.ndarray:
     return table
 
 
+def _panel_height(n_rows: int, n_cols: int, width: int) -> int:
+    """Rows of B' per panel for a range of ``width`` columns: at least as
+    many entries as Q^T B' and as Q, so Q^T panel moves no more bytes than
+    the panel, and no more rows than B' has."""
+    return min(n_rows, max(width, -(-n_rows * width // n_cols)))
+
+
 def _panels(n: int, rows, cols):
     """A sweep over B' = K[rows, cols] for step-2 runs of opposite parity.
 
-    Calling the result yields (first row, panel) for consecutive row panels
-    of about ``_PANEL_BYTES``.  Each pair of runs is a Toeplitz block of
-    the kernel table, copied from a reversed sliding-window view; views
-    are made once, and every sweep rebuilds its panels into one reused
-    buffer (a fresh array per panel would page-fault on every write), so a
-    panel is valid only until the next one is yielded.
+    Calling the result with a height yields (first row, panel) for
+    consecutive row panels of that many rows.  Each pair of runs is a
+    Toeplitz block of the kernel table, copied from a reversed
+    sliding-window view; views are made once, and every sweep rebuilds its
+    panels into one buffer of its own (a fresh array per panel would
+    page-fault on every write), so a panel is valid only until the next one
+    is yielded.  A sweep of one panel leaves B' whole in that buffer.
     """
     table = _kernel_table(n)
     # each run's position among the sites of its side, then their number
@@ -136,10 +147,9 @@ def _panels(n: int, rows, cols):
         (j, count, first + 2 * count - 2, sliding_window_view(table, count)[:, ::-1])
         for j, (first, count) in zip(col_starts, cols)
     ]
-    height = max(1, _PANEL_BYTES // (8 * max(col_starts[-1], 1)))
-    buffer = np.empty((min(height, row_starts[-1]), col_starts[-1]))
 
-    def sweep():
+    def sweep(height: int):
+        buffer = np.empty((min(height, row_starts[-1]), col_starts[-1]))
         for lo in range(0, row_starts[-1], height):
             hi = min(lo + height, row_starts[-1])
             panel = buffer[: hi - lo]
@@ -181,32 +191,36 @@ def _coupling_spectrum(n: int, rows, cols) -> tuple[np.ndarray, float]:
     reached its rounding level, and 1 on R if it still has not or once the
     skeleton has as many columns as R has rows.  Each try is one sweep over
     the row panels of B' = K[rows, cols], the step-2 runs of R and F, which
-    sums ||B'||_F^2 row by row and forms Z.
+    sums ||B'||_F^2 row by row and forms Z: in panels of ``_panel_height``
+    rows through one product buffer, or, for Q = 1, in one panel that is Z.
     """
     if not rows or not cols:
         return np.empty(0), 0.0
     sweep = _panels(n, rows, cols)
     table = _kernel_table(n)
-    row_sites = run_sites(rows, 2)
-    n_cols = sum(count for _, count in cols)  # |F|
+    # K[r, c] sits at table index (r - c + n - 1) / 2, which is
+    # (r + n - 1) // 2 - c // 2 because r + n - 1 and c have one parity
+    row_index = (run_sites(rows, 2) + n - 1) // 2
+    n_rows, n_cols = row_index.size, sum(count for _, count in cols)  # |R|, |F|
     picked = set()  # the skeleton's sites
-    row_norms = np.empty(row_sites.size)
+    row_norms = np.empty(n_rows)
     octaves = 1 << np.arange(n_cols.bit_length())
     for offsets in (np.r_[0, octaves], 3 * octaves, None):
         if offsets is not None:
             picked |= _skeleton(n, cols, offsets)
-        basis = None  # Q = 1 on R: Z is B' itself
-        if offsets is not None and len(picked) < row_sites.size:
-            skeleton = np.array(sorted(picked))
-            basis = np.linalg.qr(table[(row_sites[:, None] - skeleton + n - 1) // 2])[0]
-        captured = np.zeros((row_sites.size if basis is None else basis.shape[1], n_cols))
-        for lo, panel in sweep():
-            hi = lo + len(panel)
-            np.einsum("ij,ij->i", panel, panel, out=row_norms[lo:hi])
-            if basis is None:
-                captured[lo:hi] = panel
-            else:
-                captured += basis[lo:hi].T @ panel
+        basis = captured = product = panel = None  # free the last try's arrays first
+        if offsets is None or len(picked) >= n_rows:  # Q = 1 on R: Z is B'
+            [(_, captured)] = sweep(n_rows)
+            np.einsum("ij,ij->i", captured, captured, out=row_norms)
+        else:
+            columns = np.array(sorted(picked)) // 2
+            basis = np.linalg.qr(table[np.subtract.outer(row_index, columns)])[0]
+            width = basis.shape[1]
+            captured, product = np.zeros((width, n_cols)), np.empty((width, n_cols))
+            for lo, panel in sweep(_panel_height(n_rows, n_cols, width)):
+                hi = lo + len(panel)
+                np.einsum("ij,ij->i", panel, panel, out=row_norms[lo:hi])
+                captured += np.matmul(basis[lo:hi].T, panel, out=product)
         total = math.fsum(row_norms)
         dropped = total - math.fsum(np.einsum("ij,ij->i", captured, captured))
         if basis is None or dropped <= _ROUNDING_ULPS * np.finfo(float).eps * total:
@@ -265,12 +279,20 @@ def _entropy_and_bound(n: int, runs) -> tuple[float, float]:
 
 
 def region_entropy(corr: CorrelationMatrix, sites: np.ndarray) -> float:
-    """Entanglement entropy of a set of distinct sites, in nats: the sorted
-    sites cut into runs where the next site is not the neighbor."""
+    """Entanglement entropy of a set of distinct sites, in nats.
+
+    ``sites`` is a 1-D array of integers in any order; sorted, it is cut
+    into runs where the next site is not the neighbor.
+    """
     n = corr.n_sites
-    sites = np.sort(np.asarray(sites, dtype=int), axis=None)
+    sites = np.asarray(sites)
+    if sites.ndim != 1:
+        raise ValueError(f"sites must be a 1-D array, not {sites.ndim}-D")
     if sites.size == 0:
         raise ValueError("region must contain at least one site")
+    if sites.dtype.kind not in "iu":
+        raise ValueError(f"sites must be integers, not {sites.dtype}")
+    sites = np.sort(sites)
     if sites[0] < 0 or sites[-1] >= n:
         raise ValueError(f"sites must lie in [0, {n})")
     steps = np.diff(sites)

@@ -116,11 +116,12 @@ def _entropy_and_bound(n, sites):
     return gaussian._entropy_and_bound(n, tuple(split_runs(np.sort(sites))))
 
 
-def test_coupling_block_is_bitwise_the_in_place_formula(monkeypatch):
+def test_coupling_block_is_bitwise_the_in_place_formula():
     """Every streamed row panel of K[rows, cols] is, entry for entry, the rows
     of the oracle's in-place 1 / (n sin(pi d / n)) block, for either parity
-    of rows, with either side empty, in panels of the default size and of
-    one or a few rows; the panels cover the rows in order, in one buffer."""
+    of rows, with either side empty, in panels of the rule's height, of one
+    or a few rows and of all rows; the panels cover the rows in order, each
+    sweep in one buffer."""
     rng = np.random.default_rng(5)
     cases = []
     for n in (8, 64, 1024):
@@ -132,15 +133,17 @@ def test_coupling_block_is_bitwise_the_in_place_formula(monkeypatch):
     cases.append((64, np.array([], dtype=int), np.arange(1, 64, 2)))  # |R| = 0
     cases.append((64, np.array([0, 2]), np.array([], dtype=int)))  # |F| = 0
     cases.append((4096, *_coupling_sides(4096, _union(4096, TWO_ARCS))))
-    for panel_bytes in (gaussian._PANEL_BYTES, 1000):
-        monkeypatch.setattr(gaussian, "_PANEL_BYTES", panel_bytes)
-        for n, rows, cols in cases:
-            want = oracles.even_odd_block(n, rows, cols)
+    for n, rows, cols in cases:
+        want = oracles.even_odd_block(n, rows, cols)
+        heights = {1, 3, max(rows.size, 1)}
+        if rows.size and cols.size:
+            heights.add(gaussian._panel_height(rows.size, cols.size, min(rows.size, 42)))
+        sweep = gaussian._panels(n, split_runs(rows, 2), split_runs(cols, 2))
+        for height in sorted(heights):
             seen, first = 0, None
-            sweep = gaussian._panels(n, split_runs(rows, 2), split_runs(cols, 2))
-            for lo, panel in sweep():
+            for lo, panel in sweep(height):
                 assert lo == seen and panel.shape[1] == cols.size
-                assert panel.nbytes <= max(panel_bytes, 8 * cols.size)
+                assert len(panel) == min(height, rows.size - lo)
                 np.testing.assert_array_equal(panel, want[lo : lo + len(panel)])
                 first = panel if first is None else first
                 assert not cols.size or np.shares_memory(panel, first)
@@ -152,6 +155,30 @@ def test_coupling_block_is_bitwise_the_in_place_formula(monkeypatch):
 def test_restricted_rejects_sites_outside_the_chain(bad):
     with pytest.raises(ValueError, match="must lie in"):
         region_entropy(ground_state_correlations(64), np.array(bad))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([3.2, 4.9, 5.5], "integers"),  # once truncated to the sites 3, 4, 5
+        (np.array([3.0, 4.0, 5.0]), "integers"),
+        (np.array([True, False, True]), "integers"),
+        (np.array([[3, 4], [5, 6]]), "1-D"),  # once flattened
+        (np.int64(3), "1-D"),
+        ([], "at least one site"),
+    ],
+)
+def test_region_entropy_rejects_sites_that_are_not_a_list_of_integers(bad, message):
+    with pytest.raises(ValueError, match=message):
+        region_entropy(ground_state_correlations(64), bad)
+
+
+def test_region_entropy_takes_any_integer_dtype():
+    corr = ground_state_correlations(64)
+    want = region_entropy(corr, np.array([3, 4, 5, 9]))
+    for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+        assert region_entropy(corr, np.array([9, 3, 5, 4], dtype=dtype)) == want
+    assert region_entropy(corr, [9, 5, 4, 3]) == want
 
 
 @pytest.mark.parametrize("repeated", [[0, 0], [0, 2, 2], [5, 5, 5], [9, 4, 9, 1]])
@@ -343,16 +370,17 @@ def test_kernel_entropy_matches_gram_eigensolve(case):
     ],
 )
 def test_streamed_range_finder_matches_the_whole_block(n, sites, monkeypatch):
-    """Against the whole block's B' B'^T, in default panels and in panels of
-    about 4 kB: the dropped mass is the part of its spectrum that the
-    kernel's leaves out, and the kernel's eigenvalues interlace below its
+    """Against the whole block's B' B'^T, in panels of the rule's height and
+    of one and a few rows: the dropped mass is the part of its spectrum that
+    the kernel's leaves out, and the kernel's eigenvalues interlace below its
     top ones by at most the dropped mass, all to 64 ulps of ||B'||_F^2.
     (Z^T Z = B'^T Q Q^T B' is B'^T B' less a positive part of trace eps.)"""
     rows, cols = _coupling_sides(n, sites)
     want = oracles.whole_block_spectrum(n, rows, cols)
     scale = 64 * np.finfo(float).eps * np.sum(oracles.even_odd_block(n, rows, cols) ** 2)
-    for panel_bytes in (gaussian._PANEL_BYTES, 4096):
-        monkeypatch.setattr(gaussian, "_PANEL_BYTES", panel_bytes)
+    rule = gaussian._panel_height
+    for height in (rule, lambda *_: 1, lambda *_: 5):
+        monkeypatch.setattr(gaussian, "_panel_height", height)
         lam, dropped = _spectrum(n, rows, cols)
         assert 0 < lam.size <= want.size
         assert abs(dropped - (want.sum() - lam.sum())) <= scale
@@ -368,9 +396,9 @@ def _count_sweeps_and_qrs(monkeypatch):
     def counted_panels(*args):
         sweep = panels(*args)
 
-        def counted_sweep():
+        def counted_sweep(height):
             counts["sweeps"] += 1
-            return sweep()
+            return sweep(height)
 
         return counted_sweep
 
@@ -506,6 +534,44 @@ def test_union_entropy_never_holds_the_coupling_block():
     corr = ground_state_correlations(n)
     with _peak_below(8 * rows.size * cols.size // 4):
         region_entropy(corr, sites)
+
+
+def test_union_entropy_works_in_range_sized_memory():
+    """One TWO_ARCS union at N = 4096 (|R| = 847, |F| = 1200, a range of
+    k = 42 columns) allocates less than four range-sized arrays of
+    (|R| + |F|) k floats: no panel of fixed size."""
+    n = 4096
+    sites = _union(n, TWO_ARCS)
+    rows, cols = _coupling_sides(n, sites)
+    width = _spectrum(n, rows, cols)[0].size
+    corr = ground_state_correlations(n)
+    with _peak_below(4 * 8 * (rows.size + cols.size) * width + 1):
+        region_entropy(corr, sites)
+
+
+@pytest.mark.parametrize("n", [8192, 32768])
+def test_thin_complement_sweeps_in_one_panel(n, monkeypatch):
+    """All sites but 5, 10 and 20: F is site 5 alone and Q one column, so
+    a panel of Q's size would be one row; the sweep is one panel of all of
+    R instead, and the entropy is that of the three sites (purity)."""
+    panel_counts, panels = [], gaussian._panels
+
+    def counted_panels(*args):
+        sweep = panels(*args)
+
+        def counted_sweep(height):
+            panel_counts.append(0)
+            for lo, panel in sweep(height):
+                panel_counts[-1] += 1
+                yield lo, panel
+
+        return counted_sweep
+
+    monkeypatch.setattr(gaussian, "_panels", counted_panels)
+    got = region_entropy(ground_state_correlations(n), np.setdiff1d(np.arange(n), [5, 10, 20]))
+    assert panel_counts == [1]
+    want = oracles.block_entropy(oracles.correlation_block(n, [5, 10, 20]))
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_block_entropy_against_many_body():
