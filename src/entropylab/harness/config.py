@@ -74,7 +74,6 @@ _KEYS = {
     "arcs": (_parse_arcs, ()),
     "right_arcs": (_parse_arcs, ()),
     "c": (_parse_float, 2.0),
-    "r_convention": (lambda raw, key: raw.strip(), "chord"),
     "seed": (_parse_int, 0),
     "tolerance": (_parse_float, None),  # None: the kind's default
     "instances": (_parse_int, 20),
@@ -111,14 +110,14 @@ KINDS = {
         command=("findim-suite", "finite-dimensional identity and index battery"),
     ),
     "duality": Kind(
-        keys=("sizes", "tolerance", "arcs", "c", "r_convention"),
+        keys=("sizes", "tolerance", "arcs", "c"),
         tolerance=5e-3,
         arcs=(2, None),
         runner="fermion_runs.run_duality",
         curve=Curve("deficit_vs_N", "N", "D", False),
     ),
     "cross-ratio-sweep": Kind(
-        keys=("sizes", "tolerance", "arcs", "sweep_lengths", "r_convention"),
+        keys=("sizes", "tolerance", "arcs", "sweep_lengths"),
         tolerance=1e-9,
         arcs=(2, 2),
         runner="fermion_runs.run_sweep",
@@ -139,14 +138,14 @@ KINDS = {
         curve=Curve("shrink_gap", "length", "gap", True),
     ),
     "collapse": Kind(
-        keys=("sizes", "tolerance", "arcs", "family_size", "r_convention", "seed"),
+        keys=("sizes", "tolerance", "arcs", "family_size", "seed"),
         tolerance=1e-2,
         arcs=(2, 2),
         runner="fermion_runs.run_collapse",
         curve=Curve("collapse_spread_vs_N", "N", "spread", False),
     ),
     "two-d": Kind(
-        keys=("sizes", "tolerance", "arcs", "right_arcs", "c", "r_convention"),
+        keys=("sizes", "tolerance", "arcs", "right_arcs", "c"),
         tolerance=1e-2,
         arcs=(2, None),
         runner="fermion_runs.run_twod",
@@ -293,14 +292,6 @@ def validate_config(config: ExperimentConfig, given=()) -> None:
                     f"'{key}' entries are arc lengths in (0, 2*pi), got {length:g}"
                 )
     _check_regions(config, keys)
-    if config.r_convention not in ("chord", "arc"):
-        raise ConfigError("r_convention must be 'chord' or 'arc'")
-    if "family_size" in keys and config.r_convention == "arc":
-        # The family's Moebius images keep the chord cross ratio but not the
-        # arc-length one, so their arc-length etas never agree.
-        raise ConfigError(
-            f"'{config.kind}' needs r_convention = chord: Moebius images keep only the chord cross ratio"
-        )
     if not 0 < config.c < math.inf:
         raise ConfigError("central charge must be finite and positive")
     if config.tolerance is not None and not 0 < config.tolerance < math.inf:

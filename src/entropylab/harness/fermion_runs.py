@@ -102,13 +102,13 @@ def _limit(config, cases, key, limit, prefix, name) -> Verdict:
 
 def run_duality(config: ExperimentConfig):
     spec = RegionSpec(config.arcs)
-    arc_flag = config.r_convention == "arc"
 
     def case(n, corr) -> CaseRecord:
-        rep = entropy_deficit(corr, spec, config.c, arc_flag)
+        rep = entropy_deficit(corr, spec, config.c)
+        # Constant columns the perfbench references still hold; they go when those are regenerated.
         return CaseRecord(
             case_id=f"duality-N{n}",
-            inputs={"N": n, "c": config.c, "r_convention": config.r_convention},
+            inputs={"N": n, "c": config.c, "r_convention": "chord"},
             values={
                 "S_I": rep.s_region,
                 "S_Icomp": rep.s_complement,
@@ -116,8 +116,8 @@ def run_duality(config: ExperimentConfig):
                 "G_I": rep.g_region,
                 "G_Icomp": rep.g_complement,
                 "D": rep.deficit,
-                "mu": rep.mu,
-                "D_hat": rep.dual_deficit,
+                "mu": 1.0,
+                "D_hat": 0.0,
             },
             residual=abs(rep.deficit),
         )
@@ -134,7 +134,6 @@ def run_duality(config: ExperimentConfig):
 def run_sweep(config: ExperimentConfig):
     spec = RegionSpec(config.arcs)
     specs = {l: RegionSpec(swept_arcs(spec, l)) for l in config.sweep_lengths}
-    arc_flag = config.r_convention == "arc"
     tol = config.effective_tolerance
 
     def size_cases(n, corr) -> list[CaseRecord]:
@@ -146,7 +145,7 @@ def run_sweep(config: ExperimentConfig):
                 CaseRecord(
                     case_id=f"sweep-N{n}-l{length:g}",
                     inputs={"N": n, "second_arc_length": length},
-                    values={"eta": cross_ratio(specs[length], arc_flag), "S_product": value},
+                    values={"eta": cross_ratio(specs[length]), "S_product": value},
                     residual=max(0.0, -value),
                     tolerance=tol,
                     passed=value >= -tol,
@@ -238,9 +237,7 @@ def run_collapse(config: ExperimentConfig):
     largest = max(config.sizes)
 
     def case(n, corr) -> CaseRecord:
-        rep = cross_ratio_collapse(
-            corr, family, use_arc_length=config.r_convention == "arc"
-        )
+        rep = cross_ratio_collapse(corr, family)
         values = {"eta": rep.eta, "spread": rep.spread}
         for j, v in enumerate(rep.values):
             values[f"S_geometry{j}"] = v
@@ -272,11 +269,10 @@ def run_collapse(config: ExperimentConfig):
 def run_twod(config: ExperimentConfig):
     left = RegionSpec(config.arcs)
     right = RegionSpec(config.right_arcs)
-    arc_flag = config.r_convention == "arc"
 
     def case(n, corr) -> CaseRecord:
-        rep_l = entropy_deficit(corr, left, config.c, arc_flag)
-        rep_r = entropy_deficit(corr, right, config.c, arc_flag)
+        rep_l = entropy_deficit(corr, left, config.c)
+        rep_r = entropy_deficit(corr, right, config.c)
         # For a product of two chiral nets, double cones factor into left
         # and right arcs of equal count (validate_config checks it), and
         # the regularized entropy and the deficit add.

@@ -8,7 +8,6 @@ every computing CLI call.
 from .circle import (
     LatticeCircle,
     RegionSpec,
-    arc_length,
     arc_sites,
     chord_length,
     cross_ratio,
@@ -41,7 +40,6 @@ from .scaling import (
 __all__ = [
     "LatticeCircle",
     "RegionSpec",
-    "arc_length",
     "arc_sites",
     "chord_length",
     "cross_ratio",

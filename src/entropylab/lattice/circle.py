@@ -4,7 +4,9 @@ Regions are unions of arcs given in continuum angles; lattice sites are
 assigned by a half-open convention so that a region and its complement
 always partition the chain.  ``arc_sites`` and ``lattice_region`` expand
 the runs that ``regions.linear_runs`` makes of ``regions.arc_range``.
-Lengths (chord by default, arc length behind a flag) and the two-interval
+Lengths are chords |e^{ia} - e^{ib}|, the conformal distance on the
+circle: only with it do the UV terms of a region and its complement cancel
+and is the two-interval cross ratio Moebius invariant.  Lengths and the
 cross ratio are computed from the continuum endpoints, never from site
 counts.
 """
@@ -26,7 +28,6 @@ __all__ = [
     "lattice_region",
     "arc_sites",
     "chord_length",
-    "arc_length",
     "interval_lengths",
     "cross_ratio",
     "mobius_region",
@@ -75,24 +76,16 @@ def chord_length(a: float, b: float) -> float:
     return value
 
 
-def arc_length(a: float, b: float) -> float:
-    value = (b - a) % TWO_PI
-    if value == 0.0:
-        raise ValueError("degenerate interval")
-    return value
+def interval_lengths(spec: RegionSpec) -> tuple[float, ...]:
+    return tuple(chord_length(a, b) for a, b in spec.arcs)
 
 
-def interval_lengths(spec: RegionSpec, use_arc_length: bool = False) -> tuple[float, ...]:
-    measure = arc_length if use_arc_length else chord_length
-    return tuple(measure(a, b) for a, b in spec.arcs)
-
-
-def cross_ratio(spec: RegionSpec, use_arc_length: bool = False) -> float:
+def cross_ratio(spec: RegionSpec) -> float:
     """eta = r_J1 r_J2 / (r_I1 r_I2) for a two-interval region with complement J."""
     if len(spec.arcs) != 2:
         raise ValueError("cross ratio is defined for two-interval regions")
-    r_in = interval_lengths(spec, use_arc_length)
-    r_out = interval_lengths(spec.complement(), use_arc_length)
+    r_in = interval_lengths(spec)
+    r_out = interval_lengths(spec.complement())
     return (r_out[0] * r_out[1]) / (r_in[0] * r_in[1])
 
 

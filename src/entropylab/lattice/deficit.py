@@ -5,8 +5,11 @@ relative entropy to the product of marginals; the deficit is its mismatch
 between a region and its complement.  Geometry terms use continuum
 endpoints, entropies use the lattice, and only the UV-finite combination
 is ever compared across sizes.  For the critical chain studied here the
-deficit is expected to vanish with N; both mu = 1 and a zero dual deficit
-are recorded on the report to make that context explicit.
+deficit is expected to vanish with N.
+
+The duality and two-d experiments read c = 2, so (c/6) ln r is
+(1/3) ln r: the same coefficient as the c-fit predictor (c_hat/3) ln r at
+its fitted c_hat = 1.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ class DeficitReport(
     namedtuple(
         "DeficitReport",
         "region n_sites c s_region s_complement region_lengths complement_lengths"
-        " eta g_region g_complement deficit mu dual_deficit",
-        defaults=(1.0, 0.0),
+        " eta g_region g_complement deficit",
     )
 ):
     """Relative entropies, lengths and regularized entropies of a region and
@@ -46,7 +48,6 @@ def entropy_deficit(
     corr: CorrelationMatrix,
     spec: RegionSpec,
     c: float,
-    use_arc_length: bool = False,
 ) -> DeficitReport:
     """Deficit between the region and its complement.
 
@@ -64,15 +65,15 @@ def entropy_deficit(
     memo: dict = {}
     s_region = product_state_relative_entropy(corr, spec, memo)
     s_complement = product_state_relative_entropy(corr, comp, memo)
-    lengths = interval_lengths(spec, use_arc_length)
-    lengths_comp = interval_lengths(comp, use_arc_length)
+    lengths = interval_lengths(spec)
+    lengths_comp = interval_lengths(comp)
     g_region = _geometry_term(lengths, c) - s_region
     g_complement = _geometry_term(lengths_comp, c) - s_complement
     deficit = g_region - g_complement
 
     eta = None
     if len(spec.arcs) == 2:
-        eta = cross_ratio(spec, use_arc_length)
+        eta = cross_ratio(spec)
     return DeficitReport(
         region=spec,
         n_sites=corr.n_sites,

@@ -106,7 +106,6 @@ class CollapseReport(namedtuple("CollapseReport", "eta values spread")):
 def cross_ratio_collapse(
     corr: CorrelationMatrix,
     specs: list[RegionSpec],
-    use_arc_length: bool = False,
 ) -> CollapseReport:
     """Product-state relative entropies of several equal-cross-ratio regions.
 
@@ -116,7 +115,7 @@ def cross_ratio_collapse(
     """
     if len(specs) < 2:
         raise ValueError("need at least two geometries to compare")
-    etas = [cross_ratio(spec, use_arc_length) for spec in specs]
+    etas = [cross_ratio(spec) for spec in specs]
     if max(etas) - min(etas) > ETA_TOLERANCE:
         raise ValueError(
             f"cross ratios differ beyond tolerance: spread {max(etas) - min(etas):.3e}"

@@ -994,11 +994,11 @@ def rotated_region(spec: RegionSpec, angle: float) -> RegionSpec:
     return RegionSpec([(a + angle, b + angle) for a, b in spec.arcs])
 
 
-def regularized_entropy(corr, spec: RegionSpec, c: float, use_arc_length: bool = False) -> float:
+def regularized_entropy(corr, spec: RegionSpec, c: float) -> float:
     """(c/6) sum_i ln r_i - S(omega, omega-product); (c/6) ln r for one arc."""
     if c <= 0:
         raise ValueError("central charge must be positive")
-    lengths = interval_lengths(spec, use_arc_length)
+    lengths = interval_lengths(spec)
     geometry = (c / 6.0) * math.fsum(math.log(r) for r in lengths)
     return geometry - product_state_relative_entropy(corr, spec)
 

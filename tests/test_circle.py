@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from entropylab.lattice import (
     LatticeCircle,
     RegionSpec,
-    arc_length,
     arc_sites,
     chord_length,
     cross_ratio,
@@ -154,16 +153,13 @@ def test_lattice_region_errors():
 
 
 def test_chord_versus_arc_length():
+    # The half circle's chord, not its arc length pi.
     assert chord_length(0.0, math.pi) == pytest.approx(2.0)
-    assert arc_length(0.0, math.pi) == pytest.approx(math.pi)
-    # wrapping arc
-    assert arc_length(5.0, 1.0) == pytest.approx(TWO_PI - 4.0)
 
 
 def test_interval_lengths_respect_convention():
     spec = RegionSpec([(0.0, math.pi)])
     assert interval_lengths(spec)[0] == pytest.approx(2.0)
-    assert interval_lengths(spec, use_arc_length=True)[0] == pytest.approx(math.pi)
 
 
 def test_cross_ratio_requires_two_arcs():

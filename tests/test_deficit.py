@@ -32,8 +32,6 @@ def test_deficit_report_fields():
     report = entropy_deficit(corr, TWO_ARCS, c=2.0)
     assert report.n_sites == 128
     assert report.c == 2.0
-    assert report.mu == 1.0
-    assert report.dual_deficit == 0.0
     assert report.eta is not None
     assert len(report.region_lengths) == 2
     assert len(report.complement_lengths) == 2
@@ -69,11 +67,10 @@ def test_deficit_two_routes_agree():
     -(c/6) ln eta - S_region + S_complement, agrees to 1e-12."""
     for n in (256, 1024):
         corr = ground_state_correlations(n)
-        for use_arc_length in (False, True):
-            report = entropy_deficit(corr, TWO_ARCS, c=2.0, use_arc_length=use_arc_length)
-            s_i, s_j = report.s_region, report.s_complement
-            via_eta = -(report.c / 6.0) * math.log(report.eta) - s_i + s_j
-            assert abs(report.deficit - via_eta) <= 1e-12
+        report = entropy_deficit(corr, TWO_ARCS, c=2.0)
+        s_i, s_j = report.s_region, report.s_complement
+        via_eta = -(report.c / 6.0) * math.log(report.eta) - s_i + s_j
+        assert abs(report.deficit - via_eta) <= 1e-12
 
 
 def test_deficit_evaluates_the_shared_union_once(monkeypatch):
@@ -121,13 +118,6 @@ def test_regularized_entropy_single_arc_is_geometry_term():
     lengths = 2.0 * math.sin((1.45 - 0.3) / 2.0)
     got = regularized_entropy(corr, spec, c=2.0)
     assert got == pytest.approx((2.0 / 6.0) * math.log(lengths), abs=1e-12)
-
-
-def test_regularized_entropy_arc_length_convention():
-    corr = ground_state_correlations(64)
-    spec = RegionSpec([(0.3, 1.45)])
-    got = regularized_entropy(corr, spec, c=2.0, use_arc_length=True)
-    assert got == pytest.approx((2.0 / 6.0) * math.log(1.15), abs=1e-12)
 
 
 def test_deficit_shrinks_with_size():

@@ -41,7 +41,6 @@ def test_parse_minimal_duality(tmp_path):
     assert config.arcs == ((0.30, 1.45), (2.65, 4.10))
     # defaults fill in
     assert config.c == 2.0
-    assert config.r_convention == "chord"
     assert config.seed == 0
     assert config.cache_enabled is True
     assert config.out_dir == ""
@@ -148,14 +147,6 @@ def test_sweep_requires_lengths(tmp_path):
     text = "[experiment]\nkind = cross-ratio-sweep\nsizes = 64\narcs = 0.3 1.45, 2.65 4.1\n"
     with pytest.raises(ConfigError, match="sweep_lengths"):
         parse_config(_write(tmp_path, text))
-
-
-def test_r_convention_choices(tmp_path):
-    text = DUALITY + "r_convention = geodesic\n"
-    with pytest.raises(ConfigError, match="chord"):
-        parse_config(_write(tmp_path, text))
-    config = parse_config(_write(tmp_path, DUALITY + "r_convention = arc\n", "b.ini"))
-    assert config.r_convention == "arc"
 
 
 def test_scalar_validation(tmp_path):

@@ -513,7 +513,6 @@ _IN_RANGE = {
     "arcs": "0.30 1.45, 2.65 4.10",
     "right_arcs": "0.50 1.70, 3.00 4.40",
     "c": "1.0",
-    "r_convention": "chord",
     "seed": "3",
     "tolerance": "0.5",
     "instances": "2",
@@ -541,6 +540,19 @@ def test_cli_rejects_a_key_the_kind_does_not_read(tmp_path, capsys, kind, key):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ") and f"'{key}'" in err and f"'{kind}'" in err
+    assert not (tmp_path / "cache").exists()  # nothing was cached
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_cli_rejects_r_convention_as_an_unknown_key(tmp_path, capsys, kind):
+    # Lengths are always chords; no kind reads a length convention.
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(_SMALL[kind] + "r_convention = chord\n")
+    code = main([*_argv(kind), "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and "'r_convention'" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "cache").exists()  # nothing was cached
 
 
@@ -601,11 +613,6 @@ _SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
         ("duality", DUALITY.replace(", 2.65 4.10", "")),
         ("collapse", "[experiment]\nkind = collapse\nsizes = 16 32\narcs = 0.30 0.40, 2.65 4.10\n"),
         ("collapse", "[experiment]\nkind = collapse\nsizes = 16\narcs = 0.3 1, 2 3, 4 5\n"),
-        (
-            "collapse",
-            "[experiment]\nkind = collapse\nsizes = 64 128\narcs = 0.30 1.45, 2.65 4.10\n"
-            "r_convention = arc\nseed = 3\n",
-        ),
         ("two-d", _TWOD.format("0.30 0.35, 2.65 4.10")),
         ("two-d", _TWOD.format("0.30 1.45, 2.65 4.10, 5.0 5.5")),
         ("cross-ratio-sweep", SWEEP.replace("1.45", "0.35")),
@@ -638,7 +645,6 @@ _SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
         "duality-single-arc",
         "collapse-image-arc-without-sites",
         "collapse-three-arcs",
-        "collapse-arc-length-convention",
         "twod-left-arc-without-sites",
         "twod-mismatched-arc-counts",
         "sweep-first-arc-without-sites",
