@@ -70,7 +70,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..regions import arc_range, complement_runs, linear_runs
-from .circle import LatticeCircle, RegionSpec, lattice_region, run_sites
+from .circle import LatticeCircle, RegionSpec, run_sites
 
 EIGENVALUE_SLACK = 1e-8
 _ROUNDING_ULPS = 256  # the dropped-mass tolerance, in ulps of ||B'||_F^2
@@ -336,16 +336,14 @@ def product_state_relative_entropy(
     """
     if memo is None:
         memo = {}
-    circle = LatticeCircle(corr.n_sites)
-    if len(spec.arcs) == 1:
-        lattice_region(circle, spec)
-        return 0.0
-    n = circle.n_sites
+    n = LatticeCircle(corr.n_sites).n_sites
     ranges = [arc_range(n, arc) for arc in spec.arcs]
     for arc, (_, count) in zip(spec.arcs, ranges):
         if count == 0:
             raise ValueError(f"arc ({arc[0]:.4f}, {arc[1]:.4f}) contains no lattice sites")
     if sum(count for _, count in ranges) == n:
         raise ValueError("region leaves no complement sites")
+    if len(ranges) == 1:
+        return 0.0
     total = sum(_pure_state_entropy(corr, linear_runs(n, [part]), memo) for part in ranges)
     return total - _pure_state_entropy(corr, linear_runs(n, ranges), memo)

@@ -13,6 +13,7 @@ from entropylab.findim import (
     dual_weight,
     kosaki_index,
     random_faithful_state,
+    spatial_derivative,
     trace_state,
 )
 from entropylab.findim.identities import random_unitary
@@ -27,6 +28,7 @@ from oracles import (
     pimsner_popa_check,
     quasi_basis,
     random_inclusion,
+    solved_dual_weight,
     symmetric_group_unitaries,
     weyl_unitaries,
 )
@@ -119,34 +121,64 @@ def test_property_closed_form_index_matches_dual_weight_oracle(shapes, seed):
         assert np.linalg.norm(np.asarray(got) - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_singular_density_has_no_finite_index():
+@pytest.mark.parametrize(
+    "evaluate",
+    [kosaki_index, lambda e: dual_weight(e, trace_state(e.source.commutant()))],
+    ids=["kosaki_index", "dual_weight"],
+)
+def test_singular_density_has_no_finite_index(evaluate):
+    """Both closed forms refuse a singular density, from their shared W."""
     h = np.kron(np.eye(2), np.diag([2.0, 0.0]))
     e = ConditionalExpectationMap(build_algebra([(4, 1)]), build_algebra([(2, 2)]), h)
     with pytest.raises(ValueError, match="singular"):
-        kosaki_index(e)
+        evaluate(e)
+
+
+def _assert_exchange(e, phi_c, rng):
+    """Delta(psi E / phi') = Delta(psi / chi) to 1e-9 for chi the dual weight
+    of phi' and three random faithful psi: the one chi serves every psi."""
+    chi = dual_weight(e, phi_c)
+    for _ in range(3):
+        psi = random_faithful_state(e.target, rng)
+        lhs = spatial_derivative(e.pull_back(psi), phi_c)
+        np.testing.assert_allclose(lhs, spatial_derivative(psi, chi), atol=1e-9)
 
 
 def test_dual_weight_solves_derivative_exchange():
-    """The dual weight chi satisfies Delta(psi E / phi') = Delta(psi / chi)."""
-    from entropylab.findim import spatial_derivative
-
+    """The dual weight of the partial trace satisfies the exchange identity."""
     rng = np.random.default_rng(0)
     e = _partial_trace_expectation()
-    phi_c = random_faithful_state(e.source.commutant(), rng)
-    psi = random_faithful_state(e.target, rng)
-    chi = dual_weight(e, phi_c, psi)
-    lhs = spatial_derivative(e.pull_back(psi), phi_c)
-    rhs = spatial_derivative(psi, chi)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+    _assert_exchange(e, random_faithful_state(e.source.commutant(), rng), rng)
 
 
-def test_dual_weight_independent_of_auxiliary():
-    rng = np.random.default_rng(10)
-    e = _partial_trace_expectation()
-    phi_c = random_faithful_state(e.source.commutant(), rng)
-    chi_default = dual_weight(e, phi_c)
-    chi_other = dual_weight(e, phi_c, random_faithful_state(e.target, rng))
-    np.testing.assert_allclose(chi_default.matrix, chi_other.matrix, atol=1e-9)
+@given(inclusions(), st.integers(min_value=0, max_value=2**31 - 1))
+@example(([[1, 2], [0, 1]], [1, 2], [1, 2]), 0)
+@example(([[1, 0], [1, 1], [0, 2]], [2, 1], [2, 1, 1]), 0)
+@settings(max_examples=30, deadline=None)
+def test_property_dual_weight_solves_derivative_exchange(shapes, seed):
+    """The exchange identity on multi-block inclusions with a random density,
+    plain and Haar-rotated."""
+    rng = np.random.default_rng(seed)
+    e = random_inclusion(*shapes, rng)
+    for m in (e, conjugated_expectation(e, random_unitary(e.ambient_dim, rng))):
+        _assert_exchange(m, random_faithful_state(m.source.commutant(), rng), rng)
+
+
+@given(inclusions(), st.integers(min_value=0, max_value=2**31 - 1))
+@example(([[1, 2], [0, 1]], [1, 2], [1, 2]), 0)
+@example(([[2]], [1], [3]), 0)
+@settings(max_examples=30, deadline=None)
+def test_property_dual_weight_matches_oracle_solve(shapes, seed):
+    """The closed-form dual weight equals the block-by-block solve of its
+    defining equation to 1e-12 relative, on multi-block inclusions with a
+    random density and a random weight on M', plain and Haar-rotated."""
+    rng = np.random.default_rng(seed)
+    e = random_inclusion(*shapes, rng)
+    for m in (e, conjugated_expectation(e, random_unitary(e.ambient_dim, rng))):
+        phi_c = random_faithful_state(m.source.commutant(), rng)
+        got = dual_weight(m, phi_c).matrix
+        want = solved_dual_weight(m, phi_c).matrix
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_index_multiplicative_along_tensor_chain():
