@@ -46,9 +46,18 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _random_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def _cyclic_separating_vector(
+    algebra: MatrixBlockAlgebra, rng: np.random.Generator
+) -> VectorStateData:
+    """The first of up to 8 random unit vectors that is cyclic and
+    separating for ``algebra``, as its VectorStateData."""
+    dim = algebra.ambient_dim
+    for _ in range(8):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        cand = VectorStateData(algebra, v / np.linalg.norm(v))
+        if cand.cyclic and cand.separating:
+            return cand
+    raise RuntimeError("failed to sample a cyclic and separating vector")
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +65,7 @@ def _random_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class DifferenceInstance(
-    namedtuple("DifferenceInstance", "algebra omega e1 e2 seed_note", defaults=("",))
+    namedtuple("DifferenceInstance", "algebra omega e1 e2")
 ):
     """An algebra, a vector state on it, and expectations E1 on the algebra
     and E2 on its commutant."""
@@ -85,20 +94,10 @@ def random_difference_instance(
         raise ValueError("side must be 2, 3 or 4 to keep the ambient dimension small")
     algebra = build_algebra([(side, side)])
     dual = algebra.commutant()
-    dim = side * side
-
-    omega = None
-    for _ in range(8):
-        cand = VectorStateData(algebra, _random_vector(dim, rng))
-        if cand.cyclic and cand.separating:
-            omega = cand
-            break
-    if omega is None:
-        raise RuntimeError("failed to sample a cyclic and separating vector")
-
+    omega = _cyclic_separating_vector(algebra, rng)
     u1 = np.kron(random_unitary(side, rng), np.eye(side))
     u2 = np.kron(np.eye(side), random_unitary(side, rng))
-    sub = [(2, 8)] if side == 4 else [(1, dim)]
+    sub = [(2, 8)] if side == 4 else [(1, side * side)]
     e1 = ConditionalExpectationMap(algebra, build_algebra(sub).conjugated(u1))
     # The commutant acts on the second leg; the leg swap moves the same
     # subalgebra there before the rotation.
@@ -170,14 +169,7 @@ def random_chain_instance(rng: np.random.Generator) -> ChainInstance:
     n1, n2, n3 = (build_algebra([b]).conjugated(u) for b in [(8, 2), (4, 4), (2, 8)])
     f1 = ConditionalExpectationMap(n1, n2)
     f2 = ConditionalExpectationMap(n2, n3)
-    omega = None
-    for _ in range(8):
-        cand = VectorStateData(n2, _random_vector(16, rng))
-        if cand.cyclic and cand.separating:
-            omega = cand
-            break
-    if omega is None:
-        raise RuntimeError("failed to sample a cyclic and separating vector")
+    omega = _cyclic_separating_vector(n2, rng)
     return ChainInstance(n1=n1, n2=n2, n3=n3, omega=omega, f1=f1, f2=f2)
 
 
@@ -217,9 +209,7 @@ class IdentityCheckReport(
     __slots__ = ()
 
 
-def check_entropy_identity(
-    which: int, rng: np.random.Generator | None = None
-) -> IdentityCheckReport:
+def check_entropy_identity(which: int, rng: np.random.Generator) -> IdentityCheckReport:
     """Check one of the five textbook properties of relative entropy.
 
     1: chain rule across a trace-preserving expectation,
@@ -235,7 +225,7 @@ def check_entropy_identity(
     if which not in _CHECKS:
         raise ValueError("which must be between 1 and 5")
     check, tolerance = _CHECKS[which]
-    residual, values = check(rng or np.random.default_rng(2024))
+    residual, values = check(rng)
     return IdentityCheckReport(
         which=which,
         residual=residual,

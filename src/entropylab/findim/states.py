@@ -33,6 +33,8 @@ __all__ = [
 
 # Trace deviation tolerated for the "normalized" flag.
 NORMALIZATION_TOL = 1e-10
+# Relative skew a density may have, and norm deviation a unit vector may have.
+ATOL = 1e-10
 # Relative spectral cutoff defining the support of a density.
 SUPPORT_CUTOFF = 1e-12
 
@@ -40,7 +42,7 @@ SUPPORT_CUTOFF = 1e-12
 class WeightDensity:
     """A positive functional on an algebra, held as its intrinsic blocks."""
 
-    def __init__(self, algebra: MatrixBlockAlgebra, matrix: np.ndarray, atol: float = 1e-10):
+    def __init__(self, algebra: MatrixBlockAlgebra, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (algebra.ambient_dim, algebra.ambient_dim):
             raise ValueError("density has wrong shape for the ambient space")
@@ -48,15 +50,15 @@ class WeightDensity:
         scale = max(1.0, float(np.linalg.norm(matrix)))
         if float(np.linalg.norm(algebra.embed_blocks(parts) - matrix)) > 1e-10 * scale:
             raise ValueError("density does not lie in the algebra")
-        self._settle(algebra, [p * m for p, (_, m) in zip(parts, algebra.blocks)], atol)
+        self._settle(algebra, [p * m for p, (_, m) in zip(parts, algebra.blocks)])
         self.matrix = (matrix + matrix.conj().T) / 2  # fills the cached property
 
-    def _settle(self, algebra: MatrixBlockAlgebra, blocks: list[np.ndarray], atol: float):
+    def _settle(self, algebra: MatrixBlockAlgebra, blocks: list[np.ndarray]):
         # block k embeds as V*(rho/m kron 1_m)V, of squared norm ||rho||^2 / m
         mults = [m for _, m in algebra.blocks]
         skew = sum(np.linalg.norm(r - r.conj().T) ** 2 / m for r, m in zip(blocks, mults))
         size = sum(np.linalg.norm(r) ** 2 / m for r, m in zip(blocks, mults))
-        if skew > atol**2 * max(1.0, size):
+        if skew > ATOL**2 * max(1.0, size):
             raise ValueError("density is not self-adjoint")
         self.algebra = algebra
         self._blocks = [(r + r.conj().T) / 2 for r in blocks]
@@ -121,7 +123,7 @@ class WeightDensity:
         cls, algebra: MatrixBlockAlgebra, blocks: list[np.ndarray]
     ) -> "WeightDensity":
         self = cls.__new__(cls)
-        self._settle(algebra, [np.asarray(rho, dtype=complex) for rho in blocks], 1e-10)
+        self._settle(algebra, [np.asarray(rho, dtype=complex) for rho in blocks])
         return self
 
     def __repr__(self) -> str:
@@ -167,12 +169,12 @@ class VectorStateData:
     per coefficient matrix that both share.
     """
 
-    def __init__(self, algebra: MatrixBlockAlgebra, vector: np.ndarray, atol: float = 1e-10):
+    def __init__(self, algebra: MatrixBlockAlgebra, vector: np.ndarray):
         vector = np.asarray(vector, dtype=complex).reshape(-1)
         if vector.shape[0] != algebra.ambient_dim:
             raise ValueError("vector dimension mismatch")
         norm = float(np.linalg.norm(vector))
-        if abs(norm - 1.0) > atol:
+        if abs(norm - 1.0) > ATOL:
             raise ValueError(f"vector is not normalised (norm {norm})")
         self.algebra = algebra
         self.vector = vector

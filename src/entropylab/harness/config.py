@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from ..regions import RegionSpec, arc_range, shrink_arcs, swept_arcs
+from ..regions import RegionSpec, arc_range, check_size, shrink_arcs, site_ranges, swept_arcs
 
 
 class ConfigError(Exception):
@@ -199,18 +199,18 @@ def _region(arcs, what: str) -> RegionSpec:
 
 
 def check_sites(sizes, regions, last=None) -> None:
-    """Raise ConfigError unless at every size each arc of each region holds a
-    site and each region leaves one outside it; ``last``, the final shrink
-    step, may leave its scheduled arc empty (the step then equals the target)."""
+    """Raise ConfigError where ``regions.site_ranges`` refuses a region at a
+    size.  ``last``, the final shrink step, is checked only at the sizes
+    where its scheduled arc holds a site; elsewhere the step equals the
+    target.  Its fixed arcs are among ``regions``, so an arc of ``last``
+    without sites at a size that passed them is the scheduled one."""
     for n in sizes:
-        for spec in [*regions, last] if last else regions:
-            counts = [arc_range(n, arc)[1] for arc in spec.arcs]
-            if 0 in counts and spec is not last:
-                a, b = spec.arcs[counts.index(0)]
-                raise ConfigError(f"arc ({a:.4g}, {b:.4g}) holds no sites at N = {n}")
-            if sum(counts) == n:
-                arcs = ", ".join(f"({a:.4g}, {b:.4g})" for a, b in spec.arcs)
-                raise ConfigError(f"region {arcs} leaves no site outside it at N = {n}")
+        step = [last] if last and all(arc_range(n, arc)[1] for arc in last.arcs) else []
+        for spec in [*regions, *step]:
+            try:
+                site_ranges(n, spec)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 def _check_regions(config: ExperimentConfig, keys) -> None:
@@ -256,8 +256,10 @@ def validate_config(config: ExperimentConfig, given=()) -> None:
         if key in keys and not getattr(config, key):
             raise ConfigError(f"'{config.kind}' requires '{key}'")
     for n in config.sizes:
-        if n % 2 or n < 8:
-            raise ConfigError(f"sizes must be even and at least 8, got {n}")
+        try:
+            check_size(n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if any(b <= a for a, b in zip(config.sizes, config.sizes[1:])):
         raise ConfigError("sizes must be strictly increasing")
     fewest, most = kind.arcs

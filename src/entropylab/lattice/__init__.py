@@ -6,14 +6,11 @@ every computing CLI call.
 """
 
 from .circle import (
-    LatticeCircle,
     RegionSpec,
-    arc_sites,
     chord_length,
     cross_ratio,
     equal_eta_family,
     interval_lengths,
-    lattice_region,
     mobius_region,
 )
 from .deficit import DeficitReport, entropy_deficit
@@ -38,14 +35,11 @@ from .scaling import (
 )
 
 __all__ = [
-    "LatticeCircle",
     "RegionSpec",
-    "arc_sites",
     "chord_length",
     "cross_ratio",
     "equal_eta_family",
     "interval_lengths",
-    "lattice_region",
     "mobius_region",
     "DeficitReport",
     "entropy_deficit",

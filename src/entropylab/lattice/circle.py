@@ -1,71 +1,33 @@
-"""Circle geometry: lattice sites, arc regions and conformal invariants.
+"""Circle geometry: lengths, cross ratios and Moebius images of arc regions.
 
-Regions are unions of arcs given in continuum angles; lattice sites are
-assigned by a half-open convention so that a region and its complement
-always partition the chain.  ``arc_sites`` and ``lattice_region`` expand
-the runs that ``regions.linear_runs`` makes of ``regions.arc_range``.
-Lengths are chords |e^{ia} - e^{ib}|, the conformal distance on the
-circle: only with it do the UV terms of a region and its complement cancel
-and is the two-interval cross ratio Moebius invariant.  Lengths and the
-cross ratio are computed from the continuum endpoints, never from site
-counts.
+Regions are unions of arcs given in continuum angles.
+``entropylab.regions`` assigns their lattice sites, by a half-open
+convention so that a region and its complement always partition the
+chain, and holds the chain-size rule and the site checks.  Lengths are
+chords |e^{ia} - e^{ib}|, the conformal distance on the circle: only with
+it do the UV terms of a region and its complement cancel and is the
+two-interval cross ratio Moebius invariant.  Lengths and the cross ratio
+are computed from the continuum endpoints, never from site counts.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
-from ..regions import TWO_PI, RegionSpec, arc_range, linear_runs
+from ..regions import TWO_PI, RegionSpec
 
 MAX_PULL = 0.45  # the largest |pull| of an equal_eta_family image
 
 __all__ = [
-    "LatticeCircle",
     "RegionSpec",
-    "lattice_region",
-    "arc_sites",
     "chord_length",
     "interval_lengths",
     "cross_ratio",
     "mobius_region",
     "equal_eta_family",
 ]
-
-
-class LatticeCircle(namedtuple("LatticeCircle", "n_sites")):
-    """Evenly spaced sites on the unit circle, antiperiodic fermion sector."""
-
-    __slots__ = ()
-
-    def __new__(cls, n_sites: int):
-        if n_sites < 8 or n_sites % 2:
-            raise ValueError("site count must be even and at least 8")
-        return super().__new__(cls, n_sites)
-
-
-def run_sites(runs, step: int = 1) -> np.ndarray:
-    """The sites of ``(first, count)`` runs with the given step, in run order."""
-    parts = [np.arange(first, first + step * count, step) for first, count in runs]
-    return np.concatenate(parts) if parts else np.arange(0)
-
-
-def arc_sites(circle: LatticeCircle, arc: tuple[float, float]) -> np.ndarray:
-    """Sorted sites with angle in [a, b), where an arc with b <= a wraps through 0."""
-    return run_sites(linear_runs(circle.n_sites, [arc_range(circle.n_sites, arc)]))
-
-
-def lattice_region(circle: LatticeCircle, spec: RegionSpec) -> np.ndarray:
-    """Sorted site indices of the region; errors on empty region or complement."""
-    n = circle.n_sites
-    sites = run_sites(linear_runs(n, [arc_range(n, arc) for arc in spec.arcs]))
-    if sites.size == 0:
-        raise ValueError("region resolves to fewer than 1 site")
-    if sites.size == n:
-        raise ValueError("region leaves no complement sites")
-    return sites
 
 
 def chord_length(a: float, b: float) -> float:

@@ -55,7 +55,9 @@ def shrink_experiment(
     left endpoint and its length is replaced by each schedule entry in
     turn.  The target is the product-state relative entropy of the
     remaining arcs alone, which the value approaches as the scheduled arc
-    shrinks away.  Only the final step may leave the arc without sites.
+    shrinks away.  Only the final step may leave the arc without sites, and
+    then equals the target; at an earlier step ``product_state_relative_entropy``
+    raises ValueError.
     """
     if not schedule:
         raise ValueError("empty schedule")
@@ -73,9 +75,7 @@ def shrink_experiment(
         if not 0 < length < TWO_PI:
             raise ValueError("schedule lengths must lie strictly between 0 and 2*pi")
         occupied = arc_range(corr.n_sites, arc)[1]
-        if occupied == 0:
-            if position != len(schedule) - 1:
-                raise ValueError("schedule empties the arc before the final step")
+        if occupied == 0 and position == len(schedule) - 1:
             value = target
         else:
             value = product_state_relative_entropy(corr, RegionSpec(others + [arc]), memo)
@@ -88,13 +88,15 @@ def shrink_experiment(
             )
         )
 
-    gaps = [s.gap for s in steps]
-    monotone_from = len(steps) - 1
-    for k in range(len(steps)):
-        if all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(k, len(steps) - 1)):
-            monotone_from = k
-            break
+    monotone_from = _monotone_from([s.gap for s in steps])
     return ShrinkReport(steps=tuple(steps), target=target, monotone_from=monotone_from)
+
+
+def _monotone_from(gaps) -> int:
+    """The least k from which no gap exceeds the one before it by more than
+    1e-12: one past the last such rise, or 0 if there is none."""
+    rises = (i for i in reversed(range(len(gaps) - 1)) if gaps[i + 1] > gaps[i] + 1e-12)
+    return next(rises, -1) + 1
 
 
 class CollapseReport(namedtuple("CollapseReport", "eta values spread")):

@@ -69,8 +69,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..regions import arc_range, complement_runs, linear_runs
-from .circle import LatticeCircle, RegionSpec, run_sites
+from ..regions import RegionSpec, check_size, complement_runs, linear_runs, site_ranges
 
 EIGENVALUE_SLACK = 1e-8
 _ROUNDING_ULPS = 256  # the dropped-mass tolerance, in ulps of ||B'||_F^2
@@ -95,8 +94,7 @@ class CorrelationMatrix(namedtuple("CorrelationMatrix", "n_sites")):
     __slots__ = ()
 
     def __new__(cls, n_sites: int):
-        if n_sites % 2 or n_sites < 4:
-            raise ValueError("site count must be even and at least 4")
+        check_size(n_sites)
         return super().__new__(cls, n_sites)
 
 
@@ -104,6 +102,12 @@ class CorrelationMatrix(namedtuple("CorrelationMatrix", "n_sites")):
 def ground_state_correlations(n_sites: int) -> CorrelationMatrix:
     """Spectral projector onto the filled (negative-energy) NS modes."""
     return CorrelationMatrix(n_sites)
+
+
+def run_sites(runs, step: int = 1) -> np.ndarray:
+    """The sites of ``(first, count)`` runs with the given step, in run order."""
+    parts = [np.arange(first, first + step * count, step) for first, count in runs]
+    return np.concatenate(parts) if parts else np.arange(0)
 
 
 @lru_cache(maxsize=8)
@@ -328,7 +332,8 @@ def product_state_relative_entropy(
     """S(omega, omega_I1 x ... x omega_In) = sum_k S(I_k) - S(union).
 
     Equals the mutual information for two arcs and vanishes for one.
-    Every arc must contain at least one site.  Each entropy is evaluated on
+    ``regions.site_ranges`` raises ValueError unless every arc holds a site
+    and the region leaves one outside it.  Each entropy is evaluated on
     the smaller of the site set and its complement (purity).  Calls that
     share one ``memo`` dict evaluate each such set once: a region and its
     complement share their union entropy, and a fixed arc is evaluated
@@ -336,13 +341,8 @@ def product_state_relative_entropy(
     """
     if memo is None:
         memo = {}
-    n = LatticeCircle(corr.n_sites).n_sites
-    ranges = [arc_range(n, arc) for arc in spec.arcs]
-    for arc, (_, count) in zip(spec.arcs, ranges):
-        if count == 0:
-            raise ValueError(f"arc ({arc[0]:.4f}, {arc[1]:.4f}) contains no lattice sites")
-    if sum(count for _, count in ranges) == n:
-        raise ValueError("region leaves no complement sites")
+    n = corr.n_sites
+    ranges = site_ranges(n, spec)
     if len(ranges) == 1:
         return 0.0
     total = sum(_pure_state_entropy(corr, linear_runs(n, [part]), memo) for part in ranges)

@@ -2,7 +2,10 @@
 
 Standard library only, so that the harness checks a config's arcs by the
 separation and arc -> site rules the lattice engine builds its regions
-with, without loading numpy.  ``swept_arcs`` and ``shrink_arcs`` are the
+with, without loading numpy.  ``check_size`` is the one chain-size rule
+and ``site_ranges`` the one site check, that every arc holds a site and
+the region leaves one outside it: the config and the lattice both raise
+their errors.  ``swept_arcs`` and ``shrink_arcs`` are the
 one formula each for the regions a cross-ratio sweep and a shrink run
 evaluate: the config check and the run both build them here.
 ``linear_runs`` and ``complement_runs`` build the lattice's one region
@@ -20,9 +23,11 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "RegionSpec",
     "arc_range",
+    "check_size",
     "complement_runs",
     "linear_runs",
     "shrink_arcs",
+    "site_ranges",
     "swept_arcs",
 ]
 
@@ -96,6 +101,29 @@ def arc_range(n: int, arc: tuple[float, float]) -> tuple[int, int]:
     a, b = arc
     lo, hi = first_at(a), first_at(b)
     return lo % n, hi - lo if a < b else n - lo + hi
+
+
+def check_size(n: int) -> None:
+    """Raise ValueError unless N = ``n`` is a chain size: even, so that the
+    chain fills half its modes with no zero mode, and at least 8."""
+    if n % 2 or n < 8:
+        raise ValueError(f"sizes must be even and at least 8, got {n}")
+
+
+def site_ranges(n: int, spec: RegionSpec) -> list[tuple[int, int]]:
+    """The ``arc_range`` of each arc of ``spec`` on N = ``n`` sites.
+
+    Raises ValueError unless every arc holds a site and the region leaves
+    a site outside it, the sites its complement needs.
+    """
+    ranges = [arc_range(n, arc) for arc in spec.arcs]
+    for (a, b), (_, count) in zip(spec.arcs, ranges):
+        if count == 0:
+            raise ValueError(f"arc ({a:.4g}, {b:.4g}) holds no sites at N = {n}")
+    if sum(count for _, count in ranges) == n:
+        arcs = ", ".join(f"({a:.4g}, {b:.4g})" for a, b in spec.arcs)
+        raise ValueError(f"region {arcs} leaves no site outside it at N = {n}")
+    return ranges
 
 
 def linear_runs(n: int, ranges) -> tuple[tuple[int, int], ...]:

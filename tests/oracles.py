@@ -3,7 +3,8 @@
 Everything here except ``solved_dual_weight``, ``dual_weight_index``,
 ``quasi_basis``, ``pimsner_popa_check``, ``leg_average``,
 ``group_average_expectation`` and ``algebra_from_basis``,
-``modular_flow``, ``connes_cocycle``, the instance constructor
+``modular_flow``, ``connes_cocycle``, ``arc_sites``, ``lattice_region``,
+the instance constructor
 ``random_inclusion``, ``basis_distance_by_element``, ``validate`` and
 the expectations it certifies,
 ``regularized_entropy``, ``hashlib_config_hash`` and the exact
@@ -44,7 +45,7 @@ the Weyl-group oracle ``leg_average``, are compared against;
 regular representations of the index battery's groups.
 ``exact_diagonalization_entropies`` builds the
 2^N ground state from the Slater determinant of ``hopping_matrix``; it
-takes only the arc-to-site assignment from the package's circle geometry,
+takes only the arc-to-site assignment from the package's ``regions``,
 never the Gaussian kernel.  ``basis_distance_by_element`` is the largest
 distance of one algebra's basis elements from another's span, one package
 projection per element; ``validate`` reads N in M from it.
@@ -57,6 +58,10 @@ its support; no run reaches them, and the tests hold them to
 ``conjugation_flow`` and the cocycle identities.
 ``mask_arc_sites`` is the arc-to-site rule as a float mask over all N site
 angles, the reference that the package's ``arc_range`` must reproduce.
+``arc_sites`` and ``lattice_region`` expand the package's ``arc_range``
+and ``site_ranges`` into site arrays, for tests that hand sites to
+``region_entropy``; ``lattice_region`` refuses what the package's size
+and site checks refuse.
 ``split_runs`` cuts sorted sites into runs with ``np.diff`` and
 ``np.split``, and ``mask_coupling_runs`` finds the lattice kernel's
 parity sides R and F by a sort, a parity split and a mask over N/2
@@ -107,14 +112,12 @@ from entropylab.findim.algebras import _lift
 from entropylab.findim.spatial import _support_power, spatial_derivative
 from entropylab.findim.states import _on
 from entropylab.lattice import (
-    LatticeCircle,
     RegionSpec,
-    arc_sites,
     gaussian,
     interval_lengths,
-    lattice_region,
     product_state_relative_entropy,
 )
+from entropylab.regions import arc_range, check_size, linear_runs, site_ranges
 
 _EPS = 1e-12
 AXIOM_TOL = 1e-10
@@ -1030,6 +1033,19 @@ def mask_arc_sites(n_sites: int, arc: tuple[float, float]) -> np.ndarray:
     return np.nonzero((theta >= a) | (theta < b))[0]
 
 
+def arc_sites(n_sites: int, arc: tuple[float, float]) -> np.ndarray:
+    """Sorted sites of ``arc`` on N sites by the package's ``arc_range``."""
+    return gaussian.run_sites(linear_runs(n_sites, [arc_range(n_sites, arc)]))
+
+
+def lattice_region(n_sites: int, spec: RegionSpec) -> np.ndarray:
+    """Sorted sites of the region on N sites; ValueError, raised by the
+    package's ``check_size`` and ``site_ranges``, unless N is a chain size,
+    every arc holds a site and the region leaves one outside it."""
+    check_size(n_sites)
+    return gaussian.run_sites(linear_runs(n_sites, site_ranges(n_sites, spec)))
+
+
 def rotated_region(spec: RegionSpec, angle: float) -> RegionSpec:
     """The region turned by ``angle`` around the circle."""
     return RegionSpec([(a + angle, b + angle) for a, b in spec.arcs])
@@ -1206,15 +1222,9 @@ def exact_diagonalization_entropies(n_sites: int, spec: RegionSpec) -> ExactEntr
     """Exact S(region) and S(omega, omega-product) from the 2^N ground state."""
     if n_sites > MAX_EXACT_SITES:
         raise ValueError(f"exact construction is limited to {MAX_EXACT_SITES} sites")
-    circle = LatticeCircle(n_sites)
     orbitals = ground_orbitals(n_sites)
-    union = lattice_region(circle, spec)
-    arcs = []
-    for arc in spec.arcs:
-        sites = arc_sites(circle, arc)
-        if sites.size == 0:
-            raise ValueError(f"arc ({arc[0]:.4f}, {arc[1]:.4f}) contains no lattice sites")
-        arcs.append(sites)
+    union = lattice_region(n_sites, spec)
+    arcs = [arc_sites(n_sites, arc) for arc in spec.arcs]
     union_entropy = _reduced_entropy(orbitals, union)
     arc_values = tuple(_reduced_entropy(orbitals, sites) for sites in arcs)
     product_rel = math.fsum(arc_values) - union_entropy if len(arcs) > 1 else 0.0

@@ -31,7 +31,6 @@ from entropylab.harness import ExperimentConfig
 from entropylab.harness.findim_runs import index_targets
 from entropylab.harness.runner import run_experiment
 from entropylab.lattice import (
-    LatticeCircle,
     RegionSpec,
     central_charge_fit,
     cross_ratio_collapse,
@@ -39,13 +38,13 @@ from entropylab.lattice import (
     equal_eta_family,
     finite_size_extrapolate,
     ground_state_correlations,
-    lattice_region,
     product_state_relative_entropy,
     region_entropy,
     shrink_experiment,
 )
 from oracles import (
     exact_diagonalization_entropies,
+    lattice_region,
     leg_average,
     pimsner_popa_check,
     quasi_basis,
@@ -209,7 +208,6 @@ def test_criterion_06_gaussian_matches_exact_diagonalization():
     t0 = time.perf_counter()
     for n in (8, 10):
         corr = ground_state_correlations(n)
-        circle = LatticeCircle(n)
         rng = np.random.default_rng([108, n])
         attempts = 0
         while checked < (12 if n == 8 else 24) and attempts < 80:
@@ -217,7 +215,7 @@ def test_criterion_06_gaussian_matches_exact_diagonalization():
             try:
                 spec = _random_spec(rng)
                 exact = exact_diagonalization_entropies(n, spec)
-                sites = lattice_region(circle, spec)
+                sites = lattice_region(n, spec)
             except ValueError:
                 continue
             gap = abs(exact.region_entropy - region_entropy(corr, sites))
@@ -247,15 +245,14 @@ def test_criterion_06_gaussian_matches_exact_diagonalization():
 def test_criterion_07_purity_region_vs_complement():
     n = 512
     corr = ground_state_correlations(n)
-    circle = LatticeCircle(n)
     rng = np.random.default_rng(109)
     worst = 0.0
     checked = 0
     while checked < 50:
         try:
             spec = _random_spec(rng, max_arcs=3)
-            inside = lattice_region(circle, spec)
-            outside = lattice_region(circle, spec.complement())
+            inside = lattice_region(n, spec)
+            outside = lattice_region(n, spec.complement())
         except ValueError:
             continue
         gap = abs(region_entropy(corr, inside) - region_entropy(corr, outside))
@@ -293,12 +290,11 @@ def test_criterion_08_two_interval_deficit_vanishes():
 def test_criterion_09_central_charge_at_large_size():
     n = 2048
     corr = ground_state_correlations(n)
-    circle = LatticeCircle(n)
     lengths = [n // 16, n // 8, 3 * n // 16, n // 4, 3 * n // 8, n // 2]
     entropies = []
     for l in lengths:
         spec = RegionSpec([(0.0, 2.0 * math.pi * l / n - 1e-9)])
-        entropies.append(region_entropy(corr, lattice_region(circle, spec)))
+        entropies.append(region_entropy(corr, lattice_region(n, spec)))
     fit = central_charge_fit(lengths, entropies, n)
     err = abs(fit.c_hat - 1.0)
     ok = err <= 0.02

@@ -6,18 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropylab.lattice import (
-    LatticeCircle,
     RegionSpec,
-    arc_sites,
     chord_length,
     cross_ratio,
     equal_eta_family,
     interval_lengths,
-    lattice_region,
     mobius_region,
 )
 from entropylab.regions import arc_range, complement_runs, linear_runs
-from oracles import mask_arc_sites, rotated_region
+from oracles import arc_sites, lattice_region, mask_arc_sites, rotated_region
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,8 +92,7 @@ def test_complement_of_single_arc_wraps():
 
 
 def test_arc_sites_half_open():
-    circle = LatticeCircle(8)  # sites at k*pi/4
-    sites = arc_sites(circle, (0.0, math.pi / 2))
+    sites = arc_sites(8, (0.0, math.pi / 2))  # sites at k*pi/4
     # includes theta = 0 (start), excludes theta = pi/2 (end)
     assert list(sites) == [0, 1]
 
@@ -132,24 +128,22 @@ def test_property_arc_range_is_the_float_mask(case):
     expected = mask_arc_sites(n, arc)
     assert 0 <= first < n and 0 <= count <= n
     assert sorted((first + j) % n for j in range(count)) == expected.tolist()
-    sites = arc_sites(LatticeCircle(n), arc)
+    sites = arc_sites(n, arc)
     assert sites.dtype == expected.dtype and np.array_equal(sites, expected)
 
 
 def test_lattice_region_and_complement_partition():
-    circle = LatticeCircle(16)
     spec = RegionSpec([(0.3, 1.45), (2.65, 4.1)])
-    inside = lattice_region(circle, spec)
-    outside = lattice_region(circle, spec.complement())
+    inside = lattice_region(16, spec)
+    outside = lattice_region(16, spec.complement())
     assert sorted(np.concatenate([inside, outside]).tolist()) == list(range(16))
 
 
 def test_lattice_region_errors():
-    circle = LatticeCircle(8)
-    with pytest.raises(ValueError):
-        lattice_region(circle, RegionSpec([(0.01, 0.02)]))  # no site inside
-    with pytest.raises(ValueError):
-        lattice_region(circle, RegionSpec([(0.0, TWO_PI - 1e-9)]))  # empty complement
+    with pytest.raises(ValueError, match="holds no sites at N = 8"):
+        lattice_region(8, RegionSpec([(0.01, 0.02)]))  # no site inside
+    with pytest.raises(ValueError, match="leaves no site outside it at N = 8"):
+        lattice_region(8, RegionSpec([(0.0, TWO_PI - 1e-9)]))  # empty complement
 
 
 def test_chord_versus_arc_length():

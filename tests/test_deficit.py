@@ -16,13 +16,11 @@ from entropylab.lattice import (
     entropy_deficit,
     finite_size_extrapolate,
     ground_state_correlations,
-    lattice_region,
     product_state_relative_entropy,
     region_entropy,
 )
 from entropylab.lattice import gaussian
-from entropylab.lattice.circle import LatticeCircle
-from oracles import regularized_entropy
+from oracles import lattice_region, regularized_entropy
 
 TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
 
@@ -147,12 +145,11 @@ def test_two_dimensional_deficit_is_additive():
 def test_central_charge_fit_near_unity():
     n = 512
     corr = ground_state_correlations(n)
-    circle = LatticeCircle(n)
     lengths = [n // 16, n // 8, 3 * n // 16, n // 4, 3 * n // 8, n // 2]
     entropies = []
     for l in lengths:
         spec = RegionSpec([(0.0, 2.0 * math.pi * l / n - 1e-9)])
-        entropies.append(region_entropy(corr, lattice_region(circle, spec)))
+        entropies.append(region_entropy(corr, lattice_region(n, spec)))
     fit = central_charge_fit(lengths, entropies, n)
     assert fit.c_hat == pytest.approx(1.0, abs=0.02)
     assert fit.n_sites == n

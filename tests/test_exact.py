@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from entropylab.lattice import (
-    LatticeCircle,
     RegionSpec,
     ground_state_correlations,
-    lattice_region,
     product_state_relative_entropy,
     region_entropy,
 )
 
 import oracles
-from oracles import exact_diagonalization_entropies
+from oracles import exact_diagonalization_entropies, lattice_region
 
 
 def _random_two_arc_spec(rng):
@@ -27,12 +25,11 @@ def _random_two_arc_spec(rng):
 def test_exact_region_entropy_matches_gaussian_n8():
     rng = np.random.default_rng(0)
     corr = ground_state_correlations(8)
-    circle = LatticeCircle(8)
     checked = 0
     for _ in range(8):
         spec = _random_two_arc_spec(rng)
         try:
-            sites = lattice_region(circle, spec)
+            sites = lattice_region(8, spec)
             exact = exact_diagonalization_entropies(8, spec)
         except ValueError:
             continue

@@ -1,7 +1,11 @@
 """Shrinking-interval and cross-ratio-collapse experiments."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entropylab.lattice import (
     RegionSpec,
@@ -15,6 +19,7 @@ from entropylab.lattice import (
 )
 from entropylab.harness import ExperimentConfig, run_experiment
 from entropylab.lattice import gaussian
+from entropylab.lattice.experiments import _monotone_from
 
 THREE_ARCS = RegionSpec([(0.2, 1.1), (2.0, 2.9), (4.1, 5.3)])
 SCHEDULE = [0.9 * 0.62**k for k in range(8)]
@@ -98,8 +103,32 @@ def test_shrink_final_step_may_empty_the_arc():
 def test_shrink_rejects_early_empty_step():
     corr = ground_state_correlations(64)
     tiny = 2.0 * np.pi / 64 / 10.0
-    with pytest.raises(ValueError, match="before the final step"):
+    # the shared site check of product_state_relative_entropy refuses it
+    with pytest.raises(ValueError, match=r"^arc \(0.2, 0.2098\) holds no sites at N = 64$"):
         shrink_experiment(corr, THREE_ARCS, arc_index=0, schedule=[tiny, 0.9])
+
+
+def _monotone_from_by_definition(gaps) -> int:
+    """The least k such that gaps[i + 1] <= gaps[i] + 1e-12 for every i >= k."""
+    return next(
+        k
+        for k in range(len(gaps))
+        if all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(k, len(gaps) - 1))
+    )
+
+
+_GAP_STEPS = st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, 2e-12, 1e-3, -1e-3]) | st.floats(-1.0, 1.0)
+
+
+@given(st.floats(-1.0, 1.0), st.lists(_GAP_STEPS, max_size=12))
+@example(0.5, [])  # one step
+@example(0.5, [0.0, 0.0])  # ties
+@example(0.5, [5e-13, -1e-3, 5e-13])  # rises below 1e-12
+@example(0.5, [1e-3, -1e-3, 0.0])
+@settings(max_examples=300, deadline=None)
+def test_property_monotone_from_is_the_definition(start, steps):
+    gaps = list(accumulate(steps, initial=start))
+    assert _monotone_from(gaps) == _monotone_from_by_definition(gaps)
 
 
 def test_shrink_input_validation():

@@ -1,6 +1,7 @@
 """Correlation matrices and Gaussian entropies, checked against the dense
 eigensolve oracle and a full many-body construction at small size."""
 
+import re
 import tracemalloc
 from contextlib import contextmanager
 
@@ -11,16 +12,14 @@ from hypothesis import strategies as st
 
 from entropylab.lattice import gaussian
 from entropylab.lattice import (
-    LatticeCircle,
     RegionSpec,
     ground_state_correlations,
-    lattice_region,
     product_state_relative_entropy,
     region_entropy,
 )
 
 import oracles
-from oracles import hopping_matrix, rotated_region, split_runs
+from oracles import arc_sites, hopping_matrix, lattice_region, rotated_region, split_runs
 
 
 def test_hopping_matrix_is_hermitian_antiperiodic():
@@ -71,10 +70,9 @@ def test_correlations_match_many_body_ground_state():
 
 
 def test_correlations_rejects_odd_or_tiny():
-    with pytest.raises(ValueError):
-        ground_state_correlations(7)
-    with pytest.raises(ValueError):
-        ground_state_correlations(2)
+    for n in (2, 4, 6, 7):
+        with pytest.raises(ValueError, match=f"^sizes must be even and at least 8, got {n}$"):
+            ground_state_correlations(n)
 
 
 def test_correlations_are_cached():
@@ -132,7 +130,7 @@ def test_coupling_block_is_bitwise_the_in_place_formula():
                 cases.append((n, sites[sites % 2 == parity], cols))
     cases.append((64, np.array([], dtype=int), np.arange(1, 64, 2)))  # |R| = 0
     cases.append((64, np.array([0, 2]), np.array([], dtype=int)))  # |F| = 0
-    cases.append((4096, *_coupling_sides(4096, _union(4096, TWO_ARCS))))
+    cases.append((4096, *_coupling_sides(4096, lattice_region(4096, TWO_ARCS))))
     for n, rows, cols in cases:
         want = oracles.even_odd_block(n, rows, cols)
         heights = {1, 3, max(rows.size, 1)}
@@ -189,7 +187,7 @@ def test_region_entropy_rejects_repeated_sites(repeated):
 
 def test_region_entropy_does_not_depend_on_site_order():
     n = 1024
-    sites = _union(n, THREE_ARCS)
+    sites = lattice_region(n, THREE_ARCS)
     shuffled = np.random.default_rng(3).permutation(sites)
     corr = ground_state_correlations(n)
     assert region_entropy(corr, shuffled) == region_entropy(corr, sites)
@@ -266,10 +264,6 @@ def _arc_unions(draw):
     return n, np.unique(np.concatenate([(a + np.arange(l)) % n for a, l in arcs]))
 
 
-def _union(n, spec):
-    return lattice_region(LatticeCircle(n), spec)
-
-
 THREE_ARCS = RegionSpec([(0.2, 0.9), (1.6, 2.8), (3.5, 5.0)])
 TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
 
@@ -322,8 +316,14 @@ def test_run_arithmetic_is_the_array_route(case):
     corr = ground_state_correlations(n)
     parts = [oracles.mask_arc_sites(n, arc) for arc in spec.arcs]
     union = np.sort(np.concatenate(parts))
-    if min(p.size for p in parts) == 0 or union.size == n:
-        with pytest.raises(ValueError, match="no lattice sites|fewer than 1 site|no complement"):
+    empty = [arc for arc, sites in zip(spec.arcs, parts) if sites.size == 0]
+    if empty or union.size == n:
+        if empty:
+            (a, b) = empty[0]
+            message = re.escape(f"arc ({a:.4g}, {b:.4g}) holds no sites at N = {n}")
+        else:
+            message = rf"region .* leaves no site outside it at N = {n}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             product_state_relative_entropy(corr, spec)
         return
     for sites in (*parts, union):
@@ -350,9 +350,9 @@ def test_run_arithmetic_is_the_array_route(case):
 @example((1024, np.arange(40, 80)))
 @example((256, np.arange(128)))  # exactly half the chain
 @example((256, np.arange(77, 205)))
-@example((512, _union(512, THREE_ARCS)))
-@example((2048, _union(2048, THREE_ARCS)))
-@example((4096, _union(4096, TWO_ARCS)))
+@example((512, lattice_region(512, THREE_ARCS)))
+@example((2048, lattice_region(2048, THREE_ARCS)))
+@example((4096, lattice_region(4096, TWO_ARCS)))
 @settings(max_examples=40, deadline=None)
 def test_kernel_entropy_matches_gram_eigensolve(case):
     n, sites = case
@@ -365,8 +365,8 @@ def test_kernel_entropy_matches_gram_eigensolve(case):
     [
         (64, np.array([0, 5, 6, 17, 40, 41, 63])),
         (1024, np.arange(300)),
-        (512, _union(512, THREE_ARCS)),
-        (4096, _union(4096, TWO_ARCS)),
+        (512, lattice_region(512, THREE_ARCS)),
+        (4096, lattice_region(4096, TWO_ARCS)),
     ],
 )
 def test_streamed_range_finder_matches_the_whole_block(n, sites, monkeypatch):
@@ -428,7 +428,7 @@ def _certified(n, rows, cols, dropped):
 def test_endpoint_skeleton_takes_one_sweep_and_one_qr(n, spec, shape, width, monkeypatch):
     """An arc and a TWO_ARCS union meet the certificate with their first
     skeleton: one QR of a range narrower than R, one sweep."""
-    rows, cols = _coupling_sides(n, _union(n, spec))
+    rows, cols = _coupling_sides(n, lattice_region(n, spec))
     assert (rows.size, cols.size) == shape
     counts = _count_sweeps_and_qrs(monkeypatch)
     lam, dropped = _spectrum(n, rows, cols)
@@ -440,7 +440,7 @@ def test_endpoint_skeleton_takes_one_sweep_and_one_qr(n, spec, shape, width, mon
     "n, sites, shape",
     [
         (256, np.arange(128), (64, 64)),  # half the chain, one run each
-        (1024, _union(1024, TWO_ARCS), (212, 299)),
+        (1024, lattice_region(1024, TWO_ARCS), (212, 299)),
     ],
 )
 def test_some_sets_need_the_half_octave_skeleton(n, sites, shape, monkeypatch):
@@ -472,8 +472,8 @@ def test_scattered_sites_take_one_sweep_and_match_the_gram_eigensolve(monkeypatc
 @pytest.mark.parametrize(
     "n, sites",
     [
-        (512, _union(512, RegionSpec([(0.30, 1.45), (2.65, 4.10)]))),
-        (1024, _union(1024, THREE_ARCS)),
+        (512, lattice_region(512, RegionSpec([(0.30, 1.45), (2.65, 4.10)]))),
+        (1024, lattice_region(1024, THREE_ARCS)),
         (2048, np.arange(300)),
     ],
 )
@@ -502,7 +502,7 @@ def test_two_arc_union_entropy_matches_high_precision_value():
     # A 40-digit eigensolve of the union's Gram product (213 sites) gives
     # 4.3366220962238839194; clamping nu at 1e-14 put the kernel 5.1e-11 off.
     n = 512
-    sites = lattice_region(LatticeCircle(n), RegionSpec([(0.30, 1.45), (2.65, 4.10)]))
+    sites = lattice_region(n, RegionSpec([(0.30, 1.45), (2.65, 4.10)]))
     got = region_entropy(ground_state_correlations(n), sites)
     assert got == pytest.approx(4.3366220962238839194, abs=5e-12)
 
@@ -529,7 +529,7 @@ def test_union_entropy_never_holds_the_coupling_block():
     """One TWO_ARCS union at N = 8192 (|R| = 1694, |F| = 2401) allocates less
     than a quarter of its dense coupling block, 8 |R| |F| = 32.5 MB."""
     n = 8192
-    sites = _union(n, TWO_ARCS)
+    sites = lattice_region(n, TWO_ARCS)
     rows, cols = _coupling_sides(n, sites)
     corr = ground_state_correlations(n)
     with _peak_below(8 * rows.size * cols.size // 4):
@@ -541,7 +541,7 @@ def test_union_entropy_works_in_range_sized_memory():
     k = 42 columns) allocates less than four range-sized arrays of
     (|R| + |F|) k floats: no panel of fixed size."""
     n = 4096
-    sites = _union(n, TWO_ARCS)
+    sites = lattice_region(n, TWO_ARCS)
     rows, cols = _coupling_sides(n, sites)
     width = _spectrum(n, rows, cols)[0].size
     corr = ground_state_correlations(n)
@@ -585,35 +585,32 @@ def test_block_entropy_against_many_body():
 
 def test_entropy_of_complement_matches_purity():
     corr = ground_state_correlations(64)
-    circle = LatticeCircle(64)
     spec = RegionSpec([(0.3, 1.45), (2.65, 4.1)])
-    s_in = region_entropy(corr, lattice_region(circle, spec))
-    s_out = region_entropy(corr, lattice_region(circle, spec.complement()))
+    s_in = region_entropy(corr, lattice_region(64, spec))
+    s_out = region_entropy(corr, lattice_region(64, spec.complement()))
     assert s_in == pytest.approx(s_out, abs=1e-10)
 
 
 def test_entropy_invariant_under_lattice_rotation():
     n = 64
     corr = ground_state_correlations(n)
-    circle = LatticeCircle(n)
     spec = RegionSpec([(0.3, 1.45), (2.65, 4.1)])
     step = 2.0 * np.pi * 5 / n  # five whole sites
-    s0 = region_entropy(corr, lattice_region(circle, spec))
-    s5 = region_entropy(corr, lattice_region(circle, rotated_region(spec, step)))
+    s0 = region_entropy(corr, lattice_region(n, spec))
+    s5 = region_entropy(corr, lattice_region(n, rotated_region(spec, step)))
     assert s0 == pytest.approx(s5, abs=1e-10)
 
 
 def test_product_state_relative_entropy_nonnegative_and_symmetric_roles():
     corr = ground_state_correlations(32)
-    circle = LatticeCircle(32)
     region = RegionSpec([(0.3, 1.45), (2.65, 4.1)])
     # the complement's union covers more than half the chain
     for spec in (region, region.complement()):
         value = product_state_relative_entropy(corr, spec)
         assert value >= 0.0
         # equals the entropy combination sum_i S(I_i) - S(union)
-        parts = [region_entropy(corr, arc) for arc in _arc_site_lists(circle, spec)]
-        union = region_entropy(corr, lattice_region(circle, spec))
+        parts = [region_entropy(corr, arc_sites(32, arc)) for arc in spec.arcs]
+        union = region_entropy(corr, lattice_region(32, spec))
         assert value == pytest.approx(sum(parts) - union, abs=1e-10)
 
 
@@ -625,17 +622,10 @@ def test_product_state_relative_entropy_evaluates_the_smaller_side(monkeypatch):
         return region_entropy(corr, sites)
 
     monkeypatch.setattr(gaussian, "region_entropy", recording)
-    circle = LatticeCircle(64)
     spec = RegionSpec([(0.3, 1.45), (2.65, 4.1)]).complement()
-    assert lattice_region(circle, spec).size > 32
+    assert lattice_region(64, spec).size > 32
     product_state_relative_entropy(ground_state_correlations(64), spec)
     assert len(sizes) == 3 and max(sizes) <= 32
-
-
-def _arc_site_lists(circle, spec):
-    from entropylab.lattice import arc_sites
-
-    return [arc_sites(circle, arc) for arc in spec.arcs]
 
 
 def test_product_relative_entropy_single_arc_is_zero():

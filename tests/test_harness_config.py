@@ -16,8 +16,7 @@ from entropylab.harness import (
 )
 from entropylab.harness import config as config_module
 from entropylab.harness.cli import main
-from entropylab.lattice import LatticeCircle, arc_sites
-from oracles import configparser_sections, mask_arc_sites
+from oracles import arc_sites, configparser_sections, mask_arc_sites
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -292,7 +291,7 @@ def test_benchmark_config_sites_are_the_float_mask(monkeypatch, path):
     assert bool(checked) == bool(config.arcs)
     for n, arc in checked:
         expected = mask_arc_sites(n, arc)
-        assert np.array_equal(arc_sites(LatticeCircle(n), arc), expected), (n, arc)
+        assert np.array_equal(arc_sites(n, arc), expected), (n, arc)
 
 
 _DEFAULT_CFIT = "[DEFAULT]\nsizes = 64 128\n[experiment]\nkind = c-fit\n"

@@ -270,4 +270,4 @@ def test_restriction_monotonicity_direction():
 
 def test_unknown_identity_number_rejected():
     with pytest.raises(ValueError):
-        check_entropy_identity(6)
+        check_entropy_identity(6, np.random.default_rng(0))
