@@ -200,10 +200,11 @@ def _region(arcs, what: str) -> RegionSpec:
 
 def check_sites(sizes, regions, last=None) -> None:
     """Raise ConfigError where ``regions.site_ranges`` refuses a region at a
-    size.  ``last``, the final shrink step, is checked only at the sizes
-    where its scheduled arc holds a site; elsewhere the step equals the
-    target.  Its fixed arcs are among ``regions``, so an arc of ``last``
-    without sites at a size that passed them is the scheduled one."""
+    size.  ``last``, the final step of a shrink schedule of two or more, is
+    checked only at the sizes where its scheduled arc holds a site;
+    elsewhere the step equals the target.  Its fixed arcs are among
+    ``regions``, so an arc of ``last`` without sites at a size that passed
+    them is the scheduled one."""
     for n in sizes:
         step = [last] if last and all(arc_range(n, arc)[1] for arc in last.arcs) else []
         for spec in [*regions, *step]:
@@ -225,7 +226,8 @@ def _check_regions(config: ExperimentConfig, keys) -> None:
         for length, arc in zip(config.schedule, steps):
             what = f"'schedule' entry {length:g} runs arc {config.arc_index} into the next arc"
             regions.append(_region(others + [arc], what))
-        last = regions.pop()
+        if len(steps) > 1:  # a lone step must hold sites: it is the whole run
+            last = regions.pop()
     elif "sweep_lengths" in keys:
         regions = [
             _region(swept_arcs(spec, length), f"invalid 'sweep_lengths' entry {length:g}")

@@ -1,9 +1,13 @@
 """The six fermion runners: lattice experiments on the free-fermion chain.
 
-``validate_config`` has built and checked every region they evaluate, at
-every size, when the config was parsed; only collapse's Moebius images,
-drawn here from a seeded generator, are checked when the run starts, by
-the same ``check_sites``.  The runners share their pieces: ``_per_size``
+The lattice computes quantities (entropies, relative entropies, the
+deficit, geometry and fits); the runners here compose the experiments
+from them: the region or regions at each size, the cases and the
+verdicts.  ``validate_config`` has built and checked every region they
+evaluate, at every size, when the config was parsed, so a runner repeats
+none of its argument checks; only collapse's Moebius images, drawn here
+from a seeded generator, are checked when the run starts, by the same
+``check_sites``.  The runners share their pieces: ``_per_size``
 evaluates and times each lattice size in order; ``_limit`` gives the
 N -> infinity verdict on a deficit and ``_decreasing`` the verdict that a
 sequence shrinks with N.
@@ -19,19 +23,19 @@ from ..lattice import (
     RegionSpec,
     central_charge_fit,
     cross_ratio,
-    cross_ratio_collapse,
     entropy_deficit,
     equal_eta_family,
     finite_size_extrapolate,
     ground_state_correlations,
     product_state_relative_entropy,
     region_entropy,
-    shrink_experiment,
 )
-from ..regions import swept_arcs
+from ..regions import arc_range, shrink_arcs, swept_arcs
 from .config import ExperimentConfig, check_sites
 from .report import CaseRecord, Verdict
 from .runner import _group_verdict, _residual_case
+
+ETA_TOLERANCE = 1e-12  # how far the cross ratios of a collapse family may differ
 
 
 def _per_size(config, compute) -> tuple[list, dict]:
@@ -198,28 +202,42 @@ def run_cfit(config: ExperimentConfig):
 
 
 def run_shrink(config: ExperimentConfig):
-    spec = RegionSpec(config.arcs)
+    """S(omega, omega-product) while one arc's length runs the schedule.
+
+    The scheduled arc keeps its left endpoint; the target is the value of
+    the remaining arcs alone, which the steps approach as the arc shrinks
+    away.  The final step of a schedule of two or more may leave the arc
+    without sites, as ``validate_config`` allows, and then equals the target.
+    """
+    schedule = config.schedule
+    others, arcs = shrink_arcs(RegionSpec(config.arcs), config.arc_index, schedule)
     tol = config.effective_tolerance
 
     def size_run(n, corr) -> tuple[list[CaseRecord], Verdict]:
-        report = shrink_experiment(corr, spec, config.arc_index, list(config.schedule))
-        cases = [
-            CaseRecord(
-                case_id=f"shrink-N{n}-step{k:02d}",
-                inputs={"N": n, "length": step.length, "sites": step.sites_in_arc},
-                values={"S_product": step.value, "target": report.target, "gap": step.gap},
-                residual=abs(step.gap),
+        # The fixed arcs enter every step; one memo evaluates each site set once.
+        memo: dict = {}
+        target = product_state_relative_entropy(corr, RegionSpec(others), memo)
+        cases = []
+        for k, (length, arc) in enumerate(zip(schedule, arcs)):
+            sites = arc_range(n, arc)[1]
+            if sites == 0 and 0 < k == len(schedule) - 1:
+                value = target
+            else:
+                value = product_state_relative_entropy(corr, RegionSpec(others + [arc]), memo)
+            cases.append(
+                CaseRecord(
+                    case_id=f"shrink-N{n}-step{k:02d}",
+                    inputs={"N": n, "length": length, "sites": sites},
+                    values={"S_product": value, "target": target, "gap": value - target},
+                    residual=abs(value - target),
+                )
             )
-            for k, step in enumerate(report.steps)
-        ]
-        final_gap = abs(report.gaps[-1])
+        monotone_from = _monotone_from([c.values["gap"] for c in cases])
+        final_gap = cases[-1].residual
         verdict = Verdict(
             name=f"shrink-gap-closes-N{n}",
-            passed=report.eventually_monotone and final_gap <= tol,
-            detail=(
-                f"final gap {final_gap:.3e} vs {tol:.1e}, "
-                f"monotone from step {report.monotone_from}"
-            ),
+            passed=monotone_from < max(1, len(cases) - 1) and final_gap <= tol,
+            detail=f"final gap {final_gap:.3e} vs {tol:.1e}, monotone from step {monotone_from}",
             case_ids=tuple(c.case_id for c in cases),
         )
         return cases, verdict
@@ -229,17 +247,34 @@ def run_shrink(config: ExperimentConfig):
     return cases, [verdict for _, verdict in results], timings
 
 
+def _monotone_from(gaps) -> int:
+    """The least k from which no gap exceeds the one before it by more than
+    1e-12: one past the last such rise, or 0 if there is none."""
+    rises = (i for i in reversed(range(len(gaps) - 1)) if gaps[i + 1] > gaps[i] + 1e-12)
+    return next(rises, -1) + 1
+
+
 def run_collapse(config: ExperimentConfig):
+    """Product-state relative entropies of a family of equal-cross-ratio
+    regions, and their spread, at each size."""
     rng = np.random.default_rng([config.seed, 10])
     family = equal_eta_family(RegionSpec(config.arcs), config.family_size, rng)
     check_sites(config.sizes, family[1:])
+    # Equal cross ratios are the hypothesis that makes the values comparable.
+    etas = [cross_ratio(spec) for spec in family]
+    if max(etas) - min(etas) > ETA_TOLERANCE:
+        raise ValueError(
+            f"cross ratios differ beyond tolerance: spread {max(etas) - min(etas):.3e}"
+        )
+    eta = float(np.mean(etas))
     tol = config.effective_tolerance
     largest = max(config.sizes)
 
     def case(n, corr) -> CaseRecord:
-        rep = cross_ratio_collapse(corr, family)
-        values = {"eta": rep.eta, "spread": rep.spread}
-        for j, v in enumerate(rep.values):
+        entropies = [product_state_relative_entropy(corr, spec) for spec in family]
+        spread = max(entropies) - min(entropies)
+        values = {"eta": eta, "spread": spread}
+        for j, v in enumerate(entropies):
             values[f"S_geometry{j}"] = v
         # The tolerance binds at the largest size; the smaller sizes are
         # there to exhibit the trend.
@@ -247,9 +282,9 @@ def run_collapse(config: ExperimentConfig):
             case_id=f"collapse-N{n}",
             inputs={"N": n, "family_size": len(family)},
             values=values,
-            residual=rep.spread,
+            residual=spread,
             tolerance=tol if n == largest else None,
-            passed=rep.spread <= tol if n == largest else None,
+            passed=spread <= tol if n == largest else None,
         )
 
     cases, timings = _per_size(config, case)

@@ -58,8 +58,8 @@ class Verdict(namedtuple("Verdict", "name passed detail case_ids")):
 class RunReport(
     namedtuple(
         "RunReport",
-        "kind seed config_echo engine_version cases verdicts pass_vacuous timings",
-        defaults=(False, None),
+        "kind seed config_echo engine_version cases verdicts timings",
+        defaults=(None,),
     )
 ):
     """Cases and verdicts of one run, plus its wall-clock ``timings`` dict.
@@ -73,6 +73,11 @@ class RunReport(
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
+
+    @property
+    def pass_vacuous(self) -> bool:
+        """True for a run without cases, whose verdicts checked nothing."""
+        return not self.cases
 
     def failing_case_ids(self) -> list[str]:
         explicit = [c.case_id for c in self.cases if c.passed is False]
@@ -98,7 +103,8 @@ class RunReport(
     @classmethod
     def from_dict(cls, payload: dict) -> "RunReport":
         """Read back ``to_dict``; keys it no longer writes, such as the
-        ``config_hash`` of older summaries and cache entries, are ignored."""
+        ``config_hash`` of older summaries and cache entries, and the keys
+        it derives, ``pass_vacuous`` and ``passed``, are ignored."""
         cases = [CaseRecord(**c) for c in payload["cases"]]
         verdicts = [
             Verdict(
@@ -116,7 +122,6 @@ class RunReport(
             engine_version=payload["engine_version"],
             cases=cases,
             verdicts=verdicts,
-            pass_vacuous=payload["pass_vacuous"],
             timings={},
         )
 

@@ -38,7 +38,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         engine_version=ENGINE_VERSION,
         cases=cases,
         verdicts=verdicts,
-        pass_vacuous=not cases,
         timings=timings,
     )
 

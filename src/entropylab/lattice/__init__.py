@@ -1,5 +1,10 @@
 """Free-fermion chain on a circle: Gaussian entropies, deficits, scaling.
 
+The lattice computes quantities: entropies and relative entropies of arc
+unions, the region/complement deficit, the geometry of arcs and the fits.
+The experiments that compose them, over sizes, schedules and families of
+regions, are the runners of ``entropylab.harness``.
+
 Result records are named tuples, not dataclasses: importing
 ``dataclasses`` and decorating each class would add to the start-up of
 every computing CLI call.
@@ -14,13 +19,6 @@ from .circle import (
     mobius_region,
 )
 from .deficit import DeficitReport, entropy_deficit
-from .experiments import (
-    CollapseReport,
-    ShrinkReport,
-    ShrinkStep,
-    cross_ratio_collapse,
-    shrink_experiment,
-)
 from .gaussian import (
     CorrelationMatrix,
     ground_state_correlations,
@@ -43,11 +41,6 @@ __all__ = [
     "mobius_region",
     "DeficitReport",
     "entropy_deficit",
-    "CollapseReport",
-    "ShrinkReport",
-    "ShrinkStep",
-    "cross_ratio_collapse",
-    "shrink_experiment",
     "CorrelationMatrix",
     "ground_state_correlations",
     "product_state_relative_entropy",

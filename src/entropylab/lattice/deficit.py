@@ -5,7 +5,9 @@ relative entropy to the product of marginals; the deficit is its mismatch
 between a region and its complement.  Geometry terms use continuum
 endpoints, entropies use the lattice, and only the UV-finite combination
 is ever compared across sizes.  For the critical chain studied here the
-deficit is expected to vanish with N.
+deficit is expected to vanish with N.  This module computes the deficit at
+one size; the duality and two-d runners of ``entropylab.harness`` compose
+the sizes and the N -> infinity verdict.
 
 The duality and two-d experiments read c = 2, so (c/6) ln r is
 (1/3) ln r: the same coefficient as the c-fit predictor (c_hat/3) ln r at
@@ -27,15 +29,11 @@ __all__ = [
 
 
 class DeficitReport(
-    namedtuple(
-        "DeficitReport",
-        "region n_sites c s_region s_complement region_lengths complement_lengths"
-        " eta g_region g_complement deficit",
-    )
+    namedtuple("DeficitReport", "s_region s_complement eta g_region g_complement deficit")
 ):
-    """Relative entropies, lengths and regularized entropies of a region and
-    its complement, and their deficit; ``eta`` is the cross ratio of a
-    two-arc region, else None."""
+    """Relative entropies and regularized entropies of a region and its
+    complement, and their deficit; ``eta`` is the cross ratio of a two-arc
+    region, else None."""
 
     __slots__ = ()
 
@@ -65,25 +63,13 @@ def entropy_deficit(
     memo: dict = {}
     s_region = product_state_relative_entropy(corr, spec, memo)
     s_complement = product_state_relative_entropy(corr, comp, memo)
-    lengths = interval_lengths(spec)
-    lengths_comp = interval_lengths(comp)
-    g_region = _geometry_term(lengths, c) - s_region
-    g_complement = _geometry_term(lengths_comp, c) - s_complement
-    deficit = g_region - g_complement
-
-    eta = None
-    if len(spec.arcs) == 2:
-        eta = cross_ratio(spec)
+    g_region = _geometry_term(interval_lengths(spec), c) - s_region
+    g_complement = _geometry_term(interval_lengths(comp), c) - s_complement
     return DeficitReport(
-        region=spec,
-        n_sites=corr.n_sites,
-        c=c,
         s_region=s_region,
         s_complement=s_complement,
-        region_lengths=lengths,
-        complement_lengths=lengths_comp,
-        eta=eta,
+        eta=cross_ratio(spec) if len(spec.arcs) == 2 else None,
         g_region=g_region,
         g_complement=g_complement,
-        deficit=deficit,
+        deficit=g_region - g_complement,
     )

@@ -16,9 +16,7 @@ __all__ = [
 ]
 
 
-class CentralChargeFit(
-    namedtuple("CentralChargeFit", "c_hat intercept residual_norm n_sites")
-):
+class CentralChargeFit(namedtuple("CentralChargeFit", "c_hat intercept residual_norm")):
     """Slope and intercept of the single-interval fit, and its residual norm."""
 
     __slots__ = ()
@@ -44,7 +42,6 @@ def central_charge_fit(
         c_hat=float(coeffs[0]),
         intercept=float(coeffs[1]),
         residual_norm=residual,
-        n_sites=n_sites,
     )
 
 

@@ -27,20 +27,17 @@ from entropylab.findim import (
     relative_entropy_spatial,
     relative_entropy_umegaki,
 )
-from entropylab.harness import ExperimentConfig
+from entropylab.harness import ExperimentConfig, fermion_runs
 from entropylab.harness.findim_runs import index_targets
 from entropylab.harness.runner import run_experiment
 from entropylab.lattice import (
     RegionSpec,
     central_charge_fit,
-    cross_ratio_collapse,
     entropy_deficit,
-    equal_eta_family,
     finite_size_extrapolate,
     ground_state_correlations,
     product_state_relative_entropy,
     region_entropy,
-    shrink_experiment,
 )
 from oracles import (
     exact_diagonalization_entropies,
@@ -302,17 +299,21 @@ def test_criterion_09_central_charge_at_large_size():
     assert err <= 0.02
 
 
-def test_criterion_10_cross_ratio_collapse():
-    family = equal_eta_family(TWO_ARCS, 3, np.random.default_rng(7))
-    spreads = {}
-    for n in (256, 512, 1024):
-        spreads[n] = cross_ratio_collapse(ground_state_correlations(n), family).spread
+def test_criterion_10_cross_ratio_collapse(monkeypatch):
+    sizes = (256, 512, 1024)
+    config = ExperimentConfig(
+        kind="collapse", sizes=sizes, arcs=TWO_ARCS.arcs, family_size=3, seed=7
+    )
+    spreads = {n: c.values["spread"] for n, c in zip(sizes, run_experiment(config).cases)}
     decreasing = spreads[512] < spreads[256] and spreads[1024] < spreads[512]
 
     corr = ground_state_correlations(1024)
     control_spec = RegionSpec([(0.30, 1.00), (2.65, 4.60)])
+    monkeypatch.setattr(
+        fermion_runs, "equal_eta_family", lambda spec, count, rng: [TWO_ARCS, control_spec]
+    )
     with pytest.raises(ValueError, match="cross ratios differ"):
-        cross_ratio_collapse(corr, [TWO_ARCS, control_spec])
+        run_experiment(config._replace(sizes=(1024,)))
     control_gap = abs(
         product_state_relative_entropy(corr, TWO_ARCS)
         - product_state_relative_entropy(corr, control_spec)
@@ -332,20 +333,23 @@ def test_criterion_10_cross_ratio_collapse():
 
 
 def test_criterion_11_shrinking_interval():
-    corr = ground_state_correlations(1024)
-    schedule = [0.9 * 0.62**k for k in range(10)]
-    report = shrink_experiment(corr, THREE_ARCS, arc_index=0, schedule=schedule)
-    final_gap = report.gaps[-1]
-    ok = final_gap <= 1e-2 and report.eventually_monotone
+    schedule = tuple(0.9 * 0.62**k for k in range(10))
+    config = ExperimentConfig(
+        kind="shrink", sizes=(1024,), arcs=THREE_ARCS.arcs, arc_index=0, schedule=schedule,
+        tolerance=1e-2,
+    )
+    report = run_experiment(config)
+    final_gap = report.cases[-1].values["gap"]
+    # The verdict: the gaps are eventually monotone and the final one is within 1e-2.
+    (verdict,) = report.verdicts
     _line(
         11,
         "shrinking-interval",
-        ok,
-        f"final gap {final_gap:.3e} after {len(schedule)} steps, "
-        f"monotone from step {report.monotone_from}",
+        verdict.passed,
+        f"{verdict.detail} after {len(schedule)} steps",
     )
     assert final_gap <= 1e-2
-    assert report.eventually_monotone
+    assert verdict.passed
 
 
 def test_criterion_12_two_dimensional_deficit():

@@ -16,6 +16,7 @@ from entropylab.lattice import (
     entropy_deficit,
     finite_size_extrapolate,
     ground_state_correlations,
+    interval_lengths,
     product_state_relative_entropy,
     region_entropy,
 )
@@ -25,14 +26,19 @@ from oracles import lattice_region, regularized_entropy
 TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
 
 
+def _geometry(spec, c):
+    """(c/6) sum ln r over the interval lengths of ``spec``."""
+    return (c / 6.0) * math.fsum(math.log(r) for r in interval_lengths(spec))
+
+
 def test_deficit_report_fields():
     corr = ground_state_correlations(128)
     report = entropy_deficit(corr, TWO_ARCS, c=2.0)
-    assert report.n_sites == 128
-    assert report.c == 2.0
     assert report.eta is not None
-    assert len(report.region_lengths) == 2
-    assert len(report.complement_lengths) == 2
+    assert report.g_region == _geometry(TWO_ARCS, 2.0) - report.s_region
+    assert report.g_complement == (
+        _geometry(TWO_ARCS.complement(), 2.0) - report.s_complement
+    )
     assert report.deficit == report.g_region - report.g_complement
 
 
@@ -67,7 +73,7 @@ def test_deficit_two_routes_agree():
         corr = ground_state_correlations(n)
         report = entropy_deficit(corr, TWO_ARCS, c=2.0)
         s_i, s_j = report.s_region, report.s_complement
-        via_eta = -(report.c / 6.0) * math.log(report.eta) - s_i + s_j
+        via_eta = -(2.0 / 6.0) * math.log(report.eta) - s_i + s_j
         assert abs(report.deficit - via_eta) <= 1e-12
 
 
@@ -93,7 +99,7 @@ def test_deficit_three_arcs_has_no_eta():
     corr = ground_state_correlations(128)
     report = entropy_deficit(corr, spec, c=2.0)
     assert report.eta is None
-    assert len(report.region_lengths) == 3
+    assert report.g_region == _geometry(spec, 2.0) - report.s_region
 
 
 def test_deficit_requires_two_arcs():
@@ -152,7 +158,6 @@ def test_central_charge_fit_near_unity():
         entropies.append(region_entropy(corr, lattice_region(n, spec)))
     fit = central_charge_fit(lengths, entropies, n)
     assert fit.c_hat == pytest.approx(1.0, abs=0.02)
-    assert fit.n_sites == n
 
 
 def test_central_charge_fit_requires_enough_lengths():

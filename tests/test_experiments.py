@@ -1,4 +1,4 @@
-"""Shrinking-interval and cross-ratio-collapse experiments."""
+"""Shrinking-interval and cross-ratio-collapse experiments, run through the harness."""
 
 from itertools import accumulate
 
@@ -7,31 +7,48 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from entropylab.harness import ConfigError, ExperimentConfig, run_experiment
+from entropylab.harness import fermion_runs
+from entropylab.harness.config import validate_config
+from entropylab.harness.fermion_runs import _monotone_from
 from entropylab.lattice import (
     RegionSpec,
     cross_ratio,
-    cross_ratio_collapse,
-    equal_eta_family,
     ground_state_correlations,
     product_state_relative_entropy,
     region_entropy,
-    shrink_experiment,
 )
-from entropylab.harness import ExperimentConfig, run_experiment
 from entropylab.lattice import gaussian
-from entropylab.lattice.experiments import _monotone_from
 
 THREE_ARCS = RegionSpec([(0.2, 1.1), (2.0, 2.9), (4.1, 5.3)])
+TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
 SCHEDULE = [0.9 * 0.62**k for k in range(8)]
 
 
+def _shrink(n, schedule, arc_index=0):
+    """The shrink run of THREE_ARCS at N = ``n``: one case per step."""
+    config = ExperimentConfig(
+        kind="shrink", sizes=(n,), arcs=THREE_ARCS.arcs, arc_index=arc_index,
+        schedule=tuple(schedule),
+    )
+    return run_experiment(config)
+
+
+def _collapse(sizes):
+    """The collapse run of TWO_ARCS and three Moebius images: one case per size."""
+    config = ExperimentConfig(
+        kind="collapse", sizes=tuple(sizes), arcs=TWO_ARCS.arcs, family_size=3, seed=7
+    )
+    return run_experiment(config)
+
+
 def test_shrink_gaps_close():
-    corr = ground_state_correlations(512)
-    report = shrink_experiment(corr, THREE_ARCS, arc_index=0, schedule=SCHEDULE)
-    assert len(report.steps) == len(SCHEDULE)
-    assert report.eventually_monotone
-    assert report.gaps[-1] < report.gaps[0]
-    assert report.gaps[-1] < 5e-2
+    report = _shrink(512, SCHEDULE)
+    gaps = [c.values["gap"] for c in report.cases]
+    assert len(gaps) == len(SCHEDULE)
+    assert _monotone_from(gaps) < len(gaps) - 1  # eventually monotone
+    assert gaps[-1] < gaps[0]
+    assert gaps[-1] < 5e-2
 
 
 def test_shrink_evaluates_each_site_set_once(monkeypatch):
@@ -46,9 +63,9 @@ def test_shrink_evaluates_each_site_set_once(monkeypatch):
 
     monkeypatch.setattr(gaussian, "region_entropy", recording)
     schedule = [0.9, 0.558, 0.346, 0.2145, 0.133, 0.0825, 0.0511, 0.0317, 0.0197, 0.0122]
-    report = shrink_experiment(ground_state_correlations(512), THREE_ARCS, 0, schedule)
+    report = _shrink(512, schedule)
     assert len(evaluated) == len(set(evaluated)) == 21
-    assert report.steps[-1].value == report.steps[-2].value
+    assert report.cases[-1].values["S_product"] == report.cases[-2].values["S_product"]
 
 
 def test_sweep_evaluates_each_site_set_once(monkeypatch):
@@ -72,40 +89,38 @@ def test_sweep_evaluates_each_site_set_once(monkeypatch):
 
 
 def test_shrink_target_is_remaining_arcs():
-    corr = ground_state_correlations(128)
-    report = shrink_experiment(corr, THREE_ARCS, arc_index=1, schedule=[0.9, 0.5])
+    report = _shrink(128, [0.9, 0.5], arc_index=1)
     others = RegionSpec([THREE_ARCS.arcs[0], THREE_ARCS.arcs[2]])
-    assert report.target == pytest.approx(
-        product_state_relative_entropy(corr, others), abs=1e-14
-    )
+    target = product_state_relative_entropy(ground_state_correlations(128), others)
+    for case in report.cases:
+        assert case.values["target"] == pytest.approx(target, abs=1e-14)
 
 
 def test_shrink_keeps_left_endpoint():
-    corr = ground_state_correlations(128)
-    report = shrink_experiment(corr, THREE_ARCS, arc_index=0, schedule=[0.7])
+    report = _shrink(128, [0.7])
     # one step at length 0.7 equals evaluating the region with that arc replaced
     arc = (0.2, 0.9)
     spec = RegionSpec([arc, THREE_ARCS.arcs[1], THREE_ARCS.arcs[2]])
-    assert report.steps[0].value == pytest.approx(
-        product_state_relative_entropy(corr, spec), abs=1e-14
+    assert report.cases[0].values["S_product"] == pytest.approx(
+        product_state_relative_entropy(ground_state_correlations(128), spec), abs=1e-14
     )
 
 
 def test_shrink_final_step_may_empty_the_arc():
-    corr = ground_state_correlations(64)
     tiny = 2.0 * np.pi / 64 / 10.0
-    report = shrink_experiment(corr, THREE_ARCS, arc_index=0, schedule=[0.9, tiny])
-    assert report.steps[-1].sites_in_arc == 0
-    assert report.steps[-1].value == report.target
-    assert report.steps[-1].gap == 0.0
+    last = _shrink(64, [0.9, tiny]).cases[-1]
+    assert last.inputs["sites"] == 0
+    assert last.values["S_product"] == last.values["target"]
+    assert last.values["gap"] == 0.0
 
 
 def test_shrink_rejects_early_empty_step():
-    corr = ground_state_correlations(64)
     tiny = 2.0 * np.pi / 64 / 10.0
-    # the shared site check of product_state_relative_entropy refuses it
-    with pytest.raises(ValueError, match=r"^arc \(0.2, 0.2098\) holds no sites at N = 64$"):
-        shrink_experiment(corr, THREE_ARCS, arc_index=0, schedule=[tiny, 0.9])
+    # the shared site check of product_state_relative_entropy refuses it,
+    # and a lone step, which has no earlier step to compare, alike
+    for schedule in ([tiny, 0.9], [tiny]):
+        with pytest.raises(ValueError, match=r"^arc \(0.2, 0.2098\) holds no sites at N = 64$"):
+            _shrink(64, schedule)
 
 
 def _monotone_from_by_definition(gaps) -> int:
@@ -131,53 +146,33 @@ def test_property_monotone_from_is_the_definition(start, steps):
     assert _monotone_from(gaps) == _monotone_from_by_definition(gaps)
 
 
-def test_shrink_input_validation():
-    corr = ground_state_correlations(64)
-    with pytest.raises(ValueError, match="empty schedule"):
-        shrink_experiment(corr, THREE_ARCS, arc_index=0, schedule=[])
-    with pytest.raises(ValueError, match="out of range"):
-        shrink_experiment(corr, THREE_ARCS, arc_index=3, schedule=[0.5])
-    with pytest.raises(ValueError, match="strictly between"):
-        shrink_experiment(corr, THREE_ARCS, arc_index=0, schedule=[7.0])
-    with pytest.raises(ValueError, match="besides the scheduled"):
-        shrink_experiment(corr, RegionSpec([(0.0, 1.0)]), arc_index=0, schedule=[0.5])
-
-
 def test_collapse_equal_eta_family():
-    spec = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
-    rng = np.random.default_rng(7)
-    family = equal_eta_family(spec, 3, rng)
-    corr = ground_state_correlations(512)
-    report = cross_ratio_collapse(corr, family)
-    assert len(report.values) == 4
-    assert report.eta == pytest.approx(cross_ratio(spec), rel=1e-9)
-    assert report.spread == max(report.values) - min(report.values)
-    assert report.spread < 5e-2
+    (case,) = _collapse([512]).cases
+    values = [v for key, v in case.values.items() if key.startswith("S_geometry")]
+    assert len(values) == 4
+    assert case.values["eta"] == pytest.approx(cross_ratio(TWO_ARCS), rel=1e-9)
+    assert case.values["spread"] == max(values) - min(values)
+    assert case.values["spread"] < 5e-2
 
 
 def test_collapse_spread_decreases_with_size():
-    spec = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
-    rng = np.random.default_rng(7)
-    family = equal_eta_family(spec, 3, rng)
-    spreads = [
-        cross_ratio_collapse(ground_state_correlations(n), family).spread
-        for n in (256, 512, 1024)
-    ]
+    spreads = [c.values["spread"] for c in _collapse([256, 512, 1024]).cases]
     assert spreads[1] < spreads[0]
     assert spreads[2] < spreads[1]
 
 
-def test_collapse_rejects_distinct_cross_ratios():
-    corr = ground_state_correlations(128)
+def test_collapse_rejects_distinct_cross_ratios(monkeypatch):
     control = [
         RegionSpec([(0.30, 1.45), (2.65, 4.10)]),
         RegionSpec([(0.30, 1.00), (2.65, 4.60)]),
     ]
+    monkeypatch.setattr(fermion_runs, "equal_eta_family", lambda spec, count, rng: control)
     with pytest.raises(ValueError, match="cross ratios differ"):
-        cross_ratio_collapse(corr, control)
+        _collapse([128])
 
 
 def test_collapse_needs_two_geometries():
-    corr = ground_state_correlations(64)
-    with pytest.raises(ValueError, match="at least two"):
-        cross_ratio_collapse(corr, [RegionSpec([(0.30, 1.45), (2.65, 4.10)])])
+    # The region and at least one Moebius image of it.
+    config = ExperimentConfig(kind="collapse", sizes=(64,), arcs=TWO_ARCS.arcs, family_size=0)
+    with pytest.raises(ConfigError, match="family_size must be at least 1"):
+        validate_config(config)

@@ -140,6 +140,11 @@ def test_shrink_requires_schedule_and_valid_arc_index(tmp_path):
         parse_config(_write(tmp_path, base))
     with pytest.raises(ConfigError, match="arc_index"):
         parse_config(_write(tmp_path, base + "schedule = 0.9 0.5\narc_index = 5\n"))
+    with pytest.raises(ConfigError, match=r"arc lengths in \(0, 2\*pi\), got 7$"):
+        parse_config(_write(tmp_path, base + "schedule = 0.9 7.0\n"))
+    single = base.replace(", 2.0 2.9", "")
+    with pytest.raises(ConfigError, match="'shrink' needs at least 2 arcs"):
+        parse_config(_write(tmp_path, single + "schedule = 0.5\n"))
 
 
 def test_sweep_requires_lengths(tmp_path):
@@ -218,6 +223,12 @@ _SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
             r"arc \(2, 2.05\) holds no sites at N = 64",
         ),
         (
+            # A lone step is the whole run: only the last of two or more may be empty.
+            "[experiment]\nkind = shrink\nsizes = 64\narcs = 0.2 1.1, 2.0 2.9, 4.1 5.3\n"
+            "schedule = 0.01\n",
+            r"^arc \(0.2, 0.21\) holds no sites at N = 64$",
+        ),
+        (
             "[experiment]\nkind = duality\nsizes = 16 32 64\narcs = 0.30 0.35, 2.65 4.10\n",
             r"arc \(0.3, 0.35\) holds no sites at N = 16",
         ),
@@ -253,6 +264,7 @@ _SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
         "sweep-into-first-arc",
         "shrink-schedule-empties-arc-early",
         "shrink-fixed-arc-without-sites",
+        "shrink-lone-step-without-sites",
         "duality-arc-without-sites",
         "duality-complement-arc-without-sites",
         "twod-left-arc-without-sites",

@@ -116,9 +116,8 @@ def test_empty_report_is_vacuous_with_header_only_csv(tmp_path):
         engine_version=__version__,
         cases=[],
         verdicts=[],
-        pass_vacuous=True,
     )
-    assert report.passed
+    assert report.passed and report.pass_vacuous
     write_report(report, tmp_path / "out")
     lines = (tmp_path / "out" / "cases.csv").read_text().splitlines()
     assert lines == ["case_id,passed,residual,tolerance"]
@@ -608,6 +607,7 @@ _SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
         ("shrink", _SHRINK3.format(64) + "schedule = 0.5 0.001 0.3\n"),
         ("shrink", _SHRINK.replace("2.0 2.9", "2.0 2.05") + "schedule = 0.5\n"),
         ("shrink", _SHRINK.replace(", 2.0 2.9", "") + "schedule = 0.5\n"),
+        ("shrink", _SHRINK3.format(64) + "schedule = 0.01\n"),
         ("duality", DUALITY.replace("16 32", "16 32 64").replace("1.45", "0.35")),
         ("duality", "[experiment]\nkind = duality\n" + _SITELESS_GAP),
         ("duality", DUALITY.replace(", 2.65 4.10", "")),
@@ -640,6 +640,7 @@ _SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
         "shrink-schedule-empties-arc-early",
         "shrink-fixed-arc-without-sites",
         "shrink-single-arc",
+        "shrink-lone-step-without-sites",
         "duality-arc-without-sites",
         "duality-complement-arc-without-sites",
         "duality-single-arc",
@@ -753,15 +754,17 @@ def test_cli_no_cache_recomputes_same_summary(tmp_path, capsys):
         SWEEP,
         _SHRINK3.format("64 128") + "schedule = 0.9 0.5 0.3\n",
         _SHRINK3.format("64") + "arc_index = 1\nschedule = 0.5 0.2\n",
+        "[experiment]\nkind = collapse\nsizes = 64 128\narcs = 0.30 1.45, 2.65 4.10\n"
+        "family_size = 2\n",
     ],
-    ids=["sweep", "shrink", "shrink-arc-1"],
+    ids=["sweep", "shrink", "shrink-arc-1", "collapse"],
 )
 def test_runs_evaluate_the_regions_the_config_checked(tmp_path, monkeypatch, text):
-    """The regions a sweep or shrink run evaluates are the ones its config
-    check built (every step here holds sites, so none is left out)."""
+    """The regions a sweep, shrink or collapse run evaluates are the ones
+    its config check built (every step here holds sites, so none is left
+    out), and for collapse the Moebius images the run checks itself."""
     from entropylab.harness import config as config_module
     from entropylab.harness import fermion_runs
-    from entropylab.lattice import experiments
 
     checked, evaluated = set(), set()
 
@@ -774,8 +777,8 @@ def test_runs_evaluate_the_regions_the_config_checked(tmp_path, monkeypatch, tex
 
     monkeypatch.setattr(config_module, "check_sites", check_sites)
     config = _config(tmp_path, text)
+    monkeypatch.setattr(fermion_runs, "check_sites", check_sites)
     monkeypatch.setattr(fermion_runs, "product_state_relative_entropy", value)
-    monkeypatch.setattr(experiments, "product_state_relative_entropy", value)
     run_experiment(config)
     assert evaluated and evaluated == checked
 
