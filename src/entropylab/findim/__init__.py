@@ -29,14 +29,12 @@ from .index import dual_weight, kosaki_index
 from .spatial import (
     relative_entropy_spatial,
     relative_entropy_umegaki,
-    spatial_derivative,
 )
 from .states import (
     VectorStateData,
     WeightDensity,
     canonical_density,
     random_faithful_state,
-    trace_state,
 )
 
 __all__ = [
@@ -60,10 +58,8 @@ __all__ = [
     "kosaki_index",
     "relative_entropy_spatial",
     "relative_entropy_umegaki",
-    "spatial_derivative",
     "VectorStateData",
     "WeightDensity",
     "canonical_density",
     "random_faithful_state",
-    "trace_state",
 ]

@@ -1,8 +1,8 @@
-"""Spatial derivatives and relative entropy.
+"""Relative entropy, through the spatial derivative and the block trace.
 
-The spatial derivative of a weight psi on M relative to a weight phi' on
-the commutant M' is assembled block by block from the intrinsic density
-matrices: on the k-th summand C^{n_k} tensor C^{m_k} it acts as
+The spatial derivative Delta(psi / phi') of a weight psi on M relative to
+a weight phi' on the commutant M' acts on the k-th summand C^{n_k}
+tensor C^{m_k} as
 
     rho_k(psi)  tensor  sigma'_k(phi')^{-1},
 
@@ -11,8 +11,8 @@ of psi on M and the inverse flow of phi' on M' (Connes, J. Funct. Anal.
 35, 153, 1980).  Relative entropy is computed both through this operator
 (vector-state form, Araki, Publ. RIMS 11, 809, 1976) and through the
 block trace formula; the two must agree on factors and the tests hold
-them to that.  Neither forms the tensor product: its factors are
-diagonalised apart.
+them to that.  Neither forms Delta or its tensor product: the factors are
+diagonalised apart.  Only the test oracle forms Delta as a matrix.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ import math
 
 import numpy as np
 
-from .algebras import _lift
 from .states import SUPPORT_CUTOFF, VectorStateData, WeightDensity, _coefficients, _on
 
 __all__ = [
-    "spatial_derivative",
     "relative_entropy_spatial",
     "relative_entropy_umegaki",
 ]
@@ -41,26 +39,6 @@ def _support_power(vals: np.ndarray, exponent: complex) -> np.ndarray:
     out = np.zeros(vals.shape, dtype=complex)
     keep = vals > cutoff
     out[keep] = np.exp(exponent * np.log(vals[keep]))
-    return out
-
-
-def spatial_derivative(psi: WeightDensity, phi_c: WeightDensity) -> np.ndarray:
-    """Spatial derivative Delta(psi / phi_c) as a positive D x D matrix.
-
-    ``psi`` is a weight on M, ``phi_c`` a faithful weight on the commutant
-    M'.  The result is the block-wise product of the intrinsic density of
-    psi with the inverse intrinsic density of phi_c (commuting positive
-    factors).
-    """
-    algebra = psi.algebra
-    phi_c = _on(phi_c, algebra.commutant(), "second weight must live on the commutant of the first")
-    if not phi_c.is_faithful:
-        raise ValueError("commutant weight must be faithful")
-    rho = psi.intrinsic_blocks()
-    sig = phi_c.intrinsic_eigensystems()
-    out = np.zeros((algebra.ambient_dim, algebra.ambient_dim), dtype=complex)
-    for blk, rho_k, (s_vals, s_vecs) in zip(algebra.structure, rho, sig):
-        out += _lift(blk, rho_k, (s_vecs * _support_power(s_vals, -1.0)) @ s_vecs.conj().T)
     return out
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "WeightDensity",
     "VectorStateData",
     "canonical_density",
-    "trace_state",
     "random_faithful_state",
 ]
 
@@ -199,21 +198,11 @@ class VectorStateData:
         blocks = [c @ c.conj().T for c in self._coefficients]
         return WeightDensity.from_intrinsic_blocks(self.algebra, blocks)
 
-    def commutant_state(self) -> WeightDensity:
-        blocks = [c.T @ c.conj() for c in self._coefficients]
-        return WeightDensity.from_intrinsic_blocks(self.algebra.commutant(), blocks)
-
     def __repr__(self) -> str:
         return (
             f"VectorStateData(cyclic={self.cyclic}, separating={self.separating}, "
             f"blocks={self.algebra.blocks})"
         )
-
-
-def trace_state(algebra: MatrixBlockAlgebra, total: float = 1.0) -> WeightDensity:
-    """The normalised trace of the algebra, scaled to the given total mass."""
-    blocks = [np.eye(n) * (m * total / algebra.ambient_dim) for n, m in algebra.blocks]
-    return WeightDensity.from_intrinsic_blocks(algebra, blocks)
 
 
 def random_faithful_state(

@@ -4,8 +4,11 @@
     entropylab report SUMMARY
 
 The commands and kinds are read from ``KINDS``.  Options come in any
-order, as ``--flag value`` or ``--flag=value``; ``-h``/``--help`` prints
-the usage to stdout.
+order, as ``--flag value`` or ``--flag=value``, and a value is never
+empty; ``-h``/``--help`` prints the usage to stdout.  The run options are
+the command line's alone: ``--out`` names the directory a run writes its
+artifacts to (none without it) and ``--no-cache`` skips the cache; the
+config file holds only the experiment.
 
 Exit codes: 0 all invariants passed (or help printed), 1 an invariant
 failed (failing case ids go to stderr), 2 a usage error (after the usage
@@ -83,7 +86,8 @@ def _parse(argv: list[str], commands: dict) -> tuple[str, str, dict] | None:
     """``(command, kind or SUMMARY, {flag: value})``, or None for ``--help``.
 
     Raises _Usage for anything outside the grammar.  A flag's value is the
-    next word unless that is another flag; a negative number is a value.
+    next word unless that is another flag; a negative number is a value,
+    an empty word or ``--flag=`` none.
     """
     words, options = [], {}
     tokens = iter(argv)
@@ -100,9 +104,11 @@ def _parse(argv: list[str], commands: dict) -> tuple[str, str, dict] | None:
         if meta is None and eq:
             raise _Usage(f"{flag} takes no value")
         if meta is not None and not eq:
-            value = next(tokens, None)
-            if value is None or value[:1] == "-" and not value[1:2].isdigit():
-                raise _Usage(f"{flag} needs a value {meta}")
+            value = next(tokens, "")
+            if value[:1] == "-" and not value[1:2].isdigit():
+                value = ""
+        if meta is not None and not value:
+            raise _Usage(f"{flag} needs a value {meta}")
         options[flag] = value
 
     command, *rest = words or [""]
@@ -135,10 +141,6 @@ def _resolve_config(kind: str, options: dict):
         # Only the seed changes what a run computes, so only it is checked again.
         config = config._replace(seed=options["--seed"])
         validate_config(config, ["seed"])
-    if "--out" in options:
-        config = config._replace(out_dir=str(Path(options["--out"])))
-    if "--no-cache" in options:
-        config = config._replace(cache_enabled=False)
     return config
 
 
@@ -177,18 +179,19 @@ def main(argv: list[str] | None = None) -> int:
         config = _resolve_config(target, options)
 
         key = config_hash(config)
-        report = cache_lookup(key) if config.cache_enabled else None
+        use_cache = "--no-cache" not in options
+        report = cache_lookup(key) if use_cache else None
         if report is not None:
             cache = "hit"
         else:
             from .runner import run_experiment
 
-            cache = "miss" if config.cache_enabled else "off"
+            cache = "miss" if use_cache else "off"
             report = run_experiment(config)
-            if config.cache_enabled:
+            if use_cache:
                 cache_store(report, key)
 
-        if config.out_dir:
+        if "--out" in options:
             # The cache keeps compute timings only; this call's own status,
             # wall time and build provenance go to the sidecar alone.
             timings = {
@@ -197,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
                 "config_hash": key,
                 "run_seconds": time.perf_counter() - start,
             }
-            write_report(report._replace(timings=timings), Path(config.out_dir))
+            write_report(report._replace(timings=timings), options["--out"])
         return _finish(report)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,14 +5,16 @@ its runner reads, its default tolerance, its arc-count rule, the command
 that runs it, its runner and its plot curve.  The command line, the runner
 dispatch and the artifact writer all read it.
 
-A config file has an ``[experiment]`` section with the physics and an
-optional ``[output]`` section.  Unknown sections or keys are errors, not
-warnings, so typos cannot silently fall back to defaults; so is a key the
-kind does not read, in the file or as a command-line override.  The run
-report echoes the kind, every key the kind reads (defaults included) and
-the effective tolerance.  Validation builds every region a run evaluates
-and checks its sites at every size, before the cache lookup and without
-numpy; only collapse's Moebius images wait for the run, which draws them.
+A config file has one section, ``[experiment]``, with the physics; where
+a run writes and whether it uses the cache are the command line's
+``--out`` and ``--no-cache``, not the config's.  Unknown sections or keys
+are errors, not warnings, so typos cannot silently fall back to defaults;
+so is a key the kind does not read, in the file or as a command-line
+override.  The run report echoes the kind, every key the kind reads
+(defaults included) and the effective tolerance.  Validation builds every
+region a run evaluates and checks its sites at every size, before the
+cache lookup and without numpy; only collapse's Moebius images wait for
+the run, which draws them.
 
 The file is read by ``_read_ini``, not ``configparser``, whose import is
 start-up cost of every CLI call.  It reads what ``ConfigParser(strict=True,
@@ -83,7 +85,6 @@ _KEYS = {
     "lengths": (_parse_ints, ()),
     "sweep_lengths": (_parse_floats, ()),
 }
-_OUTPUT_KEYS = {"directory", "cache"}
 
 
 # One experiment kind.  ``keys`` are the [experiment] keys its runner
@@ -159,8 +160,8 @@ EXPERIMENT_KINDS = tuple(KINDS)
 class ExperimentConfig(
     namedtuple(
         "ExperimentConfig",
-        ["kind", *_KEYS, "out_dir", "cache_enabled"],
-        defaults=[*(default for _, default in _KEYS.values()), "", True],
+        ["kind", *_KEYS],
+        defaults=[default for _, default in _KEYS.values()],
     )
 ):
     """An experiment config; ``validate_config`` decides whether it can run.
@@ -376,7 +377,7 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
     for section in sections:
-        if section not in ("experiment", "output"):
+        if section != "experiment":
             raise ConfigError(f"unknown section '[{section}]'")
     if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
@@ -390,17 +391,6 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
         else:
             raise ConfigError(f"unknown key '{key}' in [experiment]")
     given = [key for key in values if key != "kind"]
-
-    for key, raw in sections.get("output", {}).items():
-        if key not in _OUTPUT_KEYS:
-            raise ConfigError(f"unknown key '{key}' in [output]")
-        if key == "directory":
-            values["out_dir"] = raw.strip()
-        elif key == "cache":
-            lowered = raw.strip().lower()
-            if lowered not in ("on", "off", "true", "false", "1", "0"):
-                raise ConfigError(f"malformed boolean for 'cache': {raw!r}")
-            values["cache_enabled"] = lowered in ("on", "true", "1")
 
     if "kind" not in values:
         if kind is None:
@@ -416,10 +406,10 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
     return config
 
 
-def default_config(kind: str, seed: int = 0) -> ExperimentConfig:
+def default_config(kind: str) -> ExperimentConfig:
     """A runnable config for a kind that reads no lattice sizes (findim-suite)."""
     if kind in KINDS and "sizes" in KINDS[kind].keys:
         raise ConfigError(f"'{kind}' requires a config file (--config)")
-    config = ExperimentConfig(kind=kind, seed=seed)
+    config = ExperimentConfig(kind=kind)
     validate_config(config)
     return config

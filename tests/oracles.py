@@ -3,7 +3,8 @@
 Everything here except ``solved_dual_weight``, ``dual_weight_index``,
 ``quasi_basis``, ``pimsner_popa_check``, ``leg_average``,
 ``group_average_expectation`` and ``algebra_from_basis``,
-``modular_flow``, ``connes_cocycle``, ``arc_sites``, ``lattice_region``,
+``modular_flow``, ``connes_cocycle``, ``trace_state``, ``commutant_state``,
+``spatial_derivative``, ``arc_sites``, ``lattice_region``,
 the instance constructor
 ``random_inclusion``, ``basis_distance_by_element``, ``validate`` and
 the expectations it certifies,
@@ -51,6 +52,11 @@ distance of one algebra's basis elements from another's span, one package
 projection per element; ``validate`` reads N in M from it.
 ``is_identity`` and ``conjugated_expectation`` test and rotate a package
 expectation.
+``trace_state`` (the normalised trace), ``commutant_state`` (a vector's
+state on the commutant) and ``spatial_derivative`` (Delta(psi / phi') as a
+D x D matrix) are findim forms that no run needs, built on the package's
+intrinsic blocks; the package computes its relative entropies without
+forming Delta.
 ``modular_flow`` and ``connes_cocycle`` are the modular flow and the
 Connes cocycle built on the package's intrinsic blocks and spatial
 derivative, through ``hermitian_power``, a PSD matrix's complex power on
@@ -79,6 +85,10 @@ the map as applied; ``state_preserving_expectation`` builds the
 state-preserving expectation and certifies it that way, and
 ``identity_expectation`` and ``weyl_unitaries`` build test inputs.  No run
 reaches any of them.
+``jin_korepin_entropy`` and ``several_block_entropy`` are the chain's
+closed-form entropies of one block and of a union of blocks at site-exact
+endpoints, with ``upsilon_1`` computed from its integral representation;
+they use the standard library alone and read no package code.
 ``configparser_sections``, ``csv_text`` and ``hashlib_config_hash`` are
 the standard library's forms of what the package does without importing
 ``configparser``, ``csv`` or ``hashlib``: the config reader, the
@@ -95,6 +105,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -103,13 +114,13 @@ from entropylab.findim import (
     BlockStructure,
     ConditionalExpectationMap,
     MatrixBlockAlgebra,
+    VectorStateData,
     WeightDensity,
     build_algebra,
     kosaki_index,
-    trace_state,
 )
 from entropylab.findim.algebras import _lift
-from entropylab.findim.spatial import _support_power, spatial_derivative
+from entropylab.findim.spatial import _support_power
 from entropylab.findim.states import _on
 from entropylab.lattice import (
     RegionSpec,
@@ -964,6 +975,38 @@ def _intertwine(
     return frames
 
 
+def trace_state(algebra: MatrixBlockAlgebra, total: float = 1.0) -> WeightDensity:
+    """The normalised trace of the algebra, scaled to the given total mass."""
+    blocks = [np.eye(n) * (m * total / algebra.ambient_dim) for n, m in algebra.blocks]
+    return WeightDensity.from_intrinsic_blocks(algebra, blocks)
+
+
+def commutant_state(omega: VectorStateData) -> WeightDensity:
+    """The vector state of ``omega`` on the commutant: blocks C_k^T conj(C_k)."""
+    blocks = [c.T @ c.conj() for c in omega._coefficients]
+    return WeightDensity.from_intrinsic_blocks(omega.algebra.commutant(), blocks)
+
+
+def spatial_derivative(psi: WeightDensity, phi_c: WeightDensity) -> np.ndarray:
+    """Spatial derivative Delta(psi / phi_c) as a positive D x D matrix.
+
+    ``psi`` is a weight on M, ``phi_c`` a faithful weight on the commutant
+    M'.  The result is the block-wise product of the intrinsic density of
+    psi with the inverse intrinsic density of phi_c (commuting positive
+    factors).
+    """
+    algebra = psi.algebra
+    phi_c = _on(phi_c, algebra.commutant(), "second weight must live on the commutant of the first")
+    if not phi_c.is_faithful:
+        raise ValueError("commutant weight must be faithful")
+    rho = psi.intrinsic_blocks()
+    sig = phi_c.intrinsic_eigensystems()
+    out = np.zeros((algebra.ambient_dim, algebra.ambient_dim), dtype=complex)
+    for blk, rho_k, (s_vals, s_vecs) in zip(algebra.structure, rho, sig):
+        out += _lift(blk, rho_k, (s_vecs * _support_power(s_vals, -1.0)) @ s_vecs.conj().T)
+    return out
+
+
 def hermitian_power(mat: np.ndarray, exponent: complex) -> np.ndarray:
     """mat**exponent on the support of a PSD matrix (zero on the kernel)."""
     vals, vecs = np.linalg.eigh(mat)
@@ -1311,3 +1354,84 @@ def dispersion_ground_energy(n_sites: int) -> float:
     momenta = 2.0 * np.pi * (np.arange(n_sites) + 0.5) / n_sites
     energies = -2.0 * np.sin(momenta)
     return float(np.sum(energies[energies < 0.0]))
+
+
+# --- closed forms of the chain's entropies (standard library only) ---------
+
+# Terms of the small-t series of the Upsilon_1 integrand, and where it takes over.
+_SERIES_TERMS = 14
+_SERIES_BELOW = 1.0
+
+
+def _even_bernoulli(count: int) -> list[float]:
+    """B_0, B_2, ..., B_{2(count - 1)}, exact in fractions, then as floats."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * count - 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return [float(b[2 * k]) for k in range(count)]
+
+
+# 1 / sinh^2(s) = sum_k a_k s^(2k - 2), from coth(s) = sum_k 4^k B_2k s^(2k - 1) / (2k)!.
+_INV_SINH2 = [
+    -(4**k) * b * (2 * k - 1) / math.factorial(2 * k)
+    for k, b in enumerate(_even_bernoulli(_SERIES_TERMS))
+]
+
+
+def _upsilon_integrand(t: float) -> float:
+    """e^(-t) / (3t) + 1 / (t sinh^2(t/2)) - cosh(t/2) / (2 sinh^3(t/2)).
+
+    The last two terms are 4/t^3 apart from a finite rest, so below
+    ``_SERIES_BELOW`` the integrand is summed as (e^(-t) - 1) / (3t) plus
+    the series sum_{k >= 2} (k/2) a_k (t/2)^(2k - 3) of their difference,
+    which converges for t < 2 pi.
+    """
+    s = t / 2.0
+    if t < _SERIES_BELOW:
+        rest = sum(k / 2.0 * _INV_SINH2[k] * s ** (2 * k - 3) for k in range(2, _SERIES_TERMS))
+        return math.expm1(-t) / (3.0 * t) + rest
+    sinh = math.sinh(s)
+    return math.exp(-t) / (3.0 * t) + 1.0 / (t * sinh * sinh) - math.cosh(s) / (2.0 * sinh**3)
+
+
+def upsilon_1(step: float = 0.1) -> float:
+    """Upsilon_1 = -integral_0^inf of ``_upsilon_integrand`` (Jin and Korepin,
+    J. Stat. Phys. 116, 79, 2004), about 0.4950179.
+
+    The trapezoid rule in u = ln t over [-40, 4.5], where the integrand in u
+    is analytic in a strip and falls off at both ends below 1e-17: the
+    error shrinks like exp(-pi^2 / step), far below 1e-12 at the default.
+    """
+    lo, hi = -40.0, 4.5
+    points = [math.exp(lo + j * step) for j in range(round((hi - lo) / step) + 1)]
+    return -step * math.fsum(t * _upsilon_integrand(t) for t in points)
+
+
+def chord_sites(n_sites: int, x: float, y: float) -> float:
+    """The chord distance (N/pi) |sin(pi (x - y) / N)| of sites x and y."""
+    return n_sites / math.pi * abs(math.sin(math.pi * (x - y) / n_sites))
+
+
+def jin_korepin_entropy(n_sites: int, length: int) -> float:
+    """S(l, N) = (1/3) ln[(N/pi) sin(pi l / N)] + Upsilon_1 + (1/3) ln 2, the
+    ground-state entropy of l consecutive sites of the half-filled chain."""
+    return math.log(chord_sites(n_sites, length, 0)) / 3.0 + upsilon_1() + math.log(2.0) / 3.0
+
+
+def several_block_entropy(n_sites: int, runs) -> float:
+    """The entropy of a union of blocks of consecutive sites, given as
+    ``(first, count)`` runs: n Upsilon plus (1/3)[sum_ij ln d(b_i, a_j) -
+    sum_{i<j} ln d(a_i, a_j) - sum_{i<j} ln d(b_i, b_j)], with a_i = first,
+    b_i = first + count and d the chord distance (Casini, Fosco, Huerta,
+    J. Stat. Mech. 2005, P07007; Ares, Esteve, Falceto, Phys. Rev. A 90,
+    062321, 2014).  One run gives ``jin_korepin_entropy``."""
+    starts = [first for first, _ in runs]
+    ends = [first + count for first, count in runs]
+    cross = [math.log(chord_sites(n_sites, b, a)) for b in ends for a in starts]
+    same = [
+        math.log(chord_sites(n_sites, x, y))
+        for points in (starts, ends)
+        for x, y in itertools.combinations(points, 2)
+    ]
+    upsilon = upsilon_1() + math.log(2.0) / 3.0
+    return (math.fsum(cross) - math.fsum(same)) / 3.0 + len(runs) * upsilon

@@ -7,7 +7,6 @@ from entropylab.findim import (
     build_algebra,
     compose_expectations,
     random_faithful_state,
-    trace_state,
 )
 from entropylab.findim.identities import random_unitary
 from oracles import (
@@ -27,6 +26,7 @@ from oracles import (
     state_preserving_expectation,
     superop_axioms,
     symmetric_group_unitaries,
+    trace_state,
     validate,
     weyl_unitaries,
 )

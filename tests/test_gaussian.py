@@ -17,6 +17,7 @@ from entropylab.lattice import (
     product_state_relative_entropy,
     region_entropy,
 )
+from entropylab.regions import site_ranges
 
 import oracles
 from oracles import arc_sites, hopping_matrix, lattice_region, rotated_region, split_runs
@@ -266,6 +267,29 @@ def _arc_unions(draw):
 
 THREE_ARCS = RegionSpec([(0.2, 0.9), (1.6, 2.8), (3.5, 5.0)])
 TWO_ARCS = RegionSpec([(0.30, 1.45), (2.65, 4.10)])
+
+
+def test_closed_form_reference():
+    """Upsilon_1 from its integral is the Jin-Korepin value, converged far
+    below 1e-12, and the several-block entropy of one block is theirs."""
+    assert abs(oracles.upsilon_1() - 0.4950179) < 1e-7
+    assert abs(oracles.upsilon_1(0.2) - oracles.upsilon_1(0.05)) < 1e-14
+    for n, first, length in ((16384, 0, 4096), (64, 60, 7)):
+        assert oracles.several_block_entropy(n, [(first, length)]) == pytest.approx(
+            oracles.jin_korepin_entropy(n, length), abs=1e-14
+        )
+
+
+def test_kernel_meets_the_closed_form_at_n_16384():
+    """At N = 16384, past every dense oracle, the kernel is within 1e-7 of
+    the closed form for one arc of N/4 sites (measured gap +8.1e-10) and for
+    the TWO_ARCS union at site-exact endpoints (+1.2e-8)."""
+    n = 16384
+    corr = ground_state_correlations(n)
+    arc = region_entropy(corr, np.arange(n // 4))
+    assert abs(arc - oracles.jin_korepin_entropy(n, n // 4)) < 1e-7
+    union = region_entropy(corr, lattice_region(n, TWO_ARCS))
+    assert abs(union - oracles.several_block_entropy(n, site_ranges(n, TWO_ARCS))) < 1e-7
 
 
 def _quarter_arcs(n, spans):

@@ -41,8 +41,6 @@ def test_parse_minimal_duality(tmp_path):
     # defaults fill in
     assert config.c == 2.0
     assert config.seed == 0
-    assert config.cache_enabled is True
-    assert config.out_dir == ""
     assert config.effective_tolerance == 5e-3
 
 
@@ -53,27 +51,24 @@ def test_echo_covers_every_physics_field(tmp_path):
     assert echo["sizes"] == [64, 128]
     assert echo["arcs"] == [[0.30, 1.45], [2.65, 4.10]]
     assert echo["tolerance"] == 5e-3
-    # output settings are delivery, not physics: they stay out of the echo
-    assert "out_dir" not in echo
-    assert "cache_enabled" not in echo
+    assert list(echo) == ["kind", "sizes", "tolerance", "arcs", "c"]
 
 
-def test_output_section(tmp_path):
-    text = DUALITY + "\n[output]\ndirectory = /tmp/out\ncache = off\n"
-    config = parse_config(_write(tmp_path, text))
-    assert config.out_dir == "/tmp/out"
-    assert config.cache_enabled is False
+def test_output_section(tmp_path, capsys):
+    """Where a run writes and whether it uses the cache are the command
+    line's --out and --no-cache: [output] is an unknown section."""
+    path = _write(tmp_path, DUALITY + "\n[output]\ndirectory = out\ncache = off\n")
+    with pytest.raises(ConfigError, match=r"^unknown section '\[output\]'$"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["fermion", "duality", "--config", str(path), "--no-cache", f"--out={out}"]) == 2
+    assert capsys.readouterr().err == "config error: unknown section '[output]'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 
 def test_unknown_key_is_named(tmp_path):
     text = DUALITY + "mystery = 3\n"
     with pytest.raises(ConfigError, match="unknown key 'mystery'"):
-        parse_config(_write(tmp_path, text))
-
-
-def test_unknown_output_key_is_named(tmp_path):
-    text = DUALITY + "\n[output]\nout_dir = /tmp/x\n"
-    with pytest.raises(ConfigError, match="unknown key 'out_dir' in \\[output\\]"):
         parse_config(_write(tmp_path, text))
 
 
@@ -90,7 +85,7 @@ def test_missing_file():
 
 def test_missing_experiment_section(tmp_path):
     with pytest.raises(ConfigError, match="missing \\[experiment\\]"):
-        parse_config(_write(tmp_path, "[output]\ndirectory = /tmp\n"))
+        parse_config(_write(tmp_path, "# no section\n"))
 
 
 def test_kind_mismatch_with_subcommand(tmp_path):
@@ -176,9 +171,9 @@ def test_malformed_arcs(tmp_path):
 
 
 def test_default_config_only_for_findim():
-    config = default_config("findim-suite", seed=5)
+    config = default_config("findim-suite")
     assert config.kind == "findim-suite"
-    assert config.seed == 5
+    assert config.seed == 0
     assert config.instances == 20
     for kind in EXPERIMENT_KINDS:
         if kind == "findim-suite":
@@ -316,7 +311,7 @@ _DEFAULT_CFIT = "[DEFAULT]\nsizes = 64 128\n[experiment]\nkind = c-fit\n"
 )
 def test_default_section_is_an_unknown_section(tmp_path, capsys, text):
     """[DEFAULT] lends its keys to no other section: it is an unknown
-    section, not sizes for the c-fit nor an unknown key of [output]."""
+    section, not sizes for the c-fit, and reported before [output]."""
     path = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=r"unknown section '\[DEFAULT\]'"):
         parse_config(path)

@@ -148,8 +148,6 @@ def test_summary_roundtrip(tmp_path):
 def test_config_hash_tracks_seed_and_version(tmp_path):
     config = _config(tmp_path, FINDIM_ONE)
     assert config_hash(config) != config_hash(config._replace(seed=1))
-    # output settings do not affect the key
-    assert config_hash(config) == config_hash(config._replace(out_dir="/tmp/x"))
 
 
 def test_config_hash_is_hashlibs_sha256():
@@ -327,6 +325,8 @@ _USAGE_ERRORS = {
     "missing kind": ["fermion", "--no-cache"],
     "unknown flag": ["findim-suite", "--cache"],
     "flag without value": ["findim-suite", "--out"],
+    "flag with empty value": ["findim-suite", "--out="],
+    "flag with empty word": ["findim-suite", "--out", ""],
     "flag followed by flag": ["findim-suite", "--config", "--no-cache"],
     "switch with value": ["findim-suite", "--no-cache=1"],
     "non-integer seed": ["findim-suite", "--seed", "three"],
@@ -337,15 +337,16 @@ _USAGE_ERRORS = {
 
 
 @pytest.mark.parametrize("argv", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS.keys())
-def test_cli_usage_error_returns_two(tmp_path, capsys, argv):
+def test_cli_usage_error_returns_two(tmp_path, capsys, monkeypatch, argv):
     """A usage error returns 2 from ``main`` (no SystemExit), prints the usage
-    and the reason to stderr, and runs nothing."""
+    and the reason to stderr, and runs and writes nothing."""
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: entropylab ")
     assert "entropylab: error: " in captured.err
-    assert not (tmp_path / "cache").exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_process_usage_errors_exit_two():
@@ -371,6 +372,25 @@ def test_cli_flag_equals_value_is_the_flag_and_value(tmp_path, capsys):
     assert (apart / "summary.json").read_bytes() == (joined / "summary.json").read_bytes()
     assert json.loads((joined / "summary.json").read_text())["config"]["seed"] == 2
     assert json.loads((joined / "timings.json").read_text())["cache"] == "hit"
+
+
+def test_run_options_come_from_the_command_line(tmp_path, capsys):
+    """--out and --no-cache are the only run options (a config's [output]
+    is an unknown section).  Neither enters the config hash, --no-cache
+    records "off", and an empty --out is a usage error that writes nothing."""
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(DUALITY)
+    argv = ["fermion", "duality", "--config", str(config_path)]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert main([*argv, "--no-cache", f"--out={tmp_path / 'b'}"]) == 0
+    timings = [json.loads((tmp_path / out / "timings.json").read_text()) for out in "ab"]
+    assert [t["cache"] for t in timings] == ["miss", "off"]
+    key = config_hash(parse_config(config_path))
+    assert [t["config_hash"] for t in timings] == [key, key]
+    capsys.readouterr()
+    assert main([*argv, "--out="]) == 2
+    assert capsys.readouterr().err.endswith("\nentropylab: error: --out needs a value DIR\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "cache", "exp.ini"]
 
 
 def test_out_cache_hit_checks_sites_once(tmp_path, capsys, monkeypatch):
@@ -503,9 +523,7 @@ _SMALL = {
     "two-d": "[experiment]\nkind = two-d\nsizes = 16 32\narcs = 0.30 1.45, 2.65 4.10\n"
     "right_arcs = 0.50 1.70, 3.00 4.40\n",
 }
-_PHYSICS_KEYS = [
-    f for f in ExperimentConfig._fields if f not in ("kind", "out_dir", "cache_enabled")
-]
+_PHYSICS_KEYS = [f for f in ExperimentConfig._fields if f != "kind"]
 # A value of each key that passes every range check.
 _IN_RANGE = {
     "sizes": "64 128",
@@ -679,14 +697,23 @@ def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert done.stderr == err
 
 
-def test_shrink_final_step_may_empty_the_arc(tmp_path):
-    # The last step may leave the scheduled arc without sites; the step then
-    # equals the target and the gap closes exactly.
-    config = _config(tmp_path, _SHRINK + "schedule = 0.5 0.001\n")
-    report = run_experiment(config)
-    assert report.passed
-    assert [c.inputs["sites"] for c in report.cases][-1] == 0
-    assert report.cases[-1].values["gap"] == 0.0
+def test_shrink_final_step_may_empty_the_arc(tmp_path, capsys):
+    """From the command line, a final step that leaves the scheduled arc
+    without sites passes the config check, runs, and writes a last case
+    with 0 sites and gap 0.0; the runner's rule over both schedules is
+    checked in ``test_experiments``."""
+    config_path = tmp_path / "shrink.ini"
+    config_path.write_text(_SHRINK + "schedule = 0.5 0.001\n")
+    out = tmp_path / "out"
+    argv = ["fermion", "shrink", "--config", str(config_path), "--out", str(out), "--no-cache"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is True
+    last = summary["cases"][-1]
+    assert last["inputs"]["sites"] == 0
+    assert last["values"]["gap"] == 0.0
+    assert (out / "cases.csv").read_text().splitlines()[-1].split(",")[-2:] == ["0.0", "0.0"]
 
 
 @pytest.mark.parametrize(

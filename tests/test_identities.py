@@ -126,7 +126,7 @@ def test_instances_are_built_without_structure_discovery():
     for module in modules:
         for name in ("algebra_from_basis", "group_average_expectation"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    report = run_experiment(default_config("findim-suite", seed=0))
+    report = run_experiment(default_config("findim-suite"))
     assert report.passed and all(v.passed for v in report.verdicts)
     assert len(report.verdicts) == 5
 

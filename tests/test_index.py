@@ -13,8 +13,6 @@ from entropylab.findim import (
     dual_weight,
     kosaki_index,
     random_faithful_state,
-    spatial_derivative,
-    trace_state,
 )
 from entropylab.findim.identities import random_unitary
 from entropylab.harness.findim_runs import index_targets
@@ -29,7 +27,9 @@ from oracles import (
     quasi_basis,
     random_inclusion,
     solved_dual_weight,
+    spatial_derivative,
     symmetric_group_unitaries,
+    trace_state,
     weyl_unitaries,
 )
 

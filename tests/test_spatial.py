@@ -15,8 +15,6 @@ from entropylab.findim import (
     random_faithful_state,
     relative_entropy_spatial,
     relative_entropy_umegaki,
-    spatial_derivative,
-    trace_state,
 )
 from entropylab.findim.identities import random_unitary
 
@@ -27,6 +25,8 @@ from oracles import (
     eigen_relative_entropy,
     kron_relative_entropy_spatial,
     modular_flow,
+    spatial_derivative,
+    trace_state,
 )
 
 

