@@ -43,12 +43,9 @@ class BlockStructure(namedtuple("BlockStructure", "n m iso")):
     __slots__ = ()
 
 
-def _lift(blk: BlockStructure, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """V*(a tensor b)V on the ambient space; ``b`` defaults to the identity 1_m."""
-    rows = blk.iso.reshape(blk.n, blk.m, -1)
-    if b is not None:
-        rows = np.matmul(b, rows)
-    acted = (a @ rows.reshape(blk.n, -1)).reshape(blk.n * blk.m, -1)
+def _lift(blk: BlockStructure, a: np.ndarray) -> np.ndarray:
+    """V*(a tensor 1_m)V on the ambient space: block ``blk``'s element a."""
+    acted = (a @ blk.iso.reshape(blk.n, -1)).reshape(blk.n * blk.m, -1)
     return blk.iso.conj().T @ acted
 
 
@@ -118,12 +115,12 @@ class MatrixBlockAlgebra:
     def span_distance(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.project(x) - x))
 
-    def span_equals(self, other: "MatrixBlockAlgebra", tol: float = SPAN_TOL) -> bool:
+    def span_equals(self, other: "MatrixBlockAlgebra") -> bool:
         if other is self:
             return True
         if other.ambient_dim != self.ambient_dim or other.dim != self.dim:
             return False
-        return max(self.span_distance(f) for f in other.basis) <= tol
+        return max(self.span_distance(f) for f in other.basis) <= SPAN_TOL
 
     # -- derived algebras ------------------------------------------------------
 
@@ -176,26 +173,12 @@ def _swap_matrix(n: int, m: int) -> np.ndarray:
     return s
 
 
-def build_algebra(
-    blocks: list[tuple[int, int]], ambient_dim: int | None = None
-) -> MatrixBlockAlgebra:
-    """Direct sum of M_{n_k} tensor 1_{m_k} in the standard basis ordering.
-
-    Parameters
-    ----------
-    blocks:
-        List of (n_k, m_k) pairs; the ambient space is the direct sum of
-        C^{n_k} tensor C^{m_k} in the given order.
-    ambient_dim:
-        Optional cross-check; must equal the sum of n_k * m_k when given.
-    """
+def build_algebra(blocks: list[tuple[int, int]]) -> MatrixBlockAlgebra:
+    """Direct sum of M_{n_k} tensor 1_{m_k} over the (n_k, m_k) of ``blocks``,
+    in the standard basis ordering of C^D, D the sum of n_k * m_k."""
     if not blocks:
         raise ValueError("algebra needs at least one block")
     total = sum(n * m for n, m in blocks)
-    if ambient_dim is not None and ambient_dim != total:
-        raise ValueError(
-            f"ambient dimension mismatch: expected {total}, got {ambient_dim}"
-        )
     structure = []
     offset = 0
     for n, m in blocks:

@@ -3,9 +3,11 @@
 Every conditional expectation E: M -> N between finite-dimensional
 algebras has the form E(x) = P_N(h x), where P_N is the Hilbert-Schmidt
 projection onto N and h > 0 lies in N' cap M with P_N(h) = 1; h = 1 is the
-trace-preserving expectation.  A map is stored as (source, target, h), so
-applying it or its adjoint costs one block projection, and it can be
-certified from that triple alone (``validate`` in the test oracles).  Its invariants imply every axiom: when N lies in
+trace-preserving expectation, one case of the general h that the index
+(Kosaki) is defined for.  A map is stored as (source, target, h), and
+every map goes through its h, so applying it or its adjoint costs one
+block projection and a product.  It can be certified from that triple
+alone (``validate`` in the test oracles).  Its invariants imply every axiom: when N lies in
 M, h lies in N' cap M, h >= 0 and P_N(h) = 1, then E is N-bimodular because
 P_N is and h commutes with N, so E(n) = P_N(h) n = n makes it idempotent and
 unital, and since h^(1/2) commutes with N, E = P_N o Ad h^(1/2) is completely
@@ -32,8 +34,7 @@ class ConditionalExpectationMap:
     """Idempotent unital completely positive N-bimodule map E: M -> N.
 
     ``density`` is the relative density h of E(x) = P_N(h x); it defaults
-    to the identity, the trace-preserving expectation, and
-    ``trace_preserving`` records that none was given.
+    to the identity, the trace-preserving expectation.
     """
 
     def __init__(
@@ -45,8 +46,6 @@ class ConditionalExpectationMap:
         d = source.ambient_dim
         if target.ambient_dim != d:
             raise ValueError("source and target act on different ambient spaces")
-        # h = 1 leaves P_N(G) h = P_N(G), so pull_back skips the product
-        self.trace_preserving = density is None
         if density is None:
             density = np.eye(d)
         density = np.asarray(density, dtype=complex)
@@ -70,8 +69,7 @@ class ConditionalExpectationMap:
         Hilbert-Schmidt adjoint h* P_N(G) at self-adjoint G.
         """
         mat = omega.matrix if isinstance(omega, WeightDensity) else np.asarray(omega)
-        g = self.target.project(mat)
-        return canonical_density(self.source, g if self.trace_preserving else g @ self.density)
+        return canonical_density(self.source, self.target.project(mat) @ self.density)
 
 
 def compose_expectations(
@@ -81,8 +79,6 @@ def compose_expectations(
     """The expectation x -> second(first(x)); first's target must be second's source."""
     if not first.target.span_equals(second.source):
         raise ValueError("target of the first map must equal source of the second")
-    if first.trace_preserving and second.trace_preserving:
-        return ConditionalExpectationMap(first.source, second.target)
     return ConditionalExpectationMap(
         first.source, second.target, second.density @ first.density
     )

@@ -79,9 +79,7 @@ class DifferenceReport(namedtuple("DifferenceReport", "s1 s2 s12 residual")):
     __slots__ = ()
 
 
-def random_difference_instance(
-    rng: np.random.Generator, side: int = 4
-) -> DifferenceInstance:
+def random_difference_instance(rng: np.random.Generator, side: int) -> DifferenceInstance:
     """A bipartite factor with expectations on both sides of the commutant.
 
     ``side`` is the dimension of each tensor leg (2, 3 or 4).  For side 4

@@ -30,8 +30,6 @@ __all__ = [
     "random_faithful_state",
 ]
 
-# Trace deviation tolerated for the "normalized" flag.
-NORMALIZATION_TOL = 1e-10
 # Relative skew a density may have, and norm deviation a unit vector may have.
 ATOL = 1e-10
 # Relative spectral cutoff defining the support of a density.
@@ -79,10 +77,6 @@ class WeightDensity:
         """psi(P(x)) = Tr(D P(x)) = Tr(D x) for the projection P onto the algebra."""
         return complex(np.einsum("ij,ji->", self.matrix, x))
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.mass - 1.0) <= NORMALIZATION_TOL
-
     def intrinsic_blocks(self) -> list[np.ndarray]:
         """Block density matrices rho_k with psi(x_k) = Tr(rho_k xhat_k);
         the canonical density holds rho_k / m_k on block k."""
@@ -99,17 +93,6 @@ class WeightDensity:
         if scale <= 0.0:
             return False
         return all(float(vals[0]) > SUPPORT_CUTOFF * scale for vals, _ in self._eigen)
-
-    def normalized(self) -> "WeightDensity":
-        if self.mass <= 0:
-            raise ValueError("cannot normalise a null functional")
-        return self.scaled(1.0 / self.mass)
-
-    def scaled(self, factor: float) -> "WeightDensity":
-        if factor < 0:
-            raise ValueError("scale factor must be nonnegative")
-        blocks = [rho * factor for rho in self._blocks]
-        return WeightDensity.from_intrinsic_blocks(self.algebra, blocks)
 
     def mixed_with(self, other: "WeightDensity", weight: float) -> "WeightDensity":
         """Convex-type combination weight*self + (1-weight)*other."""
@@ -206,22 +189,17 @@ class VectorStateData:
 
 
 def random_faithful_state(
-    algebra: MatrixBlockAlgebra,
-    rng: np.random.Generator,
-    normalized: bool = True,
+    algebra: MatrixBlockAlgebra, rng: np.random.Generator
 ) -> WeightDensity:
-    """Faithful random state with blocks X X* / Tr(X X*) from Gaussian X.
+    """Faithful random state of mass 1, with blocks X X* / Tr(X X*) from Gaussian X.
 
-    Normalized blocks are made Hermitian and scaled by the inverse of their
-    trace mass before the weight settles, so their eigensystems are computed
-    once; the bytes are those of ``normalized()`` on the unnormalized weight.
-    """
+    The blocks X X* + 1e-6 are made Hermitian and scaled by the inverse of
+    their total trace before the weight settles, which computes their
+    eigensystems once."""
     blocks = []
     for n, _ in algebra.blocks:
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rho = x @ x.conj().T + 1e-6 * np.eye(n)
-        blocks.append((rho + rho.conj().T) / 2 if normalized else rho)
-    if normalized:
-        factor = 1.0 / float(sum(np.trace(rho).real for rho in blocks))
-        blocks = [rho * factor for rho in blocks]
-    return WeightDensity.from_intrinsic_blocks(algebra, blocks)
+        blocks.append((rho + rho.conj().T) / 2)
+    factor = 1.0 / float(sum(np.trace(rho).real for rho in blocks))
+    return WeightDensity.from_intrinsic_blocks(algebra, [rho * factor for rho in blocks])

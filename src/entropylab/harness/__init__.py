@@ -12,7 +12,6 @@ CSV table and the cache key's sha256 need no ``configparser``, ``csv`` or
 
 from .cache import cache_dir, cache_lookup, cache_store
 from .config import (
-    EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
     default_config,
@@ -22,7 +21,6 @@ from .report import CaseRecord, RunReport, Verdict, config_hash
 from .reporting import format_report, load_report, summary_json, write_report
 
 __all__ = [
-    "EXPERIMENT_KINDS",
     "CaseRecord",
     "ConfigError",
     "ExperimentConfig",

@@ -6,7 +6,8 @@ covers the fully resolved config (file values plus CLI overrides) and a
 sha256 of every ``entropylab/**/*.py`` source file, so an edited engine
 (with or without a version bump) or a changed tolerance can never serve
 stale numbers.  Writes go through a temp file and an atomic rename;
-anything unreadable is evicted and treated as a miss.
+anything unreadable is evicted where it can be, and is a miss either way:
+a lookup never raises.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ def cache_lookup(key: str) -> RunReport | None:
     except FileNotFoundError:
         return None
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-        path.unlink(missing_ok=True)
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:
+            pass
         return None
     return report
 

@@ -13,7 +13,9 @@ config file holds only the experiment.
 Exit codes: 0 all invariants passed (or help printed), 1 an invariant
 failed (failing case ids go to stderr), 2 a usage error (after the usage
 line) or a configuration problem, 3 I/O problem (also a ``summary.json``
-that cannot be read back as a report).
+that cannot be read back as a report).  The cache changes no exit code: an
+unreadable entry is a miss, and a result that cannot be stored is reported
+on stderr as ``cache not written``.
 
 A cache hit is little more than start-up, so a CLI call loads nothing it
 does not use: the engines and numpy only when a run computes, no
@@ -189,7 +191,10 @@ def main(argv: list[str] | None = None) -> int:
             cache = "miss" if use_cache else "off"
             report = run_experiment(config)
             if use_cache:
-                cache_store(report, key)
+                try:
+                    cache_store(report, key)
+                except OSError as exc:
+                    print(f"cache not written: {exc}", file=sys.stderr)
 
         if "--out" in options:
             # The cache keeps compute timings only; this call's own status,

@@ -154,8 +154,6 @@ KINDS = {
     ),
 }
 
-EXPERIMENT_KINDS = tuple(KINDS)
-
 
 class ExperimentConfig(
     namedtuple(

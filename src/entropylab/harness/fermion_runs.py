@@ -106,6 +106,7 @@ def _limit(config, cases, key, limit, prefix, name) -> Verdict:
 
 def run_duality(config: ExperimentConfig):
     spec = RegionSpec(config.arcs)
+    eta = cross_ratio(spec) if len(spec.arcs) == 2 else None
 
     def case(n, corr) -> CaseRecord:
         rep = entropy_deficit(corr, spec, config.c)
@@ -116,7 +117,7 @@ def run_duality(config: ExperimentConfig):
             values={
                 "S_I": rep.s_region,
                 "S_Icomp": rep.s_complement,
-                "eta": rep.eta,
+                "eta": eta,
                 "G_I": rep.g_region,
                 "G_Icomp": rep.g_complement,
                 "D": rep.deficit,

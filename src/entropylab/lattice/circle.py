@@ -51,7 +51,7 @@ def cross_ratio(spec: RegionSpec) -> float:
     return (r_out[0] * r_out[1]) / (r_in[0] * r_in[1])
 
 
-def mobius_region(spec: RegionSpec, pull: complex, phase: float = 0.0) -> RegionSpec:
+def mobius_region(spec: RegionSpec, pull: complex, phase: float) -> RegionSpec:
     """Image of the region under the disk automorphism z -> e^{i phase}(z - pull)/(1 - conj(pull) z).
 
     Automorphisms of the disk preserve the circle, its orientation, and

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .circle import RegionSpec, cross_ratio, interval_lengths
+from .circle import RegionSpec, interval_lengths
 from .gaussian import CorrelationMatrix, product_state_relative_entropy
 
 __all__ = [
@@ -29,11 +29,10 @@ __all__ = [
 
 
 class DeficitReport(
-    namedtuple("DeficitReport", "s_region s_complement eta g_region g_complement deficit")
+    namedtuple("DeficitReport", "s_region s_complement g_region g_complement deficit")
 ):
     """Relative entropies and regularized entropies of a region and its
-    complement, and their deficit; ``eta`` is the cross ratio of a two-arc
-    region, else None."""
+    complement at one size, and their deficit."""
 
     __slots__ = ()
 
@@ -49,9 +48,9 @@ def entropy_deficit(
 ) -> DeficitReport:
     """Deficit between the region and its complement.
 
-    For two arcs the report also carries the cross ratio eta; the deficit
-    then equals -(c/6) ln eta - S_region + S_complement, the same expression
-    rearranged (the tests hold the two to 1e-12).
+    For two arcs the deficit equals -(c/6) ln eta - S_region + S_complement
+    with eta = ``cross_ratio(spec)``, the same expression rearranged (the
+    tests hold the two to 1e-12).
     """
     if c <= 0:
         raise ValueError("central charge must be positive")
@@ -68,7 +67,6 @@ def entropy_deficit(
     return DeficitReport(
         s_region=s_region,
         s_complement=s_complement,
-        eta=cross_ratio(spec) if len(spec.arcs) == 2 else None,
         g_region=g_region,
         g_complement=g_complement,
         deficit=g_region - g_complement,

@@ -119,7 +119,6 @@ from entropylab.findim import (
     build_algebra,
     kosaki_index,
 )
-from entropylab.findim.algebras import _lift
 from entropylab.findim.spatial import _support_power
 from entropylab.findim.states import _on
 from entropylab.lattice import (
@@ -987,6 +986,13 @@ def commutant_state(omega: VectorStateData) -> WeightDensity:
     return WeightDensity.from_intrinsic_blocks(omega.algebra.commutant(), blocks)
 
 
+def _lift(blk: BlockStructure, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """V*(a tensor b)V on the ambient space, for a in M_n and b in M_m of block ``blk``."""
+    rows = np.matmul(b, blk.iso.reshape(blk.n, blk.m, -1))
+    acted = (a @ rows.reshape(blk.n, -1)).reshape(blk.n * blk.m, -1)
+    return blk.iso.conj().T @ acted
+
+
 def spatial_derivative(psi: WeightDensity, phi_c: WeightDensity) -> np.ndarray:
     """Spatial derivative Delta(psi / phi_c) as a positive D x D matrix.
 
@@ -1347,13 +1353,6 @@ def spin_block_entropy(psi: np.ndarray, n_sites: int, block: int) -> float:
     probs = svals**2
     probs = probs[probs > _EPS]
     return float(-np.sum(probs * np.log(probs)))
-
-
-def dispersion_ground_energy(n_sites: int) -> float:
-    """Filled-sea energy from the single-particle dispersion -2 sin k."""
-    momenta = 2.0 * np.pi * (np.arange(n_sites) + 0.5) / n_sites
-    energies = -2.0 * np.sin(momenta)
-    return float(np.sum(energies[energies < 0.0]))
 
 
 # --- closed forms of the chain's entropies (standard library only) ---------

@@ -242,5 +242,3 @@ def test_rejects_bad_blocks():
         build_algebra([])
     with pytest.raises(ValueError):
         build_algebra([(0, 2)])
-    with pytest.raises(ValueError):
-        build_algebra([(2, 2)], ambient_dim=5)

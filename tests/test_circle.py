@@ -182,7 +182,7 @@ def test_property_mobius_preserves_cross_ratio(radius, angle):
 
 def test_mobius_rejects_pull_outside_disk():
     with pytest.raises(ValueError):
-        mobius_region(RegionSpec([(0.0, 1.0), (2.0, 3.0)]), 1.2 + 0j)
+        mobius_region(RegionSpec([(0.0, 1.0), (2.0, 3.0)]), 1.2 + 0j, 0.0)
 
 
 def test_equal_eta_family_all_share_eta():

@@ -13,6 +13,7 @@ from entropylab.lattice import (
     RegionSpec,
     central_charge_fit,
     chord_length,
+    cross_ratio,
     entropy_deficit,
     finite_size_extrapolate,
     ground_state_correlations,
@@ -34,7 +35,7 @@ def _geometry(spec, c):
 def test_deficit_report_fields():
     corr = ground_state_correlations(128)
     report = entropy_deficit(corr, TWO_ARCS, c=2.0)
-    assert report.eta is not None
+    assert report._fields == ("s_region", "s_complement", "g_region", "g_complement", "deficit")
     assert report.g_region == _geometry(TWO_ARCS, 2.0) - report.s_region
     assert report.g_complement == (
         _geometry(TWO_ARCS.complement(), 2.0) - report.s_complement
@@ -73,7 +74,7 @@ def test_deficit_two_routes_agree():
         corr = ground_state_correlations(n)
         report = entropy_deficit(corr, TWO_ARCS, c=2.0)
         s_i, s_j = report.s_region, report.s_complement
-        via_eta = -(2.0 / 6.0) * math.log(report.eta) - s_i + s_j
+        via_eta = -(2.0 / 6.0) * math.log(cross_ratio(TWO_ARCS)) - s_i + s_j
         assert abs(report.deficit - via_eta) <= 1e-12
 
 
@@ -95,11 +96,14 @@ def test_deficit_evaluates_the_shared_union_once(monkeypatch):
 
 
 def test_deficit_three_arcs_has_no_eta():
+    """A duality run reads eta off its two-arc region once; three arcs have none."""
     spec = RegionSpec([(0.2, 1.1), (2.0, 2.9), (4.1, 5.3)])
     corr = ground_state_correlations(128)
     report = entropy_deficit(corr, spec, c=2.0)
-    assert report.eta is None
     assert report.g_region == _geometry(spec, 2.0) - report.s_region
+    for arcs, eta in ((spec.arcs, None), (TWO_ARCS.arcs, cross_ratio(TWO_ARCS))):
+        run = run_experiment(ExperimentConfig(kind="duality", sizes=(128, 256), arcs=arcs))
+        assert [case.values["eta"] for case in run.cases] == [eta, eta]
 
 
 def test_deficit_requires_two_arcs():

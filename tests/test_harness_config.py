@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entropylab.harness import (
-    EXPERIMENT_KINDS,
     ConfigError,
     default_config,
     parse_config,
@@ -175,7 +174,7 @@ def test_default_config_only_for_findim():
     assert config.kind == "findim-suite"
     assert config.seed == 0
     assert config.instances == 20
-    for kind in EXPERIMENT_KINDS:
+    for kind in config_module.KINDS:
         if kind == "findim-suite":
             continue
         with pytest.raises(ConfigError, match="requires a config file"):

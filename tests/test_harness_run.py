@@ -220,6 +220,29 @@ def test_cache_evicts_corrupt_entries(tmp_path):
     path.write_text("{not json")
     assert cache_lookup(config_hash(config)) is None
     assert not path.exists()
+    path.mkdir()  # unreadable and cannot be evicted: still a miss
+    assert cache_lookup(config_hash(config)) is None
+
+
+def test_broken_cache_is_a_miss_and_the_run_goes_on(tmp_path, capsys, monkeypatch):
+    """With the cache directory a regular file, the lookup is a miss and the
+    store fails with a note on stderr; the run still exits 0 and writes the
+    artifacts of a --no-cache run."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv("ENTROPYLAB_CACHE_DIR", str(blocker))
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(DUALITY)
+    argv = ["fermion", "duality", "--config", str(config_path)]
+    assert main([*argv, "--no-cache", "--out", str(tmp_path / "off")]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "broken")]) == 0
+    assert capsys.readouterr().err.startswith("cache not written: ")
+    off, broken = tmp_path / "off", tmp_path / "broken"
+    assert sorted(p.name for p in broken.iterdir()) == sorted(p.name for p in off.iterdir())
+    assert (broken / "summary.json").read_bytes() == (off / "summary.json").read_bytes()
+    assert json.loads((broken / "timings.json").read_text())["cache"] == "miss"
+    assert blocker.read_text() == ""
 
 
 def test_cli_pass_exit_zero(tmp_path, capsys):
@@ -259,17 +282,42 @@ def test_cli_io_error_exit_three(tmp_path, capsys):
     assert "i/o error:" in capsys.readouterr().err
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter on this package; the cache directory is this test's."""
-    env = dict(os.environ, PYTHONPATH=str(Path(entropylab.__file__).parent.parent))
+def _python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this package, with ``env`` added to its
+    environment; the cache directory is this test's."""
+    env = dict(os.environ, PYTHONPATH=str(Path(entropylab.__file__).parent.parent), **env)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
 
 
-def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+def _cli_process(*argv: str, **env: str) -> subprocess.CompletedProcess:
     """``python -m entropylab.harness.cli``, which exits through ``run``."""
-    return _python("-m", "entropylab.harness.cli", *argv)
+    return _python("-m", "entropylab.harness.cli", *argv, **env)
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The harness-replay duality (TWO_ARCS at N = 256, 512, 1024) and
+    findim-suite configs write the same summary.json, cases.csv and .dat
+    files at one BLAS thread and at two."""
+    replay = _PERFBENCH / "configs" / "harness-replay"
+    artifacts = ["cases.csv", "summary.json"]
+    for command, names in (
+        (["fermion", "duality"], sorted([*artifacts, "deficit_vs_N.dat"])),
+        (["findim-suite"], artifacts),
+    ):
+        config = replay / f"{command[-1]}.ini"
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command[-1]}-{threads}"
+            done = _cli_process(
+                *command, "--config", str(config), "--no-cache", "--out", str(out),
+                OPENBLAS_NUM_THREADS=threads,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"})
+        assert sorted(outs[0]) == names
+        assert outs[0] == outs[1]
 
 
 def test_cli_process_exit_codes(tmp_path, capsys):

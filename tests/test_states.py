@@ -20,7 +20,6 @@ def test_trace_state_mass_and_blocks():
     alg = build_algebra([(2, 3), (1, 2)])
     tr = trace_state(alg)
     assert abs(tr.mass - 1.0) < 1e-12
-    assert tr.is_normalized
     assert tr.is_faithful
 
 
@@ -43,6 +42,7 @@ def test_intrinsic_blocks_traces_sum_to_mass():
     w = random_faithful_state(alg, rng)
     total = sum(float(np.trace(b).real) for b in w.intrinsic_blocks())
     assert abs(total - w.mass) < 1e-12
+    assert abs(w.mass - 1.0) < 1e-12
 
 
 def test_from_intrinsic_blocks_roundtrip():
@@ -60,13 +60,6 @@ def test_mixed_with_is_convex_combination():
     b = random_faithful_state(alg, rng)
     mix = a.mixed_with(b, 0.25)
     assert np.abs(mix.matrix - (0.25 * a.matrix + 0.75 * b.matrix)).max() < 1e-12
-
-
-def test_scaled_and_normalized():
-    alg = build_algebra([(2, 1)])
-    w = trace_state(alg).scaled(3.0)
-    assert abs(w.mass - 3.0) < 1e-12
-    assert abs(w.normalized().mass - 1.0) < 1e-12
 
 
 def test_vector_state_matches_expectation_values():
@@ -121,22 +114,6 @@ def test_vector_flags_read_one_rank_per_block_on_first_read(monkeypatch):
     # block, full column rank on the second, so neither flag holds
     assert (om.cyclic, om.separating) == (False, False)
     assert shapes == [(2, 3), (3, 2)]
-
-
-@pytest.mark.parametrize("blocks", [[(3, 1)], [(2, 3), (1, 2)]])
-def test_normalized_random_state_is_the_normalized_weight(blocks):
-    alg = build_algebra(blocks)
-    state = random_faithful_state(alg, np.random.default_rng(8))
-    weight = random_faithful_state(alg, np.random.default_rng(8), normalized=False)
-    want = weight.normalized()
-    assert state.mass == want.mass
-    for got, ref in zip(state.intrinsic_blocks(), want.intrinsic_blocks()):
-        np.testing.assert_array_equal(got, ref)
-    for (vals, vecs), (ref_vals, ref_vecs) in zip(
-        state.intrinsic_eigensystems(), want.intrinsic_eigensystems()
-    ):
-        np.testing.assert_array_equal(vals, ref_vals)
-        np.testing.assert_array_equal(vecs, ref_vecs)
 
 
 def test_rank_deficient_vector_not_separating():
