@@ -81,10 +81,6 @@ class MatrixBlockAlgebra:
                     out.append(rows[i].conj().T @ rows[j] * scale)
         return out
 
-    @property
-    def identity(self) -> np.ndarray:
-        return np.eye(self.ambient_dim, dtype=complex)
-
     def central_projections(self) -> list[np.ndarray]:
         return [blk.iso.conj().T @ blk.iso for blk in self.structure]
 
@@ -108,9 +104,6 @@ class MatrixBlockAlgebra:
     def project(self, x: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt orthogonal projection of x onto the algebra span."""
         return self.embed_blocks(self.matrix_blocks(x))
-
-    def contains(self, x: np.ndarray, tol: float = SPAN_TOL) -> bool:
-        return self.span_distance(x) <= tol * max(1.0, float(np.linalg.norm(x)))
 
     def span_distance(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.project(x) - x))

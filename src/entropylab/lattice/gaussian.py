@@ -26,9 +26,9 @@ across its endpoints: only O(ln L ln 1/eps) of the lambda exceed eps.
 Its range comes from a column skeleton (Cheng, Gimbutas, Martinsson and
 Rokhlin, SIAM J. Sci. Comput. 26, 1389, 2005) that the geometry chooses:
 the columns of B' at offsets 0, 1, 2, 4, 8, ... from both ends of every
-step-2 run of F on the ring (two runs that meet across site 0 are one),
-read straight from the kernel table.  Q is their Householder QR factor,
-one sweep gives ||B'||_F^2 and Z = Q^T B', and lambda = eigvalsh(Z Z^T).
+run of F on the ring (two runs that meet across site 0 are one), read
+straight from the kernel view.  Q is their Householder QR factor, one
+sweep gives ||B'||_F^2 and Z = Q^T B', and lambda = eigvalsh(Z Z^T).
 The dropped mass eps = ||(1 - Q Q^T) B'||_F^2 certifies Q: it must fall
 to 256 ulps of ||B'||_F^2 (its rounding is a few ulps), or Q must span R.
 Otherwise the offsets 3, 6, 12, ... join and a second sweep follows; if
@@ -36,20 +36,23 @@ that misses too, or the skeleton has |R| columns, Q = 1 on R, which drops
 nothing.  The compressed eigenvalues interlace below the true ones and
 fall short by eps in total; the pair entropy s(lambda) = 2 h(nu) is
 concave and increasing with s(0) = 0, so the computed entropy is low by
-at most |R| s(eps / |R|) nats.  B' is streamed from Toeplitz views of
-one cached kernel table in row panels of max(k, ceil(|R| k / |F|)) rows,
-at most |R|, for a range of width k: a panel holds at least as many
-entries as Q and as Z, so Q^T panel moves no more bytes than the panel,
-and a thin F takes one panel, not |R| / k.  A range of width k costs one
-sweep, the QR of an |R| x k skeleton and about 2 |R| |F| k flops, in a
-working memory of range-sized arrays with no constant term: the panel,
-Z, one product buffer and Q, about (2 |R| + 3 |F|) k floats.  Only
-Q = 1 on R holds B' whole, as Z, built as one panel.
+at most |R| s(eps / |R|) nats.  B' is streamed from slices of the kernel
+view in row panels of max(k, ceil(|R| k / |F|)) rows, at most |R|, for a
+range of width k: a panel holds at least as many entries as Q and as Z,
+so Q^T panel moves no more bytes than the panel, and a thin F takes one
+panel, not |R| / k.  A range of width k costs one sweep, the QR of an
+|R| x k skeleton and about 2 |R| |F| k flops, in a working memory of
+range-sized arrays with no constant term: the panel, Z, one product
+buffer and Q, about (2 |R| + 3 |F|) k floats.  Only Q = 1 on R holds B'
+whole, as Z, built as one panel.
 
 Regions travel as sorted, merged runs (first, count) of consecutive sites
 on [0, N): an arc union's from ``regions.arc_range``, its complement's
-from the gaps between them.  R and F are maximal step-2 runs by O(#runs)
-arithmetic, which the panels and the skeleton read.  The ground state is
+from the gaps between them.  R and F are half-chain runs by O(#runs)
+arithmetic: runs of i over R's sites 2 i + p, of j over F's 2 j + 1 - p.
+In these indices K is one Toeplitz matrix, K[2 i + p, 2 j + 1 - p] =
+V[i + p, j] for a cached read-only view V of the n values of K, and
+every block of B' = V[p:][R, F] is a slice of V.  The ground state is
 pure, so each entropy of an arc-union relative entropy is evaluated on
 the smaller of a set and its complement, memoized by (N, runs): the
 region/complement deficit evaluates their shared union entropy once.
@@ -104,15 +107,17 @@ def ground_state_correlations(n_sites: int) -> CorrelationMatrix:
     return CorrelationMatrix(n_sites)
 
 
-def run_sites(runs, step: int = 1) -> np.ndarray:
-    """The sites of ``(first, count)`` runs with the given step, in run order."""
-    parts = [np.arange(first, first + step * count, step) for first, count in runs]
+def run_sites(runs) -> np.ndarray:
+    """The indices of ``(first, count)`` runs, in run order."""
+    parts = [np.arange(first, first + count) for first, count in runs]
     return np.concatenate(parts) if parts else np.arange(0)
 
 
 @lru_cache(maxsize=8)
-def _kernel_table(n: int) -> np.ndarray:
-    """K at the odd separations d = 1 - n, 3 - n, ..., n - 1: 1 / (n sin(pi d / n))."""
+def _kernel(n: int) -> np.ndarray:
+    """K in half-chain indices, K[2 i + p, 2 j + 1 - p] = V[i + p, j]: the
+    read-only (n/2 + 1) x n/2 Toeplitz view V of the table of K at the odd
+    separations d = 1 - n, 3 - n, ..., n - 1, 1 / (n sin(pi d / n))."""
     table = np.arange(1 - n, n, 2, dtype=float)
     table *= np.pi
     table /= n
@@ -120,7 +125,7 @@ def _kernel_table(n: int) -> np.ndarray:
     table *= n
     np.divide(1.0, table, out=table)
     table.flags.writeable = False
-    return table
+    return sliding_window_view(table, n // 2)[:, ::-1]
 
 
 def _panel_height(n_rows: int, n_cols: int, width: int) -> int:
@@ -130,27 +135,19 @@ def _panel_height(n_rows: int, n_cols: int, width: int) -> int:
     return min(n_rows, max(width, -(-n_rows * width // n_cols)))
 
 
-def _panels(n: int, rows, cols):
-    """A sweep over B' = K[rows, cols] for step-2 runs of opposite parity.
+def _panels(kernel: np.ndarray, rows, cols):
+    """A sweep over B' = kernel[rows, cols] for runs of half-chain indices.
 
     Calling the result with a height yields (first row, panel) for
     consecutive row panels of that many rows.  Each pair of runs is a
-    Toeplitz block of the kernel table, copied from a reversed
-    sliding-window view; views are made once, and every sweep rebuilds its
+    Toeplitz block, one slice of the kernel view; every sweep copies its
     panels into one buffer of its own (a fresh array per panel would
     page-fault on every write), so a panel is valid only until the next one
     is yielded.  A sweep of one panel leaves B' whole in that buffer.
     """
-    table = _kernel_table(n)
-    # each run's position among the sites of its side, then their number
+    # each run's position among the indices of its side, then their number
     row_starts = list(accumulate((count for _, count in rows), initial=0))
     col_starts = list(accumulate((count for _, count in cols), initial=0))
-    # per run of columns: its position, width, last site and the windows
-    # whose row t is table[t + width - 1], ..., table[t]
-    col_windows = [
-        (j, count, first + 2 * count - 2, sliding_window_view(table, count)[:, ::-1])
-        for j, (first, count) in zip(col_starts, cols)
-    ]
 
     def sweep(height: int):
         buffer = np.empty((min(height, row_starts[-1]), col_starts[-1]))
@@ -161,64 +158,58 @@ def _panels(n: int, rows, cols):
                 a, b = max(i, lo), min(i + count, hi)
                 if a >= b:
                     continue
-                for j, width, last, windows in col_windows:
-                    # K at d = r - c sits at table index (d + n - 1) / 2, and
-                    # each next row of the run moves one index along
-                    first = (row + 2 * (a - i) - last + n - 1) // 2
-                    panel[a - lo : b - lo, j : j + width] = windows[first : first + b - a]
+                for j, (col, width) in zip(col_starts, cols):
+                    block = kernel[row + a - i : row + b - i, col : col + width]
+                    panel[a - lo : b - lo, j : j + width] = block
             yield lo, panel
 
     return sweep
 
 
-def _skeleton(n: int, cols, offsets: np.ndarray) -> set[int]:
-    """The sites ``offsets`` steps from both ends of each step-2 run of
-    ``cols`` on the ring: runs that meet across site 0 are one run, as that
+def _skeleton(ring: int, cols, offsets: np.ndarray) -> set[int]:
+    """The indices ``offsets`` from both ends of each run of ``cols`` on the
+    ring of ``ring`` indices: runs that meet across 0 are one run, as that
     is no endpoint of the region."""
     runs = list(cols)
-    if len(runs) > 1 and runs[0][0] + n == runs[-1][0] + 2 * runs[-1][1]:
+    if len(runs) > 1 and runs[0][0] + ring == runs[-1][0] + runs[-1][1]:
         (_, head), (last, tail) = runs.pop(0), runs.pop()
         runs.append((last, tail + head))
     picked = set()
     for first, count in runs:
-        steps = 2 * offsets[offsets < count]
-        last = first + 2 * count - 2
-        picked.update(((first + steps) % n).tolist(), ((last - steps) % n).tolist())
+        steps = offsets[offsets < count]
+        last = first + count - 1
+        picked.update(((first + steps) % ring).tolist(), ((last - steps) % ring).tolist())
     return picked
 
 
-def _coupling_spectrum(n: int, rows, cols) -> tuple[np.ndarray, float]:
+def _coupling_spectrum(kernel: np.ndarray, rows, cols) -> tuple[np.ndarray, float]:
     """The eigenvalues of Z Z^T, Z = Q^T B', and the certified dropped mass.
 
     Q is the QR factor of the endpoint skeleton, widened once by the
     half-octave offsets if the dropped mass ||B'||_F^2 - ||Z||_F^2 has not
     reached its rounding level, and 1 on R if it still has not or once the
     skeleton has as many columns as R has rows.  Each try is one sweep over
-    the row panels of B' = K[rows, cols], the step-2 runs of R and F, which
+    the row panels of B' = kernel[rows, cols], the runs of R and F, which
     sums ||B'||_F^2 row by row and forms Z: in panels of ``_panel_height``
     rows through one product buffer, or, for Q = 1, in one panel that is Z.
     """
     if not rows or not cols:
         return np.empty(0), 0.0
-    sweep = _panels(n, rows, cols)
-    table = _kernel_table(n)
-    # K[r, c] sits at table index (r - c + n - 1) / 2, which is
-    # (r + n - 1) // 2 - c // 2 because r + n - 1 and c have one parity
-    row_index = (run_sites(rows, 2) + n - 1) // 2
-    n_rows, n_cols = row_index.size, sum(count for _, count in cols)  # |R|, |F|
-    picked = set()  # the skeleton's sites
+    sweep = _panels(kernel, rows, cols)
+    row_at = run_sites(rows)
+    n_rows, n_cols = row_at.size, sum(count for _, count in cols)  # |R|, |F|
+    picked = set()  # the skeleton's columns
     row_norms = np.empty(n_rows)
     octaves = 1 << np.arange(n_cols.bit_length())
     for offsets in (np.r_[0, octaves], 3 * octaves, None):
         if offsets is not None:
-            picked |= _skeleton(n, cols, offsets)
+            picked |= _skeleton(kernel.shape[1], cols, offsets)
         basis = captured = product = panel = None  # free the last try's arrays first
         if offsets is None or len(picked) >= n_rows:  # Q = 1 on R: Z is B'
             [(_, captured)] = sweep(n_rows)
             np.einsum("ij,ij->i", captured, captured, out=row_norms)
         else:
-            columns = np.array(sorted(picked)) // 2
-            basis = np.linalg.qr(table[np.subtract.outer(row_index, columns)])[0]
+            basis = np.linalg.qr(kernel[row_at[:, None], sorted(picked)])[0]
             width = basis.shape[1]
             captured, product = np.zeros((width, n_cols)), np.empty((width, n_cols))
             for lo, panel in sweep(_panel_height(n_rows, n_cols, width)):
@@ -243,31 +234,31 @@ def _mode_entropy(lam: np.ndarray) -> float:
     return float(-np.sum(nu * np.log(nu) + (1.0 - nu) * np.log1p(-nu)))
 
 
-def _parity_runs(n: int, runs, parity: int) -> list[tuple[int, int]]:
-    """The sites of ``parity`` in ``runs`` as maximal step-2 runs: the runs
-    of i over their sites 2 i + parity, merged as ``linear_runs`` merges."""
+def _parity_runs(n: int, runs, parity: int) -> tuple[tuple[int, int], ...]:
+    """The sites 2 i + ``parity`` in ``runs`` as runs of i on [0, n/2),
+    merged as ``linear_runs`` merges."""
     halves = []
     for first, count in runs:
         low, high = (first + 1 - parity) // 2, (first + count + 1 - parity) // 2
         halves.append((low, high - low))
-    return [(2 * i + parity, count) for i, count in linear_runs(n // 2, halves)]
+    return linear_runs(n // 2, halves)
 
 
-def _coupling_runs(n: int, runs) -> tuple[list, list]:
-    """R, the smaller parity side of the sites of ``runs`` (the even one on
-    a tie), and F, the sites of the other parity outside them, as maximal
-    step-2 runs on [0, n)."""
+def _coupling_runs(n: int, runs) -> tuple[int, tuple, tuple]:
+    """p, R and F: R is the smaller parity side of the sites of ``runs``
+    (the even one on a tie), as runs of i over its sites 2 i + p, and F the
+    sites 2 j + 1 - p outside them, as runs of j."""
     sides = [_parity_runs(n, runs, parity) for parity in (0, 1)]
-    side = int(sum(c for _, c in sides[1]) < sum(c for _, c in sides[0]))  # parity of R
-    return sides[side], _parity_runs(n, complement_runs(n, runs), 1 - side)
+    p = int(sum(c for _, c in sides[1]) < sum(c for _, c in sides[0]))
+    return p, sides[p], _parity_runs(n, complement_runs(n, runs), 1 - p)
 
 
 def _entropy_and_bound(n: int, runs) -> tuple[float, float]:
     """S in nats of the sites of ``runs``, sorted and merged runs (first,
     count) of consecutive sites on [0, n), and the bound on how far below
     the exact value it lies."""
-    rows, cols = _coupling_runs(n, runs)
-    lam, dropped = _coupling_spectrum(n, rows, cols)
+    p, rows, cols = _coupling_runs(n, runs)
+    lam, dropped = _coupling_spectrum(_kernel(n)[p:], rows, cols)
     if lam.size and (lam.min() < -EIGENVALUE_SLACK or lam.max() > 0.25 + EIGENVALUE_SLACK):
         raise ValueError(
             f"mode occupation outside [0, 1]: nu (1 - nu) range "

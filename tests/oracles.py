@@ -6,7 +6,8 @@ Everything here except ``solved_dual_weight``, ``dual_weight_index``,
 ``modular_flow``, ``connes_cocycle``, ``trace_state``, ``commutant_state``,
 ``spatial_derivative``, ``arc_sites``, ``lattice_region``,
 the instance constructor
-``random_inclusion``, ``basis_distance_by_element``, ``validate`` and
+``random_inclusion``, ``algebra_contains``, ``basis_distance_by_element``,
+``validate`` and
 the expectations it certifies,
 ``regularized_entropy``, ``hashlib_config_hash`` and the exact
 diagonalization is
@@ -47,9 +48,11 @@ regular representations of the index battery's groups.
 ``exact_diagonalization_entropies`` builds the
 2^N ground state from the Slater determinant of ``hopping_matrix``; it
 takes only the arc-to-site assignment from the package's ``regions``,
-never the Gaussian kernel.  ``basis_distance_by_element`` is the largest
-distance of one algebra's basis elements from another's span, one package
-projection per element; ``validate`` reads N in M from it.
+never the Gaussian kernel.  ``algebra_contains`` reads membership in an
+algebra from the package's span distance, and ``algebra_identity`` is an
+algebra's unit; no run needs either.  ``basis_distance_by_element`` is the
+largest distance of one algebra's basis elements from another's span, one
+package projection per element; ``validate`` reads N in M from it.
 ``is_identity`` and ``conjugated_expectation`` test and rotate a package
 expectation.
 ``trace_state`` (the normalised trace), ``commutant_state`` (a vector's
@@ -70,8 +73,9 @@ and ``site_ranges`` into site arrays, for tests that hand sites to
 and site checks refuse.
 ``split_runs`` cuts sorted sites into runs with ``np.diff`` and
 ``np.split``, and ``mask_coupling_runs`` finds the lattice kernel's
-parity sides R and F by a sort, a parity split and a mask over N/2
-sites: the references for the package's run arithmetic.
+parity sides R and F, as runs of half-chain indices, by a sort, a parity
+split and a mask over N/2 sites: the references for the package's run
+arithmetic.
 ``rotated_region`` and ``regularized_entropy`` (of one region, from the
 package's lengths and product-state relative entropy) are lattice forms
 that no run needs.
@@ -119,6 +123,7 @@ from entropylab.findim import (
     build_algebra,
     kosaki_index,
 )
+from entropylab.findim.algebras import SPAN_TOL
 from entropylab.findim.spatial import _support_power
 from entropylab.findim.states import _on
 from entropylab.lattice import (
@@ -613,6 +618,16 @@ def weyl_unitaries(dim: int) -> list[np.ndarray]:
     return out
 
 
+def algebra_contains(algebra, x: np.ndarray, tol: float = SPAN_TOL) -> bool:
+    """Whether x lies in the span of ``algebra``, to ``tol`` of max(1, ||x||)."""
+    return algebra.span_distance(x) <= tol * max(1.0, float(np.linalg.norm(x)))
+
+
+def algebra_identity(algebra) -> np.ndarray:
+    """The unit of ``algebra``, the identity on its ambient space."""
+    return np.eye(algebra.ambient_dim, dtype=complex)
+
+
 def basis_distance_by_element(algebra, other) -> float:
     """The largest distance of an element of ``other.basis`` from the span of
     ``algebra``: one projection per basis element."""
@@ -821,7 +836,7 @@ def algebra_from_basis(
     alg = MatrixBlockAlgebra(sorted(structure, key=lambda blk: (blk.n, blk.m)))
     # A subspace of the result with the result's dimension is the result:
     # this certifies the blocks and that the input spans an algebra.
-    if alg.dim != len(basis) or not all(alg.contains(x, STRUCTURE_TOL) for x in mats):
+    if alg.dim != len(basis) or not all(algebra_contains(alg, x, STRUCTURE_TOL) for x in mats):
         raise ValueError(
             f"the input spans dimension {len(basis)}, but the discovered blocks "
             f"{alg.blocks} of dimension {alg.dim} do not reproduce that span: "
@@ -1024,7 +1039,7 @@ def modular_flow(psi: WeightDensity, x: np.ndarray, t: float) -> np.ndarray:
     if not psi.is_faithful:
         raise ValueError("modular flow needs a faithful weight; restrict to the support first")
     algebra = psi.algebra
-    if not algebra.contains(x, tol=1e-8):
+    if not algebra_contains(algebra, x, tol=1e-8):
         raise ValueError("element does not lie in the algebra of the weight")
     parts = algebra.matrix_blocks(x)
     flowed = []
@@ -1172,26 +1187,27 @@ def gram_region_entropy(n_sites: int, sites) -> float:
     return float(2.0 * paired + abs(even.size - odd.size) * math.log(2.0))
 
 
-def split_runs(sites: np.ndarray, step: int = 1) -> list[tuple[int, int]]:
-    """(first, count) of each maximal run of sorted ``sites`` with the given
-    step, cut by ``np.diff`` and ``np.split``."""
+def split_runs(sites: np.ndarray) -> list[tuple[int, int]]:
+    """(first, count) of each maximal run of consecutive sorted ``sites``,
+    cut by ``np.diff`` and ``np.split``."""
     if not sites.size:
         return []
-    cuts = np.flatnonzero(np.diff(sites) != step) + 1
+    cuts = np.flatnonzero(np.diff(sites) != 1) + 1
     return [(int(run[0]), run.size) for run in np.split(sites, cuts)]
 
 
-def mask_coupling_runs(n_sites: int, sites) -> tuple[list, list]:
-    """The lattice kernel's R and F as step-2 runs, by the array route: sort
-    the sites, split their parities, mask the N/2 sites of F's parity and
-    cut both sides with ``split_runs``."""
+def mask_coupling_runs(n_sites: int, sites) -> tuple[int, tuple, tuple]:
+    """The lattice kernel's p, R and F, by the array route: sort the sites,
+    split their parities, mask the N/2 sites of F's parity and cut both
+    sides, as half-chain indices i of their sites 2 i + p and 2 i + 1 - p,
+    with ``split_runs``."""
     ordered = np.sort(np.asarray(sites, dtype=int))
     parity = ordered % 2
-    side = int(2 * parity.sum() < ordered.size)  # parity of R, the smaller side
+    side = int(2 * parity.sum() < ordered.size)  # p, the parity of R, the smaller side
     free = np.ones(n_sites // 2, dtype=bool)  # F: other-parity sites outside, by site // 2
     free[ordered[parity != side] // 2] = False
-    cols = 2 * np.flatnonzero(free) + 1 - side
-    return split_runs(ordered[parity == side], 2), split_runs(cols, 2)
+    rows, cols = ordered[parity == side] // 2, np.flatnonzero(free)
+    return side, tuple(split_runs(rows)), tuple(split_runs(cols))
 
 
 def whole_block_spectrum(n_sites: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -105,14 +105,34 @@ def _coupling_sides(n, sites):
     return sites[parity == side], np.setdiff1d(np.arange(1 - side, n, 2), sites)
 
 
+def _kernel_args(n, rows, cols):
+    """The kernel view and the half-chain runs of R and F, for R of parity
+    p and F of parity 1 - p given as site arrays."""
+    p = rows[0] % 2 if rows.size else 1 - cols[0] % 2
+    return gaussian._kernel(n)[p:], split_runs(rows // 2), split_runs(cols // 2)
+
+
 def _spectrum(n, rows, cols):
     """The kernel's coupling spectrum for R and F given as site arrays."""
-    return gaussian._coupling_spectrum(n, split_runs(rows, 2), split_runs(cols, 2))
+    return gaussian._coupling_spectrum(*_kernel_args(n, rows, cols))
 
 
 def _entropy_and_bound(n, sites):
     """The kernel's entropy and bound for a site set given as an array."""
     return gaussian._entropy_and_bound(n, tuple(split_runs(np.sort(sites))))
+
+
+@pytest.mark.parametrize("n", [8, 10, 64])
+def test_kernel_view_is_the_coupling_in_half_chain_indices(n):
+    """K[2 i + p, 2 j + 1 - p] is the kernel view at [i + p, j], bitwise the
+    oracle's in-place formula, for every i, j and both p; the view is
+    read-only."""
+    kernel = gaussian._kernel(n)
+    half = np.arange(n // 2)
+    for p in (0, 1):
+        want = oracles.even_odd_block(n, 2 * half + p, 2 * half + 1 - p)
+        np.testing.assert_array_equal(kernel[half[:, None] + p, half], want)
+    assert not kernel.flags.writeable
 
 
 def test_coupling_block_is_bitwise_the_in_place_formula():
@@ -137,7 +157,7 @@ def test_coupling_block_is_bitwise_the_in_place_formula():
         heights = {1, 3, max(rows.size, 1)}
         if rows.size and cols.size:
             heights.add(gaussian._panel_height(rows.size, cols.size, min(rows.size, 42)))
-        sweep = gaussian._panels(n, split_runs(rows, 2), split_runs(cols, 2))
+        sweep = gaussian._panels(*_kernel_args(n, rows, cols))
         for height in sorted(heights):
             seen, first = 0, None
             for lo, panel in sweep(height):
