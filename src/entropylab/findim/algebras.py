@@ -3,22 +3,24 @@
 Every algebra handled here is a unital *-subalgebra of B(C^D), i.e. up to
 a unitary change of basis a direct sum of blocks M_{n_k} tensor 1_{m_k}.
 A :class:`MatrixBlockAlgebra` stores only that change of basis (one
-isometry per block); its block shapes, dimension and Hilbert-Schmidt
-basis are derived from it, so they cannot disagree.  Commutants,
-conjugates, canonical densities and spatial derivatives are then cheap
-block-wise computations instead of repeated null-space solves.
+isometry per block); its block shapes are derived from it, so they cannot
+disagree.  Commutants, conjugates, canonical densities and spatial
+derivatives are then cheap block-wise computations instead of repeated
+null-space solves.
 No Kronecker product is formed: with rows[i] the m x D slab of V for
 matrix index i, V*(a tensor b)V = sum_ij a_ij rows[i]* b rows[j].
 Every algebra is built from block shapes and a known change of basis
 (:func:`build_algebra`, :meth:`MatrixBlockAlgebra.conjugated`,
 :meth:`MatrixBlockAlgebra.commutant`); none is recovered numerically from a
-spanning set.
+spanning set.  Algebras are compared by identity: two maps or weights refer
+to one algebra when they hold the same object, never when two spans agree
+numerically.  A commutant's commutant is the algebra itself, so that
+identity survives the round trip.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +29,6 @@ __all__ = [
     "MatrixBlockAlgebra",
     "build_algebra",
 ]
-
-# Residual accepted when deciding that a matrix lies in a span.
-SPAN_TOL = 1e-12
-
 
 class BlockStructure(namedtuple("BlockStructure", "n m iso")):
     """One central block: shape (n, m) and the isometry exhibiting it.
@@ -66,25 +64,12 @@ class MatrixBlockAlgebra:
                 "ambient dimension mismatch: blocks sum to "
                 f"{sum(n * m for n, m in self.blocks)}, ambient is {self.ambient_dim}"
             )
-        self.dim = sum(n * n for n, _ in self.blocks)
         self._commutant: MatrixBlockAlgebra | None = None
-
-    @cached_property
-    def basis(self) -> list[np.ndarray]:
-        """Hilbert-Schmidt orthonormal basis: the matrix units of each block, lifted."""
-        out = []
-        for blk in self.structure:
-            rows = blk.iso.reshape(blk.n, blk.m, -1)
-            scale = 1.0 / np.sqrt(blk.m)
-            for i in range(blk.n):
-                for j in range(blk.n):
-                    out.append(rows[i].conj().T @ rows[j] * scale)
-        return out
 
     def central_projections(self) -> list[np.ndarray]:
         return [blk.iso.conj().T @ blk.iso for blk in self.structure]
 
-    # -- membership and projection -------------------------------------------
+    # -- block parts and projection ------------------------------------------
 
     def matrix_blocks(self, x: np.ndarray) -> list[np.ndarray]:
         """Compress x to its n_k x n_k matrix parts (tracing out multiplicity)."""
@@ -104,16 +89,6 @@ class MatrixBlockAlgebra:
     def project(self, x: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt orthogonal projection of x onto the algebra span."""
         return self.embed_blocks(self.matrix_blocks(x))
-
-    def span_distance(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.project(x) - x))
-
-    def span_equals(self, other: "MatrixBlockAlgebra") -> bool:
-        if other is self:
-            return True
-        if other.ambient_dim != self.ambient_dim or other.dim != self.dim:
-            return False
-        return max(self.span_distance(f) for f in other.basis) <= SPAN_TOL
 
     # -- derived algebras ------------------------------------------------------
 

@@ -5,9 +5,9 @@ algebras has the form E(x) = P_N(h x), where P_N is the Hilbert-Schmidt
 projection onto N and h > 0 lies in N' cap M with P_N(h) = 1; h = 1 is the
 trace-preserving expectation, one case of the general h that the index
 (Kosaki) is defined for.  A map is stored as (source, target, h), and
-every map goes through its h, so applying it or its adjoint costs one
-block projection and a product.  It can be certified from that triple
-alone (``validate`` in the test oracles).  Its invariants imply every axiom: when N lies in
+every map goes through its h, so pulling a functional back through it
+costs one block projection and a product.  It can be certified from that
+triple alone (``validate`` in the test oracles).  Its invariants imply every axiom: when N lies in
 M, h lies in N' cap M, h >= 0 and P_N(h) = 1, then E is N-bimodular because
 P_N is and h commutes with N, so E(n) = P_N(h) n = n makes it idempotent and
 unital, and since h^(1/2) commutes with N, E = P_N o Ad h^(1/2) is completely
@@ -56,9 +56,6 @@ class ConditionalExpectationMap:
         self.density = density
         self.ambient_dim = d
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.target.project(self.density @ x)
-
     def pull_back(self, omega: WeightDensity | np.ndarray) -> WeightDensity:
         """The functional omega(E(.)) on the source algebra.
 
@@ -77,7 +74,7 @@ def compose_expectations(
     second: ConditionalExpectationMap,
 ) -> ConditionalExpectationMap:
     """The expectation x -> second(first(x)); first's target must be second's source."""
-    if not first.target.span_equals(second.source):
+    if first.target is not second.source:
         raise ValueError("target of the first map must equal source of the second")
     return ConditionalExpectationMap(
         first.source, second.target, second.density @ first.density

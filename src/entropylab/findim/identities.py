@@ -305,7 +305,7 @@ def _check_tensor_splitting(rng: np.random.Generator) -> tuple[float, dict]:
 
     def product_density(a: WeightDensity, b: WeightDensity) -> WeightDensity:
         mat = np.kron(a.intrinsic_blocks()[0], b.intrinsic_blocks()[0])
-        return WeightDensity(full, mat)
+        return WeightDensity(full, [mat])
 
     lhs = relative_entropy_umegaki(phi, product_density(psi1, psi2))
     split = relative_entropy_umegaki(phi1, psi1) + relative_entropy_umegaki(phi2, psi2)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expectations import ConditionalExpectationMap
-from .states import WeightDensity, _on, canonical_density
+from .states import WeightDensity, canonical_density
 
 __all__ = ["dual_weight", "kosaki_index"]
 
@@ -50,8 +50,8 @@ def _dual_density(expectation: ConditionalExpectationMap) -> np.ndarray:
 def dual_weight(expectation: ConditionalExpectationMap, phi_c: WeightDensity) -> WeightDensity:
     """phi_c composed with the dual of ``expectation``: the weight on N' of
     density D_phi_c W.  ``phi_c`` must be a faithful weight on M'."""
-    error = "weight must live on the commutant of the source algebra"
-    phi_c = _on(phi_c, expectation.source.commutant(), error)
+    if phi_c.algebra is not expectation.source.commutant():
+        raise ValueError("weight must live on the commutant of the source algebra")
     if not phi_c.is_faithful:
         raise ValueError("dual weight needs a faithful weight on the commutant")
     w = _dual_density(expectation)

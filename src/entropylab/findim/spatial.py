@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .states import SUPPORT_CUTOFF, VectorStateData, WeightDensity, _coefficients, _on
+from .states import SUPPORT_CUTOFF, VectorStateData, WeightDensity
 
 __all__ = [
     "relative_entropy_spatial",
@@ -53,16 +53,11 @@ def relative_entropy_spatial(omega: VectorStateData, phi: WeightDensity) -> floa
     s_i / r_j and Omega's weights on its eigenbasis |U* C_k conj(W)|^2, for
     the eigensystems (s, U) of sigma_k and (r, W) of rho'_k: O(n^3 + m^3).
     """
-    algebra = phi.algebra
-    if omega.algebra is not algebra and not omega.algebra.span_equals(algebra):
+    if omega.algebra is not phi.algebra:
         raise ValueError("vector state and weight must refer to the same algebra")
-    # read in phi's gauge, so the blocks pair with phi's intrinsic blocks
-    coeffs = (
-        omega._coefficients if omega.algebra is algebra else _coefficients(algebra, omega.vector)
-    )
     total = 0.0
     kernel_mass = 0.0
-    for c_k, (s_vals, s_vecs) in zip(coeffs, phi.intrinsic_eigensystems()):
+    for c_k, (s_vals, s_vecs) in zip(omega._coefficients, phi.intrinsic_eigensystems()):
         r_vals, r_vecs = np.linalg.eigh(c_k.T @ c_k.conj())
         vals = np.outer(s_vals, _support_power(r_vals, -1.0).real)
         weights = np.abs(s_vecs.conj().T @ c_k @ r_vecs.conj()) ** 2
@@ -83,7 +78,8 @@ def relative_entropy_umegaki(rho: WeightDensity, sigma: WeightDensity) -> float:
     Works for weights as well as states; +inf when the support condition
     supp(rho) <= supp(sigma) fails on any block.
     """
-    sigma = _on(sigma, rho.algebra, "relative entropy needs two functionals on the same algebra")
+    if sigma.algebra is not rho.algebra:
+        raise ValueError("relative entropy needs two functionals on the same algebra")
     total = 0.0
     for rho_k, (p_vals, p_vecs), (s_vals, s_vecs) in zip(
         rho.intrinsic_blocks(), rho.intrinsic_eigensystems(), sigma.intrinsic_eigensystems()

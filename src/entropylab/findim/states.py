@@ -2,10 +2,14 @@
 
 A positive functional psi on an algebra A is represented by the unique
 D_psi in A with Tr(D_psi x) = psi(x) for all x in A (plain ambient trace).
-It is stored as the block-intrinsic density matrices of D_psi (the
-physically normalised ones, with the multiplicity multiplied back in) and
-their spectra; D_psi itself is embedded from them on first use.  The blocks
-are what the modular machinery in :mod:`entropylab.findim.spatial` consumes.
+A weight is made from its block-intrinsic density matrices, one n_k x n_k
+block per block of A (the physically normalised ones, with the
+multiplicity multiplied back in), and it keeps their spectra; D_psi itself
+is embedded from them on first use.  :func:`canonical_density` is the one
+way in from an ambient functional.  The blocks are what the modular
+machinery in :mod:`entropylab.findim.spatial` consumes.  They are read in
+the isometries of the algebra object the weight was made on, so functions
+that pair two weights require them on that same object.
 
 A vector state is read off the same blocks.  On block k, with isometry V_k,
 the vector is the n_k x m_k coefficient matrix C_k = (V_k v).reshape(n_k, m_k).
@@ -37,20 +41,20 @@ SUPPORT_CUTOFF = 1e-12
 
 
 class WeightDensity:
-    """A positive functional on an algebra, held as its intrinsic blocks."""
+    """A positive functional on an algebra, held as its intrinsic blocks.
 
-    def __init__(self, algebra: MatrixBlockAlgebra, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (algebra.ambient_dim, algebra.ambient_dim):
-            raise ValueError("density has wrong shape for the ambient space")
-        parts = algebra.matrix_blocks(matrix)
-        scale = max(1.0, float(np.linalg.norm(matrix)))
-        if float(np.linalg.norm(algebra.embed_blocks(parts) - matrix)) > 1e-10 * scale:
-            raise ValueError("density does not lie in the algebra")
-        self._settle(algebra, [p * m for p, (_, m) in zip(parts, algebra.blocks)])
-        self.matrix = (matrix + matrix.conj().T) / 2  # fills the cached property
+    ``blocks`` holds one n_k x n_k matrix rho_k per block (n_k, m_k) of the
+    algebra, in its order, with psi(x) = sum_k Tr(rho_k xhat_k).
+    """
 
-    def _settle(self, algebra: MatrixBlockAlgebra, blocks: list[np.ndarray]):
+    def __init__(self, algebra: MatrixBlockAlgebra, blocks: list[np.ndarray]):
+        blocks = [np.asarray(rho, dtype=complex) for rho in blocks]
+        if len(blocks) != len(algebra.blocks) or any(
+            rho.shape != (n, n) for rho, (n, _) in zip(blocks, algebra.blocks)
+        ):
+            raise ValueError(
+                f"need one n_k x n_k block per block {algebra.blocks} of the algebra"
+            )
         # block k embeds as V*(rho/m kron 1_m)V, of squared norm ||rho||^2 / m
         mults = [m for _, m in algebra.blocks]
         skew = sum(np.linalg.norm(r - r.conj().T) ** 2 / m for r, m in zip(blocks, mults))
@@ -73,10 +77,6 @@ class WeightDensity:
 
     # -- basic queries ---------------------------------------------------------
 
-    def value(self, x: np.ndarray) -> complex:
-        """psi(P(x)) = Tr(D P(x)) = Tr(D x) for the projection P onto the algebra."""
-        return complex(np.einsum("ij,ji->", self.matrix, x))
-
     def intrinsic_blocks(self) -> list[np.ndarray]:
         """Block density matrices rho_k with psi(x_k) = Tr(rho_k xhat_k);
         the canonical density holds rho_k / m_k on block k."""
@@ -95,34 +95,16 @@ class WeightDensity:
         return all(float(vals[0]) > SUPPORT_CUTOFF * scale for vals, _ in self._eigen)
 
     def mixed_with(self, other: "WeightDensity", weight: float) -> "WeightDensity":
-        """Convex-type combination weight*self + (1-weight)*other."""
+        """Convex-type combination weight*self + (1-weight)*other, block by block."""
+        if other.algebra is not self.algebra:
+            raise ValueError("mixing needs two weights on the same algebra")
         return WeightDensity(
-            self.algebra, weight * self.matrix + (1.0 - weight) * other.matrix
+            self.algebra,
+            [weight * a + (1.0 - weight) * b for a, b in zip(self._blocks, other._blocks)],
         )
-
-    @classmethod
-    def from_intrinsic_blocks(
-        cls, algebra: MatrixBlockAlgebra, blocks: list[np.ndarray]
-    ) -> "WeightDensity":
-        self = cls.__new__(cls)
-        self._settle(algebra, [np.asarray(rho, dtype=complex) for rho in blocks])
-        return self
 
     def __repr__(self) -> str:
         return f"WeightDensity(mass={self.mass:.6g}, blocks={self.algebra.blocks})"
-
-
-def _on(weight: WeightDensity, algebra: MatrixBlockAlgebra, error: str) -> WeightDensity:
-    """``weight`` on ``algebra``, which must span the same algebra as its own.
-
-    Intrinsic blocks depend on the block isometries, so a weight given on an
-    independently built copy is carried over through its ambient matrix.
-    """
-    if weight.algebra is algebra:
-        return weight
-    if not weight.algebra.span_equals(algebra):
-        raise ValueError(error)
-    return WeightDensity(algebra, weight.matrix)
 
 
 def canonical_density(algebra: MatrixBlockAlgebra, functional: np.ndarray) -> WeightDensity:
@@ -136,12 +118,7 @@ def canonical_density(algebra: MatrixBlockAlgebra, functional: np.ndarray) -> We
     if g.shape != (algebra.ambient_dim, algebra.ambient_dim):
         raise ValueError("functional matrix has wrong shape")
     blocks = [p * m for p, (_, m) in zip(algebra.matrix_blocks(g), algebra.blocks)]
-    return WeightDensity.from_intrinsic_blocks(algebra, blocks)
-
-
-def _coefficients(algebra: MatrixBlockAlgebra, vector: np.ndarray) -> list[np.ndarray]:
-    """The n_k x m_k coefficient matrices C_k = (V_k v).reshape(n_k, m_k)."""
-    return [(blk.iso @ vector).reshape(blk.n, blk.m) for blk in algebra.structure]
+    return WeightDensity(algebra, blocks)
 
 
 class VectorStateData:
@@ -160,7 +137,8 @@ class VectorStateData:
             raise ValueError(f"vector is not normalised (norm {norm})")
         self.algebra = algebra
         self.vector = vector
-        self._coefficients = _coefficients(algebra, vector)
+        # the coefficient matrices C_k = (V_k v).reshape(n_k, m_k)
+        self._coefficients = [(b.iso @ vector).reshape(b.n, b.m) for b in algebra.structure]
 
     @cached_property
     def _ranks(self) -> list[int]:
@@ -179,7 +157,7 @@ class VectorStateData:
     def state(self) -> WeightDensity:
         """The induced state on the algebra (blocks C_k C_k*)."""
         blocks = [c @ c.conj().T for c in self._coefficients]
-        return WeightDensity.from_intrinsic_blocks(self.algebra, blocks)
+        return WeightDensity(self.algebra, blocks)
 
     def __repr__(self) -> str:
         return (
@@ -194,7 +172,7 @@ def random_faithful_state(
     """Faithful random state of mass 1, with blocks X X* / Tr(X X*) from Gaussian X.
 
     The blocks X X* + 1e-6 are made Hermitian and scaled by the inverse of
-    their total trace before the weight settles, which computes their
+    their total trace before the weight is made, which computes their
     eigensystems once."""
     blocks = []
     for n, _ in algebra.blocks:
@@ -202,4 +180,4 @@ def random_faithful_state(
         rho = x @ x.conj().T + 1e-6 * np.eye(n)
         blocks.append((rho + rho.conj().T) / 2)
     factor = 1.0 / float(sum(np.trace(rho).real for rho in blocks))
-    return WeightDensity.from_intrinsic_blocks(algebra, [rho * factor for rho in blocks])
+    return WeightDensity(algebra, [rho * factor for rho in blocks])

@@ -113,13 +113,16 @@ def _parse(argv: list[str], commands: dict) -> tuple[str, str, dict] | None:
             raise _Usage(f"{flag} needs a value {meta}")
         options[flag] = value
 
-    command, *rest = words or [""]
+    names = ", ".join([*commands, "report"])
+    if not words:
+        raise _Usage(f"missing command (one of {names})")
+    command, *rest = words
     if command == "report":
         if len(rest) != 1 or options:
             raise _Usage("report takes one SUMMARY and no options")
         return command, rest[0], options
     if command not in commands:
-        raise _Usage(f"unknown command '{command}' (one of {', '.join([*commands, 'report'])})")
+        raise _Usage(f"unknown command '{command}' (one of {names})")
     kinds = commands[command][1]
     kind = rest.pop(0) if kinds and rest else command
     if kinds and kind not in kinds:

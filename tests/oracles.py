@@ -6,7 +6,9 @@ Everything here except ``solved_dual_weight``, ``dual_weight_index``,
 ``modular_flow``, ``connes_cocycle``, ``trace_state``, ``commutant_state``,
 ``spatial_derivative``, ``arc_sites``, ``lattice_region``,
 the instance constructor
-``random_inclusion``, ``algebra_contains``, ``basis_distance_by_element``,
+``random_inclusion``, ``algebra_basis``, ``algebra_dim``, ``span_distance``,
+``span_equals``, ``algebra_contains``, ``basis_distance_by_element``,
+``weight_value``, ``apply_expectation``, ``ambient_weight``, ``weight_on``,
 ``validate`` and
 the expectations it certifies,
 ``regularized_entropy``, ``hashlib_config_hash`` and the exact
@@ -48,11 +50,21 @@ regular representations of the index battery's groups.
 ``exact_diagonalization_entropies`` builds the
 2^N ground state from the Slater determinant of ``hopping_matrix``; it
 takes only the arc-to-site assignment from the package's ``regions``,
-never the Gaussian kernel.  ``algebra_contains`` reads membership in an
-algebra from the package's span distance, and ``algebra_identity`` is an
-algebra's unit; no run needs either.  ``basis_distance_by_element`` is the
+never the Gaussian kernel.  ``algebra_basis`` (the lifted matrix units of
+each block, a Hilbert-Schmidt orthonormal basis), ``algebra_dim``,
+``span_distance`` (one package projection), ``span_equals`` (two algebras,
+possibly built apart, with one span, to ``SPAN_TOL``), ``algebra_contains``
+and ``algebra_identity`` (an algebra's unit) read an algebra through its
+isometries; the package compares algebras by identity and needs none of
+them.  ``basis_distance_by_element`` is the
 largest distance of one algebra's basis elements from another's span, one
 package projection per element; ``validate`` reads N in M from it.
+``weight_value`` (psi(x) = Tr(D x)), ``apply_expectation``
+(E(x) = P_N(h x)), ``ambient_weight`` (the weight of an ambient matrix,
+checked for membership in the algebra) and ``weight_on`` (a weight carried
+over to a span-equal copy of its algebra through its ambient matrix) are
+routes no run takes: the package makes a weight from its blocks and pulls
+functionals back through an expectation instead of applying it.
 ``is_identity`` and ``conjugated_expectation`` test and rotate a package
 expectation.
 ``trace_state`` (the normalised trace), ``commutant_state`` (a vector's
@@ -123,9 +135,7 @@ from entropylab.findim import (
     build_algebra,
     kosaki_index,
 )
-from entropylab.findim.algebras import SPAN_TOL
 from entropylab.findim.spatial import _support_power
-from entropylab.findim.states import _on
 from entropylab.lattice import (
     RegionSpec,
     gaussian,
@@ -136,6 +146,8 @@ from entropylab.regions import arc_range, check_size, linear_runs, site_ranges
 
 _EPS = 1e-12
 AXIOM_TOL = 1e-10
+# Residual accepted when deciding that a matrix lies in a span.
+SPAN_TOL = 1e-12
 
 
 def configparser_sections(text: str) -> dict[str, dict[str, str]]:
@@ -220,16 +232,16 @@ def _vec(x: np.ndarray) -> np.ndarray:
 def group_average_superop(source, units) -> np.ndarray:
     """sum_g kron(conj(u_g), u_g) / |G|, the explicit average of x -> u x u*,
     composed with the Hilbert-Schmidt projection onto the span of
-    ``source.basis``."""
+    ``algebra_basis(source)``."""
     avg = sum(np.kron(u.conj(), u) for u in units) / len(units)
-    frame = np.stack([_vec(f) for f in source.basis], axis=1)
+    frame = np.stack([_vec(f) for f in algebra_basis(source)], axis=1)
     return avg @ (frame @ frame.conj().T)
 
 
 def gns_projection_superop(target, density: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the span of ``target.basis`` in the inner
-    product <x, y> = Tr(D x* y), from the Gram matrix of that basis."""
-    basis = target.basis
+    """Orthogonal projection onto the span of ``algebra_basis(target)`` in the
+    inner product <x, y> = Tr(D x* y), from the Gram matrix of that basis."""
+    basis = algebra_basis(target)
     gram = np.array(
         [[np.trace(density @ na.conj().T @ nb) for nb in basis] for na in basis]
     )
@@ -247,9 +259,10 @@ def expectation_superop(e) -> np.ndarray:
     """The D^2 x D^2 matrix of E(x) = P_N(h x) on column-major vectorized
     matrices: E(x) = sum_a f_a Tr(f_a* h x) over the orthonormal basis f_a
     of ``e.target``, with h = ``e.density``."""
-    frame = np.stack([_vec(f) for f in e.target.basis], axis=1)
+    basis = algebra_basis(e.target)
+    frame = np.stack([_vec(f) for f in basis], axis=1)
     adj = e.density.conj().T
-    weighted = np.stack([_vec(adj @ f) for f in e.target.basis], axis=1)
+    weighted = np.stack([_vec(adj @ f) for f in basis], axis=1)
     return frame @ weighted.conj().T
 
 
@@ -282,8 +295,10 @@ def solved_dual_weight(e, phi_c, psi=None):
     on random inclusions.)  The factorization is checked to 1e-8.
     """
     target = e.target
-    phi_c = _on(phi_c, e.source.commutant(), "weight must live on the commutant of the source")
-    psi = _on(trace_state(target) if psi is None else psi, target, "psi must live on the target")
+    error = "weight must live on the commutant of the source"
+    phi_c = weight_on(phi_c, e.source.commutant(), error)
+    psi = trace_state(target) if psi is None else psi
+    psi = weight_on(psi, target, "psi must live on the target")
     if not (phi_c.is_faithful and psi.is_faithful):
         raise ValueError("the defining equation needs faithful weights")
     lhs = spatial_derivative(phi_c, e.pull_back(psi))
@@ -302,7 +317,7 @@ def solved_dual_weight(e, phi_c, psi=None):
     residual = float(np.linalg.norm(lhs - recon)) / max(1.0, float(np.linalg.norm(lhs)))
     if residual > 1e-8:
         raise ValueError(f"defining equation is not satisfied (residual {residual:.3e})")
-    return WeightDensity.from_intrinsic_blocks(dual_target, blocks)
+    return WeightDensity(dual_target, blocks)
 
 
 def dual_weight_index(e):
@@ -322,7 +337,7 @@ def dual_weight_index(e):
         return base_mass / dim
     value = np.zeros((dim, dim), dtype=complex)
     for proj in dual_of_source.central_projections():
-        shifted = WeightDensity(dual_of_source, np.eye(dim, dtype=complex) + proj)
+        shifted = ambient_weight(dual_of_source, np.eye(dim, dtype=complex) + proj)
         coeff = (solved_dual_weight(e, shifted).mass - base_mass) / float(np.trace(proj).real)
         value = value + coeff * proj
     return value
@@ -356,12 +371,12 @@ def quasi_basis(
     """
     rng = rng or np.random.default_rng(7)
     source = expectation.source
-    fs = source.basis
+    fs = algebra_basis(source)
     dim = len(fs)
     tau = trace_state(expectation.target)
 
-    products = [[expectation(fa.conj().T @ fb) for fb in fs] for fa in fs]
-    gram = np.array([[tau.value(p) for p in row] for row in products])
+    products = [[apply_expectation(expectation, fa.conj().T @ fb) for fb in fs] for fa in fs]
+    gram = np.array([[weight_value(tau, p) for p in row] for row in products])
     gram = (gram + gram.conj().T) / 2
 
     frame = np.empty((dim, dim), dtype=complex)
@@ -392,7 +407,7 @@ def quasi_basis(
     for _ in range(check_samples):
         coeff = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         x = sum(c * f for c, f in zip(coeff, fs))
-        rebuilt = sum(g @ expectation(g.conj().T @ x) for g in elements)
+        rebuilt = sum(g @ apply_expectation(expectation, g.conj().T @ x) for g in elements)
         worst = max(
             worst,
             float(np.linalg.norm(rebuilt - x)) / max(1.0, float(np.linalg.norm(x))),
@@ -439,7 +454,7 @@ def pimsner_popa_check(
         part = x @ x.conj().T
         part /= np.trace(part).real
         m = source.embed_blocks([part])
-        gap = expectation(m) - bound * m
+        gap = apply_expectation(expectation, m) - bound * m
         low = float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
         worst = min(worst, low)
     return PimsnerPopaReport(
@@ -521,8 +536,8 @@ def validate(
     scale = max(1.0, float(np.linalg.norm(h)))
     out = {
         "target_in_source": basis_distance_by_element(e.source, e.target),
-        "commutes_with_target": e.target.commutant().span_distance(h) / scale,
-        "density_in_source": e.source.span_distance(h) / scale,
+        "commutes_with_target": span_distance(e.target.commutant(), h) / scale,
+        "density_in_source": span_distance(e.source, h) / scale,
         "positive": float(
             max(np.linalg.norm(h - h.conj().T), -np.linalg.eigvalsh(h)[0]) / scale
         ),
@@ -536,16 +551,14 @@ def validate(
         x = _random_element(e.source, rng)
         n1 = _random_element(e.target, rng)
         n2 = _random_element(e.target, rng)
-        ex = e(x)
-        adj = max(adj, float(np.linalg.norm(e(x.conj().T) - ex.conj().T)))
+        ex = apply_expectation(e, x)
+        adj = max(adj, float(np.linalg.norm(apply_expectation(e, x.conj().T) - ex.conj().T)))
         bimod = max(
-            bimod, float(np.linalg.norm(e(n1 @ x @ n2) - n1 @ ex @ n2))
+            bimod, float(np.linalg.norm(apply_expectation(e, n1 @ x @ n2) - n1 @ ex @ n2))
         )
-        ranged = max(ranged, e.target.span_distance(ex))
+        ranged = max(ranged, span_distance(e.target, ex))
         if state is not None:
-            preserve = max(
-                preserve, abs(complex(state.value(ex)) - complex(state.value(x)))
-            )
+            preserve = max(preserve, abs(weight_value(state, ex) - weight_value(state, x)))
     out["adjoint"] = adj
     out["bimodule"] = bimod
     out["range"] = ranged
@@ -579,7 +592,7 @@ def state_preserving_expectation(
     NoPreservingExpectationError is raised, naming the first residual of
     the candidate's validate() above tolerance, invariants first.
     """
-    if omega.algebra is not source and not omega.algebra.span_equals(source):
+    if not span_equals(omega.algebra, source):
         raise ValueError("state must live on the source algebra")
     if not omega.is_faithful:
         raise ValueError("state-preserving projection needs a faithful state")
@@ -618,9 +631,40 @@ def weyl_unitaries(dim: int) -> list[np.ndarray]:
     return out
 
 
+def algebra_basis(algebra) -> list[np.ndarray]:
+    """Hilbert-Schmidt orthonormal basis: the matrix units of each block, lifted."""
+    out = []
+    for blk in algebra.structure:
+        rows = blk.iso.reshape(blk.n, blk.m, -1)
+        scale = 1.0 / np.sqrt(blk.m)
+        for i in range(blk.n):
+            for j in range(blk.n):
+                out.append(rows[i].conj().T @ rows[j] * scale)
+    return out
+
+
+def algebra_dim(algebra) -> int:
+    """The dimension of ``algebra`` as a vector space, sum_k n_k^2."""
+    return sum(n * n for n, _ in algebra.blocks)
+
+
+def span_distance(algebra, x: np.ndarray) -> float:
+    """The Hilbert-Schmidt distance of x from the span of ``algebra``."""
+    return float(np.linalg.norm(algebra.project(x) - x))
+
+
+def span_equals(algebra, other) -> bool:
+    """Whether two algebras, possibly built apart, have one span, to SPAN_TOL."""
+    if other is algebra:
+        return True
+    if other.ambient_dim != algebra.ambient_dim or algebra_dim(other) != algebra_dim(algebra):
+        return False
+    return basis_distance_by_element(algebra, other) <= SPAN_TOL
+
+
 def algebra_contains(algebra, x: np.ndarray, tol: float = SPAN_TOL) -> bool:
     """Whether x lies in the span of ``algebra``, to ``tol`` of max(1, ||x||)."""
-    return algebra.span_distance(x) <= tol * max(1.0, float(np.linalg.norm(x)))
+    return span_distance(algebra, x) <= tol * max(1.0, float(np.linalg.norm(x)))
 
 
 def algebra_identity(algebra) -> np.ndarray:
@@ -629,15 +673,52 @@ def algebra_identity(algebra) -> np.ndarray:
 
 
 def basis_distance_by_element(algebra, other) -> float:
-    """The largest distance of an element of ``other.basis`` from the span of
-    ``algebra``: one projection per basis element."""
-    return max(algebra.span_distance(f) for f in other.basis)
+    """The largest distance of an element of ``algebra_basis(other)`` from the
+    span of ``algebra``: one projection per basis element."""
+    return max(span_distance(algebra, f) for f in algebra_basis(other))
+
+
+def weight_value(weight: WeightDensity, x: np.ndarray) -> complex:
+    """psi(P(x)) = Tr(D P(x)) = Tr(D x) for the projection P onto the algebra."""
+    return complex(np.einsum("ij,ji->", weight.matrix, x))
+
+
+def apply_expectation(e: ConditionalExpectationMap, x: np.ndarray) -> np.ndarray:
+    """E(x) = P_N(h x)."""
+    return e.target.project(e.density @ x)
+
+
+def ambient_weight(algebra, matrix: np.ndarray) -> WeightDensity:
+    """The weight whose canonical density is ``matrix``, an ambient matrix
+    that must lie in ``algebra`` to 1e-10 of max(1, ||matrix||)."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (algebra.ambient_dim, algebra.ambient_dim):
+        raise ValueError("density has wrong shape for the ambient space")
+    parts = algebra.matrix_blocks(matrix)
+    scale = max(1.0, float(np.linalg.norm(matrix)))
+    if float(np.linalg.norm(algebra.embed_blocks(parts) - matrix)) > 1e-10 * scale:
+        raise ValueError("density does not lie in the algebra")
+    return WeightDensity(algebra, [p * m for p, (_, m) in zip(parts, algebra.blocks)])
+
+
+def weight_on(weight: WeightDensity, algebra, error: str) -> WeightDensity:
+    """``weight`` on ``algebra``, which must span the same algebra as its own.
+
+    Intrinsic blocks depend on the block isometries, so a weight given on an
+    independently built copy is carried over through its ambient matrix.
+    """
+    if weight.algebra is algebra:
+        return weight
+    if not span_equals(weight.algebra, algebra):
+        raise ValueError(error)
+    return ambient_weight(algebra, weight.matrix)
 
 
 def is_identity(e: ConditionalExpectationMap, tol: float = 1e-10) -> bool:
     """Whether ``e`` fixes every element of its source."""
-    return e.source.span_equals(e.target) and all(
-        np.linalg.norm(e(f) - f) <= tol * e.ambient_dim for f in e.source.basis
+    return span_equals(e.source, e.target) and all(
+        np.linalg.norm(apply_expectation(e, f) - f) <= tol * e.ambient_dim
+        for f in algebra_basis(e.source)
     )
 
 
@@ -768,12 +849,12 @@ def group_average_expectation(
             raise ValueError("input matrix is not unitary")
     _check_group_closure(units, closure_tol)
 
-    basis = source.basis
+    basis = algebra_basis(source)
     frame = np.stack([_vec(f) for f in basis], axis=1)
     average = np.zeros((len(basis), len(basis)), dtype=complex)
     for u in units:
         images = [u @ f @ u.conj().T for f in basis]
-        if any(source.span_distance(g) > 1e-9 for g in images):
+        if any(span_distance(source, g) > 1e-9 for g in images):
             raise ValueError("unitaries do not normalize the algebra")
         # coordinates Tr(f_a* g_b) of the conjugated basis, in one product
         average += frame.conj().T @ np.stack([_vec(g) for g in images], axis=1)
@@ -836,10 +917,10 @@ def algebra_from_basis(
     alg = MatrixBlockAlgebra(sorted(structure, key=lambda blk: (blk.n, blk.m)))
     # A subspace of the result with the result's dimension is the result:
     # this certifies the blocks and that the input spans an algebra.
-    if alg.dim != len(basis) or not all(algebra_contains(alg, x, STRUCTURE_TOL) for x in mats):
+    if algebra_dim(alg) != len(basis) or not all(algebra_contains(alg, x, STRUCTURE_TOL) for x in mats):
         raise ValueError(
             f"the input spans dimension {len(basis)}, but the discovered blocks "
-            f"{alg.blocks} of dimension {alg.dim} do not reproduce that span: "
+            f"{alg.blocks} of dimension {algebra_dim(alg)} do not reproduce that span: "
             "the input does not span a *-algebra"
         )
     return alg
@@ -992,13 +1073,13 @@ def _intertwine(
 def trace_state(algebra: MatrixBlockAlgebra, total: float = 1.0) -> WeightDensity:
     """The normalised trace of the algebra, scaled to the given total mass."""
     blocks = [np.eye(n) * (m * total / algebra.ambient_dim) for n, m in algebra.blocks]
-    return WeightDensity.from_intrinsic_blocks(algebra, blocks)
+    return WeightDensity(algebra, blocks)
 
 
 def commutant_state(omega: VectorStateData) -> WeightDensity:
     """The vector state of ``omega`` on the commutant: blocks C_k^T conj(C_k)."""
     blocks = [c.T @ c.conj() for c in omega._coefficients]
-    return WeightDensity.from_intrinsic_blocks(omega.algebra.commutant(), blocks)
+    return WeightDensity(omega.algebra.commutant(), blocks)
 
 
 def _lift(blk: BlockStructure, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1017,7 +1098,9 @@ def spatial_derivative(psi: WeightDensity, phi_c: WeightDensity) -> np.ndarray:
     factors).
     """
     algebra = psi.algebra
-    phi_c = _on(phi_c, algebra.commutant(), "second weight must live on the commutant of the first")
+    phi_c = weight_on(
+        phi_c, algebra.commutant(), "second weight must live on the commutant of the first"
+    )
     if not phi_c.is_faithful:
         raise ValueError("commutant weight must be faithful")
     rho = psi.intrinsic_blocks()
@@ -1063,7 +1146,7 @@ def connes_cocycle(
     rho_1^{it} rho_2^{-it} is used directly.
     """
     algebra = psi1.algebra
-    psi2 = _on(psi2, algebra, "cocycle weights must live on the same algebra")
+    psi2 = weight_on(psi2, algebra, "cocycle weights must live on the same algebra")
     if not psi2.is_faithful:
         raise ValueError("second cocycle weight must be faithful")
     if reference is not None:

@@ -12,33 +12,36 @@ from entropylab.findim import MatrixBlockAlgebra, build_algebra
 from entropylab.findim.identities import random_unitary
 
 from oracles import (
+    algebra_basis,
     algebra_contains,
+    algebra_dim,
     algebra_from_basis,
     algebra_identity,
     brute_force_commutant,
     kron_embed_blocks,
+    span_equals,
 )
 
 
 def _assert_orthonormal_basis_inside(alg):
-    frame = np.stack([b.reshape(-1) for b in alg.basis])
-    assert np.abs(frame.conj() @ frame.T - np.eye(alg.dim)).max() < 1e-12
-    assert all(algebra_contains(alg, b) for b in alg.basis)
+    frame = np.stack([b.reshape(-1) for b in algebra_basis(alg)])
+    assert np.abs(frame.conj() @ frame.T - np.eye(algebra_dim(alg))).max() < 1e-12
+    assert all(algebra_contains(alg, b) for b in algebra_basis(alg))
 
 
 def test_build_single_factor():
     alg = build_algebra([(3, 2)])
     assert alg.ambient_dim == 6
-    assert alg.dim == 9
-    assert len(alg.basis) == 9
+    assert algebra_dim(alg) == 9
+    assert len(algebra_basis(alg)) == 9
     _assert_orthonormal_basis_inside(alg)
 
 
 def test_build_multi_block_dimensions():
     alg = build_algebra([(2, 2), (1, 3), (3, 1)])
     assert alg.ambient_dim == 4 + 3 + 3
-    assert alg.dim == 4 + 1 + 9
-    assert len(alg.basis) == 4 + 1 + 9
+    assert algebra_dim(alg) == 4 + 1 + 9
+    assert len(algebra_basis(alg)) == 4 + 1 + 9
     _assert_orthonormal_basis_inside(alg)
 
 
@@ -60,8 +63,8 @@ def test_commutant_commutes_elementwise():
     rng = np.random.default_rng(5)
     alg = build_algebra([(3, 2), (2, 1)]).conjugated(random_unitary(8, rng))
     dual = alg.commutant()
-    for a in alg.basis[:4]:
-        for b in dual.basis[:4]:
+    for a in algebra_basis(alg)[:4]:
+        for b in algebra_basis(dual)[:4]:
             assert np.abs(a @ b - b @ a).max() < 1e-12
 
 
@@ -69,8 +72,8 @@ def test_commutant_commutes_elementwise():
 def test_commutant_against_brute_force(blocks):
     rng = np.random.default_rng(7)
     alg = build_algebra(blocks).conjugated(random_unitary(7, rng))
-    rows = brute_force_commutant(alg.basis, 7)
-    assert len(rows) == len(alg.commutant().basis)
+    rows = brute_force_commutant(algebra_basis(alg), 7)
+    assert len(rows) == len(algebra_basis(alg.commutant()))
     for row in rows:
         assert algebra_contains(alg.commutant(), row.reshape(7, 7), tol=1e-8)
 
@@ -90,8 +93,8 @@ def test_conjugated_preserves_structure():
     u = random_unitary(5, rng)
     rotated = alg.conjugated(u)
     assert rotated.blocks == alg.blocks
-    assert all(algebra_contains(rotated, u @ b @ u.conj().T) for b in alg.basis)
-    assert not rotated.span_equals(alg) or np.allclose(alg.basis, rotated.basis)
+    assert all(algebra_contains(rotated, u @ b @ u.conj().T) for b in algebra_basis(alg))
+    assert not span_equals(rotated, alg) or np.allclose(algebra_basis(alg), algebra_basis(rotated))
 
 
 def test_conjugated_checks_unitarity_as_allclose_did():
@@ -119,9 +122,9 @@ def test_conjugated_checks_unitarity_as_allclose_did():
 def test_discovery_recovers_blocks():
     rng = np.random.default_rng(11)
     alg = build_algebra([(2, 3), (3, 1)]).conjugated(random_unitary(9, rng))
-    found = algebra_from_basis(alg.basis)
+    found = algebra_from_basis(algebra_basis(alg))
     assert sorted(found.blocks) == sorted(alg.blocks)
-    assert found.span_equals(alg)
+    assert span_equals(found, alg)
 
 
 def test_discovery_rejects_a_span_that_is_not_an_algebra():
@@ -156,7 +159,7 @@ def test_discovery_memory_stays_small_for_a_d16_factor():
     alg = build_algebra([(4, 4)]).conjugated(random_unitary(16, rng))
     tracemalloc.start()
     try:
-        found = algebra_from_basis(alg.basis)
+        found = algebra_from_basis(algebra_basis(alg))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -173,7 +176,7 @@ def test_central_projections_resolve_identity():
 def test_matrix_blocks_embed_roundtrip():
     rng = np.random.default_rng(4)
     alg = build_algebra([(2, 2), (3, 1)]).conjugated(random_unitary(7, rng))
-    x = sum(rng.normal() * b for b in alg.basis)
+    x = sum(rng.normal() * b for b in algebra_basis(alg))
     parts = alg.matrix_blocks(x)
     assert np.abs(alg.embed_blocks(parts) - x).max() < 1e-10
 
@@ -223,14 +226,14 @@ def test_property_embedding_matches_kron_oracle(blocks, seed):
                 unit = [np.zeros((b, b), dtype=complex) for b, _ in blocks]
                 unit[k][i, j] = 1.0 / np.sqrt(m)
                 units.append(kron_embed_blocks(alg, unit))
-    assert np.abs(np.stack(alg.basis) - np.stack(units)).max() <= 1e-12
+    assert np.abs(np.stack(algebra_basis(alg)) - np.stack(units)).max() <= 1e-12
 
 
 @given(block_lists())
 @settings(max_examples=25, deadline=None)
 def test_property_commutant_dimension(blocks):
     alg = build_algebra(blocks)
-    assert len(alg.commutant().basis) == sum(m * m for _, m in blocks)
+    assert len(algebra_basis(alg.commutant())) == sum(m * m for _, m in blocks)
 
 
 @given(block_lists(), st.integers(min_value=0, max_value=2**31 - 1))
@@ -240,7 +243,7 @@ def test_property_double_commutant_span(blocks, seed):
     dim = sum(n * m for n, m in blocks)
     alg = build_algebra(blocks).conjugated(random_unitary(dim, rng))
     assert alg.commutant().commutant() is alg
-    assert alg.commutant().commutant().span_equals(alg)
+    assert span_equals(alg.commutant().commutant(), alg)
 
 
 def test_rejects_bad_blocks():

@@ -368,6 +368,7 @@ def test_cli_help_names_every_command_and_kind(capsys):
 # One command line outside the grammar per kind of mistake.
 _USAGE_ERRORS = {
     "no command": [],
+    "options without command": ["--out", "out", "--no-cache"],
     "unknown command": ["lattice", "duality"],
     "unknown kind": ["fermion", "dualty"],
     "missing kind": ["fermion", "--no-cache"],
@@ -394,6 +395,16 @@ def test_cli_usage_error_returns_two(tmp_path, capsys, monkeypatch, argv):
     assert captured.out == ""
     assert captured.err.startswith("usage: entropylab ")
     assert "entropylab: error: " in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [[], ["--out", "out"]], ids=["nothing", "options only"])
+def test_cli_without_command_says_missing_command(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    usage, error = capsys.readouterr().err.splitlines()[-2:]
+    assert usage.startswith("       entropylab report")
+    assert error == "entropylab: error: missing command (one of findim-suite, fermion, report)"
     assert not any(tmp_path.iterdir())
 
 

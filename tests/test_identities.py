@@ -35,6 +35,7 @@ from oracles import (
     group_average_expectation,
     group_average_superop,
     leg_unitaries,
+    span_equals,
     validate,
 )
 
@@ -60,7 +61,7 @@ def _assert_matches_oracle(named, source, units):
     oracle = group_average_superop(named.source, units)
     np.testing.assert_allclose(expectation_superop(named), oracle, rtol=0, atol=1e-12)
     discovered = group_average_expectation(named.source, units).target
-    assert named.target.span_equals(discovered)
+    assert span_equals(named.target, discovered)
     assert max(validate(named).values()) <= 1e-10
 
 

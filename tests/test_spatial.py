@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropylab.findim import (
+    ConditionalExpectationMap,
     VectorStateData,
     WeightDensity,
     build_algebra,
-    canonical_density,
+    compose_expectations,
+    dual_weight,
     random_faithful_state,
     relative_entropy_spatial,
     relative_entropy_umegaki,
@@ -19,9 +21,10 @@ from entropylab.findim import (
 from entropylab.findim.identities import random_unitary
 
 from oracles import (
+    algebra_basis,
     algebra_contains,
-    algebra_from_basis,
     algebra_identity,
+    ambient_weight,
     conjugation_flow,
     connes_cocycle,
     eigen_relative_entropy,
@@ -29,6 +32,7 @@ from oracles import (
     modular_flow,
     spatial_derivative,
     trace_state,
+    weight_value,
 )
 
 
@@ -36,8 +40,8 @@ def test_spatial_derivative_diagonal_example():
     """Qubit factor, diagonal weights: eigenvalues p/q, p/(1-q), (1-p)/q, (1-p)/(1-q)."""
     p, q = 0.3, 0.8
     alg = build_algebra([(2, 2)])
-    psi = WeightDensity.from_intrinsic_blocks(alg, [np.diag([p, 1 - p]).astype(complex)])
-    phi = WeightDensity.from_intrinsic_blocks(
+    psi = WeightDensity(alg, [np.diag([p, 1 - p]).astype(complex)])
+    phi = WeightDensity(
         alg.commutant(), [np.diag([q, 1 - q]).astype(complex)]
     )
     delta = spatial_derivative(psi, phi)
@@ -60,19 +64,19 @@ def test_modular_flow_preserves_algebra_and_state():
     rng = np.random.default_rng(1)
     alg = build_algebra([(2, 2), (2, 1)]).conjugated(random_unitary(6, rng))
     st = random_faithful_state(alg, rng)
-    x = alg.basis[2] + 0.5 * alg.basis[4]
+    x = algebra_basis(alg)[2] + 0.5 * algebra_basis(alg)[4]
     for t in (0.3, -1.2):
         y = modular_flow(st, x, t)
         assert algebra_contains(alg, y, tol=1e-9)
         # invariance of the state along the flow
-        assert abs(st.value(y) - st.value(x)) < 1e-10
+        assert abs(weight_value(st, y) - weight_value(st, x)) < 1e-10
 
 
 def test_modular_flow_matches_direct_conjugation():
     rng = np.random.default_rng(2)
     alg = build_algebra([(3, 2)]).conjugated(random_unitary(6, rng))
     st = random_faithful_state(alg, rng)
-    x = alg.basis[1] - 2.0 * alg.basis[5]
+    x = algebra_basis(alg)[1] - 2.0 * algebra_basis(alg)[5]
     got = modular_flow(st, x, 0.7)
     want = conjugation_flow(st.matrix, x, 0.7)
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -80,7 +84,7 @@ def test_modular_flow_matches_direct_conjugation():
 
 def test_modular_flow_needs_faithful_weight():
     alg = build_algebra([(2, 1)])
-    singular = WeightDensity(alg, np.diag([1.0, 0.0]).astype(complex))
+    singular = ambient_weight(alg, np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(ValueError):
         modular_flow(singular, algebra_identity(alg), 0.5)
 
@@ -148,26 +152,55 @@ def test_relative_entropy_nonnegative_for_states():
 
 def test_support_violation_is_infinite():
     alg = build_algebra([(2, 1)])
-    rho = WeightDensity(alg, np.diag([0.5, 0.5]).astype(complex))
-    sigma = WeightDensity(alg, np.diag([1.0, 0.0]).astype(complex))
+    rho = ambient_weight(alg, np.diag([0.5, 0.5]).astype(complex))
+    sigma = ambient_weight(alg, np.diag([1.0, 0.0]).astype(complex))
     assert math.isinf(relative_entropy_umegaki(rho, sigma))
     omega = VectorStateData(alg, np.array([1.0, 1.0]) / np.sqrt(2))
     assert math.isinf(relative_entropy_spatial(omega, sigma))
 
 
-def test_spatial_entropy_accepts_span_equal_weight():
-    # weight built on an independently discovered copy of the algebra
-    rng = np.random.default_rng(8)
-    alg = build_algebra([(2, 2)]).conjugated(random_unitary(4, rng))
-    twin = algebra_from_basis(alg.basis)
-    sig_twin = random_faithful_state(twin, rng)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    om = VectorStateData(alg, v / np.linalg.norm(v))
-    s1 = relative_entropy_spatial(om, sig_twin)
-    s2 = relative_entropy_umegaki(om.state(), canonical_density(alg, sig_twin.matrix))
-    assert abs(s1 - s2) < 1e-10
-    # the trace formula pairs blocks, so the twin's weight is carried over first
-    assert abs(relative_entropy_umegaki(om.state(), sig_twin) - s2) < 1e-10
+def _state(algebra):
+    return random_faithful_state(algebra, np.random.default_rng(8))
+
+
+# Each call takes its two arguments on independently built copies of one
+# algebra (equal spans, distinct objects), with the error it must raise.
+_ON_COPIES = {
+    "compose": (
+        "target of the first map must equal source of the second",
+        lambda alg, twin: compose_expectations(
+            ConditionalExpectationMap(alg, alg), ConditionalExpectationMap(twin, twin)
+        ),
+    ),
+    "spatial": (
+        "vector state and weight must refer to the same algebra",
+        lambda alg, twin: relative_entropy_spatial(
+            VectorStateData(alg, np.eye(4)[0] + 0j), _state(twin)
+        ),
+    ),
+    "umegaki": (
+        "relative entropy needs two functionals on the same algebra",
+        lambda alg, twin: relative_entropy_umegaki(_state(alg), _state(twin)),
+    ),
+    "dual_weight": (
+        "weight must live on the commutant of the source algebra",
+        lambda alg, twin: dual_weight(
+            ConditionalExpectationMap(alg, alg), _state(twin.commutant())
+        ),
+    ),
+    "mixed_with": (
+        "mixing needs two weights on the same algebra",
+        lambda alg, twin: _state(alg).mixed_with(_state(twin), 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("message, call", _ON_COPIES.values(), ids=_ON_COPIES.keys())
+def test_a_span_equal_copy_is_not_the_same_algebra(message, call):
+    """Algebras are one when they are one object: arguments given on an
+    independently built copy are refused, never carried over."""
+    with pytest.raises(ValueError, match=message):
+        call(build_algebra([(2, 2)]), build_algebra([(2, 2)]))
 
 
 def test_umegaki_against_trace_state_gives_entropy_defect():
@@ -230,7 +263,7 @@ def test_property_spatial_entropy_matches_kron_oracle(case):
         coeffs.append(_with_spectrum(rng, n, m, c_rank).reshape(-1))
     v = np.concatenate(coeffs)
     omega = VectorStateData(alg, u @ v / np.linalg.norm(v))
-    sigma = WeightDensity.from_intrinsic_blocks(alg, sig_blocks)
+    sigma = WeightDensity(alg, sig_blocks)
     got = relative_entropy_spatial(omega, sigma)
     want = kron_relative_entropy_spatial(alg, omega.vector, sigma.intrinsic_blocks())
     if defect == "sigma":

@@ -13,7 +13,15 @@ from entropylab.findim import (
 )
 from entropylab.findim.identities import random_unitary
 
-from oracles import brute_force_commutant, commutant_state, spans_everything, trace_state
+from oracles import (
+    algebra_basis,
+    ambient_weight,
+    brute_force_commutant,
+    commutant_state,
+    spans_everything,
+    trace_state,
+    weight_value,
+)
 
 
 def test_trace_state_mass_and_blocks():
@@ -30,9 +38,9 @@ def test_canonical_density_reproduces_functional():
     dens = raw @ raw.conj().T
     w = canonical_density(alg, dens)
     # the canonical density represents the same functional on the algebra
-    for b in alg.basis[:5]:
+    for b in algebra_basis(alg)[:5]:
         want = np.trace(dens @ b)
-        got = w.value(b)
+        got = weight_value(w, b)
         assert abs(want - got) < 1e-10
 
 
@@ -49,7 +57,7 @@ def test_from_intrinsic_blocks_roundtrip():
     rng = np.random.default_rng(3)
     alg = build_algebra([(2, 2), (3, 1)]).conjugated(random_unitary(7, rng))
     w = random_faithful_state(alg, rng)
-    rebuilt = WeightDensity.from_intrinsic_blocks(alg, w.intrinsic_blocks())
+    rebuilt = WeightDensity(alg, w.intrinsic_blocks())
     assert np.abs(rebuilt.matrix - w.matrix).max() < 1e-11
 
 
@@ -69,9 +77,9 @@ def test_vector_state_matches_expectation_values():
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     om = VectorStateData(alg, v)
-    for b in alg.basis:
+    for b in algebra_basis(alg):
         want = v.conj() @ b @ v
-        got = om.state().value(b)
+        got = weight_value(om.state(), b)
         assert abs(want - got) < 1e-10
 
 
@@ -83,8 +91,8 @@ def test_commutant_state_lives_on_commutant():
     om = VectorStateData(alg, v)
     dual_state = commutant_state(om)
     assert dual_state.algebra is alg.commutant()
-    for b in alg.commutant().basis:
-        assert abs((v.conj() @ b @ v) - dual_state.value(b)) < 1e-10
+    for b in algebra_basis(alg.commutant()):
+        assert abs((v.conj() @ b @ v) - weight_value(dual_state, b)) < 1e-10
 
 
 def test_square_factor_vector_cyclic_separating():
@@ -167,22 +175,38 @@ def test_property_cyclic_separating_match_span_oracle(shapes, seed):
     v = u @ v / np.linalg.norm(v)
     alg = build_algebra(blocks).conjugated(u)
     om = VectorStateData(alg, v)
-    assert om.cyclic == spans_everything(alg.basis, v)
-    assert om.separating == spans_everything(brute_force_commutant(alg.basis, dim), v)
+    assert om.cyclic == spans_everything(algebra_basis(alg), v)
+    assert om.separating == spans_everything(brute_force_commutant(algebra_basis(alg), dim), v)
     assert om.cyclic == all(r == m for r, (_, m) in zip(ranks, blocks))
     assert om.separating == all(r == n for r, (n, _) in zip(ranks, blocks))
 
 
 def test_weight_rejects_non_hermitian():
     alg = build_algebra([(2, 1)])
-    with pytest.raises(ValueError):
-        WeightDensity(alg, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+    with pytest.raises(ValueError, match="self-adjoint"):
+        WeightDensity(alg, [np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)])
 
 
 def test_weight_rejects_negative():
     alg = build_algebra([(2, 1)])
-    with pytest.raises(ValueError):
-        WeightDensity(alg, np.diag([1.0, -0.5]).astype(complex))
+    with pytest.raises(ValueError, match="not positive"):
+        WeightDensity(alg, [np.diag([1.0, -0.5]).astype(complex)])
+
+
+def test_weight_needs_one_square_block_per_algebra_block():
+    """A missing, extra or misshapen block is rejected when the weight is
+    made, not dropped by a zip or left to fail in a later reshape."""
+    alg = build_algebra([(1, 1), (2, 1)])
+    assert WeightDensity(alg, [np.eye(1), np.eye(2)]).mass == 3.0
+    wrong = [
+        [np.eye(1)],
+        [np.eye(2), np.eye(1)],
+        [np.eye(1), np.eye(2), np.eye(1)],
+        [np.eye(1), np.ones((2, 3))],
+    ]
+    for blocks in wrong:
+        with pytest.raises(ValueError, match="one n_k x n_k block per block"):
+            WeightDensity(alg, blocks)
 
 
 def _rotated_multi_block(rng):
@@ -191,27 +215,29 @@ def _rotated_multi_block(rng):
 
 
 def test_weight_rejects_on_a_rotated_multi_block_algebra():
-    """Non-members, non-self-adjoint and non-positive members are rejected at
-    the tolerances of the ambient-matrix checks; a member is accepted."""
+    """Non-members (the oracle's ambient-matrix check), non-self-adjoint and
+    non-positive members (the block constructor's checks, reached through
+    canonical_density) are rejected at the tolerances of those checks; a
+    member is accepted."""
     rng = np.random.default_rng(12)
     alg = _rotated_multi_block(rng)
     good = random_faithful_state(alg, rng).matrix
-    WeightDensity(alg, good)
+    ambient_weight(alg, good)
     stray = rng.normal(size=good.shape) + 1j * rng.normal(size=good.shape)
     stray -= alg.project(stray)
     stray /= np.linalg.norm(stray)
-    WeightDensity(alg, good + 1e-12 * stray)
+    ambient_weight(alg, good + 1e-12 * stray)
     with pytest.raises(ValueError, match="does not lie"):
-        WeightDensity(alg, good + 1e-9 * stray)
+        ambient_weight(alg, good + 1e-9 * stray)
     skew = alg.embed_blocks([1j * np.eye(n) for n, _ in alg.blocks])
-    WeightDensity(alg, good + 1e-12 * skew)
+    canonical_density(alg, good + 1e-12 * skew)
     with pytest.raises(ValueError, match="self-adjoint"):
-        WeightDensity(alg, good + 1e-9 * skew)
+        canonical_density(alg, good + 1e-9 * skew)
     negative = alg.embed_blocks(
         [np.diag([-1.0] + [0.0] * (n - 1)).astype(complex) for n, _ in alg.blocks]
     )
     with pytest.raises(ValueError, match="not positive"):
-        WeightDensity(alg, good + 0.5 * negative)
+        canonical_density(alg, good + 0.5 * negative)
 
 
 def _count_block_calls(monkeypatch):
