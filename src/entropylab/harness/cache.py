@@ -4,8 +4,8 @@ Entries live under ``$ENTROPYLAB_CACHE_DIR`` (default
 ``~/.cache/entropylab``) as one JSON file per config hash.  The hash
 covers the fully resolved config (file values plus CLI overrides) and a
 sha256 of every ``entropylab/**/*.py`` source file, so an edited engine
-(with or without a version bump) or a changed tolerance can never serve
-stale numbers.  Writes go through a temp file and an atomic rename;
+or kind tolerance (with or without a version bump) can never serve stale
+numbers.  Writes go through a temp file and an atomic rename;
 anything unreadable is evicted where it can be, and is a miss either way:
 a lookup never raises.
 """

@@ -1,7 +1,7 @@
 """Experiment configuration: one declaration per kind, strict validation.
 
 ``KINDS`` declares every experiment kind once: the ``[experiment]`` keys
-its runner reads, its default tolerance, its arc-count rule, the command
+its runner reads, its tolerance, its arc-count rule, the command
 that runs it, its runner and its plot curve.  The command line, the runner
 dispatch and the artifact writer all read it.
 
@@ -11,10 +11,10 @@ a run writes and whether it uses the cache are the command line's
 are errors, not warnings, so typos cannot silently fall back to defaults;
 so is a key the kind does not read, in the file or as a command-line
 override.  The run report echoes the kind, every key the kind reads
-(defaults included) and the effective tolerance.  Validation builds every
-region a run evaluates and checks its sites at every size, before the
-cache lookup and without numpy; only collapse's Moebius images wait for
-the run, which draws them.
+(defaults included) and the kind's tolerance, which no config sets: every
+verdict binds at it.  Validation builds every region a run evaluates and
+checks its sites at every size, before the cache lookup and without
+numpy; only collapse's Moebius images wait for the run, which draws them.
 
 The file is read by ``_read_ini``, not ``configparser``, whose import is
 start-up cost of every CLI call.  It reads what ``ConfigParser(strict=True,
@@ -77,18 +77,16 @@ _KEYS = {
     "right_arcs": (_parse_arcs, ()),
     "c": (_parse_float, 2.0),
     "seed": (_parse_int, 0),
-    "tolerance": (_parse_float, None),  # None: the kind's default
     "instances": (_parse_int, 20),
     "schedule": (_parse_floats, ()),
     "arc_index": (_parse_int, 0),
     "family_size": (_parse_int, 3),
-    "lengths": (_parse_ints, ()),
     "sweep_lengths": (_parse_floats, ()),
 }
 
 
 # One experiment kind.  ``keys`` are the [experiment] keys its runner
-# reads, and ``tolerance`` is the default of the ``tolerance`` key.
+# reads, and ``tolerance`` is the one its verdicts bind at.
 # ``arcs`` is the (fewest, most) number of ``arcs`` entries, ``most`` None
 # for no bound.  ``runner`` is the ``module.function`` of this package that
 # runs it, imported on first use.  ``curve`` is its plot data, or None.
@@ -111,42 +109,42 @@ KINDS = {
         command=("findim-suite", "finite-dimensional identity and index battery"),
     ),
     "duality": Kind(
-        keys=("sizes", "tolerance", "arcs", "c"),
+        keys=("sizes", "arcs", "c"),
         tolerance=5e-3,
         arcs=(2, None),
         runner="fermion_runs.run_duality",
         curve=Curve("deficit_vs_N", "N", "D", False),
     ),
     "cross-ratio-sweep": Kind(
-        keys=("sizes", "tolerance", "arcs", "sweep_lengths"),
+        keys=("sizes", "arcs", "sweep_lengths"),
         tolerance=1e-9,
         arcs=(2, 2),
         runner="fermion_runs.run_sweep",
         curve=Curve("sweep", "eta", "S_product", True),
     ),
     "c-fit": Kind(
-        keys=("sizes", "tolerance", "lengths"),
+        keys=("sizes",),
         tolerance=0.02,
         arcs=(0, 0),
         runner="fermion_runs.run_cfit",
         curve=Curve("chat_vs_N", "N", "c_hat", False),
     ),
     "shrink": Kind(
-        keys=("sizes", "tolerance", "arcs", "arc_index", "schedule"),
+        keys=("sizes", "arcs", "arc_index", "schedule"),
         tolerance=1e-2,
         arcs=(2, None),
         runner="fermion_runs.run_shrink",
         curve=Curve("shrink_gap", "length", "gap", True),
     ),
     "collapse": Kind(
-        keys=("sizes", "tolerance", "arcs", "family_size", "seed"),
+        keys=("sizes", "arcs", "family_size", "seed"),
         tolerance=1e-2,
         arcs=(2, 2),
         runner="fermion_runs.run_collapse",
         curve=Curve("collapse_spread_vs_N", "N", "spread", False),
     ),
     "two-d": Kind(
-        keys=("sizes", "tolerance", "arcs", "right_arcs", "c"),
+        keys=("sizes", "arcs", "right_arcs", "c"),
         tolerance=1e-2,
         arcs=(2, None),
         runner="fermion_runs.run_twod",
@@ -173,13 +171,12 @@ class ExperimentConfig(
 
     @property
     def effective_tolerance(self) -> float:
-        if self.tolerance is not None:
-            return self.tolerance
+        """The tolerance every verdict of the kind binds at."""
         return KINDS[self.kind].tolerance
 
     def echo(self) -> dict:
-        """The kind, every key it reads and the effective tolerance, for the
-        report and the cache key."""
+        """The kind, every key it reads and its tolerance, for the report and
+        the cache key."""
         out = {"kind": self.kind}
         for name in KINDS[self.kind].keys:
             value = getattr(self, name)
@@ -188,6 +185,11 @@ class ExperimentConfig(
             out[name] = value
         out["tolerance"] = self.effective_tolerance
         return out
+
+
+def cfit_lengths(n: int) -> list[int]:
+    """The interval lengths, in sites, that c-fit fits at size ``n``."""
+    return [n // 16, n // 8, 3 * n // 16, n // 4, 3 * n // 8, n // 2]
 
 
 def _region(arcs, what: str) -> RegionSpec:
@@ -272,20 +274,8 @@ def validate_config(config: ExperimentConfig, given=()) -> None:
         raise ConfigError(f"'{config.kind}' needs {bound} arcs")
     if "right_arcs" in keys and len(config.right_arcs) != len(config.arcs):
         raise ConfigError("'right_arcs' needs as many arcs as 'arcs'")
-    if "lengths" in keys:
-        if not config.lengths and config.sizes[0] < 16:
-            raise ConfigError(
-                f"'{config.kind}' needs sizes of at least 16 unless 'lengths' is given"
-            )
-        if config.lengths:
-            if len(config.lengths) < 6:
-                raise ConfigError("'lengths' needs at least 6 entries for a stable fit")
-            smallest = config.sizes[0]
-            if not all(1 <= l < smallest for l in config.lengths):
-                raise ConfigError(f"'lengths' must lie in [1, {smallest}), the smallest size")
-            # S(l) depends on l only through sin(pi l / N), so l and N - l coincide.
-            if any(len({min(l, n - l) for l in config.lengths}) < 2 for n in config.sizes):
-                raise ConfigError("'lengths' need two distinct min(l, N - l) at every size")
+    if config.kind == "c-fit" and cfit_lengths(config.sizes[0])[0] < 1:
+        raise ConfigError("'c-fit' needs sizes of at least 16")
     if "arc_index" in keys and not 0 <= config.arc_index < len(config.arcs):
         raise ConfigError("'arc_index' out of range for the given arcs")
     for key in ("schedule", "sweep_lengths"):
@@ -294,11 +284,18 @@ def validate_config(config: ExperimentConfig, given=()) -> None:
                 raise ConfigError(
                     f"'{key}' entries are arc lengths in (0, 2*pi), got {length:g}"
                 )
+    # A sweep case's id names its length by its {:g} form.
+    labels = [f"{length:g}" for length in config.sweep_lengths]
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            first = config.sweep_lengths[labels.index(label)]
+            raise ConfigError(
+                f"'sweep_lengths' entries {first!r} and {config.sweep_lengths[k]!r}"
+                f" give the same case ids (l{label})"
+            )
     _check_regions(config, keys)
     if not 0 < config.c < math.inf:
         raise ConfigError("central charge must be finite and positive")
-    if config.tolerance is not None and not 0 < config.tolerance < math.inf:
-        raise ConfigError("tolerance must be finite and positive")
     if config.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     if config.instances < 1:

@@ -31,7 +31,7 @@ from ..lattice import (
     region_entropy,
 )
 from ..regions import arc_range, shrink_arcs, swept_arcs
-from .config import ExperimentConfig, check_sites
+from .config import ExperimentConfig, cfit_lengths, check_sites
 from .report import CaseRecord, Verdict
 from .runner import _group_verdict, _residual_case
 
@@ -174,9 +174,7 @@ def run_cfit(config: ExperimentConfig):
     tol = config.effective_tolerance
 
     def case(n, corr) -> CaseRecord:
-        lengths = list(config.lengths) or [
-            n // 16, n // 8, 3 * n // 16, n // 4, 3 * n // 8, n // 2
-        ]
+        lengths = cfit_lengths(n)
         entropies = [region_entropy(corr, np.arange(l)) for l in lengths]
         fit = central_charge_fit(lengths, entropies, n)
         return _residual_case(

@@ -335,8 +335,7 @@ def test_criterion_10_cross_ratio_collapse(monkeypatch):
 def test_criterion_11_shrinking_interval():
     schedule = tuple(0.9 * 0.62**k for k in range(10))
     config = ExperimentConfig(
-        kind="shrink", sizes=(1024,), arcs=THREE_ARCS.arcs, arc_index=0, schedule=schedule,
-        tolerance=1e-2,
+        kind="shrink", sizes=(1024,), arcs=THREE_ARCS.arcs, arc_index=0, schedule=schedule
     )
     report = run_experiment(config)
     final_gap = report.cases[-1].values["gap"]

@@ -34,12 +34,12 @@ from entropylab.harness.cli import main
 from entropylab.harness.config import KINDS, ExperimentConfig
 from oracles import csv_text, hashlib_config_hash
 
+# Passes at duality's tolerance, like the harness-replay config it matches.
 DUALITY = """\
 [experiment]
 kind = duality
-sizes = 16 32
+sizes = 256 512 1024
 arcs = 0.30 1.45, 2.65 4.10
-tolerance = 1.0
 """
 
 SWEEP = """\
@@ -258,9 +258,10 @@ def test_cli_pass_exit_zero(tmp_path, capsys):
     assert (out_dir / "summary.json").exists()
 
 
-def test_cli_failure_lists_cases_on_stderr(tmp_path, capsys):
+def test_cli_failure_lists_cases_on_stderr(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(KINDS, "duality", KINDS["duality"]._replace(tolerance=1e-12))
     config_path = tmp_path / "exp.ini"
-    config_path.write_text(DUALITY.replace("tolerance = 1.0", "tolerance = 1e-12"))
+    config_path.write_text(DUALITY)
     code = main(["fermion", "duality", "--config", str(config_path)])
     assert code == 1
     captured = capsys.readouterr()
@@ -320,15 +321,29 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert outs[0] == outs[1]
 
 
+# ``cli.run`` with duality's tolerance at 1e-12, which its verdicts fail.
+_FAILING_RUN = """\
+import sys
+from entropylab.harness import cli
+from entropylab.harness.config import KINDS
+
+KINDS["duality"] = KINDS["duality"]._replace(tolerance=1e-12)
+sys.argv = ["entropylab", *sys.argv[1:]]
+cli.run()
+"""
+
+
 def test_cli_process_exit_codes(tmp_path, capsys):
     """Exiting through ``run`` keeps every exit code, the stderr lines and the
     artifacts: a failing verdict exits 1, lists its cases and still writes
     its report; a bad config exits 2; a cache hit exits 0 and prints what
     ``main`` prints in-process."""
     failing = tmp_path / "failing.ini"
-    failing.write_text(DUALITY.replace("tolerance = 1.0", "tolerance = 1e-12"))
+    failing.write_text(DUALITY)
     out = tmp_path / "failing"
-    done = _cli_process("fermion", "duality", "--config", str(failing), "--out", str(out))
+    done = _python(
+        "-c", _FAILING_RUN, "fermion", "duality", "--config", str(failing), "--out", str(out)
+    )
     assert done.returncode == 1
     assert done.stderr.startswith("failing cases: ")
     assert "overall: FAIL" in done.stdout
@@ -590,12 +605,10 @@ _IN_RANGE = {
     "right_arcs": "0.50 1.70, 3.00 4.40",
     "c": "1.0",
     "seed": "3",
-    "tolerance": "0.5",
     "instances": "2",
     "schedule": "0.5",
     "arc_index": "0",
     "family_size": "2",
-    "lengths": "2 4 6 8 10 12",
     "sweep_lengths": "0.5",
 }
 
@@ -619,15 +632,28 @@ def test_cli_rejects_a_key_the_kind_does_not_read(tmp_path, capsys, kind, key):
     assert not (tmp_path / "cache").exists()  # nothing was cached
 
 
-@pytest.mark.parametrize("kind", list(KINDS))
-def test_cli_rejects_r_convention_as_an_unknown_key(tmp_path, capsys, kind):
-    # Lengths are always chords; no kind reads a length convention.
+# Keys no kind reads any more, with a value each: lengths are always
+# chords, every verdict binds at its kind's tolerance, and c-fit fits its
+# fixed lengths.  An r_convention case's id is its kind alone.
+_REMOVED_KEYS = {"r_convention": "chord", "tolerance": "0.5", "lengths": "2 4 6 8 10 12"}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for key in _REMOVED_KEYS for kind in KINDS],
+    ids=[
+        kind if key == "r_convention" else f"{kind}-{key}"
+        for key in _REMOVED_KEYS
+        for kind in KINDS
+    ],
+)
+def test_cli_rejects_r_convention_as_an_unknown_key(tmp_path, capsys, kind, key):
     config_path = tmp_path / "exp.ini"
-    config_path.write_text(_SMALL[kind] + "r_convention = chord\n")
+    config_path.write_text(_SMALL[kind] + f"{key} = {_REMOVED_KEYS[key]}\n")
     code = main([*_argv(kind), "--config", str(config_path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("config error: ") and "'r_convention'" in err
+    assert err == f"config error: unknown key '{key}' in [experiment]\n"
     assert "Traceback" not in err
     assert not (tmp_path / "cache").exists()  # nothing was cached
 
@@ -673,19 +699,14 @@ _SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
     [
         ("cross-ratio-sweep", SWEEP.replace("0.8 1.2", "4.0")),
         ("cross-ratio-sweep", SWEEP.replace("0.8 1.2", "9.0")),
-        ("c-fit", _CFIT + "lengths = 4 40 6 8 10 12\n"),
-        ("c-fit", _CFIT + "lengths = 0 2 4 6 8 10\n"),
-        ("c-fit", _CFIT + "lengths = 2 4 6\n"),
         ("shrink", _SHRINK + "schedule = 0.5 7.0\n"),
         ("c-fit", "[experiment]\nkind = c-fit\nsizes = 8 16\n"),
-        ("c-fit", _CFIT + "lengths = 3 3 3 3 3 3\n"),
-        ("c-fit", _CFIT + "lengths = 4 12 4 12 4 12\n"),
         ("shrink", _SHRINK3.format(512) + "schedule = 2.5 0.5\n"),
         ("shrink", _SHRINK3.format(64) + "schedule = 0.5 0.001 0.3\n"),
         ("shrink", _SHRINK.replace("2.0 2.9", "2.0 2.05") + "schedule = 0.5\n"),
         ("shrink", _SHRINK.replace(", 2.0 2.9", "") + "schedule = 0.5\n"),
         ("shrink", _SHRINK3.format(64) + "schedule = 0.01\n"),
-        ("duality", DUALITY.replace("16 32", "16 32 64").replace("1.45", "0.35")),
+        ("duality", DUALITY.replace("256 512 1024", "16 32 64").replace("1.45", "0.35")),
         ("duality", "[experiment]\nkind = duality\n" + _SITELESS_GAP),
         ("duality", DUALITY.replace(", 2.65 4.10", "")),
         ("collapse", "[experiment]\nkind = collapse\nsizes = 16 32\narcs = 0.30 0.40, 2.65 4.10\n"),
@@ -706,13 +727,8 @@ _SITELESS_GAP = "sizes = 8\narcs = 0.7 1.6, 2.3 5.6\n"
     ids=[
         "sweep-overlaps-first-arc",
         "sweep-longer-than-circle",
-        "cfit-length-beyond-size",
-        "cfit-length-zero",
-        "cfit-too-few-lengths",
         "shrink-schedule-beyond-circle",
         "cfit-default-lengths-too-small",
-        "cfit-one-length",
-        "cfit-mirrored-lengths",
         "shrink-schedule-runs-into-next-arc",
         "shrink-schedule-empties-arc-early",
         "shrink-fixed-arc-without-sites",
@@ -1003,7 +1019,8 @@ _FERMION_RUNS = {
     "c-fit": "[experiment]\nkind = c-fit\nsizes = 64 128\n",
     "shrink": _SHRINK3.format(512)
     + "schedule = 0.9 0.558 0.346 0.2145 0.133 0.0825 0.0511 0.0317 0.0197 0.0122\n",
-    "two-d": _TWOD.format("0.30 1.45, 2.65 4.10") + "tolerance = 1.0\nc = 2.0\n",
+    "two-d": _TWOD.format("0.30 1.45, 2.65 4.10").replace("16 32", "256 512 1024")
+    + "c = 2.0\n",
     "collapse": "[experiment]\nkind = collapse\nsizes = 64 128\narcs = 0.30 1.45, 2.65 4.10\n"
     "family_size = 3\nseed = 7\n",
 }
@@ -1025,7 +1042,7 @@ with open(result_path, "w") as fh:
 def test_fermion_runs_never_load_numpy_ma(tmp_path):
     """All six fermion runners in one fresh process: numpy.ma, which numpy's
     set routines import on first use, never loads, and numpy.random loads
-    only for collapse."""
+    only for collapse.  Each report names each of its cases once."""
     runs = []
     for kind, text in _FERMION_RUNS.items():
         path = tmp_path / f"{kind}.ini"
@@ -1043,6 +1060,10 @@ def test_fermion_runs_never_load_numpy_ma(tmp_path):
     )
     seen = json.loads(result.read_text())
     assert seen == [[kind, 0, False, kind == "collapse"] for kind in _FERMION_RUNS]
+    for kind in _FERMION_RUNS:
+        summary = json.loads((tmp_path / "out" / kind / "summary.json").read_text())
+        ids = [case["case_id"] for case in summary["cases"]]
+        assert ids and len(set(ids)) == len(ids), kind
 
 
 def test_cli_findim_runs_without_config(tmp_path, capsys):
@@ -1085,6 +1106,8 @@ def test_findim_helper_and_serial_paths_give_equal_records(seed, monkeypatch):
     serial = _findim_run(seed, monkeypatch, fork=False)
     assert serial.timings["helper"] == ("failed" if two_cpus else "none")
     assert split.cases == serial.cases and split.verdicts == serial.verdicts
+    ids = [case.case_id for case in split.cases]
+    assert len(set(ids)) == len(ids)
     assert summary_json(split) == summary_json(serial)
     # busy seconds per battery, the cases' wall and the helper; nothing else
     assert set(split.timings) == {
