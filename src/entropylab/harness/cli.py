@@ -43,7 +43,7 @@ from pathlib import Path
 
 from .cache import cache_lookup, cache_store
 from .config import KINDS, ConfigError, default_config, parse_config, validate_config
-from .report import RunReport, config_hash
+from .report import RunReport, config_hash, numpy_build
 from .reporting import format_report, load_report, write_report
 
 __all__ = ["main", "run"]
@@ -206,6 +206,7 @@ def main(argv: list[str] | None = None) -> int:
                 **report.timings,
                 "cache": cache,
                 "config_hash": key,
+                "numpy_build": numpy_build(),
                 "run_seconds": time.perf_counter() - start,
             }
             write_report(report._replace(timings=timings), options["--out"])

@@ -1,16 +1,14 @@
 """The findim-suite runner: identity and index batteries on finite-dimensional algebras.
 
 Every case of the araki, difference, chain and identity batteries draws
-from its own generator, ``default_rng([seed, battery, k])``, so the cases
-are independent of each other and of the order they run in.  When two
-CPUs are available they run on two processes: a forked helper takes every
-other case (``runner._evaluate_split``).  The reports are identical either
-way; only ``timings.json`` tells, through ``helper``.
+from its own generator, ``default_rng([seed, battery, k])``, so a case's
+record depends on the seed, its battery and its index alone, not on how
+many cases run or in what order.  The batteries run one after another in
+this process, and ``timings.json`` holds each one's seconds.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 
@@ -33,7 +31,7 @@ from ..findim import (
 )
 from .config import ExperimentConfig
 from .report import CaseRecord, Verdict
-from .runner import _evaluate_split, _group_verdict, _residual_case
+from .runner import _group_verdict, _residual_case
 
 
 def index_targets():
@@ -83,12 +81,7 @@ def index_targets():
 def run_findim(config: ExperimentConfig):
     """Cases, verdicts and timings of the findim-suite batteries.
 
-    The timings hold each battery's busy seconds, summed over both
-    processes, ``cases_wall``, the wall time of the four randomized
-    batteries together, and ``helper``: ``forked`` when a child took every
-    other case, ``none`` when no fork was tried (one CPU, no ``os.fork`` or
-    another thread running), ``failed`` when the child did not start or
-    deliver and this process evaluated its share too.
+    The timings hold each battery's seconds, under its label.
     """
     n = config.instances
     cases: list[CaseRecord] = []
@@ -152,14 +145,11 @@ def run_findim(config: ExperimentConfig):
         ("chain", "expectation-additivity-chain", chain_case, range(max(n // 2, 5))),
         ("identities", "relative-entropy-identities", identity_case, range(1, 6)),
     ]
-    jobs = [functools.partial(case, k) for _, _, case, ks in batteries for k in ks]
-    start = time.perf_counter()
-    results, helper = _evaluate_split(jobs)
-    timings = {"cases_wall": time.perf_counter() - start, "helper": helper}
-    for label, verdict, _, ks in batteries:
-        done, results = results[: len(ks)], results[len(ks) :]
-        battery = [record for record, _ in done]
-        timings[label] = sum(seconds for _, seconds in done)
+    timings = {}
+    for label, verdict, case, ks in batteries:
+        start = time.perf_counter()
+        battery = [case(k) for k in ks]
+        timings[label] = time.perf_counter() - start
         cases.extend(battery)
         verdicts.append(_group_verdict(verdict, battery))
 

@@ -4,8 +4,8 @@ A run produces a RunReport: one CaseRecord per computed case, plus named
 verdicts over groups of cases.  Everything that enters the report is a
 deterministic function of the config and the computed values; wall-clock
 timings and the build provenance (``config_hash``, which changes with any
-edit to the engine sources) are kept on the side and never mix into report
-bytes.
+edit to the engine sources and with the numpy build) are kept on the side
+and never mix into report bytes.
 
 This module imports only the standard library and the config, so that a
 cache hit or ``entropylab report`` never loads numpy or an engine.  The
@@ -19,7 +19,9 @@ as ``random`` takes its sha512: ``hashlib`` would load OpenSSL's
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
+import os
 from collections import namedtuple
 from pathlib import Path
 
@@ -33,7 +35,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-__all__ = ["CaseRecord", "Verdict", "RunReport", "config_hash"]
+__all__ = ["CaseRecord", "Verdict", "RunReport", "config_hash", "numpy_build"]
 
 
 class CaseRecord(
@@ -126,24 +128,51 @@ class RunReport(
         )
 
 
+def numpy_build() -> str:
+    """Name, size and ``st_mtime_ns`` of numpy's compiled core, ``""`` without one.
+
+    The core (``numpy/_core/_multiarray_umath*``, under ``numpy/core`` before
+    numpy 2) is found through the import system, so numpy itself is not
+    imported: a cache hit stays free of it.  Upgrading or rebuilding numpy
+    replaces that file and so changes this.
+    """
+    spec = importlib.util.find_spec("numpy")
+    found = []
+    for root in (spec and spec.submodule_search_locations) or ():
+        for sub in ("_core", "core"):
+            try:
+                with os.scandir(os.path.join(root, sub)) as entries:
+                    for entry in entries:
+                        if entry.name.startswith("_multiarray_umath"):
+                            stat = entry.stat()
+                            found.append(f"{sub}/{entry.name} {stat.st_size} {stat.st_mtime_ns}")
+            except OSError:
+                pass
+    return "; ".join(sorted(found))
+
+
 @functools.cache
 def _engine_fingerprint() -> str:
-    """sha256 over the path and contents of every source file of the package.
+    """sha256 over the path and contents of every source file of the package,
+    and over ``numpy_build()``.
 
     Computed on first use, not at import, so that starting the CLI stays
-    cheap.  Any edit to the engine changes it, with or without a version bump.
-    The built-in sha256 gives the digests ``hashlib.sha256`` would.
+    cheap.  Any edit to the engine changes it, with or without a version
+    bump, and so does another numpy build.  The built-in sha256 gives the
+    digests ``hashlib.sha256`` would.
     """
     root = Path(__file__).resolve().parent.parent
     digest = sha256()
     for path in sorted(root.rglob("*.py")):
         content = sha256(path.read_bytes()).hexdigest()
         digest.update(f"{path.relative_to(root).as_posix()}\n{content}\n".encode("utf-8"))
+    digest.update(f"numpy\n{numpy_build()}\n".encode("utf-8"))
     return digest.hexdigest()
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Hash of the effective config plus the engine source fingerprint."""
+    """Hash of the effective config plus the engine fingerprint: the
+    package's sources and the numpy build."""
     canon = json.dumps(config.echo(), sort_keys=True, separators=(",", ":"))
     digest = sha256()
     digest.update(canon.encode("utf-8"))

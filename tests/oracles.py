@@ -170,12 +170,19 @@ def csv_text(rows) -> str:
 
 def hashlib_config_hash(config) -> str:
     """``config_hash`` through ``hashlib.sha256``: the effective config, then
-    the sha256 of every package source file with its path."""
+    the sha256 of every package source file with its path and of the name,
+    size and mtime of the imported numpy's compiled core."""
     root = Path(gaussian.__file__).resolve().parent.parent
     engine = hashlib.sha256()
     for path in sorted(root.rglob("*.py")):
         content = hashlib.sha256(path.read_bytes()).hexdigest()
         engine.update(f"{path.relative_to(root).as_posix()}\n{content}\n".encode("utf-8"))
+    numpy_dir = Path(np.__file__).parent
+    core = sorted(
+        f"{path.relative_to(numpy_dir).as_posix()} {path.stat().st_size} {path.stat().st_mtime_ns}"
+        for path in numpy_dir.glob("*core/_multiarray_umath*")
+    )
+    engine.update(f"numpy\n{'; '.join(core)}\n".encode("utf-8"))
     canon = json.dumps(config.echo(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(f"{canon}\n{engine.hexdigest()}".encode("utf-8")).hexdigest()
 

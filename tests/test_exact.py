@@ -1,8 +1,18 @@
 """Exact many-body entropies versus the Gaussian shortcut."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
+from entropylab.findim import (
+    VectorStateData,
+    WeightDensity,
+    build_algebra,
+    relative_entropy_spatial,
+    relative_entropy_umegaki,
+)
 from entropylab.lattice import (
     RegionSpec,
     ground_state_correlations,
@@ -11,7 +21,13 @@ from entropylab.lattice import (
 )
 
 import oracles
-from oracles import exact_diagonalization_entropies, lattice_region
+from oracles import (
+    _state_region_first,
+    arc_sites,
+    exact_diagonalization_entropies,
+    ground_orbitals,
+    lattice_region,
+)
 
 
 def _random_two_arc_spec(rng):
@@ -81,3 +97,53 @@ def test_exact_arc_entropies_consistent():
     exact = exact_diagonalization_entropies(10, spec)
     combo = sum(exact.arc_entropies) - exact.region_entropy
     assert exact.product_relative_entropy == pytest.approx(combo, abs=1e-12)
+
+
+def _entropy(rho):
+    return oracles._spectrum_entropy(np.linalg.eigvalsh(rho))
+
+
+def _marginals(rho, dims):
+    """The reduced density matrix of each tensor factor of ``rho``."""
+    out = []
+    for k, d in enumerate(dims):
+        before, after = math.prod(dims[:k]), math.prod(dims[k + 1 :])
+        out.append(np.einsum("iajibj->ab", rho.reshape(before, d, after, before, d, after)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RegionSpec([(0.30, 1.45), (2.65, 4.10)]),
+        RegionSpec([(0.2, 0.9), (1.7, 2.9), (3.6, 5.2)]),
+    ],
+    ids=["two-arcs", "three-arcs"],
+)
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_findim_on_the_ground_state_agrees_with_the_lattice(spec, n):
+    """findim's relative entropies of the many-body ground state against the
+    product of its arcs' states are the lattice's mutual information.
+
+    With the region's modes first, the region's fermion algebra is
+    M_{2^r} (x) 1 on C^(2^N), and the arcs' modes are consecutive in it.
+    The ground state is parity-even, so the arcs' product state is the
+    Kronecker product of their partial traces.
+    """
+    union = lattice_region(n, spec)
+    arcs = [arc_sites(n, arc) for arc in spec.arcs]
+    assert np.array_equal(np.concatenate(arcs), union)  # arcs in mode order
+    algebra = build_algebra([(2**union.size, 2 ** (n - union.size))])
+    omega = VectorStateData(algebra, _state_region_first(ground_orbitals(n), union))
+    rho = omega.state().intrinsic_blocks()[0]
+    parts = _marginals(rho, [2**arc.size for arc in arcs])
+    product = WeightDensity(algebra, [functools.reduce(np.kron, parts)])
+
+    corr = ground_state_correlations(n)
+    want = product_state_relative_entropy(corr, spec)
+    assert want > 0.0
+    assert abs(relative_entropy_spatial(omega, product) - want) < 1e-12
+    assert abs(relative_entropy_umegaki(omega.state(), product) - want) < 1e-12
+    assert abs(_entropy(rho) - region_entropy(corr, union)) < 1e-12
+    for part, sites in zip(parts, arcs):
+        assert abs(_entropy(part) - region_entropy(corr, sites)) < 1e-12

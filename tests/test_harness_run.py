@@ -4,10 +4,8 @@ import importlib
 import json
 import os
 import shutil
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +197,66 @@ def test_config_hash_tracks_engine_sources(tmp_path):
     edited_key = copied_key()
     assert edited_key != original
     assert copied_run(tmp_path / "after") == (summary, edited_key)
+
+
+def test_config_hash_tracks_the_numpy_build(tmp_path, monkeypatch, capsys):
+    """A numpy whose compiled core has another size or mtime misses the
+    cache, and timings.json names the build.  The core is a file under a
+    fake numpy spec, not a second numpy."""
+    from importlib.machinery import ModuleSpec
+
+    from entropylab.harness import report
+
+    core = tmp_path / "numpy" / "_core" / "_multiarray_umath.cpython-311-x86_64-linux-gnu.so"
+    core.parent.mkdir(parents=True)
+    core.write_bytes(bytes(64))
+    spec = ModuleSpec("numpy", None, is_package=True)
+    spec.submodule_search_locations = [str(core.parent.parent)]
+    find_spec = report.importlib.util.find_spec
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(DUALITY)
+    config = parse_config(config_path)
+
+    def key():
+        report._engine_fingerprint.cache_clear()
+        return config_hash(config)
+
+    def run(out):
+        assert main(["fermion", "duality", "--config", str(config_path), "--out", str(out)]) == 0
+        return json.loads((out / "timings.json").read_text())
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                report.importlib.util,
+                "find_spec",
+                lambda name, *rest: spec if name == "numpy" else find_spec(name, *rest),
+            )
+            mtime = core.stat().st_mtime_ns
+            build = f"_core/{core.name} 64 {mtime}"
+            assert report.numpy_build() == build
+            original = key()
+            timings = run(tmp_path / "before")
+            assert (timings["cache"], timings["numpy_build"]) == ("miss", build)
+            assert timings["config_hash"] == original
+
+            core.write_bytes(bytes(65))  # another size at the same mtime
+            os.utime(core, ns=(mtime, mtime))
+            assert key() != original
+            core.write_bytes(bytes(64))
+            os.utime(core, ns=(mtime, mtime))
+            assert key() == original
+            os.utime(core, ns=(mtime, mtime + 1))  # another mtime
+            assert key() != original
+            timings = run(tmp_path / "after")
+            assert timings["cache"] == "miss"
+            assert timings["numpy_build"] == f"_core/{core.name} 64 {mtime + 1}"
+
+            spec.submodule_search_locations = [str(tmp_path / "elsewhere")]
+            assert report.numpy_build() == ""
+        capsys.readouterr()
+    finally:
+        report._engine_fingerprint.cache_clear()
 
 
 def test_cache_roundtrip(tmp_path):
@@ -994,7 +1052,7 @@ def test_cache_hit_and_report_load_no_engine(tmp_path):
 def test_findim_cache_hit_and_report_load_no_engine(tmp_path):
     seen = _import_probe(tmp_path, ["findim-suite"], FINDIM_SMALL)
     assert seen["no-cache"] == [0, "numpy", "entropylab.findim"]
-    # its cases run on a forked helper without a process pool's imports
+    # its cases run in this process, without a process pool's imports
     assert not {"multiprocessing", "concurrent.futures"} & set(seen["added"]["no-cache"])
 
 
@@ -1080,104 +1138,61 @@ def test_cli_findim_runs_without_config(tmp_path, capsys):
     }
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _findim_run(seed, instances=6):
+    """A findim-suite report at ``instances``."""
+    return run_experiment(
+        default_config("findim-suite")._replace(instances=instances, seed=seed)
+    )
 
 
-def _findim_run(seed, monkeypatch=None, fork=True):
-    """A findim-suite report at ``instances = 6``; ``fork=False`` makes the
-    fork raise, so the parent evaluates every case."""
-    if not fork:
-        def no_fork():
-            raise OSError("fork refused")
+def _overdrawn(make, rng_arg):
+    """``make``, which then draws from its generator once more, for no record."""
 
-        monkeypatch.setattr(os, "fork", no_fork)
-    report = run_experiment(default_config("findim-suite")._replace(instances=6, seed=seed))
-    _no_child_left()
-    return report
+    def made(*args, **kwargs):
+        instance = make(*args, **kwargs)
+        args[rng_arg].normal(size=3)
+        return instance
+
+    return made
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_findim_helper_and_serial_paths_give_equal_records(seed, monkeypatch):
-    two_cpus = len(os.sched_getaffinity(0)) > 1
-    split = _findim_run(seed)
-    assert split.timings["helper"] == ("forked" if two_cpus else "none")
-    serial = _findim_run(seed, monkeypatch, fork=False)
-    assert serial.timings["helper"] == ("failed" if two_cpus else "none")
-    assert split.cases == serial.cases and split.verdicts == serial.verdicts
-    ids = [case.case_id for case in split.cases]
-    assert len(set(ids)) == len(ids)
-    assert summary_json(split) == summary_json(serial)
-    # busy seconds per battery, the cases' wall and the helper; nothing else
-    assert set(split.timings) == {
-        "araki", "difference", "chain", "identities", "index",
-        "cases_wall", "helper", "total_seconds",
-    }
-
-
-@pytest.mark.parametrize("failure", ["exit", "signal", "short-pickle", "exit-after-pickle"])
-def test_findim_child_that_does_not_deliver_leaves_the_serial_records(failure, monkeypatch):
-    from entropylab.harness import findim_runs, runner
-
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("the helper forks only with two CPUs")
-    serial = _findim_run(0, monkeypatch, fork=False)
-    monkeypatch.undo()
-    if failure.endswith("pickle"):
-        import pickle
-
-        def bad_dump(obj, pipe):
-            data = pickle.dumps(obj)
-            if failure == "short-pickle":
-                pipe.write(data[:-10])
-            else:  # a whole pickle, then a nonzero exit
-                pipe.write(data)
-                pipe.flush()
-                os._exit(3)
-
-        monkeypatch.setattr(runner.pickle, "dump", bad_dump)
-    else:
-        parent = os.getpid()
-        original = findim_runs.random_unitary
-
-        def unitary_in_parent_only(dim, rng):
-            if os.getpid() != parent:
-                if failure == "exit":
-                    os._exit(3)
-                os.kill(os.getpid(), signal.SIGKILL)
-            return original(dim, rng)
-
-        monkeypatch.setattr(findim_runs, "random_unitary", unitary_in_parent_only)
-    report = _findim_run(0)
-    assert report.timings["helper"] == "failed"
-    assert report.cases == serial.cases
-
-
-@pytest.mark.parametrize("which", [1, 2])
-def test_findim_case_that_raises_in_either_half_raises_from_run_experiment(which, monkeypatch):
+def test_findim_cases_draw_from_their_own_generators(seed, monkeypatch):
+    """A case's record depends on the seed, its battery and its index alone:
+    the araki and difference records of a 6-instance run are the first 6 of
+    a 12-instance run whose cases each leave draws unused, which would move
+    every later case of a shared generator."""
     from entropylab.harness import findim_runs
 
-    # At instances = 6 the jobs are 6 araki, 6 difference and 5 chain cases,
-    # then identities 1 to 5: identity 1 is job 17 (the child's share),
-    # identity 2 job 18 (the parent's).
-    original = findim_runs.check_entropy_identity
-    parent = os.getpid()
+    short = _findim_run(seed)
+    ids = [case.case_id for case in short.cases]
+    assert len(set(ids)) == len(ids)
+    # each battery's seconds and the run's; nothing else
+    assert set(short.timings) == {
+        "araki", "difference", "chain", "identities", "index", "total_seconds",
+    }
+    # the last draw of an araki case and the only one of a difference case
+    for name, rng_arg in (("random_faithful_state", 1), ("random_difference_instance", 0)):
+        monkeypatch.setattr(findim_runs, name, _overdrawn(getattr(findim_runs, name), rng_arg))
+    long = _findim_run(seed, instances=12)
+    for battery in ("araki-", "difference-"):
+        first = [case for case in long.cases if case.case_id.startswith(battery)][:6]
+        assert first == [case for case in short.cases if case.case_id.startswith(battery)]
 
-    def check(w, rng):
-        if w == which:
-            raise ValueError(f"identity {w} refused")
-        if os.getpid() != parent:
-            time.sleep(30)  # a child that only a kill ends in time
-        return original(w, rng)
+
+def test_findim_case_that_raises_raises_from_run_experiment(monkeypatch):
+    from entropylab.harness import findim_runs
+
+    original = findim_runs.check_entropy_identity
+
+    def check(which, rng):
+        if which == 2:
+            raise ValueError("identity 2 refused")
+        return original(which, rng)
 
     monkeypatch.setattr(findim_runs, "check_entropy_identity", check)
-    config = default_config("findim-suite")._replace(instances=6)
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=f"^identity {which} refused$"):
-        run_experiment(config)
-    assert time.perf_counter() - start < 20
-    _no_child_left()
+    with pytest.raises(ValueError, match="^identity 2 refused$"):
+        _findim_run(0)
 
 
 def _leaves(value, where):
