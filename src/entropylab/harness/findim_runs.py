@@ -1,10 +1,13 @@
 """The findim-suite runner: identity and index batteries on finite-dimensional algebras.
 
-Every case of the araki, difference, chain and identity batteries draws
-from its own generator, ``default_rng([seed, battery, k])``, so a case's
-record depends on the seed, its battery and its index alone, not on how
-many cases run or in what order.  The batteries run one after another in
-this process, and ``timings.json`` holds each one's seconds.
+The five batteries run one after another in this process, in one loop
+that times each, keeps its cases and judges them in one verdict;
+``timings.json`` holds each battery's seconds.  Every case of the araki,
+difference, chain and identity batteries draws from its own generator,
+``default_rng([seed, battery, k])``, so a case's record depends on the
+seed, its battery and its index alone, not on how many cases run or in
+what order.  The difference and chain cases bind at the kind's tolerance,
+which the config echo shows; the others at their battery's own.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from ..findim import (
     relative_entropy_umegaki,
 )
 from .config import ExperimentConfig
-from .report import CaseRecord, Verdict
+from .report import CaseRecord
 from .runner import _group_verdict, _residual_case
 
 
@@ -79,13 +82,9 @@ def index_targets():
 
 
 def run_findim(config: ExperimentConfig):
-    """Cases, verdicts and timings of the findim-suite batteries.
-
-    The timings hold each battery's seconds, under its label.
-    """
+    """Cases, verdicts and timings (each battery's seconds) of the findim-suite batteries."""
     n = config.instances
-    cases: list[CaseRecord] = []
-    verdicts: list[Verdict] = []
+    tol = config.effective_tolerance
 
     def araki_case(k: int) -> CaseRecord:
         rng = np.random.default_rng([config.seed, 1, k])
@@ -114,7 +113,7 @@ def run_findim(config: ExperimentConfig):
             {"side": side},
             {"s1": rep.s1, "s2": rep.s2, "s12": rep.s12},
             rep.residual,
-            1e-6,
+            tol,
         )
 
     def chain_case(k: int) -> CaseRecord:
@@ -125,18 +124,22 @@ def run_findim(config: ExperimentConfig):
             {},
             {"composed": rep.s_composed, "f2": rep.s_f2, "f1": rep.s_f1},
             rep.residual,
-            1e-6,
+            tol,
         )
 
     def identity_case(which: int) -> CaseRecord:
         rng = np.random.default_rng([config.seed, 4, which])
         rep = check_entropy_identity(which, rng)
-        values = {
-            k: [float(x) for x in v] if isinstance(v, tuple) else float(v)
-            for k, v in rep.values.items()
-        }
         return _residual_case(
-            f"identity-{which}", {"which": which}, values, rep.residual, rep.tolerance
+            f"identity-{which}", {"which": which}, rep.values, rep.residual, rep.tolerance
+        )
+
+    def index_case(group) -> CaseRecord:
+        label, want, target = group
+        source = build_algebra([(target.ambient_dim, 1)])
+        got = float(kosaki_index(ConditionalExpectationMap(source, target)))
+        return _residual_case(
+            f"index-{label}", {"group_order": want}, {"index": got}, abs(got - want), 1e-9
         )
 
     batteries = [
@@ -144,27 +147,13 @@ def run_findim(config: ExperimentConfig):
         ("difference", "expectation-difference-identity", difference_case, range(n)),
         ("chain", "expectation-additivity-chain", chain_case, range(max(n // 2, 5))),
         ("identities", "relative-entropy-identities", identity_case, range(1, 6)),
+        ("index", "group-fixed-point-index", index_case, index_targets()),
     ]
-    timings = {}
+    cases, verdicts, timings = [], [], {}
     for label, verdict, case, ks in batteries:
         start = time.perf_counter()
         battery = [case(k) for k in ks]
         timings[label] = time.perf_counter() - start
         cases.extend(battery)
         verdicts.append(_group_verdict(verdict, battery))
-
-    start = time.perf_counter()
-    idx = []
-    for label, want, target in index_targets():
-        source = build_algebra([(target.ambient_dim, 1)])
-        got = float(kosaki_index(ConditionalExpectationMap(source, target)))
-        idx.append(
-            _residual_case(
-                f"index-{label}", {"group_order": want}, {"index": got}, abs(got - want), 1e-9
-            )
-        )
-    timings["index"] = time.perf_counter() - start
-    cases.extend(idx)
-    verdicts.append(_group_verdict("group-fixed-point-index", idx))
-
     return cases, verdicts, timings

@@ -6,8 +6,10 @@ and through it its engine, on first use: a findim-suite run loads
 ``entropylab.lattice`` alone (``fermion_runs``).  Each runner turns the
 config into case records, verdicts and wall-clock timings, in this
 process; the report types themselves live in
-:mod:`entropylab.harness.report`.  ``_residual_case`` and
-``_group_verdict`` are the record and verdict builders the runners share.
+:mod:`entropylab.harness.report`.  The runners build every record with
+``_residual_case``, the rule that a checked case passes when its residual
+is within its tolerance, and every verdict with ``_verdict``, which names
+its cases by id; ``_group_verdict`` passes when a group's checked cases do.
 """
 
 from __future__ import annotations
@@ -54,24 +56,18 @@ def __getattr__(name: str):
     return getattr(fermion_runs, name)
 
 
-def _residual_case(case_id, inputs, values, residual, tol) -> CaseRecord:
-    return CaseRecord(
-        case_id=case_id,
-        inputs=inputs,
-        values=values,
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-    )
+def _residual_case(case_id, inputs, values, residual, tol=None) -> CaseRecord:
+    """A case that passes when ``residual <= tol``; with ``tol`` None it is
+    unchecked, and its tolerance and ``passed`` are None."""
+    passed = None if tol is None else residual <= tol
+    return CaseRecord(case_id, inputs, values, residual, tol, passed)
+
+
+def _verdict(name: str, passed: bool, detail: str, cases: list[CaseRecord]) -> Verdict:
+    return Verdict(name, passed, detail, tuple(c.case_id for c in cases))
 
 
 def _group_verdict(name: str, cases: list[CaseRecord], detail: str = "") -> Verdict:
     passed = all(c.passed for c in cases if c.passed is not None)
     worst = max((c.residual for c in cases if c.residual is not None), default=0.0)
-    text = detail or f"worst residual {worst:.3e}"
-    return Verdict(
-        name=name,
-        passed=passed,
-        detail=text,
-        case_ids=tuple(c.case_id for c in cases),
-    )
+    return _verdict(name, passed, detail or f"worst residual {worst:.3e}", cases)

@@ -93,7 +93,9 @@ def value_moves(want: str, got: str) -> list[str]:
             elif x != y or (key in a) != (key in b):
                 other.append(f"{case_id} {key}: {x!r} -> {y!r}")
     a, b = dict(_leaves(old)), dict(_leaves(new))
-    other += [f"{k}: {a.get(k)!r} -> {b.get(k)!r}" for k in sorted({*a, *b}) if a.get(k) != b.get(k)]
+    for key in sorted({*a, *b}):
+        if a.get(key) != b.get(key):
+            other.append(f"{key}: {a.get(key)!r} -> {b.get(key)!r}")
     moves = [
         f"{key}: largest move {move:.3e} at {case_id} ({x!r} -> {y!r})"
         for key, (move, case_id, x, y) in largest.items()

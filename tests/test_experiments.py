@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from entropylab.harness import ConfigError, ExperimentConfig, run_experiment
 from entropylab.harness import fermion_runs
+from entropylab.harness.cli import main
 from entropylab.harness.config import validate_config
 from entropylab.harness.fermion_runs import _monotone_from
 from entropylab.lattice import (
     RegionSpec,
     cross_ratio,
+    equal_eta_family,
     ground_state_correlations,
     product_state_relative_entropy,
     region_entropy,
@@ -173,6 +175,27 @@ def test_collapse_rejects_distinct_cross_ratios(monkeypatch):
     monkeypatch.setattr(fermion_runs, "equal_eta_family", lambda spec, count, rng: control)
     with pytest.raises(ValueError, match="cross ratios differ"):
         _collapse([128])
+
+
+def test_collapse_family_with_short_chords_runs(tmp_path):
+    """A family whose cross ratios differ by rounding alone runs: here eta is
+    107.6 and the spread 2.0e-12, a relative 1.9e-14 (the old absolute
+    1e-12 bound raised on it)."""
+    path = tmp_path / "collapse.ini"
+    path.write_text(
+        "[experiment]\nkind = collapse\nsizes = 128\n"
+        "arcs = 1.14907 1.22816, 5.05459 5.42973\nseed = 14\nfamily_size = 2\n"
+    )
+    assert main(["fermion", "collapse", "--config", str(path), "--no-cache"]) in (0, 1)
+
+
+def test_family_eta_bound_holds_on_random_regions():
+    rng = np.random.default_rng(37)
+    for _ in range(2000):
+        x = np.sort(rng.uniform(0.0, 2 * np.pi, 4))
+        family = equal_eta_family(RegionSpec([(x[0], x[1]), (x[2], x[3])]), 3, rng)
+        eta = fermion_runs._family_eta(family)
+        assert eta == pytest.approx(cross_ratio(family[0]), rel=1e-12)
 
 
 def test_collapse_needs_two_geometries():

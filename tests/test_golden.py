@@ -27,5 +27,5 @@ def test_report_bytes_match_the_golden_files(tmp_path, run):
         old, new = want[name].decode().splitlines(), got[name].decode().splitlines()
         k = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
         lines.append(f"{name} line {k + 1}: {old[k:k + 1]} -> {new[k:k + 1]}")
-    lines.append("a deliberate change rewrites them: PYTHONPATH=src python tests/rewrite_golden.py")
+    lines.append("if the move is deliberate: PYTHONPATH=src python tests/rewrite_golden.py")
     pytest.fail("\n".join(lines), pytrace=False)

@@ -1180,6 +1180,15 @@ def test_findim_cases_draw_from_their_own_generators(seed, monkeypatch):
         assert first == [case for case in short.cases if case.case_id.startswith(battery)]
 
 
+def test_findim_difference_and_chain_cases_bind_at_the_echoed_tolerance(monkeypatch):
+    monkeypatch.setitem(KINDS, "findim-suite", KINDS["findim-suite"]._replace(tolerance=1e-7))
+    report = _findim_run(0, instances=2)
+    assert report.config_echo["tolerance"] == 1e-7
+    bound = [c for c in report.cases if c.case_id.startswith(("difference-", "chain-"))]
+    assert len(bound) == 2 + 5
+    assert all(c.tolerance == 1e-7 and c.passed == (c.residual <= 1e-7) for c in bound)
+
+
 def test_findim_case_that_raises_raises_from_run_experiment(monkeypatch):
     from entropylab.harness import findim_runs
 
