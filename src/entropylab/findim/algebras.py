@@ -97,8 +97,9 @@ class MatrixBlockAlgebra:
         if self._commutant is None:
             structure = []
             for blk in self.structure:
-                swap = _swap_matrix(blk.n, blk.m)
-                structure.append(BlockStructure(n=blk.m, m=blk.n, iso=swap @ blk.iso))
+                # Row l*n + i of the swapped isometry is row i*m + l of this one.
+                swap = np.arange(blk.n * blk.m).reshape(blk.n, blk.m).T.ravel()
+                structure.append(BlockStructure(n=blk.m, m=blk.n, iso=blk.iso[swap]))
             dual = MatrixBlockAlgebra(structure)
             dual._commutant = self
             self._commutant = dual
@@ -130,15 +131,6 @@ def _is_unitary(u: np.ndarray) -> bool:
     diagonal = (gap.diagonal() <= 1e-10 + 1e-5).all()
     gap.flat[:: d + 1] = 0.0
     return bool(diagonal and (gap <= 1e-10).all())
-
-
-def _swap_matrix(n: int, m: int) -> np.ndarray:
-    """Unitary C^n tensor C^m -> C^m tensor C^n."""
-    s = np.zeros((n * m, n * m))
-    for i in range(n):
-        for l in range(m):
-            s[l * n + i, i * m + l] = 1.0
-    return s
 
 
 def build_algebra(blocks: list[tuple[int, int]]) -> MatrixBlockAlgebra:

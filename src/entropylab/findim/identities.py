@@ -13,7 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .algebras import MatrixBlockAlgebra, _swap_matrix, build_algebra
+from .algebras import MatrixBlockAlgebra, build_algebra
 from .expectations import ConditionalExpectationMap, compose_expectations
 from .index import dual_weight
 from .spatial import relative_entropy_spatial, relative_entropy_umegaki
@@ -97,10 +97,10 @@ def random_difference_instance(rng: np.random.Generator, side: int) -> Differenc
     u2 = np.kron(np.eye(side), random_unitary(side, rng))
     sub = [(2, 8)] if side == 4 else [(1, side * side)]
     e1 = ConditionalExpectationMap(algebra, build_algebra(sub).conjugated(u1))
-    # The commutant acts on the second leg; the leg swap moves the same
-    # subalgebra there before the rotation.
-    swap = _swap_matrix(side, side)
-    e2 = ConditionalExpectationMap(dual, build_algebra(sub).conjugated(u2 @ swap))
+    # The commutant acts on the second leg; the leg swap, a permutation of
+    # the basis, moves the same subalgebra there before the rotation.
+    swap = np.arange(side * side).reshape(side, side).T.ravel()
+    e2 = ConditionalExpectationMap(dual, build_algebra(sub).conjugated(u2[:, swap]))
     return DifferenceInstance(algebra=algebra, omega=omega, e1=e1, e2=e2)
 
 

@@ -41,6 +41,7 @@ import sys
 import time
 from pathlib import Path
 
+from .. import __version__
 from .cache import cache_lookup, cache_store
 from .config import KINDS, ConfigError, default_config, parse_config, validate_config
 from .report import RunReport, config_hash, numpy_build
@@ -206,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
                 **report.timings,
                 "cache": cache,
                 "config_hash": key,
+                "engine_version": __version__,
                 "numpy_build": numpy_build(),
                 "run_seconds": time.perf_counter() - start,
             }

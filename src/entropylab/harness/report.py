@@ -1,11 +1,12 @@
 """Run reports and their cache key, without the numerical engines.
 
-A run produces a RunReport: one CaseRecord per computed case, plus named
-verdicts over groups of cases.  Everything that enters the report is a
-deterministic function of the config and the computed values; wall-clock
-timings and the build provenance (``config_hash``, which changes with any
-edit to the engine sources and with the numpy build) are kept on the side
-and never mix into report bytes.
+A run produces a RunReport: its seed and config echo, one CaseRecord per
+computed case, plus named verdicts over groups of cases.  Everything that
+enters the report is a deterministic function of the config and the
+computed values; wall-clock timings and the build provenance (the engine
+version, and ``config_hash``, which changes with any edit to the engine
+sources and with the numpy build) are kept on the side and never mix into
+report bytes.
 
 This module imports only the standard library and the config, so that a
 cache hit or ``entropylab report`` never loads numpy or an engine.  The
@@ -58,13 +59,10 @@ class Verdict(namedtuple("Verdict", "name passed detail case_ids")):
 
 
 class RunReport(
-    namedtuple(
-        "RunReport",
-        "kind seed config_echo engine_version cases verdicts timings",
-        defaults=(None,),
-    )
+    namedtuple("RunReport", "seed config_echo cases verdicts timings", defaults=(None,))
 ):
-    """Cases and verdicts of one run, plus its wall-clock ``timings`` dict.
+    """Seed, config echo, cases and verdicts of one run, plus its wall-clock
+    ``timings`` dict; ``kind`` reads the echo.
 
     ``run_experiment``, ``cache_lookup`` and ``from_dict`` each pass a
     ``timings`` dict of its own; change it with ``_replace``.
@@ -73,13 +71,12 @@ class RunReport(
     __slots__ = ()
 
     @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+    def kind(self) -> str:
+        return self.config_echo["kind"]
 
     @property
-    def pass_vacuous(self) -> bool:
-        """True for a run without cases, whose verdicts checked nothing."""
-        return not self.cases
+    def passed(self) -> bool:
+        return all(v.passed for v in self.verdicts)
 
     def failing_case_ids(self) -> list[str]:
         explicit = [c.case_id for c in self.cases if c.passed is False]
@@ -92,21 +89,19 @@ class RunReport(
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
             "seed": self.seed,
             "config": self.config_echo,
-            "engine_version": self.engine_version,
             "cases": [c._asdict() for c in self.cases],
             "verdicts": [v._asdict() for v in self.verdicts],
-            "pass_vacuous": self.pass_vacuous,
             "passed": self.passed,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunReport":
-        """Read back ``to_dict``; keys it no longer writes, such as the
-        ``config_hash`` of older summaries and cache entries, and the keys
-        it derives, ``pass_vacuous`` and ``passed``, are ignored."""
+        """Read back ``to_dict``.  The derived ``passed`` and the keys it no
+        longer writes, such as the ``kind``, ``engine_version``,
+        ``pass_vacuous``, ``residual_max`` and ``config_hash`` of older
+        summaries and cache entries, are ignored."""
         cases = [CaseRecord(**c) for c in payload["cases"]]
         verdicts = [
             Verdict(
@@ -118,10 +113,8 @@ class RunReport(
             for v in payload["verdicts"]
         ]
         return cls(
-            kind=payload["kind"],
             seed=payload["seed"],
             config_echo=payload["config"],
-            engine_version=payload["engine_version"],
             cases=cases,
             verdicts=verdicts,
             timings={},

@@ -2,21 +2,23 @@
 
 Three kinds of output land in the chosen directory:
 
-* ``summary.json``: the full report (config echo, every case record,
-  verdicts, residual maxima).  Serialized with sorted keys so the bytes
-  are stable for a fixed config and computed values, across engine edits
-  that leave the values alone, and parseable back into a
-  :class:`~entropylab.harness.report.RunReport` for regression diffing.
+* ``summary.json``: the full report (seed, config echo, every case
+  record, verdicts, and whether they all passed).  Serialized with sorted
+  keys so the bytes are stable for a fixed config and computed values,
+  across engine edits and version bumps that leave the values alone, and
+  parseable back into a :class:`~entropylab.harness.report.RunReport` for
+  regression diffing.
 * ``cases.csv``: the sweep table, one row per case, RFC-4180 style:
   ``csv.writer``'s excel dialect, written by ``_csv_row`` without
   importing ``csv``, which would add to the start-up of every CLI call.
 * ``*.dat``: plain two-column plot data, one file per curve, with the
-  seed recorded in a comment header.
+  kind and seed recorded in a comment header.
 
 Wall-clock timings vary run to run, so they are quarantined in a
 ``timings.json`` sidecar and never enter the byte-stable artifacts.  The
 command line adds whether the call hit the cache, its own wall time, and
-the ``config_hash`` of the config and engine sources that keyed the run.
+the build provenance: the ``engine_version``, the ``numpy_build`` and the
+``config_hash`` of the config and engine sources that keyed the run.
 """
 
 from __future__ import annotations
@@ -38,11 +40,7 @@ _DUALITY_COLUMNS = ("N", "S_I", "S_Icomp", "eta", "D")
 
 
 def summary_json(report: RunReport) -> str:
-    payload = report.to_dict()
-    payload["residual_max"] = max(
-        (c.residual for c in report.cases if c.residual is not None), default=0.0
-    )
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def load_report(path: str | Path) -> RunReport:
@@ -108,7 +106,7 @@ def _case_table(report: RunReport) -> tuple[list[str], list[list[str]]]:
 
 def _dat_header(report: RunReport, columns: str) -> list[str]:
     return [
-        f"# kind={report.kind} seed={report.seed} engine={report.engine_version}",
+        f"# kind={report.kind} seed={report.seed}",
         f"# columns: {columns}",
     ]
 
@@ -164,9 +162,8 @@ def write_report(report: RunReport, out_dir: str | Path) -> list[Path]:
 
 def format_report(report: RunReport) -> str:
     lines = [
-        f"{report.kind}  seed={report.seed}  engine={report.engine_version}",
-        f"cases {len(report.cases)}"
-        + ("  (vacuous)" if report.pass_vacuous else ""),
+        f"{report.kind}  seed={report.seed}",
+        f"cases {len(report.cases)}",
     ]
     for verdict in report.verdicts:
         flag = "PASS" if verdict.passed else "FAIL"

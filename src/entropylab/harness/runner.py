@@ -17,7 +17,6 @@ from __future__ import annotations
 import importlib
 import time
 
-from .. import __version__ as ENGINE_VERSION
 from .config import KINDS, ExperimentConfig
 from .report import CaseRecord, RunReport, Verdict
 
@@ -31,10 +30,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     cases, verdicts, timings = runner(config)
     timings["total_seconds"] = time.perf_counter() - start
     return RunReport(
-        kind=config.kind,
         seed=config.seed,
         config_echo=config.echo(),
-        engine_version=ENGINE_VERSION,
         cases=cases,
         verdicts=verdicts,
         timings=timings,

@@ -67,12 +67,6 @@ class RegionSpec:
         inner = ", ".join(f"({a:.6f}, {b:.6f})" for a, b in self.arcs)
         return f"RegionSpec([{inner}])"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RegionSpec) and self.arcs == other.arcs
-
-    def __hash__(self) -> int:
-        return hash(self.arcs)
-
     def complement(self) -> "RegionSpec":
         """The complementary arcs, re-pairing the same stored endpoints."""
         n = len(self.arcs)

@@ -9,7 +9,9 @@ varies from run to run and is not kept.  The runs are the benchmark's:
 every harness-replay config and the lattice-large one at their own seeds,
 and findim-suite at seeds 0-3, as ``--seed`` sets them.  A change that
 moves a report byte on purpose runs this script and commits the new files,
-so that the diff shows every move.
+so that the diff shows every move.  For each run it prints the files whose
+bytes moved and, for a moved ``summary.json``, the value moves that
+``tests/test_golden.py`` would report.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import shutil
 import sys
+import tempfile
 from collections import namedtuple
 from pathlib import Path
 
@@ -104,17 +107,20 @@ def value_moves(want: str, got: str) -> list[str]:
 
 
 def main() -> int:
-    scratch = GOLDEN / ".rewrite"
     for run in RUNS:
-        shutil.rmtree(scratch, ignore_errors=True)
-        files = run_artifacts(run, scratch)
+        with tempfile.TemporaryDirectory() as scratch:
+            files = run_artifacts(run, Path(scratch))
         target = GOLDEN / run.name
+        old = {p.name: p.read_bytes() for p in target.iterdir()} if target.is_dir() else {}
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir(parents=True)
         for name, data in files.items():
             (target / name).write_bytes(data)
-        print(f"{run.name}: {', '.join(sorted(files))}")
-    shutil.rmtree(scratch, ignore_errors=True)
+        moved = [name for name in sorted({*old, *files}) if old.get(name) != files.get(name)]
+        print(f"{run.name}: {', '.join(moved) + ' changed' if moved else 'unchanged'}")
+        if "summary.json" in moved and "summary.json" in old:
+            for line in value_moves(old["summary.json"].decode(), files["summary.json"].decode()):
+                print(f"  {line}")
     return 0
 
 

@@ -101,25 +101,34 @@ def test_dat_files_carry_provenance_header(tmp_path):
     report = run_experiment(config)
     write_report(report, tmp_path / "out")
     dat = (tmp_path / "out" / "sweep_N16.dat").read_text().splitlines()
-    assert dat[0] == f"# kind=cross-ratio-sweep seed=0 engine={__version__}"
+    assert dat[0] == "# kind=cross-ratio-sweep seed=0"
     assert dat[1] == "# columns: eta S_product"
     assert len(dat) == 2 + 2  # two sweep lengths, one size
 
 
 def test_empty_report_is_vacuous_with_header_only_csv(tmp_path):
-    report = RunReport(
-        kind="cross-ratio-sweep",
-        seed=0,
-        config_echo={},
-        engine_version=__version__,
-        cases=[],
-        verdicts=[],
-    )
-    assert report.passed and report.pass_vacuous
+    report = RunReport(seed=0, config_echo={"kind": "cross-ratio-sweep"}, cases=[], verdicts=[])
+    assert report.passed
     write_report(report, tmp_path / "out")
     lines = (tmp_path / "out" / "cases.csv").read_text().splitlines()
     assert lines == ["case_id,passed,residual,tolerance"]
-    assert json.loads(summary_json(report))["pass_vacuous"] is True
+
+
+def test_build_provenance_goes_to_timings_not_summary(tmp_path):
+    """The engine version sits with the config hash and numpy build in
+    timings.json; summary.json holds the run's seed, config and results."""
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(SWEEP)
+    out_dir = tmp_path / "artifacts"
+    argv = ["fermion", "cross-ratio-sweep", "--config", str(config_path), "--out", str(out_dir)]
+    assert main(argv) == 0
+    timings = json.loads((out_dir / "timings.json").read_text())
+    assert timings["engine_version"] == __version__
+    assert timings["config_hash"] == config_hash(parse_config(config_path))
+    assert "numpy_build" in timings
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert sorted(summary) == ["cases", "config", "passed", "seed", "verdicts"]
+    assert summary["config"]["kind"] == "cross-ratio-sweep"
 
 
 # Cells over the characters that decide quoting, and arbitrary text.
@@ -597,12 +606,21 @@ def test_cli_report_rerenders_stored_summary(tmp_path, capsys):
     code = main(["report", str(out_dir / "summary.json")])
     assert code == 0
     assert "overall: PASS" in capsys.readouterr().out
-    # Older summaries also carry the config_hash that now lives in timings.json.
+    # Older summaries also carry the config_hash and engine_version that now
+    # live in timings.json, a top-level kind, pass_vacuous and residual_max.
     old = json.loads((out_dir / "summary.json").read_text())
-    old["config_hash"] = "0" * 64
+    old.update(
+        config_hash="0" * 64,
+        kind="duality",
+        engine_version=__version__,
+        pass_vacuous=False,
+        residual_max=max(c["residual"] or 0.0 for c in old["cases"]),
+    )
     (tmp_path / "old.json").write_text(json.dumps(old, sort_keys=True, indent=2) + "\n")
     assert main(["report", str(tmp_path / "old.json")]) == 0
-    assert "overall: PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("duality  seed=0\n") and "overall: PASS" in out
+    assert load_report(tmp_path / "old.json") == load_report(out_dir / "summary.json")
 
 
 def test_cli_seed_override_lands_in_echo(tmp_path, capsys):
@@ -929,10 +947,10 @@ def test_runs_evaluate_the_regions_the_config_checked(tmp_path, monkeypatch, tex
     checked, evaluated = set(), set()
 
     def check_sites(sizes, regions, last=None):
-        checked.update([*regions, last] if last else regions)
+        checked.update(spec.arcs for spec in ([*regions, last] if last else regions))
 
     def value(corr, spec, memo=None):
-        evaluated.add(spec)
+        evaluated.add(spec.arcs)
         return 0.0
 
     monkeypatch.setattr(config_module, "check_sites", check_sites)

@@ -26,7 +26,6 @@ from entropylab.findim import (
 )
 from entropylab import findim
 from entropylab.findim import identities
-from entropylab.findim.algebras import _swap_matrix
 from entropylab.harness.config import default_config, parse_config
 from entropylab.harness.runner import run_experiment
 from oracles import (
@@ -145,9 +144,9 @@ def test_large_difference_instances_build_no_superoperator(side, sub, index):
         u1 = np.kron(random_unitary(side, rng), np.eye(side))
         u2 = np.kron(np.eye(side), random_unitary(side, rng))
         e1 = ConditionalExpectationMap(algebra, build_algebra([sub]).conjugated(u1))
+        swap = np.arange(side * side).reshape(side, side).T.ravel()
         e2 = ConditionalExpectationMap(
-            algebra.commutant(),
-            build_algebra([sub]).conjugated(u2 @ _swap_matrix(side, side)),
+            algebra.commutant(), build_algebra([sub]).conjugated(u2[:, swap])
         )
         report = entropy_difference_identity(
             DifferenceInstance(algebra=algebra, omega=omega, e1=e1, e2=e2)
