@@ -35,6 +35,7 @@ from .states import (
     WeightDensity,
     canonical_density,
     random_faithful_state,
+    random_unit_vector,
 )
 
 __all__ = [
@@ -62,4 +63,5 @@ __all__ = [
     "WeightDensity",
     "canonical_density",
     "random_faithful_state",
+    "random_unit_vector",
 ]

@@ -16,10 +16,18 @@ spanning set.  Algebras are compared by identity: two maps or weights refer
 to one algebra when they hold the same object, never when two spans agree
 numerically.  A commutant's commutant is the algebra itself, so that
 identity survives the round trip.
+
+Every operation here also takes a stack: isometries, matrices and unitaries
+with leading axes before their last two, one algebra (or element) per
+index, broadcast against unstacked operands.  A stack of B cases then
+makes one numpy call per step where B single cases make B, so numpy's
+per-call overhead, which dominates at these sizes, is paid once; a check
+holds when it holds for every element.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 
 import numpy as np
@@ -33,7 +41,8 @@ __all__ = [
 class BlockStructure(namedtuple("BlockStructure", "n m iso")):
     """One central block: shape (n, m) and the isometry exhibiting it.
 
-    ``iso`` has shape (n*m, D) with orthonormal rows, ordered so that
+    ``iso`` has shape (n*m, D), or (..., n*m, D) for a stack, with
+    orthonormal rows, ordered so that
     ``iso @ x @ iso.conj().T`` equals ``xhat kron eye(m)`` for every x in
     the algebra (matrix index outer, multiplicity index inner).
     """
@@ -41,10 +50,24 @@ class BlockStructure(namedtuple("BlockStructure", "n m iso")):
     __slots__ = ()
 
 
+def _item(x):
+    """A 0-d result as a Python scalar, so that one instance gets a float or a
+    bool; a stack's results as their array."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _rows(a: np.ndarray, n: int) -> np.ndarray:
+    """The last two axes of ``a`` regrouped into n rows."""
+    return a.reshape(*a.shape[:-2], n, -1)
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
 def _lift(blk: BlockStructure, a: np.ndarray) -> np.ndarray:
     """V*(a tensor 1_m)V on the ambient space: block ``blk``'s element a."""
-    acted = (a @ blk.iso.reshape(blk.n, -1)).reshape(blk.n * blk.m, -1)
-    return blk.iso.conj().T @ acted
+    return _adjoint(blk.iso) @ _rows(a @ _rows(blk.iso, blk.n), blk.n * blk.m)
 
 
 class MatrixBlockAlgebra:
@@ -58,33 +81,37 @@ class MatrixBlockAlgebra:
                 raise ValueError(f"invalid block shape ({blk.n}, {blk.m})")
         self.structure = list(structure)
         self.blocks = [(int(blk.n), int(blk.m)) for blk in self.structure]
-        self.ambient_dim = self.structure[0].iso.shape[1]
+        self.ambient_dim = self.structure[0].iso.shape[-1]
         if sum(n * m for n, m in self.blocks) != self.ambient_dim:
             raise ValueError(
                 "ambient dimension mismatch: blocks sum to "
                 f"{sum(n * m for n, m in self.blocks)}, ambient is {self.ambient_dim}"
             )
-        self._commutant: MatrixBlockAlgebra | None = None
+        # the commutant once made, or a weak reference to the algebra this one
+        # is the commutant of
+        self._commutant: MatrixBlockAlgebra | weakref.ref | None = None
 
     def central_projections(self) -> list[np.ndarray]:
-        return [blk.iso.conj().T @ blk.iso for blk in self.structure]
+        return [_adjoint(blk.iso) @ blk.iso for blk in self.structure]
 
     # -- block parts and projection ------------------------------------------
 
     def matrix_blocks(self, x: np.ndarray) -> list[np.ndarray]:
         """Compress x to its n_k x n_k matrix parts (tracing out multiplicity)."""
-        parts = []
-        for blk in self.structure:
-            left = (blk.iso @ x).reshape(blk.n, -1)
-            parts.append(left @ blk.iso.reshape(blk.n, -1).conj().T / blk.m)
-        return parts
+        return [
+            _rows(blk.iso @ x, blk.n) @ _adjoint(_rows(blk.iso, blk.n)) / blk.m
+            for blk in self.structure
+        ]
 
     def embed_blocks(self, parts: list[np.ndarray]) -> np.ndarray:
         """Assemble an algebra element from its matrix parts."""
-        out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        for blk, part in zip(self.structure, parts):
-            out += _lift(blk, np.asarray(part, dtype=complex).reshape(blk.n, blk.n))
-        return out
+        return sum(
+            (
+                _lift(blk, _rows(np.asarray(part, dtype=complex), blk.n))
+                for blk, part in zip(self.structure, parts)
+            ),
+            np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex),
+        )
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt orthogonal projection of x onto the algebra span."""
@@ -93,26 +120,34 @@ class MatrixBlockAlgebra:
     # -- derived algebras ------------------------------------------------------
 
     def commutant(self) -> "MatrixBlockAlgebra":
-        """The commutant, sharing this algebra's isometries with (n, m) swapped."""
-        if self._commutant is None:
+        """The commutant, sharing this algebra's isometries with (n, m) swapped.
+
+        It is made once and refers back to this algebra weakly, so a pair
+        that nothing holds is freed at once, not left with its isometries
+        to the cycle collector; while both are held, each is the other's
+        commutant."""
+        dual = self._commutant
+        if isinstance(dual, weakref.ref):
+            dual = dual()
+        if dual is None:
             structure = []
             for blk in self.structure:
                 # Row l*n + i of the swapped isometry is row i*m + l of this one.
                 swap = np.arange(blk.n * blk.m).reshape(blk.n, blk.m).T.ravel()
-                structure.append(BlockStructure(n=blk.m, m=blk.n, iso=blk.iso[swap]))
+                structure.append(BlockStructure(n=blk.m, m=blk.n, iso=blk.iso[..., swap, :]))
             dual = MatrixBlockAlgebra(structure)
-            dual._commutant = self
+            dual._commutant = weakref.ref(self)
             self._commutant = dual
-        return self._commutant
+        return dual
 
     def conjugated(self, u: np.ndarray) -> "MatrixBlockAlgebra":
-        """The algebra u A u* for a unitary u."""
+        """The algebra u A u* for a unitary u; a stack of unitaries gives a
+        stack of algebras."""
         d = self.ambient_dim
-        if u.shape != (d, d) or not _is_unitary(u):
+        if u.shape[-2:] != (d, d) or not _is_unitary(u):
             raise ValueError("conjugation matrix is not unitary")
         structure = [
-            BlockStructure(blk.n, blk.m, blk.iso @ u.conj().T)
-            for blk in self.structure
+            BlockStructure(blk.n, blk.m, blk.iso @ _adjoint(u)) for blk in self.structure
         ]
         return MatrixBlockAlgebra(structure)
 
@@ -121,16 +156,13 @@ class MatrixBlockAlgebra:
 
 
 def _is_unitary(u: np.ndarray) -> bool:
-    """``np.allclose(u u*, 1, atol=1e-10)`` without its overhead, which
-    dominates at these sizes: |u u* - 1| <= 1e-10 + 1e-5 |1| entrywise, so
-    the diagonal allows 1e-5 more; NaN compares false and is rejected."""
-    d = len(u)
-    gap = u @ u.conj().T
-    gap.flat[:: d + 1] -= 1.0
-    gap = np.abs(gap)
-    diagonal = (gap.diagonal() <= 1e-10 + 1e-5).all()
-    gap.flat[:: d + 1] = 0.0
-    return bool(diagonal and (gap <= 1e-10).all())
+    """``np.allclose(u u*, 1, atol=1e-10)`` for u and every element of a
+    stack, without its overhead, which dominates at these sizes:
+    |u u* - 1| <= 1e-10 + 1e-5 |1| entrywise, so the diagonal allows 1e-5
+    more; NaN compares false and is rejected."""
+    eye = np.eye(u.shape[-1], dtype=bool)
+    gap = np.abs(u @ _adjoint(u) - eye)
+    return bool((gap[..., eye] <= 1e-10 + 1e-5).all() and (gap[..., ~eye] <= 1e-10).all())
 
 
 def build_algebra(blocks: list[tuple[int, int]]) -> MatrixBlockAlgebra:

@@ -14,7 +14,8 @@ unital, and since h^(1/2) commutes with N, E = P_N o Ad h^(1/2) is completely
 positive.  No D^2 x D^2 superoperator is formed.  A target is given when
 the map is made, never discovered: the index battery's fixed-point
 algebras are built from their groups' irreducible representations
-(``harness.findim_runs.index_targets``).
+(``harness.findim_runs.index_targets``).  Source, target and density may
+be stacks (:mod:`entropylab.findim.algebras`), one map per element.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class ConditionalExpectationMap:
         if density is None:
             density = np.eye(d)
         density = np.asarray(density, dtype=complex)
-        if density.shape != (d, d):
+        if density.shape[-2:] != (d, d):
             raise ValueError(f"density must be {d} x {d}")
         self.source = source
         self.target = target

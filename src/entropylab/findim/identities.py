@@ -5,6 +5,11 @@ Each function builds nothing by itself: it takes a prepared instance
 identity, returning the pieces and the residual.  Instance generators
 for randomized suites live here too, so a seeded generator plus a check
 function is one reproducible test case.
+
+The difference and chain generators also take a list of generators and
+then build a stack of instances, one per generator, each drawn from its
+own generator as it would be alone; their checks then evaluate the stack
+at once and report one value per element (:mod:`entropylab.findim.algebras`).
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from .states import (
     VectorStateData,
     WeightDensity,
     canonical_density,
+    gaussian,
     random_faithful_state,
+    random_unit_vector,
 )
 
 __all__ = [
@@ -39,25 +46,36 @@ __all__ = [
 ]
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase correction."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def random_unitary(dim: int, rng) -> np.ndarray:
+    """Haar-distributed unitary via QR with phase correction; a stack of
+    them for a list of generators."""
+    q, r = np.linalg.qr(gaussian(rng, (dim, dim)))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
-def _cyclic_separating_vector(
-    algebra: MatrixBlockAlgebra, rng: np.random.Generator
-) -> VectorStateData:
+def _cyclic_separating_vector(algebra: MatrixBlockAlgebra, rng) -> VectorStateData:
     """The first of up to 8 random unit vectors that is cyclic and
-    separating for ``algebra``, as its VectorStateData."""
+    separating for ``algebra``, as its VectorStateData.  For a list of
+    generators, a stack in which each element that is not redraws from its
+    own generator, and only those."""
     dim = algebra.ambient_dim
+    vector = random_unit_vector(dim, rng)
     for _ in range(8):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        cand = VectorStateData(algebra, v / np.linalg.norm(v))
-        if cand.cyclic and cand.separating:
+        cand = VectorStateData(algebra, vector)
+        redraw = np.flatnonzero(~np.logical_and(cand.cyclic, cand.separating))
+        if not redraw.size:
             return cand
+        if isinstance(rng, list):
+            vector[redraw] = random_unit_vector(dim, [rng[k] for k in redraw])
+        else:
+            vector = random_unit_vector(dim, rng)
     raise RuntimeError("failed to sample a cyclic and separating vector")
+
+
+def _outer(vec: np.ndarray) -> np.ndarray:
+    """The rank-one matrix |vec><vec| of each vector of a stack."""
+    return vec[..., :, None] * vec.conj()[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +118,7 @@ def random_difference_instance(rng: np.random.Generator, side: int) -> Differenc
     # The commutant acts on the second leg; the leg swap, a permutation of
     # the basis, moves the same subalgebra there before the rotation.
     swap = np.arange(side * side).reshape(side, side).T.ravel()
-    e2 = ConditionalExpectationMap(dual, build_algebra(sub).conjugated(u2[:, swap]))
+    e2 = ConditionalExpectationMap(dual, build_algebra(sub).conjugated(u2[..., swap]))
     return DifferenceInstance(algebra=algebra, omega=omega, e1=e1, e2=e2)
 
 
@@ -112,14 +130,14 @@ def entropy_difference_identity(instance: DifferenceInstance) -> DifferenceRepor
     the weight obtained from the dual of E2 applied to wE1.
     """
     omega = instance.omega
-    if not (omega.cyclic and omega.separating):
+    if not np.all(omega.cyclic & omega.separating):
         raise ValueError("vector must be cyclic and separating for the algebra")
     algebra = instance.algebra
     dual = algebra.commutant()
     if instance.e1.source is not algebra or instance.e2.source is not dual:
         raise ValueError("expectations must be rooted at the algebra and its commutant")
     vec = omega.vector
-    rank_one = np.outer(vec, vec.conj())
+    rank_one = _outer(vec)
 
     we1 = instance.e1.pull_back(rank_one)
     s1 = relative_entropy_spatial(omega, we1)
@@ -174,10 +192,10 @@ def random_chain_instance(rng: np.random.Generator) -> ChainInstance:
 def entropy_additivity_chain(instance: ChainInstance) -> ChainReport:
     """S(w, w F2 F1) against S(w, w F2) + S(w, w F1) on the chain."""
     omega = instance.omega
-    if not (omega.cyclic and omega.separating):
+    if not np.all(omega.cyclic & omega.separating):
         raise ValueError("vector must be cyclic and separating for the middle algebra")
     vec = omega.vector
-    rank_one = np.outer(vec, vec.conj())
+    rank_one = _outer(vec)
 
     composed = compose_expectations(instance.f1, instance.f2)
     on_n1 = VectorStateData(instance.n1, vec)

@@ -22,6 +22,9 @@ the dual map at the identity, a positive element of the center of M:
 For M = M_D, where h acts as 1_{n_k} tensor h_k with h_k in M_{m_k} on the
 range of q_k, this is sum_k m_k Tr(h_k^-1), and sum_k m_k^2 when h = 1
 (Jones, Invent. Math. 72, 1, 1983).
+
+The dual weight takes stacks of expectations and weights, one per element
+(:mod:`entropylab.findim.algebras`); the index takes one expectation.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def _dual_density(expectation: ConditionalExpectationMap) -> np.ndarray:
     expectation is then not faithful and its index infinite."""
     h = expectation.density
     svals = np.linalg.svd(h, compute_uv=False)
-    if svals[-1] <= 1e-12 * svals[0]:
+    if np.any(svals[..., -1] <= 1e-12 * svals[..., 0]):
         raise ValueError("the density is singular; the index is infinite")
     target, source = expectation.target, expectation.source
     on_n = sum((m / n) * q for (n, m), q in zip(target.blocks, target.central_projections()))
@@ -52,10 +55,11 @@ def dual_weight(expectation: ConditionalExpectationMap, phi_c: WeightDensity) ->
     density D_phi_c W.  ``phi_c`` must be a faithful weight on M'."""
     if phi_c.algebra is not expectation.source.commutant():
         raise ValueError("weight must live on the commutant of the source algebra")
-    if not phi_c.is_faithful:
+    if not np.all(phi_c.is_faithful):
         raise ValueError("dual weight needs a faithful weight on the commutant")
-    w = _dual_density(expectation)
-    return canonical_density(expectation.target.commutant(), phi_c.matrix @ w)
+    return canonical_density(
+        expectation.target.commutant(), phi_c.matrix @ _dual_density(expectation)
+    )
 
 
 def kosaki_index(expectation: ConditionalExpectationMap) -> float | np.ndarray:

@@ -13,14 +13,17 @@ of psi on M and the inverse flow of phi' on M' (Connes, J. Funct. Anal.
 block trace formula; the two must agree on factors and the tests hold
 them to that.  Neither forms Delta or its tensor product: the factors are
 diagonalised apart.  Only the test oracle forms Delta as a matrix.
+
+Both take stacks of states (:mod:`entropylab.findim.states`) and then
+return one entropy per element; the support cutoffs and the kernel-mass
+test apply to each element alone.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .algebras import _adjoint, _item
 from .states import SUPPORT_CUTOFF, VectorStateData, WeightDensity
 
 __all__ = [
@@ -33,16 +36,32 @@ __all__ = [
 KERNEL_MASS_TOL = 1e-10
 
 
+def _support(vals: np.ndarray, axis=-1) -> np.ndarray:
+    """Where a PSD spectrum over ``axis`` lies above its support cutoff,
+    SUPPORT_CUTOFF times the larger of 1 and its largest value."""
+    return vals > SUPPORT_CUTOFF * vals.max(axis=axis, keepdims=True, initial=1.0)
+
+
+def _sum_where(keep: np.ndarray, x: np.ndarray, axis=-1) -> np.ndarray:
+    """The sum over ``axis`` of x where ``keep`` holds: ``np.sum(x[keep])``
+    for each element, and bitwise that where ``keep`` holds everywhere."""
+    return np.where(keep, x, 0.0).sum(axis=axis)
+
+
+def _log(vals: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """ln vals where ``keep`` holds and 0 elsewhere, never taking ln of 0."""
+    return np.log(np.where(keep, vals, 1.0))
+
+
 def _support_power(vals: np.ndarray, exponent: complex) -> np.ndarray:
     """vals**exponent above the support cutoff of a PSD spectrum, zero below."""
-    cutoff = SUPPORT_CUTOFF * max(1.0, float(vals[-1]) if vals.size else 1.0)
     out = np.zeros(vals.shape, dtype=complex)
-    keep = vals > cutoff
+    keep = _support(vals)
     out[keep] = np.exp(exponent * np.log(vals[keep]))
     return out
 
 
-def relative_entropy_spatial(omega: VectorStateData, phi: WeightDensity) -> float:
+def relative_entropy_spatial(omega: VectorStateData, phi: WeightDensity) -> float | np.ndarray:
     """S(omega, phi) = -<ln Delta(phi/omega') Omega, Omega> in nats.
 
     ``omega`` is the vector state of Omega on the algebra of ``phi``;
@@ -58,21 +77,18 @@ def relative_entropy_spatial(omega: VectorStateData, phi: WeightDensity) -> floa
     total = 0.0
     kernel_mass = 0.0
     for c_k, (s_vals, s_vecs) in zip(omega._coefficients, phi.intrinsic_eigensystems()):
-        r_vals, r_vecs = np.linalg.eigh(c_k.T @ c_k.conj())
-        vals = np.outer(s_vals, _support_power(r_vals, -1.0).real)
-        weights = np.abs(s_vecs.conj().T @ c_k @ r_vecs.conj()) ** 2
-        cutoff = SUPPORT_CUTOFF * max(1.0, float(vals.max()))
+        r_vals, r_vecs = np.linalg.eigh(c_k.swapaxes(-1, -2) @ c_k.conj())
+        vals = s_vals[..., :, None] * _support_power(r_vals, -1.0).real[..., None, :]
+        weights = np.abs(_adjoint(s_vecs) @ c_k @ r_vecs.conj()) ** 2
+        keep = _support(vals, axis=(-2, -1))
         # Mass sitting on ker(sigma_k) tensor supp(rho'_k) signals a genuine
         # support violation; mass on the rho'_k kernel is zero by construction.
-        kernel_mass += float(np.sum(weights[vals <= cutoff]))
-        keep = vals > cutoff
-        total -= float(np.sum(weights[keep] * np.log(vals[keep])))
-    if kernel_mass > KERNEL_MASS_TOL:
-        return math.inf
-    return total
+        kernel_mass = kernel_mass + _sum_where(~keep, weights, (-2, -1))
+        total = total - _sum_where(keep, weights * _log(vals, keep), (-2, -1))
+    return _item(np.where(kernel_mass > KERNEL_MASS_TOL, np.inf, total))
 
 
-def relative_entropy_umegaki(rho: WeightDensity, sigma: WeightDensity) -> float:
+def relative_entropy_umegaki(rho: WeightDensity, sigma: WeightDensity) -> float | np.ndarray:
     """Block trace formula sum_k Tr[rho_k (ln rho_k - ln sigma_k)] in nats.
 
     Works for weights as well as states; +inf when the support condition
@@ -81,21 +97,17 @@ def relative_entropy_umegaki(rho: WeightDensity, sigma: WeightDensity) -> float:
     if sigma.algebra is not rho.algebra:
         raise ValueError("relative entropy needs two functionals on the same algebra")
     total = 0.0
+    escaped = False
     for rho_k, (p_vals, p_vecs), (s_vals, s_vecs) in zip(
         rho.intrinsic_blocks(), rho.intrinsic_eigensystems(), sigma.intrinsic_eigensystems()
     ):
-        p_cut = SUPPORT_CUTOFF * max(1.0, float(p_vals[-1]) if p_vals.size else 1.0)
-        s_cut = SUPPORT_CUTOFF * max(1.0, float(s_vals[-1]) if s_vals.size else 1.0)
-        s_kernel = s_vecs[:, s_vals <= s_cut]
-        if s_kernel.shape[1]:
-            escaped = float(
-                np.real(np.trace(s_kernel.conj().T @ rho_k @ s_kernel))
-            )
-            if escaped > KERNEL_MASS_TOL:
-                return math.inf
-        keep_p = p_vals > p_cut
-        total += float(np.sum(p_vals[keep_p] * np.log(p_vals[keep_p])))
-        keep_s = s_vals > s_cut
-        overlap = np.abs(s_vecs[:, keep_s].conj().T @ p_vecs) ** 2 @ p_vals
-        total -= float(np.sum(overlap * np.log(s_vals[keep_s])))
-    return total
+        keep_s = _support(s_vals)
+        if not keep_s.all():
+            # rho_k's mass on the kernel of sigma_k, Tr(K* rho_k K)
+            held = np.sum(s_vecs.conj() * (rho_k @ s_vecs), axis=-2).real
+            escaped = escaped | (_sum_where(~keep_s, held) > KERNEL_MASS_TOL)
+        keep_p = _support(p_vals)
+        total = total + _sum_where(keep_p, p_vals * _log(p_vals, keep_p))
+        overlap = (np.abs(_adjoint(s_vecs) @ p_vecs) ** 2 @ p_vals[..., None])[..., 0]
+        total = total - _sum_where(keep_s, overlap * _log(s_vals, keep_s))
+    return _item(np.where(escaped, np.inf, total))

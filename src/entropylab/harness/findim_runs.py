@@ -2,12 +2,19 @@
 
 The five batteries run one after another in this process, in one loop
 that times each, keeps its cases and judges them in one verdict;
-``timings.json`` holds each battery's seconds.  Every case of the araki,
-difference, chain and identity batteries draws from its own generator,
+``timings.json`` holds each battery's seconds, which exclude every import
+(numpy's and ``numpy.random``'s load before the first battery starts).
+The araki, difference and chain batteries evaluate their cases as stacks:
+the cases that share a block shape (araki's block, difference's side; all
+chain cases) go through the findim primitives together, one numpy call
+per step for up to ``MAX_STACK`` cases.  The identity and index batteries
+run one case at a time.  Every case of the araki, difference, chain and
+identity batteries draws from its own generator,
 ``default_rng([seed, battery, k])``, so a case's record depends on the
-seed, its battery and its index alone, not on how many cases run or in
-what order.  The difference and chain cases bind at the kind's tolerance,
-which the config echo shows; the others at their battery's own.
+seed, its battery and its index alone, not on how many cases run, in what
+order or in which stack.  The difference and chain cases bind at the
+kind's tolerance, which the config echo shows; the others at their
+battery's own.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import itertools
 import time
 
 import numpy as np
+from numpy.random import default_rng
 
 from ..findim import (
     ConditionalExpectationMap,
@@ -28,6 +36,7 @@ from ..findim import (
     random_chain_instance,
     random_difference_instance,
     random_faithful_state,
+    random_unit_vector,
     random_unitary,
     relative_entropy_spatial,
     relative_entropy_umegaki,
@@ -35,6 +44,27 @@ from ..findim import (
 from .config import ExperimentConfig
 from .report import CaseRecord
 from .runner import _group_verdict, _residual_case
+
+# The most cases one stack holds.  A battery of any size runs in stacks of
+# at most this many, so its memory does not grow with ``instances``.
+MAX_STACK = 64
+
+ARAKI_BLOCKS = [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (4, 4), (3, 5)]
+DIFFERENCE_SIDES = (2, 3, 4)
+
+
+def _stacks(ks, key) -> list[tuple[object, list[int]]]:
+    """The case indices ``ks`` grouped by ``key(k)``, in order within each
+    group, and each group cut into stacks of at most MAX_STACK: a list of
+    (key, indices)."""
+    groups: dict = {}
+    for k in ks:
+        groups.setdefault(key(k), []).append(k)
+    return [
+        (group, members[start : start + MAX_STACK])
+        for group, members in groups.items()
+        for start in range(0, len(members), MAX_STACK)
+    ]
 
 
 def index_targets():
@@ -86,73 +116,84 @@ def run_findim(config: ExperimentConfig):
     n = config.instances
     tol = config.effective_tolerance
 
-    def araki_case(k: int) -> CaseRecord:
-        rng = np.random.default_rng([config.seed, 1, k])
-        shapes = [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (4, 4), (3, 5)]
-        a, b = shapes[k % len(shapes)]
-        alg = build_algebra([(a, b)]).conjugated(random_unitary(a * b, rng))
-        v = rng.normal(size=a * b) + 1j * rng.normal(size=a * b)
-        omega = VectorStateData(alg, v / np.linalg.norm(v))
-        sigma = random_faithful_state(alg, rng)
+    def generators(battery: int, ks: list[int]) -> list:
+        return [default_rng([config.seed, battery, k]) for k in ks]
+
+    def records(name, ks, inputs, values, residual, tolerance) -> list[CaseRecord]:
+        """One record per case of a stack, from its (name -> array) values."""
+        return [
+            _residual_case(
+                f"{name}-{k:03d}",
+                inputs,
+                {key: float(value[i]) for key, value in values.items()},
+                float(residual[i]),
+                tolerance,
+            )
+            for i, k in enumerate(ks)
+        ]
+
+    def araki_cases(block, ks) -> list[CaseRecord]:
+        a, b = block
+        rngs = generators(1, ks)
+        alg = build_algebra([block]).conjugated(random_unitary(a * b, rngs))
+        omega = VectorStateData(alg, random_unit_vector(a * b, rngs))
+        sigma = random_faithful_state(alg, rngs)
         spatial = relative_entropy_spatial(omega, sigma)
         trace_form = relative_entropy_umegaki(omega.state(), sigma)
-        return _residual_case(
-            f"araki-{k:03d}",
-            {"block": [a, b]},
-            {"spatial": spatial, "trace_form": trace_form},
-            abs(spatial - trace_form),
-            1e-8,
-        )
+        values = {"spatial": spatial, "trace_form": trace_form}
+        return records("araki", ks, {"block": [a, b]}, values, abs(spatial - trace_form), 1e-8)
 
-    def difference_case(k: int) -> CaseRecord:
-        rng = np.random.default_rng([config.seed, 2, k])
-        side = (2, 3, 4)[k % 3]
-        rep = entropy_difference_identity(random_difference_instance(rng, side=side))
-        return _residual_case(
-            f"difference-{k:03d}",
-            {"side": side},
-            {"s1": rep.s1, "s2": rep.s2, "s12": rep.s12},
-            rep.residual,
-            tol,
-        )
+    def difference_cases(side, ks) -> list[CaseRecord]:
+        rep = entropy_difference_identity(random_difference_instance(generators(2, ks), side=side))
+        values = {"s1": rep.s1, "s2": rep.s2, "s12": rep.s12}
+        return records("difference", ks, {"side": side}, values, rep.residual, tol)
 
-    def chain_case(k: int) -> CaseRecord:
-        rng = np.random.default_rng([config.seed, 3, k])
-        rep = entropy_additivity_chain(random_chain_instance(rng))
-        return _residual_case(
-            f"chain-{k:03d}",
-            {},
-            {"composed": rep.s_composed, "f2": rep.s_f2, "f1": rep.s_f1},
-            rep.residual,
-            tol,
-        )
+    def chain_cases(_, ks) -> list[CaseRecord]:
+        rep = entropy_additivity_chain(random_chain_instance(generators(3, ks)))
+        values = {"composed": rep.s_composed, "f2": rep.s_f2, "f1": rep.s_f1}
+        return records("chain", ks, {}, values, rep.residual, tol)
 
     def identity_case(which: int) -> CaseRecord:
-        rng = np.random.default_rng([config.seed, 4, which])
-        rep = check_entropy_identity(which, rng)
+        rep = check_entropy_identity(which, default_rng([config.seed, 4, which]))
         return _residual_case(
             f"identity-{which}", {"which": which}, rep.values, rep.residual, rep.tolerance
         )
 
-    def index_case(group) -> CaseRecord:
-        label, want, target = group
+    targets = index_targets()
+
+    def index_case(k: int) -> CaseRecord:
+        label, want, target = targets[k]
         source = build_algebra([(target.ambient_dim, 1)])
         got = float(kosaki_index(ConditionalExpectationMap(source, target)))
         return _residual_case(
             f"index-{label}", {"group_order": want}, {"index": got}, abs(got - want), 1e-9
         )
 
+    def one_at_a_time(case):
+        return lambda _, ks: [case(k) for k in ks]
+
+    def one_group(_):
+        return None
+
+    # (label, verdict, the records of a stack of cases, case indices, stack key)
     batteries = [
-        ("araki", "spatial-equals-trace-form", araki_case, range(n)),
-        ("difference", "expectation-difference-identity", difference_case, range(n)),
-        ("chain", "expectation-additivity-chain", chain_case, range(max(n // 2, 5))),
-        ("identities", "relative-entropy-identities", identity_case, range(1, 6)),
-        ("index", "group-fixed-point-index", index_case, index_targets()),
+        ("araki", "spatial-equals-trace-form", araki_cases, range(n),
+         lambda k: ARAKI_BLOCKS[k % len(ARAKI_BLOCKS)]),
+        ("difference", "expectation-difference-identity", difference_cases, range(n),
+         lambda k: DIFFERENCE_SIDES[k % len(DIFFERENCE_SIDES)]),
+        ("chain", "expectation-additivity-chain", chain_cases, range(max(n // 2, 5)), one_group),
+        ("identities", "relative-entropy-identities", one_at_a_time(identity_case), range(1, 6),
+         one_group),
+        ("index", "group-fixed-point-index", one_at_a_time(index_case), range(len(targets)),
+         one_group),
     ]
     cases, verdicts, timings = [], [], {}
-    for label, verdict, case, ks in batteries:
+    for label, verdict, evaluate, ks, key in batteries:
         start = time.perf_counter()
-        battery = [case(k) for k in ks]
+        by_index = {}
+        for group, stack in _stacks(ks, key):
+            by_index.update(zip(stack, evaluate(group, stack)))
+        battery = [by_index[k] for k in ks]
         timings[label] = time.perf_counter() - start
         cases.extend(battery)
         verdicts.append(_group_verdict(verdict, battery))

@@ -1164,11 +1164,13 @@ def _findim_run(seed, instances=6):
 
 
 def _overdrawn(make, rng_arg):
-    """``make``, which then draws from its generator once more, for no record."""
+    """``make``, which then draws from each generator of its stack once more,
+    for no record."""
 
     def made(*args, **kwargs):
         instance = make(*args, **kwargs)
-        args[rng_arg].normal(size=3)
+        for rng in args[rng_arg]:
+            rng.normal(size=3)
         return instance
 
     return made
@@ -1196,6 +1198,76 @@ def test_findim_cases_draw_from_their_own_generators(seed, monkeypatch):
     for battery in ("araki-", "difference-"):
         first = [case for case in long.cases if case.case_id.startswith(battery)][:6]
         assert first == [case for case in short.cases if case.case_id.startswith(battery)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_findim_records_do_not_depend_on_the_stacks(seed):
+    """The cases a 7-instance run shares with a 40-instance run have equal
+    records, though each battery cuts them into other stacks."""
+    short = {case.case_id: case for case in _findim_run(seed, instances=7).cases}
+    long = {case.case_id: case for case in _findim_run(seed, instances=40).cases}
+    shared = [case_id for case_id in long if case_id in short]
+    assert len(shared) == 7 + 7 + 5 + 5 + 3
+    assert [long[case_id] for case_id in shared] == [short[case_id] for case_id in shared]
+
+
+class _CountingGenerator:
+    """A generator that counts its standard-normal draws.  With ``product``
+    its first vector is e_0, which is neither cyclic nor separating."""
+
+    def __init__(self, rng, product):
+        self.rng, self.product, self.draws = rng, product, 0
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        if self.product and self.draws <= 2:
+            return np.eye(*shape)[0] * (self.draws == 1)
+        return self.rng.standard_normal(shape)
+
+
+def test_findim_redraws_a_vector_that_is_not_cyclic_alone(monkeypatch):
+    """difference-003 shares its stack with difference-000 and -006; its
+    first vector is not cyclic, so it alone draws another from its own
+    generator, and every record is what it would be without that draw."""
+    from entropylab.harness import findim_runs
+
+    want = _findim_run(0, instances=7).cases
+    counted = {}
+
+    def generator(key):
+        if key[1] != 2:
+            return np.random.default_rng(key)
+        counted[key[2]] = _CountingGenerator(np.random.default_rng(key), key[2] == 3)
+        return counted[key[2]]
+
+    monkeypatch.setattr(findim_runs, "default_rng", generator)
+    assert _findim_run(0, instances=7).cases == want
+    # a vector and two unitaries, each two draws; difference-003 two more
+    assert {k: g.draws for k, g in counted.items()} == {k: 8 if k == 3 else 6 for k in range(7)}
+
+
+def test_findim_batteries_run_as_stacks(monkeypatch):
+    """At 40 instances the batteries call eigh and qr a few times per block
+    shape, not per case (507 and 142 calls one case at a time), and no
+    stack holds more than MAX_STACK cases, at 400 instances either."""
+    from entropylab.harness import findim_runs
+
+    calls = {"eigh": 0, "qr": 0, "svd": 0}
+    largest = []
+    for name in calls:
+
+        def counted(a, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            largest.append(int(np.prod(np.shape(a)[:-2])))
+            return _call(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert _findim_run(0, instances=40).passed
+    assert calls["eigh"] <= 100 and calls["qr"] <= 25
+    assert max(largest) <= findim_runs.MAX_STACK
+    largest.clear()
+    assert _findim_run(0, instances=400).passed
+    assert max(largest) == findim_runs.MAX_STACK
 
 
 def test_findim_difference_and_chain_cases_bind_at_the_echoed_tolerance(monkeypatch):
