@@ -1,8 +1,9 @@
 """Config-driven experiment runner, report emitter, and result cache.
 
-``run_experiment`` is imported on first access, so that importing the
-package, parsing a config, reading the cache or re-rendering a report
-never loads numpy or the engines.  The config and report types are named
+Importing the package, parsing a config, reading the cache or
+re-rendering a report never loads numpy or the engines:
+``run_experiment`` imports the runner of a config's kind, and through it
+its engine, only when it runs one.  The config and report types are named
 tuples, so those steps load neither ``dataclasses`` nor ``inspect``
 either, and ``cli`` parses its command line from ``KINDS`` without
 ``argparse`` (nor its ``gettext`` and ``locale``).  The config file, the
@@ -19,6 +20,7 @@ from .config import (
 )
 from .report import CaseRecord, RunReport, Verdict, config_hash
 from .reporting import format_report, load_report, summary_json, write_report
+from .runner import run_experiment
 
 __all__ = [
     "CaseRecord",
@@ -39,10 +41,3 @@ __all__ = [
     "write_report",
 ]
 
-
-def __getattr__(name: str):
-    if name == "run_experiment":
-        from .runner import run_experiment
-
-        return run_experiment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

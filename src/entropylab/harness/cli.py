@@ -46,6 +46,7 @@ from .cache import cache_lookup, cache_store
 from .config import KINDS, ConfigError, default_config, parse_config, validate_config
 from .report import RunReport, config_hash, numpy_build
 from .reporting import format_report, load_report, write_report
+from .runner import run_experiment
 
 __all__ = ["main", "run"]
 
@@ -190,8 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         if report is not None:
             cache = "hit"
         else:
-            from .runner import run_experiment
-
             cache = "miss" if use_cache else "off"
             report = run_experiment(config)
             if use_cache:

@@ -11,10 +11,14 @@ a run writes and whether it uses the cache are the command line's
 are errors, not warnings, so typos cannot silently fall back to defaults;
 so is a key the kind does not read, in the file or as a command-line
 override.  The run report echoes the kind, every key the kind reads
-(defaults included) and the kind's tolerance, which no config sets: every
-verdict binds at it.  Validation builds every region a run evaluates and
-checks its sites at every size, before the cache lookup and without
-numpy; only collapse's Moebius images wait for the run, which draws them.
+(defaults included) and the kind's tolerance, which no config sets.  A
+fermion kind's verdicts bind at it wherever they bind at a tolerance.  Of
+findim-suite's cases the difference and chain cases bind at it, while the
+araki, identity and index cases keep their battery's own (1e-8, 1e-8 or
+1e-9 by identity, and 1e-9).  Validation builds every region a run
+evaluates and checks its sites at every size, before the cache lookup and
+without numpy; only collapse's Moebius images wait for the run, which
+draws them.
 
 The file is read by ``_read_ini``, not ``configparser``, whose import is
 start-up cost of every CLI call.  It reads what ``ConfigParser(strict=True,
@@ -86,7 +90,8 @@ _KEYS = {
 
 
 # One experiment kind.  ``keys`` are the [experiment] keys its runner
-# reads, and ``tolerance`` is the one its verdicts bind at.
+# reads, and ``tolerance`` is the one its verdicts bind at (findim-suite's
+# difference and chain cases alone; its other batteries keep their own).
 # ``arcs`` is the (fewest, most) number of ``arcs`` entries, ``most`` None
 # for no bound.  ``runner`` is the ``module.function`` of this package that
 # runs it, imported on first use.  ``curve`` is its plot data, or None.
@@ -171,7 +176,8 @@ class ExperimentConfig(
 
     @property
     def effective_tolerance(self) -> float:
-        """The tolerance every verdict of the kind binds at."""
+        """The kind's tolerance: a fermion kind's verdicts bind at it, and of
+        findim-suite's cases the difference and chain cases alone."""
         return KINDS[self.kind].tolerance
 
     def echo(self) -> dict:

@@ -4,11 +4,14 @@ The five batteries run one after another in this process, in one loop
 that times each, keeps its cases and judges them in one verdict;
 ``timings.json`` holds each battery's seconds, which exclude every import
 (numpy's and ``numpy.random``'s load before the first battery starts).
-The araki, difference and chain batteries evaluate their cases as stacks:
-the cases that share a block shape (araki's block, difference's side; all
-chain cases) go through the findim primitives together, one numpy call
-per step for up to ``MAX_STACK`` cases.  The identity and index batteries
-run one case at a time.  Every case of the araki, difference, chain and
+Each battery is one row of ``(label, verdict, evaluate, count, shapes)``:
+case k of ``count`` has shape ``shapes[k % len(shapes)]`` (``_stacks``),
+and ``evaluate(shape, ks)`` returns the records of one stack of cases of
+that shape.  The cases that share a shape (araki's block, difference's
+side; all chain cases) go through the findim primitives together, one
+numpy call per step for up to ``MAX_STACK`` cases.  The identity and
+index batteries are rows whose shapes are their checks or targets, one
+case per stack.  Every case of the araki, difference, chain and
 identity batteries draws from its own generator,
 ``default_rng([seed, battery, k])``, so a case's record depends on the
 seed, its battery and its index alone, not on how many cases run, in what
@@ -53,18 +56,15 @@ ARAKI_BLOCKS = [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (4, 4), (3, 5)]
 DIFFERENCE_SIDES = (2, 3, 4)
 
 
-def _stacks(ks, key) -> list[tuple[object, list[int]]]:
-    """The case indices ``ks`` grouped by ``key(k)``, in order within each
-    group, and each group cut into stacks of at most MAX_STACK: a list of
-    (key, indices)."""
-    groups: dict = {}
-    for k in ks:
-        groups.setdefault(key(k), []).append(k)
-    return [
-        (group, members[start : start + MAX_STACK])
-        for group, members in groups.items()
-        for start in range(0, len(members), MAX_STACK)
-    ]
+def _stacks(count: int, shapes) -> list[tuple[object, range]]:
+    """Case k of ``count`` has shape ``shapes[k % len(shapes)]``: the
+    (shape, indices) stacks, each shape's cases in order, cut into stacks
+    of at most MAX_STACK."""
+    out = []
+    for r, shape in enumerate(shapes):
+        ks = range(r, count, len(shapes))
+        out += [(shape, ks[start : start + MAX_STACK]) for start in range(0, len(ks), MAX_STACK)]
+    return out
 
 
 def index_targets():
@@ -153,47 +153,40 @@ def run_findim(config: ExperimentConfig):
         values = {"composed": rep.s_composed, "f2": rep.s_f2, "f1": rep.s_f1}
         return records("chain", ks, {}, values, rep.residual, tol)
 
-    def identity_case(which: int) -> CaseRecord:
+    def identity_cases(which, _) -> list[CaseRecord]:
         rep = check_entropy_identity(which, default_rng([config.seed, 4, which]))
-        return _residual_case(
-            f"identity-{which}", {"which": which}, rep.values, rep.residual, rep.tolerance
-        )
+        return [
+            _residual_case(
+                f"identity-{which}", {"which": which}, rep.values, rep.residual, rep.tolerance
+            )
+        ]
+
+    def index_cases(target, _) -> list[CaseRecord]:
+        label, want, fixed = target
+        source = build_algebra([(fixed.ambient_dim, 1)])
+        got = float(kosaki_index(ConditionalExpectationMap(source, fixed)))
+        return [
+            _residual_case(
+                f"index-{label}", {"group_order": want}, {"index": got}, abs(got - want), 1e-9
+            )
+        ]
 
     targets = index_targets()
-
-    def index_case(k: int) -> CaseRecord:
-        label, want, target = targets[k]
-        source = build_algebra([(target.ambient_dim, 1)])
-        got = float(kosaki_index(ConditionalExpectationMap(source, target)))
-        return _residual_case(
-            f"index-{label}", {"group_order": want}, {"index": got}, abs(got - want), 1e-9
-        )
-
-    def one_at_a_time(case):
-        return lambda _, ks: [case(k) for k in ks]
-
-    def one_group(_):
-        return None
-
-    # (label, verdict, the records of a stack of cases, case indices, stack key)
+    # (label, verdict, the records of a stack of cases, case count, shapes)
     batteries = [
-        ("araki", "spatial-equals-trace-form", araki_cases, range(n),
-         lambda k: ARAKI_BLOCKS[k % len(ARAKI_BLOCKS)]),
-        ("difference", "expectation-difference-identity", difference_cases, range(n),
-         lambda k: DIFFERENCE_SIDES[k % len(DIFFERENCE_SIDES)]),
-        ("chain", "expectation-additivity-chain", chain_cases, range(max(n // 2, 5)), one_group),
-        ("identities", "relative-entropy-identities", one_at_a_time(identity_case), range(1, 6),
-         one_group),
-        ("index", "group-fixed-point-index", one_at_a_time(index_case), range(len(targets)),
-         one_group),
+        ("araki", "spatial-equals-trace-form", araki_cases, n, ARAKI_BLOCKS),
+        ("difference", "expectation-difference-identity", difference_cases, n, DIFFERENCE_SIDES),
+        ("chain", "expectation-additivity-chain", chain_cases, max(n // 2, 5), (None,)),
+        ("identities", "relative-entropy-identities", identity_cases, 5, range(1, 6)),
+        ("index", "group-fixed-point-index", index_cases, len(targets), targets),
     ]
     cases, verdicts, timings = [], [], {}
-    for label, verdict, evaluate, ks, key in batteries:
+    for label, verdict, evaluate, count, shapes in batteries:
         start = time.perf_counter()
         by_index = {}
-        for group, stack in _stacks(ks, key):
-            by_index.update(zip(stack, evaluate(group, stack)))
-        battery = [by_index[k] for k in ks]
+        for shape, stack in _stacks(count, shapes):
+            by_index.update(zip(stack, evaluate(shape, stack)))
+        battery = [by_index[k] for k in range(count)]
         timings[label] = time.perf_counter() - start
         cases.extend(battery)
         verdicts.append(_group_verdict(verdict, battery))

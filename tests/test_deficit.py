@@ -152,6 +152,47 @@ def test_two_dimensional_deficit_is_additive():
     assert case.values["G_2d"] == left.g_region + right.g_region
 
 
+def _duality(sizes):
+    return run_experiment(
+        ExperimentConfig(kind="duality", sizes=sizes, arcs=TWO_ARCS.arcs, c=2.0)
+    )
+
+
+def test_two_sizes_bound_the_deficit_at_each_size():
+    """With fewer than 3 sizes nothing is extrapolated: |D| is bounded at
+    every size, and the size cases stay unchecked."""
+    report = _duality((1024, 2048))
+    limit = report.verdicts[-1]
+    assert limit.name == "deficit-within-tolerance" and limit.passed
+    assert limit.detail == "max |D| = 2.800e-03 vs 5.0e-03"
+    assert [c.case_id for c in report.cases] == ["duality-N1024", "duality-N2048"]
+    assert all(c.tolerance is None and c.passed is None for c in report.cases)
+
+    report = _duality((256, 512))
+    limit = report.verdicts[-1]
+    assert limit.name == "deficit-within-tolerance" and not limit.passed
+    assert limit.detail == "max |D| = 1.076e-02 vs 5.0e-03"
+    assert report.failing_case_ids() == ["duality-N256", "duality-N512"]
+
+
+def test_three_sizes_extrapolate_the_deficit():
+    report = _duality((256, 512, 1024))
+    limit = report.verdicts[-1]
+    assert limit.name == "deficit-extrapolates-to-zero" and limit.passed
+    assert report.cases[-1].case_id == "duality-extrapolation"
+    assert limit.case_ids[-1] == "duality-extrapolation"
+
+
+def test_two_sizes_bound_the_two_dimensional_deficit():
+    right = RegionSpec([(0.5, 1.7), (3.0, 4.4)])
+    config = ExperimentConfig(
+        kind="two-d", sizes=(1024, 2048), arcs=TWO_ARCS.arcs, right_arcs=right.arcs, c=2.0
+    )
+    (limit,) = run_experiment(config).verdicts
+    assert limit.name == "two-d-deficit-within-tolerance" and limit.passed
+    assert limit.detail == "max |D_2d| = 5.786e-03 vs 1.0e-02"
+
+
 def test_central_charge_fit_near_unity():
     n = 512
     corr = ground_state_correlations(n)

@@ -1211,6 +1211,28 @@ def test_findim_records_do_not_depend_on_the_stacks(seed):
     assert [long[case_id] for case_id in shared] == [short[case_id] for case_id in shared]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_findim_records_do_not_depend_on_where_a_stack_is_cut(seed, monkeypatch):
+    """With stacks of at most 2 a 7-instance run cuts the cases of one
+    shape into several stacks (difference's side 2, the chain's), and every
+    record is the one of the uncut run."""
+    from entropylab.harness import findim_runs
+
+    want = _findim_run(seed, instances=7).cases
+    sizes = []
+    make = findim_runs.random_difference_instance
+
+    def difference_instance(rngs, **kwargs):
+        sizes.append(len(rngs))
+        return make(rngs, **kwargs)
+
+    monkeypatch.setattr(findim_runs, "random_difference_instance", difference_instance)
+    monkeypatch.setattr(findim_runs, "MAX_STACK", 2)
+    assert _findim_run(seed, instances=7).cases == want
+    # side 2's cases 0, 3 and 6 in two stacks; sides 3 and 4 two cases each
+    assert sizes == [2, 1, 2, 2]
+
+
 class _CountingGenerator:
     """A generator that counts its standard-normal draws.  With ``product``
     its first vector is e_0, which is neither cyclic nor separating."""
