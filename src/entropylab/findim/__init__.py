@@ -14,10 +14,8 @@ from .algebras import (
 from .expectations import ConditionalExpectationMap, compose_expectations
 from .identities import (
     ChainInstance,
-    ChainReport,
+    CheckReport,
     DifferenceInstance,
-    DifferenceReport,
-    IdentityCheckReport,
     check_entropy_identity,
     entropy_additivity_chain,
     entropy_difference_identity,
@@ -45,10 +43,8 @@ __all__ = [
     "ConditionalExpectationMap",
     "compose_expectations",
     "ChainInstance",
-    "ChainReport",
+    "CheckReport",
     "DifferenceInstance",
-    "DifferenceReport",
-    "IdentityCheckReport",
     "check_entropy_identity",
     "entropy_additivity_chain",
     "entropy_difference_identity",

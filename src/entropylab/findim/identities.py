@@ -2,14 +2,17 @@
 
 Each function builds nothing by itself: it takes a prepared instance
 (algebras, a vector, expectations) and evaluates both sides of one
-identity, returning the pieces and the residual.  Instance generators
-for randomized suites live here too, so a seeded generator plus a check
-function is one reproducible test case.
+identity.  Every check returns one :class:`CheckReport`: the residual,
+the values of its named terms, and the tolerance it is held to when the
+check carries its own.  Instance generators for randomized suites live
+here too, so a seeded generator plus a check function is one
+reproducible test case.
 
 The difference and chain generators also take a list of generators and
 then build a stack of instances, one per generator, each drawn from its
 own generator as it would be alone; their checks then evaluate the stack
-at once and report one value per element (:mod:`entropylab.findim.algebras`).
+at once, and the residual and each value hold one entry per element
+(:mod:`entropylab.findim.algebras`).
 """
 
 from __future__ import annotations
@@ -32,18 +35,23 @@ from .states import (
 )
 
 __all__ = [
+    "CheckReport",
     "random_unitary",
     "DifferenceInstance",
     "random_difference_instance",
-    "DifferenceReport",
     "entropy_difference_identity",
     "ChainInstance",
     "random_chain_instance",
-    "ChainReport",
     "entropy_additivity_chain",
-    "IdentityCheckReport",
     "check_entropy_identity",
 ]
+
+
+class CheckReport(namedtuple("CheckReport", "residual values tolerance", defaults=(None,))):
+    """One identity check: its residual, the values dict of its named terms,
+    and the tolerance it is held to, or None where the caller's applies."""
+
+    __slots__ = ()
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:
@@ -91,12 +99,6 @@ class DifferenceInstance(
     __slots__ = ()
 
 
-class DifferenceReport(namedtuple("DifferenceReport", "s1 s2 s12 residual")):
-    """The three relative entropies and |s1 - s2 - s12|."""
-
-    __slots__ = ()
-
-
 def random_difference_instance(rng: np.random.Generator, side: int) -> DifferenceInstance:
     """A bipartite factor with expectations on both sides of the commutant.
 
@@ -122,8 +124,9 @@ def random_difference_instance(rng: np.random.Generator, side: int) -> Differenc
     return DifferenceInstance(algebra=algebra, omega=omega, e1=e1, e2=e2)
 
 
-def entropy_difference_identity(instance: DifferenceInstance) -> DifferenceReport:
-    """Evaluate S(w,wE1), S(w,wE2) and S(w, wE1 composed with the dual of E2).
+def entropy_difference_identity(instance: DifferenceInstance) -> CheckReport:
+    """Evaluate S(w,wE1), S(w,wE2) and S(w, wE1 composed with the dual of E2),
+    the values s1, s2 and s12, and the residual |s1 - s2 - s12|.
 
     E1 expects the algebra onto a subfactor, E2 does the same on the
     commutant; the third term lives on the commutant of E2's target, with
@@ -150,7 +153,7 @@ def entropy_difference_identity(instance: DifferenceInstance) -> DifferenceRepor
     omega_outer = VectorStateData(chi.algebra, vec)
     s12 = relative_entropy_spatial(omega_outer, chi)
 
-    return DifferenceReport(s1=s1, s2=s2, s12=s12, residual=abs(s1 - s2 - s12))
+    return CheckReport(abs(s1 - s2 - s12), {"s1": s1, "s2": s2, "s12": s12})
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +163,6 @@ def entropy_difference_identity(instance: DifferenceInstance) -> DifferenceRepor
 class ChainInstance(namedtuple("ChainInstance", "n1 n2 n3 omega f1 f2")):
     """A chain N3 in N2 in N1, a vector state on N2, and the expectations
     F1: N1 -> N2 and F2: N2 -> N3."""
-
-    __slots__ = ()
-
-
-class ChainReport(namedtuple("ChainReport", "s_composed s_f2 s_f1 residual")):
-    """The composed and the two single-step relative entropies, and
-    |s_composed - s_f2 - s_f1|."""
 
     __slots__ = ()
 
@@ -189,8 +185,9 @@ def random_chain_instance(rng: np.random.Generator) -> ChainInstance:
     return ChainInstance(n1=n1, n2=n2, n3=n3, omega=omega, f1=f1, f2=f2)
 
 
-def entropy_additivity_chain(instance: ChainInstance) -> ChainReport:
-    """S(w, w F2 F1) against S(w, w F2) + S(w, w F1) on the chain."""
+def entropy_additivity_chain(instance: ChainInstance) -> CheckReport:
+    """S(w, w F2 F1) against S(w, w F2) + S(w, w F1) on the chain: the values
+    composed, f2 and f1, and the residual |composed - f2 - f1|."""
     omega = instance.omega
     if not np.all(omega.cyclic & omega.separating):
         raise ValueError("vector must be cyclic and separating for the middle algebra")
@@ -204,26 +201,14 @@ def entropy_additivity_chain(instance: ChainInstance) -> ChainReport:
     s_f2 = relative_entropy_spatial(
         VectorStateData(instance.n2, vec), instance.f2.pull_back(rank_one)
     )
-    return ChainReport(
-        s_composed=s_both,
-        s_f2=s_f2,
-        s_f1=s_f1,
-        residual=abs(s_both - s_f2 - s_f1),
-    )
+    return CheckReport(abs(s_both - s_f2 - s_f1), {"composed": s_both, "f2": s_f2, "f1": s_f1})
 
 
 # ---------------------------------------------------------------------------
 # The five standard relative-entropy properties
 
 
-class IdentityCheckReport(namedtuple("IdentityCheckReport", "residual tolerance values")):
-    """One property check: its residual, the tolerance it is held to, and the
-    values dict of the evaluated terms, floats and lists of floats."""
-
-    __slots__ = ()
-
-
-def check_entropy_identity(which: int, rng: np.random.Generator) -> IdentityCheckReport:
+def check_entropy_identity(which: int, rng: np.random.Generator) -> CheckReport:
     """Check one of the five textbook properties of relative entropy.
 
     1: chain rule across a trace-preserving expectation,
@@ -233,14 +218,15 @@ def check_entropy_identity(which: int, rng: np.random.Generator) -> IdentityChec
     5: the three-term splitting over a tensor product.
 
     The residual is the identity violation (or the amount by which an
-    inequality is exceeded), for the caller to hold to the tolerance;
-    instances are random but fully determined by the generator state.
+    inequality is exceeded), for the caller to hold to the report's
+    tolerance; the values are floats and lists of floats.  Instances are
+    random but fully determined by the generator state.
     """
     if which not in _CHECKS:
         raise ValueError("which must be between 1 and 5")
     check, tolerance = _CHECKS[which]
     residual, values = check(rng)
-    return IdentityCheckReport(residual=residual, tolerance=tolerance, values=values)
+    return CheckReport(residual, values, tolerance)
 
 
 def _restricted(state: WeightDensity, algebra: MatrixBlockAlgebra) -> WeightDensity:

@@ -145,13 +145,11 @@ def run_findim(config: ExperimentConfig):
 
     def difference_cases(side, ks) -> list[CaseRecord]:
         rep = entropy_difference_identity(random_difference_instance(generators(2, ks), side=side))
-        values = {"s1": rep.s1, "s2": rep.s2, "s12": rep.s12}
-        return records("difference", ks, {"side": side}, values, rep.residual, tol)
+        return records("difference", ks, {"side": side}, rep.values, rep.residual, tol)
 
     def chain_cases(_, ks) -> list[CaseRecord]:
         rep = entropy_additivity_chain(random_chain_instance(generators(3, ks)))
-        values = {"composed": rep.s_composed, "f2": rep.s_f2, "f1": rep.s_f1}
-        return records("chain", ks, {}, values, rep.residual, tol)
+        return records("chain", ks, {}, rep.values, rep.residual, tol)
 
     def identity_cases(which, _) -> list[CaseRecord]:
         rep = check_entropy_identity(which, default_rng([config.seed, 4, which]))

@@ -101,7 +101,12 @@ class RunReport(
         """Read back ``to_dict``.  The derived ``passed`` and the keys it no
         longer writes, such as the ``kind``, ``engine_version``,
         ``pass_vacuous``, ``residual_max`` and ``config_hash`` of older
-        summaries and cache entries, are ignored."""
+        summaries and cache entries, are ignored.  A ``config`` that is not a
+        dict with a str ``kind``, which ``format_report`` could not read,
+        raises TypeError or KeyError."""
+        config = payload["config"]
+        if not isinstance(config, dict) or not isinstance(config["kind"], str):
+            raise TypeError("config is not a dict with a str kind")
         cases = [CaseRecord(**c) for c in payload["cases"]]
         verdicts = [
             Verdict(
@@ -114,7 +119,7 @@ class RunReport(
         ]
         return cls(
             seed=payload["seed"],
-            config_echo=payload["config"],
+            config_echo=config,
             cases=cases,
             verdicts=verdicts,
             timings={},

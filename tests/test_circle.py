@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entropylab.lattice import (
@@ -119,6 +119,8 @@ def _arc_on_lattice(draw):
 
 @given(_arc_on_lattice())
 @settings(max_examples=400, deadline=None)
+# x / step rounds to 3.0 while 3 * step < x: first_at corrects k upward
+@example((22, (math.nextafter(3 * (2 * math.pi / 22), 7.0), 2.0)))
 def test_property_arc_range_is_the_float_mask(case):
     # every end is decided by the mask's own comparison, ties and wrapping
     # arcs included, so the site sets are bitwise the mask's

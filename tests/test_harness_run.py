@@ -584,10 +584,18 @@ def test_console_script_exits_through_run():
     assert project["scripts"] == {"entropylab": "entropylab.harness.cli:run"}
 
 
+_NO_KIND = {"seed": 0, "config": {}, "cases": [], "verdicts": [], "passed": True}
+
+
 @pytest.mark.parametrize(
     "content",
-    ['{"kind": "duality", "seed": 0, "cas', '{"kind": "duality", "seed": 0}'],
-    ids=["truncated", "no-cases"],
+    [
+        '{"kind": "duality", "seed": 0, "cas',
+        '{"kind": "duality", "seed": 0}',
+        json.dumps(_NO_KIND),
+        json.dumps({**_NO_KIND, "config": []}),
+    ],
+    ids=["truncated", "no-cases", "config-without-kind", "config-not-a-dict"],
 )
 def test_cli_report_unreadable_summary_exit_three(tmp_path, capsys, content):
     summary = tmp_path / "summary.json"
@@ -595,6 +603,31 @@ def test_cli_report_unreadable_summary_exit_three(tmp_path, capsys, content):
     assert main(["report", str(summary)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert f"{summary} is not a run summary: " in err
+
+
+@pytest.mark.parametrize("config", [{}, [], {"kind": 1}], ids=["no-kind", "a-list", "int-kind"])
+def test_cache_entry_without_a_kind_is_evicted_and_recomputed(tmp_path, capsys, config):
+    """A cache entry whose report has no config dict with a str kind is a
+    miss: the lookup evicts it, and the run recomputes and stores anew."""
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(DUALITY)
+    argv = ["fermion", "duality", "--config", str(config_path)]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    key = config_hash(parse_config(config_path))
+    path = tmp_path / "cache" / f"{key}.json"
+    payload = json.loads(path.read_text())
+    payload["report"]["config"] = config
+    path.write_text(json.dumps(payload))
+    assert cache_lookup(key) is None
+    assert not path.exists()
+    path.write_text(json.dumps(payload))  # the same entry again, for the CLI to meet
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "b" / "timings.json").read_text())["cache"] == "miss"
+    summary = (tmp_path / "a" / "summary.json").read_bytes()
+    assert (tmp_path / "b" / "summary.json").read_bytes() == summary
+    assert summary_json(cache_lookup(key)).encode() == summary
 
 
 def test_cli_report_rerenders_stored_summary(tmp_path, capsys):
@@ -659,6 +692,15 @@ def test_cli_seed_override_is_validated(tmp_path, capsys, argv, text):
     code = main([*argv, "--config", str(config_path), "--seed", "-1"])
     assert code == 2
     assert "config error: seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()  # nothing was cached
+
+
+@pytest.mark.parametrize("instances", ["0", "-1"])
+def test_cli_findim_instances_must_be_at_least_one(tmp_path, capsys, instances):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(FINDIM_ONE.replace("instances = 1", f"instances = {instances}"))
+    assert main(["findim-suite", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == "config error: instances must be at least 1\n"
     assert not (tmp_path / "cache").exists()  # nothing was cached
 
 

@@ -86,8 +86,8 @@ def test_difference_identity_residual_tiny(side):
     report = entropy_difference_identity(inst)
     assert report.residual < 1e-10
     # the two single-expectation terms are genuine relative entropies
-    assert report.s1 >= -1e-12
-    assert report.s2 >= -1e-12
+    assert report.values["s1"] >= -1e-12
+    assert report.values["s2"] >= -1e-12
 
 
 @pytest.mark.parametrize("side", [2, 3, 4])
@@ -225,7 +225,8 @@ def test_chain_additivity():
     inst = random_chain_instance(rng)
     report = entropy_additivity_chain(inst)
     assert report.residual < 1e-10
-    assert report.s_composed == pytest.approx(report.s_f1 + report.s_f2, abs=1e-10)
+    composed, f2, f1 = (report.values[key] for key in ("composed", "f2", "f1"))
+    assert composed == pytest.approx(f1 + f2, abs=1e-10)
 
 
 def test_chain_instances_vary_with_seed():
@@ -265,6 +266,54 @@ def test_domination_bound_value_and_cap():
 def test_restriction_monotonicity_direction():
     report = check_entropy_identity(4, np.random.default_rng(3))
     assert report.values["restricted"] <= report.values["full"] + 1e-10
+
+
+def _product_vector(algebra):
+    """e_0 (x) e_0 in the block frame of a one-block algebra: neither cyclic
+    nor separating for it."""
+    return VectorStateData(algebra, algebra.structure[0].iso[..., 0, :].conj())
+
+
+@pytest.mark.parametrize(
+    "instance, check, spoil, message",
+    [
+        (
+            lambda rng: random_difference_instance(rng, side=2),
+            entropy_difference_identity,
+            lambda inst: inst._replace(omega=_product_vector(inst.algebra)),
+            "^vector must be cyclic and separating for the algebra$",
+        ),
+        (
+            lambda rng: random_difference_instance(rng, side=3),
+            entropy_difference_identity,
+            lambda inst: inst._replace(e1=inst.e2, e2=inst.e1),
+            "^expectations must be rooted at the algebra and its commutant$",
+        ),
+        (
+            lambda rng: random_difference_instance(rng, side=2),
+            entropy_difference_identity,
+            lambda inst: inst._replace(algebra=build_algebra([(2, 2)])),
+            "^expectations must be rooted at the algebra and its commutant$",
+        ),
+        (
+            random_chain_instance,
+            entropy_additivity_chain,
+            lambda inst: inst._replace(omega=_product_vector(inst.n2)),
+            "^vector must be cyclic and separating for the middle algebra$",
+        ),
+    ],
+    ids=[
+        "difference-vector",
+        "difference-swapped-expectations",
+        "difference-other-algebra",
+        "chain-vector",
+    ],
+)
+def test_checks_refuse_an_instance_outside_their_hypotheses(instance, check, spoil, message):
+    inst = instance(np.random.default_rng(5))
+    assert check(inst).residual < 1e-9
+    with pytest.raises(ValueError, match=message):
+        check(spoil(inst))
 
 
 def test_unknown_identity_number_rejected():

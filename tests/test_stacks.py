@@ -33,11 +33,16 @@ def _generators(seed):
 
 
 def _same_reports(stacked, singles):
-    for field in stacked._fields:
-        for k, single in enumerate(singles):
-            value = getattr(single, field)
+    """The stack's residual and each of its values, element k, equal single
+    case k's float; single and stacked reports name the same values."""
+    for k, single in enumerate(singles):
+        assert single.values.keys() == stacked.values.keys()
+        assert stacked.tolerance is single.tolerance is None
+        pairs = [("residual", stacked.residual, single.residual)]
+        pairs += [(key, stacked.values[key], value) for key, value in single.values.items()]
+        for key, stack, value in pairs:
             assert type(value) is float
-            assert getattr(stacked, field)[k] == value, (field, k)
+            assert stack[k] == value, (key, k)
 
 
 @pytest.mark.parametrize("side", [2, 3, 4])
@@ -115,6 +120,38 @@ def test_one_unnormalised_vector_fails_the_stack(bad_at):
     VectorStateData(alg, vectors)
     with pytest.raises(ValueError, match=r"^vector is not normalised \(norm 2\.0\)$"):
         VectorStateData(alg, _one_bad(vectors, bad_at, lambda v: 2 * np.eye(6)[0]))
+
+
+@pytest.mark.parametrize("bad_at", [0, 2, STACK - 1])
+@pytest.mark.parametrize(
+    "instance, check, algebra, message",
+    [
+        (
+            lambda rngs: random_difference_instance(rngs, 3),
+            entropy_difference_identity,
+            lambda inst: inst.algebra,
+            "^vector must be cyclic and separating for the algebra$",
+        ),
+        (
+            random_chain_instance,
+            entropy_additivity_chain,
+            lambda inst: inst.n2,
+            "^vector must be cyclic and separating for the middle algebra$",
+        ),
+    ],
+    ids=["difference", "chain"],
+)
+def test_one_vector_that_is_not_cyclic_fails_the_stack(bad_at, instance, check, algebra, message):
+    """e_0 (x) e_0 in element ``bad_at``'s block frame is a product vector;
+    the difference instance's algebra is one algebra for the whole stack."""
+    inst = instance(_generators(8))
+    check(inst)
+    alg = algebra(inst)
+    iso = np.broadcast_to(alg.structure[0].iso, (STACK, alg.ambient_dim, alg.ambient_dim))
+    product = iso[bad_at, 0].conj()
+    vectors = _one_bad(inst.omega.vector, bad_at, lambda v: product)
+    with pytest.raises(ValueError, match=message):
+        check(inst._replace(omega=VectorStateData(alg, vectors)))
 
 
 def test_flags_answer_for_each_element():
