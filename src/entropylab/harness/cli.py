@@ -145,7 +145,8 @@ def _resolve_config(kind: str, options: dict):
     else:
         config = default_config(kind)
     if "--seed" in options:
-        # Only the seed changes what a run computes, so only it is checked again.
+        # Every check runs again on the overridden config; the seed is the one
+        # key it names as given, since the file's keys were named when parsed.
         config = config._replace(seed=options["--seed"])
         validate_config(config, ["seed"])
     return config

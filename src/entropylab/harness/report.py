@@ -101,29 +101,39 @@ class RunReport(
         """Read back ``to_dict``.  The derived ``passed`` and the keys it no
         longer writes, such as the ``kind``, ``engine_version``,
         ``pass_vacuous``, ``residual_max`` and ``config_hash`` of older
-        summaries and cache entries, are ignored.  A ``config`` that is not a
-        dict with a str ``kind``, which ``format_report`` could not read,
-        raises TypeError or KeyError."""
+        summaries and cache entries, are ignored.  A missing field raises
+        KeyError or TypeError, and a field of a type ``to_dict`` does not
+        write there, such as a str ``passed``, raises TypeError."""
         config = payload["config"]
         if not isinstance(config, dict) or not isinstance(config["kind"], str):
             raise TypeError("config is not a dict with a str kind")
-        cases = [CaseRecord(**c) for c in payload["cases"]]
+        seed, cases, verdicts = payload["seed"], payload["cases"], payload["verdicts"]
+        if type(seed) is not int or type(cases) is not list or type(verdicts) is not list:
+            raise TypeError("seed is not an int, or cases or verdicts is not a list")
+        cases = [_typed(CaseRecord(**c), _CASE_TYPES) for c in cases]
         verdicts = [
-            Verdict(
-                name=v["name"],
-                passed=v["passed"],
-                detail=v["detail"],
-                case_ids=tuple(v["case_ids"]),
-            )
-            for v in payload["verdicts"]
+            _typed(Verdict(v["name"], v["passed"], v["detail"], v["case_ids"]), _VERDICT_TYPES)
+            for v in verdicts
         ]
-        return cls(
-            seed=payload["seed"],
-            config_echo=config,
-            cases=cases,
-            verdicts=verdicts,
-            timings={},
-        )
+        if any(type(case_id) is not str for v in verdicts for case_id in v.case_ids):
+            raise TypeError("a verdict's case id is not a str")
+        verdicts = [v._replace(case_ids=tuple(v.case_ids)) for v in verdicts]
+        return cls(seed=seed, config_echo=config, cases=cases, verdicts=verdicts, timings={})
+
+
+# The types ``to_dict`` writes, one tuple per field of a record.
+_NUMBER = (type(None), int, float)
+_CASE_TYPES = ((str,), (dict,), (dict,), _NUMBER, _NUMBER, (type(None), bool))
+_VERDICT_TYPES = ((str,), (bool,), (str,), (list,))
+
+
+def _typed(record, types: tuple):
+    """``record``, once each field holds exactly one of its ``types``; a
+    bool is not a number here."""
+    for field, value, allowed in zip(record._fields, record, types):
+        if type(value) not in allowed:
+            raise TypeError(f"{type(record).__name__} {field} is a {type(value).__name__}")
+    return record
 
 
 def numpy_build() -> str:

@@ -34,9 +34,10 @@ def central_charge_fit(
         raise ValueError("lengths and entropies must pair up")
     predictor = np.log((n_sites / math.pi) * np.sin(math.pi * lengths / n_sites)) / 3.0
     design = np.column_stack([predictor, np.ones_like(predictor)])
-    if np.linalg.matrix_rank(design) < 2:
+    # lstsq's rank uses matrix_rank's default threshold, eps * max(M, N)
+    coeffs, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    if rank < 2:
         raise ValueError("degenerate design matrix: interval lengths too similar")
-    coeffs, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
     residual = float(np.linalg.norm(design @ coeffs - values))
     return CentralChargeFit(
         c_hat=float(coeffs[0]),

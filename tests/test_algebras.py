@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropylab.findim import MatrixBlockAlgebra, build_algebra
+from entropylab.findim import BlockStructure, MatrixBlockAlgebra, build_algebra
 from entropylab.findim.identities import random_unitary
 
 from oracles import (
@@ -251,3 +251,10 @@ def test_rejects_bad_blocks():
         build_algebra([])
     with pytest.raises(ValueError):
         build_algebra([(0, 2)])
+    with pytest.raises(ValueError, match="^algebra needs at least one block$"):
+        MatrixBlockAlgebra([])
+    # one 1 x 2 block, of dimension 2, on C^3
+    with pytest.raises(
+        ValueError, match="^ambient dimension mismatch: blocks sum to 2, ambient is 3$"
+    ):
+        MatrixBlockAlgebra([BlockStructure(n=1, m=2, iso=np.eye(3)[:2])])

@@ -49,6 +49,8 @@ def test_region_rejects_non_finite_endpoints(end):
 def test_region_rejects_zero_length_arc():
     with pytest.raises(ValueError):
         RegionSpec([(1.0, 1.0)])
+    with pytest.raises(ValueError, match="^degenerate interval$"):
+        chord_length(1.0, 1.0)
 
 
 def test_complement_is_exact_involution():

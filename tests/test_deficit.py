@@ -208,6 +208,8 @@ def test_central_charge_fit_near_unity():
 def test_central_charge_fit_requires_enough_lengths():
     with pytest.raises(ValueError, match="at least 6"):
         central_charge_fit([8, 16, 24], [0.1, 0.2, 0.3], 64)
+    with pytest.raises(ValueError, match="^lengths and entropies must pair up$"):
+        central_charge_fit([8, 12, 16, 20, 24, 28, 32], [0.1] * 6, 64)
 
 
 def test_central_charge_fit_rejects_degenerate_design():

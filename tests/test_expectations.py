@@ -343,6 +343,13 @@ def test_preserving_certificate_agrees_with_validate():
         assert max(superop_axioms(cand).values()) > 100 * AXIOM_TOL
 
 
+def test_expectation_map_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="^source and target act on different ambient spaces$"):
+        ConditionalExpectationMap(build_algebra([(2, 1)]), build_algebra([(3, 1)]))
+    with pytest.raises(ValueError, match="^density must be 2 x 2$"):
+        ConditionalExpectationMap(build_algebra([(2, 1)]), build_algebra([(1, 2)]), np.eye(3))
+
+
 def test_preserving_expectation_rejects_non_subalgebra():
     rng = np.random.default_rng(8)
     big = build_algebra([(2, 2)])

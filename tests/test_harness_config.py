@@ -183,6 +183,15 @@ def test_scalar_validation(tmp_path):
             parse_config(_write(tmp_path, DUALITY + line + "\n"))
 
 
+def test_config_without_a_kind_needs_one_from_the_caller(tmp_path):
+    path = _write(tmp_path, "[experiment]\nseed = 3\n")
+    with pytest.raises(
+        ConfigError, match="^config is missing 'kind' and no subcommand provided$"
+    ):
+        parse_config(path)
+    assert parse_config(path, kind="findim-suite").seed == 3
+
+
 def test_malformed_arcs(tmp_path):
     text = "[experiment]\nkind = duality\nsizes = 64 128\narcs = 0.3 1.45 2.65\n"
     with pytest.raises(ConfigError, match="'start end' pairs"):

@@ -291,6 +291,17 @@ def test_cache_evicts_corrupt_entries(tmp_path):
     assert cache_lookup(config_hash(config)) is None
 
 
+def test_cache_store_removes_its_part_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(source, target):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    report = RunReport(seed=0, config_echo={"kind": "duality"}, cases=[], verdicts=[])
+    with pytest.raises(OSError, match="^rename refused$"):
+        cache_store(report, "0" * 64)
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
 def test_broken_cache_is_a_miss_and_the_run_goes_on(tmp_path, capsys, monkeypatch):
     """With the cache directory a regular file, the lookup is a miss and the
     store fails with a note on stderr; the run still exits 0 and writes the
@@ -585,6 +596,37 @@ def test_console_script_exits_through_run():
 
 
 _NO_KIND = {"seed": 0, "config": {}, "cases": [], "verdicts": [], "passed": True}
+_GOLDEN_SUMMARY = (
+    Path(__file__).resolve().parent / "golden" / "findim-suite" / "suite-seed0" / "summary.json"
+).read_text()
+
+
+def _tampered(where, key, value):
+    """The golden seed-0 findim-suite summary with ``key`` set to ``value``
+    in the summary (``where`` None) or in each of its ``where`` records."""
+    payload = json.loads(_GOLDEN_SUMMARY)
+    for record in [payload] if where is None else payload[where]:
+        record[key] = value
+    return json.dumps(payload)
+
+
+# Each names a field of a type that to_dict does not write there.
+_TAMPERED = {
+    "seed-a-str": (None, "seed", "0"),
+    "cases-a-dict": (None, "cases", {}),
+    "verdicts-a-dict": (None, "verdicts", {}),
+    "case-id-an-int": ("cases", "case_id", 0),
+    "inputs-null": ("cases", "inputs", None),
+    "values-a-list": ("cases", "values", []),
+    "residual-a-str": ("cases", "residual", "x"),
+    "tolerance-a-bool": ("cases", "tolerance", True),
+    "case-passed-a-str": ("cases", "passed", "no"),
+    "verdict-name-null": ("verdicts", "name", None),
+    "verdict-passed-a-str": ("verdicts", "passed", "false"),
+    "verdict-detail-an-int": ("verdicts", "detail", 1),
+    "case-ids-a-str": ("verdicts", "case_ids", "araki-000"),
+    "case-ids-not-strs": ("verdicts", "case_ids", [0]),
+}
 
 
 @pytest.mark.parametrize(
@@ -594,8 +636,9 @@ _NO_KIND = {"seed": 0, "config": {}, "cases": [], "verdicts": [], "passed": True
         '{"kind": "duality", "seed": 0}',
         json.dumps(_NO_KIND),
         json.dumps({**_NO_KIND, "config": []}),
+        *(_tampered(*change) for change in _TAMPERED.values()),
     ],
-    ids=["truncated", "no-cases", "config-without-kind", "config-not-a-dict"],
+    ids=["truncated", "no-cases", "config-without-kind", "config-not-a-dict", *_TAMPERED],
 )
 def test_cli_report_unreadable_summary_exit_three(tmp_path, capsys, content):
     summary = tmp_path / "summary.json"
@@ -606,10 +649,15 @@ def test_cli_report_unreadable_summary_exit_three(tmp_path, capsys, content):
     assert f"{summary} is not a run summary: " in err
 
 
-@pytest.mark.parametrize("config", [{}, [], {"kind": 1}], ids=["no-kind", "a-list", "int-kind"])
-def test_cache_entry_without_a_kind_is_evicted_and_recomputed(tmp_path, capsys, config):
-    """A cache entry whose report has no config dict with a str kind is a
-    miss: the lookup evicts it, and the run recomputes and stores anew."""
+@pytest.mark.parametrize(
+    "change",
+    [{"config": {}}, {"config": []}, {"config": {"kind": 1}}, {"cases": {}}],
+    ids=["no-kind", "a-list", "int-kind", "cases-a-dict"],
+)
+def test_cache_entry_without_a_kind_is_evicted_and_recomputed(tmp_path, capsys, change):
+    """A cache entry whose report has no config dict with a str kind, or
+    another field of a type that to_dict does not write, is a miss: the
+    lookup evicts it, and the run recomputes and stores anew."""
     config_path = tmp_path / "exp.ini"
     config_path.write_text(DUALITY)
     argv = ["fermion", "duality", "--config", str(config_path)]
@@ -617,7 +665,7 @@ def test_cache_entry_without_a_kind_is_evicted_and_recomputed(tmp_path, capsys, 
     key = config_hash(parse_config(config_path))
     path = tmp_path / "cache" / f"{key}.json"
     payload = json.loads(path.read_text())
-    payload["report"]["config"] = config
+    payload["report"].update(change)
     path.write_text(json.dumps(payload))
     assert cache_lookup(key) is None
     assert not path.exists()
@@ -1276,38 +1324,36 @@ def test_findim_records_do_not_depend_on_where_a_stack_is_cut(seed, monkeypatch)
 
 
 class _CountingGenerator:
-    """A generator that counts its standard-normal draws.  With ``product``
-    its first vector is e_0, which is neither cyclic nor separating."""
+    """A generator that records the shape of each standard-normal draw."""
 
-    def __init__(self, rng, product):
-        self.rng, self.product, self.draws = rng, product, 0
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
 
     def standard_normal(self, shape):
-        self.draws += 1
-        if self.product and self.draws <= 2:
-            return np.eye(*shape)[0] * (self.draws == 1)
+        self.shapes.append(shape)
         return self.rng.standard_normal(shape)
 
 
-def test_findim_redraws_a_vector_that_is_not_cyclic_alone(monkeypatch):
-    """difference-003 shares its stack with difference-000 and -006; its
-    first vector is not cyclic, so it alone draws another from its own
-    generator, and every record is what it would be without that draw."""
+def test_findim_difference_cases_draw_their_vector_once(monkeypatch):
+    """Each difference case of a 7-instance run, alone or in a stack, makes
+    six standard-normal draws from its own generator: its vector, then two
+    Haar unitaries on a leg, each a real and an imaginary part."""
     from entropylab.harness import findim_runs
 
-    want = _findim_run(0, instances=7).cases
     counted = {}
 
     def generator(key):
         if key[1] != 2:
             return np.random.default_rng(key)
-        counted[key[2]] = _CountingGenerator(np.random.default_rng(key), key[2] == 3)
+        counted[key[2]] = _CountingGenerator(np.random.default_rng(key))
         return counted[key[2]]
 
     monkeypatch.setattr(findim_runs, "default_rng", generator)
-    assert _findim_run(0, instances=7).cases == want
-    # a vector and two unitaries, each two draws; difference-003 two more
-    assert {k: g.draws for k, g in counted.items()} == {k: 8 if k == 3 else 6 for k in range(7)}
+    assert _findim_run(0, instances=7).passed
+    sides = {k: findim_runs.DIFFERENCE_SIDES[k % 3] for k in range(7)}
+    assert {k: g.shapes for k, g in counted.items()} == {
+        k: [(side * side,)] * 2 + [(side, side)] * 4 for k, side in sides.items()
+    }
 
 
 def test_findim_batteries_run_as_stacks(monkeypatch):

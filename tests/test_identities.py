@@ -319,3 +319,9 @@ def test_checks_refuse_an_instance_outside_their_hypotheses(instance, check, spo
 def test_unknown_identity_number_rejected():
     with pytest.raises(ValueError):
         check_entropy_identity(6, np.random.default_rng(0))
+
+
+def test_difference_instance_rejects_a_large_side():
+    message = "^side must be 2, 3 or 4 to keep the ambient dimension small$"
+    with pytest.raises(ValueError, match=message):
+        random_difference_instance(np.random.default_rng(0), side=5)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from entropylab.findim import (
     ConditionalExpectationMap,
+    WeightDensity,
     build_algebra,
     compose_expectations,
     dual_weight,
@@ -154,6 +155,13 @@ def test_dual_weight_solves_derivative_exchange():
     rng = np.random.default_rng(0)
     e = _partial_trace_expectation()
     _assert_exchange(e, random_faithful_state(e.source.commutant(), rng), rng)
+
+
+def test_dual_weight_needs_a_faithful_weight():
+    alg = build_algebra([(2, 2)])
+    rank_one = WeightDensity(alg.commutant(), [np.diag([1.0, 0.0])])
+    with pytest.raises(ValueError, match="^dual weight needs a faithful weight on the commutant$"):
+        dual_weight(ConditionalExpectationMap(alg, alg), rank_one)
 
 
 @given(inclusions(), st.integers(min_value=0, max_value=2**31 - 1))

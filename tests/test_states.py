@@ -209,6 +209,14 @@ def test_weight_needs_one_square_block_per_algebra_block():
             WeightDensity(alg, blocks)
 
 
+def test_functional_and_vector_must_fit_the_ambient_space():
+    alg = build_algebra([(2, 2)])
+    with pytest.raises(ValueError, match="^functional matrix has wrong shape$"):
+        canonical_density(alg, np.eye(3))
+    with pytest.raises(ValueError, match="^vector dimension mismatch$"):
+        VectorStateData(alg, np.eye(3)[0])
+
+
 def _rotated_multi_block(rng):
     alg = build_algebra([(2, 2), (1, 3), (2, 1)])
     return alg.conjugated(random_unitary(alg.ambient_dim, rng))
