@@ -2,8 +2,8 @@
 
 ``KINDS`` declares every experiment kind once: the ``[experiment]`` keys
 its runner reads, its tolerance, its arc-count rule, the command
-that runs it, its runner and its plot curve.  The command line, the runner
-dispatch and the artifact writer all read it.
+that runs it, its runner, its plot curve and its case table.  The command
+line, the runner dispatch and the artifact writer all read it.
 
 A config file has one section, ``[experiment]``, with the physics; where
 a run writes and whether it uses the cache are the command line's
@@ -94,15 +94,16 @@ _KEYS = {
 # difference and chain cases alone; its other batteries keep their own).
 # ``arcs`` is the (fewest, most) number of ``arcs`` entries, ``most`` None
 # for no bound.  ``runner`` is the ``module.function`` of this package that
-# runs it, imported on first use.  ``curve`` is its plot data, or None.
+# runs it, imported on first use.  ``curve`` is its plot data and ``table``
+# its ``cases.csv`` columns (a row per case holding them all), each or None.
 # ``command`` is the (name, help) of the CLI subcommand that runs it; a
 # command not named after the kind takes the kind as its argument.
 _FERMION = ("fermion", "free-fermion chain experiments")
 Kind = namedtuple(
-    "Kind", "keys tolerance arcs runner curve command", defaults=(None, _FERMION)
+    "Kind", "keys tolerance arcs runner curve table command", defaults=(None, None, _FERMION)
 )
-# A plot curve: points (x, y) of the cases whose values hold ``y``; with
-# ``per_size``, one curve ``<stem>_N<n>`` per lattice size.
+# A plot curve: points (x, y) of the cases whose inputs and values hold
+# both; with ``per_size``, one curve ``<stem>_N<n>`` per lattice size.
 Curve = namedtuple("Curve", "stem x y per_size")
 
 KINDS = {
@@ -119,6 +120,7 @@ KINDS = {
         arcs=(2, None),
         runner="fermion_runs.run_duality",
         curve=Curve("deficit_vs_N", "N", "D", False),
+        table=("N", "S_I", "S_Icomp", "eta", "D"),
     ),
     "cross-ratio-sweep": Kind(
         keys=("sizes", "arcs", "sweep_lengths"),

@@ -91,12 +91,13 @@ def index_targets():
     # P(g) e_k = e_g(k) is the trivial plus the standard representation; the
     # standard one acts on the orthonormal frame of the complement of (1, 1, 1).
     frame = np.array([[1, -1, 0], [1, 1, -2]]) / np.sqrt([[2], [6]])
-    perms = [np.eye(3)[:, list(g)] for g in itertools.permutations(range(3))]
-    standard = np.array([frame @ p @ frame.T for p in perms])
+    group = list(itertools.permutations(range(3)))
+    standard = np.array([frame @ np.eye(3)[:, list(g)] @ frame.T for g in group])
+    sign = [(-1) ** sum(a > b for a, b in itertools.combinations(g, 2)) for g in group]
     symmetric = np.concatenate(
         [
             np.ones((1, 6)) / np.sqrt(6),
-            np.array([[np.linalg.det(p) for p in perms]]) / np.sqrt(6),
+            np.array([sign]) / np.sqrt(6),
             standard.reshape(6, 4).T / np.sqrt(3),
         ]
     )

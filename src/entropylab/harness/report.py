@@ -102,14 +102,17 @@ class RunReport(
         longer writes, such as the ``kind``, ``engine_version``,
         ``pass_vacuous``, ``residual_max`` and ``config_hash`` of older
         summaries and cache entries, are ignored.  A missing field raises
-        KeyError or TypeError, and a field of a type ``to_dict`` does not
-        write there, such as a str ``passed``, raises TypeError."""
+        KeyError or TypeError, a field of a type ``to_dict`` does not write
+        there, such as a str ``passed``, raises TypeError, and a summary
+        without a verdict, which would read as passed, raises ValueError."""
         config = payload["config"]
         if not isinstance(config, dict) or not isinstance(config["kind"], str):
             raise TypeError("config is not a dict with a str kind")
         seed, cases, verdicts = payload["seed"], payload["cases"], payload["verdicts"]
         if type(seed) is not int or type(cases) is not list or type(verdicts) is not list:
             raise TypeError("seed is not an int, or cases or verdicts is not a list")
+        if not verdicts:
+            raise ValueError("no verdicts")
         cases = [_typed(CaseRecord(**c), _CASE_TYPES) for c in cases]
         verdicts = [
             _typed(Verdict(v["name"], v["passed"], v["detail"], v["case_ids"]), _VERDICT_TYPES)

@@ -8,7 +8,8 @@ Three kinds of output land in the chosen directory:
   across engine edits and version bumps that leave the values alone, and
   parseable back into a :class:`~entropylab.harness.report.RunReport` for
   regression diffing.
-* ``cases.csv``: the sweep table, one row per case, RFC-4180 style:
+* ``cases.csv``: the kind's declared ``table`` columns for each case that
+  holds them all, or else one row per case of every value; RFC-4180 style,
   ``csv.writer``'s excel dialect, written by ``_csv_row`` without
   importing ``csv``, which would add to the start-up of every CLI call.
 * ``*.dat``: plain two-column plot data, one file per curve, with the
@@ -35,9 +36,6 @@ __all__ = [
     "write_report",
     "format_report",
 ]
-
-_DUALITY_COLUMNS = ("N", "S_I", "S_Icomp", "eta", "D")
-
 
 def summary_json(report: RunReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -71,22 +69,20 @@ def _csv_row(cells: list[str]) -> str:
     return ",".join(quoted) + "\r\n"
 
 
+def _declared(report: RunReport, columns):
+    """Each case whose inputs and values hold every one of ``columns``, with
+    its cells of them in that order."""
+    for case in report.cases:
+        fields = {**case.inputs, **case.values}
+        if all(column in fields for column in columns):
+            yield case, [fields[column] for column in columns]
+
+
 def _case_table(report: RunReport) -> tuple[list[str], list[list[str]]]:
-    if report.kind == "duality":
-        rows = []
-        for case in report.cases:
-            if "S_I" not in case.values:
-                continue
-            rows.append(
-                [
-                    _cell(case.inputs["N"]),
-                    _cell(case.values["S_I"]),
-                    _cell(case.values["S_Icomp"]),
-                    _cell(case.values["eta"]),
-                    _cell(case.values["D"]),
-                ]
-            )
-        return list(_DUALITY_COLUMNS), rows
+    """The kind's declared ``table``, or one row per case of every value."""
+    columns = getattr(KINDS.get(report.kind), "table", None)
+    if columns:
+        return list(columns), [list(map(_cell, cells)) for _, cells in _declared(report, columns)]
 
     value_keys = sorted({k for case in report.cases for k in case.values})
     header = ["case_id", "passed", "residual", "tolerance", *value_keys]
@@ -113,17 +109,14 @@ def _dat_header(report: RunReport, columns: str) -> list[str]:
 
 def _curves(report: RunReport) -> dict[str, tuple[str, list[tuple[float, float]]]]:
     """Map file stem -> (column label line, points), as the kind's ``Curve`` declares."""
-    curve = KINDS[report.kind].curve if report.kind in KINDS else None
+    curve = getattr(KINDS.get(report.kind), "curve", None)
     if curve is None:
         return {}
     label = f"{curve.x} {curve.y}"
     curves = {} if curve.per_size else {curve.stem: (label, [])}
-    for case in report.cases:
-        if curve.y not in case.values:
-            continue
-        fields = {**case.inputs, **case.values}
+    for case, point in _declared(report, (curve.x, curve.y)):
         stem = f"{curve.stem}_N{case.inputs['N']}" if curve.per_size else curve.stem
-        curves.setdefault(stem, (label, []))[1].append((fields[curve.x], fields[curve.y]))
+        curves.setdefault(stem, (label, []))[1].append(tuple(point))
     return curves
 
 

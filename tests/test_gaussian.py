@@ -206,6 +206,18 @@ def test_region_entropy_rejects_repeated_sites(repeated):
         region_entropy(ground_state_correlations(64), np.array(repeated))
 
 
+def test_region_entropy_rejects_a_mode_occupation_outside_zero_one(monkeypatch):
+    """A coupling eigenvalue nu (1 - nu) above 1/4 is no occupation nu in [0, 1]."""
+
+    def spectrum(kernel, rows, cols):
+        return np.array([0.3]), 0.0
+
+    monkeypatch.setattr(gaussian, "_coupling_spectrum", spectrum)
+    message = r"mode occupation outside \[0, 1\]: nu \(1 - nu\) range \[3\.000e-01, 3\.000e-01\]"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        region_entropy(ground_state_correlations(64), np.arange(8))
+
+
 def test_region_entropy_does_not_depend_on_site_order():
     n = 1024
     sites = lattice_region(n, THREE_ARCS)

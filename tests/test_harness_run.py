@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import entropylab
 from entropylab import __version__
 from entropylab.harness import (
+    CaseRecord,
     RunReport,
+    cache_dir,
     cache_lookup,
     cache_store,
     config_hash,
@@ -94,6 +96,42 @@ def test_duality_csv_schema(tmp_path):
     assert len(lines) == 1 + len(config.sizes)
     assert (tmp_path / "out" / "deficit_vs_N.dat").exists()
     assert (tmp_path / "out" / "timings.json").exists()
+
+
+def test_duality_csv_schema_on_three_arcs(tmp_path):
+    """The declared table on a region whose cross ratio is undefined (the
+    three arcs of test_experiments.THREE_ARCS): each size's row has an
+    empty eta cell, and the extrapolation has no row."""
+    text = "[experiment]\nkind = duality\nsizes = 64 128 256\narcs = 0.2 1.1, 2.0 2.9, 4.1 5.3\n"
+    report = run_experiment(_config(tmp_path, text))
+    write_report(report, tmp_path / "out")
+    lines = (tmp_path / "out" / "cases.csv").read_text().splitlines()
+    *sized, extrapolation = report.cases
+    assert [case.case_id for case in sized] == ["duality-N64", "duality-N128", "duality-N256"]
+    assert extrapolation.case_id == "duality-extrapolation"
+    assert all(case.values["eta"] is None for case in sized)
+    assert lines == ["N,S_I,S_Icomp,eta,D"] + [
+        f"{c.inputs['N']},{c.values['S_I']!r},{c.values['S_Icomp']!r},,{c.values['D']!r}"
+        for c in sized
+    ]
+    dat = (tmp_path / "out" / "deficit_vs_N.dat").read_text().splitlines()
+    assert dat[2:] == [f"{c.inputs['N']} {c.values['D']!r}" for c in sized]
+
+
+def test_declared_table_and_curve_take_the_cases_that_hold_their_columns(tmp_path, monkeypatch):
+    """A table declared in KINDS, here on c-fit, writes cases.csv with no
+    other change: its rows, like the curve's points, are the cases whose
+    inputs and values hold every column, in either dict."""
+    monkeypatch.setitem(KINDS, "c-fit", KINDS["c-fit"]._replace(table=("N", "c_hat")))
+    cases = [
+        CaseRecord("a", {"N": 8}, {"c_hat": 1.5}),
+        CaseRecord("b", {"N": 16}, {}),
+        CaseRecord("c", {}, {"N": 32, "c_hat": 0.5}),
+        CaseRecord("fit", {}, {"c_hat": 2.0}),
+    ]
+    write_report(RunReport(0, {"kind": "c-fit"}, cases, []), tmp_path)
+    assert (tmp_path / "cases.csv").read_text().splitlines() == ["N,c_hat", "8,1.5", "32,0.5"]
+    assert (tmp_path / "chat_vs_N.dat").read_text().splitlines()[2:] == ["8 1.5", "32 0.5"]
 
 
 def test_dat_files_carry_provenance_header(tmp_path):
@@ -266,6 +304,18 @@ def test_config_hash_tracks_the_numpy_build(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
     finally:
         report._engine_fingerprint.cache_clear()
+
+
+@pytest.mark.parametrize("override", [None, ""])
+def test_cache_dir_defaults_to_the_home_cache(tmp_path, monkeypatch, override):
+    """Unset or empty, ENTROPYLAB_CACHE_DIR leaves the cache in
+    ~/.cache/entropylab."""
+    monkeypatch.setenv("HOME", str(tmp_path))
+    if override is None:
+        monkeypatch.delenv("ENTROPYLAB_CACHE_DIR")
+    else:
+        monkeypatch.setenv("ENTROPYLAB_CACHE_DIR", override)
+    assert cache_dir() == tmp_path / ".cache" / "entropylab"
 
 
 def test_cache_roundtrip(tmp_path):
@@ -610,7 +660,8 @@ def _tampered(where, key, value):
     return json.dumps(payload)
 
 
-# Each names a field of a type that to_dict does not write there.
+# Each names a field of a type that to_dict does not write there, but the
+# last, a summary without a verdict, which would read as passed.
 _TAMPERED = {
     "seed-a-str": (None, "seed", "0"),
     "cases-a-dict": (None, "cases", {}),
@@ -626,6 +677,7 @@ _TAMPERED = {
     "verdict-detail-an-int": ("verdicts", "detail", 1),
     "case-ids-a-str": ("verdicts", "case_ids", "araki-000"),
     "case-ids-not-strs": ("verdicts", "case_ids", [0]),
+    "no-verdicts": (None, "verdicts", []),
 }
 
 
@@ -651,13 +703,14 @@ def test_cli_report_unreadable_summary_exit_three(tmp_path, capsys, content):
 
 @pytest.mark.parametrize(
     "change",
-    [{"config": {}}, {"config": []}, {"config": {"kind": 1}}, {"cases": {}}],
-    ids=["no-kind", "a-list", "int-kind", "cases-a-dict"],
+    [{"config": {}}, {"config": []}, {"config": {"kind": 1}}, {"cases": {}}, {"verdicts": []}],
+    ids=["no-kind", "a-list", "int-kind", "cases-a-dict", "no-verdicts"],
 )
 def test_cache_entry_without_a_kind_is_evicted_and_recomputed(tmp_path, capsys, change):
     """A cache entry whose report has no config dict with a str kind, or
     another field of a type that to_dict does not write, is a miss: the
-    lookup evicts it, and the run recomputes and stores anew."""
+    lookup evicts it, and the run recomputes and stores anew.  So is one
+    without a verdict, which would read as passed."""
     config_path = tmp_path / "exp.ini"
     config_path.write_text(DUALITY)
     argv = ["fermion", "duality", "--config", str(config_path)]
