@@ -223,9 +223,9 @@ def _check_chain_rule(rng: np.random.Generator) -> tuple[float, dict]:
     exp = ConditionalExpectationMap(full, sub)
     omega = random_faithful_state(full, rng)
     psi = random_faithful_state(sub, rng)
-    lhs = relative_entropy_umegaki(omega, exp.pull_back(psi))
+    lhs = relative_entropy_umegaki(omega, exp.pull_back(psi.matrix))
     mid = relative_entropy_umegaki(canonical_density(sub, omega.matrix), psi)
-    tail = relative_entropy_umegaki(omega, exp.pull_back(omega))
+    tail = relative_entropy_umegaki(omega, exp.pull_back(omega.matrix))
     return abs(lhs - mid - tail), {"joint": lhs, "restricted": mid, "expectation_term": tail}
 
 

@@ -17,9 +17,9 @@ deliberately written from first principles with no imports from
 entropylab internals: eigen-overlap relative entropy, a
 brute-force commutant solver, a rank test of whether a vector is cyclic
 for a span of matrices, the explicit D^2 x D^2 superoperators of a group
-average, of a GNS-orthogonal projection and of an expectation
-x -> P_N(h x) with its idempotency and Choi-positivity axioms (they read
-only an algebra's basis and the density h), the Kronecker-product forms
+average and of an expectation x -> P_N(x) with its idempotency and
+Choi-positivity axioms (they read only an algebra's basis), the
+Kronecker-product forms
 of a block embedding and of the spatial relative entropy (they read only
 an algebra's block isometries), the dense restricted correlation matrix
 of the hopping chain with its eigenvalue entropy (Peschel, J. Phys. A 36
@@ -60,7 +60,7 @@ them.  ``basis_distance_by_element`` is the
 largest distance of one algebra's basis elements from another's span, one
 package projection per element; ``validate`` reads N in M from it.
 ``weight_value`` (psi(x) = Tr(D x)), ``apply_expectation``
-(E(x) = P_N(h x)), ``ambient_weight`` (the weight of an ambient matrix,
+(E(x) = P_N(x)), ``ambient_weight`` (the weight of an ambient matrix,
 checked for membership in the algebra) and ``weight_on`` (a weight carried
 over to a span-equal copy of its algebra through its ambient matrix) are
 routes no run takes: the package makes a weight from its blocks and pulls
@@ -95,12 +95,10 @@ that no run needs.
 block's Gram product B' B'^T, whose spectrum the package's lattice kernel
 compresses onto the range of an endpoint skeleton while it streams the
 block in row panels.
-``validate`` certifies an expectation by the invariants that imply its
+``validate`` certifies an expectation by the inclusion that implies its
 axioms (see ``entropylab.findim.expectations``), with sampled residuals of
-the map as applied; ``state_preserving_expectation`` builds the
-state-preserving expectation and certifies it that way, and
-``identity_expectation`` and ``weyl_unitaries`` build test inputs.  No run
-reaches any of them.
+the map as applied, and ``identity_expectation`` and ``weyl_unitaries``
+build test inputs.  No run reaches any of them.
 ``jin_korepin_entropy`` and ``several_block_entropy`` are the chain's
 closed-form entropies of one block and of a union of blocks at site-exact
 endpoints, with ``upsilon_1`` computed from its integral representation;
@@ -245,32 +243,12 @@ def group_average_superop(source, units) -> np.ndarray:
     return avg @ (frame @ frame.conj().T)
 
 
-def gns_projection_superop(target, density: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the span of ``algebra_basis(target)`` in the
-    inner product <x, y> = Tr(D x* y), from the Gram matrix of that basis."""
-    basis = algebra_basis(target)
-    gram = np.array(
-        [[np.trace(density @ na.conj().T @ nb) for nb in basis] for na in basis]
-    )
-    inv = np.linalg.inv(gram)
-    d2 = density.shape[0] ** 2
-    superop = np.zeros((d2, d2), dtype=complex)
-    for a, na in enumerate(basis):
-        for b, nb in enumerate(basis):
-            # Tr(D n_b* x) = <n_b D, x> in the Hilbert-Schmidt pairing
-            superop += inv[a, b] * np.outer(_vec(na), _vec(nb @ density).conj())
-    return superop
-
-
 def expectation_superop(e) -> np.ndarray:
-    """The D^2 x D^2 matrix of E(x) = P_N(h x) on column-major vectorized
-    matrices: E(x) = sum_a f_a Tr(f_a* h x) over the orthonormal basis f_a
-    of ``e.target``, with h = ``e.density``."""
-    basis = algebra_basis(e.target)
-    frame = np.stack([_vec(f) for f in basis], axis=1)
-    adj = e.density.conj().T
-    weighted = np.stack([_vec(adj @ f) for f in basis], axis=1)
-    return frame @ weighted.conj().T
+    """The D^2 x D^2 matrix of E(x) = P_N(x) on column-major vectorized
+    matrices: E(x) = sum_a f_a Tr(f_a* x) over the orthonormal basis f_a
+    of ``e.target``."""
+    frame = np.stack([_vec(f) for f in algebra_basis(e.target)], axis=1)
+    return frame @ frame.conj().T
 
 
 def superop_axioms(e) -> dict[str, float]:
@@ -279,7 +257,7 @@ def superop_axioms(e) -> dict[str, float]:
     from positive semidefinite: its anti-Hermitian part or its most
     negative eigenvalue, whichever is larger."""
     s = expectation_superop(e)
-    d = e.density.shape[0]
+    d = e.source.ambient_dim
     choi = s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
     lowest = np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0]
     return {
@@ -298,8 +276,8 @@ def solved_dual_weight(e, phi_c, psi=None):
     is rho_k(chi') tensor rho_k(psi)^-1 on block k of N': tracing
     1 tensor rho_k(psi) against it over C^{n_k} gives n_k rho_k(chi'), read
     off without inverting it.  (Solving the direct form for rho_k(chi')^-1
-    and inverting loses up to cond(h) cond(phi_c) ulps, about 4e-11 relative
-    on random inclusions.)  The factorization is checked to 1e-8.
+    and inverting loses up to cond(phi_c) ulps.)  The factorization is
+    checked to 1e-8.
     """
     target = e.target
     error = "weight must live on the commutant of the source"
@@ -308,7 +286,7 @@ def solved_dual_weight(e, phi_c, psi=None):
     psi = weight_on(psi, target, "psi must live on the target")
     if not (phi_c.is_faithful and psi.is_faithful):
         raise ValueError("the defining equation needs faithful weights")
-    lhs = spatial_derivative(phi_c, e.pull_back(psi))
+    lhs = spatial_derivative(phi_c, e.pull_back(psi.matrix))
     dual_target = target.commutant()
     blocks = []
     recon = np.zeros_like(lhs)
@@ -469,26 +447,22 @@ def pimsner_popa_check(
     )
 
 
-def random_inclusion(inclusion, sizes, multiplicities, rng) -> ConditionalExpectationMap:
-    """An expectation E(x) = P_N(h x) laid out by index arithmetic, with random h.
+def random_inclusion(inclusion, sizes, multiplicities) -> ConditionalExpectationMap:
+    """The expectation E = P_N of an inclusion laid out by index arithmetic.
 
     The source is M = (+)_i M_{a_i} (x) 1_{b_i} with b_i = multiplicities[i],
     and its block i holds inclusion[i][k] copies of M_{n_k}, n_k = sizes[k],
     side by side, so a_i = sum_k inclusion[i][k] n_k.  The target N is the
     algebra of those copies: M_{n_k} (x) 1_{m_k} with
-    m_k = sum_i inclusion[i][k] b_i.  On target block k the density is
-    1_{n_k} (x) h_k, where h_k is (+)_i Y_ik (x) 1_{b_i} for random positive
-    definite Y_ik acting on the copies, scaled to Tr h_k = m_k; so h is
-    positive, lies in N' cap M and has P_N(h) = 1.
+    m_k = sum_i inclusion[i][k] b_i.
     """
     a = [sum(c * n for c, n in zip(row, sizes)) for row in inclusion]
     source = build_algebra(list(zip(a, multiplicities)))
     dim = source.ambient_dim
     start = np.cumsum([0] + [ai * b for ai, b in zip(a, multiplicities)])
     structure = []
-    density = np.zeros((dim, dim), dtype=complex)
     for k, n in enumerate(sizes):
-        where, copies = [], []
+        where = []
         for i, (row, b) in enumerate(zip(inclusion, multiplicities)):
             if not row[k]:
                 continue
@@ -496,29 +470,12 @@ def random_inclusion(inclusion, sizes, multiplicities, rng) -> ConditionalExpect
             # ambient index of (matrix index, copy, multiplicity) in block i
             block = start[i] + np.arange(a[i] * b).reshape(a[i], b)[first : first + row[k] * n]
             where.append(block.reshape(row[k], n, b).transpose(1, 0, 2).reshape(n, -1))
-            g = rng.normal(size=(row[k], row[k])) + 1j * rng.normal(size=(row[k], row[k]))
-            copies.append(np.kron(g @ g.conj().T + 0.1 * np.eye(row[k]), np.eye(b)))
         where = np.concatenate(where, axis=1)
         m = where.shape[1]
         iso = np.zeros((n * m, dim), dtype=complex)
         iso[np.arange(n * m), where.reshape(-1)] = 1.0
         structure.append(BlockStructure(n, m, iso))
-        h_k = np.zeros((m, m), dtype=complex)
-        pos = 0
-        for y in copies:
-            h_k[pos : pos + len(y), pos : pos + len(y)] = y
-            pos += len(y)
-        h_k *= m / np.trace(h_k).real
-        density += iso.conj().T @ np.kron(np.eye(n), h_k) @ iso
-    return ConditionalExpectationMap(source, MatrixBlockAlgebra(structure), density)
-
-
-class NoPreservingExpectationError(Exception):
-    """The state-preserving projection onto the subalgebra is not an expectation.
-
-    Raised when the modular flow of the state does not preserve the
-    subalgebra, so no conditional expectation preserving that state exists.
-    """
+    return ConditionalExpectationMap(source, MatrixBlockAlgebra(structure))
 
 
 def validate(
@@ -527,29 +484,17 @@ def validate(
     state: WeightDensity | None = None,
     samples: int = 8,
 ) -> dict[str, float]:
-    """Residuals of the invariants that make ``e`` an expectation, then of the map.
+    """Residuals of the inclusion that makes ``e`` an expectation, then of the map.
 
-    The invariants come first, in this order: N lies in M
-    (``target_in_source``), h lies in N' (``commutes_with_target``) and
-    in M (``density_in_source``), h >= 0 (``positive``) and P_N(h) = 1
-    (``unital``).  Together they imply every axiom (see the docstring of
+    The inclusion comes first: N lies in M (``target_in_source``), which
+    makes P_N an expectation of M onto N (see the docstring of
     ``entropylab.findim.expectations``).  The ``adjoint``, ``bimodule`` and
     ``range`` residuals, and with ``state`` given ``state_preserved``
-    (omega(E(x)) = omega(x)), are sampled on unit-normalized x.  Residuals
-    of h are relative to max(1, |h|), the others absolute.
+    (omega(E(x)) = omega(x)), are sampled on unit-normalized x; all are
+    absolute.
     """
     rng = rng or np.random.default_rng(0)
-    h = e.density
-    scale = max(1.0, float(np.linalg.norm(h)))
-    out = {
-        "target_in_source": basis_distance_by_element(e.source, e.target),
-        "commutes_with_target": span_distance(e.target.commutant(), h) / scale,
-        "density_in_source": span_distance(e.source, h) / scale,
-        "positive": float(
-            max(np.linalg.norm(h - h.conj().T), -np.linalg.eigvalsh(h)[0]) / scale
-        ),
-        "unital": float(np.linalg.norm(e.target.project(h) - np.eye(e.ambient_dim))),
-    }
+    out = {"target_in_source": basis_distance_by_element(e.source, e.target)}
     adj = 0.0
     bimod = 0.0
     ranged = 0.0
@@ -583,38 +528,6 @@ def _random_element(algebra: MatrixBlockAlgebra, rng: np.random.Generator) -> np
 
 def identity_expectation(algebra: MatrixBlockAlgebra) -> ConditionalExpectationMap:
     return ConditionalExpectationMap(algebra, algebra)
-
-
-def state_preserving_expectation(
-    source: MatrixBlockAlgebra,
-    target: MatrixBlockAlgebra,
-    omega: WeightDensity,
-) -> ConditionalExpectationMap:
-    """The omega-preserving conditional expectation source -> target.
-
-    Such an expectation exists exactly when the modular flow of omega
-    preserves the subalgebra (Takesaki, J. Funct. Anal. 9, 306, 1972), and
-    then its density is h = P_N(D)^(-1) D for the density D of omega.
-    Otherwise that h does not commute with the target and
-    NoPreservingExpectationError is raised, naming the first residual of
-    the candidate's validate() above tolerance, invariants first.
-    """
-    if not span_equals(omega.algebra, source):
-        raise ValueError("state must live on the source algebra")
-    if not omega.is_faithful:
-        raise ValueError("state-preserving projection needs a faithful state")
-    dens = omega.matrix
-    cand = ConditionalExpectationMap(source, target, np.linalg.solve(target.project(dens), dens))
-    residuals = validate(cand, state=omega)
-    if residuals["target_in_source"] > 1e-8:
-        raise ValueError("target is not a subalgebra of the source")
-    failing = [name for name, value in residuals.items() if value > AXIOM_TOL * 100]
-    if failing:
-        raise NoPreservingExpectationError(
-            f"projection violates {failing[0]} (residual {residuals[failing[0]]:.3e}); "
-            "the modular flow of the state does not preserve the subalgebra"
-        )
-    return cand
 
 
 def weyl_unitaries(dim: int) -> list[np.ndarray]:
@@ -691,8 +604,8 @@ def weight_value(weight: WeightDensity, x: np.ndarray) -> complex:
 
 
 def apply_expectation(e: ConditionalExpectationMap, x: np.ndarray) -> np.ndarray:
-    """E(x) = P_N(h x)."""
-    return e.target.project(e.density @ x)
+    """E(x) = P_N(x)."""
+    return e.target.project(x)
 
 
 def ambient_weight(algebra, matrix: np.ndarray) -> WeightDensity:
@@ -724,16 +637,14 @@ def weight_on(weight: WeightDensity, algebra, error: str) -> WeightDensity:
 def is_identity(e: ConditionalExpectationMap, tol: float = 1e-10) -> bool:
     """Whether ``e`` fixes every element of its source."""
     return span_equals(e.source, e.target) and all(
-        np.linalg.norm(apply_expectation(e, f) - f) <= tol * e.ambient_dim
+        np.linalg.norm(apply_expectation(e, f) - f) <= tol * e.source.ambient_dim
         for f in algebra_basis(e.source)
     )
 
 
 def conjugated_expectation(e: ConditionalExpectationMap, u: np.ndarray) -> ConditionalExpectationMap:
     """The expectation x -> u E(u* x u) u* between the rotated algebras."""
-    return ConditionalExpectationMap(
-        e.source.conjugated(u), e.target.conjugated(u), u @ e.density @ u.conj().T
-    )
+    return ConditionalExpectationMap(e.source.conjugated(u), e.target.conjugated(u))
 
 
 def kron_embed_blocks(algebra, parts) -> np.ndarray:

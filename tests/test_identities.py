@@ -158,10 +158,17 @@ def test_large_difference_instances_build_no_superoperator(side, sub, index):
             assert max(validate(e).values()) <= 100 * AXIOM_TOL
 
 
-def test_findim_suite_builds_no_superoperator():
+def test_findim_suite_builds_no_superoperator(monkeypatch):
     """Every instance kind of the suite: difference sides 2-4, chains, the
     five identities and the three group fixed-point index cases; the largest
-    instances act on C^16."""
+    instances act on C^16.  No inverse or singular values are taken either:
+    an expectation is its target, with no density to invert."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv or np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     with _no_superop(16):
         report = run_experiment(default_config("findim-suite")._replace(instances=3))
     assert report.passed
