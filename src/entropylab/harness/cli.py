@@ -43,7 +43,7 @@ from pathlib import Path
 
 from .. import __version__
 from .cache import cache_lookup, cache_store
-from .config import KINDS, ConfigError, default_config, parse_config, validate_config
+from .config import KINDS, ConfigError, default_config, parse_config
 from .report import RunReport, config_hash, numpy_build
 from .reporting import format_report, load_report, write_report
 from .runner import run_experiment
@@ -140,16 +140,11 @@ def _parse(argv: list[str], commands: dict) -> tuple[str, str, dict] | None:
 
 
 def _resolve_config(kind: str, options: dict):
+    seed = options.get("--seed")
     if "--config" in options:
-        config = parse_config(options["--config"], kind=kind)
-    else:
-        config = default_config(kind)
-    if "--seed" in options:
-        # Every check runs again on the overridden config; the seed is the one
-        # key it names as given, since the file's keys were named when parsed.
-        config = config._replace(seed=options["--seed"])
-        validate_config(config, ["seed"])
-    return config
+        return parse_config(options["--config"], kind, seed)
+    config = default_config(kind)
+    return config if seed is None else config._replace(seed=seed)
 
 
 def _finish(report: RunReport) -> int:

@@ -5,20 +5,21 @@ its runner reads, its tolerance, its arc-count rule, the command
 that runs it, its runner, its plot curve and its case table.  The command
 line, the runner dispatch and the artifact writer all read it.
 
-A config file has one section, ``[experiment]``, with the physics; where
-a run writes and whether it uses the cache are the command line's
-``--out`` and ``--no-cache``, not the config's.  Unknown sections or keys
-are errors, not warnings, so typos cannot silently fall back to defaults;
-so is a key the kind does not read, in the file or as a command-line
-override.  The run report echoes the kind, every key the kind reads
-(defaults included) and the kind's tolerance, which no config sets.  A
-fermion kind's verdicts bind at it wherever they bind at a tolerance.  Of
-findim-suite's cases the difference and chain cases bind at it, while the
-araki, identity and index cases keep their battery's own (1e-8, 1e-8 or
-1e-9 by identity, and 1e-9).  Validation builds every region a run
-evaluates and checks its sites at every size, before the cache lookup and
-without numpy; only collapse's Moebius images wait for the run, which
-draws them.
+A config file has one section, ``[experiment]``, with the physics; where a
+run writes and whether it uses the cache are the command line's ``--out``
+and ``--no-cache``, not the config's.  Unknown sections or keys are errors,
+not warnings, so typos cannot silently fall back to defaults; so is a key
+the kind does not read, in the file or as a command-line override.  The run
+report echoes the kind, every key the kind reads (defaults included) and
+the kind's tolerance, which no config sets.  A fermion kind's verdicts bind
+at it wherever they bind at a tolerance.  Of findim-suite's cases the
+difference and chain cases bind at it, while the araki, identity and index
+cases keep their battery's own (1e-8, 1e-8 or 1e-9 by identity, and 1e-9).
+A config is checked when it is made (parsed, defaulted or changed with
+``_replace``), so ``run_experiment`` sees no other: the check builds every
+region a run evaluates and checks its sites at every size, before the cache
+lookup and without numpy; only collapse's Moebius images wait for the run,
+which draws them.
 
 The file is read by ``_read_ini``, not ``configparser``, whose import is
 start-up cost of every CLI call.  It reads what ``ConfigParser(strict=True,
@@ -167,14 +168,20 @@ class ExperimentConfig(
         defaults=[default for _, default in _KEYS.values()],
     )
 ):
-    """An experiment config; ``validate_config`` decides whether it can run.
+    """An experiment config; building one, ``_replace`` included, runs ``validate_config``.
 
     A named tuple rather than a dataclass: importing ``dataclasses`` (and
     through it ``inspect``) would add to the start-up of every CLI call,
-    cache hits included.  Change a field with ``_replace``.
+    cache hits included.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds with it
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        validate_config(config)
+        return config
 
     @property
     def effective_tolerance(self) -> float:
@@ -249,13 +256,9 @@ def _check_regions(config: ExperimentConfig, keys) -> None:
     check_sites(config.sizes, regions, last)
 
 
-def validate_config(config: ExperimentConfig, given=()) -> None:
-    """Raise ConfigError unless the config can run; call again after any override.
-
-    ``given`` names the keys set explicitly, in a file or by an override.
-    Each ``[experiment]`` key among them must be one the kind reads.  That
-    rule is checked last, so an out-of-range value is reported as such.
-    """
+def validate_config(config: ExperimentConfig) -> None:
+    """Raise ConfigError unless the config can run; ``ExperimentConfig``
+    calls it whenever one is made."""
     kind = KINDS.get(config.kind)
     if kind is None:
         raise ConfigError(
@@ -310,9 +313,6 @@ def validate_config(config: ExperimentConfig, given=()) -> None:
         raise ConfigError("instances must be at least 1")
     if config.family_size < 1:
         raise ConfigError("family_size must be at least 1")
-    for key in given:
-        if key in _KEYS and key not in keys:
-            raise ConfigError(f"'{config.kind}' does not read '{key}'")
 
 
 def _read_ini(text: str) -> dict[str, dict[str, str]]:
@@ -367,8 +367,12 @@ def _read_ini(text: str) -> dict[str, dict[str, str]]:
     }
 
 
-def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
-    """Read and validate a config file; ``kind`` must match the file if both given."""
+def parse_config(
+    path: str | Path, kind: str | None = None, seed: int | None = None
+) -> ExperimentConfig:
+    """Read a config file; ``kind`` must match the file if both give one, and
+    a ``seed`` is set as if the file set it.  Each key set must be one the
+    kind reads, checked after the values, so a bad value is named as such."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -393,7 +397,8 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
             values[key] = _KEYS[key][0](raw, key)
         else:
             raise ConfigError(f"unknown key '{key}' in [experiment]")
-    given = [key for key in values if key != "kind"]
+    if seed is not None:
+        values["seed"] = seed
 
     if "kind" not in values:
         if kind is None:
@@ -405,14 +410,14 @@ def parse_config(path: str | Path, kind: str | None = None) -> ExperimentConfig:
         )
 
     config = ExperimentConfig(**values)
-    validate_config(config, given)
+    for key in values:
+        if key != "kind" and key not in KINDS[config.kind].keys:
+            raise ConfigError(f"'{config.kind}' does not read '{key}'")
     return config
 
 
 def default_config(kind: str) -> ExperimentConfig:
-    """A runnable config for a kind that reads no lattice sizes (findim-suite)."""
+    """The default config of a kind that reads no lattice sizes (findim-suite)."""
     if kind in KINDS and "sizes" in KINDS[kind].keys:
         raise ConfigError(f"'{kind}' requires a config file (--config)")
-    config = ExperimentConfig(kind=kind)
-    validate_config(config)
-    return config
+    return ExperimentConfig(kind=kind)

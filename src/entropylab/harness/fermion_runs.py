@@ -5,13 +5,13 @@ deficit, geometry and fits); the runners here compose the experiments
 from them: the region or regions at each size, the cases and the
 verdicts, each built by ``runner._residual_case`` or ``runner._verdict``.
 ``validate_config`` has built and checked every region they evaluate, at
-every size, when the config was parsed, so a runner repeats none of its
-argument checks; only collapse's Moebius images, drawn here from a seeded
-generator, are checked when the run starts: their sites by the same
-``check_sites``, their cross ratios by ``_family_eta``.  ``_per_size``
-evaluates and times each lattice size in order; ``_limit`` gives the
-N -> infinity verdict on a deficit and ``_decreasing`` the verdict that a
-sequence shrinks with N.
+every size, when the config was made (parsed, defaulted or changed with
+``_replace``), so a runner repeats none of its argument checks; only
+collapse's Moebius images, drawn here from a seeded generator, are checked
+when the run starts: their sites by the same ``check_sites``, their cross
+ratios by ``_family_eta``.  ``_per_size`` evaluates and times each lattice
+size in order; ``_limit`` gives the N -> infinity verdict on a deficit and
+``_decreasing`` the verdict that a sequence shrinks with N.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ def run_shrink(config: ExperimentConfig):
 
     The scheduled arc keeps its left endpoint; the target is the value of
     the remaining arcs alone, which the steps approach as the arc shrinks
-    away.  The final step of a schedule of two or more may leave the arc
-    without sites, as ``validate_config`` allows, and then equals the target.
+    away.  A step leaves the arc without sites only where a config's checks
+    allow it, as the last of two or more, and then equals the target.
     """
     schedule = config.schedule
     others, arcs = shrink_arcs(RegionSpec(config.arcs), config.arc_index, schedule)
@@ -211,7 +211,7 @@ def run_shrink(config: ExperimentConfig):
         cases = []
         for k, (length, arc) in enumerate(zip(schedule, arcs)):
             sites = arc_range(n, arc)[1]
-            if sites == 0 and 0 < k == len(schedule) - 1:
+            if not sites:
                 value = target
             else:
                 value = product_state_relative_entropy(corr, RegionSpec(others + [arc]), memo)
@@ -304,7 +304,7 @@ def run_twod(config: ExperimentConfig):
         rep_l = entropy_deficit(corr, left, config.c)
         rep_r = entropy_deficit(corr, right, config.c)
         # For a product of two chiral nets, double cones factor into left
-        # and right arcs of equal count (validate_config checks it), and
+        # and right arcs of equal count (checked when the config was made), and
         # the regularized entropy and the deficit add.
         deficit = rep_l.deficit + rep_r.deficit
         return _residual_case(

@@ -48,10 +48,7 @@ RUNS = [
 def run_artifacts(run: Run, out_dir: Path) -> dict[str, bytes]:
     """File name -> bytes of everything ``run`` writes but ``timings.json``,
     plus its ``format_report`` text as ``report.txt``."""
-    config = parse_config(run.config)
-    if run.seed is not None:
-        config = config._replace(seed=run.seed)
-    report = run_experiment(config)
+    report = run_experiment(parse_config(run.config, seed=run.seed))
     files = {p.name: p.read_bytes() for p in write_report(report, out_dir)}
     del files["timings.json"]
     files["report.txt"] = (format_report(report) + "\n").encode("utf-8")

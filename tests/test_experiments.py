@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from entropylab.harness import ConfigError, ExperimentConfig, run_experiment
 from entropylab.harness import fermion_runs
 from entropylab.harness.cli import main
-from entropylab.harness.config import validate_config
 from entropylab.harness.fermion_runs import _monotone_from
 from entropylab.lattice import (
     RegionSpec,
@@ -122,10 +121,10 @@ def test_shrink_final_step_may_empty_the_arc():
 
 def test_shrink_rejects_early_empty_step():
     tiny = 2.0 * np.pi / 64 / 10.0
-    # the shared site check of product_state_relative_entropy refuses it,
-    # and a lone step, which has no earlier step to compare, alike
+    # the config refuses it when it is built, with the site check that
+    # product_state_relative_entropy shares, and a lone step alike
     for schedule in ([tiny, 0.9], [tiny]):
-        with pytest.raises(ValueError, match=r"^arc \(0.2, 0.2098\) holds no sites at N = 64$"):
+        with pytest.raises(ConfigError, match=r"^arc \(0.2, 0.2098\) holds no sites at N = 64$"):
             _shrink(64, schedule)
 
 
@@ -200,6 +199,5 @@ def test_family_eta_bound_holds_on_random_regions():
 
 def test_collapse_needs_two_geometries():
     # The region and at least one Moebius image of it.
-    config = ExperimentConfig(kind="collapse", sizes=(64,), arcs=TWO_ARCS.arcs, family_size=0)
     with pytest.raises(ConfigError, match="family_size must be at least 1"):
-        validate_config(config)
+        ExperimentConfig(kind="collapse", sizes=(64,), arcs=TWO_ARCS.arcs, family_size=0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from entropylab.harness import (
     ConfigError,
+    ExperimentConfig,
     default_config,
     parse_config,
 )
@@ -208,6 +209,39 @@ def test_default_config_only_for_findim():
             continue
         with pytest.raises(ConfigError, match="requires a config file"):
             default_config(kind)
+
+
+_TWO_ARCS = ((0.30, 1.45), (2.65, 4.10))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: default_config("findim-suite")._replace(instances=0),
+            "instances must be at least 1",
+        ),
+        (
+            lambda: ExperimentConfig(kind="collapse", sizes=(64,), arcs=_TWO_ARCS, family_size=0),
+            "family_size must be at least 1",
+        ),
+        (
+            lambda: ExperimentConfig(
+                kind="two-d",
+                sizes=(64,),
+                arcs=_TWO_ARCS,
+                right_arcs=((0.2, 1.1), (2.0, 2.9), (4.1, 5.3)),
+            ),
+            "'right_arcs' needs as many arcs as 'arcs'",
+        ),
+    ],
+    ids=["findim-no-instances", "collapse-empty-family", "two-d-unequal-arcs"],
+)
+def test_an_invalid_config_cannot_be_built(build, message):
+    # Built directly or with _replace, a config runs the checks, so
+    # run_experiment never sees one that failed them.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_unknown_kind(tmp_path):

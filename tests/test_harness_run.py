@@ -29,7 +29,8 @@ from entropylab.harness import (
     summary_json,
     write_report,
 )
-from entropylab.harness import reporting
+from entropylab.harness import config as config_module
+from entropylab.harness import fermion_runs, reporting
 from entropylab.harness.cli import main
 from entropylab.harness.config import KINDS, ExperimentConfig
 from oracles import csv_text, hashlib_config_hash
@@ -599,8 +600,6 @@ def test_out_cache_hit_checks_sites_once(tmp_path, capsys, monkeypatch):
     """Neither --out nor --no-cache changes what a run computes, so a cache
     hit with --out builds and checks its regions once, when the config is
     parsed."""
-    from entropylab.harness import config as config_module
-
     config_path = tmp_path / "exp.ini"
     config_path.write_text(DUALITY)
     argv = ["fermion", "duality", "--config", str(config_path)]
@@ -614,6 +613,30 @@ def test_out_cache_hit_checks_sites_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert json.loads((tmp_path / "hit" / "timings.json").read_text())["cache"] == "hit"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["fermion", "collapse", "--config", "harness-replay/collapse.ini", "--seed", "7"], 2),
+        (["findim-suite", "--config", "findim-suite/suite.ini", "--seed", "1"], 1),
+        (["fermion", "duality", "--config", "lattice-large/duality.ini"], 1),
+    ],
+    ids=["collapse-seeded", "findim-suite-seeded", "lattice-large-duality"],
+)
+def test_cli_checks_regions_once(monkeypatch, capsys, argv, calls):
+    # The config's regions once, and collapse's drawn family once more: a
+    # --seed override is checked with the file, not again after it.
+    counted = []
+    check_sites = config_module.check_sites
+    for module in (config_module, fermion_runs):
+        monkeypatch.setattr(
+            module, "check_sites", lambda *args: counted.append(args) or check_sites(*args)
+        )
+    argv = [str(_PERFBENCH / "configs" / a) if a.endswith(".ini") else a for a in argv]
+    assert main([*argv, "--no-cache"]) == 0
+    capsys.readouterr()
+    assert len(counted) == calls
 
 
 _EXIT_PROBE = """\
@@ -900,6 +923,7 @@ def test_runner_reads_exactly_the_declared_keys(tmp_path, kind):
             return super().__getattribute__(name)
 
     config = Recording(*_config(tmp_path, _SMALL[kind]))
+    read.clear()  # building a config checks, and so reads, every key
     module, name = KINDS[kind].runner.split(".")
     getattr(importlib.import_module(f"entropylab.harness.{module}"), name)(config)
     assert read & set(_PHYSICS_KEYS) == set(KINDS[kind].keys)
@@ -1084,9 +1108,6 @@ def test_runs_evaluate_the_regions_the_config_checked(tmp_path, monkeypatch, tex
     """The regions a sweep, shrink or collapse run evaluates are the ones
     its config check built (every step here holds sites, so none is left
     out), and for collapse the Moebius images the run checks itself."""
-    from entropylab.harness import config as config_module
-    from entropylab.harness import fermion_runs
-
     checked, evaluated = set(), set()
 
     def check_sites(sizes, regions, last=None):

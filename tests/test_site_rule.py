@@ -12,7 +12,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from entropylab.harness import ConfigError, ExperimentConfig
-from entropylab.harness.config import check_sites, validate_config
+from entropylab.harness.config import check_sites
 from entropylab.lattice import RegionSpec, ground_state_correlations, product_state_relative_entropy
 from oracles import lattice_region, mask_arc_sites
 
@@ -71,8 +71,9 @@ def _covering_regions(draw):
 @example(8, RegionSpec([(0.0, TWO_PI - 1e-9)]))
 @settings(max_examples=300, deadline=None)
 def test_property_config_and_lattice_share_the_site_rule(n, spec):
-    config = ExperimentConfig(kind="duality", sizes=(n,), arcs=FIXED_ARCS)
-    size_error = _message(lambda: validate_config(config), ConfigError)
+    size_error = _message(
+        lambda: ExperimentConfig(kind="duality", sizes=(n,), arcs=FIXED_ARCS), ConfigError
+    )
     assert size_error == _message(lambda: ground_state_correlations(n), ValueError)
     assert size_error in (None, f"sizes must be even and at least 8, got {n}")
     assert (size_error is None) == (n % 2 == 0 and n >= 8)
