@@ -4,7 +4,9 @@
 
 Runs each benchmark config in this process, without the cache, and writes
 its ``summary.json``, ``cases.csv``, plot data and ``format_report`` text
-(``report.txt``) to ``tests/golden/<workload>/<run>/``.  ``timings.json``
+(``report.txt``) to ``tests/golden/<workload>/<run>/``, the one store of
+expected output that Tier-1 compares against; the benchmark checker keeps
+its own store under ``perfbench/``, and no test reads it.  ``timings.json``
 varies from run to run and is not kept.  The runs are the benchmark's:
 every harness-replay config and the lattice-large one at their own seeds,
 and findim-suite at seeds 0-3, as ``--seed`` sets them.  A change that
@@ -27,7 +29,7 @@ from entropylab.harness import format_report, parse_config, run_experiment, writ
 
 _ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = _ROOT / "tests" / "golden"
-_CONFIGS = _ROOT / "perfbench" / "configs"
+CONFIGS = _ROOT / "perfbench" / "configs"
 
 # ``name`` is the run's directory under GOLDEN; ``seed`` None keeps the config's.
 Run = namedtuple("Run", "name config seed")
@@ -35,11 +37,11 @@ Run = namedtuple("Run", "name config seed")
 RUNS = [
     *(
         Run(f"harness-replay/{path.stem}", path, None)
-        for path in sorted((_CONFIGS / "harness-replay").glob("*.ini"))
+        for path in sorted((CONFIGS / "harness-replay").glob("*.ini"))
     ),
-    Run("lattice-large/duality", _CONFIGS / "lattice-large" / "duality.ini", None),
+    Run("lattice-large/duality", CONFIGS / "lattice-large" / "duality.ini", None),
     *(
-        Run(f"findim-suite/suite-seed{seed}", _CONFIGS / "findim-suite" / "suite.ini", seed)
+        Run(f"findim-suite/suite-seed{seed}", CONFIGS / "findim-suite" / "suite.ini", seed)
         for seed in range(4)
     ),
 ]
@@ -50,7 +52,7 @@ def run_artifacts(run: Run, out_dir: Path) -> dict[str, bytes]:
     plus its ``format_report`` text as ``report.txt``."""
     report = run_experiment(parse_config(run.config, seed=run.seed))
     files = {p.name: p.read_bytes() for p in write_report(report, out_dir)}
-    del files["timings.json"]
+    files.pop("timings.json", None)
     files["report.txt"] = (format_report(report) + "\n").encode("utf-8")
     return files
 

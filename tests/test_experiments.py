@@ -195,9 +195,3 @@ def test_family_eta_bound_holds_on_random_regions():
         family = equal_eta_family(RegionSpec([(x[0], x[1]), (x[2], x[3])]), 3, rng)
         eta = fermion_runs._family_eta(family)
         assert eta == pytest.approx(cross_ratio(family[0]), rel=1e-12)
-
-
-def test_collapse_needs_two_geometries():
-    # The region and at least one Moebius image of it.
-    with pytest.raises(ConfigError, match="family_size must be at least 1"):
-        ExperimentConfig(kind="collapse", sizes=(64,), arcs=TWO_ARCS.arcs, family_size=0)

@@ -2,11 +2,9 @@
 five-part check battery."""
 
 import importlib
-import json
 import pkgutil
 import tracemalloc
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +24,7 @@ from entropylab.findim import (
 )
 from entropylab import findim
 from entropylab.findim import identities
-from entropylab.harness.config import default_config, parse_config
+from entropylab.harness.config import default_config
 from entropylab.harness.runner import run_experiment
 from oracles import (
     AXIOM_TOL,
@@ -196,26 +194,6 @@ def test_evaluation_forms_no_kronecker_product(monkeypatch):
     for inst in instances:
         assert entropy_difference_identity(inst).residual <= 1e-9
     assert entropy_additivity_chain(chain).residual <= 1e-9
-
-
-def test_findim_suite_matches_the_benchmark_reference():
-    """The seed-0 benchmark config, run in-process, has the reference's case
-    ids and verdicts, and every value within 1e-10 of it."""
-    root = Path(__file__).resolve().parent.parent / "perfbench"
-    reference = json.loads((root / "reference" / "findim-suite.json").read_text())
-    want = reference["suite"]["seeds"]["0"]["cases"]
-    config = parse_config(root / "configs" / "findim-suite" / "suite.ini")._replace(seed=0)
-    report = run_experiment(config)
-    assert report.passed
-    assert [c.case_id for c in report.cases] == [c["case_id"] for c in want]
-    for got, case in zip(report.cases, want):
-        assert got.passed is case["passed"], got.case_id
-        assert got.values.keys() == case["values"].keys(), got.case_id
-        for key, value in case["values"].items():
-            np.testing.assert_allclose(
-                got.values[key], value, rtol=0, atol=1e-10, err_msg=f"{got.case_id}.{key}"
-            )
-        assert abs(got.residual - case["residual"]) <= 1e-10, got.case_id
 
 
 def test_difference_identity_many_seeds():
